@@ -7,26 +7,25 @@ import numpy as np
 
 from cowsim import alice, bob, eve
 from cowsim.alice import DECOY, SlotMap
-from cowsim.bob import DetectionMode, DetectorConfig
+from cowsim.bob import DetectionMode
 from cowsim.engine import Attack, SimConfig, compare_attack, run
 from cowsim.eve import EveMask, MaskMode
-from cowsim.optics import OpticalParams
 
 # --- the six-slot worked example -------------------------------------------
 # Alice sends 0, 0, 1, 1 and two decoys; Eve's pattern is 0, 1, 0, 1, 0, 1.
 slot_map = SlotMap(np.array([0, 0, 1, 1, DECOY, DECOY]))
 mask = EveMask(np.array([0, 1, 0, 1, 0, 1]), MaskMode.ALTERNATING)
 
-train = alice.encode(slot_map, mu=0.5)
+train = alice.encode(slot_map)
 sent = eve.apply_and_mask(train, mask)
 
 rec = bob.receive(
     sent,
-    OpticalParams(channel_t=1.0, t_b=0.9),
-    DetectorConfig(mode=DetectionMode.DETERMINISTIC),
+    SimConfig(channel_t=1.0, t_b=0.9, detection_mode=DetectionMode.DETERMINISTIC),
     np.random.default_rng(0),
 )
-decoded = {d.slot: d.value for d in bob.decode(rec)}
+slots, values = bob.decode(rec)
+decoded = dict(zip(slots.tolist(), values.tolist()))
 
 print("slot  alice  eve  bob")
 for s in range(slot_map.n_slots):

@@ -3,7 +3,6 @@
 from .alice import (
     DECOY,
     DecoyStrategy,
-    PulseTrain,
     SlotMap,
     announce_coherence_checks,
     coherent_boundaries,
@@ -11,7 +10,7 @@ from .alice import (
     generate_raw_bits,
     insert_decoys,
 )
-from .bob import DetectionMode, DetectionRecord, DetectorConfig, decode, receive
+from .bob import DetectionMode, DetectionRecord, decode, receive
 from .engine import (
     Attack,
     CompareResult,
@@ -30,19 +29,7 @@ from .eve import (
     observe_transcript,
     reconstruct_key,
 )
-from .optics import (
-    BinAmplitude,
-    OpticalParams,
-    attenuate,
-    beamsplit,
-    click_probability,
-    detectable_fraction,
-    effective_mu,
-    monitor_port_mean,
-    sample_click,
-    splittable_fraction,
-    vacuum_overlap,
-)
+from .optics import click_probability, detectable_fraction, splittable_fraction
 from .sifting import SiftResult, Transcript, compute_qber, run_sifting
 
 __version__ = "0.1.0"

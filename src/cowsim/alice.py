@@ -5,7 +5,9 @@ Each information bit occupies one slot of two time bins (early, late):
     0 -> (pulse, empty)
     1 -> (empty, pulse)
 
-A decoy slot is (pulse, pulse).  Slot i owns bins 2i and 2i+1.
+A decoy slot is (pulse, pulse).  Slot i owns bins 2i and 2i+1.  The pulse
+train is one boolean per bin, True where a pulse leaves; every pulse has the
+same mean photon number mu.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "DECOY",
     "DecoyStrategy",
     "SlotMap",
-    "PulseTrain",
     "generate_raw_bits",
     "insert_decoys",
     "encode",
@@ -58,46 +59,12 @@ class SlotMap:
     def is_decoy(self) -> np.ndarray:
         return self.codes == DECOY
 
-    @property
-    def data_slots(self) -> np.ndarray:
-        """Indices of slots carrying a key bit."""
-        return np.flatnonzero(self.codes != DECOY)
-
-    def bit_at(self, slot: int) -> int:
-        if self.codes[slot] == DECOY:
-            raise ValueError(f"slot {slot} is a decoy, not a data bit")
-        return int(self.codes[slot])
-
     def bin_occupancy(self) -> np.ndarray:
         """Boolean per-bin source occupancy, length 2 * n_slots."""
         occ = np.zeros(2 * self.n_slots, dtype=bool)
         occ[0::2] = (self.codes == 0) | (self.codes == DECOY)
         occ[1::2] = (self.codes == 1) | (self.codes == DECOY)
         return occ
-
-
-@dataclass
-class PulseTrain:
-    """Time-ordered coherent amplitudes, two bins per slot."""
-
-    means: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=float)
-        self.phases = np.asarray(self.phases, dtype=float)
-        if self.means.shape != self.phases.shape or self.means.ndim != 1:
-            raise ValueError("means and phases must be 1-d arrays of equal length")
-        if np.any(self.means < 0):
-            raise ValueError("bin means must be >= 0")
-
-    @property
-    def n_bins(self) -> int:
-        return int(self.means.size)
-
-    @property
-    def n_slots(self) -> int:
-        return self.n_bins // 2
 
 
 def generate_raw_bits(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -148,18 +115,12 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> SlotMap:
     raise ValueError(f"unknown decoy strategy: {strategy!r}")
 
 
-def encode(slot_map: SlotMap, mu: float) -> PulseTrain:
-    """Translate slots into the transmitted pulse train at mean photon count mu.
-
-    All nonempty bins share phase 0 (one continuous-wave source).
-    """
-    if mu <= 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    means = slot_map.bin_occupancy().astype(float) * mu
-    return PulseTrain(means, np.zeros_like(means))
+def encode(slot_map: SlotMap) -> np.ndarray:
+    """Translate slots into the transmitted pulse train: per-bin occupancy."""
+    return slot_map.bin_occupancy()
 
 
-def coherent_boundaries(slot_map: SlotMap, mu: float = 1.0) -> np.ndarray:
+def coherent_boundaries(slot_map: SlotMap) -> np.ndarray:
     """Bin indices k where bins k and k+1 are both nonempty at the source.
 
     These are the decoy-internal pairs plus every 1-then-0 slot boundary;

@@ -1,30 +1,32 @@
 """Bob: channel reception, data detection with dead time, and the monitor line.
 
-Each incoming bin is attenuated by the channel, split between the data
+Each incoming pulse loses power in the fiber, is split between the data
 detector (fraction t_b) and the monitoring interferometer, and detected.
 The interferometer delays one arm by a single bin and is tuned so an intact
-pulse pair cancels at the instrumented (destructive) output.
+pulse pair cancels at the instrumented (destructive) output.  Since every
+pulse has the same mean, a data bin is either empty or a pulse, and the
+destructive port at a boundary sees nothing, a lone pulse or an intact pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alice import PulseTrain
-from .optics import OpticalParams, click_probability
+from .optics import click_probability
 from .sifting import MonitorOutcome
+
+if TYPE_CHECKING:
+    from .engine import SimConfig
 
 __all__ = [
     "DetectionMode",
-    "DetectorConfig",
     "DetectionRecord",
-    "DecodedBit",
     "receive",
     "decode",
-    "monitor_break_stats",
     "monitor_outcome",
 ]
 
@@ -36,31 +38,6 @@ class DetectionMode(Enum):
     SAMPLED = "sampled"
     # test-oracle mode: any nonempty bin clicks, darks off, rng untouched
     DETERMINISTIC = "deterministic"
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Data-detector model.
-
-    Dead time is gated per information slot: a click blocks the following
-    dead_time_bins bins of the same slot, and the detector re-arms at the
-    next slot boundary.  With two-bin slots and dead_time_bins >= 1 this
-    means an early-bin click always shadows the late bin, so a slot never
-    yields two clicks.
-    """
-
-    eta: float = 0.1
-    p_dark: float = 0.0
-    dead_time_bins: int = 1
-    mode: DetectionMode = DetectionMode.SAMPLED
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if not 0.0 <= self.p_dark < 1.0:
-            raise ValueError(f"p_dark must be in [0, 1), got {self.p_dark}")
-        if self.dead_time_bins < 0:
-            raise ValueError("dead_time_bins must be >= 0")
 
 
 @dataclass
@@ -77,71 +54,60 @@ class DetectionRecord:
             raise ValueError("data clicks must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class DecodedBit:
-    slot: int
-    value: int
-
-
 def receive(
-    train: PulseTrain,
-    optics: OpticalParams,
-    det: DetectorConfig,
+    occupancy: np.ndarray,
+    config: SimConfig,
     rng: np.random.Generator,
 ) -> DetectionRecord:
-    """Propagate a train through loss and the splitter, then detect.
+    """Propagate an occupied-bin train through loss and the splitter, then detect.
 
     The sampled path consumes one uniform draw per data bin and one per
     interferometer boundary regardless of outcomes, so runs with different
     channel contents stay draw-aligned for controlled comparisons.
+
+    Dead time is gated per information slot: an early-bin click shadows the
+    late bin of the same slot and the detector re-arms at the next slot
+    boundary, so a slot never yields two clicks.
     """
-    if train.n_bins % 2 != 0:
-        raise ValueError(f"train length must be even, got {train.n_bins} bins")
+    occupancy = np.asarray(occupancy, dtype=bool)
+    if occupancy.size % 2 != 0:
+        raise ValueError(f"train length must be even, got {occupancy.size} bins")
 
-    arrived = train.means * optics.channel_t
-    data_means = arrived * optics.t_b
-    mon_means = arrived * (1.0 - optics.t_b)
-
-    if det.mode is DetectionMode.DETERMINISTIC:
-        clicks = data_means > 0.0
-    else:
-        p_click = click_probability(data_means, det.eta, det.p_dark)
-        clicks = rng.random(train.n_bins) < p_click
-
-    if det.dead_time_bins >= 1:
-        # slot-gated dead time: an early click silences its own late bin
-        late = clicks[1::2]
-        late &= ~clicks[0::2]
-
-    # destructive port of the one-bin-delay interferometer at boundary k
-    prev, cur = mon_means[:-1], mon_means[1:]
-    dphi = train.phases[:-1] - train.phases[1:]
-    port = prev + cur - 2.0 * optics.visibility * np.sqrt(prev * cur) * np.cos(dphi)
+    arrived = config.mu * config.channel_t
+    data_mean = np.array([0.0, arrived * config.t_b])
+    m = arrived * (1.0 - config.t_b)
+    # destructive port of the one-bin-delay interferometer for 0, 1 or 2
+    # pulses in the two interfering bins; all pulses come from one CW source
+    # at one mean, so these three levels are the only ones that occur
+    prev, cur = np.array([0.0, m, m]), np.array([0.0, 0.0, m])
+    port = prev + cur - 2.0 * config.visibility * np.sqrt(prev * cur)
     port = np.maximum(port, 0.0) / 4.0
 
-    if det.mode is DetectionMode.DETERMINISTIC:
-        mon_clicks = port > _CANCEL_TOL
+    bin_level = occupancy.view(np.uint8)
+    pair_level = bin_level[:-1] + bin_level[1:]
+
+    if config.detection_mode is DetectionMode.DETERMINISTIC:
+        clicks = (data_mean > 0.0)[bin_level]
+        mon_clicks = (port > _CANCEL_TOL)[pair_level]
     else:
-        p_mon = click_probability(port, optics.eta_mon, optics.p_dark_mon)
-        mon_clicks = rng.random(port.size) < p_mon
+        p_click = click_probability(data_mean, config.eta_data, config.p_dark_data)
+        clicks = rng.random(occupancy.size) < p_click[bin_level]
+        p_mon = click_probability(port, config.eta_mon, config.p_dark_mon)
+        mon_clicks = rng.random(pair_level.size) < p_mon[pair_level]
+
+    late = clicks[1::2]
+    late &= ~clicks[0::2]
 
     return DetectionRecord(np.flatnonzero(clicks), np.flatnonzero(mon_clicks))
 
 
-def decode(rec: DetectionRecord) -> list[DecodedBit]:
-    """Map click bins to information bits: bin 2i -> (i, 0), bin 2i+1 -> (i, 1)."""
+def decode(rec: DetectionRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Map click bins to (slots, values): bin 2i -> slot i, value 0; bin 2i+1 -> slot i, value 1."""
     slots = rec.data_clicks // 2
-    if np.unique(slots).size != slots.size:
+    # data clicks are strictly increasing, so a repeated slot is adjacent
+    if np.any(slots[1:] == slots[:-1]):
         raise ValueError("two clicks decoded in one slot; dead time invariant broken")
-    values = rec.data_clicks % 2
-    return [DecodedBit(int(s), int(v)) for s, v in zip(slots, values)]
-
-
-def monitor_break_stats(rec: DetectionRecord, checked_boundaries) -> tuple[int, int]:
-    """(checked, clicked) counts over the boundaries Alice announced."""
-    checked = np.asarray(checked_boundaries, dtype=np.int64)
-    hits = int(np.isin(checked, rec.monitor_clicks).sum())
-    return int(checked.size), hits
+    return slots, (rec.data_clicks % 2).astype(np.uint8)
 
 
 def monitor_outcome(rec: DetectionRecord, checked_boundaries) -> MonitorOutcome:

@@ -48,7 +48,7 @@ _ENUM_KEYS = {
     "eve_mode": {m.value: m for m in MaskMode},
     "detection_mode": {m.value: m for m in DetectionMode},
 }
-_INT_KEYS = {"n_bits", "seed", "eve_seed", "dead_time_bins"}
+_INT_KEYS = {"n_bits", "seed", "eve_seed"}
 _FLOAT_KEYS = {
     "mu",
     "tau_ns",
@@ -141,7 +141,6 @@ def _build_parser() -> _Parser:
         )
         cmd.add_argument("--out", metavar="DIR", default="out", help="output directory")
         cmd.add_argument("--seed", type=int, help="master seed override")
-        cmd.add_argument("--format", choices=("csv", "log"), help="output format")
         if name == "sweep-mu":
             cmd.add_argument(
                 "--mu-grid",
@@ -253,10 +252,8 @@ def _selftest_checks(config: SimConfig):
     for _ in range(20):
         bits = alice_mod.generate_raw_bits(200, rng)
         slot_map = alice_mod.insert_decoys(bits, DecoyStrategy.FRAME_HEADER)
-        train = alice_mod.encode(slot_map, 0.5)
         mask = eve_mod.generate_mask(slot_map.n_slots, MaskMode.RANDOM, rng)
-        masked = eve_mod.apply_and_mask(train, mask)
-        occupied = masked.means.reshape(-1, 2) > 0
+        occupied = eve_mod.apply_and_mask(alice_mod.encode(slot_map), mask).reshape(-1, 2)
         destroyed &= not np.any(occupied.all(axis=1))
     yield "decoy destruction", destroyed
 

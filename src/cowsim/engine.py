@@ -17,9 +17,9 @@ from . import alice as alice_mod
 from . import bob as bob_mod
 from . import eve as eve_mod
 from .alice import DecoyStrategy
-from .bob import DetectionMode, DetectorConfig
+from .bob import DetectionMode
 from .eve import EveRecord, MaskMode
-from .optics import OpticalParams, detectable_fraction, splittable_fraction
+from .optics import detectable_fraction, splittable_fraction
 from .sifting import Transcript, run_sifting
 
 __all__ = [
@@ -41,11 +41,28 @@ class Attack(Enum):
     AND_MASK = "andmask"
 
 
+def _check_unit(name: str, value: float, *, open_top: bool = False) -> None:
+    if not (0.0 <= value <= 1.0) or (open_top and value == 1.0):
+        hi = "1)" if open_top else "1]"
+        raise ValueError(f"{name} must be in [0, {hi}, got {value}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """One full simulation setup.  Defaults follow the reference COW setup:
-    mu = 0.5, t_b = 0.9, 2.4 ns bins, a lossy long-haul channel and a
-    low-efficiency single-photon detector."""
+    """One full simulation setup, the only home of every physical parameter.
+
+    Defaults follow the reference COW setup: mu = 0.5, t_b = 0.9, 2.4 ns
+    bins, a lossy long-haul channel and a low-efficiency single-photon
+    detector.
+
+    channel_t   fiber transmittance
+    t_b         fraction routed to the data detector (rest feeds the monitor)
+    eta_data    data detector quantum efficiency
+    eta_mon     monitor detector quantum efficiency
+    p_dark_data dark-click probability per bin, data detector
+    p_dark_mon  dark-click probability per interferometer output, monitor
+    visibility  interferometric visibility (1.0 = ideal cancellation)
+    """
 
     n_bits: int = 10_000
     mu: float = 0.5
@@ -56,7 +73,6 @@ class SimConfig:
     eta_mon: float = 0.1
     p_dark_data: float = 0.0
     p_dark_mon: float = 0.0
-    dead_time_bins: int = 1
     visibility: float = 1.0
     decoy_strategy: DecoyStrategy = DecoyStrategy.SUBSTITUTE_PATTERN
     attack: Attack = Attack.NONE
@@ -79,28 +95,11 @@ class SimConfig:
             raise ValueError(f"f_verify must be in [0, 1), got {self.f_verify}")
         if not 0.0 <= self.f_coh <= 1.0:
             raise ValueError(f"f_coh must be in [0, 1], got {self.f_coh}")
-        # delegate optics/detector range checks to their own constructors
-        self.optics()
-        self.detector()
-
-    def optics(self) -> OpticalParams:
-        return OpticalParams(
-            channel_t=self.channel_t,
-            t_b=self.t_b,
-            eta_data=self.eta_data,
-            eta_mon=self.eta_mon,
-            p_dark_data=self.p_dark_data,
-            p_dark_mon=self.p_dark_mon,
-            visibility=self.visibility,
-        )
-
-    def detector(self) -> DetectorConfig:
-        return DetectorConfig(
-            eta=self.eta_data,
-            p_dark=self.p_dark_data,
-            dead_time_bins=self.dead_time_bins,
-            mode=self.detection_mode,
-        )
+        for name in ("channel_t", "t_b", "eta_data", "eta_mon"):
+            _check_unit(name, getattr(self, name))
+        _check_unit("p_dark_data", self.p_dark_data, open_top=True)
+        _check_unit("p_dark_mon", self.p_dark_mon, open_top=True)
+        _check_unit("visibility", self.visibility)
 
 
 @dataclass
@@ -171,14 +170,14 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
 
     bits = alice_mod.generate_raw_bits(config.n_bits, rng_bits)
     slot_map = alice_mod.insert_decoys(bits, config.decoy_strategy)
-    train = alice_mod.encode(slot_map, config.mu)
+    train = alice_mod.encode(slot_map)
     boundaries = alice_mod.coherent_boundaries(slot_map)
     checked = alice_mod.announce_coherence_checks(boundaries, config.f_coh, rng_choices)
 
     mask = eve_mod.generate_mask(slot_map.n_slots, config.eve_mode, rng_eve)
     sent = eve_mod.apply_and_mask(train, mask) if config.attack is Attack.AND_MASK else train
 
-    rec = bob_mod.receive(sent, config.optics(), config.detector(), rng_det)
+    rec = bob_mod.receive(sent, config, rng_det)
     decoded = bob_mod.decode(rec)
     monitor = bob_mod.monitor_outcome(rec, checked)
 
@@ -199,7 +198,7 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
     stats = RunStats(
         slots_sent=slot_map.n_slots,
         decoy_slots=int(slot_map.is_decoy.sum()),
-        detections=len(decoded),
+        detections=int(decoded[0].size),
         sifted_len=int(sift.kept_indices.size),
         qber=sift.qber,
         eve_recovery_fraction=recovery,
@@ -233,8 +232,8 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
         rng_bits, _, _, rng_det = _streams(point)
         bits = alice_mod.generate_raw_bits(point.n_bits, rng_bits)
         slot_map = alice_mod.insert_decoys(bits, DecoyStrategy.NONE)
-        train = alice_mod.encode(slot_map, point.mu)
-        rec = bob_mod.receive(train, point.optics(), point.detector(), rng_det)
+        train = alice_mod.encode(slot_map)
+        rec = bob_mod.receive(train, point, rng_det)
         empirical = rec.data_clicks.size / slot_map.n_slots
         rows.append(
             SweepRow(
@@ -286,16 +285,16 @@ def table1_rows() -> tuple[list[tuple[str, ...]], bool]:
     """
     slot_map = alice_mod.SlotMap(np.array([0, 0, 1, 1, alice_mod.DECOY, alice_mod.DECOY]))
     mask = eve_mod.EveMask(np.array([0, 1, 0, 1, 0, 1]), MaskMode.ALTERNATING)
-    train = alice_mod.encode(slot_map, mu=0.5)
+    train = alice_mod.encode(slot_map)
     sent = eve_mod.apply_and_mask(train, mask)
 
-    optics = OpticalParams(channel_t=1.0, t_b=0.9, p_dark_data=0.0, p_dark_mon=0.0)
-    det = DetectorConfig(p_dark=0.0, dead_time_bins=1, mode=DetectionMode.DETERMINISTIC)
-    rec = bob_mod.receive(sent, optics, det, np.random.default_rng(0))
-    decoded = {d.slot: d.value for d in bob_mod.decode(rec)}
+    config = SimConfig(channel_t=1.0, detection_mode=DetectionMode.DETERMINISTIC)
+    rec = bob_mod.receive(sent, config, np.random.default_rng(0))
+    slots, values = bob_mod.decode(rec)
+    decoded = dict(zip(slots.tolist(), values.tolist()))
 
-    def bins_str(means, slot):
-        return "".join("1" if means[2 * slot + k] > 0 else "0" for k in (0, 1))
+    def bins_str(occupancy, slot):
+        return "".join("1" if occupancy[2 * slot + k] else "0" for k in (0, 1))
 
     rows = []
     for s in range(slot_map.n_slots):
@@ -304,10 +303,10 @@ def table1_rows() -> tuple[list[tuple[str, ...]], bool]:
         rows.append(
             (
                 alice_ib,
-                bins_str(train.means, s),
+                bins_str(train, s),
                 str(eve_bit),
                 "10" if eve_bit == 0 else "01",
-                bins_str(sent.means, s),
+                bins_str(sent, s),
                 str(decoded[s]) if s in decoded else "n.d.",
             )
         )

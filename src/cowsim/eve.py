@@ -14,7 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from .alice import PulseTrain
 from .sifting import Transcript
 
 __all__ = [
@@ -70,20 +69,20 @@ def generate_mask(n_slots: int, mode: MaskMode, rng: np.random.Generator) -> Eve
     return EveMask(bits, mode)
 
 
-def apply_and_mask(train: PulseTrain, mask: EveMask) -> PulseTrain:
-    """AND Eve's pattern onto the channel: blocked bins become vacuum.
+def apply_and_mask(occupancy: np.ndarray, mask: EveMask) -> np.ndarray:
+    """AND Eve's pattern onto the channel's bin occupancy: blocked bins become vacuum.
 
     Mask bit 0 passes the early bin and blocks the late one; bit 1 does the
-    opposite.  Passed bins keep amplitude and phase untouched.
+    opposite.  Passed pulses are untouched.
     """
-    if mask.bits.size != train.n_slots:
+    if 2 * mask.bits.size != occupancy.size:
         raise ValueError(
-            f"mask length {mask.bits.size} does not match {train.n_slots} slots"
+            f"mask length {mask.bits.size} does not match {occupancy.size // 2} slots"
         )
-    means = train.means.copy()
-    means[0::2] *= mask.bits == 0
-    means[1::2] *= mask.bits == 1
-    return PulseTrain(means, train.phases.copy())
+    passed = occupancy.copy()
+    passed[0::2] &= mask.bits == 0
+    passed[1::2] &= mask.bits == 1
+    return passed
 
 
 def observe_transcript(transcript: Transcript) -> np.ndarray:

@@ -1,125 +1,23 @@
-"""Coherent-state time-bin arithmetic and single-photon detection statistics.
+"""Single-photon detection statistics and the closed-form pulse-number curves.
 
-A pulse in one time bin is a coherent state, fully described by its mean
-photon number and optical phase.  All linear elements (fiber loss, beam
-splitters, the monitoring interferometer) act on mean photon numbers
-analytically; Poisson randomness enters only when a detector samples a
-click.  This is exact for coherent states and keeps the channel noiseless.
+Every nonempty time bin is a coherent state of the same mean photon number.
+Linear optics (fiber loss, beam splitters, the monitoring interferometer)
+scale that mean analytically; Poisson randomness enters only when a
+detector samples a click.  This is exact for coherent states and keeps the
+channel noiseless.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BinAmplitude",
-    "OpticalParams",
-    "attenuate",
-    "beamsplit",
-    "monitor_port_mean",
     "click_probability",
-    "sample_click",
-    "vacuum_overlap",
     "detectable_fraction",
     "splittable_fraction",
-    "effective_mu",
 ]
-
-
-@dataclass(frozen=True)
-class BinAmplitude:
-    """Coherent amplitude of one time bin: mean photon count and phase (rad).
-
-    An empty bin is mean_photons == 0.0 exactly.
-    """
-
-    mean_photons: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.mean_photons < 0:
-            raise ValueError(f"mean_photons must be >= 0, got {self.mean_photons}")
-
-    @property
-    def is_empty(self) -> bool:
-        return self.mean_photons == 0.0
-
-
-EMPTY_BIN = BinAmplitude(0.0)
-
-
-def _check_unit(name: str, value: float, *, open_top: bool = False) -> None:
-    if not (0.0 <= value <= 1.0) or (open_top and value == 1.0):
-        hi = "1)" if open_top else "1]"
-        raise ValueError(f"{name} must be in [0, {hi}, got {value}")
-
-
-@dataclass(frozen=True)
-class OpticalParams:
-    """Channel and receiver parameters.
-
-    channel_t   fiber transmittance
-    t_b         fraction routed to the data detector (rest feeds the monitor)
-    eta_data    data detector quantum efficiency
-    eta_mon     monitor detector quantum efficiency
-    p_dark_data dark-click probability per bin, data detector
-    p_dark_mon  dark-click probability per interferometer output, monitor
-    visibility  interferometric visibility (1.0 = ideal cancellation)
-    """
-
-    channel_t: float = 0.5
-    t_b: float = 0.9
-    eta_data: float = 0.1
-    eta_mon: float = 0.1
-    p_dark_data: float = 0.0
-    p_dark_mon: float = 0.0
-    visibility: float = 1.0
-
-    def __post_init__(self):
-        _check_unit("channel_t", self.channel_t)
-        _check_unit("t_b", self.t_b)
-        _check_unit("eta_data", self.eta_data)
-        _check_unit("eta_mon", self.eta_mon)
-        _check_unit("p_dark_data", self.p_dark_data, open_top=True)
-        _check_unit("p_dark_mon", self.p_dark_mon, open_top=True)
-        _check_unit("visibility", self.visibility)
-
-
-def attenuate(a: BinAmplitude, x: float) -> BinAmplitude:
-    """Pass a coherent pulse through a linear loss of transmittance x.
-
-    A coherent state stays coherent under loss; only the mean scales.
-    """
-    _check_unit("transmittance", x)
-    return BinAmplitude(x * a.mean_photons, a.phase)
-
-
-def beamsplit(a: BinAmplitude, t_b: float) -> tuple[BinAmplitude, BinAmplitude]:
-    """Split a pulse into (data, monitor) arms with data fraction t_b.
-
-    Energy is conserved: output means sum to the input mean.
-    """
-    _check_unit("t_b", t_b)
-    data = BinAmplitude(t_b * a.mean_photons, a.phase)
-    monitor = BinAmplitude((1.0 - t_b) * a.mean_photons, a.phase)
-    return data, monitor
-
-
-def monitor_port_mean(prev: BinAmplitude, cur: BinAmplitude, visibility: float = 1.0) -> float:
-    """Mean photon number at the destructive output of the one-bin-delay interferometer.
-
-    The delayed copy of bin k interferes with bin k+1.  For an intact
-    equal-amplitude, equal-phase pair at visibility 1 the output vanishes;
-    a lone surviving pulse yields mean/4 (half lost at each coupler).
-    """
-    _check_unit("visibility", visibility)
-    mp, mc = prev.mean_photons, cur.mean_photons
-    out = mp + mc - 2.0 * visibility * math.sqrt(mp * mc) * math.cos(prev.phase - cur.phase)
-    # roundoff can leave a tiny negative residue on perfect cancellation
-    return max(out, 0.0) / 4.0
 
 
 def click_probability(mu_at_detector, eta: float, p_dark: float):
@@ -130,23 +28,6 @@ def click_probability(mu_at_detector, eta: float, p_dark: float):
     Accepts scalars or numpy arrays for the mean.
     """
     return 1.0 - (1.0 - p_dark) * np.exp(-eta * np.asarray(mu_at_detector, dtype=float))
-
-
-def sample_click(p: float, rng: np.random.Generator) -> bool:
-    """Draw one Bernoulli click with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"click probability must be in [0, 1], got {p}")
-    return bool(rng.random() < p)
-
-
-def vacuum_overlap(mu: float) -> float:
-    """Overlap <0|mu> = exp(-mu/2) between vacuum and a coherent pulse.
-
-    Its square is the Poisson zero-photon probability exp(-mu).
-    """
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    return math.exp(-mu / 2.0)
 
 
 def detectable_fraction(mu: float) -> float:
@@ -167,13 +48,3 @@ def splittable_fraction(mu: float) -> float:
     if mu == 0.0:
         return 0.0
     return (1.0 - (1.0 + mu) * math.exp(-mu)) / -math.expm1(-mu)
-
-
-def effective_mu(mu: float, t: float, t_b: float, eta: float) -> float:
-    """Mean photon number actually seen by the data detector: mu * t * t_b * eta."""
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    _check_unit("t", t)
-    _check_unit("t_b", t_b)
-    _check_unit("eta", eta)
-    return mu * t * t_b * eta

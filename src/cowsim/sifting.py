@@ -123,18 +123,17 @@ class SiftResult:
     verified_count: int
 
 
-def compute_qber(pairs) -> float:
-    """Mismatch fraction over revealed (alice, bob) bit pairs; 0 on empty."""
-    pairs = list(pairs)
-    if not pairs:
+def compute_qber(alice_bits, bob_bits) -> float:
+    """Mismatch fraction over revealed bits, paired by position; 0 on empty."""
+    alice_bits, bob_bits = np.asarray(alice_bits), np.asarray(bob_bits)
+    if alice_bits.size == 0:
         return 0.0
-    mismatches = sum(1 for a, b in pairs if a != b)
-    return mismatches / len(pairs)
+    return int(np.count_nonzero(alice_bits != bob_bits)) / alice_bits.size
 
 
 def run_sifting(
     slot_map: SlotMap,
-    decoded_bits,
+    decoded,
     monitor: MonitorOutcome,
     f_verify: float,
     alarm_threshold: float,
@@ -142,6 +141,7 @@ def run_sifting(
 ) -> tuple[SiftResult, Transcript]:
     """Run the whole public dialog and extract the sifted key.
 
+    decoded is Bob's (slots, values) pair of arrays, one detected bit each.
     Bob announces which slots he detected; Alice discards her decoys among
     them, samples a verification subset both sides reveal, and keeps the
     rest as key.  The verdict aborts when the monitor break rate exceeds
@@ -150,31 +150,34 @@ def run_sifting(
     if not 0.0 <= f_verify < 1.0:
         raise ValueError(f"f_verify must be in [0, 1), got {f_verify}")
 
-    slots = np.asarray([d.slot for d in decoded_bits], dtype=np.int64)
-    values = np.asarray([d.value for d in decoded_bits], dtype=np.uint8)
+    slots, values = decoded
+    slots = np.asarray(slots, dtype=np.int64)
+    values = np.asarray(values, dtype=np.uint8)
+    if slots.shape != values.shape:
+        raise ValueError("decoded slots and values differ in length")
     if slots.size and (slots.min() < 0 or slots.max() >= slot_map.n_slots):
         raise ValueError("decoded slot outside the slot map")
 
     order = np.argsort(slots)
     slots, values = slots[order], values[order]
-    bob_value = dict(zip(slots.tolist(), values.tolist()))
 
-    decoy_detected = slots[slot_map.is_decoy[slots]] if slots.size else slots
-    remainder = slots[~slot_map.is_decoy[slots]] if slots.size else slots
+    is_decoy = slot_map.is_decoy[slots]
+    decoy_detected = slots[is_decoy]
+    remainder, remainder_values = slots[~is_decoy], values[~is_decoy]
 
     verify_mask = rng.random(remainder.size) < f_verify
     verify_slots = remainder[verify_mask]
     kept = remainder[~verify_mask]
 
-    reveal_alice = slot_map.codes[verify_slots].astype(int)
-    reveal_bob = np.array([bob_value[s] for s in verify_slots.tolist()], dtype=int)
-    qber = compute_qber(zip(reveal_alice.tolist(), reveal_bob.tolist()))
+    reveal_alice = slot_map.codes[verify_slots]
+    reveal_bob = remainder_values[verify_mask]
+    qber = compute_qber(reveal_alice, reveal_bob)
 
     break_rate = monitor.break_rate
     verdict = "abort" if break_rate > alarm_threshold else "accept"
 
-    alice_key = slot_map.codes[kept].astype(np.uint8)
-    bob_key = np.array([bob_value[s] for s in kept.tolist()], dtype=np.uint8)
+    alice_key = slot_map.codes[kept]
+    bob_key = remainder_values[~verify_mask]
 
     transcript = Transcript()
     transcript.append("DetectionReport", {"slots": slots.tolist()})

@@ -9,10 +9,10 @@ import numpy as np
 
 from cowsim import alice, bob, eve
 from cowsim.alice import DECOY, DecoyStrategy, SlotMap
-from cowsim.bob import DetectionMode, DetectorConfig
+from cowsim.bob import DetectionMode
 from cowsim.engine import Attack, SimConfig, compare_attack, run
 from cowsim.eve import EveMask, MaskMode
-from cowsim.optics import OpticalParams, detectable_fraction, splittable_fraction
+from cowsim.optics import detectable_fraction, splittable_fraction
 from cowsim.sifting import MonitorOutcome, run_sifting
 
 
@@ -24,15 +24,13 @@ def _report(number, title, ok):
 def test_criterion_1_table1_reproduction():
     slot_map = SlotMap(np.array([0, 0, 1, 1, DECOY, DECOY]))
     mask = EveMask(np.array([0, 1, 0, 1, 0, 1]), MaskMode.ALTERNATING)
-    train = alice.encode(slot_map, 0.5)
-    sent = eve.apply_and_mask(train, mask)
-    optics = OpticalParams(channel_t=1.0, t_b=0.9, p_dark_data=0.0, p_dark_mon=0.0)
-    det = DetectorConfig(dead_time_bins=1, mode=DetectionMode.DETERMINISTIC)
-    rec = bob.receive(sent, optics, det, np.random.default_rng(0))
+    sent = eve.apply_and_mask(alice.encode(slot_map), mask)
+    config = SimConfig(channel_t=1.0, t_b=0.9, detection_mode=DetectionMode.DETERMINISTIC)
+    rec = bob.receive(sent, config, np.random.default_rng(0))
     decoded = bob.decode(rec)
 
-    got = {d.slot: d.value for d in decoded}
-    ok = got == {0: 0, 3: 1, 4: 0, 5: 1}
+    slots, values = decoded
+    ok = (slots.tolist(), values.tolist()) == ([0, 3, 4, 5], [0, 1, 0, 1])
 
     monitor = MonitorOutcome(np.array([], dtype=int), np.array([], dtype=int))
     result, transcript = run_sifting(
@@ -101,10 +99,8 @@ def test_criterion_5_mu_eff_law():
     for (t, t_b, eta) in ((0.5, 0.9, 0.1), (0.2, 0.9, 0.25)):
         # all-zero bits keep nonempty bins two apart, so dead time is inert
         slot_map = SlotMap(np.zeros(n, dtype=np.uint8))
-        train = alice.encode(slot_map, 0.5)
-        optics = OpticalParams(channel_t=t, t_b=t_b, eta_data=eta)
-        det = DetectorConfig(eta=eta, p_dark=0.0, dead_time_bins=1)
-        rec = bob.receive(train, optics, det, np.random.default_rng(int(t * 1000)))
+        config = SimConfig(mu=0.5, channel_t=t, t_b=t_b, eta_data=eta, p_dark_data=0.0)
+        rec = bob.receive(alice.encode(slot_map), config, np.random.default_rng(int(t * 1000)))
         p = 1 - math.exp(-0.5 * t * t_b * eta)
         se = math.sqrt(p * (1 - p) / n)
         ok = ok and abs(rec.data_clicks.size / n - p) < 3 * se
@@ -114,26 +110,24 @@ def test_criterion_5_mu_eff_law():
 def test_criterion_6_monitor_behavior():
     n_decoys = 10_000
     slot_map = SlotMap(np.full(n_decoys, DECOY, dtype=np.uint8))
-    train = alice.encode(slot_map, 0.5)
+    train = alice.encode(slot_map)
     checked = alice.coherent_boundaries(slot_map)
-    optics = OpticalParams(channel_t=0.5, t_b=0.9, eta_mon=1.0, p_dark_mon=0.0, visibility=1.0)
-    det = DetectorConfig(eta=0.1)
+    config = SimConfig(mu=0.5, channel_t=0.5, t_b=0.9, eta_mon=1.0, p_dark_mon=0.0, visibility=1.0)
 
     # no attack: every checked boundary cancels perfectly
-    rec = bob.receive(train, optics, det, np.random.default_rng(60))
-    n_checked, clicks = bob.monitor_break_stats(rec, checked)
-    ok = n_checked >= 10_000 and clicks == 0
+    rec = bob.receive(train, config, np.random.default_rng(60))
+    outcome = bob.monitor_outcome(rec, checked)
+    ok = outcome.checked.size >= 10_000 and outcome.clicked.size == 0
 
     # attack on: each decoy pair keeps exactly one pulse, clicking at the
     # closed-form rate 1 - exp(-eta_mon (1-t_b) t mu / 4)
     mask = eve.generate_mask(n_decoys, MaskMode.RANDOM, np.random.default_rng(61))
     sent = eve.apply_and_mask(train, mask)
-    rec = bob.receive(sent, optics, det, np.random.default_rng(62))
-    occ = sent.means > 0
-    one_survivor = occ[:-1] ^ occ[1:]
+    rec = bob.receive(sent, config, np.random.default_rng(62))
+    one_survivor = sent[:-1] ^ sent[1:]
     broken = checked[one_survivor[checked]]
     assert broken.size >= 10_000
-    _, hits = bob.monitor_break_stats(rec, broken)
+    hits = bob.monitor_outcome(rec, broken).clicked.size
     p = 1 - math.exp(-1.0 * (1 - 0.9) * 0.5 * 0.5 / 4)
     se = math.sqrt(p * (1 - p) / broken.size)
     ok = ok and abs(hits / broken.size - p) < 3 * se
@@ -149,9 +143,8 @@ def test_criterion_7_decoy_destruction():
         strategy = (DecoyStrategy.SUBSTITUTE_PATTERN, DecoyStrategy.FRAME_HEADER)[trial % 2]
         mode = (MaskMode.RANDOM, MaskMode.ALTERNATING)[(trial // 2) % 2]
         slot_map = alice.insert_decoys(bits, strategy)
-        train = alice.encode(slot_map, 0.5)
         mask = eve.generate_mask(slot_map.n_slots, mode, rng)
-        occupied = eve.apply_and_mask(train, mask).means.reshape(-1, 2) > 0
+        occupied = eve.apply_and_mask(alice.encode(slot_map), mask).reshape(-1, 2)
         ok = ok and not np.any(occupied.all(axis=1))
     _report(7, "no post-mask slot carries two pulses (1000 runs)", ok)
 

@@ -13,8 +13,8 @@ from cowsim.alice import (
     generate_raw_bits,
     insert_decoys,
 )
-from cowsim.bob import DetectionMode, DetectorConfig, decode, receive
-from cowsim.optics import OpticalParams
+from cowsim.bob import DetectionMode, decode, receive
+from cowsim.engine import SimConfig
 
 
 class TestRawBits:
@@ -78,29 +78,28 @@ class TestInsertDecoys:
 
 class TestEncode:
     def test_data_zero(self):
-        train = encode(SlotMap(np.array([0])), 0.5)
-        assert train.means.tolist() == [0.5, 0.0]
+        assert encode(SlotMap(np.array([0]))).tolist() == [True, False]
 
     def test_data_one(self):
-        train = encode(SlotMap(np.array([1])), 0.5)
-        assert train.means.tolist() == [0.0, 0.5]
+        assert encode(SlotMap(np.array([1]))).tolist() == [False, True]
 
     def test_decoy(self):
-        train = encode(SlotMap(np.array([DECOY])), 0.5)
-        assert train.means.tolist() == [0.5, 0.5]
+        assert encode(SlotMap(np.array([DECOY]))).tolist() == [True, True]
 
     def test_one_zero_adjacency(self):
-        train = encode(SlotMap(np.array([1, 0])), 0.5)
-        assert train.means.tolist() == [0.0, 0.5, 0.5, 0.0]
+        train = encode(SlotMap(np.array([1, 0])))
+        assert train.tolist() == [False, True, True, False]
 
     def test_mu_positive_required(self):
-        with pytest.raises(ValueError):
-            encode(SlotMap(np.array([0])), 0.0)
+        # the pulse mean lives on SimConfig, which rejects a nonpositive one
+        for mu in (0.0, -0.5):
+            with pytest.raises(ValueError, match="mu"):
+                SimConfig(mu=mu)
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=200))
     def test_occupancy_counts(self, codes):
         slot_map = SlotMap(np.array(codes, dtype=np.uint8))
-        occ = encode(slot_map, 0.5).means.reshape(-1, 2) > 0
+        occ = encode(slot_map).reshape(-1, 2)
         per_slot = occ.sum(axis=1)
         expect = np.where(slot_map.is_decoy, 2, 1)
         assert np.array_equal(per_slot, expect)
@@ -133,13 +132,8 @@ class TestRoundTrip:
     def test_noiseless_decode_recovers_bits(self):
         bits = generate_raw_bits(500, np.random.default_rng(3))
         slot_map = insert_decoys(bits, DecoyStrategy.NONE)
-        train = encode(slot_map, 0.5)
-        rec = receive(
-            train,
-            OpticalParams(channel_t=1.0, t_b=0.9),
-            DetectorConfig(mode=DetectionMode.DETERMINISTIC),
-            np.random.default_rng(0),
-        )
-        decoded = decode(rec)
-        assert len(decoded) == len(bits)
-        assert all(d.value == bits[d.slot] for d in decoded)
+        config = SimConfig(channel_t=1.0, detection_mode=DetectionMode.DETERMINISTIC)
+        rec = receive(encode(slot_map), config, np.random.default_rng(0))
+        slots, values = decode(rec)
+        assert slots.tolist() == list(range(len(bits)))
+        assert np.array_equal(values, bits)

@@ -1,88 +1,78 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cowsim.alice import DECOY, PulseTrain, SlotMap, encode, generate_raw_bits
-from cowsim.bob import (
-    DetectionMode,
-    DetectionRecord,
-    DetectorConfig,
-    decode,
-    monitor_break_stats,
-    monitor_outcome,
-    receive,
-)
-from cowsim.optics import OpticalParams
+from cowsim.alice import DECOY, SlotMap, encode, generate_raw_bits
+from cowsim.bob import DetectionMode, DetectionRecord, decode, monitor_outcome, receive
+from cowsim.engine import SimConfig
 
-IDEAL = OpticalParams(channel_t=1.0, t_b=0.9, eta_data=1.0, eta_mon=1.0)
-ORACLE = DetectorConfig(eta=1.0, mode=DetectionMode.DETERMINISTIC)
+IDEAL = SimConfig(channel_t=1.0, t_b=0.9, eta_data=1.0, eta_mon=1.0)
+ORACLE = replace(IDEAL, detection_mode=DetectionMode.DETERMINISTIC)
 
 
-def _train(codes, mu=0.5):
-    return encode(SlotMap(np.array(codes, dtype=np.uint8)), mu)
+def _train(codes):
+    return encode(SlotMap(np.array(codes, dtype=np.uint8)))
 
 
 class TestReceive:
     def test_decoy_single_click(self):
-        rec = receive(_train([DECOY]), IDEAL, ORACLE, np.random.default_rng(0))
+        rec = receive(_train([DECOY]), ORACLE, np.random.default_rng(0))
         assert rec.data_clicks.tolist() == [0]
 
     def test_empty_train_silent(self):
-        train = PulseTrain(np.zeros(10), np.zeros(10))
-        det = DetectorConfig(eta=1.0, p_dark=0.0)
-        rec = receive(train, IDEAL, det, np.random.default_rng(0))
+        rec = receive(np.zeros(10, dtype=bool), IDEAL, np.random.default_rng(0))
         assert rec.data_clicks.size == 0 and rec.monitor_clicks.size == 0
 
     def test_odd_train_rejected(self):
-        train = PulseTrain(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
-            receive(train, IDEAL, ORACLE, np.random.default_rng(0))
+            receive(np.zeros(3, dtype=bool), ORACLE, np.random.default_rng(0))
 
     def test_detection_statistics(self):
         # per-slot detection probability follows 1 - exp(-mu t t_b eta)
         n = 100_000
-        optics = OpticalParams(channel_t=0.5, t_b=0.9, eta_data=0.1)
-        det = DetectorConfig(eta=0.1, p_dark=0.0)
-        train = _train([1] * n)
-        rec = receive(train, optics, det, np.random.default_rng(21))
+        config = SimConfig(channel_t=0.5, t_b=0.9, eta_data=0.1)
+        rec = receive(_train([1] * n), config, np.random.default_rng(21))
         p = 1 - math.exp(-0.5 * 0.5 * 0.9 * 0.1)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(rec.data_clicks.size / n - p) < 3 * se
 
     def test_dark_counts_respect_dead_time(self):
-        train = PulseTrain(np.zeros(2000), np.zeros(2000))
-        det = DetectorConfig(eta=1.0, p_dark=0.9, dead_time_bins=1)
-        rec = receive(train, IDEAL, det, np.random.default_rng(2))
+        config = replace(IDEAL, p_dark_data=0.9)
+        rec = receive(np.zeros(2000, dtype=bool), config, np.random.default_rng(2))
         slots = rec.data_clicks // 2
         assert np.unique(slots).size == slots.size
 
     def test_zero_noise_soundness(self):
         bits = generate_raw_bits(5000, np.random.default_rng(8))
-        det = DetectorConfig(eta=1.0, p_dark=0.0)
-        rec = receive(_train(bits), IDEAL, det, np.random.default_rng(3))
-        for d in decode(rec):
-            assert d.value == bits[d.slot]
+        rec = receive(_train(bits), IDEAL, np.random.default_rng(3))
+        slots, values = decode(rec)
+        assert slots.size > 0
+        assert np.array_equal(values, bits[slots])
 
     def test_decoy_misinterpreted_as_zero(self):
-        rec = receive(_train([DECOY] * 50), IDEAL, ORACLE, np.random.default_rng(0))
-        assert all(d.value == 0 for d in decode(rec))
+        rec = receive(_train([DECOY] * 50), ORACLE, np.random.default_rng(0))
+        slots, values = decode(rec)
+        assert slots.tolist() == list(range(50))
+        assert not values.any()
 
 
 class TestDecode:
     def test_early_bin(self):
         rec = DetectionRecord(np.array([0]), np.array([]))
-        (d,) = decode(rec)
-        assert (d.slot, d.value) == (0, 0)
+        slots, values = decode(rec)
+        assert (slots.tolist(), values.tolist()) == ([0], [0])
 
     def test_mapping(self):
         rec = DetectionRecord(np.array([0, 5, 7]), np.array([]))
-        decoded = decode(rec)
-        assert [(d.slot, d.value) for d in decoded] == [(0, 0), (2, 1), (3, 1)]
+        slots, values = decode(rec)
+        assert (slots.tolist(), values.tolist()) == ([0, 2, 3], [0, 1, 1])
 
     def test_pair_example(self):
         rec = DetectionRecord(np.array([0, 7]), np.array([]))
-        assert [(d.slot, d.value) for d in decode(rec)] == [(0, 0), (3, 1)]
+        slots, values = decode(rec)
+        assert (slots.tolist(), values.tolist()) == ([0, 3], [0, 1])
 
     def test_duplicate_slot_rejected(self):
         rec = DetectionRecord(np.array([2, 3]), np.array([]))
@@ -94,31 +84,28 @@ class TestMonitor:
     def test_intact_pairs_silent(self):
         # 10^4 intact decoy pairs, perfect visibility, no darks: no clicks
         train = _train([DECOY] * 10_000)
-        det = DetectorConfig(eta=0.1)
-        optics = OpticalParams(channel_t=0.5, t_b=0.9, eta_mon=1.0, p_dark_mon=0.0)
-        rec = receive(train, optics, det, np.random.default_rng(4))
-        boundaries = np.arange(0, train.n_bins - 1, 2)  # decoy-internal
-        checked, clicks = monitor_break_stats(rec, boundaries)
-        assert (checked, clicks) == (10_000, 0)
+        config = SimConfig(channel_t=0.5, t_b=0.9, eta_mon=1.0, p_dark_mon=0.0)
+        rec = receive(train, config, np.random.default_rng(4))
+        boundaries = np.arange(0, train.size - 1, 2)  # decoy-internal
+        outcome = monitor_outcome(rec, boundaries)
+        assert (outcome.checked.size, outcome.clicked.size) == (10_000, 0)
 
     def test_empty_checked(self):
         rec = DetectionRecord(np.array([]), np.array([3, 5]))
-        assert monitor_break_stats(rec, []) == (0, 0)
+        outcome = monitor_outcome(rec, [])
+        assert (outcome.checked.size, outcome.clicked.size) == (0, 0)
+        assert outcome.break_rate == 0.0
 
     def test_broken_pair_click_rate(self):
         # lone survivors click at 1 - exp(-eta_mon (1-t_b) t mu / 4)
         n = 10_000
-        means = np.zeros(2 * n)
-        means[0::2] = 0.5  # every pair is (pulse, vacuum)
-        train = PulseTrain(means, np.zeros_like(means))
-        optics = OpticalParams(channel_t=0.5, t_b=0.9, eta_mon=0.8, p_dark_mon=0.0)
-        det = DetectorConfig(eta=0.1)
-        rec = receive(train, optics, det, np.random.default_rng(6))
-        boundaries = np.arange(0, train.n_bins - 1, 2)
-        checked, clicks = monitor_break_stats(rec, boundaries)
+        train = _train([0] * n)  # every pair is (pulse, vacuum)
+        config = SimConfig(channel_t=0.5, t_b=0.9, eta_mon=0.8, p_dark_mon=0.0)
+        rec = receive(train, config, np.random.default_rng(6))
+        outcome = monitor_outcome(rec, np.arange(0, train.size - 1, 2))
         p = 1 - math.exp(-0.8 * 0.1 * 0.5 * 0.5 / 4)
         se = math.sqrt(p * (1 - p) / n)
-        assert abs(clicks / checked - p) < 3 * se
+        assert abs(outcome.break_rate - p) < 3 * se
 
     def test_monitor_outcome_subset(self):
         rec = DetectionRecord(np.array([]), np.array([1, 4]))

@@ -113,3 +113,15 @@ class TestCommands:
 
     def test_usage_error_exit_code(self, capsys):
         assert run_cli("no-such-command") == 1
+
+    def test_dead_time_bins_rejected(self, capsys):
+        # dead time is always slot-gated; the old knob is an unknown key
+        code = run_cli(
+            "run", "--set", "dead_time_bins=0", "--set", "n_bits=2000", "--set", "p_dark_data=0.5"
+        )
+        assert code == 1
+        assert "dead_time_bins" in capsys.readouterr().err
+
+    def test_format_flag_rejected(self, capsys):
+        assert run_cli("run", "--format", "csv") == 1
+        assert "--format" in capsys.readouterr().err

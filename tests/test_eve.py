@@ -33,21 +33,21 @@ class TestGenerateMask:
 
 class TestApplyMask:
     def _one_slot(self, code, eve_bit):
-        train = encode(SlotMap(np.array([code])), 0.5)
+        train = encode(SlotMap(np.array([code])))
         mask = EveMask(np.array([eve_bit]), MaskMode.RANDOM)
-        return apply_and_mask(train, mask).means.tolist()
+        return apply_and_mask(train, mask).tolist()
 
     def test_pass_through(self):
-        assert self._one_slot(0, 0) == [0.5, 0.0]
+        assert self._one_slot(0, 0) == [True, False]
 
     def test_blocked(self):
-        assert self._one_slot(0, 1) == [0.0, 0.0]
+        assert self._one_slot(0, 1) == [False, False]
 
     def test_decoy_truncated(self):
-        assert self._one_slot(DECOY, 1) == [0.0, 0.5]
+        assert self._one_slot(DECOY, 1) == [False, True]
 
     def test_length_mismatch(self):
-        train = encode(SlotMap(np.array([0, 1])), 0.5)
+        train = encode(SlotMap(np.array([0, 1])))
         with pytest.raises(ValueError):
             apply_and_mask(train, EveMask(np.array([0]), MaskMode.RANDOM))
 
@@ -56,16 +56,16 @@ class TestApplyMask:
         st.integers(0, 2**31 - 1),
     )
     def test_occupancy_and(self, codes, seed):
-        # the mask acts as a bitwise AND on bin occupancy, scaled by mu
+        # the mask acts as a bitwise AND on bin occupancy
         slot_map = SlotMap(np.array(codes, dtype=np.uint8))
-        train = encode(slot_map, 0.5)
+        train = encode(slot_map)
         mask = generate_mask(slot_map.n_slots, MaskMode.RANDOM, np.random.default_rng(seed))
         masked = apply_and_mask(train, mask)
-        eve_occ = np.zeros(train.n_bins, dtype=bool)
+        eve_occ = np.zeros(train.size, dtype=bool)
         eve_occ[0::2] = mask.bits == 0
         eve_occ[1::2] = mask.bits == 1
-        expect = np.where((train.means > 0) & eve_occ, 0.5, 0.0)
-        assert np.array_equal(masked.means, expect)
+        assert np.array_equal(masked, train & eve_occ)
+        assert np.array_equal(train, slot_map.bin_occupancy())  # input untouched
 
     @given(
         st.lists(st.integers(0, 1), min_size=1, max_size=200),
@@ -75,18 +75,16 @@ class TestApplyMask:
     )
     def test_decoys_destroyed(self, bits, strategy, mode, seed):
         slot_map = insert_decoys(bits, strategy)
-        train = encode(slot_map, 0.5)
         mask = generate_mask(slot_map.n_slots, mode, np.random.default_rng(seed))
-        occupied = apply_and_mask(train, mask).means.reshape(-1, 2) > 0
+        occupied = apply_and_mask(encode(slot_map), mask).reshape(-1, 2)
         assert not np.any(occupied.all(axis=1))
 
     def test_pass_through_rate(self):
         rng = np.random.default_rng(11)
         bits = generate_raw_bits(100_000, rng)
         slot_map = insert_decoys(bits, DecoyStrategy.NONE)
-        train = encode(slot_map, 0.5)
         mask = generate_mask(slot_map.n_slots, MaskMode.RANDOM, rng)
-        occupied = apply_and_mask(train, mask).means.reshape(-1, 2) > 0
+        occupied = apply_and_mask(encode(slot_map), mask).reshape(-1, 2)
         survived = occupied.sum(axis=1) == 1
         sigma = (0.25 / slot_map.n_slots) ** 0.5
         assert abs(survived.mean() - 0.5) < 3 * sigma

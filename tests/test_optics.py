@@ -1,102 +1,158 @@
+"""Optics oracles: the closed forms, and channel loss, the beam splitter and the
+monitor interferometer as seen through Bob's receive.
+
+Arm means are read back from click rates: a threshold detector of
+efficiency 1 with no dark counts fires with probability 1 - exp(-m) on a
+pulse of mean m, so m = -log(1 - rate).
+"""
+
 import math
 
 import numpy as np
 import pytest
 
-from cowsim.optics import (
-    BinAmplitude,
-    OpticalParams,
-    attenuate,
-    beamsplit,
-    click_probability,
-    detectable_fraction,
-    effective_mu,
-    monitor_port_mean,
-    sample_click,
-    splittable_fraction,
-    vacuum_overlap,
-)
+from cowsim.bob import DetectionMode, receive
+from cowsim.engine import SimConfig
+from cowsim.optics import click_probability, detectable_fraction, splittable_fraction
 
 RNG = lambda: np.random.default_rng(1234)
+
+# unit-efficiency, noiseless detectors behind a lossless channel
+IDEAL = dict(channel_t=1.0, t_b=1.0, eta_data=1.0, eta_mon=1.0, p_dark_data=0.0, p_dark_mon=0.0)
+N = 200_000
+
+
+def lone_pulses(n_slots=N):
+    """All-zero data: every slot is (pulse, empty), so every boundary holds one pulse."""
+    occ = np.zeros(2 * n_slots, dtype=bool)
+    occ[0::2] = True
+    return occ
+
+
+def rates(occ, seed=0, **params):
+    """(data clicks per pulse, monitor clicks per boundary) of one receive call."""
+    config = SimConfig(**{**IDEAL, **params})
+    rec = receive(occ, config, np.random.default_rng(seed))
+    return rec.data_clicks.size / occ.sum(), rec.monitor_clicks.size / (occ.size - 1)
+
+
+def mean_from_rate(rate, n):
+    """Detected mean -log(1 - rate) and its standard error from n trials."""
+    return -math.log1p(-rate), math.sqrt(rate / ((1.0 - rate) * n)) if rate < 1 else 0.0
+
+
+def arm_means(mu, seed=0, **params):
+    """Means reaching the data arm and the monitor arm, inferred from clicks.
+
+    A lone pulse reaches the destructive port at a quarter of its monitor-arm
+    mean, so that arm's mean is four times the port mean.
+    """
+    data_rate, mon_rate = rates(lone_pulses(), seed, mu=mu, **params)
+    data, data_se = mean_from_rate(data_rate, N)
+    port, port_se = mean_from_rate(mon_rate, 2 * N - 1)
+    return data, 4.0 * port, math.hypot(data_se, 4.0 * port_se)
 
 
 class TestAttenuate:
     def test_identity(self):
-        assert attenuate(BinAmplitude(0.5), 1.0).mean_photons == 0.5
+        data, _, se = arm_means(0.5, channel_t=1.0)
+        assert abs(data - 0.5) < 4 * se
 
     def test_full_block(self):
-        assert attenuate(BinAmplitude(0.5), 0.0).mean_photons == 0.0
+        assert rates(lone_pulses(), mu=0.5, channel_t=0.0, t_b=0.9) == (0.0, 0.0)
 
     def test_product(self):
-        assert attenuate(BinAmplitude(0.5), 0.2).mean_photons == pytest.approx(0.1, abs=1e-15)
-
-    def test_phase_preserved(self):
-        assert attenuate(BinAmplitude(0.5, phase=0.3), 0.2).phase == 0.3
+        data, _, se = arm_means(0.5, channel_t=0.2)
+        assert abs(data - 0.1) < 4 * se
 
     def test_range_rejected(self):
-        with pytest.raises(ValueError):
-            attenuate(BinAmplitude(0.5), 1.5)
-        with pytest.raises(ValueError):
-            attenuate(BinAmplitude(0.5), -0.1)
+        with pytest.raises(ValueError, match="channel_t"):
+            SimConfig(channel_t=1.5)
+        with pytest.raises(ValueError, match="channel_t"):
+            SimConfig(channel_t=-0.1)
 
     def test_matches_binomial_thinning(self):
         # oracle: a Poisson(mu) photon number thinned binomially with p
-        # must look like Poisson(mu * p)
+        # must click as often as receive's loss model at transmittance p
         rng = RNG()
-        n = rng.poisson(0.5, size=1_000_000)
-        thinned = rng.binomial(n, 0.2)
+        thinned = rng.binomial(rng.poisson(0.5, size=N), 0.2)
         seen = np.mean(thinned >= 1)
-        expect = 1 - math.exp(-attenuate(BinAmplitude(0.5), 0.2).mean_photons)
-        se = math.sqrt(expect * (1 - expect) / n.size)
-        assert abs(seen - expect) < 3 * se
+        data_rate, _ = rates(lone_pulses(), seed=5, mu=0.5, channel_t=0.2)
+        p = 1 - math.exp(-0.5 * 0.2)
+        se = math.sqrt(2 * p * (1 - p) / N)
+        assert abs(seen - data_rate) < 4 * se
 
 
 class TestBeamsplit:
     def test_paper_ratio(self):
-        data, mon = beamsplit(BinAmplitude(1.0), 0.9)
-        assert data.mean_photons == pytest.approx(0.9, abs=1e-15)
-        assert mon.mean_photons == pytest.approx(0.1, abs=1e-15)
+        data, monitor, se = arm_means(1.0, t_b=0.9)
+        assert abs(data - 0.9) < 4 * se
+        assert abs(monitor - 0.1) < 4 * se
 
     def test_vacuum(self):
-        data, mon = beamsplit(BinAmplitude(0.0), 0.3)
-        assert data.mean_photons == 0.0 and mon.mean_photons == 0.0
+        occ = np.zeros(2 * N, dtype=bool)
+        rec = receive(occ, SimConfig(**{**IDEAL, "t_b": 0.3}), RNG())
+        assert rec.data_clicks.size == 0 and rec.monitor_clicks.size == 0
 
     def test_symmetric(self):
-        data, mon = beamsplit(BinAmplitude(0.5), 0.5)
-        assert data.mean_photons == mon.mean_photons == 0.25
+        data, monitor, se = arm_means(0.5, t_b=0.5)
+        assert abs(data - monitor) < 4 * se
 
     @pytest.mark.parametrize("mu", [0.1, 0.5, 1.0, 3.7])
     @pytest.mark.parametrize("t_b", [0.0, 0.25, 0.9, 1.0])
     def test_energy_conserved(self, mu, t_b):
-        data, mon = beamsplit(BinAmplitude(mu), t_b)
-        assert abs(data.mean_photons + mon.mean_photons - mu) < 1e-12
+        # data-arm plus monitor-arm mean equals the arrived mean
+        data, monitor, se = arm_means(mu, seed=int(100 * mu + 10 * t_b), t_b=t_b)
+        assert abs(data + monitor - mu) < 4 * se
 
 
 class TestMonitorPort:
     def test_intact_pair_cancels(self):
-        assert monitor_port_mean(BinAmplitude(0.5), BinAmplitude(0.5), 1.0) == 0.0
+        occ = np.ones(2 * N, dtype=bool)
+        for mode in DetectionMode:
+            config = SimConfig(**{**IDEAL, "t_b": 0.5, "detection_mode": mode})
+            assert receive(occ, config, RNG()).monitor_clicks.size == 0
 
     def test_lone_pulse(self):
-        # a single surviving pulse loses half at each coupler: mu / 4
-        assert monitor_port_mean(BinAmplitude(0.5), BinAmplitude(0.0), 1.0) == pytest.approx(
-            0.125, abs=1e-15
-        )
-        assert monitor_port_mean(BinAmplitude(0.0), BinAmplitude(0.5), 0.3) == pytest.approx(
-            0.125, abs=1e-15
-        )
+        # a single surviving pulse loses half at each coupler: m / 4,
+        # independent of the visibility
+        m = 0.5 * 0.8 * (1 - 0.6)
+        p = 1 - math.exp(-0.7 * m / 4)
+        se = math.sqrt(p * (1 - p) / (2 * N - 1))
+        for v in (1.0, 0.3):
+            _, mon_rate = rates(lone_pulses(), mu=0.5, channel_t=0.8, t_b=0.6, eta_mon=0.7, visibility=v)
+            assert abs(mon_rate - p) < 4 * se
+
+    def test_partial_visibility(self):
+        # an intact pair at visibility V leaks m (1 - V) / 2
+        occ = np.ones(2 * N, dtype=bool)
+        m = 1.3 * 0.8 * (1 - 0.6)
+        for v in (0.98, 0.7):
+            p = 1 - math.exp(-0.7 * m * (1 - v) / 2)
+            se = math.sqrt(p * (1 - p) / (2 * N - 1))
+            _, mon_rate = rates(occ, mu=1.3, channel_t=0.8, t_b=0.6, eta_mon=0.7, visibility=v)
+            assert abs(mon_rate - p) < 4 * se
 
     def test_both_empty(self):
-        assert monitor_port_mean(BinAmplitude(0.0), BinAmplitude(0.0), 0.7) == 0.0
+        occ = np.zeros(2 * N, dtype=bool)
+        occ[0::4] = True  # slots alternate (pulse, empty) and (empty, empty)
+        rec = receive(occ, SimConfig(**{**IDEAL, "t_b": 0.5, "visibility": 0.7}), RNG())
+        silent = ~(occ[:-1] | occ[1:])
+        assert silent.sum() > 0
+        assert not np.any(silent[rec.monitor_clicks])
 
     @pytest.mark.parametrize("v", [0.0, 0.5, 0.9, 1.0])
-    @pytest.mark.parametrize("mus", [(0.1, 0.9), (0.5, 0.5), (2.0, 0.0)])
+    @pytest.mark.parametrize("mus", [(0.1, 0.1), (0.5, 0.5), (2.0, 0.0)])
     def test_never_negative(self, v, mus):
-        assert monitor_port_mean(BinAmplitude(mus[0]), BinAmplitude(mus[1]), v) >= 0.0
-
-    def test_phase_dependence(self):
-        # opposite phases interfere constructively at the destructive port
-        out = monitor_port_mean(BinAmplitude(0.5, 0.0), BinAmplitude(0.5, math.pi), 1.0)
-        assert out == pytest.approx(0.5, abs=1e-12)
+        # source means of the two interfering bins; the port mean is zero
+        # only for an intact pair at V = 1 and positive everywhere else
+        occ = np.array(mus * 4) > 0
+        config = SimConfig(
+            mu=max(mus), channel_t=1.0, t_b=0.5, visibility=v, detection_mode=DetectionMode.DETERMINISTIC
+        )
+        rec = receive(occ, config, RNG())
+        cancels = mus[1] > 0 and v == 1.0
+        assert rec.monitor_clicks.tolist() == ([] if cancels else list(range(occ.size - 1)))
 
 
 class TestClickProbability:
@@ -119,17 +175,20 @@ class TestClickProbability:
 
     def test_overlap_consistency(self):
         # with a perfect noiseless detector, no-click prob is the squared
-        # vacuum overlap
+        # vacuum overlap |<0|mu>|^2 = exp(-mu)
         for mu in np.linspace(0.05, 2.0, 10):
             no_click = 1 - click_probability(mu, 1.0, 0.0)
-            assert no_click == pytest.approx(vacuum_overlap(mu) ** 2, abs=1e-12)
+            assert no_click == pytest.approx(math.exp(-mu), abs=1e-12)
 
 
 class TestSampleClick:
     def test_degenerate(self):
-        rng = RNG()
-        assert not any(sample_click(0.0, rng) for _ in range(100))
-        assert all(sample_click(1.0, rng) for _ in range(100))
+        occ = lone_pulses(1000)
+        # probability 0: nothing reaches either detector and darks are off
+        assert rates(occ, mu=0.5, channel_t=0.0) == (0.0, 0.0)
+        # probability 1: deterministic mode fires on every occupied bin
+        det = SimConfig(mu=0.5, detection_mode=DetectionMode.DETERMINISTIC)
+        assert receive(occ, det, RNG()).data_clicks.tolist() == np.flatnonzero(occ).tolist()
 
     def test_fair(self):
         rng = RNG()
@@ -137,16 +196,23 @@ class TestSampleClick:
         assert abs(hits - 0.5) < 3 * 0.0005
 
     def test_range(self):
-        with pytest.raises(ValueError):
-            sample_click(1.5, RNG())
+        # every configurable detector yields a probability in [0, 1]
+        mus = np.array([0.0, 1e-9, 0.5, 50.0, 1e6])
+        for eta in (0.0, 0.1, 1.0):
+            for p_dark in (0.0, 0.5, 1 - 1e-12):
+                p = click_probability(mus, eta, p_dark)
+                assert np.all((p >= 0.0) & (p <= 1.0))
 
 
 class TestClosedForms:
-    def test_vacuum_overlap(self):
-        assert vacuum_overlap(0.0) == 1.0
-        assert vacuum_overlap(0.5) == pytest.approx(math.exp(-0.25), abs=1e-15)
+    def test_no_click_probability(self):
+        # at eta = 1 and no darks, a pulse of mean mu goes unseen with the
+        # squared vacuum overlap exp(-mu)
         for mu in (0.1, 0.5, 1.0):
-            assert vacuum_overlap(mu) ** 2 == pytest.approx(math.exp(-mu), abs=1e-12)
+            data_rate, _ = rates(lone_pulses(), seed=int(10 * mu), mu=mu)
+            p = math.exp(-mu)
+            se = math.sqrt(p * (1 - p) / N)
+            assert abs((1 - data_rate) - p) < 4 * se
 
     def test_detectable(self):
         assert detectable_fraction(0.0) == 0.0
@@ -172,19 +238,20 @@ class TestClosedForms:
         se = math.sqrt(p * (1 - p) / detectable.sum())
         assert abs(frac - p) < 3 * se
 
-    def test_effective_mu(self):
-        assert effective_mu(0.5, 1, 1, 1) == 0.5
-        assert effective_mu(0.5, 0.2, 0.9, 0.1) == pytest.approx(0.009, abs=1e-15)
-        for t in (0.01, 0.5, 1.0):
-            for eta in (0.01, 0.5, 1.0):
-                assert effective_mu(0.5, t, 0.9, eta) <= 0.5
+    def test_data_click_law(self):
+        # the data detector sees mu_eff = mu * t * t_b * eta
+        for t, t_b, eta in ((1.0, 1.0, 1.0), (0.2, 0.9, 0.1), (0.5, 0.9, 0.5)):
+            data_rate, _ = rates(lone_pulses(), mu=0.5, channel_t=t, t_b=t_b, eta_data=eta)
+            p = 1 - math.exp(-0.5 * t * t_b * eta)
+            se = math.sqrt(p * (1 - p) / N)
+            assert abs(data_rate - p) < 4 * se
 
 
 class TestParams:
     def test_ranges_enforced(self):
         with pytest.raises(ValueError):
-            OpticalParams(channel_t=1.2)
+            SimConfig(channel_t=1.2)
         with pytest.raises(ValueError):
-            OpticalParams(p_dark_data=1.0)
+            SimConfig(p_dark_data=1.0)
         with pytest.raises(ValueError):
-            BinAmplitude(-0.1)
+            SimConfig(mu=-0.1)

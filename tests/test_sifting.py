@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cowsim.alice import DECOY, DecoyStrategy, SlotMap
-from cowsim.bob import DecodedBit
 from cowsim.engine import Attack, SimConfig, run
 from cowsim.sifting import (
     MESSAGE_ORDER,
@@ -14,23 +13,24 @@ from cowsim.sifting import (
 )
 
 NO_MONITOR = MonitorOutcome(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+NOTHING_DECODED = (np.array([], dtype=np.int64), np.array([], dtype=np.uint8))
 
 
 class TestQber:
     def test_empty(self):
-        assert compute_qber([]) == 0.0
+        assert compute_qber([], []) == 0.0
 
     def test_agreement(self):
-        assert compute_qber([(0, 0), (1, 1)]) == 0.0
+        assert compute_qber([0, 1], [0, 1]) == 0.0
 
     def test_half(self):
-        assert compute_qber([(0, 1), (1, 1), (0, 0), (1, 0)]) == 0.5
+        assert compute_qber(np.array([0, 1, 0, 1]), np.array([1, 1, 0, 0])) == 0.5
 
 
 class TestRunSifting:
     def test_table1_scenario(self):
         slot_map = SlotMap(np.array([0, 0, 1, 1, DECOY, DECOY]))
-        decoded = [DecodedBit(0, 0), DecodedBit(3, 1), DecodedBit(4, 0), DecodedBit(5, 1)]
+        decoded = (np.array([0, 3, 4, 5]), np.array([0, 1, 0, 1]))
         result, transcript = run_sifting(
             slot_map, decoded, NO_MONITOR, 0.0, 0.0, np.random.default_rng(0)
         )
@@ -44,7 +44,7 @@ class TestRunSifting:
     def test_no_detections(self):
         slot_map = SlotMap(np.array([0, 1]))
         result, transcript = run_sifting(
-            slot_map, [], NO_MONITOR, 0.1, 0.0, np.random.default_rng(0)
+            slot_map, NOTHING_DECODED, NO_MONITOR, 0.1, 0.0, np.random.default_rng(0)
         )
         assert result.kept_indices.size == 0
         assert result.qber == 0.0
@@ -62,21 +62,21 @@ class TestRunSifting:
         slot_map = SlotMap(np.array([0, 1]))
         with pytest.raises(ValueError):
             run_sifting(
-                slot_map, [DecodedBit(5, 0)], NO_MONITOR, 0.0, 0.0, np.random.default_rng(0)
+                slot_map, ([5], [0]), NO_MONITOR, 0.0, 0.0, np.random.default_rng(0)
             )
 
     def test_abort_on_monitor_breaks(self):
         slot_map = SlotMap(np.array([DECOY, 0]))
         monitor = MonitorOutcome(np.array([0, 2]), np.array([0]))
         result, _ = run_sifting(
-            slot_map, [], monitor, 0.0, 0.0, np.random.default_rng(0)
+            slot_map, NOTHING_DECODED, monitor, 0.0, 0.0, np.random.default_rng(0)
         )
         assert result.break_rate == 0.5
         assert result.verdict == "abort"
 
     def test_verification_excluded_from_key(self):
         slot_map = SlotMap(np.arange(100) % 2)
-        decoded = [DecodedBit(s, s % 2) for s in range(100)]
+        decoded = (np.arange(100), np.arange(100) % 2)
         result, transcript = run_sifting(
             slot_map, decoded, NO_MONITOR, 0.3, 0.0, np.random.default_rng(1)
         )
