@@ -84,6 +84,11 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> SlotMap:
     FRAME_HEADER       frames of four slots, the first of each being a decoy
                        and the rest carrying the next three bits; a final
                        partial frame keeps one leading decoy.
+
+    Two occurrences of 1,0,1,0 can overlap only when they start exactly two
+    bits apart, as in 1,0,1,0,1,0.  Occurrences spaced by two form chains,
+    and the left-to-right scan keeps the even-indexed members of each chain
+    (the first, third, ...): each kept one consumes its odd successor.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size == 0:
@@ -95,22 +100,24 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> SlotMap:
         return SlotMap(bits.copy())
 
     if strategy is DecoyStrategy.SUBSTITUTE_PATTERN:
+        ones = bits.view(bool)
+        starts = np.flatnonzero(ones[:-3] & ~ones[1:-2] & ones[2:-1] & ~ones[3:])
+        chain_head = np.ones(starts.size, dtype=bool)
+        chain_head[1:] = np.diff(starts) != 2
+        index = np.arange(starts.size)
+        head_index = np.maximum.accumulate(np.where(chain_head, index, 0))
+        kept = starts[(index - head_index) % 2 == 0]
         codes = bits.copy()
-        i = 0
-        n = bits.size
-        while i + 4 <= n:
-            if bits[i] == 1 and bits[i + 1] == 0 and bits[i + 2] == 1 and bits[i + 3] == 0:
-                codes[i : i + 4] = DECOY
-                i += 4
-            else:
-                i += 1
+        for offset in range(4):
+            codes[kept + offset] = DECOY
         return SlotMap(codes)
 
     if strategy is DecoyStrategy.FRAME_HEADER:
-        chunks = []
-        for start in range(0, bits.size, 3):
-            chunks.append(np.concatenate(([DECOY], bits[start : start + 3])))
-        return SlotMap(np.concatenate(chunks).astype(np.uint8))
+        n_full, rest = divmod(bits.size, 3)
+        frames = np.full((n_full + (rest > 0), 4), DECOY, dtype=np.uint8)
+        frames[:n_full, 1:] = bits[: 3 * n_full].reshape(n_full, 3)
+        frames[n_full:, 1 : 1 + rest] = bits[3 * n_full :]
+        return SlotMap(frames.ravel()[: len(frames) + bits.size])
 
     raise ValueError(f"unknown decoy strategy: {strategy!r}")
 

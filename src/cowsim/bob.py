@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .optics import click_probability
-from .sifting import MonitorOutcome
+from .sifting import MonitorOutcome, in_sorted
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -113,5 +113,5 @@ def decode(rec: DetectionRecord) -> tuple[np.ndarray, np.ndarray]:
 def monitor_outcome(rec: DetectionRecord, checked_boundaries) -> MonitorOutcome:
     """Per-boundary monitor result for the sifting dialog."""
     checked = np.sort(np.asarray(checked_boundaries, dtype=np.int64))
-    clicked = checked[np.isin(checked, rec.monitor_clicks)]
+    clicked = checked[in_sorted(np.sort(rec.monitor_clicks), checked)]
     return MonitorOutcome(checked, clicked)

@@ -153,7 +153,10 @@ def _build_parser() -> _Parser:
 def _load(args) -> SimConfig:
     config = parse_config(args.config, args.overrides)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        try:
+            config = replace(config, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"bad --seed: {exc}") from exc
     return config
 
 
@@ -179,7 +182,10 @@ def _cmd_sweep_mu(args) -> int:
         grid = [float(v) for v in args.mu_grid.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"bad --mu-grid: {args.mu_grid!r}")
-    rows = engine.sweep_mu(config, grid)
+    try:
+        rows = engine.sweep_mu(config, grid)
+    except ValueError as exc:
+        raise ConfigError(f"bad --mu-grid: {exc}") from exc
     lines = ["mu,detectable,splittable,empirical"]
     for r in rows:
         lines.append(

@@ -85,6 +85,9 @@ class SimConfig:
     detection_mode: DetectionMode = DetectionMode.SAMPLED
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_bits < 1:
             raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
         if self.mu <= 0:
@@ -100,6 +103,10 @@ class SimConfig:
         _check_unit("p_dark_data", self.p_dark_data, open_top=True)
         _check_unit("p_dark_mon", self.p_dark_mon, open_top=True)
         _check_unit("visibility", self.visibility)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.eve_seed is not None and self.eve_seed < 0:
+            raise ValueError(f"eve_seed must be >= 0, got {self.eve_seed}")
 
 
 @dataclass

@@ -92,6 +92,15 @@ class Transcript:
         return out
 
 
+def in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Per needle, whether it occurs in the ascending array haystack."""
+    if haystack.size == 0:
+        return np.zeros(needles.shape, dtype=bool)
+    at = np.searchsorted(haystack, needles)
+    np.minimum(at, haystack.size - 1, out=at)
+    return haystack[at] == needles
+
+
 @dataclass
 class MonitorOutcome:
     """Monitor-line result for the boundaries Alice asked to be checked."""
@@ -102,7 +111,9 @@ class MonitorOutcome:
     def __post_init__(self):
         self.checked = np.asarray(self.checked, dtype=np.int64)
         self.clicked = np.asarray(self.clicked, dtype=np.int64)
-        if not np.isin(self.clicked, self.checked).all():
+        if np.any(self.checked[1:] < self.checked[:-1]):
+            raise ValueError("checked boundaries must be sorted")
+        if not in_sorted(self.checked, self.clicked).all():
             raise ValueError("clicked boundaries must be a subset of checked ones")
 
     @property
@@ -179,6 +190,7 @@ def run_sifting(
     alice_key = slot_map.codes[kept]
     bob_key = remainder_values[~verify_mask]
 
+    clicks = in_sorted(np.sort(monitor.clicked), monitor.checked)
     transcript = Transcript()
     transcript.append("DetectionReport", {"slots": slots.tolist()})
     transcript.append("DecoyDiscard", {"slots": decoy_detected.tolist()})
@@ -196,7 +208,7 @@ def run_sifting(
         "MonitorReport",
         {
             "boundaries": monitor.checked.tolist(),
-            "clicks": np.isin(monitor.checked, monitor.clicked).astype(int).tolist(),
+            "clicks": clicks.astype(int).tolist(),
         },
     )
     transcript.append("Verdict", {"verdict": verdict})

@@ -17,6 +17,48 @@ from cowsim.bob import DetectionMode, decode, receive
 from cowsim.engine import SimConfig
 
 
+def substitute_pattern_reference(bits):
+    """The left-to-right scan insert_decoys must reproduce, one bit per step."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    codes = bits.copy()
+    i = 0
+    n = bits.size
+    while i + 4 <= n:
+        if bits[i] == 1 and bits[i + 1] == 0 and bits[i + 2] == 1 and bits[i + 3] == 0:
+            codes[i : i + 4] = DECOY
+            i += 4
+        else:
+            i += 1
+    return codes
+
+
+def frame_header_reference(bits):
+    """One decoy, then up to three bits, per frame."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    chunks = []
+    for start in range(0, bits.size, 3):
+        chunks.append(np.concatenate(([DECOY], bits[start : start + 3])))
+    return np.concatenate(chunks).astype(np.uint8)
+
+
+REFERENCES = {
+    DecoyStrategy.SUBSTITUTE_PATTERN: substitute_pattern_reference,
+    DecoyStrategy.FRAME_HEADER: frame_header_reference,
+}
+
+# runs of 1,0,1,0,... pieced together, so chains of overlapping 1010 occur
+_alternating_runs = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(1, 12)), min_size=1, max_size=12
+).map(lambda runs: [(first + k) % 2 for first, length in runs for k in range(length)])
+
+
+def _assert_matches_reference(bits, strategy):
+    codes = insert_decoys(bits, strategy).codes
+    expect = REFERENCES[strategy](bits)
+    assert codes.dtype == expect.dtype
+    assert np.array_equal(codes, expect)
+
+
 class TestRawBits:
     def test_deterministic(self):
         a = generate_raw_bits(8, np.random.default_rng(42))
@@ -74,6 +116,30 @@ class TestInsertDecoys:
         codes = insert_decoys(bits, DecoyStrategy.FRAME_HEADER).codes
         assert np.all(codes[0::4] == DECOY)
         assert (codes != DECOY).sum() == len(bits)
+
+
+class TestInsertDecoysReference:
+    @pytest.mark.parametrize("strategy", list(REFERENCES))
+    @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=64))
+    def test_short_random(self, strategy, bits):
+        _assert_matches_reference(bits, strategy)
+
+    @pytest.mark.parametrize("strategy", list(REFERENCES))
+    @given(bits=_alternating_runs)
+    def test_alternating_runs(self, strategy, bits):
+        _assert_matches_reference(bits, strategy)
+
+    @pytest.mark.parametrize("strategy", list(REFERENCES))
+    def test_every_short_length(self, strategy):
+        # n < 4 and every n % 3, on the all-alternating input and its shift
+        for n in range(1, 65):
+            for first in (0, 1):
+                _assert_matches_reference([(first + k) % 2 for k in range(n)], strategy)
+
+    @pytest.mark.parametrize("strategy", list(REFERENCES))
+    def test_long_seeded(self, strategy):
+        bits = generate_raw_bits(200_000, np.random.default_rng(20_051))
+        _assert_matches_reference(bits, strategy)
 
 
 class TestEncode:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cowsim.alice import DECOY, SlotMap, encode, generate_raw_bits
 from cowsim.bob import DetectionMode, DetectionRecord, decode, monitor_outcome, receive
@@ -113,3 +115,15 @@ class TestMonitor:
         assert outcome.checked.tolist() == [0, 1, 2]
         assert outcome.clicked.tolist() == [1]
         assert outcome.break_rate == pytest.approx(1 / 3)
+
+    @given(
+        clicks=st.lists(st.integers(0, 60), max_size=30),
+        checked=st.lists(st.integers(0, 60), max_size=30),
+    )
+    def test_monitor_outcome_matches_isin(self, clicks, checked):
+        # duplicates, clicks outside checked, unsorted and empty inputs
+        rec = DetectionRecord(np.array([], dtype=np.int64), np.array(clicks, dtype=np.int64))
+        outcome = monitor_outcome(rec, checked)
+        expect = np.sort(np.array(checked, dtype=np.int64))
+        assert np.array_equal(outcome.checked, expect)
+        assert np.array_equal(outcome.clicked, expect[np.isin(expect, clicks)])

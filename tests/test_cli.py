@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cowsim.alice import DecoyStrategy
@@ -125,3 +130,34 @@ class TestCommands:
     def test_format_flag_rejected(self, capsys):
         assert run_cli("run", "--format", "csv") == 1
         assert "--format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["sweep-mu", "--mu-grid", "0.5,-1"], "--mu-grid"),
+            (["run", "--set", "eve_seed=-1"], "eve_seed"),
+            (["run", "--set", "seed=-1"], "seed"),
+            (["run", "--seed", "-1"], "--seed"),
+            (["run", "--set", "mu=inf"], "mu"),
+            (["run", "--set", "alarm_threshold=nan"], "alarm_threshold"),
+        ],
+    )
+    def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, argv, key):
+        code = run_cli(*argv, "--set", "n_bits=500", "--out", str(tmp_path))
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+
+def test_python_dash_m(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cowsim", "table1", "--out", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "verdict,pass"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cowsim.alice import DECOY, DecoyStrategy, SlotMap
 from cowsim.engine import Attack, SimConfig, run
@@ -25,6 +27,37 @@ class TestQber:
 
     def test_half(self):
         assert compute_qber(np.array([0, 1, 0, 1]), np.array([1, 1, 0, 0])) == 0.5
+
+
+class TestMonitorOutcome:
+    def test_clicked_outside_checked_rejected(self):
+        with pytest.raises(ValueError, match="subset"):
+            MonitorOutcome(np.array([0, 2, 4]), np.array([2, 3]))
+
+    def test_unsorted_checked_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            MonitorOutcome(np.array([4, 0, 2]), np.array([2]))
+
+    def test_duplicate_checked_accepted(self):
+        outcome = MonitorOutcome(np.array([0, 2, 2, 4]), np.array([2, 2]))
+        assert outcome.break_rate == 0.5
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=30))
+    def test_monitor_report_matches_isin(self, draws):
+        # clicked in any order, duplicate boundaries in checked
+        checked = np.sort(np.array([b for b, _ in draws], dtype=np.int64))
+        clicked = np.array([b for b, hit in reversed(draws) if hit], dtype=np.int64)
+        _, transcript = run_sifting(
+            SlotMap(np.array([0])),
+            NOTHING_DECODED,
+            MonitorOutcome(checked, clicked),
+            0.0,
+            1.0,
+            np.random.default_rng(0),
+        )
+        report = transcript.get("MonitorReport")
+        assert report["boundaries"] == checked.tolist()
+        assert report["clicks"] == np.isin(checked, clicked).astype(int).tolist()
 
 
 class TestRunSifting:
