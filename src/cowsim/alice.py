@@ -59,13 +59,6 @@ class SlotMap:
     def is_decoy(self) -> np.ndarray:
         return self.codes == DECOY
 
-    def bin_occupancy(self) -> np.ndarray:
-        """Boolean per-bin source occupancy, length 2 * n_slots."""
-        occ = np.zeros(2 * self.n_slots, dtype=bool)
-        occ[0::2] = (self.codes == 0) | (self.codes == DECOY)
-        occ[1::2] = (self.codes == 1) | (self.codes == DECOY)
-        return occ
-
 
 def generate_raw_bits(n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent uniform key bits."""
@@ -124,17 +117,19 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> SlotMap:
 
 def encode(slot_map: SlotMap) -> np.ndarray:
     """Translate slots into the transmitted pulse train: per-bin occupancy."""
-    return slot_map.bin_occupancy()
+    occ = np.zeros(2 * slot_map.n_slots, dtype=bool)
+    occ[0::2] = (slot_map.codes == 0) | (slot_map.codes == DECOY)
+    occ[1::2] = (slot_map.codes == 1) | (slot_map.codes == DECOY)
+    return occ
 
 
-def coherent_boundaries(slot_map: SlotMap) -> np.ndarray:
-    """Bin indices k where bins k and k+1 are both nonempty at the source.
+def coherent_boundaries(occupancy: np.ndarray) -> np.ndarray:
+    """Bin indices k where bins k and k+1 are both nonempty in Alice's train.
 
     These are the decoy-internal pairs plus every 1-then-0 slot boundary;
     only these can show perfect destructive interference at the monitor.
     """
-    occ = slot_map.bin_occupancy()
-    return np.flatnonzero(occ[:-1] & occ[1:])
+    return np.flatnonzero(occupancy[:-1] & occupancy[1:])
 
 
 def announce_coherence_checks(

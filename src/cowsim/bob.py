@@ -6,6 +6,10 @@ The interferometer delays one arm by a single bin and is tuned so an intact
 pulse pair cancels at the instrumented (destructive) output.  Since every
 pulse has the same mean, a data bin is either empty or a pulse, and the
 destructive port at a boundary sees nothing, a lone pulse or an intact pair.
+
+Detections sit on the same grid as the pulse train: one boolean per bin for
+the data detector, and one per interferometer boundary k (bins k and k+1)
+for the monitor detector.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .optics import click_probability
-from .sifting import MonitorOutcome, in_sorted
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -27,7 +30,6 @@ __all__ = [
     "DetectionRecord",
     "receive",
     "decode",
-    "monitor_outcome",
 ]
 
 # destructive-port means below this are treated as perfect cancellation
@@ -42,16 +44,15 @@ class DetectionMode(Enum):
 
 @dataclass
 class DetectionRecord:
-    """Bin indices of data clicks and boundary indices of monitor clicks."""
+    """Bob's clicks on the bin grid of a 2n-bin train.
+
+    data_clicks     bool, length 2n: the data detector fired in bin i
+    monitor_clicks  bool, length 2n - 1: the monitor detector fired at
+                    boundary k, where bins k and k+1 interfere
+    """
 
     data_clicks: np.ndarray
     monitor_clicks: np.ndarray
-
-    def __post_init__(self):
-        self.data_clicks = np.asarray(self.data_clicks, dtype=np.int64)
-        self.monitor_clicks = np.asarray(self.monitor_clicks, dtype=np.int64)
-        if np.any(np.diff(self.data_clicks) <= 0):
-            raise ValueError("data clicks must be strictly increasing")
 
 
 def receive(
@@ -77,11 +78,9 @@ def receive(
     data_mean = np.array([0.0, arrived * config.t_b])
     m = arrived * (1.0 - config.t_b)
     # destructive port of the one-bin-delay interferometer for 0, 1 or 2
-    # pulses in the two interfering bins; all pulses come from one CW source
-    # at one mean, so these three levels are the only ones that occur
-    prev, cur = np.array([0.0, m, m]), np.array([0.0, 0.0, m])
-    port = prev + cur - 2.0 * config.visibility * np.sqrt(prev * cur)
-    port = np.maximum(port, 0.0) / 4.0
+    # pulses in the two interfering bins: a lone pulse loses half at each
+    # coupler, and an intact pair leaks what the visibility fails to cancel
+    port = np.array([0.0, m / 4.0, (m - config.visibility * m) / 2.0])
 
     bin_level = occupancy.view(np.uint8)
     pair_level = bin_level[:-1] + bin_level[1:]
@@ -98,20 +97,13 @@ def receive(
     late = clicks[1::2]
     late &= ~clicks[0::2]
 
-    return DetectionRecord(np.flatnonzero(clicks), np.flatnonzero(mon_clicks))
+    return DetectionRecord(clicks, mon_clicks)
 
 
 def decode(rec: DetectionRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Map click bins to (slots, values): bin 2i -> slot i, value 0; bin 2i+1 -> slot i, value 1."""
-    slots = rec.data_clicks // 2
-    # data clicks are strictly increasing, so a repeated slot is adjacent
-    if np.any(slots[1:] == slots[:-1]):
+    """Map clicks to (slots, values): bin 2i -> slot i, value 0; bin 2i+1 -> slot i, value 1."""
+    early, late = rec.data_clicks[0::2], rec.data_clicks[1::2]
+    if np.any(early & late):
         raise ValueError("two clicks decoded in one slot; dead time invariant broken")
-    return slots, (rec.data_clicks % 2).astype(np.uint8)
-
-
-def monitor_outcome(rec: DetectionRecord, checked_boundaries) -> MonitorOutcome:
-    """Per-boundary monitor result for the sifting dialog."""
-    checked = np.sort(np.asarray(checked_boundaries, dtype=np.int64))
-    clicked = checked[in_sorted(np.sort(rec.monitor_clicks), checked)]
-    return MonitorOutcome(checked, clicked)
+    slots = np.flatnonzero(early | late)
+    return slots, late[slots].astype(np.uint8)

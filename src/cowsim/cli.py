@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from . import engine
 from .alice import DecoyStrategy
-from .bob import DetectionMode
 from .engine import Attack, SimConfig
 from .eve import MaskMode
 from .optics import detectable_fraction, splittable_fraction
@@ -42,45 +43,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_ENUM_KEYS = {
-    "decoy_strategy": {s.value: s for s in DecoyStrategy},
-    "attack": {a.value: a for a in Attack},
-    "eve_mode": {m.value: m for m in MaskMode},
-    "detection_mode": {m.value: m for m in DetectionMode},
+# SimConfig field -> the type its value converts to; `float | None` converts as float
+_KEY_TYPES = {
+    name: (typing.get_args(hint) or (hint,))[0]
+    for name, hint in typing.get_type_hints(SimConfig).items()
 }
-_INT_KEYS = {"n_bits", "seed", "eve_seed"}
-_FLOAT_KEYS = {
-    "mu",
-    "tau_ns",
-    "channel_t",
-    "t_b",
-    "eta_data",
-    "eta_mon",
-    "p_dark_data",
-    "p_dark_mon",
-    "visibility",
-    "f_verify",
-    "f_coh",
-    "alarm_threshold",
-}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | set(_ENUM_KEYS)
 
 
 def _convert(key: str, raw: str):
     raw = raw.strip()
-    if key not in _ALL_KEYS:
+    kind = _KEY_TYPES.get(key)
+    if kind is None:
         raise ConfigError(f"unknown configuration key: {key!r}")
-    if key in _ENUM_KEYS:
+    if issubclass(kind, Enum):
         try:
-            return _ENUM_KEYS[key][raw.lower()]
-        except KeyError:
-            choices = ", ".join(_ENUM_KEYS[key])
+            return kind(raw.lower())
+        except ValueError:
+            choices = ", ".join(member.value for member in kind)
             raise ConfigError(f"bad value for {key!r}: {raw!r} (choices: {choices})")
     try:
-        return int(raw) if key in _INT_KEYS else float(raw)
+        return kind(raw)
     except ValueError:
-        kind = "integer" if key in _INT_KEYS else "number"
-        raise ConfigError(f"bad value for {key!r}: {raw!r} (expected {kind})")
+        expected = "integer" if kind is int else "number"
+        raise ConfigError(f"bad value for {key!r}: {raw!r} (expected {expected})")
 
 
 def _parse_assignments(lines, origin: str) -> dict:

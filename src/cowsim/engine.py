@@ -8,6 +8,7 @@ toggling the attack or reseeding Eve alone never perturbs the rest.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -92,8 +93,9 @@ class SimConfig:
             raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
         if self.mu <= 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
-        if self.tau_ns <= 0:
-            raise ValueError(f"tau_ns must be > 0, got {self.tau_ns}")
+        # the raw rate divides by tau_ns * 1e-9, which must not underflow
+        if self.tau_ns * 1e-9 < sys.float_info.min:
+            raise ValueError(f"tau_ns must be > 0 with tau_ns * 1e-9 a normal float, got {self.tau_ns}")
         if not 0.0 <= self.f_verify < 1.0:
             raise ValueError(f"f_verify must be in [0, 1), got {self.f_verify}")
         if not 0.0 <= self.f_coh <= 1.0:
@@ -178,7 +180,7 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
     bits = alice_mod.generate_raw_bits(config.n_bits, rng_bits)
     slot_map = alice_mod.insert_decoys(bits, config.decoy_strategy)
     train = alice_mod.encode(slot_map)
-    boundaries = alice_mod.coherent_boundaries(slot_map)
+    boundaries = alice_mod.coherent_boundaries(train)
     checked = alice_mod.announce_coherence_checks(boundaries, config.f_coh, rng_choices)
 
     mask = eve_mod.generate_mask(slot_map.n_slots, config.eve_mode, rng_eve)
@@ -186,7 +188,7 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
 
     rec = bob_mod.receive(sent, config, rng_det)
     decoded = bob_mod.decode(rec)
-    monitor = bob_mod.monitor_outcome(rec, checked)
+    monitor = (checked, rec.monitor_clicks[checked])
 
     threshold = _alarm_threshold(config, int(checked.size))
     sift, transcript = run_sifting(
@@ -227,8 +229,6 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
     """
     rows = []
     for i, mu in enumerate(mu_grid):
-        if mu <= 0:
-            raise ValueError(f"mu grid values must be > 0, got {mu}")
         point = replace(
             config,
             mu=float(mu),
@@ -241,7 +241,7 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
         slot_map = alice_mod.insert_decoys(bits, DecoyStrategy.NONE)
         train = alice_mod.encode(slot_map)
         rec = bob_mod.receive(train, point, rng_det)
-        empirical = rec.data_clicks.size / slot_map.n_slots
+        empirical = int(np.count_nonzero(rec.data_clicks)) / slot_map.n_slots
         rows.append(
             SweepRow(
                 mu=float(mu),

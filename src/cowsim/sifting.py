@@ -18,7 +18,6 @@ __all__ = [
     "MESSAGE_ORDER",
     "Message",
     "Transcript",
-    "MonitorOutcome",
     "SiftResult",
     "compute_qber",
     "run_sifting",
@@ -92,37 +91,6 @@ class Transcript:
         return out
 
 
-def in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    """Per needle, whether it occurs in the ascending array haystack."""
-    if haystack.size == 0:
-        return np.zeros(needles.shape, dtype=bool)
-    at = np.searchsorted(haystack, needles)
-    np.minimum(at, haystack.size - 1, out=at)
-    return haystack[at] == needles
-
-
-@dataclass
-class MonitorOutcome:
-    """Monitor-line result for the boundaries Alice asked to be checked."""
-
-    checked: np.ndarray
-    clicked: np.ndarray
-
-    def __post_init__(self):
-        self.checked = np.asarray(self.checked, dtype=np.int64)
-        self.clicked = np.asarray(self.clicked, dtype=np.int64)
-        if np.any(self.checked[1:] < self.checked[:-1]):
-            raise ValueError("checked boundaries must be sorted")
-        if not in_sorted(self.checked, self.clicked).all():
-            raise ValueError("clicked boundaries must be a subset of checked ones")
-
-    @property
-    def break_rate(self) -> float:
-        if self.checked.size == 0:
-            return 0.0
-        return self.clicked.size / self.checked.size
-
-
 @dataclass
 class SiftResult:
     kept_indices: np.ndarray
@@ -145,7 +113,7 @@ def compute_qber(alice_bits, bob_bits) -> float:
 def run_sifting(
     slot_map: SlotMap,
     decoded,
-    monitor: MonitorOutcome,
+    monitor,
     f_verify: float,
     alarm_threshold: float,
     rng: np.random.Generator,
@@ -153,6 +121,8 @@ def run_sifting(
     """Run the whole public dialog and extract the sifted key.
 
     decoded is Bob's (slots, values) pair of arrays, one detected bit each.
+    monitor is the (checked, clicks) pair: the boundaries Alice asked to be
+    checked and, per checked boundary, whether Bob's monitor detector fired.
     Bob announces which slots he detected; Alice discards her decoys among
     them, samples a verification subset both sides reveal, and keeps the
     rest as key.  The verdict aborts when the monitor break rate exceeds
@@ -169,6 +139,12 @@ def run_sifting(
     if slots.size and (slots.min() < 0 or slots.max() >= slot_map.n_slots):
         raise ValueError("decoded slot outside the slot map")
 
+    checked, clicks = monitor
+    checked = np.asarray(checked, dtype=np.int64)
+    clicks = np.asarray(clicks, dtype=bool)
+    if checked.shape != clicks.shape:
+        raise ValueError("monitor boundaries and clicks differ in length")
+
     order = np.argsort(slots)
     slots, values = slots[order], values[order]
 
@@ -184,13 +160,12 @@ def run_sifting(
     reveal_bob = remainder_values[verify_mask]
     qber = compute_qber(reveal_alice, reveal_bob)
 
-    break_rate = monitor.break_rate
+    break_rate = int(np.count_nonzero(clicks)) / checked.size if checked.size else 0.0
     verdict = "abort" if break_rate > alarm_threshold else "accept"
 
     alice_key = slot_map.codes[kept]
     bob_key = remainder_values[~verify_mask]
 
-    clicks = in_sorted(np.sort(monitor.clicked), monitor.checked)
     transcript = Transcript()
     transcript.append("DetectionReport", {"slots": slots.tolist()})
     transcript.append("DecoyDiscard", {"slots": decoy_detected.tolist()})
@@ -203,11 +178,11 @@ def run_sifting(
             "bob_bits": reveal_bob.tolist(),
         },
     )
-    transcript.append("CoherenceCheck", {"boundaries": monitor.checked.tolist()})
+    transcript.append("CoherenceCheck", {"boundaries": checked.tolist()})
     transcript.append(
         "MonitorReport",
         {
-            "boundaries": monitor.checked.tolist(),
+            "boundaries": checked.tolist(),
             "clicks": clicks.astype(int).tolist(),
         },
     )

@@ -13,7 +13,7 @@ from cowsim.bob import DetectionMode
 from cowsim.engine import Attack, SimConfig, compare_attack, run
 from cowsim.eve import EveMask, MaskMode
 from cowsim.optics import detectable_fraction, splittable_fraction
-from cowsim.sifting import MonitorOutcome, run_sifting
+from cowsim.sifting import run_sifting
 
 
 def _report(number, title, ok):
@@ -32,7 +32,7 @@ def test_criterion_1_table1_reproduction():
     slots, values = decoded
     ok = (slots.tolist(), values.tolist()) == ([0, 3, 4, 5], [0, 1, 0, 1])
 
-    monitor = MonitorOutcome(np.array([], dtype=int), np.array([], dtype=int))
+    monitor = (np.array([], dtype=int), np.array([], dtype=bool))
     result, transcript = run_sifting(
         slot_map, decoded, monitor, 0.0, 0.0, np.random.default_rng(0)
     )
@@ -103,7 +103,7 @@ def test_criterion_5_mu_eff_law():
         rec = bob.receive(alice.encode(slot_map), config, np.random.default_rng(int(t * 1000)))
         p = 1 - math.exp(-0.5 * t * t_b * eta)
         se = math.sqrt(p * (1 - p) / n)
-        ok = ok and abs(rec.data_clicks.size / n - p) < 3 * se
+        ok = ok and abs(np.count_nonzero(rec.data_clicks) / n - p) < 3 * se
     _report(5, "per-slot detection follows 1 - exp(-mu t t_b eta)", ok)
 
 
@@ -111,13 +111,13 @@ def test_criterion_6_monitor_behavior():
     n_decoys = 10_000
     slot_map = SlotMap(np.full(n_decoys, DECOY, dtype=np.uint8))
     train = alice.encode(slot_map)
-    checked = alice.coherent_boundaries(slot_map)
+    checked = alice.coherent_boundaries(train)
     config = SimConfig(mu=0.5, channel_t=0.5, t_b=0.9, eta_mon=1.0, p_dark_mon=0.0, visibility=1.0)
 
     # no attack: every checked boundary cancels perfectly
     rec = bob.receive(train, config, np.random.default_rng(60))
-    outcome = bob.monitor_outcome(rec, checked)
-    ok = outcome.checked.size >= 10_000 and outcome.clicked.size == 0
+    clicks = rec.monitor_clicks[checked]
+    ok = checked.size >= 10_000 and not clicks.any()
 
     # attack on: each decoy pair keeps exactly one pulse, clicking at the
     # closed-form rate 1 - exp(-eta_mon (1-t_b) t mu / 4)
@@ -127,7 +127,7 @@ def test_criterion_6_monitor_behavior():
     one_survivor = sent[:-1] ^ sent[1:]
     broken = checked[one_survivor[checked]]
     assert broken.size >= 10_000
-    hits = bob.monitor_outcome(rec, broken).clicked.size
+    hits = np.count_nonzero(rec.monitor_clicks[broken])
     p = 1 - math.exp(-1.0 * (1 - 0.9) * 0.5 * 0.5 / 4)
     se = math.sqrt(p * (1 - p) / broken.size)
     ok = ok and abs(hits / broken.size - p) < 3 * se

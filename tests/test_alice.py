@@ -173,13 +173,13 @@ class TestEncode:
 
 class TestBoundaries:
     def test_single_zero(self):
-        assert coherent_boundaries(SlotMap(np.array([0]))).tolist() == []
+        assert coherent_boundaries(encode(SlotMap(np.array([0])))).tolist() == []
 
     def test_single_decoy(self):
-        assert coherent_boundaries(SlotMap(np.array([DECOY]))).tolist() == [0]
+        assert coherent_boundaries(encode(SlotMap(np.array([DECOY])))).tolist() == [0]
 
     def test_cross_slot(self):
-        assert coherent_boundaries(SlotMap(np.array([1, 0]))).tolist() == [1]
+        assert coherent_boundaries(encode(SlotMap(np.array([1, 0])))).tolist() == [1]
 
     def test_announce_all_or_nothing(self):
         rng = np.random.default_rng(0)

@@ -1,12 +1,26 @@
+import contextlib
+import io
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import typing
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cowsim.alice import DecoyStrategy
 from cowsim.cli import ConfigError, main, parse_config
+from cowsim.engine import SimConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -140,6 +154,8 @@ class TestCommands:
             (["run", "--seed", "-1"], "--seed"),
             (["run", "--set", "mu=inf"], "mu"),
             (["run", "--set", "alarm_threshold=nan"], "alarm_threshold"),
+            (["run", "--set", "tau_ns=5e-324"], "tau_ns"),
+            (["run", "--set", "tau_ns=1e-310"], "tau_ns"),
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, argv, key):
@@ -149,7 +165,7 @@ class TestCommands:
 
 
 def test_python_dash_m(tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = ROOT / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -161,3 +177,88 @@ def test_python_dash_m(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "verdict,pass"
+
+
+@pytest.mark.parametrize(
+    "field", [f for f in fields(SimConfig) if f.default is not None], ids=lambda f: f.name
+)
+def test_default_value_accepted(field):
+    default = field.default
+    rendered = default.value if isinstance(default, Enum) else default
+    config = parse_config(None, [f"{field.name}={rendered}"])
+    assert getattr(config, field.name) == field.default
+
+
+def test_readme_lists_every_key():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    match = re.search(r"Config keys are the (\d+) `SimConfig` fields[^:]*:(.*?)\.\s", section, re.S)
+    names = [f.name for f in fields(SimConfig)]
+    assert re.findall(r"`(\w+)`", match.group(2)) == names
+    assert int(match.group(1)) == len(names)
+
+
+_BIG = sys.float_info.max
+# the interval SimConfig checks each float key against; ends may be open
+_RANGES = {
+    "mu": (0.0, _BIG),
+    "tau_ns": (sys.float_info.min / 1e-9, _BIG),
+    "alarm_threshold": (-_BIG, _BIG),
+    **dict.fromkeys(
+        ["channel_t", "t_b", "eta_data", "eta_mon", "visibility"]
+        + ["p_dark_data", "p_dark_mon", "f_verify", "f_coh"],
+        (0.0, 1.0),
+    ),
+}
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0, 1e308, -1.0, -1e308, math.inf, -math.inf, math.nan]
+_HINTS = typing.get_type_hints(SimConfig)
+
+
+def _values(name):
+    """Values to try for one key: its range ends and their neighbours, edge
+    floats, in-range floats and any float."""
+    kind = (typing.get_args(_HINTS[name]) or (_HINTS[name],))[0]
+    if name == "n_bits":
+        return st.integers(1, 300)
+    if issubclass(kind, Enum):
+        return st.sampled_from([m.value for m in kind])
+    if kind is int:
+        return st.integers(-3, 2**64)
+    lo, hi = _RANGES[name]
+    ends = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+    return st.sampled_from(ends + _EDGE_FLOATS) | st.floats(lo, hi) | st.floats()
+
+
+_SETTINGS = st.fixed_dictionaries(
+    {"n_bits": _values("n_bits")},
+    optional={f.name: _values(f.name) for f in fields(SimConfig) if f.name != "n_bits"},
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_SETTINGS)
+def test_run_finishes_or_names_the_key(values):
+    # every accepted config finishes with finite statistics and no
+    # floating-point fault; every rejected one exits 1 naming a key that
+    # is rejected on its own
+    assignments = [f"{key}={value}" for key, value in values.items()]
+    argv = ["run"] + [arg for a in assignments for arg in ("--set", a)]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                code = main(argv + ["--out", out])
+        if code == 0:
+            for line in (Path(out) / "stats.log").read_text().splitlines():
+                try:
+                    number = float(line.partition("=")[2])
+                except ValueError:
+                    continue  # the verdict
+                assert math.isfinite(number), line
+            return
+    assert code == 1
+    named = [a for a in assignments if re.search(rf"\b{a.partition('=')[0]}\b", err.getvalue())]
+    assert named, err.getvalue()
+    for assignment in named:
+        with pytest.raises(ConfigError):
+            parse_config(None, [assignment])

@@ -65,7 +65,7 @@ class TestApplyMask:
         eve_occ[0::2] = mask.bits == 0
         eve_occ[1::2] = mask.bits == 1
         assert np.array_equal(masked, train & eve_occ)
-        assert np.array_equal(train, slot_map.bin_occupancy())  # input untouched
+        assert np.array_equal(train, encode(slot_map))  # input untouched
 
     @given(
         st.lists(st.integers(0, 1), min_size=1, max_size=200),

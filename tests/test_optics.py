@@ -33,7 +33,8 @@ def rates(occ, seed=0, **params):
     """(data clicks per pulse, monitor clicks per boundary) of one receive call."""
     config = SimConfig(**{**IDEAL, **params})
     rec = receive(occ, config, np.random.default_rng(seed))
-    return rec.data_clicks.size / occ.sum(), rec.monitor_clicks.size / (occ.size - 1)
+    data_rate = np.count_nonzero(rec.data_clicks) / occ.sum()
+    return data_rate, np.count_nonzero(rec.monitor_clicks) / (occ.size - 1)
 
 
 def mean_from_rate(rate, n):
@@ -92,7 +93,7 @@ class TestBeamsplit:
     def test_vacuum(self):
         occ = np.zeros(2 * N, dtype=bool)
         rec = receive(occ, SimConfig(**{**IDEAL, "t_b": 0.3}), RNG())
-        assert rec.data_clicks.size == 0 and rec.monitor_clicks.size == 0
+        assert not rec.data_clicks.any() and not rec.monitor_clicks.any()
 
     def test_symmetric(self):
         data, monitor, se = arm_means(0.5, t_b=0.5)
@@ -111,7 +112,7 @@ class TestMonitorPort:
         occ = np.ones(2 * N, dtype=bool)
         for mode in DetectionMode:
             config = SimConfig(**{**IDEAL, "t_b": 0.5, "detection_mode": mode})
-            assert receive(occ, config, RNG()).monitor_clicks.size == 0
+            assert not receive(occ, config, RNG()).monitor_clicks.any()
 
     def test_lone_pulse(self):
         # a single surviving pulse loses half at each coupler: m / 4,
@@ -139,7 +140,7 @@ class TestMonitorPort:
         rec = receive(occ, SimConfig(**{**IDEAL, "t_b": 0.5, "visibility": 0.7}), RNG())
         silent = ~(occ[:-1] | occ[1:])
         assert silent.sum() > 0
-        assert not np.any(silent[rec.monitor_clicks])
+        assert not np.any(silent & rec.monitor_clicks)
 
     @pytest.mark.parametrize("v", [0.0, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("mus", [(0.1, 0.1), (0.5, 0.5), (2.0, 0.0)])
@@ -152,7 +153,7 @@ class TestMonitorPort:
         )
         rec = receive(occ, config, RNG())
         cancels = mus[1] > 0 and v == 1.0
-        assert rec.monitor_clicks.tolist() == ([] if cancels else list(range(occ.size - 1)))
+        assert rec.monitor_clicks.tolist() == [not cancels] * (occ.size - 1)
 
 
 class TestClickProbability:
@@ -188,7 +189,7 @@ class TestSampleClick:
         assert rates(occ, mu=0.5, channel_t=0.0) == (0.0, 0.0)
         # probability 1: deterministic mode fires on every occupied bin
         det = SimConfig(mu=0.5, detection_mode=DetectionMode.DETERMINISTIC)
-        assert receive(occ, det, RNG()).data_clicks.tolist() == np.flatnonzero(occ).tolist()
+        assert receive(occ, det, RNG()).data_clicks.tolist() == occ.tolist()
 
     def test_fair(self):
         rng = RNG()

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from cowsim.alice import DECOY, DecoyStrategy, SlotMap
 from cowsim.engine import Attack, SimConfig, run
 from cowsim.sifting import (
     MESSAGE_ORDER,
-    MonitorOutcome,
     Transcript,
     TranscriptError,
     compute_qber,
     run_sifting,
 )
 
-NO_MONITOR = MonitorOutcome(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+NO_MONITOR = (np.array([], dtype=np.int64), np.array([], dtype=bool))
 NOTHING_DECODED = (np.array([], dtype=np.int64), np.array([], dtype=np.uint8))
 
 
@@ -29,35 +26,27 @@ class TestQber:
         assert compute_qber(np.array([0, 1, 0, 1]), np.array([1, 1, 0, 0])) == 0.5
 
 
-class TestMonitorOutcome:
-    def test_clicked_outside_checked_rejected(self):
-        with pytest.raises(ValueError, match="subset"):
-            MonitorOutcome(np.array([0, 2, 4]), np.array([2, 3]))
+def _sift_monitor(checked, clicks):
+    monitor = (checked, clicks)
+    return run_sifting(
+        SlotMap(np.array([0])), NOTHING_DECODED, monitor, 0.0, 1.0, np.random.default_rng(0)
+    )
 
-    def test_unsorted_checked_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
-            MonitorOutcome(np.array([4, 0, 2]), np.array([2]))
+
+class TestMonitorOutcome:
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            _sift_monitor(np.array([0, 2, 4]), np.array([True, False]))
+
+    def test_unsorted_checked_reported_in_order(self):
+        result, transcript = _sift_monitor(np.array([4, 0, 2]), np.array([True, False, False]))
+        assert result.break_rate == pytest.approx(1 / 3)
+        assert transcript.get("CoherenceCheck")["boundaries"] == [4, 0, 2]
+        assert transcript.get("MonitorReport")["clicks"] == [1, 0, 0]
 
     def test_duplicate_checked_accepted(self):
-        outcome = MonitorOutcome(np.array([0, 2, 2, 4]), np.array([2, 2]))
-        assert outcome.break_rate == 0.5
-
-    @given(st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=30))
-    def test_monitor_report_matches_isin(self, draws):
-        # clicked in any order, duplicate boundaries in checked
-        checked = np.sort(np.array([b for b, _ in draws], dtype=np.int64))
-        clicked = np.array([b for b, hit in reversed(draws) if hit], dtype=np.int64)
-        _, transcript = run_sifting(
-            SlotMap(np.array([0])),
-            NOTHING_DECODED,
-            MonitorOutcome(checked, clicked),
-            0.0,
-            1.0,
-            np.random.default_rng(0),
-        )
-        report = transcript.get("MonitorReport")
-        assert report["boundaries"] == checked.tolist()
-        assert report["clicks"] == np.isin(checked, clicked).astype(int).tolist()
+        result, _ = _sift_monitor(np.array([0, 2, 2, 4]), np.array([False, True, True, False]))
+        assert result.break_rate == 0.5
 
 
 class TestRunSifting:
@@ -100,7 +89,7 @@ class TestRunSifting:
 
     def test_abort_on_monitor_breaks(self):
         slot_map = SlotMap(np.array([DECOY, 0]))
-        monitor = MonitorOutcome(np.array([0, 2]), np.array([0]))
+        monitor = (np.array([0, 2]), np.array([True, False]))
         result, _ = run_sifting(
             slot_map, NOTHING_DECODED, monitor, 0.0, 0.0, np.random.default_rng(0)
         )
