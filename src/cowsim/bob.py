@@ -32,6 +32,9 @@ __all__ = [
     "decode",
 ]
 
+# receive draws this many uniforms at a time, never a float array as long as the train
+_DRAW_BLOCK = 1 << 16
+
 # destructive-port means below this are treated as perfect cancellation
 _CANCEL_TOL = 1e-12
 
@@ -90,14 +93,23 @@ def receive(
         mon_clicks = (port > _CANCEL_TOL)[pair_level]
     else:
         p_click = click_probability(data_mean, config.eta_data, config.p_dark_data)
-        clicks = rng.random(occupancy.size) < p_click[bin_level]
+        clicks = _sample_clicks(p_click, bin_level, rng)
         p_mon = click_probability(port, config.eta_mon, config.p_dark_mon)
-        mon_clicks = rng.random(pair_level.size) < p_mon[pair_level]
+        mon_clicks = _sample_clicks(p_mon, pair_level, rng)
 
     late = clicks[1::2]
     late &= ~clicks[0::2]
 
     return DetectionRecord(clicks, mon_clicks)
+
+
+def _sample_clicks(p: np.ndarray, level: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """rng.random(level.size) < p[level], drawn in blocks that keep the draw order."""
+    clicks = np.empty(level.size, dtype=bool)
+    for start in range(0, level.size, _DRAW_BLOCK):
+        block = level[start : start + _DRAW_BLOCK]
+        np.less(rng.random(block.size), p[block], out=clicks[start : start + block.size])
+    return clicks
 
 
 def decode(rec: DetectionRecord) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cowsim.alice import DECOY, SlotMap, encode, generate_raw_bits
-from cowsim.bob import DetectionMode, DetectionRecord, decode, receive
+from cowsim.bob import _DRAW_BLOCK, DetectionMode, DetectionRecord, _sample_clicks, decode, receive
 from cowsim.engine import SimConfig
 from cowsim.sifting import run_sifting
 
@@ -82,6 +82,17 @@ class TestReceive:
         slots, values = decode(rec)
         assert slots.tolist() == list(range(50))
         assert not values.any()
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 3 * _DRAW_BLOCK + 5]
+    )
+    def test_block_draws_match_one_draw(self, n):
+        # sizes on and around the block boundaries, against one whole-array draw
+        p = np.array([0.0, 0.3, 0.7])
+        level = np.random.default_rng(n).integers(0, 3, size=n)
+        rng, whole = np.random.default_rng(4), np.random.default_rng(4)
+        assert np.array_equal(_sample_clicks(p, level, rng), whole.random(n) < p[level])
+        assert rng.random() == whole.random()
 
 
 class TestDecode:
