@@ -9,6 +9,10 @@ Grid: seeds {1, 2} x 3 decoy strategies x attack {none, andmask} x eve_mode
 n_bits=2000.  Half of it, chosen so every level of every factor appears in
 both halves, adds dark counts (p_dark_data=p_dark_mon=1e-3) and
 visibility 0.98.
+
+Those runs are shorter than one of Bob's draw blocks, so one noisy
+substitute-pattern AND-mask run and one noisy sweep at n_bits=100_000 also
+carry digests; their trains span several blocks.
 """
 
 import hashlib
@@ -17,6 +21,7 @@ import itertools
 import pytest
 
 from cowsim import Attack, DecoyStrategy, DetectionMode, MaskMode, SimConfig, run, sweep_mu
+from cowsim.bob import _DRAW_BLOCK
 from cowsim.engine import table1_rows
 
 FACTORS = (
@@ -73,6 +78,17 @@ def sweep_digest(config):
     rows = sweep_mu(config, SWEEP_GRID)
     text = "".join(f"{r.mu!r},{r.detectable!r},{r.splittable!r},{r.empirical!r}\n" for r in rows)
     return _sha(text)
+
+
+# trains of 2 * 100_000 bins and more, past several draw blocks
+LONG_RUN = SimConfig(
+    n_bits=100_000,
+    seed=5,
+    decoy_strategy=DecoyStrategy.SUBSTITUTE_PATTERN,
+    attack=Attack.AND_MASK,
+    **NOISE,
+)
+LONG_SWEEP = SimConfig(n_bits=100_000, seed=6, **NOISE)
 
 
 def table1_digest():
@@ -281,6 +297,13 @@ GOLDEN_SWEEPS = {
     "noisy": "6de26b1aec568d8db23c3491fc1e31225f08ae3648ddb47d9911ba81ff491073",
 }
 
+GOLDEN_LONG_RUN = (
+    "ff17fd3e1e6685cac6087cddc7e6a7d677028c9f2903d435cdafeaa95e4e08d0",
+    "6007568df31172dc9c2bf2b4b80abd3264976e5b7f1241b171951350034adfd6",
+)
+
+GOLDEN_LONG_SWEEP = "c44f9c499ae8c2dc69c4e3a13ac5d93ce208fa76789ca6efa659705b8163caed"
+
 GOLDEN_TABLE1 = "f3f943e6026c22d2782dec4b7eb9acddcc0215aa42acf663ac7f1eaab33d15b0"
 
 
@@ -292,6 +315,16 @@ def test_run_digests(name):
 @pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
 def test_sweep_digests(name):
     assert sweep_digest(SWEEP_CONFIGS[name]) == GOLDEN_SWEEPS[name]
+
+
+def test_long_run_digests():
+    assert 2 * LONG_RUN.n_bits > 3 * _DRAW_BLOCK
+    assert run_digests(LONG_RUN) == GOLDEN_LONG_RUN
+
+
+def test_long_sweep_digest():
+    assert 2 * LONG_SWEEP.n_bits > 3 * _DRAW_BLOCK
+    assert sweep_digest(LONG_SWEEP) == GOLDEN_LONG_SWEEP
 
 
 def test_table1_digest():
