@@ -29,6 +29,7 @@ __all__ = [
     "DetectionMode",
     "DetectionRecord",
     "receive",
+    "detect_data",
     "decode",
 ]
 
@@ -65,50 +66,79 @@ def receive(
 ) -> DetectionRecord:
     """Propagate an occupied-bin train through loss and the splitter, then detect.
 
-    The sampled path consumes one uniform draw per data bin and one per
-    interferometer boundary regardless of outcomes, so runs with different
-    channel contents stay draw-aligned for controlled comparisons.
-
-    Dead time is gated per information slot: an early-bin click shadows the
-    late bin of the same slot and the detector re-arms at the next slot
-    boundary, so a slot never yields two clicks.
+    The sampled path draws first one uniform per data bin (detect_data), then
+    one per interferometer boundary, regardless of outcomes, so runs with
+    different channel contents stay draw-aligned for controlled comparisons.
     """
-    occupancy = np.asarray(occupancy, dtype=bool)
-    if occupancy.size % 2 != 0:
-        raise ValueError(f"train length must be even, got {occupancy.size} bins")
+    clicks = detect_data(occupancy, config, rng)
 
-    arrived = config.mu * config.channel_t
-    data_mean = np.array([0.0, arrived * config.t_b])
-    m = arrived * (1.0 - config.t_b)
+    m = config.mu * config.channel_t * (1.0 - config.t_b)
     # destructive port of the one-bin-delay interferometer for 0, 1 or 2
     # pulses in the two interfering bins: a lone pulse loses half at each
     # coupler, and an intact pair leaks what the visibility fails to cancel
     port = np.array([0.0, m / 4.0, (m - config.visibility * m) / 2.0])
 
-    bin_level = occupancy.view(np.uint8)
+    bin_level = np.asarray(occupancy, dtype=bool).view(np.uint8)
     pair_level = bin_level[:-1] + bin_level[1:]
 
     if config.detection_mode is DetectionMode.DETERMINISTIC:
-        clicks = (data_mean > 0.0)[bin_level]
         mon_clicks = (port > _CANCEL_TOL)[pair_level]
     else:
-        p_click = click_probability(data_mean, config.eta_data, config.p_dark_data)
-        clicks = _sample_clicks(p_click, bin_level, rng)
         p_mon = click_probability(port, config.eta_mon, config.p_dark_mon)
         mon_clicks = _sample_clicks(p_mon, pair_level, rng)
-
-    late = clicks[1::2]
-    late &= ~clicks[0::2]
 
     return DetectionRecord(clicks, mon_clicks)
 
 
+def detect_data(
+    occupancy: np.ndarray,
+    config: SimConfig,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The data detector's clicks, one boolean per bin of an occupied-bin train.
+
+    The sampled path draws one uniform per bin.  Dead time is gated per
+    information slot: an early-bin click shadows the late bin of the same
+    slot and the detector re-arms at the next slot boundary, so a slot never
+    yields two clicks.
+    """
+    occupancy = np.asarray(occupancy, dtype=bool)
+    if occupancy.size % 2 != 0:
+        raise ValueError(f"train length must be even, got {occupancy.size} bins")
+
+    data_mean = np.array([0.0, config.mu * config.channel_t * config.t_b])
+    bin_level = occupancy.view(np.uint8)
+
+    if config.detection_mode is DetectionMode.DETERMINISTIC:
+        clicks = (data_mean > 0.0)[bin_level]
+    else:
+        p_click = click_probability(data_mean, config.eta_data, config.p_dark_data)
+        clicks = _sample_clicks(p_click, bin_level, rng)
+
+    late = clicks[1::2]
+    late &= ~clicks[0::2]
+    return clicks
+
+
 def _sample_clicks(p: np.ndarray, level: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """rng.random(level.size) < p[level], drawn in blocks that keep the draw order."""
-    clicks = np.empty(level.size, dtype=bool)
+    """rng.random(level.size) < p[level], drawn in blocks that keep the draw order.
+
+    Each block ORs (level == j) & (u < p[j]) over the levels j into the
+    clicks, so no per-bin probability array is gathered.
+    """
+    clicks = np.zeros(level.size, dtype=bool)
+    u = np.empty(min(level.size, _DRAW_BLOCK))
+    hit, at_level = np.empty((2, u.size), dtype=bool)
     for start in range(0, level.size, _DRAW_BLOCK):
         block = level[start : start + _DRAW_BLOCK]
-        np.less(rng.random(block.size), p[block], out=clicks[start : start + block.size])
+        u, hit, at_level = u[: block.size], hit[: block.size], at_level[: block.size]
+        rng.random(out=u)
+        out = clicks[start : start + block.size]
+        for j, p_j in enumerate(p.tolist()):
+            if p_j > 0.0:  # a uniform in [0, 1) is never below p_j <= 0
+                np.less(u, p_j, out=hit)
+                hit &= np.equal(block, j, out=at_level)
+                out |= hit
     return clicks
 
 

@@ -167,6 +167,8 @@ def _cmd_sweep_mu(args) -> int:
         grid = [float(v) for v in args.mu_grid.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"bad --mu-grid: {args.mu_grid!r}")
+    if not grid:
+        raise ConfigError(f"bad --mu-grid: no mu values in {args.mu_grid!r}")
     try:
         rows = engine.sweep_mu(config, grid)
     except ValueError as exc:

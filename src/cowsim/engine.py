@@ -105,6 +105,9 @@ class SimConfig:
         _check_unit("p_dark_data", self.p_dark_data, open_top=True)
         _check_unit("p_dark_mon", self.p_dark_mon, open_top=True)
         _check_unit("visibility", self.visibility)
+        # a run aborts when break_rate > threshold: below 0 every run would abort, at 1 none could
+        if self.alarm_threshold is not None:
+            _check_unit("alarm_threshold", self.alarm_threshold, open_top=True)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eve_seed is not None and self.eve_seed < 0:
@@ -225,7 +228,8 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
 
     The empirical column Monte Carlo samples config.n_bits pure data slots
     (no decoys, no attack) at each grid point and reports the detected
-    fraction, which should track 1 - exp(-mu * t * t_b * eta).
+    fraction, which should track 1 - exp(-mu * t * t_b * eta).  Only the
+    data detector is sampled; the monitor line plays no part in the rate.
     """
     rows = []
     for i, mu in enumerate(mu_grid):
@@ -240,8 +244,8 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
         bits = alice_mod.generate_raw_bits(point.n_bits, rng_bits)
         slot_map = alice_mod.insert_decoys(bits, DecoyStrategy.NONE)
         train = alice_mod.encode(slot_map)
-        rec = bob_mod.receive(train, point, rng_det)
-        empirical = int(np.count_nonzero(rec.data_clicks)) / slot_map.n_slots
+        clicks = bob_mod.detect_data(train, point, rng_det)
+        empirical = int(np.count_nonzero(clicks)) / slot_map.n_slots
         rows.append(
             SweepRow(
                 mu=float(mu),

@@ -3,11 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cowsim.alice import DECOY, SlotMap, encode, generate_raw_bits
-from cowsim.bob import _DRAW_BLOCK, DetectionMode, DetectionRecord, _sample_clicks, decode, receive
+from cowsim.bob import (
+    _DRAW_BLOCK,
+    DetectionMode,
+    DetectionRecord,
+    _sample_clicks,
+    decode,
+    detect_data,
+    receive,
+)
 from cowsim.engine import SimConfig
 from cowsim.sifting import run_sifting
 
@@ -86,13 +94,43 @@ class TestReceive:
     @pytest.mark.parametrize(
         "n", [0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 3 * _DRAW_BLOCK + 5]
     )
-    def test_block_draws_match_one_draw(self, n):
-        # sizes on and around the block boundaries, against one whole-array draw
-        p = np.array([0.0, 0.3, 0.7])
-        level = np.random.default_rng(n).integers(0, 3, size=n)
-        rng, whole = np.random.default_rng(4), np.random.default_rng(4)
+    @settings(deadline=None, max_examples=25)
+    @given(
+        p=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_draws_match_one_draw(self, n, p, seed):
+        # sizes on and around the block boundaries, 1-3 levels of any p
+        # (monotone or not, exact 0 and 1 included), against the per-bin
+        # gather of one whole-array draw
+        p = np.array(p)
+        level = np.random.default_rng(seed).integers(0, p.size, size=n, dtype=np.uint8)
+        rng, whole = np.random.default_rng(seed), np.random.default_rng(seed)
         assert np.array_equal(_sample_clicks(p, level, rng), whole.random(n) < p[level])
         assert rng.random() == whole.random()
+
+
+class TestDetectData:
+    NOISY = SimConfig(p_dark_data=1e-3, p_dark_mon=1e-3, visibility=0.98)
+    # 2 * 40_000 bins, more than one draw block
+    TRAIN = _train(generate_raw_bits(40_000, np.random.default_rng(9)))
+
+    def test_receive_draws_data_then_monitor(self):
+        train = self.TRAIN
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        rec = receive(train, self.NOISY, rng_a)
+        assert np.array_equal(rec.data_clicks, detect_data(train, self.NOISY, rng_b))
+        rng_b.random(train.size - 1)  # one uniform per interferometer boundary
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_deterministic_draws_nothing(self):
+        train = self.TRAIN
+        config = replace(self.NOISY, detection_mode=DetectionMode.DETERMINISTIC)
+        rng = np.random.default_rng(5)
+        start = rng.bit_generator.state
+        rec = receive(train, config, rng)
+        assert np.array_equal(rec.data_clicks, detect_data(train, config, rng))
+        assert rng.bit_generator.state == start
 
 
 class TestDecode:

@@ -156,6 +156,10 @@ class TestCommands:
             (["run", "--set", "alarm_threshold=nan"], "alarm_threshold"),
             (["run", "--set", "tau_ns=5e-324"], "tau_ns"),
             (["run", "--set", "tau_ns=1e-310"], "tau_ns"),
+            (["run", "--set", "alarm_threshold=-1"], "alarm_threshold"),
+            (["run", "--set", "alarm_threshold=1"], "alarm_threshold"),
+            (["run", "--set", "alarm_threshold=5"], "alarm_threshold"),
+            (["sweep-mu", "--mu-grid", ","], "--mu-grid"),
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, argv, key):
@@ -203,10 +207,9 @@ _BIG = sys.float_info.max
 _RANGES = {
     "mu": (0.0, _BIG),
     "tau_ns": (sys.float_info.min / 1e-9, _BIG),
-    "alarm_threshold": (-_BIG, _BIG),
     **dict.fromkeys(
         ["channel_t", "t_b", "eta_data", "eta_mon", "visibility"]
-        + ["p_dark_data", "p_dark_mon", "f_verify", "f_coh"],
+        + ["p_dark_data", "p_dark_mon", "f_verify", "f_coh", "alarm_threshold"],
         (0.0, 1.0),
     ),
 }
