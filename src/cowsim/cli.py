@@ -185,6 +185,7 @@ def _cmd_sweep_mu(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    _load(args)  # the example's inputs are fixed, but bad flags still exit 1
     rows, ok = engine.table1_rows()
     lines = ["alice_ib,alice_tbs,eve_ib,eve_tbs,received_tbs,bob_ib"]
     lines += [",".join(row) for row in rows]

@@ -141,6 +141,11 @@ class TestCommands:
         assert code == 1
         assert "dead_time_bins" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep-mu", "table1", "compare-attack", "selftest"])
+    def test_unknown_key_exits_1(self, tmp_path, capsys, command):
+        assert run_cli(command, "--set", "bogus=1", "--out", str(tmp_path)) == 1
+        assert "bogus" in capsys.readouterr().err
+
     def test_format_flag_rejected(self, capsys):
         assert run_cli("run", "--format", "csv") == 1
         assert "--format" in capsys.readouterr().err
