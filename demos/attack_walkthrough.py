@@ -9,12 +9,12 @@ from cowsim import alice, bob, eve
 from cowsim.alice import DECOY, SlotMap
 from cowsim.bob import DetectionMode
 from cowsim.engine import Attack, SimConfig, compare_attack, run
-from cowsim.eve import EveMask, MaskMode
+from cowsim.eve import EveMask
 
 # --- the six-slot worked example -------------------------------------------
 # Alice sends 0, 0, 1, 1 and two decoys; Eve's pattern is 0, 1, 0, 1, 0, 1.
 slot_map = SlotMap(np.array([0, 0, 1, 1, DECOY, DECOY]))
-mask = EveMask(np.array([0, 1, 0, 1, 0, 1]), MaskMode.ALTERNATING)
+mask = EveMask(np.array([0, 1, 0, 1, 0, 1]))
 
 train = alice.encode(slot_map)
 sent = eve.apply_and_mask(train, mask)

@@ -23,7 +23,6 @@ from .engine import (
 from .eve import (
     EveMask,
     EveRecord,
-    MaskMode,
     apply_and_mask,
     generate_mask,
     observe_transcript,

@@ -20,7 +20,6 @@ import numpy as np
 from . import engine
 from .alice import DecoyStrategy
 from .engine import Attack, SimConfig
-from .eve import MaskMode
 from .optics import detectable_fraction, splittable_fraction
 
 __all__ = ["main", "parse_config", "ConfigError"]
@@ -246,7 +245,7 @@ def _selftest_checks(config: SimConfig):
     for _ in range(20):
         bits = alice_mod.generate_raw_bits(200, rng)
         slot_map = alice_mod.insert_decoys(bits, DecoyStrategy.FRAME_HEADER)
-        mask = eve_mod.generate_mask(slot_map.n_slots, MaskMode.RANDOM, rng)
+        mask = eve_mod.generate_mask(slot_map.n_slots, rng)
         occupied = eve_mod.apply_and_mask(alice_mod.encode(slot_map), mask).reshape(-1, 2)
         destroyed &= not np.any(occupied.all(axis=1))
     yield "decoy destruction", destroyed

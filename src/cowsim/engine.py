@@ -19,7 +19,7 @@ from . import bob as bob_mod
 from . import eve as eve_mod
 from .alice import DecoyStrategy
 from .bob import DetectionMode
-from .eve import EveRecord, MaskMode
+from .eve import EveRecord
 from .optics import detectable_fraction, splittable_fraction
 from .sifting import Transcript, run_sifting
 
@@ -77,7 +77,6 @@ class SimConfig:
     visibility: float = 1.0
     decoy_strategy: DecoyStrategy = DecoyStrategy.SUBSTITUTE_PATTERN
     attack: Attack = Attack.NONE
-    eve_mode: MaskMode = MaskMode.RANDOM
     f_verify: float = 0.1
     f_coh: float = 0.25
     alarm_threshold: float | None = None  # None -> dark-count floor + 3 sigma
@@ -186,7 +185,7 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
     boundaries = alice_mod.coherent_boundaries(train)
     checked = alice_mod.announce_coherence_checks(boundaries, config.f_coh, rng_choices)
 
-    mask = eve_mod.generate_mask(slot_map.n_slots, config.eve_mode, rng_eve)
+    mask = eve_mod.generate_mask(slot_map.n_slots, rng_eve)
     sent = eve_mod.apply_and_mask(train, mask) if config.attack is Attack.AND_MASK else train
 
     rec = bob_mod.receive(sent, config, rng_det)
@@ -295,7 +294,7 @@ def table1_rows() -> tuple[list[tuple[str, ...]], bool]:
     received bins, decoded bit) and whether they match TABLE1_EXPECTED.
     """
     slot_map = alice_mod.SlotMap(np.array([0, 0, 1, 1, alice_mod.DECOY, alice_mod.DECOY]))
-    mask = eve_mod.EveMask(np.array([0, 1, 0, 1, 0, 1]), MaskMode.ALTERNATING)
+    mask = eve_mod.EveMask(np.array([0, 1, 0, 1, 0, 1]))
     train = alice_mod.encode(slot_map)
     sent = eve_mod.apply_and_mask(train, mask)
 

@@ -1,23 +1,23 @@
 """Eve: the synchronized AND-mask intercept and key reconstruction.
 
-Eve never measures the quantum channel.  She encodes her own bit sequence
-with the same two-bin rule Alice uses and lets her intensity modulator pass
-only the bins her own pattern marks nonempty (a bitwise AND on occupancy).
-Afterwards she reads the public sifting dialog and looks up her own bits at
-the announced key positions.
+Eve never measures the quantum channel.  She draws her own uniform bit
+sequence and encodes it as Alice does, reusing Alice's bit draw and two-bin
+encoder, then lets her intensity modulator pass only the bins her own
+pattern marks nonempty (a bitwise AND on occupancy).  Afterwards she reads
+the public sifting dialog and looks up her own bits at the announced key
+positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
+from . import alice
 from .sifting import Transcript
 
 __all__ = [
-    "MaskMode",
     "EveMask",
     "EveRecord",
     "generate_mask",
@@ -27,17 +27,11 @@ __all__ = [
 ]
 
 
-class MaskMode(Enum):
-    RANDOM = "random"
-    ALTERNATING = "alternating"
-
-
 @dataclass
 class EveMask:
     """One bit per slot; bit e passes bin e of the slot and blocks the other."""
 
     bits: np.ndarray
-    mode: MaskMode
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=np.uint8)
@@ -56,33 +50,23 @@ class EveRecord:
     reconstructed_key: np.ndarray
 
 
-def generate_mask(n_slots: int, mode: MaskMode, rng: np.random.Generator) -> EveMask:
-    """Eve's slot pattern: uniform random bits, or the fixed 1,0,1,0,... sequence."""
-    if n_slots < 1:
-        raise ValueError(f"need at least one slot, got {n_slots}")
-    if mode is MaskMode.ALTERNATING:
-        bits = (1 - np.arange(n_slots, dtype=np.uint8) % 2).astype(np.uint8)
-    elif mode is MaskMode.RANDOM:
-        bits = rng.integers(0, 2, size=n_slots, dtype=np.uint8)
-    else:
-        raise ValueError(f"unknown mask mode: {mode!r}")
-    return EveMask(bits, mode)
+def generate_mask(n_slots: int, rng: np.random.Generator) -> EveMask:
+    """Eve's slot pattern: n_slots uniform bits, drawn as Alice draws her key."""
+    return EveMask(alice.generate_raw_bits(n_slots, rng))
 
 
 def apply_and_mask(occupancy: np.ndarray, mask: EveMask) -> np.ndarray:
     """AND Eve's pattern onto the channel's bin occupancy: blocked bins become vacuum.
 
-    Mask bit 0 passes the early bin and blocks the late one; bit 1 does the
-    opposite.  Passed pulses are untouched.
+    Eve's pattern is her bits encoded as Alice encodes data slots: bit 0
+    passes the early bin and blocks the late one, bit 1 the opposite.
+    Passed pulses are untouched.
     """
     if 2 * mask.bits.size != occupancy.size:
         raise ValueError(
             f"mask length {mask.bits.size} does not match {occupancy.size // 2} slots"
         )
-    passed = occupancy.copy()
-    passed[0::2] &= mask.bits == 0
-    passed[1::2] &= mask.bits == 1
-    return passed
+    return occupancy & alice.encode(alice.SlotMap(mask.bits))
 
 
 def observe_transcript(transcript: Transcript) -> np.ndarray:

@@ -11,7 +11,7 @@ from cowsim import alice, bob, eve
 from cowsim.alice import DECOY, DecoyStrategy, SlotMap
 from cowsim.bob import DetectionMode
 from cowsim.engine import Attack, SimConfig, compare_attack, run
-from cowsim.eve import EveMask, MaskMode
+from cowsim.eve import EveMask
 from cowsim.optics import detectable_fraction, splittable_fraction
 from cowsim.sifting import run_sifting
 
@@ -23,7 +23,7 @@ def _report(number, title, ok):
 
 def test_criterion_1_table1_reproduction():
     slot_map = SlotMap(np.array([0, 0, 1, 1, DECOY, DECOY]))
-    mask = EveMask(np.array([0, 1, 0, 1, 0, 1]), MaskMode.ALTERNATING)
+    mask = EveMask(np.array([0, 1, 0, 1, 0, 1]))
     sent = eve.apply_and_mask(alice.encode(slot_map), mask)
     config = SimConfig(channel_t=1.0, t_b=0.9, detection_mode=DetectionMode.DETERMINISTIC)
     rec = bob.receive(sent, config, np.random.default_rng(0))
@@ -67,7 +67,6 @@ def test_criterion_3_perfect_key_recovery():
         config = SimConfig(
             n_bits=100_000,
             attack=Attack.AND_MASK,
-            eve_mode=MaskMode.RANDOM,
             p_dark_data=0.0,
             p_dark_mon=0.0,
             seed=seed,
@@ -121,7 +120,7 @@ def test_criterion_6_monitor_behavior():
 
     # attack on: each decoy pair keeps exactly one pulse, clicking at the
     # closed-form rate 1 - exp(-eta_mon (1-t_b) t mu / 4)
-    mask = eve.generate_mask(n_decoys, MaskMode.RANDOM, np.random.default_rng(61))
+    mask = eve.generate_mask(n_decoys, np.random.default_rng(61))
     sent = eve.apply_and_mask(train, mask)
     rec = bob.receive(sent, config, np.random.default_rng(62))
     one_survivor = sent[:-1] ^ sent[1:]
@@ -141,9 +140,11 @@ def test_criterion_7_decoy_destruction():
         n = int(rng.integers(4, 120))
         bits = alice.generate_raw_bits(n, rng)
         strategy = (DecoyStrategy.SUBSTITUTE_PATTERN, DecoyStrategy.FRAME_HEADER)[trial % 2]
-        mode = (MaskMode.RANDOM, MaskMode.ALTERNATING)[(trial // 2) % 2]
         slot_map = alice.insert_decoys(bits, strategy)
-        mask = eve.generate_mask(slot_map.n_slots, mode, rng)
+        if (trial // 2) % 2:  # the fixed pattern 1, 0, 1, 0, ... draws nothing
+            mask = EveMask(1 - np.arange(slot_map.n_slots) % 2)
+        else:
+            mask = eve.generate_mask(slot_map.n_slots, rng)
         occupied = eve.apply_and_mask(alice.encode(slot_map), mask).reshape(-1, 2)
         ok = ok and not np.any(occupied.all(axis=1))
     _report(7, "no post-mask slot carries two pulses (1000 runs)", ok)

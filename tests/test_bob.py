@@ -17,7 +17,7 @@ from cowsim.bob import (
     receive,
 )
 from cowsim.engine import SimConfig
-from cowsim.eve import EveMask, MaskMode, apply_and_mask
+from cowsim.eve import EveMask, apply_and_mask
 from cowsim.sifting import run_sifting
 
 IDEAL = SimConfig(channel_t=1.0, t_b=0.9, eta_data=1.0, eta_mon=1.0)
@@ -151,7 +151,7 @@ class TestCoupling:
         # can let its late bin click where the early click would shadow it.
         train = _train(codes)
         bits = np.random.default_rng(mask_seed).integers(0, 2, size=len(codes))
-        masked = apply_and_mask(train, EveMask(bits, MaskMode.RANDOM))
+        masked = apply_and_mask(train, EveMask(bits))
         config = replace(IDEAL, p_dark_data=p_dark_data, p_dark_mon=p_dark_mon)
         rng_on, rng_off = np.random.default_rng(seed), np.random.default_rng(seed)
         on = receive(masked, config, rng_on).data_clicks.reshape(-1, 2).any(axis=1)

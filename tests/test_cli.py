@@ -155,6 +155,7 @@ class TestCommands:
         [
             (["sweep-mu", "--mu-grid", "0.5,-1"], "--mu-grid"),
             (["run", "--set", "eve_seed=-1"], "eve_seed"),
+            (["run", "--set", "eve_mode=random"], "eve_mode"),
             (["run", "--set", "seed=-1"], "seed"),
             (["run", "--seed", "-1"], "--seed"),
             (["run", "--set", "mu=inf"], "mu"),

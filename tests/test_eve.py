@@ -7,7 +7,6 @@ from cowsim.alice import DECOY, DecoyStrategy, SlotMap, encode, generate_raw_bit
 from cowsim.engine import Attack, SimConfig, run
 from cowsim.eve import (
     EveMask,
-    MaskMode,
     apply_and_mask,
     generate_mask,
     observe_transcript,
@@ -17,24 +16,20 @@ from cowsim.sifting import Transcript, TranscriptError
 
 
 class TestGenerateMask:
-    def test_alternating(self):
-        mask = generate_mask(4, MaskMode.ALTERNATING, np.random.default_rng(0))
-        assert mask.bits.tolist() == [1, 0, 1, 0]
-
     def test_reproducible(self):
-        a = generate_mask(64, MaskMode.RANDOM, np.random.default_rng(5))
-        b = generate_mask(64, MaskMode.RANDOM, np.random.default_rng(5))
+        a = generate_mask(64, np.random.default_rng(5))
+        b = generate_mask(64, np.random.default_rng(5))
         assert np.array_equal(a.bits, b.bits)
 
     def test_uniform(self):
-        mask = generate_mask(1_000_000, MaskMode.RANDOM, np.random.default_rng(0))
+        mask = generate_mask(1_000_000, np.random.default_rng(0))
         assert abs(mask.bits.mean() - 0.5) < 3 * 0.0005
 
 
 class TestApplyMask:
     def _one_slot(self, code, eve_bit):
         train = encode(SlotMap(np.array([code])))
-        mask = EveMask(np.array([eve_bit]), MaskMode.RANDOM)
+        mask = EveMask(np.array([eve_bit]))
         return apply_and_mask(train, mask).tolist()
 
     def test_pass_through(self):
@@ -49,7 +44,7 @@ class TestApplyMask:
     def test_length_mismatch(self):
         train = encode(SlotMap(np.array([0, 1])))
         with pytest.raises(ValueError):
-            apply_and_mask(train, EveMask(np.array([0]), MaskMode.RANDOM))
+            apply_and_mask(train, EveMask(np.array([0])))
 
     @given(
         st.lists(st.integers(0, 2), min_size=1, max_size=200),
@@ -59,7 +54,7 @@ class TestApplyMask:
         # the mask acts as a bitwise AND on bin occupancy
         slot_map = SlotMap(np.array(codes, dtype=np.uint8))
         train = encode(slot_map)
-        mask = generate_mask(slot_map.n_slots, MaskMode.RANDOM, np.random.default_rng(seed))
+        mask = generate_mask(slot_map.n_slots, np.random.default_rng(seed))
         masked = apply_and_mask(train, mask)
         eve_occ = np.zeros(train.size, dtype=bool)
         eve_occ[0::2] = mask.bits == 0
@@ -70,12 +65,11 @@ class TestApplyMask:
     @given(
         st.lists(st.integers(0, 1), min_size=1, max_size=200),
         st.sampled_from(list(DecoyStrategy)),
-        st.sampled_from(list(MaskMode)),
         st.integers(0, 2**31 - 1),
     )
-    def test_decoys_destroyed(self, bits, strategy, mode, seed):
+    def test_decoys_destroyed(self, bits, strategy, seed):
         slot_map = insert_decoys(bits, strategy)
-        mask = generate_mask(slot_map.n_slots, mode, np.random.default_rng(seed))
+        mask = generate_mask(slot_map.n_slots, np.random.default_rng(seed))
         occupied = apply_and_mask(encode(slot_map), mask).reshape(-1, 2)
         assert not np.any(occupied.all(axis=1))
 
@@ -83,7 +77,7 @@ class TestApplyMask:
         rng = np.random.default_rng(11)
         bits = generate_raw_bits(100_000, rng)
         slot_map = insert_decoys(bits, DecoyStrategy.NONE)
-        mask = generate_mask(slot_map.n_slots, MaskMode.RANDOM, rng)
+        mask = generate_mask(slot_map.n_slots, rng)
         occupied = apply_and_mask(encode(slot_map), mask).reshape(-1, 2)
         survived = occupied.sum(axis=1) == 1
         sigma = (0.25 / slot_map.n_slots) ** 0.5
@@ -109,15 +103,15 @@ class TestTranscriptReading:
 
 class TestReconstruct:
     def test_lookup(self):
-        mask = EveMask(np.array([0, 1, 0, 1]), MaskMode.RANDOM)
+        mask = EveMask(np.array([0, 1, 0, 1]))
         assert reconstruct_key(mask, [0, 3]).tolist() == [0, 1]
 
     def test_empty(self):
-        mask = EveMask(np.array([0, 1]), MaskMode.RANDOM)
+        mask = EveMask(np.array([0, 1]))
         assert reconstruct_key(mask, []).size == 0
 
     def test_out_of_range(self):
-        mask = EveMask(np.array([0, 1]), MaskMode.RANDOM)
+        mask = EveMask(np.array([0, 1]))
         with pytest.raises(ValueError):
             reconstruct_key(mask, [2])
 
