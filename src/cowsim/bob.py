@@ -36,9 +36,6 @@ __all__ = [
 # receive draws this many uniforms at a time, never a float array as long as the train
 _DRAW_BLOCK = 1 << 16
 
-# destructive-port means below this are treated as perfect cancellation
-_CANCEL_TOL = 1e-12
-
 
 class DetectionMode(Enum):
     SAMPLED = "sampled"
@@ -82,7 +79,7 @@ def receive(
     pair_level = bin_level[:-1] + bin_level[1:]
 
     if config.detection_mode is DetectionMode.DETERMINISTIC:
-        mon_clicks = (port > _CANCEL_TOL)[pair_level]
+        mon_clicks = (port > 0.0)[pair_level]
     else:
         p_mon = click_probability(port, config.eta_mon, config.p_dark_mon)
         mon_clicks = _sample_clicks(p_mon, pair_level, rng)

@@ -192,6 +192,16 @@ class TestMonitor:
         clicks = rec.monitor_clicks[boundaries]
         assert (clicks.size, np.count_nonzero(clicks)) == (10_000, 0)
 
+    @pytest.mark.parametrize(
+        "visibility, clicked", [(1.0, [1, 2, 4]), (1 - 1e-13, [0, 1, 2, 3, 4])]
+    )
+    def test_deterministic_pair_leak(self, visibility, clicked):
+        # bins 11 01 10: intact pairs at boundaries 0 and 3 cancel only at
+        # V=1; any smaller visibility leaks and the oracle clicks there
+        config = replace(ORACLE, visibility=visibility)
+        rec = receive(_train([DECOY, 1, 0]), config, np.random.default_rng(0))
+        assert np.flatnonzero(rec.monitor_clicks).tolist() == clicked
+
     def test_empty_checked(self):
         rec = _record(monitor_boundaries=[3, 5])
         checked = np.array([], dtype=np.int64)
