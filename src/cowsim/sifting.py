@@ -166,6 +166,7 @@ def run_sifting(
     alice_key = slot_map.codes[kept]
     bob_key = remainder_values[~verify_mask]
 
+    checked_list = checked.tolist()
     transcript = Transcript()
     transcript.append("DetectionReport", {"slots": slots.tolist()})
     transcript.append("DecoyDiscard", {"slots": decoy_detected.tolist()})
@@ -178,11 +179,11 @@ def run_sifting(
             "bob_bits": reveal_bob.tolist(),
         },
     )
-    transcript.append("CoherenceCheck", {"boundaries": checked.tolist()})
+    transcript.append("CoherenceCheck", {"boundaries": checked_list})
     transcript.append(
         "MonitorReport",
         {
-            "boundaries": checked.tolist(),
+            "boundaries": checked_list,
             "clicks": clicks.astype(int).tolist(),
         },
     )
