@@ -141,7 +141,9 @@ class TestCommands:
         assert code == 1
         assert "dead_time_bins" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "sweep-mu", "table1", "compare-attack", "selftest"])
+    @pytest.mark.parametrize(
+        "command", ["run", "sweep-mu", "table1", "compare-attack", "selftest"]
+    )
     def test_unknown_key_exits_1(self, tmp_path, capsys, command):
         assert run_cli(command, "--set", "bogus=1", "--out", str(tmp_path)) == 1
         assert "bogus" in capsys.readouterr().err
@@ -155,7 +157,6 @@ class TestCommands:
         [
             (["sweep-mu", "--mu-grid", "0.5,-1"], "--mu-grid"),
             (["run", "--set", "eve_seed=-1"], "eve_seed"),
-            (["run", "--set", "eve_mode=random"], "eve_mode"),
             (["run", "--set", "seed=-1"], "seed"),
             (["run", "--seed", "-1"], "--seed"),
             (["run", "--set", "mu=inf"], "mu"),
@@ -166,6 +167,7 @@ class TestCommands:
             (["run", "--set", "alarm_threshold=1"], "alarm_threshold"),
             (["run", "--set", "alarm_threshold=5"], "alarm_threshold"),
             (["sweep-mu", "--mu-grid", ","], "--mu-grid"),
+            (["run", "--set", "eve_mode=random"], "eve_mode"),
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, argv, key):
