@@ -10,10 +10,21 @@ destructive port at a boundary sees nothing, a lone pulse or an intact pair.
 Detections sit on the same grid as the pulse train: one boolean per bin for
 the data detector, and one per interferometer boundary k (bins k and k+1)
 for the monitor detector.
+
+Clicks are sampled by thinned geometric skipping (Devroye, Non-Uniform
+Random Variate Generation, 1986; Batagelj & Brandes, Phys. Rev. E 71,
+036113, 2005).  With p_max the largest click probability of any level,
+candidate positions are drawn at rate p_max by geometric gaps, and candidate
+i clicks iff a uniform u_i < p[level_i] / p_max.  That is exactly
+Bernoulli(p[level_i]) per position, independent across positions.  How many
+numbers are drawn, and their values, depend only on the train length and
+p_max, never on the train's contents, so two trains of one length see the
+same draws from one seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -32,10 +43,6 @@ __all__ = [
     "detect_data",
     "decode",
 ]
-
-# receive draws this many uniforms at a time, never a float array as long as the train
-_DRAW_BLOCK = 1 << 16
-
 
 class DetectionMode(Enum):
     SAMPLED = "sampled"
@@ -63,9 +70,12 @@ def receive(
 ) -> DetectionRecord:
     """Propagate an occupied-bin train through loss and the splitter, then detect.
 
-    The sampled path draws first one uniform per data bin (detect_data), then
-    one per interferometer boundary, regardless of outcomes, so runs with
-    different channel contents stay draw-aligned for controlled comparisons.
+    The sampled path draws first the data detector's numbers (detect_data),
+    then the monitor's over the interferometer boundaries.  Each detector
+    thins geometric gaps drawn at its largest click probability p_max, so
+    what is drawn depends only on the train length and the two p_max values,
+    never on the channel contents: runs with and without Eve's mask stay
+    draw-aligned for controlled comparisons.
     """
     clicks = detect_data(occupancy, config, rng)
 
@@ -94,7 +104,10 @@ def detect_data(
 ) -> np.ndarray:
     """The data detector's clicks, one boolean per bin of an occupied-bin train.
 
-    The sampled path draws one uniform per bin.  Dead time is gated per
+    The sampled path draws candidate bins by geometric gaps at rate p_max,
+    the click probability of a pulse bin, and a candidate clicks iff a
+    uniform u < p[level] / p_max.  What is drawn depends only on the train
+    length and p_max, not on which bins hold pulses.  Dead time is gated per
     information slot: an early-bin click shadows the late bin of the same
     slot and the detector re-arms at the next slot boundary, so a slot never
     yields two clicks.
@@ -118,24 +131,32 @@ def detect_data(
 
 
 def _sample_clicks(p: np.ndarray, level: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """rng.random(level.size) < p[level], drawn in blocks that keep the draw order.
+    """Independent Bernoulli(p[level[i]]) clicks by thinned geometric skipping.
 
-    Each block ORs (level == j) & (u < p[j]) over the levels j into the
-    clicks, so no per-bin probability array is gathered.
+    Candidates come at rate p_max = max(p): geometric gaps are drawn in
+    chunks sized to cover the rest of the train with margin, until the last
+    candidate lies at or past the end.  Then one uniform per candidate inside
+    the train; candidate i clicks iff u < p[level[i]] / p_max.
     """
-    clicks = np.zeros(level.size, dtype=bool)
-    u = np.empty(min(level.size, _DRAW_BLOCK))
-    hit, at_level = np.empty((2, u.size), dtype=bool)
-    for start in range(0, level.size, _DRAW_BLOCK):
-        block = level[start : start + _DRAW_BLOCK]
-        u, hit, at_level = u[: block.size], hit[: block.size], at_level[: block.size]
-        rng.random(out=u)
-        out = clicks[start : start + block.size]
-        for j, p_j in enumerate(p.tolist()):
-            if p_j > 0.0:  # a uniform in [0, 1) is never below p_j <= 0
-                np.less(u, p_j, out=hit)
-                hit &= np.equal(block, j, out=at_level)
-                out |= hit
+    n = level.size
+    clicks = np.zeros(n, dtype=bool)
+    p_max = float(p.max())
+    if n == 0 or p_max <= 0.0:  # nothing can click, and geometric needs p > 0
+        return clicks
+    chunks, end = [], 0  # end: 1-based position of the last candidate drawn
+    while end < n:
+        left = n - end
+        gaps = rng.geometric(p_max, size=int(left * p_max + 5.0 * math.sqrt(left * p_max)) + 1)
+        # below p_max ~ 1e-16 numpy returns int64 max; every gap past the
+        # end acts alike, and clipping there keeps the sums from wrapping
+        np.minimum(gaps, left + 1, out=gaps)
+        pos = np.cumsum(gaps)
+        pos += end
+        chunks.append(pos)
+        end = int(pos[-1])
+    pos = np.concatenate(chunks)
+    pos = pos[: np.searchsorted(pos, n, side="right")] - 1
+    clicks[pos] = rng.random(pos.size) < (p / p_max)[level[pos]]
     return clicks
 
 

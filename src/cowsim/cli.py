@@ -197,7 +197,10 @@ def _cmd_table1(args) -> int:
 
 def _cmd_compare_attack(args) -> int:
     config = _load(args)
-    result = engine.compare_attack(config)
+    try:
+        result = engine.compare_attack(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     text = (
         f"rate_ratio={_fmt(result.rate_ratio)}\n"
         f"recovery_no_attack={_fmt(result.recovery_no_attack)}\n"

@@ -153,11 +153,10 @@ class CompareResult:
     recovery_attack: float
 
 
-def _streams(config: SimConfig):
-    master = np.random.SeedSequence(config.seed)
+def _streams(master: np.random.SeedSequence, eve_seed: int | None = None):
     s_bits, s_choices, s_eve, s_det = master.spawn(4)
-    if config.eve_seed is not None:
-        s_eve = np.random.SeedSequence(config.eve_seed)
+    if eve_seed is not None:
+        s_eve = np.random.SeedSequence(eve_seed)
     return (
         np.random.default_rng(s_bits),
         np.random.default_rng(s_choices),
@@ -177,7 +176,9 @@ def _alarm_threshold(config: SimConfig, n_checked: int) -> float:
 
 def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
     """Execute one full protocol round, attack included when configured."""
-    rng_bits, rng_choices, rng_eve, rng_det = _streams(config)
+    rng_bits, rng_choices, rng_eve, rng_det = _streams(
+        np.random.SeedSequence(config.seed), config.eve_seed
+    )
 
     bits = alice_mod.generate_raw_bits(config.n_bits, rng_bits)
     slot_map = alice_mod.insert_decoys(bits, config.decoy_strategy)
@@ -229,17 +230,15 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
     (no decoys, no attack) at each grid point and reports the detected
     fraction, which should track 1 - exp(-mu * t * t_b * eta).  Only the
     data detector is sampled; the monitor line plays no part in the rate.
+    Point i draws from child i of the master seed's SeedSequence, so no
+    point shares its streams with a point of another seed.
     """
     rows = []
-    for i, mu in enumerate(mu_grid):
-        point = replace(
-            config,
-            mu=float(mu),
-            decoy_strategy=DecoyStrategy.NONE,
-            attack=Attack.NONE,
-            seed=config.seed + i,
-        )
-        rng_bits, _, _, rng_det = _streams(point)
+    master = np.random.SeedSequence(config.seed)
+    for mu in mu_grid:
+        point = replace(config, mu=float(mu), decoy_strategy=DecoyStrategy.NONE, attack=Attack.NONE)
+        (child,) = master.spawn(1)  # the next child: child i at point i
+        rng_bits, _, _, rng_det = _streams(child)
         bits = alice_mod.generate_raw_bits(point.n_bits, rng_bits)
         slot_map = alice_mod.insert_decoys(bits, DecoyStrategy.NONE)
         train = alice_mod.encode(slot_map)
@@ -261,15 +260,18 @@ def compare_attack(config: SimConfig) -> CompareResult:
 
     Both runs share the master seed, so Alice's bits, her public choices and
     every detector draw coincide; only whether Eve's mask is applied changes.
+    Raises ValueError naming n_bits when the run without the mask sifts no
+    key, since the rate ratio is then undefined.
     """
     stats_off, _, _ = run(replace(config, attack=Attack.NONE))
-    stats_on, _, _ = run(replace(config, attack=Attack.AND_MASK))
     if stats_off.sifted_len == 0:
-        ratio = float("nan")
-    else:
-        ratio = stats_on.sifted_len / stats_off.sifted_len
+        raise ValueError(
+            f"n_bits={config.n_bits} sifts no key without the attack, so the rate ratio "
+            "is undefined; raise n_bits"
+        )
+    stats_on, _, _ = run(replace(config, attack=Attack.AND_MASK))
     return CompareResult(
-        rate_ratio=ratio,
+        rate_ratio=stats_on.sifted_len / stats_off.sifted_len,
         recovery_no_attack=stats_off.eve_recovery_fraction,
         recovery_attack=stats_on.eve_recovery_fraction,
     )

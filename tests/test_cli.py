@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tempfile
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cowsim.alice import DecoyStrategy
 from cowsim.cli import ConfigError, main, parse_config
-from cowsim.engine import SimConfig
+from cowsim.engine import Attack, SimConfig, run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -120,6 +120,14 @@ class TestCommands:
         assert code == 0
         text = (out / "compare_attack.log").read_text()
         assert "rate_ratio=" in text and "recovery_attack=" in text
+
+    def test_compare_attack_without_key_exits_1(self, tmp_path, capsys):
+        # one bit sifts no key, so the rate ratio would be 0/0
+        code = run_cli("compare-attack", "--out", str(tmp_path), "--set", "n_bits=1")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "n_bits" in err and "Traceback" not in err
+        assert not (tmp_path / "compare_attack.log").exists()
 
     def test_selftest(self, capsys):
         assert run_cli("selftest") == 0
@@ -246,30 +254,63 @@ _SETTINGS = st.fixed_dictionaries(
 )
 
 
-@settings(deadline=None, max_examples=300)
-@given(_SETTINGS)
-def test_run_finishes_or_names_the_key(values):
-    # every accepted config finishes with finite statistics and no
-    # floating-point fault; every rejected one exits 1 naming a key that
-    # is rejected on its own
+def _fuzz(command, values, log):
+    """Run one command on fuzzed --set values with floating-point faults
+    raised, check that an exit 0 logged only finite numbers, and return
+    the exit code and stderr."""
     assignments = [f"{key}={value}" for key, value in values.items()]
-    argv = ["run"] + [arg for a in assignments for arg in ("--set", a)]
+    argv = [command] + [arg for a in assignments for arg in ("--set", a)]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 code = main(argv + ["--out", out])
         if code == 0:
-            for line in (Path(out) / "stats.log").read_text().splitlines():
+            for line in (Path(out) / log).read_text().splitlines():
                 try:
                     number = float(line.partition("=")[2])
                 except ValueError:
                     continue  # the verdict
                 assert math.isfinite(number), line
-            return
-    assert code == 1
-    named = [a for a in assignments if re.search(rf"\b{a.partition('=')[0]}\b", err.getvalue())]
-    assert named, err.getvalue()
+    return code, err.getvalue()
+
+
+def _assert_rejection_names_the_key(values, err):
+    # exit 1 names a key whose assignment is rejected on its own
+    assignments = [f"{key}={value}" for key, value in values.items()]
+    named = [a for a in assignments if re.search(rf"\b{a.partition('=')[0]}\b", err)]
+    assert named, err
     for assignment in named:
         with pytest.raises(ConfigError):
             parse_config(None, [assignment])
+
+
+@settings(deadline=None, max_examples=300)
+@given(_SETTINGS)
+def test_run_finishes_or_names_the_key(values):
+    # every accepted config finishes with finite statistics and no
+    # floating-point fault; every rejected one exits 1 naming a key that
+    # is rejected on its own
+    code, err = _fuzz("run", values, "stats.log")
+    if code == 0:
+        return
+    assert code == 1
+    _assert_rejection_names_the_key(values, err)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_SETTINGS)
+def test_compare_attack_finishes_or_names_the_key(values):
+    # as for run; a valid config whose unattacked run sifts no key exits 1
+    # naming n_bits, since its rate ratio is undefined
+    code, err = _fuzz("compare-attack", values, "compare_attack.log")
+    if code == 0:
+        return
+    assert code == 1
+    try:
+        config = parse_config(None, [f"{key}={value}" for key, value in values.items()])
+    except ConfigError:
+        _assert_rejection_names_the_key(values, err)
+        return
+    assert "n_bits" in err, err
+    assert run(replace(config, attack=Attack.NONE))[0].sifted_len == 0

@@ -93,6 +93,14 @@ class TestSweep:
             se = math.sqrt(p * (1 - p) / config.n_bits)
             assert abs(row.empirical - p) < 3 * se
 
+    def test_points_do_not_share_streams_across_seeds(self):
+        # seeding point i with seed + i made point 1 of seed 5 repeat
+        # point 0 of seed 6 exactly
+        config = SimConfig(n_bits=20_000, p_dark_data=0.01, seed=5)
+        later = [r.empirical for r in sweep_mu(config, [0.5] * 4)[1:]]
+        first = [r.empirical for r in sweep_mu(replace(config, seed=6), [0.5] * 3)]
+        assert later != first
+
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(ValueError):
             sweep_mu(SimConfig(n_bits=100), [0.5, 0.0])
@@ -109,6 +117,11 @@ class TestCompareAttack:
     def test_blind_guess_without_attack(self):
         result = compare_attack(SimConfig(n_bits=100_000, seed=8, **IDEAL))
         assert abs(result.recovery_no_attack - 0.5) < 0.05
+
+    def test_no_key_without_attack_names_n_bits(self):
+        # the rate ratio would be 0/0
+        with pytest.raises(ValueError, match="n_bits"):
+            compare_attack(SimConfig(n_bits=1))
 
 
 class TestConfig:
