@@ -199,7 +199,7 @@ def _cmd_compare_attack(args) -> int:
     config = _load(args)
     try:
         result = engine.compare_attack(config)
-    except ValueError as exc:
+    except engine.NoKeyError as exc:
         raise ConfigError(str(exc)) from exc
     text = (
         f"rate_ratio={_fmt(result.rate_ratio)}\n"

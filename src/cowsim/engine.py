@@ -29,6 +29,7 @@ __all__ = [
     "RunStats",
     "SweepRow",
     "CompareResult",
+    "NoKeyError",
     "run",
     "sweep_mu",
     "compare_attack",
@@ -153,6 +154,10 @@ class CompareResult:
     recovery_attack: float
 
 
+class NoKeyError(ValueError):
+    """The run without the attack sifted no key, so a rate ratio is undefined."""
+
+
 def _streams(master: np.random.SeedSequence, eve_seed: int | None = None):
     s_bits, s_choices, s_eve, s_det = master.spawn(4)
     if eve_seed is not None:
@@ -260,12 +265,12 @@ def compare_attack(config: SimConfig) -> CompareResult:
 
     Both runs share the master seed, so Alice's bits, her public choices and
     every detector draw coincide; only whether Eve's mask is applied changes.
-    Raises ValueError naming n_bits when the run without the mask sifts no
+    Raises NoKeyError naming n_bits when the run without the mask sifts no
     key, since the rate ratio is then undefined.
     """
     stats_off, _, _ = run(replace(config, attack=Attack.NONE))
     if stats_off.sifted_len == 0:
-        raise ValueError(
+        raise NoKeyError(
             f"n_bits={config.n_bits} sifts no key without the attack, so the rate ratio "
             "is undefined; raise n_bits"
         )

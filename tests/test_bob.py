@@ -278,7 +278,8 @@ class TestMonitor:
 
     def test_broken_pair_click_rate(self):
         # lone survivors click at 1 - exp(-eta_mon (1-t_b) t mu / 4)
-        n = 10_000
+        # 5 se at n = 100k is 1.6 se at n = 10k: tighter than 3 se there
+        n = 100_000
         train = _train([0] * n)  # every pair is (pulse, vacuum)
         config = SimConfig(channel_t=0.5, t_b=0.9, eta_mon=0.8, p_dark_mon=0.0)
         rec = receive(train, config, np.random.default_rng(6))

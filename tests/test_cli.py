@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cowsim import engine
 from cowsim.alice import DecoyStrategy
 from cowsim.cli import ConfigError, main, parse_config
 from cowsim.engine import Attack, SimConfig, run
@@ -128,6 +129,15 @@ class TestCommands:
         assert code == 1
         assert "n_bits" in err and "Traceback" not in err
         assert not (tmp_path / "compare_attack.log").exists()
+
+    def test_compare_attack_internal_error_propagates(self, tmp_path, monkeypatch):
+        # only the no-key case is a config error; a broken invariant fails loudly
+        def broken(config):
+            raise ValueError("two clicks decoded in one slot; dead time invariant broken")
+
+        monkeypatch.setattr(engine, "compare_attack", broken)
+        with pytest.raises(ValueError, match="invariant"):
+            run_cli("compare-attack", "--out", str(tmp_path))
 
     def test_selftest(self, capsys):
         assert run_cli("selftest") == 0

@@ -9,6 +9,7 @@ from cowsim.bob import DetectionMode
 from cowsim.engine import (
     Attack,
     SimConfig,
+    NoKeyError,
     compare_attack,
     run,
     sweep_mu,
@@ -120,7 +121,7 @@ class TestCompareAttack:
 
     def test_no_key_without_attack_names_n_bits(self):
         # the rate ratio would be 0/0
-        with pytest.raises(ValueError, match="n_bits"):
+        with pytest.raises(NoKeyError, match="n_bits"):
             compare_attack(SimConfig(n_bits=1))
 
 
