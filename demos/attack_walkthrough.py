@@ -19,12 +19,11 @@ mask = EveMask(np.array([0, 1, 0, 1, 0, 1]))
 train = alice.encode(slot_map)
 sent = eve.apply_and_mask(train, mask)
 
-rec = bob.receive(
+(slots, values), _ = bob.receive(
     sent,
     SimConfig(channel_t=1.0, t_b=0.9, detection_mode=DetectionMode.DETERMINISTIC),
     np.random.default_rng(0),
 )
-slots, values = bob.decode(rec)
 decoded = dict(zip(slots.tolist(), values.tolist()))
 
 print("slot  alice  eve  bob")

@@ -7,9 +7,10 @@ pulse pair cancels at the instrumented (destructive) output.  Since every
 pulse has the same mean, a data bin is either empty or a pulse, and the
 destructive port at a boundary sees nothing, a lone pulse or an intact pair.
 
-Detections sit on the same grid as the pulse train: one boolean per bin for
-the data detector, and one per interferometer boundary k (bins k and k+1)
-for the monitor detector.
+A detection is the sorted array of positions that clicked, as the sampler
+draws them.  The data detector reports (slots, values): bin 2i+v clicked
+gives slot i and value v, at most one per slot.  The monitor detector
+reports one boolean per interferometer boundary k (bins k and k+1).
 
 Clicks are sampled by thinned geometric skipping (Devroye, Non-Uniform
 Random Variate Generation, 1986; Batagelj & Brandes, Phys. Rev. E 71,
@@ -25,7 +26,6 @@ same draws from one seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -38,10 +38,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DetectionMode",
-    "DetectionRecord",
     "receive",
     "detect_data",
-    "decode",
 ]
 
 class DetectionMode(Enum):
@@ -50,25 +48,16 @@ class DetectionMode(Enum):
     DETERMINISTIC = "deterministic"
 
 
-@dataclass
-class DetectionRecord:
-    """Bob's clicks on the bin grid of a 2n-bin train.
-
-    data_clicks     bool, length 2n: the data detector fired in bin i
-    monitor_clicks  bool, length 2n - 1: the monitor detector fired at
-                    boundary k, where bins k and k+1 interfere
-    """
-
-    data_clicks: np.ndarray
-    monitor_clicks: np.ndarray
-
-
 def receive(
     occupancy: np.ndarray,
     config: SimConfig,
     rng: np.random.Generator,
-) -> DetectionRecord:
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Propagate an occupied-bin train through loss and the splitter, then detect.
+
+    Returns ((slots, values), monitor_clicks): detect_data's detected slots
+    and bit values, and one boolean per interferometer boundary k (bins k
+    and k+1) for the monitor detector.
 
     The sampled path draws first the data detector's numbers (detect_data),
     then the monitor's over the interferometer boundaries.  Each detector
@@ -77,7 +66,7 @@ def receive(
     never on the channel contents: runs with and without Eve's mask stay
     draw-aligned for controlled comparisons.
     """
-    clicks = detect_data(occupancy, config, rng)
+    detected = detect_data(occupancy, config, rng)
 
     m = config.mu * config.channel_t * (1.0 - config.t_b)
     # destructive port of the one-bin-delay interferometer for 0, 1 or 2
@@ -87,30 +76,29 @@ def receive(
 
     bin_level = np.asarray(occupancy, dtype=bool).view(np.uint8)
     pair_level = bin_level[:-1] + bin_level[1:]
-
-    if config.detection_mode is DetectionMode.DETERMINISTIC:
-        mon_clicks = (port > 0.0)[pair_level]
-    else:
-        p_mon = click_probability(port, config.eta_mon, config.p_dark_mon)
-        mon_clicks = _sample_clicks(p_mon, pair_level, rng)
-
-    return DetectionRecord(clicks, mon_clicks)
+    clicked = _clicked(
+        port, pair_level, config.eta_mon, config.p_dark_mon, config.detection_mode, rng
+    )
+    mon_clicks = np.zeros(pair_level.size, dtype=bool)
+    mon_clicks[clicked] = True
+    return detected, mon_clicks
 
 
 def detect_data(
     occupancy: np.ndarray,
     config: SimConfig,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """The data detector's clicks, one boolean per bin of an occupied-bin train.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The data detector's (slots, values) for an occupied-bin train.
 
-    The sampled path draws candidate bins by geometric gaps at rate p_max,
-    the click probability of a pulse bin, and a candidate clicks iff a
-    uniform u < p[level] / p_max.  What is drawn depends only on the train
-    length and p_max, not on which bins hold pulses.  Dead time is gated per
-    information slot: an early-bin click shadows the late bin of the same
-    slot and the detector re-arms at the next slot boundary, so a slot never
-    yields two clicks.
+    slots is strictly increasing; a click in bin 2i+v gives slot i and the
+    uint8 value v.  The sampled path draws candidate bins by geometric gaps
+    at rate p_max, the click probability of a pulse bin, and a candidate
+    clicks iff a uniform u < p[level] / p_max.  What is drawn depends only
+    on the train length and p_max, not on which bins hold pulses.  Dead time
+    is gated per information slot: an early-bin click shadows the late bin
+    of the same slot and the detector re-arms at the next slot boundary, so
+    a slot never yields two clicks.
     """
     occupancy = np.asarray(occupancy, dtype=bool)
     if occupancy.size % 2 != 0:
@@ -118,31 +106,42 @@ def detect_data(
 
     data_mean = np.array([0.0, config.mu * config.channel_t * config.t_b])
     bin_level = occupancy.view(np.uint8)
+    pos = _clicked(
+        data_mean, bin_level, config.eta_data, config.p_dark_data, config.detection_mode, rng
+    )
+    slots = pos >> 1
+    # positions are sorted, so keeping each slot's first click lets the early bin win
+    first = np.diff(slots, prepend=-1) > 0
+    return slots[first], (pos[first] & 1).astype(np.uint8)
 
-    if config.detection_mode is DetectionMode.DETERMINISTIC:
-        clicks = (data_mean > 0.0)[bin_level]
-    else:
-        p_click = click_probability(data_mean, config.eta_data, config.p_dark_data)
-        clicks = _sample_clicks(p_click, bin_level, rng)
 
-    late = clicks[1::2]
-    late &= ~clicks[0::2]
-    return clicks
+def _clicked(
+    mean: np.ndarray,
+    level: np.ndarray,
+    eta: float,
+    p_dark: float,
+    mode: DetectionMode,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Sorted positions i whose detector clicks on mean photon number mean[level[i]]."""
+    if mode is DetectionMode.DETERMINISTIC:
+        return np.flatnonzero((mean > 0.0)[level])
+    return _sample_clicks(click_probability(mean, eta, p_dark), level, rng)
 
 
 def _sample_clicks(p: np.ndarray, level: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Independent Bernoulli(p[level[i]]) clicks by thinned geometric skipping.
+    """Sorted click positions, position i clicking independently with p[level[i]].
 
-    Candidates come at rate p_max = max(p): geometric gaps are drawn in
-    chunks sized to cover the rest of the train with margin, until the last
-    candidate lies at or past the end.  Then one uniform per candidate inside
-    the train; candidate i clicks iff u < p[level[i]] / p_max.
+    Thinned geometric skipping: candidates come at rate p_max = max(p), by
+    geometric gaps drawn in chunks sized to cover the rest of the train with
+    margin, until the last candidate lies at or past the end.  Then one
+    uniform per candidate inside the train; candidate i clicks iff
+    u < p[level[i]] / p_max.
     """
     n = level.size
-    clicks = np.zeros(n, dtype=bool)
     p_max = float(p.max())
     if n == 0 or p_max <= 0.0:  # nothing can click, and geometric needs p > 0
-        return clicks
+        return np.zeros(0, dtype=np.int64)
     chunks, end = [], 0  # end: 1-based position of the last candidate drawn
     while end < n:
         left = n - end
@@ -156,14 +155,4 @@ def _sample_clicks(p: np.ndarray, level: np.ndarray, rng: np.random.Generator) -
         end = int(pos[-1])
     pos = np.concatenate(chunks)
     pos = pos[: np.searchsorted(pos, n, side="right")] - 1
-    clicks[pos] = rng.random(pos.size) < (p / p_max)[level[pos]]
-    return clicks
-
-
-def decode(rec: DetectionRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Map clicks to (slots, values): bin 2i -> slot i, value 0; bin 2i+1 -> slot i, value 1."""
-    early, late = rec.data_clicks[0::2], rec.data_clicks[1::2]
-    if np.any(early & late):
-        raise ValueError("two clicks decoded in one slot; dead time invariant broken")
-    slots = np.flatnonzero(early | late)
-    return slots, late[slots].astype(np.uint8)
+    return pos[rng.random(pos.size) < (p / p_max)[level[pos]]]

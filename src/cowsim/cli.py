@@ -277,10 +277,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"cowsim: error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, OSError) as exc:
+    except (_UsageError, ConfigError, OSError) as exc:
         print(f"cowsim: error: {exc}", file=sys.stderr)
         return 1
 

@@ -194,9 +194,8 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
     mask = eve_mod.generate_mask(slot_map.n_slots, rng_eve)
     sent = eve_mod.apply_and_mask(train, mask) if config.attack is Attack.AND_MASK else train
 
-    rec = bob_mod.receive(sent, config, rng_det)
-    decoded = bob_mod.decode(rec)
-    monitor = (checked, rec.monitor_clicks[checked])
+    decoded, monitor_clicks = bob_mod.receive(sent, config, rng_det)
+    monitor = (checked, monitor_clicks[checked])
 
     threshold = _alarm_threshold(config, int(checked.size))
     sift, transcript = run_sifting(
@@ -205,7 +204,7 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
 
     kept = eve_mod.observe_transcript(transcript)
     eve_key = eve_mod.reconstruct_key(mask, kept)
-    record = EveRecord(mask=mask, observed_indices=kept, reconstructed_key=eve_key)
+    record = EveRecord(mask=mask, reconstructed_key=eve_key)
 
     if sift.alice_key.size:
         recovery = float(np.mean(eve_key == sift.alice_key))
@@ -247,8 +246,8 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
         bits = alice_mod.generate_raw_bits(point.n_bits, rng_bits)
         slot_map = alice_mod.insert_decoys(bits, DecoyStrategy.NONE)
         train = alice_mod.encode(slot_map)
-        clicks = bob_mod.detect_data(train, point, rng_det)
-        empirical = int(np.count_nonzero(clicks)) / slot_map.n_slots
+        slots, _ = bob_mod.detect_data(train, point, rng_det)
+        empirical = slots.size / slot_map.n_slots
         rows.append(
             SweepRow(
                 mu=float(mu),
@@ -306,8 +305,7 @@ def table1_rows() -> tuple[list[tuple[str, ...]], bool]:
     sent = eve_mod.apply_and_mask(train, mask)
 
     config = SimConfig(channel_t=1.0, detection_mode=DetectionMode.DETERMINISTIC)
-    rec = bob_mod.receive(sent, config, np.random.default_rng(0))
-    slots, values = bob_mod.decode(rec)
+    (slots, values), _ = bob_mod.receive(sent, config, np.random.default_rng(0))
     decoded = dict(zip(slots.tolist(), values.tolist()))
 
     def bins_str(occupancy, slot):

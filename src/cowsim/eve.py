@@ -43,10 +43,9 @@ class EveMask:
 
 @dataclass
 class EveRecord:
-    """Everything Eve ends a run with: her mask, the announced key slots, her key."""
+    """Everything Eve ends a run with: her mask and her key."""
 
     mask: EveMask
-    observed_indices: np.ndarray
     reconstructed_key: np.ndarray
 
 

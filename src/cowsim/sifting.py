@@ -95,7 +95,6 @@ class Transcript:
 class SiftResult:
     kept_indices: np.ndarray
     alice_key: np.ndarray
-    bob_key: np.ndarray
     qber: float
     break_rate: float
     verdict: str
@@ -164,7 +163,6 @@ def run_sifting(
     verdict = "abort" if break_rate > alarm_threshold else "accept"
 
     alice_key = slot_map.codes[kept]
-    bob_key = remainder_values[~verify_mask]
 
     checked_list = checked.tolist()
     transcript = Transcript()
@@ -193,7 +191,6 @@ def run_sifting(
     result = SiftResult(
         kept_indices=kept,
         alice_key=alice_key,
-        bob_key=bob_key,
         qber=qber,
         break_rate=break_rate,
         verdict=verdict,

@@ -26,8 +26,7 @@ def test_criterion_1_table1_reproduction():
     mask = EveMask(np.array([0, 1, 0, 1, 0, 1]))
     sent = eve.apply_and_mask(alice.encode(slot_map), mask)
     config = SimConfig(channel_t=1.0, t_b=0.9, detection_mode=DetectionMode.DETERMINISTIC)
-    rec = bob.receive(sent, config, np.random.default_rng(0))
-    decoded = bob.decode(rec)
+    decoded, _ = bob.receive(sent, config, np.random.default_rng(0))
 
     slots, values = decoded
     ok = (slots.tolist(), values.tolist()) == ([0, 3, 4, 5], [0, 1, 0, 1])
@@ -94,42 +93,43 @@ def test_criterion_4_rate_halving():
 
 def test_criterion_5_mu_eff_law():
     ok = True
-    n = 100_000
+    n = 300_000  # 5 se at 300k is 2.9 se at 100k
     for (t, t_b, eta) in ((0.5, 0.9, 0.1), (0.2, 0.9, 0.25)):
         # all-zero bits keep nonempty bins two apart, so dead time is inert
         slot_map = SlotMap(np.zeros(n, dtype=np.uint8))
         config = SimConfig(mu=0.5, channel_t=t, t_b=t_b, eta_data=eta, p_dark_data=0.0)
-        rec = bob.receive(alice.encode(slot_map), config, np.random.default_rng(int(t * 1000)))
+        rng = np.random.default_rng(int(t * 1000))
+        (slots, _), _ = bob.receive(alice.encode(slot_map), config, rng)
         p = 1 - math.exp(-0.5 * t * t_b * eta)
         se = math.sqrt(p * (1 - p) / n)
-        ok = ok and abs(np.count_nonzero(rec.data_clicks) / n - p) < 3 * se
+        ok = ok and abs(slots.size / n - p) < 5 * se
     _report(5, "per-slot detection follows 1 - exp(-mu t t_b eta)", ok)
 
 
 def test_criterion_6_monitor_behavior():
-    n_decoys = 10_000
+    n_decoys = 30_000  # 5 se over 30k decoys is 2.9 se over 10k
     slot_map = SlotMap(np.full(n_decoys, DECOY, dtype=np.uint8))
     train = alice.encode(slot_map)
     checked = alice.coherent_boundaries(train)
     config = SimConfig(mu=0.5, channel_t=0.5, t_b=0.9, eta_mon=1.0, p_dark_mon=0.0, visibility=1.0)
 
     # no attack: every checked boundary cancels perfectly
-    rec = bob.receive(train, config, np.random.default_rng(60))
-    clicks = rec.monitor_clicks[checked]
-    ok = checked.size >= 10_000 and not clicks.any()
+    _, monitor = bob.receive(train, config, np.random.default_rng(60))
+    clicks = monitor[checked]
+    ok = checked.size >= n_decoys and not clicks.any()
 
     # attack on: each decoy pair keeps exactly one pulse, clicking at the
     # closed-form rate 1 - exp(-eta_mon (1-t_b) t mu / 4)
     mask = eve.generate_mask(n_decoys, np.random.default_rng(61))
     sent = eve.apply_and_mask(train, mask)
-    rec = bob.receive(sent, config, np.random.default_rng(62))
+    _, monitor = bob.receive(sent, config, np.random.default_rng(62))
     one_survivor = sent[:-1] ^ sent[1:]
     broken = checked[one_survivor[checked]]
-    assert broken.size >= 10_000
-    hits = np.count_nonzero(rec.monitor_clicks[broken])
+    assert broken.size >= n_decoys
+    hits = np.count_nonzero(monitor[broken])
     p = 1 - math.exp(-1.0 * (1 - 0.9) * 0.5 * 0.5 / 4)
     se = math.sqrt(p * (1 - p) / broken.size)
-    ok = ok and abs(hits / broken.size - p) < 3 * se
+    ok = ok and abs(hits / broken.size - p) < 5 * se
     _report(6, "monitor silent when intact, closed-form rate when broken", ok)
 
 

@@ -13,7 +13,7 @@ from cowsim.alice import (
     generate_raw_bits,
     insert_decoys,
 )
-from cowsim.bob import DetectionMode, decode, receive
+from cowsim.bob import DetectionMode, receive
 from cowsim.engine import SimConfig
 
 
@@ -199,7 +199,6 @@ class TestRoundTrip:
         bits = generate_raw_bits(500, np.random.default_rng(3))
         slot_map = insert_decoys(bits, DecoyStrategy.NONE)
         config = SimConfig(channel_t=1.0, detection_mode=DetectionMode.DETERMINISTIC)
-        rec = receive(encode(slot_map), config, np.random.default_rng(0))
-        slots, values = decode(rec)
+        (slots, values), _ = receive(encode(slot_map), config, np.random.default_rng(0))
         assert slots.tolist() == list(range(len(bits)))
         assert np.array_equal(values, bits)

@@ -133,7 +133,7 @@ class TestCommands:
     def test_compare_attack_internal_error_propagates(self, tmp_path, monkeypatch):
         # only the no-key case is a config error; a broken invariant fails loudly
         def broken(config):
-            raise ValueError("two clicks decoded in one slot; dead time invariant broken")
+            raise ValueError("internal invariant broken")
 
         monkeypatch.setattr(engine, "compare_attack", broken)
         with pytest.raises(ValueError, match="invariant"):

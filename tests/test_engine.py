@@ -88,11 +88,12 @@ class TestSweep:
         assert all(b.splittable > a.splittable for a, b in zip(rows, rows[1:]))
 
     def test_empirical_tracks_mu_eff(self):
-        config = SimConfig(n_bits=100_000, seed=13)
+        # 5 se at 300k bits is 2.9 se at 100k
+        config = SimConfig(n_bits=300_000, seed=13)
         for row in sweep_mu(config, [0.25, 0.5]):
             p = 1 - math.exp(-row.mu * 0.5 * 0.9 * 0.1)
             se = math.sqrt(p * (1 - p) / config.n_bits)
-            assert abs(row.empirical - p) < 3 * se
+            assert abs(row.empirical - p) < 5 * se
 
     def test_points_do_not_share_streams_across_seeds(self):
         # seeding point i with seed + i made point 1 of seed 5 repeat

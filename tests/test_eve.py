@@ -121,5 +121,5 @@ class TestReconstruct:
         stats, transcript, record = run(config)
         kept = observe_transcript(transcript)
         assert stats.sifted_len > 0
-        assert np.array_equal(record.observed_indices, kept)
+        assert np.array_equal(record.reconstructed_key, reconstruct_key(record.mask, kept))
         assert stats.eve_recovery_fraction == 1.0

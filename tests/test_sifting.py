@@ -59,7 +59,6 @@ class TestRunSifting:
         assert transcript.get("DetectionReport")["slots"] == [0, 3, 4, 5]
         assert transcript.get("DecoyDiscard")["slots"] == [4, 5]
         assert result.kept_indices.tolist() == [0, 3]
-        assert result.bob_key.tolist() == [0, 1]
         assert result.alice_key.tolist() == [0, 1]
         assert result.qber == 0.0
 
