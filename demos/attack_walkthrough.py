@@ -3,34 +3,18 @@
 Run: python3 demos/attack_walkthrough.py
 """
 
-import numpy as np
-
-from cowsim import alice, bob, eve
-from cowsim.alice import DECOY, SlotMap
-from cowsim.bob import DetectionMode
-from cowsim.engine import Attack, SimConfig, compare_attack, run
-from cowsim.eve import EveMask
+from cowsim.engine import Attack, SimConfig, compare_attack, run, table1_rows
 
 # --- the six-slot worked example -------------------------------------------
 # Alice sends 0, 0, 1, 1 and two decoys; Eve's pattern is 0, 1, 0, 1, 0, 1.
-slot_map = SlotMap(np.array([0, 0, 1, 1, DECOY, DECOY]))
-mask = EveMask(np.array([0, 1, 0, 1, 0, 1]))
-
-train = alice.encode(slot_map)
-sent = eve.apply_and_mask(train, mask)
-
-(slots, values), _ = bob.receive(
-    sent,
-    SimConfig(channel_t=1.0, t_b=0.9, detection_mode=DetectionMode.DETERMINISTIC),
-    np.random.default_rng(0),
-)
-decoded = dict(zip(slots.tolist(), values.tolist()))
-
-print("slot  alice  eve  bob")
-for s in range(slot_map.n_slots):
-    a = "d.s." if slot_map.is_decoy[s] else str(slot_map.codes[s])
-    b = str(decoded.get(s, "n.d."))
-    print(f"{s:4d}  {a:>5}  {mask.bits[s]:3d}  {b:>4}")
+rows, matches = table1_rows()
+print("slot  alice  bins  eve  bins  received  bob")
+for s, (alice_ib, alice_tbs, eve_ib, eve_tbs, received_tbs, bob_ib) in enumerate(rows):
+    print(
+        f"{s:4d}  {alice_ib:>5}  {alice_tbs:>4}  {eve_ib:>3}  {eve_tbs:>4}"
+        f"  {received_tbs:>8}  {bob_ib:>4}"
+    )
+print(f"matches the paper's Table 1: {matches}")
 print()
 
 # Bob only ever detects slots where his bit agrees with Eve's; the two

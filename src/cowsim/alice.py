@@ -14,8 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .engine import SimConfig
 
 __all__ = [
     "DECOY",
@@ -133,13 +137,12 @@ def coherent_boundaries(occupancy: np.ndarray) -> np.ndarray:
 
 
 def announce_coherence_checks(
-    boundaries: np.ndarray, f_coh: float, rng: np.random.Generator
+    boundaries: np.ndarray, config: SimConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniformly random subset of intact boundaries Alice publishes for checking."""
-    if not 0.0 <= f_coh <= 1.0:
-        raise ValueError(f"f_coh must be in [0, 1], got {f_coh}")
+    """Uniformly random subset of intact boundaries Alice publishes for checking,
+    each kept with probability config.f_coh (all, with nothing drawn, at 1)."""
     boundaries = np.asarray(boundaries, dtype=np.int64)
-    if f_coh == 1.0:
+    if config.f_coh == 1.0:
         return boundaries.copy()
-    keep = rng.random(boundaries.size) < f_coh
+    keep = rng.random(boundaries.size) < config.f_coh
     return boundaries[keep]

@@ -91,7 +91,11 @@ def parse_config(path: str | None, overrides=()) -> SimConfig:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {path}")
-        values.update(_parse_assignments(p.read_text().splitlines(), str(path)))
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+        values.update(_parse_assignments(text.splitlines(), str(path)))
     values.update(_parse_assignments(overrides, "--set"))
     try:
         return SimConfig(**values)

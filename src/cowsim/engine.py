@@ -2,7 +2,7 @@
 
 Every run derives four named random streams from the master seed (Alice's
 key bits, Alice's public choices, Eve's mask, detection sampling), so
-toggling the attack or reseeding Eve alone never perturbs the rest.
+toggling the attack never perturbs the rest.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ class SimConfig:
     f_coh: float = 0.25
     alarm_threshold: float | None = None  # None -> dark-count floor + 3 sigma
     seed: int = 1
-    eve_seed: int | None = None
     detection_mode: DetectionMode = DetectionMode.SAMPLED
 
     def __post_init__(self):
@@ -110,8 +109,6 @@ class SimConfig:
             _check_unit("alarm_threshold", self.alarm_threshold, open_top=True)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.eve_seed is not None and self.eve_seed < 0:
-            raise ValueError(f"eve_seed must be >= 0, got {self.eve_seed}")
 
 
 @dataclass
@@ -158,49 +155,26 @@ class NoKeyError(ValueError):
     """The run without the attack sifted no key, so a rate ratio is undefined."""
 
 
-def _streams(master: np.random.SeedSequence, eve_seed: int | None = None):
-    s_bits, s_choices, s_eve, s_det = master.spawn(4)
-    if eve_seed is not None:
-        s_eve = np.random.SeedSequence(eve_seed)
-    return (
-        np.random.default_rng(s_bits),
-        np.random.default_rng(s_choices),
-        np.random.default_rng(s_eve),
-        np.random.default_rng(s_det),
-    )
-
-
-def _alarm_threshold(config: SimConfig, n_checked: int) -> float:
-    if config.alarm_threshold is not None:
-        return config.alarm_threshold
-    if n_checked == 0 or config.p_dark_mon == 0.0:
-        return 0.0
-    p = config.p_dark_mon
-    return p + 3.0 * math.sqrt(p * (1.0 - p) / n_checked)
+def _streams(master: np.random.SeedSequence) -> list[np.random.Generator]:
+    return [np.random.default_rng(s) for s in master.spawn(4)]
 
 
 def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
     """Execute one full protocol round, attack included when configured."""
-    rng_bits, rng_choices, rng_eve, rng_det = _streams(
-        np.random.SeedSequence(config.seed), config.eve_seed
-    )
+    rng_bits, rng_choices, rng_eve, rng_det = _streams(np.random.SeedSequence(config.seed))
 
     bits = alice_mod.generate_raw_bits(config.n_bits, rng_bits)
     slot_map = alice_mod.insert_decoys(bits, config.decoy_strategy)
     train = alice_mod.encode(slot_map)
     boundaries = alice_mod.coherent_boundaries(train)
-    checked = alice_mod.announce_coherence_checks(boundaries, config.f_coh, rng_choices)
+    checked = alice_mod.announce_coherence_checks(boundaries, config, rng_choices)
 
     mask = eve_mod.generate_mask(slot_map.n_slots, rng_eve)
     sent = eve_mod.apply_and_mask(train, mask) if config.attack is Attack.AND_MASK else train
 
-    decoded, monitor_clicks = bob_mod.receive(sent, config, rng_det)
+    detected, monitor_clicks = bob_mod.receive(sent, config, rng_det)
     monitor = (checked, monitor_clicks[checked])
-
-    threshold = _alarm_threshold(config, int(checked.size))
-    sift, transcript = run_sifting(
-        slot_map, decoded, monitor, config.f_verify, threshold, rng_choices
-    )
+    sift, transcript = run_sifting(slot_map, detected, monitor, config, rng_choices)
 
     kept = eve_mod.observe_transcript(transcript)
     eve_key = eve_mod.reconstruct_key(mask, kept)
@@ -214,7 +188,7 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
     stats = RunStats(
         slots_sent=slot_map.n_slots,
         decoy_slots=int(slot_map.is_decoy.sum()),
-        detections=int(decoded[0].size),
+        detections=int(detected[0].size),
         sifted_len=int(sift.kept_indices.size),
         qber=sift.qber,
         eve_recovery_fraction=recovery,

@@ -8,11 +8,16 @@ can be replayed offline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .alice import SlotMap
+
+if TYPE_CHECKING:
+    from .engine import SimConfig
 
 __all__ = [
     "MESSAGE_ORDER",
@@ -84,10 +89,11 @@ class Transcript:
                 continue
             try:
                 record = json.loads(line)
-                kind = record.pop("kind")
-            except (json.JSONDecodeError, KeyError) as exc:
+            except json.JSONDecodeError as exc:
                 raise TranscriptError(f"bad transcript line {lineno}: {exc}") from exc
-            out.append(kind, record)
+            if not isinstance(record, dict) or "kind" not in record:
+                raise TranscriptError(f"bad transcript line {lineno}: not an object with a kind")
+            out.append(record.pop("kind"), record)
         return out
 
 
@@ -109,34 +115,41 @@ def compute_qber(alice_bits, bob_bits) -> float:
     return int(np.count_nonzero(alice_bits != bob_bits)) / alice_bits.size
 
 
+def _alarm_threshold(config: SimConfig, n_checked: int) -> float:
+    """config.alarm_threshold if set, else the dark-count floor plus 3 sigma."""
+    if config.alarm_threshold is not None:
+        return config.alarm_threshold
+    if n_checked == 0:
+        return 0.0
+    p = config.p_dark_mon
+    return p + 3.0 * math.sqrt(p * (1.0 - p) / n_checked)
+
+
 def run_sifting(
     slot_map: SlotMap,
-    decoded,
+    detected,
     monitor,
-    f_verify: float,
-    alarm_threshold: float,
+    config: SimConfig,
     rng: np.random.Generator,
 ) -> tuple[SiftResult, Transcript]:
     """Run the whole public dialog and extract the sifted key.
 
-    decoded is Bob's (slots, values) pair of arrays, one detected bit each.
+    detected is Bob's (slots, values) pair of arrays, one detected bit each.
     monitor is the (checked, clicks) pair: the boundaries Alice asked to be
     checked and, per checked boundary, whether Bob's monitor detector fired.
     Bob announces which slots he detected; Alice discards her decoys among
-    them, samples a verification subset both sides reveal, and keeps the
-    rest as key.  The verdict aborts when the monitor break rate exceeds
-    the alarm threshold.
+    them, samples a verification subset of fraction config.f_verify that
+    both sides reveal, and keeps the rest as key.  The verdict aborts when
+    the monitor break rate exceeds the alarm threshold, read from
+    config.alarm_threshold or, when that is None, config.p_dark_mon.
     """
-    if not 0.0 <= f_verify < 1.0:
-        raise ValueError(f"f_verify must be in [0, 1), got {f_verify}")
-
-    slots, values = decoded
+    slots, values = detected
     slots = np.asarray(slots, dtype=np.int64)
     values = np.asarray(values, dtype=np.uint8)
     if slots.shape != values.shape:
-        raise ValueError("decoded slots and values differ in length")
+        raise ValueError("detected slots and values differ in length")
     if slots.size and (slots.min() < 0 or slots.max() >= slot_map.n_slots):
-        raise ValueError("decoded slot outside the slot map")
+        raise ValueError("detected slot outside the slot map")
 
     checked, clicks = monitor
     checked = np.asarray(checked, dtype=np.int64)
@@ -151,7 +164,7 @@ def run_sifting(
     decoy_detected = slots[is_decoy]
     remainder, remainder_values = slots[~is_decoy], values[~is_decoy]
 
-    verify_mask = rng.random(remainder.size) < f_verify
+    verify_mask = rng.random(remainder.size) < config.f_verify
     verify_slots = remainder[verify_mask]
     kept = remainder[~verify_mask]
 
@@ -160,7 +173,7 @@ def run_sifting(
     qber = compute_qber(reveal_alice, reveal_bob)
 
     break_rate = int(np.count_nonzero(clicks)) / checked.size if checked.size else 0.0
-    verdict = "abort" if break_rate > alarm_threshold else "accept"
+    verdict = "abort" if break_rate > _alarm_threshold(config, checked.size) else "accept"
 
     alice_key = slot_map.codes[kept]
 

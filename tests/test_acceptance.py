@@ -26,14 +26,14 @@ def test_criterion_1_table1_reproduction():
     mask = EveMask(np.array([0, 1, 0, 1, 0, 1]))
     sent = eve.apply_and_mask(alice.encode(slot_map), mask)
     config = SimConfig(channel_t=1.0, t_b=0.9, detection_mode=DetectionMode.DETERMINISTIC)
-    decoded, _ = bob.receive(sent, config, np.random.default_rng(0))
+    detected, _ = bob.receive(sent, config, np.random.default_rng(0))
 
-    slots, values = decoded
+    slots, values = detected
     ok = (slots.tolist(), values.tolist()) == ([0, 3, 4, 5], [0, 1, 0, 1])
 
     monitor = (np.array([], dtype=int), np.array([], dtype=bool))
     result, transcript = run_sifting(
-        slot_map, decoded, monitor, 0.0, 0.0, np.random.default_rng(0)
+        slot_map, detected, monitor, SimConfig(f_verify=0.0), np.random.default_rng(0)
     )
     ok = ok and transcript.get("DecoyDiscard")["slots"] == [4, 5]
     ok = ok and result.kept_indices.tolist() == [0, 3]

@@ -184,12 +184,14 @@ class TestBoundaries:
     def test_announce_all_or_nothing(self):
         rng = np.random.default_rng(0)
         b = np.arange(100)
-        assert announce_coherence_checks(b, 1.0, rng).tolist() == b.tolist()
-        assert announce_coherence_checks(b, 0.0, rng).size == 0
+        state = rng.bit_generator.state
+        assert announce_coherence_checks(b, SimConfig(f_coh=1.0), rng).tolist() == b.tolist()
+        assert rng.bit_generator.state == state  # keeping every boundary draws nothing
+        assert announce_coherence_checks(b, SimConfig(f_coh=0.0), rng).size == 0
 
     def test_announce_fraction(self):
         rng = np.random.default_rng(0)
-        picked = announce_coherence_checks(np.arange(10_000), 0.5, rng)
+        picked = announce_coherence_checks(np.arange(10_000), SimConfig(f_coh=0.5), rng)
         sigma = (10_000 * 0.25) ** 0.5
         assert abs(picked.size - 5000) < 3 * sigma
 

@@ -44,8 +44,7 @@ def _break_rate(checked, clicks):
         SlotMap(np.array([0])),
         (np.array([], dtype=np.int64), np.array([], dtype=np.uint8)),
         (checked, clicks),
-        0.0,
-        1.0,
+        SimConfig(f_verify=0.0),
         np.random.default_rng(0),
     )
     return result.break_rate
@@ -349,8 +348,7 @@ class TestIndexFormulation:
             SlotMap(np.zeros(n_slots, dtype=np.uint8)),
             (slots, values),
             (checked, clicks),
-            0.0,
-            1.0,
+            SimConfig(f_verify=0.0),
             np.random.default_rng(0),
         )
         report = transcript.get("MonitorReport")

@@ -68,6 +68,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/run.cfg")
 
+    def test_not_utf8_names_path(self, tmp_path, capsys):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff\xfemu=0.5\n")
+        with pytest.raises(ConfigError, match="binary.cfg"):
+            parse_config(str(path))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert str(path) in capsys.readouterr().err
+
 
 class TestCommands:
     def test_run_writes_outputs(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cowsim import engine
 from cowsim.alice import DecoyStrategy
 from cowsim.bob import DetectionMode
 from cowsim.engine import (
@@ -59,10 +60,18 @@ class TestRun:
         assert a[1].to_jsonl() == b[1].to_jsonl()
         assert np.array_equal(a[2].reconstructed_key, b[2].reconstructed_key)
 
-    def test_eve_stream_isolated(self):
+    def test_eve_stream_isolated(self, monkeypatch):
         base = SimConfig(n_bits=3000, attack=Attack.NONE, seed=42)
         a = run(base)
-        b = run(replace(base, eve_seed=999))
+        streams = engine._streams
+
+        def reseed_eve(master):
+            rngs = streams(master)
+            rngs[2] = np.random.default_rng(999)
+            return rngs
+
+        monkeypatch.setattr(engine, "_streams", reseed_eve)
+        b = run(base)
         # Alice's bits, Bob's detections and the whole dialog are untouched
         assert a[1].to_jsonl() == b[1].to_jsonl()
         assert not np.array_equal(a[2].mask.bits, b[2].mask.bits)
@@ -134,3 +143,8 @@ class TestConfig:
             SimConfig(t_b=1.5)
         with pytest.raises(ValueError):
             SimConfig(f_verify=1.0)
+        with pytest.raises(ValueError):
+            SimConfig(f_coh=-0.1)
+        with pytest.raises(ValueError):
+            SimConfig(f_coh=1.5)
+        assert SimConfig(f_coh=1.0).f_coh == 1.0

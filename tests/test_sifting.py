@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,12 +10,14 @@ from cowsim.sifting import (
     MESSAGE_ORDER,
     Transcript,
     TranscriptError,
+    _alarm_threshold,
     compute_qber,
     run_sifting,
 )
 
 NO_MONITOR = (np.array([], dtype=np.int64), np.array([], dtype=bool))
-NOTHING_DECODED = (np.array([], dtype=np.int64), np.array([], dtype=np.uint8))
+NOTHING_DETECTED = (np.array([], dtype=np.int64), np.array([], dtype=np.uint8))
+NO_VERIFY = SimConfig(f_verify=0.0)
 
 
 class TestQber:
@@ -26,10 +31,10 @@ class TestQber:
         assert compute_qber(np.array([0, 1, 0, 1]), np.array([1, 1, 0, 0])) == 0.5
 
 
-def _sift_monitor(checked, clicks):
+def _sift_monitor(checked, clicks, config=NO_VERIFY):
     monitor = (checked, clicks)
     return run_sifting(
-        SlotMap(np.array([0])), NOTHING_DECODED, monitor, 0.0, 1.0, np.random.default_rng(0)
+        SlotMap(np.array([0])), NOTHING_DETECTED, monitor, config, np.random.default_rng(0)
     )
 
 
@@ -52,9 +57,9 @@ class TestMonitorOutcome:
 class TestRunSifting:
     def test_table1_scenario(self):
         slot_map = SlotMap(np.array([0, 0, 1, 1, DECOY, DECOY]))
-        decoded = (np.array([0, 3, 4, 5]), np.array([0, 1, 0, 1]))
+        detected = (np.array([0, 3, 4, 5]), np.array([0, 1, 0, 1]))
         result, transcript = run_sifting(
-            slot_map, decoded, NO_MONITOR, 0.0, 0.0, np.random.default_rng(0)
+            slot_map, detected, NO_MONITOR, NO_VERIFY, np.random.default_rng(0)
         )
         assert transcript.get("DetectionReport")["slots"] == [0, 3, 4, 5]
         assert transcript.get("DecoyDiscard")["slots"] == [4, 5]
@@ -65,7 +70,7 @@ class TestRunSifting:
     def test_no_detections(self):
         slot_map = SlotMap(np.array([0, 1]))
         result, transcript = run_sifting(
-            slot_map, NOTHING_DECODED, NO_MONITOR, 0.1, 0.0, np.random.default_rng(0)
+            slot_map, NOTHING_DETECTED, NO_MONITOR, SimConfig(), np.random.default_rng(0)
         )
         assert result.kept_indices.size == 0
         assert result.qber == 0.0
@@ -83,23 +88,23 @@ class TestRunSifting:
         slot_map = SlotMap(np.array([0, 1]))
         with pytest.raises(ValueError):
             run_sifting(
-                slot_map, ([5], [0]), NO_MONITOR, 0.0, 0.0, np.random.default_rng(0)
+                slot_map, ([5], [0]), NO_MONITOR, NO_VERIFY, np.random.default_rng(0)
             )
 
     def test_abort_on_monitor_breaks(self):
         slot_map = SlotMap(np.array([DECOY, 0]))
         monitor = (np.array([0, 2]), np.array([True, False]))
         result, _ = run_sifting(
-            slot_map, NOTHING_DECODED, monitor, 0.0, 0.0, np.random.default_rng(0)
+            slot_map, NOTHING_DETECTED, monitor, NO_VERIFY, np.random.default_rng(0)
         )
         assert result.break_rate == 0.5
         assert result.verdict == "abort"
 
     def test_verification_excluded_from_key(self):
         slot_map = SlotMap(np.arange(100) % 2)
-        decoded = (np.arange(100), np.arange(100) % 2)
+        detected = (np.arange(100), np.arange(100) % 2)
         result, transcript = run_sifting(
-            slot_map, decoded, NO_MONITOR, 0.3, 0.0, np.random.default_rng(1)
+            slot_map, detected, NO_MONITOR, SimConfig(f_verify=0.3), np.random.default_rng(1)
         )
         verify = set(transcript.get("VerificationRequest")["slots"])
         kept = set(transcript.get("KeyIndices")["slots"])
@@ -108,6 +113,41 @@ class TestRunSifting:
         discarded = set(transcript.get("DecoyDiscard")["slots"])
         announced = set(transcript.get("DetectionReport")["slots"])
         assert verify | kept == announced - discarded
+
+
+class TestAlarmRule:
+    def test_automatic_threshold(self):
+        config = SimConfig(f_verify=0.0, p_dark_mon=0.01)
+        expect = 0.01 + 3 * math.sqrt(0.01 * 0.99 / 400)
+        assert _alarm_threshold(config, 400) == pytest.approx(expect)
+        # 9 of 400 checked boundaries click below it (0.0225), 10 above (0.025)
+        for n_clicks, verdict in ((9, "accept"), (10, "abort")):
+            clicks = np.arange(400) < n_clicks
+            result, _ = _sift_monitor(np.arange(400), clicks, config)
+            assert result.verdict == verdict
+
+    def test_zero_without_dark_counts_or_checks(self):
+        assert _alarm_threshold(SimConfig(p_dark_mon=0.0), 400) == 0.0
+        assert _alarm_threshold(SimConfig(p_dark_mon=0.01), 0) == 0.0
+        # with no dark-count floor a single monitor click aborts
+        clicks = np.arange(1000) == 0
+        result, _ = _sift_monitor(np.arange(1000), clicks)
+        assert result.verdict == "abort"
+
+    def test_explicit_threshold_wins(self):
+        config = SimConfig(f_verify=0.0, p_dark_mon=0.01, alarm_threshold=0.5)
+        assert _alarm_threshold(config, 400) == 0.5
+        assert _alarm_threshold(replace(config, p_dark_mon=0.0), 0) == 0.5
+        result, _ = _sift_monitor(np.arange(4), np.array([True, True, True, False]), config)
+        assert result.verdict == "abort"
+        result, _ = _sift_monitor(np.arange(4), np.array([True, False, False, False]), config)
+        assert result.verdict == "accept"
+
+    def test_rate_equal_to_threshold_accepts(self):
+        config = SimConfig(f_verify=0.0, alarm_threshold=0.25)
+        result, _ = _sift_monitor(np.arange(4), np.array([True, False, False, False]), config)
+        assert result.break_rate == 0.25
+        assert result.verdict == "accept"
 
 
 class TestTranscript:
@@ -124,9 +164,15 @@ class TestTranscript:
         assert again.to_jsonl() == text
         assert [m.kind for m in again.messages] == list(MESSAGE_ORDER)
 
-    def test_malformed_line(self):
-        with pytest.raises(TranscriptError):
-            Transcript.from_jsonl("not json\n")
+    @pytest.mark.parametrize(
+        "line",
+        ["not json", "[1,2]", '"abc"', "5", "null", "{}"],
+        ids=["text", "array", "string", "number", "null", "no-kind"],
+    )
+    def test_malformed_line(self, line):
+        text = '{"kind": "DetectionReport", "slots": []}\n' + line + "\n"
+        with pytest.raises(TranscriptError, match="line 2"):
+            Transcript.from_jsonl(text)
 
 
 class TestDiscardCorrectness:
