@@ -11,7 +11,9 @@ visibility 0.98.  Eve's mask is random in every run; names say "random".
 
 One noisy substitute-pattern AND-mask run and one noisy sweep at
 n_bits=100_000 also carry digests, so output that differs only on long
-trains shows too.
+trains shows too.  Every grid size is a multiple of 8, so three noisy
+sampled AND-mask runs at n_bits=2003, one per decoy strategy, pin the
+last partial byte of Alice's raw bits and of Eve's mask.
 """
 
 import hashlib
@@ -84,6 +86,14 @@ LONG_RUN = SimConfig(
     **NOISE,
 )
 LONG_SWEEP = SimConfig(n_bits=100_000, seed=6, **NOISE)
+
+# 2003 bits (and 2671 frame-header slots) end in a partial byte
+TAIL_RUNS = {
+    strategy.value: SimConfig(
+        n_bits=2003, seed=3, decoy_strategy=strategy, attack=Attack.AND_MASK, **NOISE
+    )
+    for strategy in DecoyStrategy
+}
 
 
 def table1_digest():
@@ -297,6 +307,21 @@ GOLDEN_LONG_RUN = (
     "d6e74f1cfce848214e706eea4510fef015ef04e77e4f87672f1bef360ab95ac4",
 )
 
+GOLDEN_TAIL_RUNS = {
+    "none": (
+        "0c64e3867ab0840f4eced215ce01b4dd69c3036494d0d73deae1309da289336a",
+        "b3246f0e5206430ef18668ad9b51d05db396cddda8ea5ee2a305763d84739525",
+    ),
+    "substitute-pattern": (
+        "1f3e51825cca0db6c63caca515ed0070f0d81e982dc0132b1db28ebd2223523e",
+        "dd21b9af287eccd26f214bc871047b25a336bedf053eca55fd7fecb7ca639103",
+    ),
+    "frame-header": (
+        "27a6c16c26dc65ad987fabce3a81d0940203d2408fa197fd462cc6c1731c5021",
+        "cbd5c329dfc83ec0eba47c86a5e02e8ba53b6aac64409fa33f475f32b57d8b59",
+    ),
+}
+
 GOLDEN_LONG_SWEEP = "00c263e8d05eeaaa3993495c92ee535bd4ef9108c838667f29813fa579863604"
 
 GOLDEN_TABLE1 = "f3f943e6026c22d2782dec4b7eb9acddcc0215aa42acf663ac7f1eaab33d15b0"
@@ -314,6 +339,11 @@ def test_sweep_digests(name):
 
 def test_long_run_digests():
     assert run_digests(LONG_RUN) == GOLDEN_LONG_RUN
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_RUNS))
+def test_tail_run_digests(name):
+    assert run_digests(TAIL_RUNS[name]) == GOLDEN_TAIL_RUNS[name]
 
 
 def test_long_sweep_digest():
