@@ -6,8 +6,9 @@ Each information bit occupies one slot of two time bins (early, late):
     1 -> (empty, pulse)
 
 A decoy slot is (pulse, pulse).  Slot i owns bins 2i and 2i+1.  The pulse
-train is one boolean per bin, True where a pulse leaves; every pulse has the
-same mean photon number mu.
+train is one uint8 pattern per slot, bit v set when bin v (0 = early,
+1 = late) holds a pulse: 1 for a data 0, 2 for a data 1 and 3 for a decoy.
+Every pulse has the same mean photon number mu.
 """
 
 from __future__ import annotations
@@ -68,7 +69,13 @@ def generate_raw_bits(n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent uniform key bits."""
     if n < 1:
         raise ValueError(f"need at least one bit, got n={n}")
-    return rng.integers(0, 2, size=n, dtype=np.uint8)
+    # The top bit of each byte of ceil(n/8) raw 64-bit outputs, read in
+    # little-endian order.  On numpy 2.4 this equals rng.integers(0, 2, n,
+    # dtype=np.uint8), which runs Lemire's method on those buffered bytes
+    # and keeps each byte's top bit.  Both consume ceil(n/8) outputs, so a
+    # later rng.random() or rng.geometric() agrees too; only a 32-bit draw
+    # could differ, since integers() may leave half an output buffered.
+    return rng.bit_generator.random_raw(-(-n // 8)).view(np.uint8)[:n] >> 7
 
 
 def insert_decoys(bits, strategy: DecoyStrategy) -> SlotMap:
@@ -120,20 +127,22 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> SlotMap:
 
 
 def encode(slot_map: SlotMap) -> np.ndarray:
-    """Translate slots into the transmitted pulse train: per-bin occupancy."""
-    occ = np.zeros(2 * slot_map.n_slots, dtype=bool)
-    occ[0::2] = (slot_map.codes == 0) | (slot_map.codes == DECOY)
-    occ[1::2] = (slot_map.codes == 1) | (slot_map.codes == DECOY)
-    return occ
+    """Translate slots into the transmitted pulse train: one bin pattern per slot."""
+    return slot_map.codes + np.uint8(1)
 
 
-def coherent_boundaries(occupancy: np.ndarray) -> np.ndarray:
-    """Bin indices k where bins k and k+1 are both nonempty in Alice's train.
+def coherent_boundaries(train: np.ndarray) -> np.ndarray:
+    """Bin indices k where bins k and k+1 are both nonempty in a slot-pattern train.
 
-    These are the decoy-internal pairs plus every 1-then-0 slot boundary;
+    Boundary 2i is coherent when slot i is a decoy (pattern 3), and boundary
+    2i+1 when slot i's late bin and slot i+1's early bin both hold pulses;
     only these can show perfect destructive interference at the monitor.
     """
-    return np.flatnonzero(occupancy[:-1] & occupancy[1:])
+    train = np.asarray(train, dtype=np.uint8)
+    coherent = np.zeros((train.size, 2), dtype=bool)
+    coherent[:, 0] = train == 3
+    coherent[:-1, 1] = (train[:-1] >> 1) & train[1:]
+    return np.flatnonzero(coherent)
 
 
 def announce_coherence_checks(

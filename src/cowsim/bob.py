@@ -7,17 +7,20 @@ pulse pair cancels at the instrumented (destructive) output.  Since every
 pulse has the same mean, a data bin is either empty or a pulse, and the
 destructive port at a boundary sees nothing, a lone pulse or an intact pair.
 
-A detection is the sorted array of positions that clicked, as the sampler
-draws them.  The data detector reports (slots, values): bin 2i+v clicked
-gives slot i and value v, at most one per slot.  The monitor detector
-reports one boolean per interferometer boundary k (bins k and k+1).
+The train arrives as one bin pattern per slot (alice.encode): bit v of
+train[i] is set when bin 2i+v holds a pulse.  A detection is the sorted
+array of positions that clicked, as the sampler draws them.  The data
+detector reports (slots, values): bin 2i+v clicked gives slot i and value
+v, at most one per slot.  The monitor detector reports one boolean per
+interferometer boundary k (bins k and k+1).
 
 Clicks are sampled by thinned geometric skipping (Devroye, Non-Uniform
 Random Variate Generation, 1986; Batagelj & Brandes, Phys. Rev. E 71,
 036113, 2005).  With p_max the largest click probability of any level,
 candidate positions are drawn at rate p_max by geometric gaps, and candidate
 i clicks iff a uniform u_i < p[level_i] / p_max.  That is exactly
-Bernoulli(p[level_i]) per position, independent across positions.  How many
+Bernoulli(p[level_i]) per position, independent across positions.  Levels
+are looked up from the slot patterns at the candidates only.  How many
 numbers are drawn, and their values, depend only on the train length and
 p_max, never on the train's contents, so two trains of one length see the
 same draws from one seed.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,24 +53,25 @@ class DetectionMode(Enum):
 
 
 def receive(
-    occupancy: np.ndarray,
+    train: np.ndarray,
     config: SimConfig,
     rng: np.random.Generator,
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Propagate an occupied-bin train through loss and the splitter, then detect.
+    """Propagate a slot-pattern train through loss and the splitter, then detect.
 
     Returns ((slots, values), monitor_clicks): detect_data's detected slots
     and bit values, and one boolean per interferometer boundary k (bins k
     and k+1) for the monitor detector.
 
     The sampled path draws first the data detector's numbers (detect_data),
-    then the monitor's over the interferometer boundaries.  Each detector
-    thins geometric gaps drawn at its largest click probability p_max, so
-    what is drawn depends only on the train length and the two p_max values,
-    never on the channel contents: runs with and without Eve's mask stay
-    draw-aligned for controlled comparisons.
+    then the monitor's over the 2n - 1 interferometer boundaries.  Each
+    detector thins geometric gaps drawn at its largest click probability
+    p_max, so what is drawn depends only on the train length and the two
+    p_max values, never on the channel contents: runs with and without
+    Eve's mask stay draw-aligned for controlled comparisons.
     """
-    detected = detect_data(occupancy, config, rng)
+    train = np.asarray(train, dtype=np.uint8)
+    detected = detect_data(train, config, rng)
 
     m = config.mu * config.channel_t * (1.0 - config.t_b)
     # destructive port of the one-bin-delay interferometer for 0, 1 or 2
@@ -74,22 +79,22 @@ def receive(
     # coupler, and an intact pair leaks what the visibility fails to cancel
     port = np.array([0.0, m / 4.0, (m - config.visibility * m) / 2.0])
 
-    bin_level = np.asarray(occupancy, dtype=bool).view(np.uint8)
-    pair_level = bin_level[:-1] + bin_level[1:]
+    n_boundaries = max(2 * train.size - 1, 0)
     clicked = _clicked(
-        port, pair_level, config.eta_mon, config.p_dark_mon, config.detection_mode, rng
+        port, n_boundaries, partial(_pair_level, train),
+        config.eta_mon, config.p_dark_mon, config.detection_mode, rng,
     )
-    mon_clicks = np.zeros(pair_level.size, dtype=bool)
+    mon_clicks = np.zeros(n_boundaries, dtype=bool)
     mon_clicks[clicked] = True
     return detected, mon_clicks
 
 
 def detect_data(
-    occupancy: np.ndarray,
+    train: np.ndarray,
     config: SimConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The data detector's (slots, values) for an occupied-bin train.
+    """The data detector's (slots, values) for a slot-pattern train.
 
     slots is strictly increasing; a click in bin 2i+v gives slot i and the
     uint8 value v.  The sampled path draws candidate bins by geometric gaps
@@ -100,14 +105,11 @@ def detect_data(
     of the same slot and the detector re-arms at the next slot boundary, so
     a slot never yields two clicks.
     """
-    occupancy = np.asarray(occupancy, dtype=bool)
-    if occupancy.size % 2 != 0:
-        raise ValueError(f"train length must be even, got {occupancy.size} bins")
-
+    train = np.asarray(train, dtype=np.uint8)
     data_mean = np.array([0.0, config.mu * config.channel_t * config.t_b])
-    bin_level = occupancy.view(np.uint8)
     pos = _clicked(
-        data_mean, bin_level, config.eta_data, config.p_dark_data, config.detection_mode, rng
+        data_mean, 2 * train.size, partial(_bin_level, train),
+        config.eta_data, config.p_dark_data, config.detection_mode, rng,
     )
     slots = pos >> 1
     # positions are sorted, so keeping each slot's first click lets the early bin win
@@ -115,30 +117,45 @@ def detect_data(
     return slots[first], (pos[first] & 1).astype(np.uint8)
 
 
+def _bin_level(train: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Pulses (0 or 1) in bins pos of a slot-pattern train."""
+    # a uint8 shift count keeps the arithmetic in uint8
+    return (train[pos >> 1] >> (pos & 1).astype(np.uint8)) & 1
+
+
+def _pair_level(train: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Pulses (0, 1 or 2) in bins k and k+1 of a slot-pattern train: the late
+    bin of slot k >> 1 plus the early bin of slot (k + 1) >> 1, which is the
+    same slot when k is even."""
+    return (train[k >> 1] >> 1) + (train[(k + 1) >> 1] & 1)
+
+
 def _clicked(
     mean: np.ndarray,
-    level: np.ndarray,
+    n: int,
+    level_at,
     eta: float,
     p_dark: float,
     mode: DetectionMode,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sorted positions i whose detector clicks on mean photon number mean[level[i]]."""
+    """Sorted positions i < n whose detector clicks on mean photon number
+    mean[level_at(i)]; level_at maps an int64 position array to levels."""
     if mode is DetectionMode.DETERMINISTIC:
-        return np.flatnonzero((mean > 0.0)[level])
-    return _sample_clicks(click_probability(mean, eta, p_dark), level, rng)
+        return np.flatnonzero((mean > 0.0)[level_at(np.arange(n))])
+    return _sample_clicks(click_probability(mean, eta, p_dark), n, level_at, rng)
 
 
-def _sample_clicks(p: np.ndarray, level: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Sorted click positions, position i clicking independently with p[level[i]].
+def _sample_clicks(p: np.ndarray, n: int, level_at, rng: np.random.Generator) -> np.ndarray:
+    """Sorted click positions i < n, position i clicking independently with
+    p[level_at(i)].
 
     Thinned geometric skipping: candidates come at rate p_max = max(p), by
     geometric gaps drawn in chunks sized to cover the rest of the train with
     margin, until the last candidate lies at or past the end.  Then one
     uniform per candidate inside the train; candidate i clicks iff
-    u < p[level[i]] / p_max.
+    u < p[level_at(i)] / p_max.  level_at sees only the candidates.
     """
-    n = level.size
     p_max = float(p.max())
     if n == 0 or p_max <= 0.0:  # nothing can click, and geometric needs p > 0
         return np.zeros(0, dtype=np.int64)
@@ -155,4 +172,4 @@ def _sample_clicks(p: np.ndarray, level: np.ndarray, rng: np.random.Generator) -
         end = int(pos[-1])
     pos = np.concatenate(chunks)
     pos = pos[: np.searchsorted(pos, n, side="right")] - 1
-    return pos[rng.random(pos.size) < (p / p_max)[level[pos]]]
+    return pos[rng.random(pos.size) < (p / p_max)[level_at(pos)]]

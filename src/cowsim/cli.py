@@ -253,8 +253,8 @@ def _selftest_checks(config: SimConfig):
         bits = alice_mod.generate_raw_bits(200, rng)
         slot_map = alice_mod.insert_decoys(bits, DecoyStrategy.FRAME_HEADER)
         mask = eve_mod.generate_mask(slot_map.n_slots, rng)
-        occupied = eve_mod.apply_and_mask(alice_mod.encode(slot_map), mask).reshape(-1, 2)
-        destroyed &= not np.any(occupied.all(axis=1))
+        sent = eve_mod.apply_and_mask(alice_mod.encode(slot_map), mask)
+        destroyed &= not np.any(sent == 3)
     yield "decoy destruction", destroyed
 
 

@@ -7,6 +7,7 @@ toggling the attack never perturbs the rest.
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -159,16 +160,31 @@ def _streams(master: np.random.SeedSequence) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in master.spawn(4)]
 
 
-def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
-    """Execute one full protocol round, attack included when configured."""
-    rng_bits, rng_choices, rng_eve, rng_det = _streams(np.random.SeedSequence(config.seed))
+# Alice's side before transmission: (slot map, pulse train, checked boundaries)
+_AliceStage = tuple[alice_mod.SlotMap, np.ndarray, np.ndarray]
 
+
+def _alice_stage(
+    config: SimConfig, rng_bits: np.random.Generator, rng_choices: np.random.Generator
+) -> _AliceStage:
+    """Alice's raw bits, slot layout, pulse train and the boundaries she asks Bob to check."""
     bits = alice_mod.generate_raw_bits(config.n_bits, rng_bits)
     slot_map = alice_mod.insert_decoys(bits, config.decoy_strategy)
     train = alice_mod.encode(slot_map)
     boundaries = alice_mod.coherent_boundaries(train)
     checked = alice_mod.announce_coherence_checks(boundaries, config, rng_choices)
+    return slot_map, train, checked
 
+
+def _transmit_and_sift(
+    config: SimConfig,
+    alice_stage: _AliceStage,
+    rng_choices: np.random.Generator,
+    rng_eve: np.random.Generator,
+    rng_det: np.random.Generator,
+) -> tuple[RunStats, Transcript, EveRecord]:
+    """Everything after Alice's stage: Eve's mask, Bob's detectors and sifting."""
+    slot_map, train, checked = alice_stage
     mask = eve_mod.generate_mask(slot_map.n_slots, rng_eve)
     sent = eve_mod.apply_and_mask(train, mask) if config.attack is Attack.AND_MASK else train
 
@@ -199,6 +215,13 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
         / (2.0 * slot_map.n_slots * config.tau_ns * 1e-9),
     )
     return stats, transcript, record
+
+
+def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
+    """Execute one full protocol round, attack included when configured."""
+    rng_bits, rng_choices, rng_eve, rng_det = _streams(np.random.SeedSequence(config.seed))
+    alice_stage = _alice_stage(config, rng_bits, rng_choices)
+    return _transmit_and_sift(config, alice_stage, rng_choices, rng_eve, rng_det)
 
 
 def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
@@ -238,16 +261,23 @@ def compare_attack(config: SimConfig) -> CompareResult:
 
     Both runs share the master seed, so Alice's bits, her public choices and
     every detector draw coincide; only whether Eve's mask is applied changes.
+    Alice's stage runs once; each run continues from a copy of the streams
+    as they stood after it, so each equals its own run() call.
     Raises NoKeyError naming n_bits when the run without the mask sifts no
     key, since the rate ratio is then undefined.
     """
-    stats_off, _, _ = run(replace(config, attack=Attack.NONE))
+    rng_bits, rng_choices, rng_eve, rng_det = _streams(np.random.SeedSequence(config.seed))
+    alice_stage = _alice_stage(config, rng_bits, rng_choices)
+    rngs = (rng_choices, rng_eve, rng_det)
+    stats_off, _, _ = _transmit_and_sift(
+        replace(config, attack=Attack.NONE), alice_stage, *copy.deepcopy(rngs)
+    )
     if stats_off.sifted_len == 0:
         raise NoKeyError(
             f"n_bits={config.n_bits} sifts no key without the attack, so the rate ratio "
             "is undefined; raise n_bits"
         )
-    stats_on, _, _ = run(replace(config, attack=Attack.AND_MASK))
+    stats_on, _, _ = _transmit_and_sift(replace(config, attack=Attack.AND_MASK), alice_stage, *rngs)
     return CompareResult(
         rate_ratio=stats_on.sifted_len / stats_off.sifted_len,
         recovery_no_attack=stats_off.eve_recovery_fraction,
@@ -282,8 +312,8 @@ def table1_rows() -> tuple[list[tuple[str, ...]], bool]:
     (slots, values), _ = bob_mod.receive(sent, config, np.random.default_rng(0))
     decoded = dict(zip(slots.tolist(), values.tolist()))
 
-    def bins_str(occupancy, slot):
-        return "".join("1" if occupancy[2 * slot + k] else "0" for k in (0, 1))
+    def bins_str(train, slot):
+        return f"{train[slot] & 1}{train[slot] >> 1}"
 
     rows = []
     for s in range(slot_map.n_slots):

@@ -1,11 +1,11 @@
 """Eve: the synchronized AND-mask intercept and key reconstruction.
 
 Eve never measures the quantum channel.  She draws her own uniform bit
-sequence and encodes it as Alice does, reusing Alice's bit draw and two-bin
+sequence and encodes it as Alice does, reusing Alice's bit draw and slot
 encoder, then lets her intensity modulator pass only the bins her own
-pattern marks nonempty (a bitwise AND on occupancy).  Afterwards she reads
-the public sifting dialog and looks up her own bits at the announced key
-positions.
+pattern marks nonempty (a bitwise AND of the two slot patterns).
+Afterwards she reads the public sifting dialog and looks up her own bits at
+the announced key positions.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alice
-from .sifting import Transcript
+from .sifting import Transcript, TranscriptError
 
 __all__ = [
     "EveMask",
@@ -54,24 +54,32 @@ def generate_mask(n_slots: int, rng: np.random.Generator) -> EveMask:
     return EveMask(alice.generate_raw_bits(n_slots, rng))
 
 
-def apply_and_mask(occupancy: np.ndarray, mask: EveMask) -> np.ndarray:
-    """AND Eve's pattern onto the channel's bin occupancy: blocked bins become vacuum.
+def apply_and_mask(train: np.ndarray, mask: EveMask) -> np.ndarray:
+    """AND Eve's pattern onto the channel's slot patterns: blocked bins become vacuum.
 
     Eve's pattern is her bits encoded as Alice encodes data slots: bit 0
     passes the early bin and blocks the late one, bit 1 the opposite.
     Passed pulses are untouched.
     """
-    if 2 * mask.bits.size != occupancy.size:
-        raise ValueError(
-            f"mask length {mask.bits.size} does not match {occupancy.size // 2} slots"
-        )
-    return occupancy & alice.encode(alice.SlotMap(mask.bits))
+    if mask.bits.size != train.size:
+        raise ValueError(f"mask length {mask.bits.size} does not match {train.size} slots")
+    return train & alice.encode(alice.SlotMap(mask.bits))
 
 
 def observe_transcript(transcript: Transcript) -> np.ndarray:
-    """Pull the announced key-slot indices out of the public dialog."""
-    payload = transcript.get("KeyIndices")
-    return np.asarray(payload["slots"], dtype=np.int64)
+    """Pull the announced key-slot indices out of the public dialog.
+
+    Raises TranscriptError unless KeyIndices carries a "slots" list of
+    integers that fit in int64.
+    """
+    slots = transcript.get("KeyIndices").get("slots")
+    # bool is a subclass of int, so compare types exactly
+    if not isinstance(slots, list) or not set(map(type, slots)) <= {int}:
+        raise TranscriptError("KeyIndices slots must be a list of integers")
+    try:
+        return np.array(slots, dtype=np.int64)
+    except OverflowError as exc:
+        raise TranscriptError(f"KeyIndices slot out of range: {exc}") from exc
 
 
 def reconstruct_key(mask: EveMask, kept_indices) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alice import SlotMap
+from .alice import DECOY, SlotMap
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -160,7 +160,7 @@ def run_sifting(
     order = np.argsort(slots)
     slots, values = slots[order], values[order]
 
-    is_decoy = slot_map.is_decoy[slots]
+    is_decoy = slot_map.codes[slots] == DECOY
     decoy_detected = slots[is_decoy]
     remainder, remainder_values = slots[~is_decoy], values[~is_decoy]
 

@@ -13,8 +13,9 @@ from cowsim.alice import (
     generate_raw_bits,
     insert_decoys,
 )
-from cowsim.bob import DetectionMode, receive
+from cowsim.bob import DetectionMode, _bin_level, _pair_level, receive
 from cowsim.engine import SimConfig
+from cowsim.eve import EveMask, apply_and_mask
 
 
 def substitute_pattern_reference(bits):
@@ -39,6 +40,31 @@ def frame_header_reference(bits):
     for start in range(0, bits.size, 3):
         chunks.append(np.concatenate(([DECOY], bits[start : start + 3])))
     return np.concatenate(chunks).astype(np.uint8)
+
+
+def encode_bins_reference(codes):
+    """The per-bin train encode replaced: one boolean per bin, True where a pulse leaves."""
+    codes = np.asarray(codes, dtype=np.uint8)
+    occ = np.zeros(2 * codes.size, dtype=bool)
+    occ[0::2] = (codes == 0) | (codes == DECOY)
+    occ[1::2] = (codes == 1) | (codes == DECOY)
+    return occ
+
+
+def and_mask_bins_reference(occ, mask_bits):
+    """The per-bin AND: Eve's bits encoded as data slots, ANDed onto the occupancy."""
+    return occ & encode_bins_reference(mask_bits)
+
+
+def coherent_boundaries_bins_reference(occ):
+    """Bin indices k where bins k and k+1 both hold a pulse."""
+    return np.flatnonzero(occ[:-1] & occ[1:])
+
+
+def pair_level_bins_reference(occ):
+    """Pulses in bins k and k+1, one level per interferometer boundary."""
+    level = occ.view(np.uint8)
+    return level[:-1] + level[1:]
 
 
 REFERENCES = {
@@ -75,6 +101,17 @@ class TestRawBits:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             generate_raw_bits(0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [*range(1, 18), 100_001])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_matches_bounded_integers(self, n, seed):
+        # the byte read is numpy's own uniform-bit draw, tail byte included,
+        # and leaves the generator where a later float draw agrees
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        bits = generate_raw_bits(n, rng_a)
+        expect = rng_b.integers(0, 2, n, dtype=np.uint8)
+        assert bits.dtype == expect.dtype and np.array_equal(bits, expect)
+        assert np.array_equal(rng_a.random(5), rng_b.random(5))
 
 
 class TestInsertDecoys:
@@ -143,18 +180,20 @@ class TestInsertDecoysReference:
 
 
 class TestEncode:
+    # one pattern per slot: bit 0 is the early bin, bit 1 the late bin
     def test_data_zero(self):
-        assert encode(SlotMap(np.array([0]))).tolist() == [True, False]
+        assert encode(SlotMap(np.array([0]))).tolist() == [0b01]
 
     def test_data_one(self):
-        assert encode(SlotMap(np.array([1]))).tolist() == [False, True]
+        assert encode(SlotMap(np.array([1]))).tolist() == [0b10]
 
     def test_decoy(self):
-        assert encode(SlotMap(np.array([DECOY]))).tolist() == [True, True]
+        assert encode(SlotMap(np.array([DECOY]))).tolist() == [0b11]
 
     def test_one_zero_adjacency(self):
         train = encode(SlotMap(np.array([1, 0])))
-        assert train.tolist() == [False, True, True, False]
+        assert train.tolist() == [0b10, 0b01]
+        assert train.dtype == np.uint8
 
     def test_mu_positive_required(self):
         # the pulse mean lives on SimConfig, which rejects a nonpositive one
@@ -165,13 +204,37 @@ class TestEncode:
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=200))
     def test_occupancy_counts(self, codes):
         slot_map = SlotMap(np.array(codes, dtype=np.uint8))
-        occ = encode(slot_map).reshape(-1, 2)
-        per_slot = occ.sum(axis=1)
+        train = encode(slot_map)
+        per_slot = (train & 1) + (train >> 1)
         expect = np.where(slot_map.is_decoy, 2, 1)
         assert np.array_equal(per_slot, expect)
 
 
+class TestSlotPatternReference:
+    """The slot-pattern train against the per-bin train it replaced."""
+
+    @given(st.lists(st.tuples(st.integers(0, DECOY), st.integers(0, 1)), min_size=1, max_size=200))
+    def test_same_bins_boundaries_and_pair_levels(self, slots):
+        # random codes and Eve bits, one pair per slot
+        codes, eve_bits = (np.array(column, dtype=np.uint8) for column in zip(*slots))
+        train = encode(SlotMap(codes))
+        occ = encode_bins_reference(codes)
+        assert np.array_equal(coherent_boundaries(train), coherent_boundaries_bins_reference(occ))
+        bins, boundaries = np.arange(occ.size), np.arange(occ.size - 1)
+        for sent, sent_bins in (
+            (train, occ),
+            (apply_and_mask(train, EveMask(eve_bits)), and_mask_bins_reference(occ, eve_bits)),
+        ):
+            assert np.array_equal(_bin_level(sent, bins), sent_bins)
+            assert np.array_equal(_pair_level(sent, boundaries), pair_level_bins_reference(sent_bins))
+
+
 class TestBoundaries:
+    def test_decoy_then_one_zero(self):
+        # bins 11 01 10: the decoy's own pair and the 1-then-0 boundary
+        train = encode(SlotMap(np.array([DECOY, 1, 0])))
+        assert coherent_boundaries(train).tolist() == [0, 3]
+
     def test_single_zero(self):
         assert coherent_boundaries(encode(SlotMap(np.array([0])))).tolist() == []
 

@@ -31,11 +31,22 @@ def _grid(positions, n):
     return grid
 
 
+def _sample_levels(p, level, rng):
+    """_sample_clicks over the positions of a level array, looked up by index."""
+    return _sample_clicks(p, level.size, level.__getitem__, rng)
+
+
 def _sampled_grid(p, level, rng):
     """_sample_clicks' positions on the grid of level, after checking they are sorted."""
-    pos = _sample_clicks(p, level, rng)
+    pos = _sample_levels(p, level, rng)
     assert np.all(np.diff(pos) > 0)
     return _grid(pos, level.size)
+
+
+def _slot_train(bins, n_slots):
+    """The slot-pattern train of n_slots whose occupied bins are the given bin indices."""
+    occ = _grid(bins, 2 * n_slots).reshape(n_slots, 2).view(np.uint8)
+    return occ[:, 0] | occ[:, 1] << 1
 
 
 def _break_rate(checked, clicks):
@@ -56,14 +67,10 @@ class TestReceive:
         assert (slots.tolist(), values.tolist()) == ([0], [0])
 
     def test_empty_train_silent(self):
-        train = np.zeros(10, dtype=bool)
+        train = np.zeros(5, dtype=np.uint8)  # five slots, ten empty bins
         (slots, values), monitor = receive(train, IDEAL, np.random.default_rng(0))
         assert (slots.size, values.size, monitor.shape) == (0, 0, (9,))
         assert not monitor.any()
-
-    def test_odd_train_rejected(self):
-        with pytest.raises(ValueError):
-            receive(np.zeros(3, dtype=bool), ORACLE, np.random.default_rng(0))
 
     def test_detection_statistics(self):
         # per-slot detection probability follows 1 - exp(-mu t t_b eta);
@@ -77,7 +84,7 @@ class TestReceive:
 
     def test_dark_counts_respect_dead_time(self):
         config = replace(IDEAL, p_dark_data=0.9)
-        (slots, _), _ = receive(np.zeros(2000, dtype=bool), config, np.random.default_rng(2))
+        (slots, _), _ = receive(np.zeros(1000, dtype=np.uint8), config, np.random.default_rng(2))
         assert slots.size > 0 and np.all(np.diff(slots) > 0)
 
     def test_zero_noise_soundness(self):
@@ -133,8 +140,8 @@ class TestSampleClicks:
     @pytest.mark.parametrize("n", [0, 1])
     def test_tiny_trains(self, n):
         p, rng = np.array([0.0, 1.0]), np.random.default_rng(2)
-        assert _sample_clicks(p, np.ones(n, dtype=np.uint8), rng).tolist() == list(range(n))
-        assert _sample_clicks(p, np.zeros(n, dtype=np.uint8), rng).size == 0
+        assert _sample_levels(p, np.ones(n, dtype=np.uint8), rng).tolist() == list(range(n))
+        assert _sample_levels(p, np.zeros(n, dtype=np.uint8), rng).size == 0
 
     @pytest.mark.parametrize("p_max", [5e-324, 1e-20])
     def test_tiny_p_max(self, p_max):
@@ -144,7 +151,7 @@ class TestSampleClicks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
-                clicks = _sample_clicks(np.array([0.0, p_max]), level, np.random.default_rng(6))
+                clicks = _sample_levels(np.array([0.0, p_max]), level, np.random.default_rng(6))
         assert clicks.size == 0
 
     def test_saturated_gap_in_a_later_chunk(self):
@@ -160,7 +167,7 @@ class TestSampleClicks:
             def random(self, size):
                 return np.zeros(size)
 
-        clicks = _sample_clicks(np.array([0.0, 1e-20]), np.ones(10, dtype=np.uint8), SaturatingRng())
+        clicks = _sample_levels(np.array([0.0, 1e-20]), np.ones(10, dtype=np.uint8), SaturatingRng())
         assert clicks.tolist() == [2]
 
     @pytest.mark.parametrize("p", [[0.0, 0.022], [1e-3, 0.5, 0.0], [0.2, 1.0], [0.0, 0.0]])
@@ -168,8 +175,8 @@ class TestSampleClicks:
         # two different trains of one length leave the generator in one state
         p = np.array(p)
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-        _sample_clicks(p, _levels(50_001, p.size, 1), rng_a)
-        _sample_clicks(p, np.zeros(50_001, dtype=np.uint8), rng_b)
+        _sample_levels(p, _levels(50_001, p.size, 1), rng_a)
+        _sample_levels(p, np.zeros(50_001, dtype=np.uint8), rng_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -187,7 +194,7 @@ class TestDetectData:
         ref_slots, ref_values = detect_data(train, c, rng_b)
         assert np.array_equal(slots, ref_slots) and np.array_equal(values, ref_values)
         lone = click_probability(c.mu * c.channel_t * (1 - c.t_b) / 4, c.eta_mon, c.p_dark_mon)
-        _sample_clicks(np.array([lone]), np.zeros(train.size - 1, dtype=np.uint8), rng_b)
+        _sample_levels(np.array([lone]), np.zeros(2 * train.size - 1, dtype=np.uint8), rng_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_deterministic_draws_nothing(self):
@@ -232,7 +239,7 @@ class TestDecode:
 
     @staticmethod
     def _detect(bins):
-        return detect_data(_grid(bins, 8), ORACLE, np.random.default_rng(0))
+        return detect_data(_slot_train(bins, 4), ORACLE, np.random.default_rng(0))
 
     def test_early_bin(self):
         slots, values = self._detect([0])
@@ -257,7 +264,7 @@ class TestMonitor:
         train = _train([DECOY] * 10_000)
         config = SimConfig(channel_t=0.5, t_b=0.9, eta_mon=1.0, p_dark_mon=0.0)
         _, monitor = receive(train, config, np.random.default_rng(4))
-        boundaries = np.arange(0, train.size - 1, 2)  # decoy-internal
+        boundaries = np.arange(0, 2 * train.size - 1, 2)  # decoy-internal
         clicks = monitor[boundaries]
         assert (clicks.size, np.count_nonzero(clicks)) == (10_000, 0)
 
@@ -285,7 +292,7 @@ class TestMonitor:
         train = _train([0] * n)  # every pair is (pulse, vacuum)
         config = SimConfig(channel_t=0.5, t_b=0.9, eta_mon=0.8, p_dark_mon=0.0)
         _, monitor = receive(train, config, np.random.default_rng(6))
-        checked = np.arange(0, train.size - 1, 2)
+        checked = np.arange(0, 2 * train.size - 1, 2)
         rate = _break_rate(checked, monitor[checked])
         p = 1 - math.exp(-0.8 * 0.1 * 0.5 * 0.5 / 4)
         se = math.sqrt(p * (1 - p) / n)
@@ -322,16 +329,17 @@ class TestIndexFormulation:
         # p_click.  The reference scatters the same sampler draws on the bin
         # grid and applies the dense-grid rule.
         rng = np.random.default_rng(seed)
-        occupancy = rng.random(2 * n_slots) < 0.5
+        train = rng.integers(0, 4, n_slots, dtype=np.uint8)
+        occupancy = np.stack([train & 1, train >> 1], axis=1).ravel().astype(bool)
         config = replace(IDEAL, detection_mode=mode)
         p = np.array([p_click, p_click])
         if mode is DetectionMode.DETERMINISTIC:
             raw = occupancy
         else:
-            pos = _sample_clicks(p, occupancy.view(np.uint8), np.random.default_rng(seed))
+            pos = _sample_levels(p, occupancy.view(np.uint8), np.random.default_rng(seed))
             raw = _grid(pos, occupancy.size)
         with mock.patch.object(bob, "click_probability", lambda mean, eta, p_dark: p):
-            slots, values = detect_data(occupancy, config, np.random.default_rng(seed))
+            slots, values = detect_data(train, config, np.random.default_rng(seed))
         ref_slots, ref_values = _detect_on_grid(raw)
         assert np.array_equal(slots, ref_slots)
         assert np.array_equal(values, ref_values)

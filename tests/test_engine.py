@@ -129,6 +129,19 @@ class TestCompareAttack:
         result = compare_attack(SimConfig(n_bits=100_000, seed=8, **IDEAL))
         assert abs(result.recovery_no_attack - 0.5) < 0.05
 
+    @pytest.mark.parametrize("strategy", list(DecoyStrategy))
+    def test_equals_two_separate_runs(self, strategy):
+        # Alice's stage is shared, yet each side matches its own run() call
+        config = SimConfig(
+            n_bits=20_000, seed=12, decoy_strategy=strategy, p_dark_data=1e-3, p_dark_mon=1e-3
+        )
+        off, _, _ = run(replace(config, attack=Attack.NONE))
+        on, _, _ = run(replace(config, attack=Attack.AND_MASK))
+        result = compare_attack(config)
+        assert result.rate_ratio == on.sifted_len / off.sifted_len
+        assert result.recovery_no_attack == off.eve_recovery_fraction
+        assert result.recovery_attack == on.eve_recovery_fraction
+
     def test_no_key_without_attack_names_n_bits(self):
         # the rate ratio would be 0/0
         with pytest.raises(NoKeyError, match="n_bits"):

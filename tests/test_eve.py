@@ -32,14 +32,15 @@ class TestApplyMask:
         mask = EveMask(np.array([eve_bit]))
         return apply_and_mask(train, mask).tolist()
 
+    # slot patterns: bit 0 is the early bin, bit 1 the late bin
     def test_pass_through(self):
-        assert self._one_slot(0, 0) == [True, False]
+        assert self._one_slot(0, 0) == [0b01]
 
     def test_blocked(self):
-        assert self._one_slot(0, 1) == [False, False]
+        assert self._one_slot(0, 1) == [0b00]
 
     def test_decoy_truncated(self):
-        assert self._one_slot(DECOY, 1) == [False, True]
+        assert self._one_slot(DECOY, 1) == [0b10]
 
     def test_length_mismatch(self):
         train = encode(SlotMap(np.array([0, 1])))
@@ -51,15 +52,13 @@ class TestApplyMask:
         st.integers(0, 2**31 - 1),
     )
     def test_occupancy_and(self, codes, seed):
-        # the mask acts as a bitwise AND on bin occupancy
+        # the mask acts as a bitwise AND on each slot's bin pattern
         slot_map = SlotMap(np.array(codes, dtype=np.uint8))
         train = encode(slot_map)
         mask = generate_mask(slot_map.n_slots, np.random.default_rng(seed))
         masked = apply_and_mask(train, mask)
-        eve_occ = np.zeros(train.size, dtype=bool)
-        eve_occ[0::2] = mask.bits == 0
-        eve_occ[1::2] = mask.bits == 1
-        assert np.array_equal(masked, train & eve_occ)
+        eve_pattern = np.where(mask.bits == 0, 0b01, 0b10)
+        assert np.array_equal(masked, train & eve_pattern)
         assert np.array_equal(train, encode(slot_map))  # input untouched
 
     @given(
@@ -70,16 +69,16 @@ class TestApplyMask:
     def test_decoys_destroyed(self, bits, strategy, seed):
         slot_map = insert_decoys(bits, strategy)
         mask = generate_mask(slot_map.n_slots, np.random.default_rng(seed))
-        occupied = apply_and_mask(encode(slot_map), mask).reshape(-1, 2)
-        assert not np.any(occupied.all(axis=1))
+        sent = apply_and_mask(encode(slot_map), mask)
+        assert not np.any(sent == 0b11)
 
     def test_pass_through_rate(self):
         rng = np.random.default_rng(11)
         bits = generate_raw_bits(100_000, rng)
         slot_map = insert_decoys(bits, DecoyStrategy.NONE)
         mask = generate_mask(slot_map.n_slots, rng)
-        occupied = apply_and_mask(encode(slot_map), mask).reshape(-1, 2)
-        survived = occupied.sum(axis=1) == 1
+        sent = apply_and_mask(encode(slot_map), mask)
+        survived = sent != 0
         sigma = (0.25 / slot_map.n_slots) ** 0.5
         assert abs(survived.mean() - 0.5) < 3 * sigma
 
@@ -99,6 +98,18 @@ class TestTranscriptReading:
     def test_malformed_rejected(self):
         with pytest.raises(TranscriptError):
             observe_transcript(Transcript())
+
+    @pytest.mark.parametrize(
+        "slots",
+        ["[1.5]", "[[1]]", "[true]", "[1, true]", '"ab"', "[1e30]", "[100000000000000000000]", "null", None],
+    )
+    def test_bad_replayed_slots(self, slots):
+        # a replayed file is outside input: anything but a list of integers
+        # that fit in int64 is a TranscriptError, never a silent cast
+        field = "" if slots is None else f', "slots": {slots}'
+        line = '{"kind": "KeyIndices"' + field + "}"
+        with pytest.raises(TranscriptError, match="KeyIndices"):
+            observe_transcript(Transcript.from_jsonl(line))
 
 
 class TestReconstruct:

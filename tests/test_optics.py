@@ -24,16 +24,16 @@ N = 200_000
 
 def lone_pulses(n_slots=N):
     """All-zero data: every slot is (pulse, empty), so every boundary holds one pulse."""
-    occ = np.zeros(2 * n_slots, dtype=bool)
-    occ[0::2] = True
-    return occ
+    return np.ones(n_slots, dtype=np.uint8)
 
 
-def rates(occ, seed=0, **params):
+def rates(train, seed=0, **params):
     """(data clicks per pulse, monitor clicks per boundary) of one receive call."""
     config = SimConfig(**{**IDEAL, **params})
-    (slots, _), monitor = receive(occ, config, np.random.default_rng(seed))
-    return slots.size / occ.sum(), np.count_nonzero(monitor) / (occ.size - 1)
+    (slots, _), monitor = receive(train, config, np.random.default_rng(seed))
+    pulses = np.count_nonzero(train & 1) + np.count_nonzero(train & 2)
+    assert monitor.size == 2 * train.size - 1
+    return slots.size / pulses, np.count_nonzero(monitor) / monitor.size
 
 
 def mean_from_rate(rate, n):
@@ -90,8 +90,8 @@ class TestBeamsplit:
         assert abs(monitor - 0.1) < 4 * se
 
     def test_vacuum(self):
-        occ = np.zeros(2 * N, dtype=bool)
-        (slots, _), monitor = receive(occ, SimConfig(**{**IDEAL, "t_b": 0.3}), RNG())
+        train = np.zeros(N, dtype=np.uint8)
+        (slots, _), monitor = receive(train, SimConfig(**{**IDEAL, "t_b": 0.3}), RNG())
         assert slots.size == 0 and not monitor.any()
 
     def test_symmetric(self):
@@ -108,10 +108,10 @@ class TestBeamsplit:
 
 class TestMonitorPort:
     def test_intact_pair_cancels(self):
-        occ = np.ones(2 * N, dtype=bool)
+        train = np.full(N, 3, dtype=np.uint8)  # all decoys: every bin holds a pulse
         for mode in DetectionMode:
             config = SimConfig(**{**IDEAL, "t_b": 0.5, "detection_mode": mode})
-            _, monitor = receive(occ, config, RNG())
+            _, monitor = receive(train, config, RNG())
             assert not monitor.any()
 
     def test_lone_pulse(self):
@@ -126,19 +126,21 @@ class TestMonitorPort:
 
     def test_partial_visibility(self):
         # an intact pair at visibility V leaks m (1 - V) / 2
-        occ = np.ones(2 * N, dtype=bool)
+        train = np.full(N, 3, dtype=np.uint8)
         m = 1.3 * 0.8 * (1 - 0.6)
         for v in (0.98, 0.7):
             p = 1 - math.exp(-0.7 * m * (1 - v) / 2)
             se = math.sqrt(p * (1 - p) / (2 * N - 1))
-            _, mon_rate = rates(occ, mu=1.3, channel_t=0.8, t_b=0.6, eta_mon=0.7, visibility=v)
+            _, mon_rate = rates(train, mu=1.3, channel_t=0.8, t_b=0.6, eta_mon=0.7, visibility=v)
             assert abs(mon_rate - p) < 4 * se
 
     def test_both_empty(self):
-        occ = np.zeros(2 * N, dtype=bool)
-        occ[0::4] = True  # slots alternate (pulse, empty) and (empty, empty)
-        _, monitor = receive(occ, SimConfig(**{**IDEAL, "t_b": 0.5, "visibility": 0.7}), RNG())
-        silent = ~(occ[:-1] | occ[1:])
+        train = np.zeros(N, dtype=np.uint8)
+        train[0::2] = 1  # slots alternate (pulse, empty) and (empty, empty)
+        _, monitor = receive(train, SimConfig(**{**IDEAL, "t_b": 0.5, "visibility": 0.7}), RNG())
+        # bins 1000 1000 ...: boundaries 4j+1 and 4j+2 join two empty bins
+        k = np.arange(monitor.size)
+        silent = (k % 4 == 1) | (k % 4 == 2)
         assert silent.sum() > 0
         assert not np.any(silent & monitor)
 
@@ -147,13 +149,14 @@ class TestMonitorPort:
     def test_never_negative(self, v, mus):
         # source means of the two interfering bins; the port mean is zero
         # only for an intact pair at V = 1 and positive everywhere else
-        occ = np.array(mus * 4) > 0
+        # four slots, each (mus[0], mus[1]); bit v of a slot holds bin v
+        train = np.full(4, (mus[0] > 0) | (mus[1] > 0) << 1, dtype=np.uint8)
         config = SimConfig(
             mu=max(mus), channel_t=1.0, t_b=0.5, visibility=v, detection_mode=DetectionMode.DETERMINISTIC
         )
-        _, monitor = receive(occ, config, RNG())
+        _, monitor = receive(train, config, RNG())
         cancels = mus[1] > 0 and v == 1.0
-        assert monitor.tolist() == [not cancels] * (occ.size - 1)
+        assert monitor.tolist() == [not cancels] * 7
 
 
 class TestClickProbability:
@@ -184,12 +187,12 @@ class TestClickProbability:
 
 class TestSampleClick:
     def test_degenerate(self):
-        occ = lone_pulses(1000)
+        train = lone_pulses(1000)
         # probability 0: nothing reaches either detector and darks are off
-        assert rates(occ, mu=0.5, channel_t=0.0) == (0.0, 0.0)
+        assert rates(train, mu=0.5, channel_t=0.0) == (0.0, 0.0)
         # probability 1: deterministic mode fires on every occupied bin
         det = SimConfig(mu=0.5, detection_mode=DetectionMode.DETERMINISTIC)
-        (slots, values), _ = receive(occ, det, RNG())
+        (slots, values), _ = receive(train, det, RNG())
         assert slots.tolist() == list(range(1000)) and not values.any()
 
     def test_fair(self):
