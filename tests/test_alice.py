@@ -230,11 +230,6 @@ class TestSlotPatternReference:
 
 
 class TestBoundaries:
-    def test_decoy_then_one_zero(self):
-        # bins 11 01 10: the decoy's own pair and the 1-then-0 boundary
-        train = encode(SlotMap(np.array([DECOY, 1, 0])))
-        assert coherent_boundaries(train).tolist() == [0, 3]
-
     def test_single_zero(self):
         assert coherent_boundaries(encode(SlotMap(np.array([0])))).tolist() == []
 
