@@ -128,7 +128,7 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> SlotMap:
 
 def encode(slot_map: SlotMap) -> np.ndarray:
     """Translate slots into the transmitted pulse train: one bin pattern per slot."""
-    return slot_map.codes + np.uint8(1)
+    return slot_map.codes + 1
 
 
 def coherent_boundaries(train: np.ndarray) -> np.ndarray:
@@ -138,7 +138,6 @@ def coherent_boundaries(train: np.ndarray) -> np.ndarray:
     2i+1 when slot i's late bin and slot i+1's early bin both hold pulses;
     only these can show perfect destructive interference at the monitor.
     """
-    train = np.asarray(train, dtype=np.uint8)
     coherent = np.zeros((train.size, 2), dtype=bool)
     coherent[:, 0] = train == 3
     coherent[:-1, 1] = (train[:-1] >> 1) & train[1:]
