@@ -13,7 +13,9 @@ One noisy substitute-pattern AND-mask run and one noisy sweep at
 n_bits=100_000 also carry digests, so output that differs only on long
 trains shows too.  Every grid size is a multiple of 8, so three noisy
 sampled AND-mask runs at n_bits=2003, one per decoy strategy, pin the
-last partial byte of Alice's raw bits and of Eve's mask.
+last partial byte of Alice's raw bits and of Eve's mask.  One noisy
+substitute-pattern AND-mask run at n_bits=600_000, whose checked boundaries
+reach 1.2M, pins the transcript's seven-digit numbers.
 """
 
 import hashlib
@@ -86,6 +88,15 @@ LONG_RUN = SimConfig(
     **NOISE,
 )
 LONG_SWEEP = SimConfig(n_bits=100_000, seed=6, **NOISE)
+
+# boundaries up to 2 * 600_000 - 1: seven-digit numbers in the transcript
+WIDE_RUN = SimConfig(
+    n_bits=600_000,
+    seed=7,
+    decoy_strategy=DecoyStrategy.SUBSTITUTE_PATTERN,
+    attack=Attack.AND_MASK,
+    **NOISE,
+)
 
 # 2003 bits (and 2671 frame-header slots) end in a partial byte
 TAIL_RUNS = {
@@ -307,6 +318,11 @@ GOLDEN_LONG_RUN = (
     "d6e74f1cfce848214e706eea4510fef015ef04e77e4f87672f1bef360ab95ac4",
 )
 
+GOLDEN_WIDE_RUN = (
+    "f6cd4668a186ef28352c37d104db359c4841590045f7d27be078e9c6da239915",
+    "004e95079f345c880bb88973716fe73b248042bdcc2928068313dfbcfea9a744",
+)
+
 GOLDEN_TAIL_RUNS = {
     "none": (
         "0c64e3867ab0840f4eced215ce01b4dd69c3036494d0d73deae1309da289336a",
@@ -339,6 +355,10 @@ def test_sweep_digests(name):
 
 def test_long_run_digests():
     assert run_digests(LONG_RUN) == GOLDEN_LONG_RUN
+
+
+def test_wide_run_digests():
+    assert run_digests(WIDE_RUN) == GOLDEN_WIDE_RUN
 
 
 @pytest.mark.parametrize("name", sorted(TAIL_RUNS))
