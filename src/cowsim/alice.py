@@ -153,4 +153,4 @@ def announce_coherence_checks(
     if config.f_coh == 1.0:
         return boundaries.copy()
     keep = rng.random(boundaries.size) < config.f_coh
-    return boundaries[keep]
+    return boundaries[np.flatnonzero(keep)]  # an index gather beats a boolean one here

@@ -203,7 +203,7 @@ def _transmit_and_sift(
 
     stats = RunStats(
         slots_sent=slot_map.n_slots,
-        decoy_slots=int(slot_map.is_decoy.sum()),
+        decoy_slots=int(np.count_nonzero(slot_map.codes == alice_mod.DECOY)),
         detections=int(detected[0].size),
         sifted_len=int(sift.kept_indices.size),
         qber=sift.qber,

@@ -2,7 +2,9 @@
 
 Every message is appended to a Transcript in a fixed order and is readable
 by anyone, including Eve.  The transcript serializes to JSON lines so a run
-can be replayed offline.
+can be replayed offline.  run_sifting keeps its index lists as numpy arrays
+inside the messages and to_jsonl writes them straight to text; get() and a
+replayed transcript show the same payloads as JSON values.
 """
 
 from __future__ import annotations
@@ -42,12 +44,53 @@ MESSAGE_ORDER = (
 
 @dataclass(frozen=True)
 class Message:
+    """One announcement: its kind and a payload of named values.
+
+    A payload value is a JSON value, or a 1-D integer numpy array that
+    stands for the list of its elements.
+    """
+
     kind: str
     payload: dict
 
 
 class TranscriptError(ValueError):
     """Raised on malformed or out-of-order transcripts."""
+
+
+def _json_ints(a: np.ndarray) -> str:
+    """json.dumps(a.tolist()) for a 1-D integer array, byte for byte.
+
+    Each number fills one fixed-width row of bytes: sign, digits, then
+    ", ".  The bytes left of its first digit (or sign) stay NUL and are
+    deleted in one pass over the whole buffer.
+    """
+    if a.size == 0:
+        return "[]"
+    mag = a.astype(np.uint64)
+    neg = a < 0
+    signed = bool(neg.any())
+    if signed:
+        mag[neg] = -mag[neg]  # modulo 2**64, so int64's minimum comes out too
+    top = int(mag.max())
+    width = len(str(top))
+    if top < 2**32:
+        mag = mag.astype(np.uint32)  # divides faster
+    rows = np.zeros((a.size, signed + width + 2), dtype=np.uint8)
+    q = mag
+    for k in range(width):  # k-th digit from the right
+        q_next = q // 10
+        digit = q - q_next * 10
+        digit += ord("0")
+        if k:
+            digit[mag < 10**k] = 0
+        rows[:, signed + width - 1 - k] = digit
+        q = q_next
+    if signed:
+        rows[neg, 0] = ord("-")
+    rows[:, -2] = ord(",")
+    rows[:, -1] = ord(" ")
+    return "[" + rows.tobytes().translate(None, b"\0")[:-2].decode("ascii") + "]"
 
 
 @dataclass
@@ -66,19 +109,44 @@ class Transcript:
                 raise TranscriptError(
                     f"{kind} may not follow {self.messages[-1].kind}"
                 )
+        for key, value in payload.items():
+            if not isinstance(key, str) or key == "kind":
+                raise TranscriptError(f"{kind} payload key {key!r}: must be a str other than 'kind'")
+            if isinstance(value, np.ndarray) and (value.ndim != 1 or value.dtype.kind not in "iu"):
+                raise TranscriptError(f"{kind} payload {key!r}: arrays must be 1-D integer arrays")
         self.messages.append(Message(kind, payload))
 
     def get(self, kind: str) -> dict:
+        """The first kind message's payload as JSON values: a new dict, arrays as lists of int."""
         for msg in self.messages:
             if msg.kind == kind:
-                return msg.payload
+                return {
+                    key: value.tolist() if isinstance(value, np.ndarray) else value
+                    for key, value in msg.payload.items()
+                }
         raise TranscriptError(f"transcript has no {kind} message")
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps({"kind": m.kind, **m.payload}, sort_keys=True)
-            for m in self.messages
-        ]
+        """One json.dumps({"kind": kind, **payload}, sort_keys=True) line per message.
+
+        Each line is built key by key so that arrays go through _json_ints
+        and never through a list of Python ints.  An array held by several
+        messages (the checked boundaries) is formatted once.
+        """
+        arrays: dict[int, str] = {}  # id -> text; the messages keep every array alive
+
+        def value_text(value) -> str:
+            if not isinstance(value, np.ndarray):
+                return json.dumps(value, sort_keys=True)
+            if id(value) not in arrays:
+                arrays[id(value)] = _json_ints(value)
+            return arrays[id(value)]
+
+        lines = []
+        for m in self.messages:
+            record = {"kind": m.kind, **m.payload}
+            fields = (f"{json.dumps(key)}: {value_text(value)}" for key, value in sorted(record.items()))
+            lines.append("{" + ", ".join(fields) + "}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -177,29 +245,18 @@ def run_sifting(
 
     alice_key = slot_map.codes[kept]
 
-    checked_list = checked.tolist()
     transcript = Transcript()
-    transcript.append("DetectionReport", {"slots": slots.tolist()})
-    transcript.append("DecoyDiscard", {"slots": decoy_detected.tolist()})
-    transcript.append("VerificationRequest", {"slots": verify_slots.tolist()})
+    transcript.append("DetectionReport", {"slots": slots})
+    transcript.append("DecoyDiscard", {"slots": decoy_detected})
+    transcript.append("VerificationRequest", {"slots": verify_slots})
     transcript.append(
         "VerificationReveal",
-        {
-            "slots": verify_slots.tolist(),
-            "alice_bits": reveal_alice.tolist(),
-            "bob_bits": reveal_bob.tolist(),
-        },
+        {"slots": verify_slots, "alice_bits": reveal_alice, "bob_bits": reveal_bob},
     )
-    transcript.append("CoherenceCheck", {"boundaries": checked_list})
-    transcript.append(
-        "MonitorReport",
-        {
-            "boundaries": checked_list,
-            "clicks": clicks.astype(int).tolist(),
-        },
-    )
+    transcript.append("CoherenceCheck", {"boundaries": checked})
+    transcript.append("MonitorReport", {"boundaries": checked, "clicks": clicks.view(np.uint8)})
     transcript.append("Verdict", {"verdict": verdict})
-    transcript.append("KeyIndices", {"slots": kept.tolist()})
+    transcript.append("KeyIndices", {"slots": kept})
 
     result = SiftResult(
         kept_indices=kept,

@@ -1,8 +1,11 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cowsim.alice import DECOY, DecoyStrategy, SlotMap
 from cowsim.engine import Attack, SimConfig, run
@@ -11,6 +14,7 @@ from cowsim.sifting import (
     Transcript,
     TranscriptError,
     _alarm_threshold,
+    _json_ints,
     compute_qber,
     run_sifting,
 )
@@ -18,6 +22,13 @@ from cowsim.sifting import (
 NO_MONITOR = (np.array([], dtype=np.int64), np.array([], dtype=bool))
 NOTHING_DETECTED = (np.array([], dtype=np.int64), np.array([], dtype=np.uint8))
 NO_VERIFY = SimConfig(f_verify=0.0)
+
+INT64 = np.iinfo(np.int64)
+# every digit-count boundary within int64, both signs, and both ends of the range
+WIDE_EDGES = sorted(
+    {0, INT64.max, INT64.min}
+    | {sign * v for k in range(1, 19) for v in (10**k - 1, 10**k) for sign in (1, -1)}
+)
 
 
 class TestQber:
@@ -173,6 +184,110 @@ class TestTranscript:
         text = '{"kind": "DetectionReport", "slots": []}\n' + line + "\n"
         with pytest.raises(TranscriptError, match="line 2"):
             Transcript.from_jsonl(text)
+
+
+class TestJsonInts:
+    """_json_ints(a) is json.dumps(a.tolist()), byte for byte."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(st.integers(INT64.min, INT64.max), st.sampled_from(WIDE_EDGES))))
+    def test_int64(self, values):
+        a = np.array(values, dtype=np.int64)
+        assert _json_ints(a) == json.dumps(a.tolist())
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 255)))
+    def test_uint8(self, values):
+        a = np.array(values, dtype=np.uint8)
+        assert _json_ints(a) == json.dumps(a.tolist())
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([], dtype=np.int64),
+            np.array([], dtype=np.uint8),
+            np.array([0]),
+            np.array(WIDE_EDGES),
+            np.array([-1, 0, 1, -9, 10, -10]),
+            np.array([np.iinfo(np.uint64).max, 10**19, 10**19 - 1, 0], dtype=np.uint64),
+        ],
+        ids=["empty", "empty-uint8", "zero", "edges", "small-signed", "uint64"],
+    )
+    def test_edges(self, a):
+        assert _json_ints(a) == json.dumps(a.tolist())
+
+
+def _noisy_run():
+    config = SimConfig(n_bits=3000, attack=Attack.AND_MASK, p_dark_data=1e-3, p_dark_mon=1e-3, seed=4)
+    _, transcript, _ = run(config)
+    return transcript
+
+
+class TestTranscriptPayloads:
+    def test_get_returns_lists_of_python_ints(self):
+        transcript = _noisy_run()
+        for kind in MESSAGE_ORDER:
+            for key, value in transcript.get(kind).items():
+                if kind == "Verdict":
+                    assert isinstance(value, str)
+                else:
+                    assert type(value) is list, (kind, key)
+                    assert {type(v) for v in value} <= {int}, (kind, key)
+        assert any(transcript.get("MonitorReport")["clicks"])
+
+    def test_get_returns_a_new_dict(self):
+        transcript = _noisy_run()
+        transcript.get("KeyIndices")["slots"] = []
+        assert transcript.get("KeyIndices")["slots"] != []
+
+    @pytest.mark.parametrize("strategy", list(DecoyStrategy))
+    def test_to_jsonl_matches_json_dumps(self, strategy):
+        config = SimConfig(
+            n_bits=3000, decoy_strategy=strategy, attack=Attack.AND_MASK, p_dark_mon=1e-3, seed=6
+        )
+        _, transcript, _ = run(config)
+        reference = "".join(
+            json.dumps({"kind": k, **transcript.get(k)}, sort_keys=True) + "\n"
+            for k in MESSAGE_ORDER
+        )
+        assert transcript.to_jsonl() == reference
+
+    def test_to_jsonl_matches_json_dumps_on_mixed_values(self):
+        t = Transcript()
+        t.append(
+            "DetectionReport",
+            {
+                "z": {"b": [1, 2], "a": "\u00e9"},
+                "slots": np.array([-3, 0, INT64.max]),
+                "bits": np.array([1, 0], dtype=np.uint8),
+                "rate": 0.1,
+                "none": None,
+            },
+        )
+        t.append("Verdict", {"verdict": "accept"})
+        reference = "".join(
+            json.dumps({"kind": k, **t.get(k)}, sort_keys=True) + "\n"
+            for k in ("DetectionReport", "Verdict")
+        )
+        assert t.to_jsonl() == reference
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "Verdict", "slots": [1]},
+            {1: 2},
+            {None: [1]},
+            {"slots": np.array([True, False])},
+            {"slots": np.array([1.5])},
+            {"slots": np.zeros((2, 2), dtype=np.int64)},
+        ],
+        ids=["kind-key", "int-key", "none-key", "bool-array", "float-array", "2d-array"],
+    )
+    def test_bad_payload_rejected(self, payload):
+        t = Transcript()
+        with pytest.raises(TranscriptError, match="KeyIndices payload"):
+            t.append("KeyIndices", payload)
+        assert t.messages == []
 
 
 class TestDiscardCorrectness:
