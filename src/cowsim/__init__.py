@@ -10,7 +10,7 @@ from .alice import (
     generate_raw_bits,
     insert_decoys,
 )
-from .bob import DetectionMode, receive
+from .bob import receive
 from .engine import (
     Attack,
     CompareResult,

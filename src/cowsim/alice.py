@@ -60,10 +60,6 @@ class SlotMap:
     def n_slots(self) -> int:
         return int(self.codes.size)
 
-    @property
-    def is_decoy(self) -> np.ndarray:
-        return self.codes == DECOY
-
 
 def generate_raw_bits(n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent uniform key bits."""

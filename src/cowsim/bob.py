@@ -29,7 +29,6 @@ same draws from one seed.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -41,15 +40,9 @@ if TYPE_CHECKING:
     from .engine import SimConfig
 
 __all__ = [
-    "DetectionMode",
     "receive",
     "detect_data",
 ]
-
-class DetectionMode(Enum):
-    SAMPLED = "sampled"
-    # test-oracle mode: any nonempty bin clicks, darks off, rng untouched
-    DETERMINISTIC = "deterministic"
 
 
 def receive(
@@ -63,12 +56,12 @@ def receive(
     and bit values, and one boolean per interferometer boundary k (bins k
     and k+1) for the monitor detector.
 
-    The sampled path draws first the data detector's numbers (detect_data),
-    then the monitor's over the 2n - 1 interferometer boundaries.  Each
-    detector thins geometric gaps drawn at its largest click probability
-    p_max, so what is drawn depends only on the train length and the two
-    p_max values, never on the channel contents: runs with and without
-    Eve's mask stay draw-aligned for controlled comparisons.
+    It draws first the data detector's numbers (detect_data), then the
+    monitor's over the 2n - 1 interferometer boundaries.  Each detector
+    thins geometric gaps drawn at its largest click probability p_max, so
+    what is drawn depends only on the train length and the two p_max
+    values, never on the channel contents: runs with and without Eve's
+    mask stay draw-aligned for controlled comparisons.
     """
     train = np.asarray(train, dtype=np.uint8)
     detected = detect_data(train, config, rng)
@@ -80,9 +73,9 @@ def receive(
     port = np.array([0.0, m / 4.0, (m - config.visibility * m) / 2.0])
 
     n_boundaries = max(2 * train.size - 1, 0)
-    clicked = _clicked(
-        port, n_boundaries, partial(_pair_level, train),
-        config.eta_mon, config.p_dark_mon, config.detection_mode, rng,
+    clicked = _sample_clicks(
+        click_probability(port, config.eta_mon, config.p_dark_mon),
+        n_boundaries, partial(_pair_level, train), rng,
     )
     mon_clicks = np.zeros(n_boundaries, dtype=bool)
     mon_clicks[clicked] = True
@@ -97,19 +90,19 @@ def detect_data(
     """The data detector's (slots, values) for a slot-pattern train.
 
     slots is strictly increasing; a click in bin 2i+v gives slot i and the
-    uint8 value v.  The sampled path draws candidate bins by geometric gaps
-    at rate p_max, the click probability of a pulse bin, and a candidate
-    clicks iff a uniform u < p[level] / p_max.  What is drawn depends only
-    on the train length and p_max, not on which bins hold pulses.  Dead time
-    is gated per information slot: an early-bin click shadows the late bin
-    of the same slot and the detector re-arms at the next slot boundary, so
-    a slot never yields two clicks.
+    uint8 value v.  Candidate bins are drawn by geometric gaps at rate
+    p_max, the click probability of a pulse bin, and a candidate clicks iff
+    a uniform u < p[level] / p_max.  What is drawn depends only on the train
+    length and p_max, not on which bins hold pulses.  Dead time is gated per
+    information slot: an early-bin click shadows the late bin of the same
+    slot and the detector re-arms at the next slot boundary, so a slot never
+    yields two clicks.
     """
     train = np.asarray(train, dtype=np.uint8)
     data_mean = np.array([0.0, config.mu * config.channel_t * config.t_b])
-    pos = _clicked(
-        data_mean, 2 * train.size, partial(_bin_level, train),
-        config.eta_data, config.p_dark_data, config.detection_mode, rng,
+    pos = _sample_clicks(
+        click_probability(data_mean, config.eta_data, config.p_dark_data),
+        2 * train.size, partial(_bin_level, train), rng,
     )
     slots = pos >> 1
     # positions are sorted, so keeping each slot's first click lets the early bin win
@@ -128,22 +121,6 @@ def _pair_level(train: np.ndarray, k: np.ndarray) -> np.ndarray:
     bin of slot k >> 1 plus the early bin of slot (k + 1) >> 1, which is the
     same slot when k is even."""
     return (train[k >> 1] >> 1) + (train[(k + 1) >> 1] & 1)
-
-
-def _clicked(
-    mean: np.ndarray,
-    n: int,
-    level_at,
-    eta: float,
-    p_dark: float,
-    mode: DetectionMode,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sorted positions i < n whose detector clicks on mean photon number
-    mean[level_at(i)]; level_at maps an int64 position array to levels."""
-    if mode is DetectionMode.DETERMINISTIC:
-        return np.flatnonzero((mean > 0.0)[level_at(np.arange(n))])
-    return _sample_clicks(click_probability(mean, eta, p_dark), n, level_at, rng)
 
 
 def _sample_clicks(p: np.ndarray, n: int, level_at, rng: np.random.Generator) -> np.ndarray:

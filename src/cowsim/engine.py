@@ -19,7 +19,6 @@ from . import alice as alice_mod
 from . import bob as bob_mod
 from . import eve as eve_mod
 from .alice import DecoyStrategy
-from .bob import DetectionMode
 from .eve import EveRecord
 from .optics import detectable_fraction, splittable_fraction
 from .sifting import Transcript, run_sifting
@@ -83,7 +82,6 @@ class SimConfig:
     f_coh: float = 0.25
     alarm_threshold: float | None = None  # None -> dark-count floor + 3 sigma
     seed: int = 1
-    detection_mode: DetectionMode = DetectionMode.SAMPLED
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -297,27 +295,34 @@ TABLE1_EXPECTED = (
 )
 
 
+# Detector settings at which every click probability is exactly 0 or 1: each
+# nonzero mean times eta is far past 54 ln 2 ~ 37.4, so 1 - exp(-eta mean)
+# rounds to 1.0, while a zero mean (an empty bin, or an intact pair at V = 1)
+# never clicks.  Every geometric gap is then 1 and every u < 1 holds, so the
+# sampled detectors click exactly where light arrives, whatever the seed.
+_SATURATED = dict(mu=1e6, channel_t=1.0, eta_data=1.0, eta_mon=1.0, p_dark_data=0.0, p_dark_mon=0.0)
+
+
 def table1_rows() -> tuple[list[tuple[str, ...]], bool]:
-    """Reproduce the worked attack example with deterministic detection.
+    """Reproduce the worked attack example with saturated detectors.
 
     Returns the simulated six rows (alice bit, alice bins, eve bit, eve bins,
     received bins, decoded bit) and whether they match TABLE1_EXPECTED.
     """
-    slot_map = alice_mod.SlotMap(np.array([0, 0, 1, 1, alice_mod.DECOY, alice_mod.DECOY]))
+    codes = np.array([0, 0, 1, 1, alice_mod.DECOY, alice_mod.DECOY])
     mask = eve_mod.EveMask(np.array([0, 1, 0, 1, 0, 1]))
-    train = alice_mod.encode(slot_map)
+    train = alice_mod.encode(alice_mod.SlotMap(codes))
     sent = eve_mod.apply_and_mask(train, mask)
 
-    config = SimConfig(channel_t=1.0, detection_mode=DetectionMode.DETERMINISTIC)
-    (slots, values), _ = bob_mod.receive(sent, config, np.random.default_rng(0))
+    (slots, values), _ = bob_mod.receive(sent, SimConfig(**_SATURATED), np.random.default_rng(0))
     decoded = dict(zip(slots.tolist(), values.tolist()))
 
     def bins_str(train, slot):
         return f"{train[slot] & 1}{train[slot] >> 1}"
 
     rows = []
-    for s in range(slot_map.n_slots):
-        alice_ib = "d.s." if slot_map.is_decoy[s] else str(int(slot_map.codes[s]))
+    for s in range(codes.size):
+        alice_ib = "d.s." if codes[s] == alice_mod.DECOY else str(codes[s])
         eve_bit = int(mask.bits[s])
         rows.append(
             (

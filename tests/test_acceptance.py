@@ -9,8 +9,7 @@ import numpy as np
 
 from cowsim import alice, bob, eve
 from cowsim.alice import DECOY, DecoyStrategy, SlotMap
-from cowsim.bob import DetectionMode
-from cowsim.engine import Attack, SimConfig, compare_attack, run
+from cowsim.engine import _SATURATED, Attack, SimConfig, compare_attack, run
 from cowsim.eve import EveMask
 from cowsim.optics import detectable_fraction, splittable_fraction
 from cowsim.sifting import run_sifting
@@ -25,7 +24,7 @@ def test_criterion_1_table1_reproduction():
     slot_map = SlotMap(np.array([0, 0, 1, 1, DECOY, DECOY]))
     mask = EveMask(np.array([0, 1, 0, 1, 0, 1]))
     sent = eve.apply_and_mask(alice.encode(slot_map), mask)
-    config = SimConfig(channel_t=1.0, t_b=0.9, detection_mode=DetectionMode.DETERMINISTIC)
+    config = SimConfig(t_b=0.9, **_SATURATED)
     detected, _ = bob.receive(sent, config, np.random.default_rng(0))
 
     slots, values = detected

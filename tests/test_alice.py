@@ -13,8 +13,8 @@ from cowsim.alice import (
     generate_raw_bits,
     insert_decoys,
 )
-from cowsim.bob import DetectionMode, _bin_level, _pair_level, receive
-from cowsim.engine import SimConfig
+from cowsim.bob import _bin_level, _pair_level, receive
+from cowsim.engine import _SATURATED, SimConfig
 from cowsim.eve import EveMask, apply_and_mask
 
 
@@ -206,7 +206,7 @@ class TestEncode:
         slot_map = SlotMap(np.array(codes, dtype=np.uint8))
         train = encode(slot_map)
         per_slot = (train & 1) + (train >> 1)
-        expect = np.where(slot_map.is_decoy, 2, 1)
+        expect = np.where(slot_map.codes == DECOY, 2, 1)
         assert np.array_equal(per_slot, expect)
 
 
@@ -258,7 +258,7 @@ class TestRoundTrip:
     def test_noiseless_decode_recovers_bits(self):
         bits = generate_raw_bits(500, np.random.default_rng(3))
         slot_map = insert_decoys(bits, DecoyStrategy.NONE)
-        config = SimConfig(channel_t=1.0, detection_mode=DetectionMode.DETERMINISTIC)
+        config = SimConfig(**_SATURATED)
         (slots, values), _ = receive(encode(slot_map), config, np.random.default_rng(0))
         assert slots.tolist() == list(range(len(bits)))
         assert np.array_equal(values, bits)

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from cowsim import bob
 from cowsim.alice import DECOY, SlotMap, encode, generate_raw_bits
-from cowsim.bob import DetectionMode, _sample_clicks, detect_data, receive
-from cowsim.engine import SimConfig
+from cowsim.bob import _sample_clicks, detect_data, receive
+from cowsim.engine import _SATURATED, SimConfig
 from cowsim.eve import EveMask, apply_and_mask
 from cowsim.optics import click_probability
 from cowsim.sifting import run_sifting
 
 IDEAL = SimConfig(channel_t=1.0, t_b=0.9, eta_data=1.0, eta_mon=1.0)
-ORACLE = replace(IDEAL, detection_mode=DetectionMode.DETERMINISTIC)
+# every click probability 0 or 1: the detectors click exactly where light arrives
+ORACLE = replace(IDEAL, **_SATURATED)
 
 
 def _train(codes):
@@ -197,16 +198,6 @@ class TestDetectData:
         _sample_levels(np.array([lone]), np.zeros(2 * train.size - 1, dtype=np.uint8), rng_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
-    def test_deterministic_draws_nothing(self):
-        train = self.TRAIN
-        config = replace(self.NOISY, detection_mode=DetectionMode.DETERMINISTIC)
-        rng = np.random.default_rng(5)
-        start = rng.bit_generator.state
-        (slots, values), _ = receive(train, config, rng)
-        ref_slots, ref_values = detect_data(train, config, rng)
-        assert np.array_equal(slots, ref_slots) and np.array_equal(values, ref_values)
-        assert rng.bit_generator.state == start
-
 
 class TestCoupling:
     @given(
@@ -235,7 +226,7 @@ class TestCoupling:
 
 
 class TestDecode:
-    # deterministic detection clicks exactly in the occupied bins
+    # saturated detection clicks exactly in the occupied bins
 
     @staticmethod
     def _detect(bins):
@@ -273,8 +264,9 @@ class TestMonitor:
     )
     def test_deterministic_pair_leak(self, visibility, clicked):
         # bins 11 01 10: intact pairs at boundaries 0 and 3 cancel only at
-        # V=1; any smaller visibility leaks and the oracle clicks there
-        config = replace(ORACLE, visibility=visibility)
+        # V=1; any smaller visibility leaks and the oracle clicks there.  At
+        # mu=1e17 the monitor arm gets 1e16, so a 1e-13 deficit still leaks 500
+        config = replace(ORACLE, visibility=visibility, mu=1e17)
         _, monitor = receive(_train([DECOY, 1, 0]), config, np.random.default_rng(0))
         assert np.flatnonzero(monitor).tolist() == clicked
 
@@ -317,29 +309,58 @@ def _detect_on_grid(clicks):
     return bins // 2, bins % 2
 
 
+def _nonzero_mean_reference(train, config):
+    """The deterministic rule the saturated config replaced: a position clicks
+    iff its mean is nonzero, as np.flatnonzero((mean > 0)[level]).  Returns
+    the data detector's (slots, values) and the monitor's clicked boundaries."""
+    bins = np.stack([train & 1, train >> 1], axis=1).ravel()
+    data_mean = np.array([0.0, config.mu * config.channel_t * config.t_b])
+    m = config.mu * config.channel_t * (1 - config.t_b)
+    port = np.array([0.0, m / 4, (m - config.visibility * m) / 2])
+    data = np.flatnonzero((data_mean > 0)[bins])
+    monitor = np.flatnonzero((port > 0)[bins[:-1] + bins[1:]])
+    return _detect_on_grid(_grid(data, bins.size)), monitor
+
+
+class TestSaturatedReference:
+    @given(
+        codes=st.lists(st.integers(0, DECOY), min_size=1, max_size=200),
+        mask_seed=st.none() | st.integers(0, 2**32 - 1),
+        visibility=st.sampled_from([1.0, 0.98, 0.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_receive_matches_nonzero_mean_rule(self, codes, mask_seed, visibility, seed):
+        # random slot patterns, with or without a random AND mask: under the
+        # saturated config both detectors click exactly where the mean is nonzero
+        train = _train(codes)
+        if mask_seed is not None:
+            bits = np.random.default_rng(mask_seed).integers(0, 2, size=len(codes))
+            train = apply_and_mask(train, EveMask(bits))
+        config = SimConfig(visibility=visibility, **_SATURATED)
+        (slots, values), monitor = receive(train, config, np.random.default_rng(seed))
+        (ref_slots, ref_values), ref_monitor = _nonzero_mean_reference(train, config)
+        assert np.array_equal(slots, ref_slots) and np.array_equal(values, ref_values)
+        assert np.array_equal(np.flatnonzero(monitor), ref_monitor)
+
+
 class TestIndexFormulation:
     @given(
         n_slots=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
         p_click=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-        mode=st.sampled_from(DetectionMode),
     )
-    def test_grid_matches_index_formulation(self, n_slots, seed, p_click, mode):
-        # random trains; in sampled mode every bin clicks with probability
-        # p_click.  The reference scatters the same sampler draws on the bin
-        # grid and applies the dense-grid rule.
+    def test_grid_matches_index_formulation(self, n_slots, seed, p_click):
+        # random trains; every bin clicks with probability p_click.  The
+        # reference scatters the same sampler draws on the bin grid and
+        # applies the dense-grid rule.
         rng = np.random.default_rng(seed)
         train = rng.integers(0, 4, n_slots, dtype=np.uint8)
         occupancy = np.stack([train & 1, train >> 1], axis=1).ravel().astype(bool)
-        config = replace(IDEAL, detection_mode=mode)
         p = np.array([p_click, p_click])
-        if mode is DetectionMode.DETERMINISTIC:
-            raw = occupancy
-        else:
-            pos = _sample_levels(p, occupancy.view(np.uint8), np.random.default_rng(seed))
-            raw = _grid(pos, occupancy.size)
+        pos = _sample_levels(p, occupancy.view(np.uint8), np.random.default_rng(seed))
+        raw = _grid(pos, occupancy.size)
         with mock.patch.object(bob, "click_probability", lambda mean, eta, p_dark: p):
-            slots, values = detect_data(train, config, np.random.default_rng(seed))
+            slots, values = detect_data(train, IDEAL, np.random.default_rng(seed))
         ref_slots, ref_values = _detect_on_grid(raw)
         assert np.array_equal(slots, ref_slots)
         assert np.array_equal(values, ref_values)

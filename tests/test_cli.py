@@ -194,6 +194,7 @@ class TestCommands:
             (["run", "--set", "alarm_threshold=5"], "alarm_threshold"),
             (["sweep-mu", "--mu-grid", ","], "--mu-grid"),
             (["run", "--set", "eve_mode=random"], "eve_mode"),
+            (["run", "--set", "detection_mode=deterministic"], "detection_mode"),
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, argv, key):

@@ -6,8 +6,8 @@ import pytest
 
 from cowsim import engine
 from cowsim.alice import DecoyStrategy
-from cowsim.bob import DetectionMode
 from cowsim.engine import (
+    _SATURATED,
     Attack,
     SimConfig,
     NoKeyError,
@@ -25,9 +25,8 @@ class TestRun:
         config = SimConfig(
             n_bits=2,
             decoy_strategy=DecoyStrategy.NONE,
-            detection_mode=DetectionMode.DETERMINISTIC,
             f_verify=0.0,
-            **IDEAL,
+            **_SATURATED,
         )
         stats, transcript, _ = run(config)
         assert stats.sifted_len == 2

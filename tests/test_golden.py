@@ -5,9 +5,13 @@ must keep every digest; a change that means to alter the output says so and
 records the new digests.
 
 Grid: seeds {1, 2} x 3 decoy strategies x attack {none, andmask} x
-detection_mode {sampled, deterministic} at n_bits=2000, each run both clean
-and noisy.  Noisy runs add dark counts (p_dark_data=p_dark_mon=1e-3) and
-visibility 0.98.  Eve's mask is random in every run; names say "random".
+detectors {sampled, deterministic} at n_bits=2000, each run both clean and
+noisy.  Noisy runs add dark counts (p_dark_data=p_dark_mon=1e-3) and
+visibility 0.98.  "deterministic" runs then saturate the detectors
+(engine._SATURATED: mu=1e6, unit efficiencies and transmittance, no dark
+counts), so every click probability is 0 or 1 and the clicks follow the
+light alone; their noisy runs keep V=0.98 with darks of 0.  Eve's mask is
+random in every run; names say "random".
 
 One noisy substitute-pattern AND-mask run and one noisy sweep at
 n_bits=100_000 also carry digests, so output that differs only on long
@@ -20,34 +24,39 @@ reach 1.2M, pins the transcript's seven-digit numbers.
 
 import hashlib
 import itertools
+import math
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from cowsim import Attack, DecoyStrategy, DetectionMode, SimConfig, run, sweep_mu
-from cowsim.engine import table1_rows
+from cowsim import Attack, DecoyStrategy, SimConfig, bob, run, sweep_mu
+from cowsim.engine import _SATURATED, table1_rows
+from cowsim.optics import click_probability
 
+DETECTORS = {"sampled": {}, "deterministic": _SATURATED}
 FACTORS = (
     (1, 2),
     tuple(DecoyStrategy),
     tuple(Attack),
-    tuple(DetectionMode),
+    tuple(DETECTORS),
     (False, True),
 )
 NOISE = dict(p_dark_data=1e-3, p_dark_mon=1e-3, visibility=0.98)
 
 
 def _grid():
-    for seed, strategy, attack, mode, noisy in itertools.product(*FACTORS):
+    for seed, strategy, attack, detectors, noisy in itertools.product(*FACTORS):
         config = SimConfig(
             n_bits=2000,
             seed=seed,
             decoy_strategy=strategy,
             attack=attack,
-            detection_mode=mode,
-            **(NOISE if noisy else {}),
+            # saturation comes after the noise, so it zeroes the darks
+            **{**(NOISE if noisy else {}), **DETECTORS[detectors]},
         )
         name = "-".join(
-            [str(seed), strategy.value, attack.value, "random", mode.value]
+            [str(seed), strategy.value, attack.value, "random", detectors]
             + (["noisy"] if noisy else [])
         )
         yield name, config
@@ -69,7 +78,6 @@ SWEEP_GRID = (0.1, 0.5, 1.3)
 SWEEP_CONFIGS = {
     "clean": SimConfig(n_bits=2000, seed=1),
     "noisy": SimConfig(n_bits=2000, seed=2, **NOISE),
-    "deterministic": SimConfig(n_bits=2000, seed=3, detection_mode=DetectionMode.DETERMINISTIC),
 }
 
 
@@ -309,7 +317,6 @@ GOLDEN_RUNS = {
 
 GOLDEN_SWEEPS = {
     "clean": "34aeaf709a5620b4c2dd424cbb785ce0f08b29176d65bdd8abc3a72d3cae9d5c",
-    "deterministic": "623d5b22d1a48f0d4f67af4fcff44c890e9da8ccd46e5035af411e0de012f802",
     "noisy": "2b588a46538a7dbcb8c93c60b19e8e9cfc057df92c04c3bbc4805b4a68a3cd09",
 }
 
@@ -376,6 +383,34 @@ def test_table1_digest():
 
 def test_grid_shape():
     assert len(GRID) == 48
-    noisy = [c for c in GRID.values() if c.visibility == 0.98]
+    noisy = {name: c for name, c in GRID.items() if name.endswith("-noisy")}
     assert len(noisy) == 24
-    assert all(c.p_dark_data == c.p_dark_mon == 1e-3 for c in noisy)
+    for name, c in noisy.items():
+        # noisy sampled runs keep their darks; saturation zeroes them
+        dark = 0.0 if "-deterministic" in name else 1e-3
+        assert c.visibility == 0.98 and c.p_dark_data == c.p_dark_mon == dark, name
+    saturated = [c for name, c in GRID.items() if "-deterministic" in name]
+    assert len(saturated) == 24
+    assert all(getattr(c, k) == v for c in saturated for k, v in _SATURATED.items())
+
+
+def test_saturation_bound():
+    # 1 - exp(-x) rounds to exactly 1.0 only from x = 54 ln 2 ~ 37.4 on
+    assert click_probability(37.3, 1.0, 0.0) < 1.0 == click_probability(37.5, 1.0, 0.0)
+    # every saturated golden setting (clean, and noisy at V=0.98) and Table 1's
+    configs = [c for name, c in GRID.items() if "-deterministic" in name]
+    configs.append(SimConfig(**_SATURATED))
+    for config in configs:
+        # the means receive hands click_probability: data bins, then monitor ports
+        with mock.patch.object(bob, "click_probability", wraps=click_probability) as spy:
+            bob.receive(np.array([1, 2, 3], dtype=np.uint8), config, np.random.default_rng(0))
+        calls = [c.args for c in spy.call_args_list]
+        (data_mean, *_), (port, *_) = calls
+        # only an empty bin, and an intact pair at V = 1, carry no light
+        assert (data_mean > 0).tolist() == [False, True]
+        assert (port > 0).tolist() == [False, True, config.visibility < 1.0]
+        for mean, eta, p_dark in calls:
+            lit = mean > 0
+            assert np.all(eta * mean[lit] >= 54 * math.log(2))
+            p = click_probability(mean, eta, p_dark)
+            assert np.all(p[lit] == 1.0) and np.all(p[~lit] == 0.0)

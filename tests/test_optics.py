@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from cowsim.bob import DetectionMode, receive
-from cowsim.engine import SimConfig
+from cowsim.bob import receive
+from cowsim.engine import _SATURATED, SimConfig
 from cowsim.optics import click_probability, detectable_fraction, splittable_fraction
 
 RNG = lambda: np.random.default_rng(1234)
@@ -109,8 +109,8 @@ class TestBeamsplit:
 class TestMonitorPort:
     def test_intact_pair_cancels(self):
         train = np.full(N, 3, dtype=np.uint8)  # all decoys: every bin holds a pulse
-        for mode in DetectionMode:
-            config = SimConfig(**{**IDEAL, "t_b": 0.5, "detection_mode": mode})
+        for saturated in ({}, _SATURATED):
+            config = SimConfig(**{**IDEAL, "t_b": 0.5, **saturated})
             _, monitor = receive(train, config, RNG())
             assert not monitor.any()
 
@@ -149,11 +149,10 @@ class TestMonitorPort:
     def test_never_negative(self, v, mus):
         # source means of the two interfering bins; the port mean is zero
         # only for an intact pair at V = 1 and positive everywhere else
-        # four slots, each (mus[0], mus[1]); bit v of a slot holds bin v
+        # four slots, each (mus[0], mus[1]); bit v of a slot holds bin v.
+        # Saturated detectors click iff the port mean is positive.
         train = np.full(4, (mus[0] > 0) | (mus[1] > 0) << 1, dtype=np.uint8)
-        config = SimConfig(
-            mu=max(mus), channel_t=1.0, t_b=0.5, visibility=v, detection_mode=DetectionMode.DETERMINISTIC
-        )
+        config = SimConfig(t_b=0.5, visibility=v, **_SATURATED)
         _, monitor = receive(train, config, RNG())
         cancels = mus[1] > 0 and v == 1.0
         assert monitor.tolist() == [not cancels] * 7
@@ -190,8 +189,8 @@ class TestSampleClick:
         train = lone_pulses(1000)
         # probability 0: nothing reaches either detector and darks are off
         assert rates(train, mu=0.5, channel_t=0.0) == (0.0, 0.0)
-        # probability 1: deterministic mode fires on every occupied bin
-        det = SimConfig(mu=0.5, detection_mode=DetectionMode.DETERMINISTIC)
+        # probability 1: a saturated detector fires on every occupied bin
+        det = SimConfig(**_SATURATED)
         (slots, values), _ = receive(train, det, RNG())
         assert slots.tolist() == list(range(1000)) and not values.any()
 

@@ -308,4 +308,4 @@ class TestDiscardCorrectness:
         bits = generate_raw_bits(2000, rng)
         slot_map = insert_decoys(bits, DecoyStrategy.FRAME_HEADER)
         kept = transcript.get("KeyIndices")["slots"]
-        assert not any(slot_map.is_decoy[s] for s in kept)
+        assert not np.any(slot_map.codes[kept] == DECOY)
