@@ -3,10 +3,8 @@
 from .alice import (
     DECOY,
     DecoyStrategy,
-    SlotMap,
     announce_coherence_checks,
     coherent_boundaries,
-    encode,
     generate_raw_bits,
     insert_decoys,
 )
@@ -21,7 +19,6 @@ from .engine import (
     sweep_mu,
 )
 from .eve import (
-    EveMask,
     EveRecord,
     apply_and_mask,
     generate_mask,

@@ -1,4 +1,4 @@
-"""Alice: raw key generation, decoy insertion, and time-bin encoding.
+"""Alice: raw key generation and decoy insertion into the time-bin pulse train.
 
 Each information bit occupies one slot of two time bins (early, late):
 
@@ -7,13 +7,14 @@ Each information bit occupies one slot of two time bins (early, late):
 
 A decoy slot is (pulse, pulse).  Slot i owns bins 2i and 2i+1.  The pulse
 train is one uint8 pattern per slot, bit v set when bin v (0 = early,
-1 = late) holds a pulse: 1 for a data 0, 2 for a data 1 and 3 for a decoy.
-Every pulse has the same mean photon number mu.
+1 = late) holds a pulse: 1 for a data 0, 2 for a data 1 and DECOY = 3 for
+a decoy.  insert_decoys builds it, and it is also Alice's record of what she
+sent: a data slot's bit is pattern >> 1.  Every pulse has the same mean
+photon number mu.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -25,40 +26,20 @@ if TYPE_CHECKING:
 __all__ = [
     "DECOY",
     "DecoyStrategy",
-    "SlotMap",
     "generate_raw_bits",
     "insert_decoys",
-    "encode",
     "coherent_boundaries",
     "announce_coherence_checks",
 ]
 
-# slot codes: 0 and 1 are data bits, DECOY marks a decoy slot
-DECOY = 2
+# slot patterns: data bit b is pattern b + 1, and DECOY lights both bins
+DECOY = 3
 
 
 class DecoyStrategy(Enum):
     NONE = "none"
     SUBSTITUTE_PATTERN = "substitute-pattern"
     FRAME_HEADER = "frame-header"
-
-
-@dataclass
-class SlotMap:
-    """Alice's ground truth: one code per slot (0, 1, or DECOY)."""
-
-    codes: np.ndarray
-
-    def __post_init__(self):
-        self.codes = np.asarray(self.codes, dtype=np.uint8)
-        if self.codes.ndim != 1 or self.codes.size == 0:
-            raise ValueError("SlotMap needs a nonempty 1-d code sequence")
-        if not np.all(self.codes <= DECOY):
-            raise ValueError("slot codes must be 0, 1 or DECOY")
-
-    @property
-    def n_slots(self) -> int:
-        return int(self.codes.size)
 
 
 def generate_raw_bits(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -74,8 +55,11 @@ def generate_raw_bits(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.bit_generator.random_raw(-(-n // 8)).view(np.uint8)[:n] >> 7
 
 
-def insert_decoys(bits, strategy: DecoyStrategy) -> SlotMap:
-    """Lay raw bits out into slots, inserting decoys per the chosen strategy.
+def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
+    """Lay raw bits out into the pulse train, inserting decoys per the chosen strategy.
+
+    Returns the pulse train, one uint8 pattern per slot: bit + 1 for a data
+    slot and DECOY for a decoy.
 
     NONE               every bit becomes a data slot, in order.
     SUBSTITUTE_PATTERN each non-overlapping occurrence of 1,0,1,0 (scanned
@@ -97,7 +81,7 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> SlotMap:
         raise ValueError("bits must be 0 or 1")
 
     if strategy is DecoyStrategy.NONE:
-        return SlotMap(bits.copy())
+        return bits + 1
 
     if strategy is DecoyStrategy.SUBSTITUTE_PATTERN:
         ones = bits.view(bool)
@@ -107,35 +91,30 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> SlotMap:
         index = np.arange(starts.size)
         head_index = np.maximum.accumulate(np.where(chain_head, index, 0))
         kept = starts[(index - head_index) % 2 == 0]
-        codes = bits.copy()
+        train = bits + 1
         for offset in range(4):
-            codes[kept + offset] = DECOY
-        return SlotMap(codes)
+            train[kept + offset] = DECOY
+        return train
 
     if strategy is DecoyStrategy.FRAME_HEADER:
         n_full, rest = divmod(bits.size, 3)
         frames = np.full((n_full + (rest > 0), 4), DECOY, dtype=np.uint8)
-        frames[:n_full, 1:] = bits[: 3 * n_full].reshape(n_full, 3)
-        frames[n_full:, 1 : 1 + rest] = bits[3 * n_full :]
-        return SlotMap(frames.ravel()[: len(frames) + bits.size])
+        frames[:n_full, 1:] = bits[: 3 * n_full].reshape(n_full, 3) + 1
+        frames[n_full:, 1 : 1 + rest] = bits[3 * n_full :] + 1
+        return frames.ravel()[: len(frames) + bits.size]
 
     raise ValueError(f"unknown decoy strategy: {strategy!r}")
-
-
-def encode(slot_map: SlotMap) -> np.ndarray:
-    """Translate slots into the transmitted pulse train: one bin pattern per slot."""
-    return slot_map.codes + 1
 
 
 def coherent_boundaries(train: np.ndarray) -> np.ndarray:
     """Bin indices k where bins k and k+1 are both nonempty in a slot-pattern train.
 
-    Boundary 2i is coherent when slot i is a decoy (pattern 3), and boundary
+    Boundary 2i is coherent when slot i is a decoy (pattern DECOY), and boundary
     2i+1 when slot i's late bin and slot i+1's early bin both hold pulses;
     only these can show perfect destructive interference at the monitor.
     """
     coherent = np.zeros((train.size, 2), dtype=bool)
-    coherent[:, 0] = train == 3
+    coherent[:, 0] = train == DECOY
     coherent[:-1, 1] = (train[:-1] >> 1) & train[1:]
     return np.flatnonzero(coherent)
 

@@ -7,11 +7,11 @@ pulse pair cancels at the instrumented (destructive) output.  Since every
 pulse has the same mean, a data bin is either empty or a pulse, and the
 destructive port at a boundary sees nothing, a lone pulse or an intact pair.
 
-The train arrives as one bin pattern per slot (alice.encode): bit v of
-train[i] is set when bin 2i+v holds a pulse.  A detection is the sorted
-array of positions that clicked, as the sampler draws them.  The data
-detector reports (slots, values): bin 2i+v clicked gives slot i and value
-v, at most one per slot.  The monitor detector reports one boolean per
+The train arrives as Alice's slot patterns (alice.insert_decoys), after any
+mask: bit v of train[i] is set when bin 2i+v holds a pulse.  A detection is
+the sorted array of positions that clicked, as the sampler draws them.  The
+data detector reports (slots, values): bin 2i+v clicked gives slot i and
+value v, at most one per slot.  The monitor detector reports one boolean per
 interferometer boundary k (bins k and k+1).
 
 Clicks are sampled by thinned geometric skipping (Devroye, Non-Uniform

@@ -229,15 +229,8 @@ def _selftest_checks(config: SimConfig):
         a[1].to_jsonl() == b[1].to_jsonl() and a[0].to_lines() == b[0].to_lines()
     )
 
-    ideal = replace(
-        small,
-        channel_t=1.0,
-        eta_data=1.0,
-        eta_mon=1.0,
-        p_dark_data=0.0,
-        p_dark_mon=0.0,
-    )
-    stats, _, record = engine.run(ideal)
+    ideal = SimConfig(n_bits=2000, attack=Attack.AND_MASK, seed=config.seed, **engine._SATURATED)
+    stats, _, _ = engine.run(ideal)
     yield "perfect key recovery under attack", (
         stats.sifted_len > 0
         and stats.eve_recovery_fraction == 1.0
@@ -251,10 +244,10 @@ def _selftest_checks(config: SimConfig):
     destroyed = True
     for _ in range(20):
         bits = alice_mod.generate_raw_bits(200, rng)
-        slot_map = alice_mod.insert_decoys(bits, DecoyStrategy.FRAME_HEADER)
-        mask = eve_mod.generate_mask(slot_map.n_slots, rng)
-        sent = eve_mod.apply_and_mask(alice_mod.encode(slot_map), mask)
-        destroyed &= not np.any(sent == 3)
+        train = alice_mod.insert_decoys(bits, DecoyStrategy.FRAME_HEADER)
+        mask = eve_mod.generate_mask(train.size, rng)
+        sent = eve_mod.apply_and_mask(train, mask)
+        destroyed &= not np.any(sent == alice_mod.DECOY)
     yield "decoy destruction", destroyed
 
 

@@ -158,20 +158,19 @@ def _streams(master: np.random.SeedSequence) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in master.spawn(4)]
 
 
-# Alice's side before transmission: (slot map, pulse train, checked boundaries)
-_AliceStage = tuple[alice_mod.SlotMap, np.ndarray, np.ndarray]
+# Alice's side before transmission: (pulse train, checked boundaries)
+_AliceStage = tuple[np.ndarray, np.ndarray]
 
 
 def _alice_stage(
     config: SimConfig, rng_bits: np.random.Generator, rng_choices: np.random.Generator
 ) -> _AliceStage:
-    """Alice's raw bits, slot layout, pulse train and the boundaries she asks Bob to check."""
+    """Alice's raw bits, pulse train and the boundaries she asks Bob to check."""
     bits = alice_mod.generate_raw_bits(config.n_bits, rng_bits)
-    slot_map = alice_mod.insert_decoys(bits, config.decoy_strategy)
-    train = alice_mod.encode(slot_map)
+    train = alice_mod.insert_decoys(bits, config.decoy_strategy)
     boundaries = alice_mod.coherent_boundaries(train)
     checked = alice_mod.announce_coherence_checks(boundaries, config, rng_choices)
-    return slot_map, train, checked
+    return train, checked
 
 
 def _transmit_and_sift(
@@ -182,13 +181,13 @@ def _transmit_and_sift(
     rng_det: np.random.Generator,
 ) -> tuple[RunStats, Transcript, EveRecord]:
     """Everything after Alice's stage: Eve's mask, Bob's detectors and sifting."""
-    slot_map, train, checked = alice_stage
-    mask = eve_mod.generate_mask(slot_map.n_slots, rng_eve)
+    train, checked = alice_stage
+    mask = eve_mod.generate_mask(train.size, rng_eve)
     sent = eve_mod.apply_and_mask(train, mask) if config.attack is Attack.AND_MASK else train
 
     detected, monitor_clicks = bob_mod.receive(sent, config, rng_det)
     monitor = (checked, monitor_clicks[checked])
-    sift, transcript = run_sifting(slot_map, detected, monitor, config, rng_choices)
+    sift, transcript = run_sifting(train, detected, monitor, config, rng_choices)
 
     kept = eve_mod.observe_transcript(transcript)
     eve_key = eve_mod.reconstruct_key(mask, kept)
@@ -200,8 +199,8 @@ def _transmit_and_sift(
         recovery = 0.0
 
     stats = RunStats(
-        slots_sent=slot_map.n_slots,
-        decoy_slots=int(np.count_nonzero(slot_map.codes == alice_mod.DECOY)),
+        slots_sent=train.size,
+        decoy_slots=int(np.count_nonzero(train == alice_mod.DECOY)),
         detections=int(detected[0].size),
         sifted_len=int(sift.kept_indices.size),
         qber=sift.qber,
@@ -210,7 +209,7 @@ def _transmit_and_sift(
         verdict=sift.verdict,
         verified_count=sift.verified_count,
         raw_rate_bits_per_s=sift.kept_indices.size
-        / (2.0 * slot_map.n_slots * config.tau_ns * 1e-9),
+        / (2.0 * train.size * config.tau_ns * 1e-9),
     )
     return stats, transcript, record
 
@@ -239,10 +238,9 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
         (child,) = master.spawn(1)  # the next child: child i at point i
         rng_bits, _, _, rng_det = _streams(child)
         bits = alice_mod.generate_raw_bits(point.n_bits, rng_bits)
-        slot_map = alice_mod.insert_decoys(bits, DecoyStrategy.NONE)
-        train = alice_mod.encode(slot_map)
+        train = alice_mod.insert_decoys(bits, DecoyStrategy.NONE)
         slots, _ = bob_mod.detect_data(train, point, rng_det)
-        empirical = slots.size / slot_map.n_slots
+        empirical = slots.size / train.size
         rows.append(
             SweepRow(
                 mu=float(mu),
@@ -284,7 +282,7 @@ def compare_attack(config: SimConfig) -> CompareResult:
 
 
 # The six-slot worked example: Alice sends 0, 0, 1, 1, decoy, decoy while Eve's
-# pattern is 0, 1, 0, 1, 0, 1.  Expected received bin patterns and decodings.
+# bits are 0, 1, 0, 1, 0, 1.  Expected received bin patterns and decodings.
 TABLE1_EXPECTED = (
     ("0", "10", "0", "10", "10", "0"),
     ("0", "10", "1", "01", "00", "n.d."),
@@ -309,9 +307,8 @@ def table1_rows() -> tuple[list[tuple[str, ...]], bool]:
     Returns the simulated six rows (alice bit, alice bins, eve bit, eve bins,
     received bins, decoded bit) and whether they match TABLE1_EXPECTED.
     """
-    codes = np.array([0, 0, 1, 1, alice_mod.DECOY, alice_mod.DECOY])
-    mask = eve_mod.EveMask(np.array([0, 1, 0, 1, 0, 1]))
-    train = alice_mod.encode(alice_mod.SlotMap(codes))
+    train = np.array([1, 1, 2, 2, alice_mod.DECOY, alice_mod.DECOY], dtype=np.uint8)
+    mask = np.array([1, 2, 1, 2, 1, 2], dtype=np.uint8)
     sent = eve_mod.apply_and_mask(train, mask)
 
     (slots, values), _ = bob_mod.receive(sent, SimConfig(**_SATURATED), np.random.default_rng(0))
@@ -321,15 +318,14 @@ def table1_rows() -> tuple[list[tuple[str, ...]], bool]:
         return f"{train[slot] & 1}{train[slot] >> 1}"
 
     rows = []
-    for s in range(codes.size):
-        alice_ib = "d.s." if codes[s] == alice_mod.DECOY else str(codes[s])
-        eve_bit = int(mask.bits[s])
+    for s in range(train.size):
+        alice_ib = "d.s." if train[s] == alice_mod.DECOY else str(train[s] >> 1)
         rows.append(
             (
                 alice_ib,
                 bins_str(train, s),
-                str(eve_bit),
-                "10" if eve_bit == 0 else "01",
+                str(mask[s] >> 1),
+                bins_str(mask, s),
                 bins_str(sent, s),
                 str(decoded[s]) if s in decoded else "n.d.",
             )

@@ -1,11 +1,11 @@
 """Eve: the synchronized AND-mask intercept and key reconstruction.
 
 Eve never measures the quantum channel.  She draws her own uniform bit
-sequence and encodes it as Alice does, reusing Alice's bit draw and slot
-encoder, then lets her intensity modulator pass only the bins her own
-pattern marks nonempty (a bitwise AND of the two slot patterns).
-Afterwards she reads the public sifting dialog and looks up her own bits at
-the announced key positions.
+sequence as Alice draws her key and lays it out as data slot patterns
+(bit b is pattern b + 1), then lets her intensity modulator pass only the
+bins her own pattern marks nonempty: a bitwise AND of her patterns and the
+channel's.  Afterwards she reads the public sifting dialog and looks up her
+own bits at the announced key positions.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from . import alice
 from .sifting import Transcript, TranscriptError
 
 __all__ = [
-    "EveMask",
     "EveRecord",
     "generate_mask",
     "apply_and_mask",
@@ -28,42 +27,28 @@ __all__ = [
 
 
 @dataclass
-class EveMask:
-    """One bit per slot; bit e passes bin e of the slot and blocks the other."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.ndim != 1 or self.bits.size == 0:
-            raise ValueError("mask needs a nonempty 1-d bit sequence")
-        if not np.all(self.bits <= 1):
-            raise ValueError("mask bits must be 0 or 1")
-
-
-@dataclass
 class EveRecord:
-    """Everything Eve ends a run with: her mask and her key."""
+    """Everything Eve ends a run with: her slot patterns and her key."""
 
-    mask: EveMask
+    mask: np.ndarray
     reconstructed_key: np.ndarray
 
 
-def generate_mask(n_slots: int, rng: np.random.Generator) -> EveMask:
-    """Eve's slot pattern: n_slots uniform bits, drawn as Alice draws her key."""
-    return EveMask(alice.generate_raw_bits(n_slots, rng))
+def generate_mask(n_slots: int, rng: np.random.Generator) -> np.ndarray:
+    """Eve's slot patterns: n_slots uniform bits, drawn as Alice draws her key,
+    each laid out as a data slot (bit + 1, a uint8 of 1 or 2)."""
+    return alice.generate_raw_bits(n_slots, rng) + 1
 
 
-def apply_and_mask(train: np.ndarray, mask: EveMask) -> np.ndarray:
-    """AND Eve's pattern onto the channel's slot patterns: blocked bins become vacuum.
+def apply_and_mask(train: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """AND Eve's patterns onto the channel's slot patterns: blocked bins become vacuum.
 
-    Eve's pattern is her bits encoded as Alice encodes data slots: bit 0
-    passes the early bin and blocks the late one, bit 1 the opposite.
-    Passed pulses are untouched.
+    Pattern 1 (Eve's bit 0) passes the early bin and blocks the late one,
+    pattern 2 (bit 1) the opposite.  Passed pulses are untouched.
     """
-    if mask.bits.size != train.size:
-        raise ValueError(f"mask length {mask.bits.size} does not match {train.size} slots")
-    return train & alice.encode(alice.SlotMap(mask.bits))
+    if mask.size != train.size:
+        raise ValueError(f"mask length {mask.size} does not match {train.size} slots")
+    return train & mask
 
 
 def observe_transcript(transcript: Transcript) -> np.ndarray:
@@ -82,9 +67,10 @@ def observe_transcript(transcript: Transcript) -> np.ndarray:
         raise TranscriptError(f"KeyIndices slot out of range: {exc}") from exc
 
 
-def reconstruct_key(mask: EveMask, kept_indices) -> np.ndarray:
-    """Eve's copy of the key: her own mask bits at the announced positions."""
+def reconstruct_key(mask: np.ndarray, kept_indices) -> np.ndarray:
+    """Eve's copy of the key: the bits of her slot patterns (pattern >> 1)
+    at the announced positions."""
     kept = np.asarray(kept_indices, dtype=np.int64)
-    if kept.size and (kept.min() < 0 or kept.max() >= mask.bits.size):
+    if kept.size and (kept.min() < 0 or kept.max() >= mask.size):
         raise ValueError("kept index outside the masked slot range")
-    return mask.bits[kept]
+    return mask[kept] >> 1

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alice import DECOY, SlotMap
+from .alice import DECOY
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -194,7 +194,7 @@ def _alarm_threshold(config: SimConfig, n_checked: int) -> float:
 
 
 def run_sifting(
-    slot_map: SlotMap,
+    train: np.ndarray,
     detected,
     monitor,
     config: SimConfig,
@@ -202,7 +202,10 @@ def run_sifting(
 ) -> tuple[SiftResult, Transcript]:
     """Run the whole public dialog and extract the sifted key.
 
-    detected is Bob's (slots, values) pair of arrays, one detected bit each.
+    train is Alice's pulse train as she sent it, before any mask: her record
+    of which slots are decoys (pattern DECOY) and of each data slot's bit
+    (pattern >> 1).  detected is Bob's (slots, values) pair of arrays, one
+    detected bit each.
     monitor is the (checked, clicks) pair: the boundaries Alice asked to be
     checked and, per checked boundary, whether Bob's monitor detector fired.
     Bob announces which slots he detected; Alice discards her decoys among
@@ -216,8 +219,8 @@ def run_sifting(
     values = np.asarray(values, dtype=np.uint8)
     if slots.shape != values.shape:
         raise ValueError("detected slots and values differ in length")
-    if slots.size and (slots.min() < 0 or slots.max() >= slot_map.n_slots):
-        raise ValueError("detected slot outside the slot map")
+    if slots.size and (slots.min() < 0 or slots.max() >= train.size):
+        raise ValueError("detected slot outside the train")
 
     checked, clicks = monitor
     checked = np.asarray(checked, dtype=np.int64)
@@ -228,7 +231,7 @@ def run_sifting(
     order = np.argsort(slots)
     slots, values = slots[order], values[order]
 
-    is_decoy = slot_map.codes[slots] == DECOY
+    is_decoy = train[slots] == DECOY
     decoy_detected = slots[is_decoy]
     remainder, remainder_values = slots[~is_decoy], values[~is_decoy]
 
@@ -236,14 +239,14 @@ def run_sifting(
     verify_slots = remainder[verify_mask]
     kept = remainder[~verify_mask]
 
-    reveal_alice = slot_map.codes[verify_slots]
+    reveal_alice = train[verify_slots] >> 1
     reveal_bob = remainder_values[verify_mask]
     qber = compute_qber(reveal_alice, reveal_bob)
 
     break_rate = int(np.count_nonzero(clicks)) / checked.size if checked.size else 0.0
     verdict = "abort" if break_rate > _alarm_threshold(config, checked.size) else "accept"
 
-    alice_key = slot_map.codes[kept]
+    alice_key = train[kept] >> 1
 
     transcript = Transcript()
     transcript.append("DetectionReport", {"slots": slots})

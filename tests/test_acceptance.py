@@ -8,11 +8,14 @@ import math
 import numpy as np
 
 from cowsim import alice, bob, eve
-from cowsim.alice import DECOY, DecoyStrategy, SlotMap
+from cowsim.alice import DECOY, DecoyStrategy
 from cowsim.engine import _SATURATED, Attack, SimConfig, compare_attack, run
-from cowsim.eve import EveMask
 from cowsim.optics import detectable_fraction, splittable_fraction
 from cowsim.sifting import run_sifting
+
+
+# data-slot patterns: a 0 lights the early bin, a 1 the late bin
+ZERO, ONE = 0b01, 0b10
 
 
 def _report(number, title, ok):
@@ -21,9 +24,9 @@ def _report(number, title, ok):
 
 
 def test_criterion_1_table1_reproduction():
-    slot_map = SlotMap(np.array([0, 0, 1, 1, DECOY, DECOY]))
-    mask = EveMask(np.array([0, 1, 0, 1, 0, 1]))
-    sent = eve.apply_and_mask(alice.encode(slot_map), mask)
+    train = np.array([ZERO, ZERO, ONE, ONE, DECOY, DECOY], dtype=np.uint8)
+    mask = np.array([ZERO, ONE, ZERO, ONE, ZERO, ONE], dtype=np.uint8)
+    sent = eve.apply_and_mask(train, mask)
     config = SimConfig(t_b=0.9, **_SATURATED)
     detected, _ = bob.receive(sent, config, np.random.default_rng(0))
 
@@ -32,7 +35,7 @@ def test_criterion_1_table1_reproduction():
 
     monitor = (np.array([], dtype=int), np.array([], dtype=bool))
     result, transcript = run_sifting(
-        slot_map, detected, monitor, SimConfig(f_verify=0.0), np.random.default_rng(0)
+        train, detected, monitor, SimConfig(f_verify=0.0), np.random.default_rng(0)
     )
     ok = ok and transcript.get("DecoyDiscard")["slots"] == [4, 5]
     ok = ok and result.kept_indices.tolist() == [0, 3]
@@ -95,10 +98,10 @@ def test_criterion_5_mu_eff_law():
     n = 300_000  # 5 se at 300k is 2.9 se at 100k
     for (t, t_b, eta) in ((0.5, 0.9, 0.1), (0.2, 0.9, 0.25)):
         # all-zero bits keep nonempty bins two apart, so dead time is inert
-        slot_map = SlotMap(np.zeros(n, dtype=np.uint8))
+        train = alice.insert_decoys(np.zeros(n, dtype=np.uint8), DecoyStrategy.NONE)
         config = SimConfig(mu=0.5, channel_t=t, t_b=t_b, eta_data=eta, p_dark_data=0.0)
         rng = np.random.default_rng(int(t * 1000))
-        (slots, _), _ = bob.receive(alice.encode(slot_map), config, rng)
+        (slots, _), _ = bob.receive(train, config, rng)
         p = 1 - math.exp(-0.5 * t * t_b * eta)
         se = math.sqrt(p * (1 - p) / n)
         ok = ok and abs(slots.size / n - p) < 5 * se
@@ -107,8 +110,7 @@ def test_criterion_5_mu_eff_law():
 
 def test_criterion_6_monitor_behavior():
     n_decoys = 30_000  # 5 se over 30k decoys is 2.9 se over 10k
-    slot_map = SlotMap(np.full(n_decoys, DECOY, dtype=np.uint8))
-    train = alice.encode(slot_map)
+    train = np.full(n_decoys, DECOY, dtype=np.uint8)
     checked = alice.coherent_boundaries(train)
     config = SimConfig(mu=0.5, channel_t=0.5, t_b=0.9, eta_mon=1.0, p_dark_mon=0.0, visibility=1.0)
 
@@ -141,12 +143,12 @@ def test_criterion_7_decoy_destruction():
         n = int(rng.integers(4, 120))
         bits = alice.generate_raw_bits(n, rng)
         strategy = (DecoyStrategy.SUBSTITUTE_PATTERN, DecoyStrategy.FRAME_HEADER)[trial % 2]
-        slot_map = alice.insert_decoys(bits, strategy)
-        if (trial // 2) % 2:  # the fixed pattern 1, 0, 1, 0, ... draws nothing
-            mask = EveMask(1 - np.arange(slot_map.n_slots) % 2)
+        train = alice.insert_decoys(bits, strategy)
+        if (trial // 2) % 2:  # the fixed bits 1, 0, 1, 0, ... draw nothing
+            mask = np.resize(np.array([ONE, ZERO], dtype=np.uint8), train.size)
         else:
-            mask = eve.generate_mask(slot_map.n_slots, rng)
-        sent = eve.apply_and_mask(alice.encode(slot_map), mask)
+            mask = eve.generate_mask(train.size, rng)
+        sent = eve.apply_and_mask(train, mask)
         ok = ok and not np.any(sent == 0b11)  # no slot keeps both bins
     _report(7, "no post-mask slot carries two pulses (1000 runs)", ok)
 

@@ -6,54 +6,60 @@ from hypothesis import strategies as st
 from cowsim.alice import (
     DECOY,
     DecoyStrategy,
-    SlotMap,
     announce_coherence_checks,
     coherent_boundaries,
-    encode,
     generate_raw_bits,
     insert_decoys,
 )
 from cowsim.bob import _bin_level, _pair_level, receive
 from cowsim.engine import _SATURATED, SimConfig
-from cowsim.eve import EveMask, apply_and_mask
+from cowsim.eve import apply_and_mask
+
+# data-slot patterns: a 0 lights the early bin, a 1 the late bin
+ZERO, ONE = 0b01, 0b10
+PATTERN = {0: ZERO, 1: ONE}
 
 
 def substitute_pattern_reference(bits):
     """The left-to-right scan insert_decoys must reproduce, one bit per step."""
     bits = np.asarray(bits, dtype=np.uint8)
-    codes = bits.copy()
+    train = np.array([PATTERN[b] for b in bits.tolist()], dtype=np.uint8)
     i = 0
     n = bits.size
     while i + 4 <= n:
         if bits[i] == 1 and bits[i + 1] == 0 and bits[i + 2] == 1 and bits[i + 3] == 0:
-            codes[i : i + 4] = DECOY
+            train[i : i + 4] = DECOY
             i += 4
         else:
             i += 1
-    return codes
+    return train
 
 
 def frame_header_reference(bits):
-    """One decoy, then up to three bits, per frame."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    chunks = []
-    for start in range(0, bits.size, 3):
-        chunks.append(np.concatenate(([DECOY], bits[start : start + 3])))
-    return np.concatenate(chunks).astype(np.uint8)
+    """One decoy, then up to three data slots, per frame."""
+    bits = np.asarray(bits, dtype=np.uint8).tolist()
+    train = []
+    for start in range(0, len(bits), 3):
+        train += [DECOY] + [PATTERN[b] for b in bits[start : start + 3]]
+    return np.array(train, dtype=np.uint8)
 
 
-def encode_bins_reference(codes):
-    """The per-bin train encode replaced: one boolean per bin, True where a pulse leaves."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    occ = np.zeros(2 * codes.size, dtype=bool)
-    occ[0::2] = (codes == 0) | (codes == DECOY)
-    occ[1::2] = (codes == 1) | (codes == DECOY)
+def pattern_bins_reference(train):
+    """The per-bin train: one boolean per bin, True where a pulse leaves.
+
+    The early bin holds a pulse for a data 0 or a decoy, the late bin for a
+    data 1 or a decoy.
+    """
+    train = np.asarray(train, dtype=np.uint8)
+    occ = np.zeros(2 * train.size, dtype=bool)
+    occ[0::2] = (train == ZERO) | (train == DECOY)
+    occ[1::2] = (train == ONE) | (train == DECOY)
     return occ
 
 
-def and_mask_bins_reference(occ, mask_bits):
-    """The per-bin AND: Eve's bits encoded as data slots, ANDed onto the occupancy."""
-    return occ & encode_bins_reference(mask_bits)
+def and_mask_bins_reference(occ, mask):
+    """The per-bin AND: Eve's data-slot patterns, per bin, ANDed onto the occupancy."""
+    return occ & pattern_bins_reference(mask)
 
 
 def coherent_boundaries_bins_reference(occ):
@@ -65,6 +71,10 @@ def pair_level_bins_reference(occ):
     """Pulses in bins k and k+1, one level per interferometer boundary."""
     level = occ.view(np.uint8)
     return level[:-1] + level[1:]
+
+
+def _train(*patterns):
+    return np.array(patterns, dtype=np.uint8)
 
 
 REFERENCES = {
@@ -79,10 +89,10 @@ _alternating_runs = st.lists(
 
 
 def _assert_matches_reference(bits, strategy):
-    codes = insert_decoys(bits, strategy).codes
+    train = insert_decoys(bits, strategy)
     expect = REFERENCES[strategy](bits)
-    assert codes.dtype == expect.dtype
-    assert np.array_equal(codes, expect)
+    assert train.dtype == expect.dtype
+    assert np.array_equal(train, expect)
 
 
 class TestRawBits:
@@ -116,43 +126,43 @@ class TestRawBits:
 
 class TestInsertDecoys:
     def test_none(self):
-        m = insert_decoys([0, 1], DecoyStrategy.NONE)
-        assert m.codes.tolist() == [0, 1]
+        train = insert_decoys([0, 1], DecoyStrategy.NONE)
+        assert train.tolist() == [ZERO, ONE]
 
     def test_substitute_pattern(self):
-        m = insert_decoys([1, 0, 1, 0, 1], DecoyStrategy.SUBSTITUTE_PATTERN)
-        assert m.codes.tolist() == [DECOY, DECOY, DECOY, DECOY, 1]
+        train = insert_decoys([1, 0, 1, 0, 1], DecoyStrategy.SUBSTITUTE_PATTERN)
+        assert train.tolist() == [DECOY, DECOY, DECOY, DECOY, ONE]
 
     def test_substitute_non_overlapping(self):
         # 101010: the scan consumes the first match, leaving a trailing 1,0
-        m = insert_decoys([1, 0, 1, 0, 1, 0], DecoyStrategy.SUBSTITUTE_PATTERN)
-        assert m.codes.tolist() == [DECOY, DECOY, DECOY, DECOY, 1, 0]
+        train = insert_decoys([1, 0, 1, 0, 1, 0], DecoyStrategy.SUBSTITUTE_PATTERN)
+        assert train.tolist() == [DECOY, DECOY, DECOY, DECOY, ONE, ZERO]
 
     def test_frame_header(self):
-        m = insert_decoys([0, 0, 1], DecoyStrategy.FRAME_HEADER)
-        assert m.codes.tolist() == [DECOY, 0, 0, 1]
+        train = insert_decoys([0, 0, 1], DecoyStrategy.FRAME_HEADER)
+        assert train.tolist() == [DECOY, ZERO, ZERO, ONE]
 
     def test_frame_header_partial(self):
-        m = insert_decoys([0, 0, 1, 1, 1], DecoyStrategy.FRAME_HEADER)
-        assert m.codes.tolist() == [DECOY, 0, 0, 1, DECOY, 1, 1]
+        train = insert_decoys([0, 0, 1, 1, 1], DecoyStrategy.FRAME_HEADER)
+        assert train.tolist() == [DECOY, ZERO, ZERO, ONE, DECOY, ONE, ONE]
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
     def test_slot_count_preserved(self, bits):
-        assert insert_decoys(bits, DecoyStrategy.NONE).n_slots == len(bits)
-        assert insert_decoys(bits, DecoyStrategy.SUBSTITUTE_PATTERN).n_slots == len(bits)
+        assert insert_decoys(bits, DecoyStrategy.NONE).size == len(bits)
+        assert insert_decoys(bits, DecoyStrategy.SUBSTITUTE_PATTERN).size == len(bits)
 
     @given(st.lists(st.integers(0, 1), min_size=4, max_size=300))
     def test_no_adjacent_1010_survives(self, bits):
-        codes = insert_decoys(bits, DecoyStrategy.SUBSTITUTE_PATTERN).codes
-        for i in range(len(codes) - 3):
-            window = codes[i : i + 4].tolist()
-            assert window != [1, 0, 1, 0]
+        train = insert_decoys(bits, DecoyStrategy.SUBSTITUTE_PATTERN)
+        for i in range(len(train) - 3):
+            window = train[i : i + 4].tolist()
+            assert window != [ONE, ZERO, ONE, ZERO]
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
     def test_frame_layout(self, bits):
-        codes = insert_decoys(bits, DecoyStrategy.FRAME_HEADER).codes
-        assert np.all(codes[0::4] == DECOY)
-        assert (codes != DECOY).sum() == len(bits)
+        train = insert_decoys(bits, DecoyStrategy.FRAME_HEADER)
+        assert np.all(train[0::4] == DECOY)
+        assert (train != DECOY).sum() == len(bits)
 
 
 class TestInsertDecoysReference:
@@ -180,50 +190,52 @@ class TestInsertDecoysReference:
 
 
 class TestEncode:
-    # one pattern per slot: bit 0 is the early bin, bit 1 the late bin
+    """insert_decoys' time-bin encoding: one pattern per slot, bit 0 the
+    early bin and bit 1 the late bin."""
+
     def test_data_zero(self):
-        assert encode(SlotMap(np.array([0]))).tolist() == [0b01]
+        assert insert_decoys([0], DecoyStrategy.NONE).tolist() == [0b01]
 
     def test_data_one(self):
-        assert encode(SlotMap(np.array([1]))).tolist() == [0b10]
+        assert insert_decoys([1], DecoyStrategy.NONE).tolist() == [0b10]
 
     def test_decoy(self):
-        assert encode(SlotMap(np.array([DECOY]))).tolist() == [0b11]
+        assert DECOY == 0b11
+        assert insert_decoys([1], DecoyStrategy.FRAME_HEADER).tolist() == [0b11, 0b10]
 
     def test_one_zero_adjacency(self):
-        train = encode(SlotMap(np.array([1, 0])))
+        train = insert_decoys([1, 0], DecoyStrategy.NONE)
         assert train.tolist() == [0b10, 0b01]
         assert train.dtype == np.uint8
 
-    def test_mu_positive_required(self):
-        # the pulse mean lives on SimConfig, which rejects a nonpositive one
-        for mu in (0.0, -0.5):
-            with pytest.raises(ValueError, match="mu"):
-                SimConfig(mu=mu)
-
-    @given(st.lists(st.integers(0, 2), min_size=1, max_size=200))
-    def test_occupancy_counts(self, codes):
-        slot_map = SlotMap(np.array(codes, dtype=np.uint8))
-        train = encode(slot_map)
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=200), st.sampled_from(DecoyStrategy))
+    def test_occupancy_counts(self, bits, strategy):
+        train = insert_decoys(bits, strategy)
+        assert train.dtype == np.uint8
         per_slot = (train & 1) + (train >> 1)
-        expect = np.where(slot_map.codes == DECOY, 2, 1)
+        expect = np.where(train == DECOY, 2, 1)
         assert np.array_equal(per_slot, expect)
 
 
 class TestSlotPatternReference:
     """The slot-pattern train against the per-bin train it replaced."""
 
-    @given(st.lists(st.tuples(st.integers(0, DECOY), st.integers(0, 1)), min_size=1, max_size=200))
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([ZERO, ONE, DECOY]), st.sampled_from([ZERO, ONE])),
+            min_size=1,
+            max_size=200,
+        )
+    )
     def test_same_bins_boundaries_and_pair_levels(self, slots):
-        # random codes and Eve bits, one pair per slot
-        codes, eve_bits = (np.array(column, dtype=np.uint8) for column in zip(*slots))
-        train = encode(SlotMap(codes))
-        occ = encode_bins_reference(codes)
+        # random Alice patterns and Eve patterns, one pair per slot
+        train, mask = (np.array(column, dtype=np.uint8) for column in zip(*slots))
+        occ = pattern_bins_reference(train)
         assert np.array_equal(coherent_boundaries(train), coherent_boundaries_bins_reference(occ))
         bins, boundaries = np.arange(occ.size), np.arange(occ.size - 1)
         for sent, sent_bins in (
             (train, occ),
-            (apply_and_mask(train, EveMask(eve_bits)), and_mask_bins_reference(occ, eve_bits)),
+            (apply_and_mask(train, mask), and_mask_bins_reference(occ, mask)),
         ):
             assert np.array_equal(_bin_level(sent, bins), sent_bins)
             assert np.array_equal(_pair_level(sent, boundaries), pair_level_bins_reference(sent_bins))
@@ -231,13 +243,13 @@ class TestSlotPatternReference:
 
 class TestBoundaries:
     def test_single_zero(self):
-        assert coherent_boundaries(encode(SlotMap(np.array([0])))).tolist() == []
+        assert coherent_boundaries(_train(ZERO)).tolist() == []
 
     def test_single_decoy(self):
-        assert coherent_boundaries(encode(SlotMap(np.array([DECOY])))).tolist() == [0]
+        assert coherent_boundaries(_train(DECOY)).tolist() == [0]
 
     def test_cross_slot(self):
-        assert coherent_boundaries(encode(SlotMap(np.array([1, 0])))).tolist() == [1]
+        assert coherent_boundaries(_train(ONE, ZERO)).tolist() == [1]
 
     def test_announce_all_or_nothing(self):
         rng = np.random.default_rng(0)
@@ -257,8 +269,8 @@ class TestBoundaries:
 class TestRoundTrip:
     def test_noiseless_decode_recovers_bits(self):
         bits = generate_raw_bits(500, np.random.default_rng(3))
-        slot_map = insert_decoys(bits, DecoyStrategy.NONE)
+        train = insert_decoys(bits, DecoyStrategy.NONE)
         config = SimConfig(**_SATURATED)
-        (slots, values), _ = receive(encode(slot_map), config, np.random.default_rng(0))
+        (slots, values), _ = receive(train, config, np.random.default_rng(0))
         assert slots.tolist() == list(range(len(bits)))
         assert np.array_equal(values, bits)

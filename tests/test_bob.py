@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cowsim import bob
-from cowsim.alice import DECOY, SlotMap, encode, generate_raw_bits
+from cowsim.alice import DECOY, DecoyStrategy, generate_raw_bits, insert_decoys
 from cowsim.bob import _sample_clicks, detect_data, receive
 from cowsim.engine import _SATURATED, SimConfig
-from cowsim.eve import EveMask, apply_and_mask
+from cowsim.eve import apply_and_mask, generate_mask
 from cowsim.optics import click_probability
 from cowsim.sifting import run_sifting
 
@@ -21,8 +21,12 @@ IDEAL = SimConfig(channel_t=1.0, t_b=0.9, eta_data=1.0, eta_mon=1.0)
 ORACLE = replace(IDEAL, **_SATURATED)
 
 
-def _train(codes):
-    return encode(SlotMap(np.array(codes, dtype=np.uint8)))
+# data-slot patterns: a 0 lights the early bin, a 1 the late bin
+ZERO, ONE = 0b01, 0b10
+
+
+def _train(patterns):
+    return np.array(patterns, dtype=np.uint8)
 
 
 def _grid(positions, n):
@@ -53,7 +57,7 @@ def _slot_train(bins, n_slots):
 def _break_rate(checked, clicks):
     """The monitor break rate run_sifting reports for (checked, clicks)."""
     result, _ = run_sifting(
-        SlotMap(np.array([0])),
+        _train([ZERO]),
         (np.array([], dtype=np.int64), np.array([], dtype=np.uint8)),
         (checked, clicks),
         SimConfig(f_verify=0.0),
@@ -78,7 +82,7 @@ class TestReceive:
         # 5 se at n = 300k is 2.9 se at n = 100k
         n = 300_000
         config = SimConfig(channel_t=0.5, t_b=0.9, eta_data=0.1)
-        (slots, _), _ = receive(_train([1] * n), config, np.random.default_rng(21))
+        (slots, _), _ = receive(_train([ONE] * n), config, np.random.default_rng(21))
         p = 1 - math.exp(-0.5 * 0.5 * 0.9 * 0.1)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(slots.size / n - p) < 5 * se
@@ -90,7 +94,7 @@ class TestReceive:
 
     def test_zero_noise_soundness(self):
         bits = generate_raw_bits(5000, np.random.default_rng(8))
-        (slots, values), _ = receive(_train(bits), IDEAL, np.random.default_rng(3))
+        (slots, values), _ = receive(insert_decoys(bits, DecoyStrategy.NONE), IDEAL, np.random.default_rng(3))
         assert slots.size > 0
         assert np.array_equal(values, bits[slots])
 
@@ -183,7 +187,9 @@ class TestSampleClicks:
 
 class TestDetectData:
     NOISY = SimConfig(p_dark_data=1e-3, p_dark_mon=1e-3, visibility=0.98)
-    TRAIN = _train(generate_raw_bits(40_000, np.random.default_rng(9)))
+    TRAIN = insert_decoys(
+        generate_raw_bits(40_000, np.random.default_rng(9)), DecoyStrategy.NONE
+    )
 
     def test_receive_draws_data_then_monitor(self):
         # receive draws detect_data's numbers, then the monitor's: those of
@@ -201,22 +207,22 @@ class TestDetectData:
 
 class TestCoupling:
     @given(
-        codes=st.lists(st.integers(0, DECOY), min_size=1, max_size=300),
+        patterns=st.lists(st.sampled_from([ZERO, ONE, DECOY]), min_size=1, max_size=300),
         mask_seed=st.integers(0, 2**32 - 1),
         p_dark_data=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999),
         p_dark_mon=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_mask_only_removes_detected_slots(
-        self, codes, mask_seed, p_dark_data, p_dark_mon, seed
+        self, patterns, mask_seed, p_dark_data, p_dark_mon, seed
     ):
         # with one detector seed, the masked and unmasked trains draw the
         # same uniforms, so a slot detected with the mask on is detected with
         # it off.  Per bin this fails: a mask that blocks a decoy's early bin
         # can let its late bin click where the early click would shadow it.
-        train = _train(codes)
-        bits = np.random.default_rng(mask_seed).integers(0, 2, size=len(codes))
-        masked = apply_and_mask(train, EveMask(bits))
+        train = _train(patterns)
+        mask = generate_mask(train.size, np.random.default_rng(mask_seed))
+        masked = apply_and_mask(train, mask)
         config = replace(IDEAL, p_dark_data=p_dark_data, p_dark_mon=p_dark_mon)
         rng_on, rng_off = np.random.default_rng(seed), np.random.default_rng(seed)
         (on, _), _ = receive(masked, config, rng_on)
@@ -267,7 +273,7 @@ class TestMonitor:
         # V=1; any smaller visibility leaks and the oracle clicks there.  At
         # mu=1e17 the monitor arm gets 1e16, so a 1e-13 deficit still leaks 500
         config = replace(ORACLE, visibility=visibility, mu=1e17)
-        _, monitor = receive(_train([DECOY, 1, 0]), config, np.random.default_rng(0))
+        _, monitor = receive(_train([DECOY, ONE, ZERO]), config, np.random.default_rng(0))
         assert np.flatnonzero(monitor).tolist() == clicked
 
     def test_empty_checked(self):
@@ -281,7 +287,7 @@ class TestMonitor:
         # lone survivors click at 1 - exp(-eta_mon (1-t_b) t mu / 4)
         # 5 se at n = 100k is 1.6 se at n = 10k: tighter than 3 se there
         n = 100_000
-        train = _train([0] * n)  # every pair is (pulse, vacuum)
+        train = _train([ZERO] * n)  # every pair is (pulse, vacuum)
         config = SimConfig(channel_t=0.5, t_b=0.9, eta_mon=0.8, p_dark_mon=0.0)
         _, monitor = receive(train, config, np.random.default_rng(6))
         checked = np.arange(0, 2 * train.size - 1, 2)
@@ -324,18 +330,17 @@ def _nonzero_mean_reference(train, config):
 
 class TestSaturatedReference:
     @given(
-        codes=st.lists(st.integers(0, DECOY), min_size=1, max_size=200),
+        patterns=st.lists(st.sampled_from([ZERO, ONE, DECOY]), min_size=1, max_size=200),
         mask_seed=st.none() | st.integers(0, 2**32 - 1),
         visibility=st.sampled_from([1.0, 0.98, 0.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_receive_matches_nonzero_mean_rule(self, codes, mask_seed, visibility, seed):
+    def test_receive_matches_nonzero_mean_rule(self, patterns, mask_seed, visibility, seed):
         # random slot patterns, with or without a random AND mask: under the
         # saturated config both detectors click exactly where the mean is nonzero
-        train = _train(codes)
+        train = _train(patterns)
         if mask_seed is not None:
-            bits = np.random.default_rng(mask_seed).integers(0, 2, size=len(codes))
-            train = apply_and_mask(train, EveMask(bits))
+            train = apply_and_mask(train, generate_mask(train.size, np.random.default_rng(mask_seed)))
         config = SimConfig(visibility=visibility, **_SATURATED)
         (slots, values), monitor = receive(train, config, np.random.default_rng(seed))
         (ref_slots, ref_values), ref_monitor = _nonzero_mean_reference(train, config)
@@ -374,7 +379,7 @@ class TestIndexFormulation:
         clicks = monitor[checked]
         assert np.array_equal(clicks, expect)
         _, transcript = run_sifting(
-            SlotMap(np.zeros(n_slots, dtype=np.uint8)),
+            _train([ZERO] * n_slots),
             (slots, values),
             (checked, clicks),
             SimConfig(f_verify=0.0),

@@ -152,6 +152,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("override", ["t_b=0", "mu=1e-6"])
+    def test_selftest_ignores_user_physics(self, capsys, override):
+        # the perfect-recovery check runs on its own saturated config
+        assert run_cli("selftest", "--set", override) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+
     def test_config_error_exit_code(self, capsys):
         assert run_cli("run", "--set", "t_b=1.5") == 1
         assert "t_b" in capsys.readouterr().err

@@ -73,7 +73,19 @@ class TestRun:
         b = run(base)
         # Alice's bits, Bob's detections and the whole dialog are untouched
         assert a[1].to_jsonl() == b[1].to_jsonl()
-        assert not np.array_equal(a[2].mask.bits, b[2].mask.bits)
+        assert not np.array_equal(a[2].mask, b[2].mask)
+
+    @pytest.mark.parametrize(
+        "strategy", [s for s in DecoyStrategy if s is not DecoyStrategy.NONE]
+    )
+    def test_sifting_reads_alices_train(self, strategy):
+        # under the mask the channel holds no DECOY pattern (DECOY & mask is
+        # 1 or 2), so only Alice's own train tells sifting where her decoys are
+        config = SimConfig(n_bits=10_000, decoy_strategy=strategy, seed=4)
+        off, _, _ = run(config)
+        on, transcript, _ = run(replace(config, attack=Attack.AND_MASK))
+        assert on.decoy_slots == off.decoy_slots > 0
+        assert transcript.get("DecoyDiscard")["slots"]
 
     def test_rate_reporting(self):
         stats, _, _ = run(SimConfig(n_bits=10_000, seed=3))
@@ -148,6 +160,12 @@ class TestCompareAttack:
 
 
 class TestConfig:
+    def test_mu_positive_required(self):
+        # the pulse mean lives on SimConfig, which rejects a nonpositive one
+        for mu in (0.0, -0.5):
+            with pytest.raises(ValueError, match="mu"):
+                SimConfig(mu=mu)
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             SimConfig(n_bits=0)

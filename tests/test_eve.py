@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cowsim.alice import DECOY, DecoyStrategy, SlotMap, encode, generate_raw_bits, insert_decoys
+from cowsim.alice import DECOY, DecoyStrategy, generate_raw_bits, insert_decoys
 from cowsim.engine import Attack, SimConfig, run
 from cowsim.eve import (
-    EveMask,
     apply_and_mask,
     generate_mask,
     observe_transcript,
@@ -14,52 +13,64 @@ from cowsim.eve import (
 )
 from cowsim.sifting import Transcript, TranscriptError
 
+# data-slot patterns: a 0 lights the early bin, a 1 the late bin
+ZERO, ONE = 0b01, 0b10
+
+
+def _train(patterns):
+    return np.array(patterns, dtype=np.uint8)
+
 
 class TestGenerateMask:
     def test_reproducible(self):
         a = generate_mask(64, np.random.default_rng(5))
         b = generate_mask(64, np.random.default_rng(5))
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a, b)
 
     def test_uniform(self):
         mask = generate_mask(1_000_000, np.random.default_rng(0))
-        assert abs(mask.bits.mean() - 0.5) < 3 * 0.0005
+        assert abs((mask == ONE).mean() - 0.5) < 3 * 0.0005
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 1001])
+    def test_patterns_of_alices_bit_draw(self, n):
+        # Eve draws her bits as Alice does and lays each out as a data slot
+        bits = generate_raw_bits(n, np.random.default_rng(3))
+        mask = generate_mask(n, np.random.default_rng(3))
+        assert mask.dtype == np.uint8
+        assert np.array_equal(mask, np.where(bits == 0, ZERO, ONE))
 
 
 class TestApplyMask:
-    def _one_slot(self, code, eve_bit):
-        train = encode(SlotMap(np.array([code])))
-        mask = EveMask(np.array([eve_bit]))
-        return apply_and_mask(train, mask).tolist()
+    def _one_slot(self, pattern, eve_pattern):
+        return apply_and_mask(_train([pattern]), _train([eve_pattern])).tolist()
 
     # slot patterns: bit 0 is the early bin, bit 1 the late bin
     def test_pass_through(self):
-        assert self._one_slot(0, 0) == [0b01]
+        assert self._one_slot(ZERO, ZERO) == [0b01]
 
     def test_blocked(self):
-        assert self._one_slot(0, 1) == [0b00]
+        assert self._one_slot(ZERO, ONE) == [0b00]
 
     def test_decoy_truncated(self):
-        assert self._one_slot(DECOY, 1) == [0b10]
+        assert self._one_slot(DECOY, ONE) == [0b10]
 
     def test_length_mismatch(self):
-        train = encode(SlotMap(np.array([0, 1])))
         with pytest.raises(ValueError):
-            apply_and_mask(train, EveMask(np.array([0])))
+            apply_and_mask(_train([ZERO, ONE]), _train([ZERO]))
 
     @given(
-        st.lists(st.integers(0, 2), min_size=1, max_size=200),
+        st.lists(st.sampled_from([ZERO, ONE, DECOY]), min_size=1, max_size=200),
         st.integers(0, 2**31 - 1),
     )
-    def test_occupancy_and(self, codes, seed):
+    def test_occupancy_and(self, patterns, seed):
         # the mask acts as a bitwise AND on each slot's bin pattern
-        slot_map = SlotMap(np.array(codes, dtype=np.uint8))
-        train = encode(slot_map)
-        mask = generate_mask(slot_map.n_slots, np.random.default_rng(seed))
+        train = _train(patterns)
+        mask = generate_mask(train.size, np.random.default_rng(seed))
         masked = apply_and_mask(train, mask)
-        eve_pattern = np.where(mask.bits == 0, 0b01, 0b10)
+        eve_bits = generate_raw_bits(train.size, np.random.default_rng(seed))
+        eve_pattern = np.where(eve_bits == 0, 0b01, 0b10)
         assert np.array_equal(masked, train & eve_pattern)
-        assert np.array_equal(train, encode(slot_map))  # input untouched
+        assert np.array_equal(train, _train(patterns))  # input untouched
 
     @given(
         st.lists(st.integers(0, 1), min_size=1, max_size=200),
@@ -67,19 +78,19 @@ class TestApplyMask:
         st.integers(0, 2**31 - 1),
     )
     def test_decoys_destroyed(self, bits, strategy, seed):
-        slot_map = insert_decoys(bits, strategy)
-        mask = generate_mask(slot_map.n_slots, np.random.default_rng(seed))
-        sent = apply_and_mask(encode(slot_map), mask)
+        train = insert_decoys(bits, strategy)
+        mask = generate_mask(train.size, np.random.default_rng(seed))
+        sent = apply_and_mask(train, mask)
         assert not np.any(sent == 0b11)
 
     def test_pass_through_rate(self):
         rng = np.random.default_rng(11)
         bits = generate_raw_bits(100_000, rng)
-        slot_map = insert_decoys(bits, DecoyStrategy.NONE)
-        mask = generate_mask(slot_map.n_slots, rng)
-        sent = apply_and_mask(encode(slot_map), mask)
+        train = insert_decoys(bits, DecoyStrategy.NONE)
+        mask = generate_mask(train.size, rng)
+        sent = apply_and_mask(train, mask)
         survived = sent != 0
-        sigma = (0.25 / slot_map.n_slots) ** 0.5
+        sigma = (0.25 / train.size) ** 0.5
         assert abs(survived.mean() - 0.5) < 3 * sigma
 
 
@@ -114,15 +125,15 @@ class TestTranscriptReading:
 
 class TestReconstruct:
     def test_lookup(self):
-        mask = EveMask(np.array([0, 1, 0, 1]))
+        mask = _train([ZERO, ONE, ZERO, ONE])
         assert reconstruct_key(mask, [0, 3]).tolist() == [0, 1]
 
     def test_empty(self):
-        mask = EveMask(np.array([0, 1]))
+        mask = _train([ZERO, ONE])
         assert reconstruct_key(mask, []).size == 0
 
     def test_out_of_range(self):
-        mask = EveMask(np.array([0, 1]))
+        mask = _train([ZERO, ONE])
         with pytest.raises(ValueError):
             reconstruct_key(mask, [2])
 

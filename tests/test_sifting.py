@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cowsim.alice import DECOY, DecoyStrategy, SlotMap
+from cowsim.alice import DECOY, DecoyStrategy
 from cowsim.engine import Attack, SimConfig, run
 from cowsim.sifting import (
     MESSAGE_ORDER,
@@ -22,6 +22,8 @@ from cowsim.sifting import (
 NO_MONITOR = (np.array([], dtype=np.int64), np.array([], dtype=bool))
 NOTHING_DETECTED = (np.array([], dtype=np.int64), np.array([], dtype=np.uint8))
 NO_VERIFY = SimConfig(f_verify=0.0)
+# Alice's data-slot patterns: a 0 lights the early bin, a 1 the late bin
+ZERO, ONE = 0b01, 0b10
 
 INT64 = np.iinfo(np.int64)
 # every digit-count boundary within int64, both signs, and both ends of the range
@@ -42,10 +44,14 @@ class TestQber:
         assert compute_qber(np.array([0, 1, 0, 1]), np.array([1, 1, 0, 0])) == 0.5
 
 
+def _train(patterns):
+    return np.array(patterns, dtype=np.uint8)
+
+
 def _sift_monitor(checked, clicks, config=NO_VERIFY):
     monitor = (checked, clicks)
     return run_sifting(
-        SlotMap(np.array([0])), NOTHING_DETECTED, monitor, config, np.random.default_rng(0)
+        _train([ZERO]), NOTHING_DETECTED, monitor, config, np.random.default_rng(0)
     )
 
 
@@ -67,10 +73,10 @@ class TestMonitorOutcome:
 
 class TestRunSifting:
     def test_table1_scenario(self):
-        slot_map = SlotMap(np.array([0, 0, 1, 1, DECOY, DECOY]))
+        train = _train([ZERO, ZERO, ONE, ONE, DECOY, DECOY])
         detected = (np.array([0, 3, 4, 5]), np.array([0, 1, 0, 1]))
         result, transcript = run_sifting(
-            slot_map, detected, NO_MONITOR, NO_VERIFY, np.random.default_rng(0)
+            train, detected, NO_MONITOR, NO_VERIFY, np.random.default_rng(0)
         )
         assert transcript.get("DetectionReport")["slots"] == [0, 3, 4, 5]
         assert transcript.get("DecoyDiscard")["slots"] == [4, 5]
@@ -79,9 +85,9 @@ class TestRunSifting:
         assert result.qber == 0.0
 
     def test_no_detections(self):
-        slot_map = SlotMap(np.array([0, 1]))
+        train = _train([ZERO, ONE])
         result, transcript = run_sifting(
-            slot_map, NOTHING_DETECTED, NO_MONITOR, SimConfig(), np.random.default_rng(0)
+            train, NOTHING_DETECTED, NO_MONITOR, SimConfig(), np.random.default_rng(0)
         )
         assert result.kept_indices.size == 0
         assert result.qber == 0.0
@@ -96,26 +102,26 @@ class TestRunSifting:
         assert stats.qber == 0.0
 
     def test_out_of_range_slot_rejected(self):
-        slot_map = SlotMap(np.array([0, 1]))
+        train = _train([ZERO, ONE])
         with pytest.raises(ValueError):
             run_sifting(
-                slot_map, ([5], [0]), NO_MONITOR, NO_VERIFY, np.random.default_rng(0)
+                train, ([5], [0]), NO_MONITOR, NO_VERIFY, np.random.default_rng(0)
             )
 
     def test_abort_on_monitor_breaks(self):
-        slot_map = SlotMap(np.array([DECOY, 0]))
+        train = _train([DECOY, ZERO])
         monitor = (np.array([0, 2]), np.array([True, False]))
         result, _ = run_sifting(
-            slot_map, NOTHING_DETECTED, monitor, NO_VERIFY, np.random.default_rng(0)
+            train, NOTHING_DETECTED, monitor, NO_VERIFY, np.random.default_rng(0)
         )
         assert result.break_rate == 0.5
         assert result.verdict == "abort"
 
     def test_verification_excluded_from_key(self):
-        slot_map = SlotMap(np.arange(100) % 2)
+        train = _train([ZERO, ONE] * 50)
         detected = (np.arange(100), np.arange(100) % 2)
         result, transcript = run_sifting(
-            slot_map, detected, NO_MONITOR, SimConfig(f_verify=0.3), np.random.default_rng(1)
+            train, detected, NO_MONITOR, SimConfig(f_verify=0.3), np.random.default_rng(1)
         )
         verify = set(transcript.get("VerificationRequest")["slots"])
         kept = set(transcript.get("KeyIndices")["slots"])
@@ -306,6 +312,6 @@ class TestDiscardCorrectness:
 
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[0])
         bits = generate_raw_bits(2000, rng)
-        slot_map = insert_decoys(bits, DecoyStrategy.FRAME_HEADER)
+        train = insert_decoys(bits, DecoyStrategy.FRAME_HEADER)
         kept = transcript.get("KeyIndices")["slots"]
-        assert not np.any(slot_map.codes[kept] == DECOY)
+        assert not np.any(train[kept] == DECOY)
