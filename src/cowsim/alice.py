@@ -74,11 +74,13 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
     and the left-to-right scan keeps the even-indexed members of each chain
     (the first, third, ...): each kept one consumes its odd successor.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = np.asarray(bits)
     if bits.size == 0:
         raise ValueError("bit sequence must be nonempty")
-    if not np.all(bits <= 1):
+    # checked before the cast, which would wrap 256 to 0 and truncate 0.7 to 0
+    if bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1:
         raise ValueError("bits must be 0 or 1")
+    bits = bits.astype(np.uint8, copy=False)
 
     if strategy is DecoyStrategy.NONE:
         return bits + 1

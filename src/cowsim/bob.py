@@ -11,8 +11,8 @@ The train arrives as Alice's slot patterns (alice.insert_decoys), after any
 mask: bit v of train[i] is set when bin 2i+v holds a pulse.  A detection is
 the sorted array of positions that clicked, as the sampler draws them.  The
 data detector reports (slots, values): bin 2i+v clicked gives slot i and
-value v, at most one per slot.  The monitor detector reports one boolean per
-interferometer boundary k (bins k and k+1).
+value v, at most one per slot.  The monitor detector reports its clicked
+interferometer boundaries k (bins k and k+1), sorted.
 
 Clicks are sampled by thinned geometric skipping (Devroye, Non-Uniform
 Random Variate Generation, 1986; Batagelj & Brandes, Phys. Rev. E 71,
@@ -52,9 +52,9 @@ def receive(
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Propagate a slot-pattern train through loss and the splitter, then detect.
 
-    Returns ((slots, values), monitor_clicks): detect_data's detected slots
-    and bit values, and one boolean per interferometer boundary k (bins k
-    and k+1) for the monitor detector.
+    Returns ((slots, values), monitor): detect_data's detected slots and bit
+    values, and the monitor detector's clicked interferometer boundaries k
+    (bins k and k+1) as strictly increasing int64 positions in [0, 2n - 1).
 
     It draws first the data detector's numbers (detect_data), then the
     monitor's over the 2n - 1 interferometer boundaries.  Each detector
@@ -72,14 +72,10 @@ def receive(
     # coupler, and an intact pair leaks what the visibility fails to cancel
     port = np.array([0.0, m / 4.0, (m - config.visibility * m) / 2.0])
 
-    n_boundaries = max(2 * train.size - 1, 0)
-    clicked = _sample_clicks(
+    return detected, _sample_clicks(
         click_probability(port, config.eta_mon, config.p_dark_mon),
-        n_boundaries, partial(_pair_level, train), rng,
+        max(2 * train.size - 1, 0), partial(_pair_level, train), rng,
     )
-    mon_clicks = np.zeros(n_boundaries, dtype=bool)
-    mon_clicks[clicked] = True
-    return detected, mon_clicks
 
 
 def detect_data(

@@ -185,9 +185,8 @@ def _transmit_and_sift(
     mask = eve_mod.generate_mask(train.size, rng_eve)
     sent = eve_mod.apply_and_mask(train, mask) if config.attack is Attack.AND_MASK else train
 
-    detected, monitor_clicks = bob_mod.receive(sent, config, rng_det)
-    monitor = (checked, monitor_clicks[checked])
-    sift, transcript = run_sifting(train, detected, monitor, config, rng_choices)
+    detected, monitor = bob_mod.receive(sent, config, rng_det)
+    sift, transcript = run_sifting(train, detected, (checked, monitor), config, rng_choices)
 
     kept = eve_mod.observe_transcript(transcript)
     eve_key = eve_mod.reconstruct_key(mask, kept)

@@ -23,7 +23,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MESSAGE_ORDER",
-    "Message",
     "Transcript",
     "SiftResult",
     "compute_qber",
@@ -40,18 +39,6 @@ MESSAGE_ORDER = (
     "Verdict",
     "KeyIndices",
 )
-
-
-@dataclass(frozen=True)
-class Message:
-    """One announcement: its kind and a payload of named values.
-
-    A payload value is a JSON value, or a 1-D integer numpy array that
-    stands for the list of its elements.
-    """
-
-    kind: str
-    payload: dict
 
 
 class TranscriptError(ValueError):
@@ -95,36 +82,38 @@ def _json_ints(a: np.ndarray) -> str:
 
 @dataclass
 class Transcript:
-    """Append-only, order-enforced record of the classical dialog."""
+    """Append-only, order-enforced record of the classical dialog.
 
-    messages: list[Message] = field(default_factory=list)
+    messages maps each announced kind to its payload of named values, in
+    the order they were sent; each kind comes at most once, in MESSAGE_ORDER.
+    A payload value is a JSON value, or a 1-D integer numpy array that
+    stands for the list of its elements.
+    """
+
+    messages: dict[str, dict] = field(default_factory=dict)
 
     def append(self, kind: str, payload: dict) -> None:
         if kind not in MESSAGE_ORDER:
             raise TranscriptError(f"unknown message kind: {kind}")
-        rank = MESSAGE_ORDER.index(kind)
         if self.messages:
-            last_rank = MESSAGE_ORDER.index(self.messages[-1].kind)
-            if rank <= last_rank:
-                raise TranscriptError(
-                    f"{kind} may not follow {self.messages[-1].kind}"
-                )
+            last = next(reversed(self.messages))
+            if MESSAGE_ORDER.index(kind) <= MESSAGE_ORDER.index(last):
+                raise TranscriptError(f"{kind} may not follow {last}")
         for key, value in payload.items():
             if not isinstance(key, str) or key == "kind":
                 raise TranscriptError(f"{kind} payload key {key!r}: must be a str other than 'kind'")
             if isinstance(value, np.ndarray) and (value.ndim != 1 or value.dtype.kind not in "iu"):
                 raise TranscriptError(f"{kind} payload {key!r}: arrays must be 1-D integer arrays")
-        self.messages.append(Message(kind, payload))
+        self.messages[kind] = payload
 
     def get(self, kind: str) -> dict:
-        """The first kind message's payload as JSON values: a new dict, arrays as lists of int."""
-        for msg in self.messages:
-            if msg.kind == kind:
-                return {
-                    key: value.tolist() if isinstance(value, np.ndarray) else value
-                    for key, value in msg.payload.items()
-                }
-        raise TranscriptError(f"transcript has no {kind} message")
+        """The kind message's payload as JSON values: a new dict, arrays as lists of int."""
+        if kind not in self.messages:
+            raise TranscriptError(f"transcript has no {kind} message")
+        return {
+            key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in self.messages[kind].items()
+        }
 
     def to_jsonl(self) -> str:
         """One json.dumps({"kind": kind, **payload}, sort_keys=True) line per message.
@@ -143,8 +132,8 @@ class Transcript:
             return arrays[id(value)]
 
         lines = []
-        for m in self.messages:
-            record = {"kind": m.kind, **m.payload}
+        for kind, payload in self.messages.items():
+            record = {"kind": kind, **payload}
             fields = (f"{json.dumps(key)}: {value_text(value)}" for key, value in sorted(record.items()))
             lines.append("{" + ", ".join(fields) + "}")
         return "\n".join(lines) + "\n"
@@ -176,8 +165,13 @@ class SiftResult:
 
 
 def compute_qber(alice_bits, bob_bits) -> float:
-    """Mismatch fraction over revealed bits, paired by position; 0 on empty."""
+    """Mismatch fraction over revealed bits, paired by position; 0 on empty.
+
+    Raises ValueError when the two sides differ in shape.
+    """
     alice_bits, bob_bits = np.asarray(alice_bits), np.asarray(bob_bits)
+    if alice_bits.shape != bob_bits.shape:
+        raise ValueError(f"revealed bits differ in shape: {alice_bits.shape} and {bob_bits.shape}")
     if alice_bits.size == 0:
         return 0.0
     return int(np.count_nonzero(alice_bits != bob_bits)) / alice_bits.size
@@ -205,9 +199,11 @@ def run_sifting(
     train is Alice's pulse train as she sent it, before any mask: her record
     of which slots are decoys (pattern DECOY) and of each data slot's bit
     (pattern >> 1).  detected is Bob's (slots, values) pair of arrays, one
-    detected bit each.
-    monitor is the (checked, clicks) pair: the boundaries Alice asked to be
-    checked and, per checked boundary, whether Bob's monitor detector fired.
+    detected bit each, with slots strictly increasing as receive returns them.
+    monitor is the (checked, clicked) pair: the boundaries Alice asked to be
+    checked, and the boundaries where Bob's monitor detector fired, as
+    integer positions.  MonitorReport flags each checked boundary that is
+    among the clicked ones.
     Bob announces which slots he detected; Alice discards her decoys among
     them, samples a verification subset of fraction config.f_verify that
     both sides reveal, and keeps the rest as key.  The verdict aborts when
@@ -219,17 +215,16 @@ def run_sifting(
     values = np.asarray(values, dtype=np.uint8)
     if slots.shape != values.shape:
         raise ValueError("detected slots and values differ in length")
-    if slots.size and (slots.min() < 0 or slots.max() >= train.size):
+    if np.any(np.diff(slots) <= 0):
+        raise ValueError("detected slots must be strictly increasing")
+    if slots.size and (slots[0] < 0 or slots[-1] >= train.size):
         raise ValueError("detected slot outside the train")
 
-    checked, clicks = monitor
+    checked, clicked = monitor
     checked = np.asarray(checked, dtype=np.int64)
-    clicks = np.asarray(clicks, dtype=bool)
-    if checked.shape != clicks.shape:
-        raise ValueError("monitor boundaries and clicks differ in length")
-
-    order = np.argsort(slots)
-    slots, values = slots[order], values[order]
+    # kind="table": one bool array over the clicks' range, where the default
+    # would sort the checked boundaries once their range is wide
+    clicks = np.isin(checked, np.asarray(clicked, dtype=np.int64), kind="table")
 
     is_decoy = train[slots] == DECOY
     decoy_detected = slots[is_decoy]

@@ -146,6 +146,28 @@ class TestInsertDecoys:
         train = insert_decoys([0, 0, 1, 1, 1], DecoyStrategy.FRAME_HEADER)
         assert train.tolist() == [DECOY, ZERO, ZERO, ONE, DECOY, ONE, ONE]
 
+    @pytest.mark.parametrize(
+        "bits",
+        [np.array([256, 257]), np.array([0.7, 1.9]), np.array([-1, 0]), [0, 2]],
+        ids=["wrap-on-cast", "truncate-on-cast", "negative", "two"],
+    )
+    @pytest.mark.parametrize("strategy", list(DecoyStrategy))
+    def test_non_bits_rejected(self, bits, strategy):
+        # checked before any cast to uint8, which would turn these into 0s and 1s
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            insert_decoys(bits, strategy)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [[1, 0, 1, 0, 1], np.array([1, 0, 1, 0, 1], dtype=np.uint8), np.array([1, 0, 1, 0, 1]),
+         np.array([True, False, True, False, True])],
+        ids=["list", "uint8", "int64", "bool"],
+    )
+    def test_bit_inputs_accepted(self, bits):
+        train = insert_decoys(bits, DecoyStrategy.SUBSTITUTE_PATTERN)
+        assert train.dtype == np.uint8
+        assert train.tolist() == [DECOY, DECOY, DECOY, DECOY, ONE]
+
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
     def test_slot_count_preserved(self, bits):
         assert insert_decoys(bits, DecoyStrategy.NONE).size == len(bits)

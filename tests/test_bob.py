@@ -54,16 +54,21 @@ def _slot_train(bins, n_slots):
     return occ[:, 0] | occ[:, 1] << 1
 
 
-def _break_rate(checked, clicks):
-    """The monitor break rate run_sifting reports for (checked, clicks)."""
-    result, _ = run_sifting(
-        _train([ZERO]),
+def _sift_monitor(checked, clicked, n_slots=1):
+    """run_sifting's (result, transcript) for the monitor's (checked, clicked)
+    and nothing detected."""
+    return run_sifting(
+        _train([ZERO] * n_slots),
         (np.array([], dtype=np.int64), np.array([], dtype=np.uint8)),
-        (checked, clicks),
+        (checked, clicked),
         SimConfig(f_verify=0.0),
         np.random.default_rng(0),
     )
-    return result.break_rate
+
+
+def _break_rate(checked, clicked):
+    """The monitor break rate run_sifting reports for (checked, clicked)."""
+    return _sift_monitor(checked, clicked)[0].break_rate
 
 
 class TestReceive:
@@ -74,8 +79,8 @@ class TestReceive:
     def test_empty_train_silent(self):
         train = np.zeros(5, dtype=np.uint8)  # five slots, ten empty bins
         (slots, values), monitor = receive(train, IDEAL, np.random.default_rng(0))
-        assert (slots.size, values.size, monitor.shape) == (0, 0, (9,))
-        assert not monitor.any()
+        assert (slots.size, values.size, monitor.size) == (0, 0, 0)
+        assert monitor.dtype == np.int64
 
     def test_detection_statistics(self):
         # per-slot detection probability follows 1 - exp(-mu t t_b eta);
@@ -102,6 +107,21 @@ class TestReceive:
         (slots, values), _ = receive(_train([DECOY] * 50), ORACLE, np.random.default_rng(0))
         assert slots.tolist() == list(range(50))
         assert not values.any()
+
+    @pytest.mark.parametrize("attack", [False, True])
+    @pytest.mark.parametrize("strategy", list(DecoyStrategy))
+    def test_both_detectors_report_sorted_positions(self, strategy, attack):
+        # dark counts on both detectors give clicks everywhere, ends included
+        train = insert_decoys(generate_raw_bits(3000, np.random.default_rng(12)), strategy)
+        if attack:
+            train = apply_and_mask(train, generate_mask(train.size, np.random.default_rng(13)))
+        config = replace(IDEAL, p_dark_data=0.2, p_dark_mon=0.2)
+        (slots, values), monitor = receive(train, config, np.random.default_rng(14))
+        for positions, end in ((slots, train.size), (monitor, 2 * train.size - 1)):
+            assert positions.dtype == np.int64 and positions.size > 0
+            assert np.all(np.diff(positions) > 0)
+            assert positions[0] >= 0 and positions[-1] < end
+        assert values.dtype == np.uint8 and values.shape == slots.shape
 
 
 def _levels(n, n_levels, seed):
@@ -262,7 +282,7 @@ class TestMonitor:
         config = SimConfig(channel_t=0.5, t_b=0.9, eta_mon=1.0, p_dark_mon=0.0)
         _, monitor = receive(train, config, np.random.default_rng(4))
         boundaries = np.arange(0, 2 * train.size - 1, 2)  # decoy-internal
-        clicks = monitor[boundaries]
+        clicks = _grid(monitor, 2 * train.size - 1)[boundaries]
         assert (clicks.size, np.count_nonzero(clicks)) == (10_000, 0)
 
     @pytest.mark.parametrize(
@@ -274,14 +294,12 @@ class TestMonitor:
         # mu=1e17 the monitor arm gets 1e16, so a 1e-13 deficit still leaks 500
         config = replace(ORACLE, visibility=visibility, mu=1e17)
         _, monitor = receive(_train([DECOY, ONE, ZERO]), config, np.random.default_rng(0))
-        assert np.flatnonzero(monitor).tolist() == clicked
+        assert monitor.tolist() == clicked
 
     def test_empty_checked(self):
-        monitor = _grid([3, 5], 7)
-        checked = np.array([], dtype=np.int64)
-        clicks = monitor[checked]
-        assert clicks.size == 0
-        assert _break_rate(checked, clicks) == 0.0
+        result, transcript = _sift_monitor(np.array([], dtype=np.int64), np.array([3, 5]))
+        assert transcript.get("MonitorReport")["clicks"] == []
+        assert result.break_rate == 0.0
 
     def test_broken_pair_click_rate(self):
         # lone survivors click at 1 - exp(-eta_mon (1-t_b) t mu / 4)
@@ -291,18 +309,16 @@ class TestMonitor:
         config = SimConfig(channel_t=0.5, t_b=0.9, eta_mon=0.8, p_dark_mon=0.0)
         _, monitor = receive(train, config, np.random.default_rng(6))
         checked = np.arange(0, 2 * train.size - 1, 2)
-        rate = _break_rate(checked, monitor[checked])
+        rate = _break_rate(checked, monitor)
         p = 1 - math.exp(-0.8 * 0.1 * 0.5 * 0.5 / 4)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(rate - p) < 5 * se
 
     def test_monitor_outcome_subset(self):
         # a click at a boundary outside checked does not count
-        monitor = _grid([1, 4], 7)
-        checked = np.array([0, 1, 2])
-        clicks = monitor[checked]
-        assert clicks.tolist() == [False, True, False]
-        assert _break_rate(checked, clicks) == pytest.approx(1 / 3)
+        result, transcript = _sift_monitor(np.array([0, 1, 2]), np.array([1, 4]))
+        assert transcript.get("MonitorReport")["clicks"] == [0, 1, 0]
+        assert result.break_rate == pytest.approx(1 / 3)
 
 
 def _detect_on_grid(clicks):
@@ -345,7 +361,7 @@ class TestSaturatedReference:
         (slots, values), monitor = receive(train, config, np.random.default_rng(seed))
         (ref_slots, ref_values), ref_monitor = _nonzero_mean_reference(train, config)
         assert np.array_equal(slots, ref_slots) and np.array_equal(values, ref_values)
-        assert np.array_equal(np.flatnonzero(monitor), ref_monitor)
+        assert np.array_equal(monitor, ref_monitor)
 
 
 class TestIndexFormulation:
@@ -372,19 +388,36 @@ class TestIndexFormulation:
         assert np.all(np.diff(slots) > 0)
         assert values.dtype == np.uint8
 
-        # the monitor gather and the MonitorReport line against np.isin
+        # the MonitorReport line against the gather from a per-boundary grid
         monitor = rng.random(2 * n_slots - 1) < p_click
         checked = np.flatnonzero(rng.random(monitor.size) < 0.5)
-        expect = np.isin(checked, np.flatnonzero(monitor))
-        clicks = monitor[checked]
-        assert np.array_equal(clicks, expect)
         _, transcript = run_sifting(
             _train([ZERO] * n_slots),
             (slots, values),
-            (checked, clicks),
+            (checked, np.flatnonzero(monitor)),
             SimConfig(f_verify=0.0),
             np.random.default_rng(0),
         )
         report = transcript.get("MonitorReport")
         assert report["boundaries"] == checked.tolist()
-        assert report["clicks"] == expect.astype(int).tolist()
+        assert report["clicks"] == monitor[checked].astype(int).tolist()
+
+
+class TestMonitorReport:
+    @given(
+        n_slots=st.integers(1, 30),
+        data=st.data(),
+    )
+    def test_flags_match_grid_gather(self, n_slots, data):
+        # the gather engine made before sifting took click positions: the
+        # clicked boundaries on a per-boundary grid, read at the checked ones.
+        # checked may be unsorted, repeat or be empty; clicks may fall outside it.
+        n = 2 * n_slots - 1
+        checked = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
+        clicked = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+        checked = np.array(checked, dtype=np.int64)
+        clicked = np.array(clicked, dtype=np.int64)
+        result, transcript = _sift_monitor(checked, clicked, n_slots)
+        expect = _grid(clicked, n)[checked]
+        assert transcript.get("MonitorReport")["clicks"] == expect.astype(int).tolist()
+        assert result.break_rate == (expect.sum() / expect.size if expect.size else 0.0)
