@@ -8,16 +8,14 @@ toggling the attack never perturbs the rest.
 from __future__ import annotations
 
 import copy
-import math
 import sys
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
 
-from . import alice as alice_mod
-from . import bob as bob_mod
-from . import eve as eve_mod
+from . import alice, bob, eve
 from .alice import DecoyStrategy
 from .eve import EveRecord
 from .optics import detectable_fraction, splittable_fraction
@@ -30,6 +28,8 @@ __all__ = [
     "SweepRow",
     "CompareResult",
     "NoKeyError",
+    "FIELD_TYPES",
+    "format_value",
     "run",
     "sweep_mu",
     "compare_attack",
@@ -41,6 +41,18 @@ __all__ = [
 class Attack(Enum):
     NONE = "none"
     AND_MASK = "andmask"
+
+
+def format_value(value) -> str:
+    """A value as every output file prints it: a float to 17 digits, which reads back exactly."""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+class _Record:
+    """A dataclass record whose text form is one name=value line per field."""
+
+    def to_lines(self) -> str:
+        return "".join(f"{name}={format_value(value)}\n" for name, value in vars(self).items())
 
 
 def _check_unit(name: str, value: float, *, open_top: bool = False) -> None:
@@ -84,9 +96,21 @@ class SimConfig:
     seed: int = 1
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.generic):  # a numpy scalar stands for its Python value
+                value = value.item()
+                object.__setattr__(self, field.name, value)
+            if value is None and field.default is None:
+                continue  # an optional field left unset
+            kind = FIELD_TYPES[field.name]
+            # an int is a number too, but a bool is never one
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"{field.name} must be of type {kind.__name__}, got {value!r}")
+            # compared exactly, so an int past the float range fails here too
+            if kind is float and not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.n_bits < 1:
             raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
         if self.mu <= 0:
@@ -94,10 +118,8 @@ class SimConfig:
         # the raw rate divides by tau_ns * 1e-9, which must not underflow
         if self.tau_ns * 1e-9 < sys.float_info.min:
             raise ValueError(f"tau_ns must be > 0 with tau_ns * 1e-9 a normal float, got {self.tau_ns}")
-        if not 0.0 <= self.f_verify < 1.0:
-            raise ValueError(f"f_verify must be in [0, 1), got {self.f_verify}")
-        if not 0.0 <= self.f_coh <= 1.0:
-            raise ValueError(f"f_coh must be in [0, 1], got {self.f_coh}")
+        _check_unit("f_verify", self.f_verify, open_top=True)
+        _check_unit("f_coh", self.f_coh)
         for name in ("channel_t", "t_b", "eta_data", "eta_mon"):
             _check_unit(name, getattr(self, name))
         _check_unit("p_dark_data", self.p_dark_data, open_top=True)
@@ -110,8 +132,15 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
+# SimConfig field -> the type of its values; `float | None` gives float
+FIELD_TYPES = {
+    name: (typing.get_args(hint) or (hint,))[0]
+    for name, hint in typing.get_type_hints(SimConfig).items()
+}
+
+
 @dataclass
-class RunStats:
+class RunStats(_Record):
     """Aggregate outcome of one run."""
 
     slots_sent: int
@@ -125,15 +154,6 @@ class RunStats:
     verified_count: int
     raw_rate_bits_per_s: float
 
-    def to_lines(self) -> str:
-        parts = []
-        for name, value in vars(self).items():
-            if isinstance(value, float):
-                parts.append(f"{name}={value:.17g}")
-            else:
-                parts.append(f"{name}={value}")
-        return "\n".join(parts) + "\n"
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -144,7 +164,7 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class CompareResult:
+class CompareResult(_Record):
     rate_ratio: float
     recovery_no_attack: float
     recovery_attack: float
@@ -166,10 +186,10 @@ def _alice_stage(
     config: SimConfig, rng_bits: np.random.Generator, rng_choices: np.random.Generator
 ) -> _AliceStage:
     """Alice's raw bits, pulse train and the boundaries she asks Bob to check."""
-    bits = alice_mod.generate_raw_bits(config.n_bits, rng_bits)
-    train = alice_mod.insert_decoys(bits, config.decoy_strategy)
-    boundaries = alice_mod.coherent_boundaries(train)
-    checked = alice_mod.announce_coherence_checks(boundaries, config, rng_choices)
+    bits = alice.generate_raw_bits(config.n_bits, rng_bits)
+    train = alice.insert_decoys(bits, config.decoy_strategy)
+    boundaries = alice.coherent_boundaries(train)
+    checked = alice.announce_coherence_checks(boundaries, config, rng_choices)
     return train, checked
 
 
@@ -182,14 +202,13 @@ def _transmit_and_sift(
 ) -> tuple[RunStats, Transcript, EveRecord]:
     """Everything after Alice's stage: Eve's mask, Bob's detectors and sifting."""
     train, checked = alice_stage
-    mask = eve_mod.generate_mask(train.size, rng_eve)
-    sent = eve_mod.apply_and_mask(train, mask) if config.attack is Attack.AND_MASK else train
+    mask = eve.generate_mask(train.size, rng_eve)
+    sent = eve.apply_and_mask(train, mask) if config.attack is Attack.AND_MASK else train
 
-    detected, monitor = bob_mod.receive(sent, config, rng_det)
+    detected, monitor = bob.receive(sent, config, rng_det)
     sift, transcript = run_sifting(train, detected, (checked, monitor), config, rng_choices)
 
-    kept = eve_mod.observe_transcript(transcript)
-    eve_key = eve_mod.reconstruct_key(mask, kept)
+    eve_key = eve.reconstruct_key(mask, transcript.messages["KeyIndices"]["slots"])
     record = EveRecord(mask=mask, reconstructed_key=eve_key)
 
     if sift.alice_key.size:
@@ -199,7 +218,7 @@ def _transmit_and_sift(
 
     stats = RunStats(
         slots_sent=train.size,
-        decoy_slots=int(np.count_nonzero(train == alice_mod.DECOY)),
+        decoy_slots=int(np.count_nonzero(train == alice.DECOY)),
         detections=int(detected[0].size),
         sifted_len=int(sift.kept_indices.size),
         qber=sift.qber,
@@ -236,9 +255,9 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
         point = replace(config, mu=float(mu), decoy_strategy=DecoyStrategy.NONE, attack=Attack.NONE)
         (child,) = master.spawn(1)  # the next child: child i at point i
         rng_bits, _, _, rng_det = _streams(child)
-        bits = alice_mod.generate_raw_bits(point.n_bits, rng_bits)
-        train = alice_mod.insert_decoys(bits, DecoyStrategy.NONE)
-        slots, _ = bob_mod.detect_data(train, point, rng_det)
+        bits = alice.generate_raw_bits(point.n_bits, rng_bits)
+        train = alice.insert_decoys(bits, DecoyStrategy.NONE)
+        slots, _ = bob.detect_data(train, point, rng_det)
         empirical = slots.size / train.size
         rows.append(
             SweepRow(
@@ -306,11 +325,11 @@ def table1_rows() -> tuple[list[tuple[str, ...]], bool]:
     Returns the simulated six rows (alice bit, alice bins, eve bit, eve bins,
     received bins, decoded bit) and whether they match TABLE1_EXPECTED.
     """
-    train = np.array([1, 1, 2, 2, alice_mod.DECOY, alice_mod.DECOY], dtype=np.uint8)
+    train = np.array([1, 1, 2, 2, alice.DECOY, alice.DECOY], dtype=np.uint8)
     mask = np.array([1, 2, 1, 2, 1, 2], dtype=np.uint8)
-    sent = eve_mod.apply_and_mask(train, mask)
+    sent = eve.apply_and_mask(train, mask)
 
-    (slots, values), _ = bob_mod.receive(sent, SimConfig(**_SATURATED), np.random.default_rng(0))
+    (slots, values), _ = bob.receive(sent, SimConfig(**_SATURATED), np.random.default_rng(0))
     decoded = dict(zip(slots.tolist(), values.tolist()))
 
     def bins_str(train, slot):
@@ -318,7 +337,7 @@ def table1_rows() -> tuple[list[tuple[str, ...]], bool]:
 
     rows = []
     for s in range(train.size):
-        alice_ib = "d.s." if train[s] == alice_mod.DECOY else str(train[s] >> 1)
+        alice_ib = "d.s." if train[s] == alice.DECOY else str(train[s] >> 1)
         rows.append(
             (
                 alice_ib,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alice
-from .sifting import Transcript, TranscriptError
+from .sifting import Transcript, TranscriptError, _check_range
 
 __all__ = [
     "EveRecord",
@@ -69,8 +69,5 @@ def observe_transcript(transcript: Transcript) -> np.ndarray:
 
 def reconstruct_key(mask: np.ndarray, kept_indices) -> np.ndarray:
     """Eve's copy of the key: the bits of her slot patterns (pattern >> 1)
-    at the announced positions."""
-    kept = np.asarray(kept_indices, dtype=np.int64)
-    if kept.size and (kept.min() < 0 or kept.max() >= mask.size):
-        raise ValueError("kept index outside the masked slot range")
-    return mask[kept] >> 1
+    at the announced positions, which must be integers in the masked slot range."""
+    return mask[_check_range("kept_indices", kept_indices, mask.size)] >> 1

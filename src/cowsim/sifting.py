@@ -187,6 +187,19 @@ def _alarm_threshold(config: SimConfig, n_checked: int) -> float:
     return p + 3.0 * math.sqrt(p * (1.0 - p) / n_checked)
 
 
+def _check_range(name: str, a, stop: int) -> np.ndarray:
+    """a as an int64 array, checked before the cast to hold integers in [0, stop).
+
+    An empty a passes whatever its dtype.  A ValueError gives name.
+    """
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {a.dtype}")
+    if a.size and (a.min() < 0 or a.max() >= stop):
+        raise ValueError(f"{name} must lie in [0, {stop}), got values in [{a.min()}, {a.max()}]")
+    return a.astype(np.int64, copy=False)
+
+
 def run_sifting(
     train: np.ndarray,
     detected,
@@ -202,8 +215,10 @@ def run_sifting(
     detected bit each, with slots strictly increasing as receive returns them.
     monitor is the (checked, clicked) pair: the boundaries Alice asked to be
     checked, and the boundaries where Bob's monitor detector fired, as
-    integer positions.  MonitorReport flags each checked boundary that is
-    among the clicked ones.
+    integer positions in [0, 2 * train.size - 1).  MonitorReport flags each
+    checked boundary that is among the clicked ones.  Index arrays must
+    hold integers and values must be 0 or 1; ValueError names the first
+    input that does not.
     Bob announces which slots he detected; Alice discards her decoys among
     them, samples a verification subset of fraction config.f_verify that
     both sides reveal, and keeps the rest as key.  The verdict aborts when
@@ -211,20 +226,20 @@ def run_sifting(
     config.alarm_threshold or, when that is None, config.p_dark_mon.
     """
     slots, values = detected
-    slots = np.asarray(slots, dtype=np.int64)
-    values = np.asarray(values, dtype=np.uint8)
+    slots = _check_range("detected slots", slots, train.size)
+    values = _check_range("detected values", values, 2).astype(np.uint8)
     if slots.shape != values.shape:
         raise ValueError("detected slots and values differ in length")
     if np.any(np.diff(slots) <= 0):
         raise ValueError("detected slots must be strictly increasing")
-    if slots.size and (slots[0] < 0 or slots[-1] >= train.size):
-        raise ValueError("detected slot outside the train")
 
     checked, clicked = monitor
-    checked = np.asarray(checked, dtype=np.int64)
-    # kind="table": one bool array over the clicks' range, where the default
-    # would sort the checked boundaries once their range is wide
-    clicks = np.isin(checked, np.asarray(clicked, dtype=np.int64), kind="table")
+    n_boundaries = 2 * train.size - 1
+    checked = _check_range("checked boundaries", checked, n_boundaries)
+    clicked = _check_range("clicked boundaries", clicked, n_boundaries)
+    # kind="table": one bool array over the clicks' range (at most the
+    # boundaries), where the default would sort the checked boundaries
+    clicks = np.isin(checked, clicked, kind="table")
 
     is_decoy = train[slots] == DECOY
     decoy_detected = slots[is_decoy]

@@ -54,9 +54,12 @@ def _slot_train(bins, n_slots):
     return occ[:, 0] | occ[:, 1] << 1
 
 
-def _sift_monitor(checked, clicked, n_slots=1):
+def _sift_monitor(checked, clicked, n_slots=None):
     """run_sifting's (result, transcript) for the monitor's (checked, clicked)
-    and nothing detected."""
+    and nothing detected, on n_slots slots: by default the fewest whose
+    boundaries 0 .. 2 * n_slots - 2 hold every given one."""
+    if n_slots is None:
+        n_slots = (max(np.max(checked, initial=0), np.max(clicked, initial=0)) + 1) // 2 + 1
     return run_sifting(
         _train([ZERO] * n_slots),
         (np.array([], dtype=np.int64), np.array([], dtype=np.uint8)),

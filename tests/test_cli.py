@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cowsim import engine
-from cowsim.alice import DecoyStrategy
+from cowsim import cli, engine
+from cowsim.alice import DECOY, DecoyStrategy
 from cowsim.cli import ConfigError, main, parse_config
 from cowsim.engine import Attack, SimConfig, run
 
@@ -152,6 +152,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
+    def test_selftest_decoy_check_uses_eves_mask(self, monkeypatch, capsys):
+        # a mask passing both bins of every slot would leave each decoy intact
+        monkeypatch.setattr(cli, "generate_mask", lambda n, rng: np.full(n, DECOY, dtype=np.uint8))
+        assert run_cli("selftest") == 2
+        assert "FAIL decoy destruction" in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("override", ["t_b=0", "mu=1e-6"])
     def test_selftest_ignores_user_physics(self, capsys, override):
         # the perfect-recovery check runs on its own saturated config
@@ -165,6 +171,7 @@ class TestCommands:
 
     def test_usage_error_exit_code(self, capsys):
         assert run_cli("no-such-command") == 1
+        assert capsys.readouterr().err.startswith("cowsim: error: argument command: invalid choice")
 
     def test_dead_time_bins_rejected(self, capsys):
         # dead time is always slot-gated; the old knob is an unknown key

@@ -87,6 +87,17 @@ class TestRun:
         assert on.decoy_slots == off.decoy_slots > 0
         assert transcript.get("DecoyDiscard")["slots"]
 
+    def test_key_indices_not_reparsed(self, monkeypatch):
+        # Eve reads the published int64 array; observe_transcript is for replays
+        def refuse(transcript):
+            raise AssertionError("run re-parsed its own transcript")
+
+        monkeypatch.setattr(engine.eve, "observe_transcript", refuse)
+        stats, transcript, record = run(SimConfig(n_bits=2000, attack=Attack.AND_MASK, seed=4))
+        kept = transcript.messages["KeyIndices"]["slots"]
+        assert np.array_equal(record.reconstructed_key, record.mask[kept] >> 1)
+        assert stats.eve_recovery_fraction == 1.0
+
     def test_rate_reporting(self):
         stats, _, _ = run(SimConfig(n_bits=10_000, seed=3))
         expect = stats.sifted_len / (2 * stats.slots_sent * 2.4e-9)
@@ -158,6 +169,12 @@ class TestCompareAttack:
         with pytest.raises(NoKeyError, match="n_bits"):
             compare_attack(SimConfig(n_bits=1))
 
+    def test_to_lines(self):
+        result = engine.CompareResult(rate_ratio=0.1, recovery_no_attack=0.5, recovery_attack=1.0)
+        assert result.to_lines() == (
+            "rate_ratio=0.10000000000000001\nrecovery_no_attack=0.5\nrecovery_attack=1\n"
+        )
+
 
 class TestConfig:
     def test_mu_positive_required(self):
@@ -178,3 +195,36 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(f_coh=1.5)
         assert SimConfig(f_coh=1.0).f_coh == 1.0
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("attack", "andmask"),
+            ("decoy_strategy", "none"),
+            ("n_bits", 2500.5),
+            ("n_bits", True),
+            ("seed", 1.5),
+            ("mu", "0.5"),
+            ("mu", True),
+            ("alarm_threshold", "0.5"),
+            ("seed", None),
+        ],
+    )
+    def test_wrong_type_names_the_key(self, key, value):
+        # an enum's value string, a float count or a numeric string would
+        # otherwise run without the attack, fail later or fail unnamed
+        with pytest.raises(ValueError, match=rf"^{key} must be of type"):
+            SimConfig(**{key: value})
+
+    def test_numbers_accepted(self):
+        # an int is a number; numpy scalars stand for their Python values
+        config = SimConfig(mu=1, n_bits=np.int64(500), t_b=np.float32(0.5), alarm_threshold=None)
+        assert (config.mu, config.n_bits, config.t_b) == (1, 500, 0.5)
+        assert type(config.n_bits) is int and type(config.t_b) is float
+        assert run(config)[0].slots_sent > 0
+        with pytest.raises(ValueError, match="^mu must be finite"):
+            SimConfig(mu=np.float32("inf"))
+        # an int past the float range would overflow later, naming nothing
+        for key in ("mu", "tau_ns"):
+            with pytest.raises(ValueError, match=f"^{key} must be finite"):
+                SimConfig(**{key: 10**400})

@@ -137,6 +137,12 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct_key(mask, [2])
 
+    @pytest.mark.parametrize("kept", [np.array([1.9]), np.array([0.0])], ids=["1.9", "0.0"])
+    def test_float_indices_rejected(self, kept):
+        # a float would be truncated to a slot index: 1.9 would read slot 1
+        with pytest.raises(ValueError, match="kept_indices must be integers"):
+            reconstruct_key(_train([ZERO, ONE]), kept)
+
     def test_exact_copy_of_key(self):
         # with no dark counts, the reconstruction equals Alice's kept bits
         config = SimConfig(n_bits=100_000, attack=Attack.AND_MASK, seed=9)

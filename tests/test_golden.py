@@ -20,6 +20,9 @@ sampled AND-mask runs at n_bits=2003, one per decoy strategy, pin the
 last partial byte of Alice's raw bits and of Eve's mask.  One noisy
 substitute-pattern AND-mask run at n_bits=600_000, whose checked boundaries
 reach 1.2M, pins the transcript's seven-digit numbers.
+
+Five command-line runs, made in-process through cli.main, pin every file
+each writes and its stdout.
 """
 
 import hashlib
@@ -31,6 +34,7 @@ import numpy as np
 import pytest
 
 from cowsim import Attack, DecoyStrategy, SimConfig, bob, run, sweep_mu
+from cowsim.cli import main
 from cowsim.engine import _SATURATED, table1_rows
 from cowsim.optics import click_probability
 
@@ -117,6 +121,23 @@ TAIL_RUNS = {
 
 def table1_digest():
     return _sha(repr(table1_rows()))
+
+
+CLI_COMMANDS = {
+    "run": ["run", "--set", "n_bits=20000", "--set", "attack=andmask", "--seed", "7"],
+    "sweep-mu": ["sweep-mu", "--set", "n_bits=20000", "--mu-grid", "0.1,0.5,1.3"],
+    "table1": ["table1"],
+    "compare-attack": ["compare-attack", "--set", "n_bits=20000", "--seed", "2"],
+    "selftest": ["selftest"],
+}
+
+
+def cli_digests(argv, out, capsys):
+    """Exit code, then the sha256 of stdout and of every file written to out."""
+    code = main(argv + ["--out", str(out)])
+    digests = {"stdout": _sha(capsys.readouterr().out)}
+    digests.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for p in sorted(out.iterdir()))
+    return code, digests
 
 
 # (to_jsonl sha256, to_lines sha256) per grid point
@@ -349,6 +370,30 @@ GOLDEN_LONG_SWEEP = "00c263e8d05eeaaa3993495c92ee535bd4ef9108c838667f29813fa5798
 
 GOLDEN_TABLE1 = "f3f943e6026c22d2782dec4b7eb9acddcc0215aa42acf663ac7f1eaab33d15b0"
 
+# command -> (exit code, sha256 of stdout and of each file written)
+GOLDEN_CLI = {
+    "run": (0, {
+        "stdout": "6ebbaa0c82ce5f840ddb31a1db7fa438900d0695f0f7b07c59938c15e9d5f632",
+        "stats.log": "6ebbaa0c82ce5f840ddb31a1db7fa438900d0695f0f7b07c59938c15e9d5f632",
+        "transcript.log": "ef4c373c4f911106d1f01c883a189b18fb1fffb70436f44dc3e831c25cb5e21d",
+    }),
+    "sweep-mu": (0, {
+        "stdout": "8c8d7f8133cfbbeb6a2aff099162c3757ae8eeed7a65f9176881e0e5341aaca1",
+        "sweep_mu.csv": "8c8d7f8133cfbbeb6a2aff099162c3757ae8eeed7a65f9176881e0e5341aaca1",
+    }),
+    "table1": (0, {
+        "stdout": "d1ae28eec05af02b3cb2179adb3d92fa2194501b3ec5d78b304e410d9a1d9e6a",
+        "table1.csv": "d1ae28eec05af02b3cb2179adb3d92fa2194501b3ec5d78b304e410d9a1d9e6a",
+    }),
+    "compare-attack": (0, {
+        "stdout": "fb0912e764b72a3b7bd0468d79ae37bdf6bb9c5b704e300d6bc3ae31e885c301",
+        "compare_attack.log": "fb0912e764b72a3b7bd0468d79ae37bdf6bb9c5b704e300d6bc3ae31e885c301",
+    }),
+    "selftest": (0, {
+        "stdout": "25ca432d3b224e68ea1527baa9c621c26e840981bb845d76394657fd654e3da5",
+    }),
+}
+
 
 @pytest.mark.parametrize("name", sorted(GRID))
 def test_run_digests(name):
@@ -379,6 +424,11 @@ def test_long_sweep_digest():
 
 def test_table1_digest():
     assert table1_digest() == GOLDEN_TABLE1
+
+
+@pytest.mark.parametrize("command", sorted(CLI_COMMANDS))
+def test_cli_digests(command, tmp_path, capsys):
+    assert cli_digests(CLI_COMMANDS[command], tmp_path, capsys) == GOLDEN_CLI[command]
 
 
 def test_grid_shape():

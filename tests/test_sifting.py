@@ -59,9 +59,11 @@ def _train(patterns):
 
 
 def _sift_monitor(checked, clicked, config=NO_VERIFY):
+    # the fewest slots n whose boundaries 0 .. 2n - 2 hold every given one
+    n_slots = (max(np.max(checked, initial=0), np.max(clicked, initial=0)) + 1) // 2 + 1
     monitor = (checked, clicked)
     return run_sifting(
-        _train([ZERO]), NOTHING_DETECTED, monitor, config, np.random.default_rng(0)
+        _train([ZERO] * n_slots), NOTHING_DETECTED, monitor, config, np.random.default_rng(0)
     )
 
 
@@ -114,6 +116,44 @@ class TestRunSifting:
             run_sifting(
                 train, ([5], [0]), NO_MONITOR, NO_VERIFY, np.random.default_rng(0)
             )
+
+    @pytest.mark.parametrize(
+        "detected, monitor, name",
+        [
+            ((np.array([0.7, 2.9]), [0, 1]), NO_MONITOR, "detected slots must be integers"),
+            ((np.array([0, 1]), np.array([0.0, 1.0])), NO_MONITOR, "detected values must be integers"),
+            (([0], [3]), NO_MONITOR, "detected values must lie in"),
+            (([-1], [0]), NO_MONITOR, "detected slots must lie in"),
+            (NOTHING_DETECTED, (np.array([0.2]), []), "checked boundaries must be integers"),
+            (NOTHING_DETECTED, ([0], np.array([1.0])), "clicked boundaries must be integers"),
+            (NOTHING_DETECTED, ([3], []), "checked boundaries must lie in"),
+            (NOTHING_DETECTED, ([0], [-5]), "clicked boundaries must lie in"),
+            (NOTHING_DETECTED, ([0], [0, 4 * 10**7]), "clicked boundaries must lie in"),
+        ],
+        ids=[
+            "float-slots",
+            "float-values",
+            "value-3",
+            "negative-slot",
+            "float-checked",
+            "float-clicked",
+            "checked-past-end",
+            "negative-click",
+            "click-far-past-end",
+        ],
+    )
+    def test_bad_input_named(self, detected, monitor, name):
+        # two slots have boundaries 0, 1 and 2; nothing is cast before it is checked
+        with pytest.raises(ValueError, match=name):
+            run_sifting(_train([ZERO, ONE]), detected, monitor, NO_VERIFY, np.random.default_rng(0))
+
+    def test_empty_inputs_of_any_dtype(self):
+        empty = np.array([])  # float64
+        result, transcript = run_sifting(
+            _train([ZERO]), (empty, empty), (empty, empty), NO_VERIFY, np.random.default_rng(0)
+        )
+        assert result.kept_indices.size == 0 and result.break_rate == 0.0
+        assert transcript.messages["KeyIndices"]["slots"].dtype == np.int64
 
     @pytest.mark.parametrize("slots", [[0, 0], [1, 0]], ids=["duplicate", "unsorted"])
     def test_unsorted_slots_rejected(self, slots):
