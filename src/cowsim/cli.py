@@ -2,7 +2,8 @@
 
 Subcommands: run, sweep-mu, table1, compare-attack, selftest.
 Configuration is a key=value text file ('#' starts a comment) plus repeatable
---set KEY=VALUE overrides.  Exit codes: 0 success, 1 usage or config error,
+--set KEY=VALUE overrides.  Exit codes: 0 success, 1 usage or config error
+(n_bits of 2**62 or more included) or a run that does not fit in memory,
 2 oracle mismatch.
 """
 
@@ -152,15 +153,13 @@ def _cmd_run(args) -> int:
 def _cmd_sweep_mu(args) -> int:
     config = _load(args)
     try:
-        grid = [float(v) for v in args.mu_grid.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"bad --mu-grid: {args.mu_grid!r}")
-    if not grid:
-        raise ConfigError(f"bad --mu-grid: no mu values in {args.mu_grid!r}")
-    try:
-        rows = engine.sweep_mu(config, grid)
+        # each point's config applies SimConfig's own mu rule
+        grid = [replace(config, mu=float(v)).mu for v in args.mu_grid.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --mu-grid: {exc}") from exc
+    if not grid:
+        raise ConfigError(f"bad --mu-grid: no mu values in {args.mu_grid!r}")
+    rows = engine.sweep_mu(config, grid)
     names = [f.name for f in fields(engine.SweepRow)]
     lines = [names] + [[engine.format_value(getattr(r, name)) for name in names] for r in rows]
     text = "".join(",".join(line) + "\n" for line in lines)
@@ -246,6 +245,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ConfigError, OSError) as exc:
         print(f"cowsim: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("cowsim: error: the run does not fit in memory; lower n_bits", file=sys.stderr)
         return 1
 
 

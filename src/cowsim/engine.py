@@ -1,13 +1,13 @@
 """End-to-end orchestration: seeded runs, parameter sweeps, attack comparisons.
 
-Every run derives four named random streams from the master seed (Alice's
-key bits, Alice's public choices, Eve's mask, detection sampling), so
-toggling the attack never perturbs the rest.
+run() lists every stage of one protocol round in order.  It derives four
+named random streams from the master seed (Alice's key bits, Alice's public
+choices, Eve's mask, detection sampling), so toggling the attack never
+perturbs the rest, and an attack comparison is two runs of one seed.
 """
 
 from __future__ import annotations
 
-import copy
 import sys
 import typing
 from dataclasses import dataclass, fields, replace
@@ -111,8 +111,9 @@ class SimConfig:
             # compared exactly, so an int past the float range fails here too
             if kind is float and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{field.name} must be finite, got {value}")
-        if self.n_bits < 1:
-            raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
+        # the positions of 2 * n_bits bins must fit in int64
+        if not 1 <= self.n_bits < 2**62:
+            raise ValueError(f"n_bits must be in [1, 2**62), got {self.n_bits}")
         if self.mu <= 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         # the raw rate divides by tau_ns * 1e-9, which must not underflow
@@ -178,30 +179,15 @@ def _streams(master: np.random.SeedSequence) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in master.spawn(4)]
 
 
-# Alice's side before transmission: (pulse train, checked boundaries)
-_AliceStage = tuple[np.ndarray, np.ndarray]
-
-
-def _alice_stage(
-    config: SimConfig, rng_bits: np.random.Generator, rng_choices: np.random.Generator
-) -> _AliceStage:
-    """Alice's raw bits, pulse train and the boundaries she asks Bob to check."""
+def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
+    """Execute one full protocol round, attack included when configured."""
+    rng_bits, rng_choices, rng_eve, rng_det = _streams(np.random.SeedSequence(config.seed))
     bits = alice.generate_raw_bits(config.n_bits, rng_bits)
     train = alice.insert_decoys(bits, config.decoy_strategy)
     boundaries = alice.coherent_boundaries(train)
     checked = alice.announce_coherence_checks(boundaries, config, rng_choices)
-    return train, checked
+    del bits, boundaries  # freed before Bob's stage, to bound the run's peak memory
 
-
-def _transmit_and_sift(
-    config: SimConfig,
-    alice_stage: _AliceStage,
-    rng_choices: np.random.Generator,
-    rng_eve: np.random.Generator,
-    rng_det: np.random.Generator,
-) -> tuple[RunStats, Transcript, EveRecord]:
-    """Everything after Alice's stage: Eve's mask, Bob's detectors and sifting."""
-    train, checked = alice_stage
     mask = eve.generate_mask(train.size, rng_eve)
     sent = eve.apply_and_mask(train, mask) if config.attack is Attack.AND_MASK else train
 
@@ -230,13 +216,6 @@ def _transmit_and_sift(
         / (2.0 * train.size * config.tau_ns * 1e-9),
     )
     return stats, transcript, record
-
-
-def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
-    """Execute one full protocol round, attack included when configured."""
-    rng_bits, rng_choices, rng_eve, rng_det = _streams(np.random.SeedSequence(config.seed))
-    alice_stage = _alice_stage(config, rng_bits, rng_choices)
-    return _transmit_and_sift(config, alice_stage, rng_choices, rng_eve, rng_det)
 
 
 def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
@@ -273,25 +252,18 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
 def compare_attack(config: SimConfig) -> CompareResult:
     """Run the identical experiment with the mask off and on.
 
-    Both runs share the master seed, so Alice's bits, her public choices and
-    every detector draw coincide; only whether Eve's mask is applied changes.
-    Alice's stage runs once; each run continues from a copy of the streams
-    as they stood after it, so each equals its own run() call.
-    Raises NoKeyError naming n_bits when the run without the mask sifts no
-    key, since the rate ratio is then undefined.
+    The two runs are run() calls on one seed, so Alice's bits, her public
+    choices and every detector draw coincide; only whether Eve's mask is
+    applied changes.  Raises NoKeyError naming n_bits when the run without
+    the mask sifts no key, since the rate ratio is then undefined.
     """
-    rng_bits, rng_choices, rng_eve, rng_det = _streams(np.random.SeedSequence(config.seed))
-    alice_stage = _alice_stage(config, rng_bits, rng_choices)
-    rngs = (rng_choices, rng_eve, rng_det)
-    stats_off, _, _ = _transmit_and_sift(
-        replace(config, attack=Attack.NONE), alice_stage, *copy.deepcopy(rngs)
-    )
+    stats_off, _, _ = run(replace(config, attack=Attack.NONE))
     if stats_off.sifted_len == 0:
         raise NoKeyError(
             f"n_bits={config.n_bits} sifts no key without the attack, so the rate ratio "
             "is undefined; raise n_bits"
         )
-    stats_on, _, _ = _transmit_and_sift(replace(config, attack=Attack.AND_MASK), alice_stage, *rngs)
+    stats_on, _, _ = run(replace(config, attack=Attack.AND_MASK))
     return CompareResult(
         rate_ratio=stats_on.sifted_len / stats_off.sifted_len,
         recovery_no_attack=stats_off.eve_recovery_fraction,

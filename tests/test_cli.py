@@ -147,6 +147,37 @@ class TestCommands:
         with pytest.raises(ValueError, match="invariant"):
             run_cli("compare-attack", "--out", str(tmp_path))
 
+    @pytest.mark.parametrize("command", ["run", "sweep-mu", "compare-attack"])
+    def test_oversized_n_bits_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        # rejected by SimConfig before any allocation
+        def allocate(*args):
+            raise AssertionError("reached the run")
+
+        monkeypatch.setattr(engine.alice, "generate_raw_bits", allocate)
+        code = run_cli(command, "--set", "n_bits=100000000000000000000", "--out", str(tmp_path))
+        assert code == 1
+        assert "n_bits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, stage", [("run", "run"), ("sweep-mu", "sweep_mu"), ("compare-attack", "run")]
+    )
+    def test_out_of_memory_names_n_bits(self, tmp_path, capsys, monkeypatch, command, stage):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(engine, stage, exhausted)
+        assert run_cli(command, "--out", str(tmp_path)) == 1
+        assert "n_bits" in capsys.readouterr().err
+
+    def test_sweep_mu_internal_error_propagates(self, tmp_path, monkeypatch):
+        # only a bad grid value is a config error; a broken invariant fails loudly
+        def broken(config, grid):
+            raise ValueError("internal invariant broken")
+
+        monkeypatch.setattr(engine, "sweep_mu", broken)
+        with pytest.raises(ValueError, match="invariant"):
+            run_cli("sweep-mu", "--out", str(tmp_path))
+
     def test_selftest(self, capsys):
         assert run_cli("selftest") == 0
         out = capsys.readouterr().out

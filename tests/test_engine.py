@@ -153,7 +153,7 @@ class TestCompareAttack:
 
     @pytest.mark.parametrize("strategy", list(DecoyStrategy))
     def test_equals_two_separate_runs(self, strategy):
-        # Alice's stage is shared, yet each side matches its own run() call
+        # each side of the comparison matches its own run() call
         config = SimConfig(
             n_bits=20_000, seed=12, decoy_strategy=strategy, p_dark_data=1e-3, p_dark_mon=1e-3
         )
@@ -195,6 +195,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(f_coh=1.5)
         assert SimConfig(f_coh=1.0).f_coh == 1.0
+
+    def test_n_bits_cap(self):
+        # the positions of 2 * n_bits bins must fit in int64, on any machine
+        with pytest.raises(ValueError, match=r"^n_bits must be in \[1, 2\*\*62\)"):
+            SimConfig(n_bits=2**62)
+        assert SimConfig(n_bits=2**62 - 1).n_bits == 2**62 - 1
 
     @pytest.mark.parametrize(
         "key, value",

@@ -21,8 +21,9 @@ last partial byte of Alice's raw bits and of Eve's mask.  One noisy
 substitute-pattern AND-mask run at n_bits=600_000, whose checked boundaries
 reach 1.2M, pins the transcript's seven-digit numbers.
 
-Five command-line runs, made in-process through cli.main, pin every file
-each writes and its stdout.
+Three noisy compare_attack runs at n_bits=20_000, one per decoy strategy,
+pin the mask-off/mask-on comparison.  Five command-line runs, made
+in-process through cli.main, pin every file each writes and its stdout.
 """
 
 import hashlib
@@ -33,7 +34,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cowsim import Attack, DecoyStrategy, SimConfig, bob, run, sweep_mu
+from cowsim import Attack, DecoyStrategy, SimConfig, bob, compare_attack, run, sweep_mu
 from cowsim.cli import main
 from cowsim.engine import _SATURATED, table1_rows
 from cowsim.optics import click_probability
@@ -117,6 +118,16 @@ TAIL_RUNS = {
     )
     for strategy in DecoyStrategy
 }
+
+
+COMPARE_RUNS = {
+    strategy.value: SimConfig(n_bits=20_000, seed=12, decoy_strategy=strategy, **NOISE)
+    for strategy in DecoyStrategy
+}
+
+
+def compare_digest(config):
+    return _sha(compare_attack(config).to_lines())
 
 
 def table1_digest():
@@ -368,6 +379,13 @@ GOLDEN_TAIL_RUNS = {
 
 GOLDEN_LONG_SWEEP = "00c263e8d05eeaaa3993495c92ee535bd4ef9108c838667f29813fa579863604"
 
+# rate ratio and recoveries, mask off then on, per decoy strategy
+GOLDEN_COMPARE = {
+    "none": "8e137161586a18cebaaafd17518c4c9c93ad732dc807410639f9a8d899f1cde6",
+    "substitute-pattern": "d6d1006dfc68f5a62a94d4627259cacb6935c79b994084deade3bca2afa097cd",
+    "frame-header": "b9e67106e59547eafddb1829ada5d74478dfcbf9fce5207d5a6c8b2082790e22",
+}
+
 GOLDEN_TABLE1 = "f3f943e6026c22d2782dec4b7eb9acddcc0215aa42acf663ac7f1eaab33d15b0"
 
 # command -> (exit code, sha256 of stdout and of each file written)
@@ -420,6 +438,11 @@ def test_tail_run_digests(name):
 
 def test_long_sweep_digest():
     assert sweep_digest(LONG_SWEEP) == GOLDEN_LONG_SWEEP
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_RUNS))
+def test_compare_digests(name):
+    assert compare_digest(COMPARE_RUNS[name]) == GOLDEN_COMPARE[name]
 
 
 def test_table1_digest():
