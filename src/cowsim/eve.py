@@ -54,9 +54,13 @@ def apply_and_mask(train: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def observe_transcript(transcript: Transcript) -> np.ndarray:
     """Pull the announced key-slot indices out of the public dialog.
 
-    Raises TranscriptError unless KeyIndices carries a "slots" list of
-    integers that fit in int64.
+    A 1-D int64 "slots" array, as a run or a replayed file gives, is
+    returned itself, not a copy.  Any other payload raises TranscriptError
+    unless it is a "slots" list of integers that fit in int64.
     """
+    slots = transcript.messages.get("KeyIndices", {}).get("slots")
+    if isinstance(slots, np.ndarray) and slots.dtype == np.int64 and slots.ndim == 1:
+        return slots
     slots = transcript.get("KeyIndices").get("slots")
     # bool is a subclass of int, so compare types exactly
     if not isinstance(slots, list) or not set(map(type, slots)) <= {int}:

@@ -3,8 +3,9 @@
 Every message is appended to a Transcript in a fixed order and is readable
 by anyone, including Eve.  The transcript serializes to JSON lines so a run
 can be replayed offline.  run_sifting keeps its index lists as numpy arrays
-inside the messages and to_jsonl writes them straight to text; get() and a
-replayed transcript show the same payloads as JSON values.
+inside the messages and to_jsonl writes them straight to text; from_jsonl
+reads each integer list back as an int64 array, and get() shows every
+payload as JSON values.
 """
 
 from __future__ import annotations
@@ -45,15 +46,27 @@ class TranscriptError(ValueError):
     """Raised on malformed or out-of-order transcripts."""
 
 
+# numbers formatted at a time: the row buffer of a block stays in cache
+_BLOCK = 2**14
+
+
 def _json_ints(a: np.ndarray) -> str:
     """json.dumps(a.tolist()) for a 1-D integer array, byte for byte.
+
+    The numbers are formatted one block at a time, so the row buffers
+    stay small and only the text grows with the array.
+    """
+    blocks = (_ints_text(a[i : i + _BLOCK]) for i in range(0, a.size, _BLOCK))
+    return "[" + ", ".join(blocks) + "]"
+
+
+def _ints_text(a: np.ndarray) -> str:
+    """The numbers of a non-empty 1-D integer array, joined by ", ".
 
     Each number fills one fixed-width row of bytes: sign, digits, then
     ", ".  The bytes left of its first digit (or sign) stay NUL and are
     deleted in one pass over the whole buffer.
     """
-    if a.size == 0:
-        return "[]"
     mag = a.astype(np.uint64)
     neg = a < 0
     signed = bool(neg.any())
@@ -77,7 +90,51 @@ def _json_ints(a: np.ndarray) -> str:
         rows[neg, 0] = ord("-")
     rows[:, -2] = ord(",")
     rows[:, -1] = ord(" ")
-    return "[" + rows.tobytes().translate(None, b"\0")[:-2].decode("ascii") + "]"
+    return rows.tobytes().translate(None, b"\0")[:-2].decode("ascii")
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _read_line(line: str, lists: dict[str, np.ndarray]) -> dict | None:
+    """The object on a line laid out exactly as to_jsonl writes it, else None.
+
+    A list value is cut at the next "]" and kept as an int64 array only
+    if _json_ints gives back the cut text; lists maps each list text read
+    so far to its array.
+    """
+    if not line.startswith("{"):
+        return None
+    record = {}
+    pos = 1
+    try:
+        while line.startswith('"', pos):
+            key, pos = json.decoder.scanstring(line, pos + 1)
+            if not line.startswith(": ", pos):
+                return None
+            pos += 2
+            if line.startswith("[", pos):
+                stop = line.find("]", pos) + 1
+                text = line[pos:stop]  # "" when no "]" follows, which fails the check
+                if text not in lists:
+                    array = np.fromstring(text[1:-1], dtype=np.int64, sep=",")
+                    if _json_ints(array) != text:
+                        return None
+                    lists[text] = array
+                value, pos = lists[text], stop
+            else:
+                value, pos = _DECODER.raw_decode(line, pos)
+            record[key] = value
+            if line[pos:] == "}":
+                return record
+            if not line.startswith(", ", pos):
+                return None
+            pos += 2
+    # json.JSONDecodeError, or np.fromstring on text it cannot read; older
+    # numpy warns there instead, and the part it read then fails the check
+    except (ValueError, DeprecationWarning):
+        return None
+    return None
 
 
 @dataclass
@@ -87,7 +144,10 @@ class Transcript:
     messages maps each announced kind to its payload of named values, in
     the order they were sent; each kind comes at most once, in MESSAGE_ORDER.
     A payload value is a JSON value, or a 1-D integer numpy array that
-    stands for the list of its elements.
+    stands for the list of its elements.  from_jsonl reads each integer
+    list of a line as to_jsonl writes it into an int64 array, kept only if
+    formatting it again gives the list's text exactly; any other line is
+    read by json.loads and keeps its lists as lists.
     """
 
     messages: dict[str, dict] = field(default_factory=dict)
@@ -140,14 +200,29 @@ class Transcript:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
+        """The transcript on text's lines, each a JSON object with a kind.
+
+        A line laid out exactly as to_jsonl writes it is read field by
+        field, and each list on it becomes an int64 array, accepted only if
+        _json_ints(array) is the list's text: then that text is json.dumps
+        of the array's list.  A list text that recurs (the checked
+        boundaries) is read once, and its messages share one array.  Any
+        other line goes whole to json.loads, as does every line holding a
+        list that fails the check.  Either way each payload equals what
+        json.loads gives.  TranscriptError names the number of a line that
+        is not JSON or not an object with a kind.
+        """
         out = cls()
+        lists: dict[str, np.ndarray] = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TranscriptError(f"bad transcript line {lineno}: {exc}") from exc
+            record = _read_line(line, lists)
+            if record is None:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TranscriptError(f"bad transcript line {lineno}: {exc}") from exc
             if not isinstance(record, dict) or "kind" not in record:
                 raise TranscriptError(f"bad transcript line {lineno}: not an object with a kind")
             out.append(record.pop("kind"), record)

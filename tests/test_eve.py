@@ -110,9 +110,28 @@ class TestTranscriptReading:
         with pytest.raises(TranscriptError):
             observe_transcript(Transcript())
 
+    def test_replayed_array_returned_itself(self):
+        # the replay reads the list as an int64 array; int64's top value fits
+        t = Transcript.from_jsonl('{"kind": "KeyIndices", "slots": [0, 9223372036854775807]}')
+        slots = observe_transcript(t)
+        assert slots is t.messages["KeyIndices"]["slots"]
+        assert slots.tolist() == [0, 2**63 - 1]
+
     @pytest.mark.parametrize(
         "slots",
-        ["[1.5]", "[[1]]", "[true]", "[1, true]", '"ab"', "[1e30]", "[100000000000000000000]", "null", None],
+        [
+            "[1.5]",
+            "[[1]]",
+            "[true]",
+            "[1, true]",
+            '"ab"',
+            "[1e30]",
+            "[100000000000000000000]",
+            "[9223372036854775808]",
+            "[-9223372036854775809]",
+            "null",
+            None,
+        ],
     )
     def test_bad_replayed_slots(self, slots):
         # a replayed file is outside input: anything but a list of integers

@@ -21,6 +21,9 @@ last partial byte of Alice's raw bits and of Eve's mask.  One noisy
 substitute-pattern AND-mask run at n_bits=600_000, whose checked boundaries
 reach 1.2M, pins the transcript's seven-digit numbers.
 
+Every run above is also read back by Transcript.from_jsonl, and the
+replay must write its recorded transcript again.
+
 Three noisy compare_attack runs at n_bits=20_000, one per decoy strategy,
 pin the mask-off/mask-on comparison.  Five command-line runs, made
 in-process through cli.main, pin every file each writes and its stdout.
@@ -34,7 +37,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cowsim import Attack, DecoyStrategy, SimConfig, bob, compare_attack, run, sweep_mu
+from cowsim import Attack, DecoyStrategy, SimConfig, Transcript, bob, compare_attack, run, sweep_mu
 from cowsim.cli import main
 from cowsim.engine import _SATURATED, table1_rows
 from cowsim.optics import click_probability
@@ -452,6 +455,29 @@ def test_table1_digest():
 @pytest.mark.parametrize("command", sorted(CLI_COMMANDS))
 def test_cli_digests(command, tmp_path, capsys):
     assert cli_digests(CLI_COMMANDS[command], tmp_path, capsys) == GOLDEN_CLI[command]
+
+
+# every run above with its recorded to_jsonl digest
+REPLAY_RUNS = {
+    **{name: (GRID[name], GOLDEN_RUNS[name][0]) for name in GRID},
+    "long": (LONG_RUN, GOLDEN_LONG_RUN[0]),
+    "wide": (WIDE_RUN, GOLDEN_WIDE_RUN[0]),
+    **{f"tail-{name}": (TAIL_RUNS[name], GOLDEN_TAIL_RUNS[name][0]) for name in TAIL_RUNS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_RUNS))
+def test_replayed_digests(name):
+    config, digest = REPLAY_RUNS[name]
+    # a transcript read back from its own text writes the recorded text again
+    _, transcript, _ = run(config)
+    replay = Transcript.from_jsonl(transcript.to_jsonl())
+    assert _sha(replay.to_jsonl()) == digest
+    messages = replay.messages
+    assert messages["CoherenceCheck"]["boundaries"] is messages["MonitorReport"]["boundaries"]
+    # every integer list came back as an array, so no line fell back to json.loads
+    lists = [v for payload in messages.values() for v in payload.values() if not isinstance(v, str)]
+    assert all(isinstance(v, np.ndarray) and v.dtype == np.int64 for v in lists)
 
 
 def test_grid_shape():

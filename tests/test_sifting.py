@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cowsim.alice import DECOY, DecoyStrategy
 from cowsim.engine import Attack, SimConfig, run
 from cowsim.sifting import (
+    _BLOCK,
     MESSAGE_ORDER,
     Transcript,
     TranscriptError,
@@ -246,6 +247,91 @@ class TestTranscript:
             Transcript.from_jsonl(text)
 
 
+# a well-formed first line, so that the line under test is line 2
+FIRST_LINE = '{"kind": "DetectionReport", "slots": [1, 2]}\n'
+
+
+class TestFromJsonl:
+    """from_jsonl reads each payload as json.loads does, or fails as it always did."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(st.integers(INT64.min, INT64.max), st.sampled_from(WIDE_EDGES))))
+    @example([])
+    @example(WIDE_EDGES)
+    def test_int64_lists(self, values):
+        line = json.dumps({"kind": "KeyIndices", "slots": values, "note": "x"}, sort_keys=True)
+        replay = Transcript.from_jsonl(line)
+        expected = json.loads(line)
+        del expected["kind"]
+        assert replay.get("KeyIndices") == expected
+        assert replay.messages["KeyIndices"]["slots"].dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"kind": "KeyIndices", "slots": [-0]}',
+            '{"kind": "KeyIndices", "slots": [ 1]}',
+            '{"kind": "KeyIndices", "slots": [1,2]}',
+            '{"kind": "KeyIndices", "slots": [1.5]}',
+            '{"kind": "KeyIndices", "slots": [[1]]}',
+            '{"kind": "KeyIndices", "slots": [true, 1]}',
+            '{"kind": "KeyIndices", "slots": [NaN]}',
+            '{"kind": "KeyIndices", "slots": [9223372036854775808]}',
+            '{"kind": "KeyIndices", "slots": [-9223372036854775809]}',
+            '{"kind": "KeyIndices", "slots": ["a]", 1]}',
+            '{"kind": "KeyIndices", "note": "a]b", "slots": [1, 2]}',
+            '{"kind": "KeyIndices", "slots": [1], "slots": [2, 3]}',
+            '{"kind": "KeyIndices", "slots": [1, 2]} ',
+            ' {"kind": "KeyIndices", "slots": [1, 2]}',
+            '{"kind":"KeyIndices","slots":[1, 2]}',
+            '{"kind": "KeyIndices", "slots": [1, 2], "z": {"b": [3, 4]}}',
+        ],
+        ids=[
+            "minus-zero",
+            "inner-blank",
+            "no-blank",
+            "float",
+            "nested",
+            "bool",
+            "nan",
+            "past-int64-max",
+            "past-int64-min",
+            "string-with-bracket",
+            "scalar-with-bracket",
+            "duplicate-key",
+            "trailing-blank",
+            "leading-blank",
+            "compact",
+            "list-in-object",
+        ],
+    )
+    def test_read_as_json_loads(self, line):
+        expected = json.loads(line)
+        kind = expected.pop("kind")
+        # repr tells 1 from True and 1.0, which == does not
+        assert repr(Transcript.from_jsonl(FIRST_LINE + line).get(kind)) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"kind": "KeyIndices", "slots": [01]}',
+            '{"kind": "KeyIndices", "slots": [+1]}',
+            '{"kind": "KeyIndices", "slots": [1 2]}',
+            '{"kind": "KeyIndices", "slots": [1, 2,]}',
+            '{"kind": "KeyIndices", "slots": [1, 2}',
+            '{"kind": "KeyIndices", "slots": [1, 2]}x',
+            '{"kind": "KeyIndices", "slots": [1, 2], }',
+        ],
+        ids=["leading-zero", "plus", "no-comma", "trailing-comma", "unclosed", "extra-data", "dangling-comma"],
+    )
+    def test_rejected_as_json_loads(self, line):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(line)
+        with pytest.raises(TranscriptError, match="line 2") as info:
+            Transcript.from_jsonl(FIRST_LINE + line)
+        assert str(info.value) == f"bad transcript line 2: {expected.value}"
+
+
 class TestJsonInts:
     """_json_ints(a) is json.dumps(a.tolist()), byte for byte."""
 
@@ -270,8 +356,11 @@ class TestJsonInts:
             np.array(WIDE_EDGES),
             np.array([-1, 0, 1, -9, 10, -10]),
             np.array([np.iinfo(np.uint64).max, 10**19, 10**19 - 1, 0], dtype=np.uint64),
+            np.resize(np.array(WIDE_EDGES), 2 * _BLOCK + 5),
+            # blocks of different signs and widths: sign and width are per block
+            np.concatenate([np.arange(_BLOCK), -(10**12) * np.arange(_BLOCK + 3), [7]]),
         ],
-        ids=["empty", "empty-uint8", "zero", "edges", "small-signed", "uint64"],
+        ids=["empty", "empty-uint8", "zero", "edges", "small-signed", "uint64", "blocks", "mixed-blocks"],
     )
     def test_edges(self, a):
         assert _json_ints(a) == json.dumps(a.tolist())
