@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: run, sweep-mu, table1, compare-attack, selftest.
-Configuration is a key=value text file ('#' starts a comment) plus repeatable
---set KEY=VALUE overrides.  Exit codes: 0 success, 1 usage or config error
-(n_bits of 2**62 or more included) or a run that does not fit in memory,
-2 oracle mismatch.
+Each command in _COMMANDS returns its files (name under --out to text, in
+order), its stdout text and its exit code.  main alone builds the config (a
+key=value file where '#' starts a comment, then each --set KEY=VALUE, then
+--seed), makes --out only when there are files, writes them, echoes the text
+and maps errors to exit codes: 0 success, 1 usage or config error (n_bits of
+2**62 or more included), no key for a rate ratio, or a run that does not fit
+in memory, 2 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -96,13 +98,7 @@ def parse_config(path: str | None, overrides=()) -> SimConfig:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cowsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "one full protocol run; writes stats and the transcript log"),
-        ("sweep-mu", "detectability curves vs mean photon number, as CSV"),
-        ("table1", "six-slot worked attack example checked against its oracle"),
-        ("compare-attack", "same seed with the mask off and on; rate ratio and recovery"),
-        ("selftest", "deterministic oracle checks, in-process"),
-    ):
+    for name, (command, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", metavar="PATH", help="key=value config file")
         cmd.add_argument(
@@ -115,7 +111,7 @@ def _build_parser() -> _Parser:
         )
         cmd.add_argument("--out", metavar="DIR", default="out", help="output directory")
         cmd.add_argument("--seed", type=int, help="master seed override")
-        if name == "sweep-mu":
+        if command is _cmd_sweep_mu:
             cmd.add_argument(
                 "--mu-grid",
                 default=",".join(str(m) for m in DEFAULT_MU_GRID),
@@ -124,34 +120,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(args) -> SimConfig:
-    config = parse_config(args.config, args.overrides)
-    if args.seed is not None:
-        try:
-            config = replace(config, seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError(f"bad --seed: {exc}") from exc
-    return config
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _cmd_run(args) -> int:
-    config = _load(args)
+def _cmd_run(config: SimConfig, args):
     stats, transcript, _ = engine.run(config)
-    out = _outdir(args)
-    (out / "stats.log").write_text(stats.to_lines())
-    (out / "transcript.log").write_text(transcript.to_jsonl())
-    sys.stdout.write(stats.to_lines())
-    return 0
+    text = stats.to_lines()
+    return {"stats.log": text, "transcript.log": transcript.to_jsonl()}, text, 0
 
 
-def _cmd_sweep_mu(args) -> int:
-    config = _load(args)
+def _cmd_sweep_mu(config: SimConfig, args):
     try:
         # each point's config applies SimConfig's own mu rule
         grid = [replace(config, mu=float(v)).mu for v in args.mu_grid.split(",") if v.strip()]
@@ -163,33 +138,22 @@ def _cmd_sweep_mu(args) -> int:
     names = [f.name for f in fields(engine.SweepRow)]
     lines = [names] + [[engine.format_value(getattr(r, name)) for name in names] for r in rows]
     text = "".join(",".join(line) + "\n" for line in lines)
-    (_outdir(args) / "sweep_mu.csv").write_text(text)
-    sys.stdout.write(text)
-    return 0
+    return {"sweep_mu.csv": text}, text, 0
 
 
-def _cmd_table1(args) -> int:
-    _load(args)  # the example's inputs are fixed, but bad flags still exit 1
+def _cmd_table1(config: SimConfig, args):
+    # the example's inputs are fixed; main has still checked every flag
     rows, ok = engine.table1_rows()
     lines = ["alice_ib,alice_tbs,eve_ib,eve_tbs,received_tbs,bob_ib"]
     lines += [",".join(row) for row in rows]
     lines.append("verdict," + ("pass" if ok else "fail"))
     text = "\n".join(lines) + "\n"
-    (_outdir(args) / "table1.csv").write_text(text)
-    sys.stdout.write(text)
-    return 0 if ok else 2
+    return {"table1.csv": text}, text, 0 if ok else 2
 
 
-def _cmd_compare_attack(args) -> int:
-    config = _load(args)
-    try:
-        result = engine.compare_attack(config)
-    except engine.NoKeyError as exc:
-        raise ConfigError(str(exc)) from exc
-    text = result.to_lines()
-    (_outdir(args) / "compare_attack.log").write_text(text)
-    sys.stdout.write(text)
-    return 0
+def _cmd_compare_attack(config: SimConfig, args):
+    text = engine.compare_attack(config).to_lines()
+    return {"compare_attack.log": text}, text, 0
 
 
 def _selftest_checks(config: SimConfig):
@@ -209,9 +173,7 @@ def _selftest_checks(config: SimConfig):
     ideal = SimConfig(n_bits=2000, attack=Attack.AND_MASK, seed=config.seed, **engine._SATURATED)
     stats, _, _ = engine.run(ideal)
     yield "perfect key recovery under attack", (
-        stats.sifted_len > 0
-        and stats.eve_recovery_fraction == 1.0
-        and stats.qber == 0.0
+        stats.sifted_len > 0 and stats.eve_recovery_fraction == 1.0 and stats.qber == 0.0
     )
 
     # every slot pattern many times over: Eve's mask leaves no decoy intact
@@ -220,30 +182,42 @@ def _selftest_checks(config: SimConfig):
     yield "decoy destruction", not np.any(sent == DECOY)
 
 
-def _cmd_selftest(args) -> int:
-    config = _load(args)
-    failed = 0
-    for name, ok in _selftest_checks(config):
-        sys.stdout.write(f"{'PASS' if ok else 'FAIL'} {name}\n")
-        failed += not ok
-    return 2 if failed else 0
+def _cmd_selftest(config: SimConfig, args):
+    results = list(_selftest_checks(config))
+    text = "".join(f"{'PASS' if ok else 'FAIL'} {name}\n" for name, ok in results)
+    return {}, text, 0 if all(ok for _, ok in results) else 2
 
 
 _COMMANDS = {
-    "run": _cmd_run,
-    "sweep-mu": _cmd_sweep_mu,
-    "table1": _cmd_table1,
-    "compare-attack": _cmd_compare_attack,
-    "selftest": _cmd_selftest,
+    "run": (_cmd_run, "one full protocol run; writes stats and the transcript log"),
+    "sweep-mu": (_cmd_sweep_mu, "detectability curves vs mean photon number, as CSV"),
+    "table1": (_cmd_table1, "six-slot worked attack example checked against its oracle"),
+    "compare-attack": (
+        _cmd_compare_attack,
+        "same seed with the mask off and on; rate ratio and recovery",
+    ),
+    "selftest": (_cmd_selftest, "deterministic oracle checks, in-process"),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except (ConfigError, OSError) as exc:
+        args = _build_parser().parse_args(argv)
+        config = parse_config(args.config, args.overrides)
+        if args.seed is not None:
+            try:
+                config = replace(config, seed=args.seed)
+            except ValueError as exc:
+                raise ConfigError(f"bad --seed: {exc}") from exc
+        files, text, code = _COMMANDS[args.command][0](config, args)
+        if files:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, content in files.items():
+                (out / name).write_text(content)
+        sys.stdout.write(text)
+        return code
+    except (ConfigError, engine.NoKeyError, OSError) as exc:
         print(f"cowsim: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -194,7 +194,7 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
     detected, monitor = bob.receive(sent, config, rng_det)
     sift, transcript = run_sifting(train, detected, (checked, monitor), config, rng_choices)
 
-    eve_key = eve.reconstruct_key(mask, transcript.messages["KeyIndices"]["slots"])
+    eve_key = eve.reconstruct_key(mask, eve.observe_transcript(transcript))
     record = EveRecord(mask=mask, reconstructed_key=eve_key)
 
     if sift.alice_key.size:

@@ -196,11 +196,15 @@ class Transcript:
             record = {"kind": kind, **payload}
             fields = (f"{json.dumps(key)}: {value_text(value)}" for key, value in sorted(record.items()))
             lines.append("{" + ", ".join(fields) + "}")
-        return "\n".join(lines) + "\n"
+        lines.append("")  # the final newline, without a second copy of the text
+        return "\n".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
         """The transcript on text's lines, each a JSON object with a kind.
+
+        Lines end at a line feed only, as JSON Lines has them, so any other
+        line break is text within its line; blank lines are skipped.
 
         A line laid out exactly as to_jsonl writes it is read field by
         field, and each list on it becomes an int64 array, accepted only if
@@ -214,7 +218,7 @@ class Transcript:
         """
         out = cls()
         lists: dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(text.split("\n"), 1):
             if not line.strip():
                 continue
             record = _read_line(line, lists)

@@ -157,6 +157,16 @@ class TestInsertDecoys:
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
             insert_decoys(bits, strategy)
 
+    @pytest.mark.parametrize("strategy", list(DecoyStrategy))
+    def test_empty_bits_rejected(self, strategy):
+        with pytest.raises(ValueError, match="bit sequence must be nonempty"):
+            insert_decoys(np.array([], dtype=np.uint8), strategy)
+
+    def test_strategy_must_be_a_member(self):
+        # the member's value is not the member
+        with pytest.raises(ValueError, match="unknown decoy strategy: 'frame-header'"):
+            insert_decoys([0, 1], DecoyStrategy.FRAME_HEADER.value)
+
     @pytest.mark.parametrize(
         "bits",
         [[1, 0, 1, 0, 1], np.array([1, 0, 1, 0, 1], dtype=np.uint8), np.array([1, 0, 1, 0, 1]),

@@ -196,6 +196,53 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
+    def test_selftest_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # selftest has no files, so not even the default --out is made
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("selftest") == 0
+        assert run_cli("selftest", "--out", "given") == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_table1_mismatch_still_writes_csv(self, tmp_path, monkeypatch, capsys):
+        rows, _ = engine.table1_rows()
+        monkeypatch.setattr(engine, "table1_rows", lambda: (rows, False))
+        assert run_cli("table1", "--out", str(tmp_path / "t1")) == 2
+        text = (tmp_path / "t1" / "table1.csv").read_text()
+        assert text.splitlines()[-1] == "verdict,fail"
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare-attack", "--set", "n_bits=1"], ["sweep-mu", "--mu-grid", "0.5,-1"]],
+        ids=["no-key", "bad-mu-grid"],
+    )
+    def test_rejected_command_makes_no_out(self, tmp_path, capsys, argv):
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().out == ""
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        # --out names a file, so the directory cannot be made
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli("table1", "--out", str(blocker)) == 1
+        assert capsys.readouterr().err.startswith("cowsim: error:")
+
+    def test_help_lists_each_command_once(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("--help")
+        assert info.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+        assert "{run,sweep-mu,table1,compare-attack,selftest}" in out
+        for name, help_text in [
+            ("run", "one full protocol run; writes stats and the transcript log"),
+            ("sweep-mu", "detectability curves vs mean photon number, as CSV"),
+            ("table1", "six-slot worked attack example checked against its oracle"),
+            ("compare-attack", "same seed with the mask off and on; rate ratio and recovery"),
+            ("selftest", "deterministic oracle checks, in-process"),
+        ]:
+            assert f"{name} {help_text}" in out
+
     def test_config_error_exit_code(self, capsys):
         assert run_cli("run", "--set", "t_b=1.5") == 1
         assert "t_b" in capsys.readouterr().err
@@ -240,6 +287,10 @@ class TestCommands:
             (["sweep-mu", "--mu-grid", ","], "--mu-grid"),
             (["run", "--set", "eve_mode=random"], "eve_mode"),
             (["run", "--set", "detection_mode=deterministic"], "detection_mode"),
+            # text that is no value of the key's type at all
+            (["run", "--set", "attack=foo"], "'attack': 'foo' (choices: none, andmask)"),
+            (["run", "--set", "mu=abc"], "'mu': 'abc' (expected number)"),
+            (["run", "--set", "n_bits=1.5"], "'n_bits': '1.5' (expected integer)"),
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, argv, key):

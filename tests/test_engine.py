@@ -16,6 +16,7 @@ from cowsim.engine import (
     sweep_mu,
     table1_rows,
 )
+from cowsim.eve import observe_transcript
 
 IDEAL = dict(channel_t=1.0, eta_data=1.0, eta_mon=1.0, p_dark_data=0.0, p_dark_mon=0.0)
 
@@ -88,13 +89,18 @@ class TestRun:
         assert transcript.get("DecoyDiscard")["slots"]
 
     def test_key_indices_not_reparsed(self, monkeypatch):
-        # Eve reads the published int64 array; observe_transcript is for replays
-        def refuse(transcript):
-            raise AssertionError("run re-parsed its own transcript")
+        # Eve reads the public dialog with the reader a replay uses, and gets
+        # the published int64 array itself, not a copy parsed from it
+        seen = []
 
-        monkeypatch.setattr(engine.eve, "observe_transcript", refuse)
+        def observe(transcript):
+            seen.append((transcript, observe_transcript(transcript)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(engine.eve, "observe_transcript", observe)
         stats, transcript, record = run(SimConfig(n_bits=2000, attack=Attack.AND_MASK, seed=4))
         kept = transcript.messages["KeyIndices"]["slots"]
+        assert len(seen) == 1 and seen[0][0] is transcript and seen[0][1] is kept
         assert np.array_equal(record.reconstructed_key, record.mask[kept] >> 1)
         assert stats.eve_recovery_fraction == 1.0
 

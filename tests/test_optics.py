@@ -235,6 +235,12 @@ class TestClosedForms:
         values = [splittable_fraction(mu) for mu in np.arange(0.01, 10.01, 0.01)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("fraction", [detectable_fraction, splittable_fraction])
+    @pytest.mark.parametrize("mu", [-0.1, -math.inf])
+    def test_negative_mu_rejected(self, fraction, mu):
+        with pytest.raises(ValueError, match="mu must be >= 0"):
+            fraction(mu)
+
     def test_splittable_monte_carlo(self):
         rng = RNG()
         n = rng.poisson(0.5, size=1_000_000)

@@ -130,6 +130,7 @@ class TestRunSifting:
             (NOTHING_DETECTED, ([3], []), "checked boundaries must lie in"),
             (NOTHING_DETECTED, ([0], [-5]), "clicked boundaries must lie in"),
             (NOTHING_DETECTED, ([0], [0, 4 * 10**7]), "clicked boundaries must lie in"),
+            (([0, 1], [0]), NO_MONITOR, "detected slots and values differ in length"),
         ],
         ids=[
             "float-slots",
@@ -141,6 +142,7 @@ class TestRunSifting:
             "checked-past-end",
             "negative-click",
             "click-far-past-end",
+            "length-mismatch",
         ],
     )
     def test_bad_input_named(self, detected, monitor, name):
@@ -228,6 +230,17 @@ class TestTranscript:
         t.append("DecoyDiscard", {"slots": []})
         with pytest.raises(TranscriptError):
             t.append("DetectionReport", {"slots": []})
+
+    def test_unknown_kind_rejected(self):
+        t = Transcript()
+        with pytest.raises(TranscriptError, match="unknown message kind: Bogus"):
+            t.append("Bogus", {})
+        assert t.messages == {}
+
+    def test_empty_transcript_is_empty_text(self):
+        # no messages, no lines: not even a final newline
+        assert Transcript().to_jsonl() == ""
+        assert Transcript.from_jsonl("").messages == {}
 
     def test_roundtrip(self):
         stats, transcript, _ = run(SimConfig(n_bits=500, attack=Attack.AND_MASK))
@@ -330,6 +343,48 @@ class TestFromJsonl:
         with pytest.raises(TranscriptError, match="line 2") as info:
             Transcript.from_jsonl(FIRST_LINE + line)
         assert str(info.value) == f"bad transcript line 2: {expected.value}"
+
+
+class TestLineBreaks:
+    """Lines end at "\n" only, as JSON Lines has them."""
+
+    # the breaks that JSON allows raw in a string; the others are control
+    # characters, which json.dumps escapes
+    @pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85"])
+    @pytest.mark.parametrize("with_list", [True, False], ids=["list", "scalars"])
+    def test_other_breaks_inside_a_string(self, brk, with_list):
+        # a raw line break of another kind is only a character of the string
+        record = {"kind": "KeyIndices", "note": f"a{brk}b"}
+        if with_list:
+            record["slots"] = [1, 2]
+        line = json.dumps(record, sort_keys=True, ensure_ascii=False)
+        assert brk in line
+        expected = json.loads(line)
+        del expected["kind"]
+        assert repr(Transcript.from_jsonl(FIRST_LINE + line + "\n").get("KeyIndices")) == repr(expected)
+
+    def test_file_separator_between_objects_is_extra_data(self):
+        text = '{"kind": "DetectionReport", "slots": [1]}\x1c{"kind": "KeyIndices", "slots": [1]}\n'
+        with pytest.raises(json.JSONDecodeError, match="Extra data") as expected:
+            json.loads(text)
+        with pytest.raises(TranscriptError) as info:
+            Transcript.from_jsonl(text)
+        assert str(info.value) == f"bad transcript line 1: {expected.value}"
+
+    def test_crlf_text_reads_the_same(self):
+        text = _noisy_run().to_jsonl()
+        again = Transcript.from_jsonl(text.replace("\n", "\r\n"))
+        assert again.to_jsonl() == text
+
+    def test_blank_lines_skipped(self):
+        text = _noisy_run().to_jsonl()
+        lines = text.split("\n")
+        padded = "\n" + "\n \t\n".join(lines) + "\n\n"
+        assert Transcript.from_jsonl(padded).to_jsonl() == text
+
+    def test_line_numbers_count_blank_lines(self):
+        with pytest.raises(TranscriptError, match="line 3"):
+            Transcript.from_jsonl(FIRST_LINE + "\nnot json\n")
 
 
 class TestJsonInts:
