@@ -4,6 +4,7 @@ from .alice import (
     DECOY,
     DecoyStrategy,
     announce_coherence_checks,
+    checked_boundaries,
     coherent_boundaries,
     generate_raw_bits,
     insert_decoys,

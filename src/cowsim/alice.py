@@ -11,6 +11,9 @@ train is one uint8 pattern per slot, bit v set when bin v (0 = early,
 a decoy.  insert_decoys builds it, and it is also Alice's record of what she
 sent: a data slot's bit is pattern >> 1.  Every pulse has the same mean
 photon number mu.
+
+checked_boundaries picks the coherent boundaries Bob's monitor checks one
+block of slots at a time, so no array over all of them is ever built.
 """
 
 from __future__ import annotations
@@ -30,10 +33,15 @@ __all__ = [
     "insert_decoys",
     "coherent_boundaries",
     "announce_coherence_checks",
+    "checked_boundaries",
 ]
 
 # slot patterns: data bit b is pattern b + 1, and DECOY lights both bins
 DECOY = 3
+
+# slots per block of checked_boundaries: a block's boundaries and uniforms
+# stay in cache, and the whole-train arrays are never built
+_BLOCK = 2**16
 
 
 class DecoyStrategy(Enum):
@@ -92,7 +100,7 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
         chain_head[1:] = np.diff(starts) != 2
         index = np.arange(starts.size)
         head_index = np.maximum.accumulate(np.where(chain_head, index, 0))
-        kept = starts[(index - head_index) % 2 == 0]
+        kept = starts[((index ^ head_index) & 1) == 0]  # an even distance from the head
         train = bits + 1
         for offset in range(4):
             train[kept + offset] = DECOY
@@ -131,3 +139,23 @@ def announce_coherence_checks(
         return boundaries.copy()
     keep = rng.random(boundaries.size) < config.f_coh
     return boundaries[np.flatnonzero(keep)]  # an index gather beats a boolean one here
+
+
+def checked_boundaries(train: np.ndarray, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """announce_coherence_checks(coherent_boundaries(train), config, rng), one block of slots at a time.
+
+    Each block of _BLOCK slots is read with one slot carried past its edge,
+    for the cross-slot boundary between the two; of that block's boundaries
+    it keeps those below 2 * _BLOCK, and the last block keeps all.  rng.random
+    draws concatenate, so the checked set and the generator's state after it
+    are those of the whole-train call.
+    """
+    parts = [np.empty(0, dtype=np.int64)]  # the result, should the train be empty
+    for start in range(0, train.size, _BLOCK):
+        boundaries = coherent_boundaries(train[start : start + _BLOCK + 1])
+        if start + _BLOCK < train.size:
+            boundaries = boundaries[: np.searchsorted(boundaries, 2 * _BLOCK)]
+        checked = announce_coherence_checks(boundaries, config, rng)
+        checked += 2 * start
+        parts.append(checked)
+    return np.concatenate(parts)

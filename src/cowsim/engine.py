@@ -184,9 +184,8 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
     rng_bits, rng_choices, rng_eve, rng_det = _streams(np.random.SeedSequence(config.seed))
     bits = alice.generate_raw_bits(config.n_bits, rng_bits)
     train = alice.insert_decoys(bits, config.decoy_strategy)
-    boundaries = alice.coherent_boundaries(train)
-    checked = alice.announce_coherence_checks(boundaries, config, rng_choices)
-    del bits, boundaries  # freed before Bob's stage, to bound the run's peak memory
+    checked = alice.checked_boundaries(train, config, rng_choices)
+    del bits  # freed before Bob's stage, to bound the run's peak memory
 
     mask = eve.generate_mask(train.size, rng_eve)
     sent = eve.apply_and_mask(train, mask) if config.attack is Attack.AND_MASK else train

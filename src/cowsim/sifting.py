@@ -46,7 +46,7 @@ class TranscriptError(ValueError):
     """Raised on malformed or out-of-order transcripts."""
 
 
-# numbers formatted at a time: the row buffer of a block stays in cache
+# numbers formatted, or monitor flags read, at a time: a block's buffers stay in cache
 _BLOCK = 2**14
 
 
@@ -204,7 +204,8 @@ class Transcript:
         """The transcript on text's lines, each a JSON object with a kind.
 
         Lines end at a line feed only, as JSON Lines has them, so any other
-        line break is text within its line; blank lines are skipped.
+        line break is text within its line.  Lines of JSON whitespace alone
+        (space, tab, carriage return) are skipped.
 
         A line laid out exactly as to_jsonl writes it is read field by
         field, and each list on it becomes an int64 array, accepted only if
@@ -213,15 +214,17 @@ class Transcript:
         boundaries) is read once, and its messages share one array.  Any
         other line goes whole to json.loads, as does every line holding a
         list that fails the check.  Either way each payload equals what
-        json.loads gives.  TranscriptError names the number of a line that
-        is not JSON or not an object with a kind.
+        json.loads gives.  A carriage return ending a line is dropped for
+        the field-by-field read only, so json.loads errors keep their
+        columns.  TranscriptError names the number of a line that is not
+        JSON or not an object with a kind.
         """
         out = cls()
         lists: dict[str, np.ndarray] = {}
         for lineno, line in enumerate(text.split("\n"), 1):
-            if not line.strip():
+            if not line.strip(" \t\r"):
                 continue
-            record = _read_line(line, lists)
+            record = _read_line(line.removesuffix("\r"), lists)
             if record is None:
                 try:
                     record = json.loads(line)
@@ -295,9 +298,10 @@ def run_sifting(
     monitor is the (checked, clicked) pair: the boundaries Alice asked to be
     checked, and the boundaries where Bob's monitor detector fired, as
     integer positions in [0, 2 * train.size - 1).  MonitorReport flags each
-    checked boundary that is among the clicked ones.  Index arrays must
-    hold integers and values must be 0 or 1; ValueError names the first
-    input that does not.
+    checked boundary, in Alice's order, that is among the clicked ones,
+    read from a set of one bit per boundary: no sort, and no byte per
+    boundary.  Index arrays must hold integers and values must be 0 or 1;
+    ValueError names the first input that does not.
     Bob announces which slots he detected; Alice discards her decoys among
     them, samples a verification subset of fraction config.f_verify that
     both sides reveal, and keeps the rest as key.  The verdict aborts when
@@ -316,9 +320,14 @@ def run_sifting(
     n_boundaries = 2 * train.size - 1
     checked = _check_range("checked boundaries", checked, n_boundaries)
     clicked = _check_range("clicked boundaries", clicked, n_boundaries)
-    # kind="table": one bool array over the clicks' range (at most the
-    # boundaries), where the default would sort the checked boundaries
-    clicks = np.isin(checked, clicked, kind="table")
+    # one bit per boundary marks the clicked ones; each checked boundary
+    # reads its bit, a block at a time, in whatever order Alice sent them
+    seen = np.zeros(n_boundaries // 8 + 1, dtype=np.uint8)
+    np.bitwise_or.at(seen, clicked >> 3, (1 << (clicked & 7)).astype(np.uint8))
+    clicks = np.empty(checked.size, dtype=np.uint8)
+    for i in range(0, checked.size, _BLOCK):
+        k = checked[i : i + _BLOCK]
+        clicks[i : i + _BLOCK] = (seen[k >> 3] >> (k & 7)) & 1
 
     is_decoy = train[slots] == DECOY
     decoy_detected = slots[is_decoy]
@@ -346,7 +355,7 @@ def run_sifting(
         {"slots": verify_slots, "alice_bits": reveal_alice, "bob_bits": reveal_bob},
     )
     transcript.append("CoherenceCheck", {"boundaries": checked})
-    transcript.append("MonitorReport", {"boundaries": checked, "clicks": clicks.view(np.uint8)})
+    transcript.append("MonitorReport", {"boundaries": checked, "clicks": clicks})
     transcript.append("Verdict", {"verdict": verdict})
     transcript.append("KeyIndices", {"slots": kept})
 

@@ -1,12 +1,14 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cowsim import sifting
 from cowsim.alice import DECOY, DecoyStrategy
 from cowsim.engine import Attack, SimConfig, run
 from cowsim.sifting import (
@@ -79,6 +81,25 @@ class TestMonitorOutcome:
         result, transcript = _sift_monitor(np.array([0, 2, 2, 4]), np.array([2]))
         assert result.break_rate == 0.5
         assert transcript.get("MonitorReport")["clicks"] == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("block", [1, 3, _BLOCK])
+    @settings(deadline=None, max_examples=50)
+    @given(data=st.data(), n_slots=st.integers(1, 40))
+    def test_flags_match_isin(self, block, data, n_slots):
+        # unsorted, repeated boundaries on both sides, with both ends 0 and 2n - 2 likely
+        boundary = st.one_of(st.sampled_from([0, 2 * n_slots - 2]), st.integers(0, 2 * n_slots - 2))
+        checked = np.array(data.draw(st.lists(boundary, max_size=60)), dtype=np.int64)
+        clicked = np.array(data.draw(st.lists(boundary, max_size=20)), dtype=np.int64)
+        train = _train([ZERO] * n_slots)
+        with mock.patch.object(sifting, "_BLOCK", block):
+            result, transcript = run_sifting(
+                train, NOTHING_DETECTED, (checked, clicked), NO_VERIFY, np.random.default_rng(0)
+            )
+        expected = np.isin(checked, clicked)
+        clicks = transcript.messages["MonitorReport"]["clicks"]
+        assert clicks.dtype == np.uint8
+        assert clicks.tolist() == expected.astype(int).tolist()
+        assert result.break_rate == (expected.mean() if checked.size else 0.0)
 
 
 class TestRunSifting:
@@ -375,12 +396,30 @@ class TestLineBreaks:
         text = _noisy_run().to_jsonl()
         again = Transcript.from_jsonl(text.replace("\n", "\r\n"))
         assert again.to_jsonl() == text
+        # read field by field, as a "\n" text is: every list an int64 array
+        payloads = again.messages.values()
+        lists = [v for payload in payloads for v in payload.values() if not isinstance(v, str)]
+        assert lists and all(isinstance(v, np.ndarray) and v.dtype == np.int64 for v in lists)
 
     def test_blank_lines_skipped(self):
         text = _noisy_run().to_jsonl()
         lines = text.split("\n")
         padded = "\n" + "\n \t\n".join(lines) + "\n\n"
         assert Transcript.from_jsonl(padded).to_jsonl() == text
+
+    def test_crlf_error_keeps_its_columns(self):
+        with pytest.raises(TranscriptError) as info:
+            Transcript.from_jsonl('{"kind": \r\n')
+        assert str(info.value) == "bad transcript line 1: Expecting value: line 1 column 11 (char 10)"
+
+    @pytest.mark.parametrize("brk", ["\x1c", "\x85", "\u2028"])
+    def test_line_of_another_break_rejected(self, brk):
+        # only space, tab, \r and \n are JSON whitespace; json.loads rejects the rest
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(brk)
+        with pytest.raises(TranscriptError) as info:
+            Transcript.from_jsonl(f'{{"kind": "Verdict", "verdict": "accept"}}\n{brk}\n')
+        assert str(info.value) == f"bad transcript line 2: {expected.value}"
 
     def test_line_numbers_count_blank_lines(self):
         with pytest.raises(TranscriptError, match="line 3"):
