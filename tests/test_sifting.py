@@ -426,6 +426,73 @@ class TestLineBreaks:
             Transcript.from_jsonl(FIRST_LINE + "\nnot json\n")
 
 
+def _split_and_loads(text: str):
+    """The reference reading of a transcript text: each payload by kind, or the error text.
+
+    The text is cut with split("\n"), lines of space, tab and "\r" alone
+    are skipped, and every other line goes whole to json.loads.
+    """
+    payloads = {}
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip(" \t\r"):
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return f"bad transcript line {lineno}: {exc}"
+        if not isinstance(record, dict) or "kind" not in record:
+            return f"bad transcript line {lineno}: not an object with a kind"
+        payloads[record.pop("kind")] = record
+    return payloads
+
+
+class TestLineWalk:
+    """from_jsonl reads a text as split("\n") and json.loads of each line do."""
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            FIRST_LINE + '{"kind": "Verdict", "v": {\n"a": 1}}\n',
+            FIRST_LINE + '{"kind": "Verdict", "v": {}\n}\n',
+            FIRST_LINE + '{"kind": "KeyIndices", "slots": [1,\n2]}\n',
+            FIRST_LINE + '{"kind": "KeyIndices", "slots": [1, 2\n]}\n',
+            FIRST_LINE + '{"kind": "KeyIndices", "sl\nots": [1]}\n',
+            FIRST_LINE + '{"kind": "KeyIndices", "slots": [3, 4]}',
+            FIRST_LINE + '{"kind": "Verdict", "verdict": "accept"}',
+            FIRST_LINE + '\r\n{"kind": "KeyIndices", "slots": [3, 4]}\n',
+            "\n \n\t\n\r\n\n",
+            FIRST_LINE + '{"kind": "CoherenceCheck", "boundaries": [3, 4]}\n{"kind": "Verdict", "v": [5]}\n',
+            FIRST_LINE + '{"kind": "KeyIndices", "slots": [3, 4]} {"kind": "Verdict"}\n',
+            FIRST_LINE + '{"kind": "Verdict", "verdict": "accept"}x\n',
+        ],
+        ids=[
+            "object-across-lines",
+            "object-closed-on-next-line",
+            "list-across-lines",
+            "list-closed-on-next-line",
+            "key-across-lines",
+            "last-line-unended",
+            "last-scalar-line-unended",
+            "cr-only-line",
+            "blank-lines-only",
+            "close-ends-line",
+            "object-after-close",
+            "data-after-close",
+        ],
+    )
+    def test_reads_as_split_and_loads(self, text, eol):
+        text = text.replace("\n", eol)
+        expected = _split_and_loads(text)
+        try:
+            replay = Transcript.from_jsonl(text)
+        except TranscriptError as exc:
+            assert str(exc) == expected
+        else:
+            # repr tells 1 from True and 1.0, which == does not
+            assert repr({kind: replay.get(kind) for kind in replay.messages}) == repr(expected)
+
+
 class TestJsonInts:
     """_json_ints(a) is json.dumps(a.tolist()), byte for byte."""
 
