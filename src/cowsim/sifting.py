@@ -3,8 +3,12 @@
 Every message is appended to a Transcript in a fixed order and is readable
 by anyone, including Eve.  The transcript serializes to JSON lines so a run
 can be replayed offline.  run_sifting keeps its index lists as numpy arrays
-inside the messages and to_jsonl writes them straight to text; from_jsonl
-reads each integer list back as an int64 array, and get() shows every
+inside the messages.  to_jsonl formats them a block at a time into one list
+of pieces for the whole text and joins it once.  from_jsonl walks the
+text's lines in place and reads each integer list back as an int64 array
+one cache-sized chunk at a time, keeping a chunk only if formatting its
+numbers again gives the chunk's text; a list that repeats an earlier one
+is compared with it in place and shares its array.  get() shows every
 payload as JSON values.
 """
 
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -48,90 +53,174 @@ class TranscriptError(ValueError):
 
 # numbers formatted, or monitor flags read, at a time: a block's buffers stay in cache
 _BLOCK = 2**14
+# characters of a list's text read and proved at a time: a chunk stays in cache
+_CHUNK = 2**17
+# the most digits an int64 has
+_INT64_DIGITS = len(str(2**63))
+# the ", " between two numbers, read as one two-byte word
+_SEP = np.frombuffer(b", ", dtype="<u2")[0]
 
 
-def _json_ints(a: np.ndarray) -> str:
-    """json.dumps(a.tolist()) for a 1-D integer array, byte for byte.
+def _list_pieces(a: np.ndarray) -> list[str]:
+    """json.dumps(a.tolist()) for a 1-D integer array, as pieces to join.
 
-    The numbers are formatted one block at a time, so the row buffers
-    stay small and only the text grows with the array.
+    The pieces are "[", each block's numbers with ", " between blocks, and
+    "]".  The numbers are formatted one block at a time, so the row
+    buffers stay small and only the text grows with the array.
     """
-    blocks = (_ints_text(a[i : i + _BLOCK]) for i in range(0, a.size, _BLOCK))
-    return "[" + ", ".join(blocks) + "]"
+    pieces = ["["]
+    for i in range(0, a.size, _BLOCK):
+        if i:
+            pieces.append(", ")
+        pieces.append(_ints_text(a[i : i + _BLOCK]))
+    pieces.append("]")
+    return pieces
 
 
 def _ints_text(a: np.ndarray) -> str:
     """The numbers of a non-empty 1-D integer array, joined by ", ".
 
     Each number fills one fixed-width row of bytes: sign, digits, then
-    ", ".  The bytes left of its first digit (or sign) stay NUL and are
-    deleted in one pass over the whole buffer.
+    ", ".  When every number has one digit count and no sign, every row
+    is full and the buffer is decoded as it is.  Otherwise the bytes
+    between the sign's place and a number's first digit (or sign) are
+    set to NUL and deleted in one pass over the whole buffer.
     """
-    mag = a.astype(np.uint64)
-    neg = a < 0
-    signed = bool(neg.any())
+    low, top = int(a.min()), int(a.max())
+    signed = low < 0
+    mag = a
     if signed:
+        neg = a < 0
+        mag = a.astype(np.uint64)
         mag[neg] = -mag[neg]  # modulo 2**64, so int64's minimum comes out too
-    top = int(mag.max())
+        top = int(mag.max())
     width = len(str(top))
-    if top < 2**32:
-        mag = mag.astype(np.uint32)  # divides faster
-    rows = np.zeros((a.size, signed + width + 2), dtype=np.uint8)
+    uniform = not signed and (width == 1 or low >= 10 ** (width - 1))
+    mag = mag.astype(np.uint32 if top < 2**32 else np.uint64)  # uint32 divides faster
+    rows = np.empty((a.size, signed + width + 2), dtype=np.uint8)
     q = mag
-    for k in range(width):  # k-th digit from the right
+    for k in range(width):  # k-th digit from the right, written straight into its column
         q_next = q // 10
-        digit = q - q_next * 10
-        digit += ord("0")
-        if k:
-            digit[mag < 10**k] = 0
-        rows[:, signed + width - 1 - k] = digit
+        np.subtract(q, q_next * 10, out=rows[:, signed + width - 1 - k], casting="unsafe")
         q = q_next
-    if signed:
-        rows[neg, 0] = ord("-")
+    rows += ord("0")
     rows[:, -2] = ord(",")
     rows[:, -1] = ord(" ")
+    if uniform:
+        return str(rows.reshape(-1)[:-2], "ascii")
+    for k in range(1, width):
+        rows[mag < 10**k, signed + width - 1 - k] = 0
+    if signed:
+        rows[:, 0] = np.where(neg, ord("-"), 0)
     return rows.tobytes().translate(None, b"\0")[:-2].decode("ascii")
 
 
-_DECODER = json.JSONDecoder()
+def _parse_ints(chunk: str) -> np.ndarray:
+    """The numbers of a chunk of a list's text, as an int64 array.
 
-
-def _read_line(line: str, lists: dict[str, np.ndarray]) -> dict | None:
-    """The object on a line laid out exactly as to_jsonl writes it, else None.
-
-    A list value is cut at the next "]" and kept as an int64 array only
-    if _json_ints gives back the cut text; lists maps each list text read
-    so far to its array.
+    A chunk laid out as numbers of one digit count without a sign, each
+    followed by ", " but the last, is read digit column by digit column.
+    Any other chunk is read by np.fromstring.  Either way the caller keeps
+    the numbers only if _ints_text gives the chunk back.
     """
-    if not line.startswith("{"):
+    width = chunk.find(", ")
+    if width < 0:
+        width = len(chunk)
+    count, rest = divmod(len(chunk) + 2, width + 2)
+    if 0 < width <= _INT64_DIGITS and not rest:
+        raw = chunk.encode("ascii")
+        # row j holds the j-th digit of every number, and seps each ", " after one
+        digits = np.ndarray((width, count), np.uint8, raw, 0, (1, width + 2)) - ord("0")
+        seps = np.ndarray(count - 1, _SEP.dtype, raw, width, (width + 2,))
+        if digits.max() < 10 and (seps == _SEP).all():
+            numbers = digits[0].astype(np.int64)
+            for row in digits[1:]:
+                numbers *= 10
+                numbers += row
+            return numbers
+    return np.fromstring(chunk, dtype=np.int64, sep=",")
+
+
+def _read_ints(text: str, start: int, stop: int, seen: dict[int, list]) -> np.ndarray | None:
+    """The list whose inside is text[start:stop] as an int64 array, else None.
+
+    The inside is read in chunks of at most _CHUNK characters, each cut
+    at a ", " (or longer, when one number is), and a chunk's numbers are
+    kept only if _ints_text gives the chunk back: then the chunks joined
+    by ", " are json.dumps of the array's list.  seen maps the length of
+    each list read so far to its (start, array) pairs; a list of the same
+    text is compared in place, a chunk at a time, and shares the array.
+    """
+    length = stop - start
+    for first, array in seen.get(length, ()):
+        if all(
+            text.startswith(text[first + i : first + min(i + _CHUNK, length)], start + i)
+            for i in range(0, length, _CHUNK)
+        ):
+            return array
+    array = np.empty((length + 2) // 3, dtype=np.int64)  # k numbers take 3k - 2 characters or more
+    n, pos = 0, start
+    while length and pos <= stop:  # a ", " is always followed by one more chunk
+        cut = stop
+        if stop - pos > _CHUNK:
+            cut = text.rfind(", ", pos, pos + _CHUNK + 2)
+            if cut < 0:  # no ", " within a chunk's length: one long number
+                cut = text.find(", ", pos, stop)
+            if cut < 0:
+                cut = stop
+        chunk = text[pos:cut]
+        if not chunk:
+            return None
+        numbers = _parse_ints(chunk)
+        if _ints_text(numbers) != chunk:
+            return None
+        array[n : n + numbers.size] = numbers
+        n += numbers.size
+        pos = cut + 2
+    array.resize(n, refcheck=False)  # in place: no view of array escaped
+    seen.setdefault(length, []).append((start, array))
+    return array
+
+
+_DECODER = json.JSONDecoder()
+# a line that from_jsonl skips: JSON whitespace alone
+_BLANK = re.compile(r"[ \t\r]*")
+
+
+def _read_line(text: str, pos: int, stop: int, seen: dict[int, list]) -> dict | None:
+    """The object on text[pos:stop] laid out exactly as to_jsonl writes it, else None.
+
+    The line is read in place.  A list value is cut at the next "]" and
+    read by _read_ints; any other value that ends past stop (an object
+    may hold a line feed as whitespace) gives None.
+    """
+    if not text.startswith("{", pos, stop):
         return None
     record = {}
-    pos = 1
+    pos += 1
     try:
-        while line.startswith('"', pos):
-            key, pos = json.decoder.scanstring(line, pos + 1)
-            if not line.startswith(": ", pos):
+        while text.startswith('"', pos, stop):
+            key, pos = json.decoder.scanstring(text, pos + 1)
+            if not text.startswith(": ", pos, stop):
                 return None
             pos += 2
-            if line.startswith("[", pos):
-                stop = line.find("]", pos) + 1
-                text = line[pos:stop]  # "" when no "]" follows, which fails the check
-                if text not in lists:
-                    array = np.fromstring(text[1:-1], dtype=np.int64, sep=",")
-                    if _json_ints(array) != text:
-                        return None
-                    lists[text] = array
-                value, pos = lists[text], stop
+            if text.startswith("[", pos, stop):
+                close = text.find("]", pos, stop)
+                value = _read_ints(text, pos + 1, close, seen) if close >= 0 else None
+                if value is None:
+                    return None
+                pos = close + 1
             else:
-                value, pos = _DECODER.raw_decode(line, pos)
+                value, pos = _DECODER.raw_decode(text, pos)
             record[key] = value
-            if line[pos:] == "}":
+            if pos + 1 == stop and text.startswith("}", pos):
                 return record
-            if not line.startswith(", ", pos):
+            if not text.startswith(", ", pos, stop):
                 return None
             pos += 2
-    # json.JSONDecodeError, or np.fromstring on text it cannot read; older
-    # numpy warns there instead, and the part it read then fails the check
+    # json.JSONDecodeError, a chunk that is not ASCII, or np.fromstring on
+    # text it cannot read; older numpy warns there instead, and the part
+    # it read then fails the check
     except (ValueError, DeprecationWarning):
         return None
     return None
@@ -178,26 +267,27 @@ class Transcript:
     def to_jsonl(self) -> str:
         """One json.dumps({"kind": kind, **payload}, sort_keys=True) line per message.
 
-        Each line is built key by key so that arrays go through _json_ints
-        and never through a list of Python ints.  An array held by several
-        messages (the checked boundaries) is formatted once.
+        The whole text is one list of pieces, joined once: braces, keys,
+        scalars, and each array's pieces from _list_pieces, so that arrays
+        never pass through a list of Python ints and no line or list is
+        copied on its own.  An array held by several messages (the checked
+        boundaries) is formatted once and its pieces are reused.
         """
-        arrays: dict[int, str] = {}  # id -> text; the messages keep every array alive
-
-        def value_text(value) -> str:
-            if not isinstance(value, np.ndarray):
-                return json.dumps(value, sort_keys=True)
-            if id(value) not in arrays:
-                arrays[id(value)] = _json_ints(value)
-            return arrays[id(value)]
-
-        lines = []
+        pieces: list[str] = []
+        arrays: dict[int, list[str]] = {}  # id -> pieces; the messages keep every array alive
         for kind, payload in self.messages.items():
-            record = {"kind": kind, **payload}
-            fields = (f"{json.dumps(key)}: {value_text(value)}" for key, value in sorted(record.items()))
-            lines.append("{" + ", ".join(fields) + "}")
-        lines.append("")  # the final newline, without a second copy of the text
-        return "\n".join(lines)
+            opening = "{"
+            for key, value in sorted({"kind": kind, **payload}.items()):
+                pieces += (opening, json.dumps(key), ": ")
+                opening = ", "
+                if isinstance(value, np.ndarray):
+                    if id(value) not in arrays:
+                        arrays[id(value)] = _list_pieces(value)
+                    pieces += arrays[id(value)]
+                else:
+                    pieces.append(json.dumps(value, sort_keys=True))
+            pieces.append("}\n")
+        return "".join(pieces)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
@@ -207,32 +297,40 @@ class Transcript:
         line break is text within its line.  Lines of JSON whitespace alone
         (space, tab, carriage return) are skipped.
 
-        A line laid out exactly as to_jsonl writes it is read field by
-        field, and each list on it becomes an int64 array, accepted only if
-        _json_ints(array) is the list's text: then that text is json.dumps
-        of the array's list.  A list text that recurs (the checked
-        boundaries) is read once, and its messages share one array.  Any
-        other line goes whole to json.loads, as does every line holding a
-        list that fails the check.  Either way each payload equals what
-        json.loads gives.  A carriage return ending a line is dropped for
-        the field-by-field read only, so json.loads errors keep their
-        columns.  TranscriptError names the number of a line that is not
-        JSON or not an object with a kind.
+        Each line is found with text.find and read in place.  A line laid
+        out exactly as to_jsonl writes it is read field by field, and each
+        list on it becomes an int64 array, read and proved one chunk of at
+        most _CHUNK characters at a time: a chunk's numbers are kept only if
+        formatting them again gives the chunk's text, so the list's text is
+        json.dumps of the array's list.  A later list of the same text (the
+        checked boundaries) is compared with the first in place, chunk by
+        chunk, and the messages share one array.  Any other line goes whole
+        to json.loads, as does every line holding a list that fails the
+        check.  Either way each payload equals what json.loads gives.  A
+        carriage return ending a line is left out of the field-by-field
+        read only, so json.loads errors keep their columns.
+        TranscriptError names the number of a line that is not JSON or not
+        an object with a kind.
         """
         out = cls()
-        lists: dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(text.split("\n"), 1):
-            if not line.strip(" \t\r"):
-                continue
-            record = _read_line(line.removesuffix("\r"), lists)
-            if record is None:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TranscriptError(f"bad transcript line {lineno}: {exc}") from exc
-            if not isinstance(record, dict) or "kind" not in record:
-                raise TranscriptError(f"bad transcript line {lineno}: not an object with a kind")
-            out.append(record.pop("kind"), record)
+        seen: dict[int, list] = {}
+        start, lineno = 0, 1
+        while start < len(text):
+            stop = text.find("\n", start)
+            if stop < 0:
+                stop = len(text)
+            if not _BLANK.fullmatch(text, start, stop):
+                end = stop - 1 if text.startswith("\r", stop - 1) else stop
+                record = _read_line(text, start, end, seen)
+                if record is None:
+                    try:
+                        record = json.loads(text[start:stop])
+                    except json.JSONDecodeError as exc:
+                        raise TranscriptError(f"bad transcript line {lineno}: {exc}") from exc
+                if not isinstance(record, dict) or "kind" not in record:
+                    raise TranscriptError(f"bad transcript line {lineno}: not an object with a kind")
+                out.append(record.pop("kind"), record)
+            start, lineno = stop + 1, lineno + 1
         return out
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -17,7 +18,7 @@ from cowsim.sifting import (
     Transcript,
     TranscriptError,
     _alarm_threshold,
-    _json_ints,
+    _list_pieces,
     compute_qber,
     run_sifting,
 )
@@ -493,6 +494,11 @@ class TestLineWalk:
             assert repr({kind: replay.get(kind) for kind in replay.messages}) == repr(expected)
 
 
+def _json_ints(a):
+    """The text of a's list as to_jsonl writes it."""
+    return "".join(_list_pieces(a))
+
+
 class TestJsonInts:
     """_json_ints(a) is json.dumps(a.tolist()), byte for byte."""
 
@@ -520,17 +526,192 @@ class TestJsonInts:
             np.resize(np.array(WIDE_EDGES), 2 * _BLOCK + 5),
             # blocks of different signs and widths: sign and width are per block
             np.concatenate([np.arange(_BLOCK), -(10**12) * np.arange(_BLOCK + 3), [7]]),
+            # blocks of one digit count and no sign are written without NUL bytes
+            np.array([123456]),
+            np.array([1000, 5000, 4321]),
+            np.array([1234, 9999, 5000]),
+            np.array([999, 1000]),
+            np.zeros(5, dtype=np.int64),
+            np.array([-12, -34, -56]),
+            np.array([INT64.min]),
+            np.array([200, 100, 255], dtype=np.uint8),
+            np.array([0, 7, 9], dtype=np.uint8),
         ],
-        ids=["empty", "empty-uint8", "zero", "edges", "small-signed", "uint64", "blocks", "mixed-blocks"],
+        ids=[
+            "empty",
+            "empty-uint8",
+            "zero",
+            "edges",
+            "small-signed",
+            "uint64",
+            "blocks",
+            "mixed-blocks",
+            "one-number",
+            "min-at-lowest-of-width",
+            "max-at-highest-of-width",
+            "width-changes",
+            "all-zeros",
+            "all-negative-one-width",
+            "int64-min-alone",
+            "uint8-three-digits",
+            "uint8-one-digit",
+        ],
     )
     def test_edges(self, a):
         assert _json_ints(a) == json.dumps(a.tolist())
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 9), st.integers(10, 99), st.integers(100, 999), st.sampled_from(WIDE_EDGES)
+            ),
+            max_size=40,
+        )
+    )
+    def test_small_blocks(self, block, values):
+        # uniform blocks and blocks of several widths or signs alternate
+        a = np.array(values, dtype=np.int64)
+        with mock.patch.object(sifting, "_BLOCK", block):
+            assert _json_ints(a) == json.dumps(a.tolist())
 
-def _noisy_run():
-    config = SimConfig(n_bits=3000, attack=Attack.AND_MASK, p_dark_data=1e-3, p_dark_mon=1e-3, seed=4)
+
+def _noisy_run(n_bits=3000):
+    config = SimConfig(n_bits=n_bits, attack=Attack.AND_MASK, p_dark_data=1e-3, p_dark_mon=1e-3, seed=4)
     _, transcript, _ = run(config)
     return transcript
+
+
+# the real chunk size, and sizes that cut lists of a few numbers at every place
+CHUNKS = [1, 2, 7, 23, sifting._CHUNK]
+
+
+class TestChunks:
+    """from_jsonl reads and proves a list one chunk of at most _CHUNK characters at a time."""
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(deadline=None, max_examples=40)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from(WIDE_EDGES),
+                st.integers(0, 1100),
+                st.integers(-1100, -1),
+                st.integers(INT64.min, INT64.max),
+            ),
+            max_size=50,
+        ),
+        sort=st.booleans(),
+    )
+    def test_read_as_json_loads(self, chunk, values, sort):
+        # sorted lists change digit count once per chunk at most, as index lists do
+        slots = np.array(sorted(values) if sort else values, dtype=np.int64)
+        t = Transcript()
+        t.append("DetectionReport", {"slots": slots})
+        t.append("KeyIndices", {"slots": slots[::-1].copy(), "bits": np.ones(slots.size, dtype=np.uint8)})
+        text = t.to_jsonl()
+        with mock.patch.object(sifting, "_CHUNK", chunk):
+            replay = Transcript.from_jsonl(text)
+        expected = _split_and_loads(text)
+        assert {kind: replay.get(kind) for kind in replay.messages} == expected
+        arrays = [v for payload in replay.messages.values() for v in payload.values()]
+        assert all(isinstance(v, np.ndarray) and v.dtype == np.int64 for v in arrays)
+
+    @pytest.mark.parametrize(
+        "slots",
+        [[1, 2345, 6], [1234, 1, 2, 5678], [12, 34, -5], [10, 20, 3], [7]],
+        ids=["digits-under-separators", "separators-inside-rows", "signed-last", "short-last", "one"],
+    )
+    def test_layouts_that_look_uniform(self, slots):
+        # the first number's width fits the chunk's length, yet the numbers differ in width
+        line = json.dumps({"kind": "KeyIndices", "slots": slots})
+        replay = Transcript.from_jsonl(line)
+        assert replay.get("KeyIndices") == {"slots": slots}
+        assert replay.messages["KeyIndices"]["slots"].dtype == np.int64
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize(
+        "inside",
+        ["1, ", ", 1", "1, , 2", "1, 2, "],
+        ids=["ends-in-separator", "starts-with-separator", "empty-between", "trailing-separator"],
+    )
+    def test_empty_pieces_rejected(self, chunk, inside):
+        line = '{"kind": "KeyIndices", "slots": [' + inside + "]}"
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(line)
+        with mock.patch.object(sifting, "_CHUNK", chunk), pytest.raises(TranscriptError) as info:
+            Transcript.from_jsonl(line)
+        assert str(info.value) == f"bad transcript line 1: {expected.value}"
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize(
+        "inside",
+        ["1,  2", "12, 34 ", " 12, 34", "12 , 34"],
+        ids=["two-blanks", "trailing-blank", "leading-blank", "blank-before-comma"],
+    )
+    def test_other_blanks_read_as_json_loads(self, chunk, inside):
+        # valid JSON that to_jsonl never writes: read by json.loads, as lists
+        line = '{"kind": "KeyIndices", "slots": [' + inside + "]}"
+        with mock.patch.object(sifting, "_CHUNK", chunk):
+            replay = Transcript.from_jsonl(line)
+        assert replay.messages["KeyIndices"] == {"slots": json.loads(line)["slots"]}
+
+    def test_long_lists_at_the_real_chunk(self):
+        # several chunks each, cut inside runs of one width and across width changes
+        edges = np.resize(np.array(WIDE_EDGES), 3 * sifting._CHUNK // 10)
+        t = Transcript()
+        t.append("DetectionReport", {"slots": np.arange(3 * sifting._CHUNK // 4)})
+        t.append("KeyIndices", {"slots": edges})
+        text = t.to_jsonl()
+        replay = Transcript.from_jsonl(text)
+        assert replay.to_jsonl() == text
+        assert replay.messages["KeyIndices"]["slots"].tolist() == edges.tolist()
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_repeated_list_shares_its_array(self, chunk):
+        # six-digit numbers over three chunks or more; the last one is even,
+        # so adding 1 changes only its last digit
+        count = max(40, 3 * chunk // 8)
+        first = np.arange(10**5, 10**5 + count + count % 2 + 1)
+        last_digit_off = first.copy()
+        last_digit_off[-1] += 1
+        assert first[-1] % 2 == 0
+        assert len(_json_ints(first)) == len(_json_ints(last_digit_off))
+        t = Transcript()
+        t.append("DetectionReport", {"slots": first})
+        t.append("DecoyDiscard", {"slots": last_digit_off})
+        t.append("VerificationRequest", {"slots": first.copy()})
+        text = t.to_jsonl()
+        with mock.patch.object(sifting, "_CHUNK", chunk):
+            messages = Transcript.from_jsonl(text).messages
+        kinds = ("DetectionReport", "DecoyDiscard", "VerificationRequest")
+        slots = [messages[kind]["slots"] for kind in kinds]
+        assert slots[0] is slots[2]
+        assert slots[1] is not slots[0]
+        assert slots[1].tolist() == last_digit_off.tolist()
+        assert slots[0].tolist() == first.tolist()
+
+
+class TestCodecMemory:
+    def test_peaks_against_the_text(self):
+        # to_jsonl joins its pieces once, and from_jsonl holds a chunk at a
+        # time besides the arrays it returns
+        transcript = _noisy_run(300_000)
+        text = transcript.to_jsonl()
+        Transcript.from_jsonl(text)  # first calls allocate module-level caches
+        tracemalloc.start()
+        try:
+            transcript.to_jsonl()
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            Transcript.from_jsonl(text)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert write_peak < 2.0 * len(text)
+        assert read_peak - before < 2.75 * len(text)
 
 
 class TestTranscriptPayloads:
