@@ -82,9 +82,9 @@ def _ints_text(a: np.ndarray) -> str:
 
     Each number fills one fixed-width row of bytes: sign, digits, then
     ", ".  When every number has one digit count and no sign, every row
-    is full and the buffer is decoded as it is.  Otherwise the bytes
-    between the sign's place and a number's first digit (or sign) are
-    set to NUL and deleted in one pass over the whole buffer.
+    is full and the buffer is decoded as it is.  Otherwise every byte
+    left of a number's first digit, but its minus sign, is set to NUL,
+    and the NULs are deleted in one pass over the whole buffer.
     """
     low, top = int(a.min()), int(a.max())
     signed = low < 0
@@ -96,7 +96,7 @@ def _ints_text(a: np.ndarray) -> str:
         top = int(mag.max())
     width = len(str(top))
     uniform = not signed and (width == 1 or low >= 10 ** (width - 1))
-    mag = mag.astype(np.uint32 if top < 2**32 else np.uint64)  # uint32 divides faster
+    mag = mag.astype(np.uint32 if top < 2**32 else np.uint64, copy=False)  # uint32 divides faster
     rows = np.empty((a.size, signed + width + 2), dtype=np.uint8)
     q = mag
     for k in range(width):  # k-th digit from the right, written straight into its column
