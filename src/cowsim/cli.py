@@ -84,7 +84,7 @@ def parse_config(path: str | None, overrides=()) -> SimConfig:
         if not p.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            text = p.read_text(encoding="utf-8")
+            text = p.read_text(encoding="utf-8-sig")  # a leading byte order mark is dropped
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
         values.update(_parse_assignments(text.splitlines(), str(path)))
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             for name, content in files.items():
-                (out / name).write_text(content)
+                (out / name).write_text(content, encoding="utf-8", newline="")  # no "\r" added
         sys.stdout.write(text)
         return code
     except (ConfigError, engine.NoKeyError, OSError) as exc:

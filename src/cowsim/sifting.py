@@ -2,14 +2,8 @@
 
 Every message is appended to a Transcript in a fixed order and is readable
 by anyone, including Eve.  The transcript serializes to JSON lines so a run
-can be replayed offline.  run_sifting keeps its index lists as numpy arrays
-inside the messages.  to_jsonl formats them a block at a time into one list
-of pieces for the whole text and joins it once.  from_jsonl walks the
-text's lines in place and reads each integer list back as an int64 array
-one cache-sized chunk at a time, keeping a chunk only if formatting its
-numbers again gives the chunk's text; a list that repeats an earlier one
-is compared with it in place and shares its array.  get() shows every
-payload as JSON values.
+can be replayed offline; run_sifting keeps its index lists as numpy arrays
+inside the messages, and get() shows every payload as JSON values.
 """
 
 from __future__ import annotations
@@ -80,38 +74,31 @@ def _list_pieces(a: np.ndarray) -> list[str]:
 def _ints_text(a: np.ndarray) -> str:
     """The numbers of a non-empty 1-D integer array, joined by ", ".
 
-    Each number fills one fixed-width row of bytes: sign, digits, then
-    ", ".  When every number has one digit count and no sign, every row
-    is full and the buffer is decoded as it is.  Otherwise every byte
-    left of a number's first digit, but its minus sign, is set to NUL,
-    and the NULs are deleted in one pass over the whole buffer.
+    A block holding a negative number is joined from its Python ints, as
+    json.dumps writes them; no run writes one.  Otherwise each number
+    fills one fixed-width row of bytes: digits, then ", ".  When every
+    number has one digit count, every row is full and the buffer is
+    decoded as it is.  Otherwise every byte left of a number's first
+    digit is set to NUL, and the NULs are deleted in one pass.
     """
     low, top = int(a.min()), int(a.max())
-    signed = low < 0
-    mag = a
-    if signed:
-        neg = a < 0
-        mag = a.astype(np.uint64)
-        mag[neg] = -mag[neg]  # modulo 2**64, so int64's minimum comes out too
-        top = int(mag.max())
+    if low < 0:
+        return ", ".join(map(str, a.tolist()))
     width = len(str(top))
-    uniform = not signed and (width == 1 or low >= 10 ** (width - 1))
-    mag = mag.astype(np.uint32 if top < 2**32 else np.uint64, copy=False)  # uint32 divides faster
-    rows = np.empty((a.size, signed + width + 2), dtype=np.uint8)
-    q = mag
+    a = a.astype(np.uint32 if top < 2**32 else np.uint64, copy=False)  # uint32 divides faster
+    rows = np.empty((a.size, width + 2), dtype=np.uint8)
+    q = a
     for k in range(width):  # k-th digit from the right, written straight into its column
         q_next = q // 10
-        np.subtract(q, q_next * 10, out=rows[:, signed + width - 1 - k], casting="unsafe")
+        np.subtract(q, q_next * 10, out=rows[:, width - 1 - k], casting="unsafe")
         q = q_next
     rows += ord("0")
     rows[:, -2] = ord(",")
     rows[:, -1] = ord(" ")
-    if uniform:
+    if width == 1 or low >= 10 ** (width - 1):
         return str(rows.reshape(-1)[:-2], "ascii")
     for k in range(1, width):
-        rows[mag < 10**k, signed + width - 1 - k] = 0
-    if signed:
-        rows[:, 0] = np.where(neg, ord("-"), 0)
+        rows[a < 10**k, width - 1 - k] = 0
     return rows.tobytes().translate(None, b"\0")[:-2].decode("ascii")
 
 
@@ -233,10 +220,7 @@ class Transcript:
     messages maps each announced kind to its payload of named values, in
     the order they were sent; each kind comes at most once, in MESSAGE_ORDER.
     A payload value is a JSON value, or a 1-D integer numpy array that
-    stands for the list of its elements.  from_jsonl reads each integer
-    list of a line as to_jsonl writes it into an int64 array, kept only if
-    formatting it again gives the list's text exactly; any other line is
-    read by json.loads and keeps its lists as lists.
+    stands for the list of its elements.
     """
 
     messages: dict[str, dict] = field(default_factory=dict)
@@ -298,17 +282,13 @@ class Transcript:
         (space, tab, carriage return) are skipped.
 
         Each line is found with text.find and read in place.  A line laid
-        out exactly as to_jsonl writes it is read field by field, and each
-        list on it becomes an int64 array, read and proved one chunk of at
-        most _CHUNK characters at a time: a chunk's numbers are kept only if
-        formatting them again gives the chunk's text, so the list's text is
-        json.dumps of the array's list.  A later list of the same text (the
-        checked boundaries) is compared with the first in place, chunk by
-        chunk, and the messages share one array.  Any other line goes whole
-        to json.loads, as does every line holding a list that fails the
-        check.  Either way each payload equals what json.loads gives.  A
-        carriage return ending a line is left out of the field-by-field
-        read only, so json.loads errors keep their columns.
+        out exactly as to_jsonl writes it is read field by field by
+        _read_line, and each list on it becomes an int64 array (_read_ints
+        proves it and shares the array of an equal earlier list).  Any
+        other line goes whole to json.loads and keeps its lists as lists.
+        Either way each payload equals what json.loads gives.  A carriage
+        return ending a line is left out of the field-by-field read only,
+        so json.loads errors keep their columns.
         TranscriptError names the number of a line that is not JSON or not
         an object with a kind.
         """

@@ -76,6 +76,28 @@ class TestParseConfig:
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert str(path) in capsys.readouterr().err
 
+    def test_not_utf8_message(self, tmp_path, capsys):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff\xfemu=0.5\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"cowsim: error: config file {path} is not UTF-8 text: "
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_dropped(self, tmp_path, capsys):
+        # editors on Windows may start a UTF-8 file with a byte order mark
+        text = b"n_bits=500\nattack=andmask\nseed=3\n"
+        stats = {}
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            path = tmp_path / f"{name}.cfg"
+            path.write_bytes(data)
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            stats[name] = (tmp_path / name / "stats.log").read_bytes()
+        assert stats["bom"] == stats["plain"]
+        assert parse_config(str(tmp_path / "bom.cfg")) == parse_config(str(tmp_path / "plain.cfg"))
+
 
 class TestCommands:
     def test_run_writes_outputs(self, tmp_path, capsys):
@@ -85,6 +107,16 @@ class TestCommands:
         assert (out / "stats.log").exists()
         assert (out / "transcript.log").exists()
         assert "sifted_len=" in capsys.readouterr().out
+
+    def test_run_files_are_the_returned_text(self, tmp_path, capsys):
+        # each file is its text encoded as UTF-8, on every platform: no "\r" added
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--set", "n_bits=500", "--seed", "3") == 0
+        stats, transcript, _ = run(SimConfig(n_bits=500, seed=3))
+        text = stats.to_lines()
+        assert capsys.readouterr().out == text
+        assert (out / "stats.log").read_bytes() == text.encode("utf-8")
+        assert (out / "transcript.log").read_bytes() == transcript.to_jsonl().encode("utf-8")
 
     def test_run_deterministic(self, tmp_path):
         outs = []

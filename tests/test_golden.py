@@ -22,7 +22,9 @@ substitute-pattern AND-mask run at n_bits=600_000, whose checked boundaries
 reach 1.2M, pins the transcript's seven-digit numbers.
 
 Every run above is also read back by Transcript.from_jsonl, and the
-replay must write its recorded transcript again.
+replay must write its recorded transcript again.  Every array in the
+transcripts of the grid and the wide run holds indices or bits, none
+negative, so the formatter's unsigned layout writes them all.
 
 Three noisy compare_attack runs at n_bits=20_000, one per decoy strategy,
 pin the mask-off/mask-on comparison.  Five command-line runs, made
@@ -478,6 +480,19 @@ def test_replayed_digests(name):
     # every integer list came back as an array, so no line fell back to json.loads
     lists = [v for payload in messages.values() for v in payload.values() if not isinstance(v, str)]
     assert all(isinstance(v, np.ndarray) and v.dtype == np.int64 for v in lists)
+
+
+@pytest.mark.parametrize("name", [*sorted(GRID), "wide"])
+def test_payload_arrays_unsigned(name):
+    config = WIDE_RUN if name == "wide" else GRID[name]
+    _, transcript, _ = run(config)
+    payloads = transcript.messages.values()
+    arrays = [v for payload in payloads for v in payload.values() if isinstance(v, np.ndarray)]
+    # every payload value but the verdict, shared arrays once per message
+    assert len(arrays) == 10
+    for a in arrays:
+        assert a.ndim == 1 and a.dtype.kind in "iu"
+        assert a.size == 0 or a.min() >= 0
 
 
 def test_grid_shape():
