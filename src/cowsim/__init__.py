@@ -27,6 +27,6 @@ from .eve import (
     reconstruct_key,
 )
 from .optics import click_probability, detectable_fraction, splittable_fraction
-from .sifting import SiftResult, Transcript, compute_qber, run_sifting
+from .sifting import SiftResult, Transcript, run_sifting
 
 __version__ = "0.1.0"

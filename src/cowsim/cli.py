@@ -87,7 +87,7 @@ def parse_config(path: str | None, overrides=()) -> SimConfig:
             text = p.read_text(encoding="utf-8-sig")  # a leading byte order mark is dropped
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
-        values.update(_parse_assignments(text.splitlines(), str(path)))
+        values.update(_parse_assignments(text.split("\n"), str(path)))
     values.update(_parse_assignments(overrides, "--set"))
     try:
         return SimConfig(**values)

@@ -25,7 +25,6 @@ __all__ = [
     "MESSAGE_ORDER",
     "Transcript",
     "SiftResult",
-    "compute_qber",
     "run_sifting",
 ]
 
@@ -131,12 +130,13 @@ def _parse_ints(chunk: str) -> np.ndarray:
 def _read_ints(text: str, start: int, stop: int, seen: dict[int, list]) -> np.ndarray | None:
     """The list whose inside is text[start:stop] as an int64 array, else None.
 
-    The inside is read in chunks of at most _CHUNK characters, each cut
-    at a ", " (or longer, when one number is), and a chunk's numbers are
-    kept only if _ints_text gives the chunk back: then the chunks joined
-    by ", " are json.dumps of the array's list.  seen maps the length of
-    each list read so far to its (start, array) pairs; a list of the same
-    text is compared in place, a chunk at a time, and shares the array.
+    The inside is read in chunks, each cut at the first ", " at or past
+    _CHUNK characters from its start, or at the inside's end.  A chunk's
+    numbers are kept only if _ints_text gives the chunk back: then the
+    chunks joined by ", " are json.dumps of the array's list.  seen maps
+    the length of each list read so far to its (start, array) pairs; a list
+    of the same text is compared in place, a chunk at a time, and shares
+    the array.
     """
     length = stop - start
     for first, array in seen.get(length, ()):
@@ -148,13 +148,9 @@ def _read_ints(text: str, start: int, stop: int, seen: dict[int, list]) -> np.nd
     array = np.empty((length + 2) // 3, dtype=np.int64)  # k numbers take 3k - 2 characters or more
     n, pos = 0, start
     while length and pos <= stop:  # a ", " is always followed by one more chunk
-        cut = stop
-        if stop - pos > _CHUNK:
-            cut = text.rfind(", ", pos, pos + _CHUNK + 2)
-            if cut < 0:  # no ", " within a chunk's length: one long number
-                cut = text.find(", ", pos, stop)
-            if cut < 0:
-                cut = stop
+        cut = text.find(", ", pos + _CHUNK, stop)
+        if cut < 0:
+            cut = stop
         chunk = text[pos:cut]
         if not chunk:
             return None
@@ -284,7 +280,8 @@ class Transcript:
         Each line is found with text.find and read in place.  A line laid
         out exactly as to_jsonl writes it is read field by field by
         _read_line, and each list on it becomes an int64 array (_read_ints
-        proves it and shares the array of an equal earlier list).  Any
+        proves it a chunk of about _CHUNK characters at a time, and shares
+        the array of an equal earlier list).  Any
         other line goes whole to json.loads and keeps its lists as lists.
         Either way each payload equals what json.loads gives.  A carriage
         return ending a line is left out of the field-by-field read only,
@@ -322,19 +319,6 @@ class SiftResult:
     break_rate: float
     verdict: str
     verified_count: int
-
-
-def compute_qber(alice_bits, bob_bits) -> float:
-    """Mismatch fraction over revealed bits, paired by position; 0 on empty.
-
-    Raises ValueError when the two sides differ in shape.
-    """
-    alice_bits, bob_bits = np.asarray(alice_bits), np.asarray(bob_bits)
-    if alice_bits.shape != bob_bits.shape:
-        raise ValueError(f"revealed bits differ in shape: {alice_bits.shape} and {bob_bits.shape}")
-    if alice_bits.size == 0:
-        return 0.0
-    return int(np.count_nonzero(alice_bits != bob_bits)) / alice_bits.size
 
 
 def _alarm_threshold(config: SimConfig, n_checked: int) -> float:
@@ -417,7 +401,8 @@ def run_sifting(
 
     reveal_alice = train[verify_slots] >> 1
     reveal_bob = remainder_values[verify_mask]
-    qber = compute_qber(reveal_alice, reveal_bob)
+    n_verified = reveal_alice.size
+    qber = int(np.count_nonzero(reveal_alice != reveal_bob)) / n_verified if n_verified else 0.0
 
     break_rate = int(np.count_nonzero(clicks)) / checked.size if checked.size else 0.0
     verdict = "abort" if break_rate > _alarm_threshold(config, checked.size) else "accept"
@@ -443,6 +428,6 @@ def run_sifting(
         qber=qber,
         break_rate=break_rate,
         verdict=verdict,
-        verified_count=int(verify_slots.size),
+        verified_count=n_verified,
     )
     return result, transcript

@@ -98,6 +98,26 @@ class TestParseConfig:
         assert stats["bom"] == stats["plain"]
         assert parse_config(str(tmp_path / "bom.cfg")) == parse_config(str(tmp_path / "plain.cfg"))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n_bits=5\f\nbad", "{path}:2: expected KEY=VALUE, got 'bad'"),
+            ("# note\x85more\nbad", "{path}:2: expected KEY=VALUE, got 'bad'"),
+            ("n_bits=5\x0bmu=x", "bad value for 'n_bits': '5\\x0bmu=x' (expected integer)"),
+            ("n_bits=5\r\nbad", "{path}:2: expected KEY=VALUE, got 'bad'"),
+            ("n_bits=5\rbad", "{path}:2: expected KEY=VALUE, got 'bad'"),
+        ],
+        ids=["form-feed", "next-line-in-comment", "vertical-tab", "crlf", "cr"],
+    )
+    def test_lines_end_at_line_breaks_only(self, tmp_path, text, message):
+        # reading the file turns "\r\n" and "\r" into "\n"; the other breaks
+        # that str.splitlines knows are text within a line, as an editor shows it
+        path = tmp_path / "run.cfg"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ConfigError) as info:
+            parse_config(str(path))
+        assert str(info.value) == message.format(path=path)
+
 
 class TestCommands:
     def test_run_writes_outputs(self, tmp_path, capsys):

@@ -19,7 +19,6 @@ from cowsim.sifting import (
     TranscriptError,
     _alarm_threshold,
     _list_pieces,
-    compute_qber,
     run_sifting,
 )
 
@@ -35,27 +34,6 @@ WIDE_EDGES = sorted(
     {0, INT64.max, INT64.min}
     | {sign * v for k in range(1, 19) for v in (10**k - 1, 10**k) for sign in (1, -1)}
 )
-
-
-class TestQber:
-    def test_empty(self):
-        assert compute_qber([], []) == 0.0
-
-    def test_agreement(self):
-        assert compute_qber([0, 1], [0, 1]) == 0.0
-
-    def test_half(self):
-        assert compute_qber(np.array([0, 1, 0, 1]), np.array([1, 1, 0, 0])) == 0.5
-
-    @pytest.mark.parametrize(
-        "alice, bob",
-        [([0], [0, 1, 1]), ([], [1, 1]), ([0, 1], [0])],
-        ids=["one-against-three", "empty-against-two", "two-against-one"],
-    )
-    def test_length_mismatch_rejected(self, alice, bob):
-        # numpy would broadcast a length-1 side, and an empty side read as 0
-        with pytest.raises(ValueError, match="differ in shape"):
-            compute_qber(alice, bob)
 
 
 def _train(patterns):
@@ -125,6 +103,22 @@ class TestRunSifting:
         assert result.qber == 0.0
         assert result.verdict == "accept"
         assert transcript.get("KeyIndices")["slots"] == []
+
+    def test_qber_counts_flipped_reveals(self):
+        # Bob holds the wrong bit on every third slot, and on no other
+        train = _train([ZERO, ONE] * 50)
+        slots = np.arange(100)
+        values = slots % 2
+        values[::3] ^= 1
+        result, transcript = run_sifting(
+            train, (slots, values), NO_MONITOR, SimConfig(f_verify=0.5), np.random.default_rng(1)
+        )
+        reveal = transcript.get("VerificationReveal")
+        alice, bob = np.array(reveal["alice_bits"]), np.array(reveal["bob_bits"])
+        flipped = [slot for slot in reveal["slots"] if slot % 3 == 0]
+        assert result.qber > 0
+        assert result.qber == np.count_nonzero(alice != bob) / alice.size
+        assert result.qber == len(flipped) / len(reveal["slots"])
 
     def test_noiseless_qber_zero(self):
         stats, _, _ = run(
@@ -583,12 +577,17 @@ def _noisy_run(n_bits=3000):
     return transcript
 
 
-# the real chunk size, and sizes that cut lists of a few numbers at every place
-CHUNKS = [1, 2, 7, 23, sifting._CHUNK]
+# the real chunk size, and sizes that cut lists of a few numbers at every place:
+# a chunk of numbers of width w ends on the "," of a ", " when its size is w
+# modulo w + 2, on the space when it is w + 1, and inside a number otherwise
+#   width 1:  "," at 1, 7, 19; space at 2, 20, 23; inside at 6
+#   width 6:  "," at 6; space at 7, 23; inside at 1, 2, 19, 20
+#   width 19: "," at 19; space at 20; inside at 1, 2, 6, 7, 23
+CHUNKS = [1, 2, 6, 7, 19, 20, 23, sifting._CHUNK]
 
 
 class TestChunks:
-    """from_jsonl reads and proves a list one chunk of at most _CHUNK characters at a time."""
+    """from_jsonl reads and proves a list one chunk, cut at a ", " past _CHUNK characters, at a time."""
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @settings(deadline=None, max_examples=40)
@@ -604,6 +603,9 @@ class TestChunks:
         ),
         sort=st.booleans(),
     )
+    @example(values=list(range(10)), sort=False)
+    @example(values=list(range(10**5, 10**5 + 10)), sort=False)
+    @example(values=list(range(10**18, 10**18 + 5)), sort=False)
     def test_read_as_json_loads(self, chunk, values, sort):
         # sorted lists change digit count once per chunk at most, as index lists do
         slots = np.array(sorted(values) if sort else values, dtype=np.int64)
@@ -647,11 +649,12 @@ class TestChunks:
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize(
         "inside",
-        ["1,  2", "12, 34 ", " 12, 34", "12 , 34"],
-        ids=["two-blanks", "trailing-blank", "leading-blank", "blank-before-comma"],
+        ["1,  2", "12, 34 ", " 12, 34", "12 , 34", "1, " + "9" * 30 + ", 2"],
+        ids=["two-blanks", "trailing-blank", "leading-blank", "blank-before-comma", "past-int64"],
     )
     def test_other_blanks_read_as_json_loads(self, chunk, inside):
-        # valid JSON that to_jsonl never writes: read by json.loads, as lists
+        # valid JSON that to_jsonl never writes: read by json.loads, as lists;
+        # the 30-digit number is one token longer than every patched chunk
         line = '{"kind": "KeyIndices", "slots": [' + inside + "]}"
         with mock.patch.object(sifting, "_CHUNK", chunk):
             replay = Transcript.from_jsonl(line)
