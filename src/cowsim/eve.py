@@ -54,21 +54,14 @@ def apply_and_mask(train: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def observe_transcript(transcript: Transcript) -> np.ndarray:
     """Pull the announced key-slot indices out of the public dialog.
 
-    A 1-D int64 "slots" array, as a run or a replayed file gives, is
-    returned itself, not a copy.  Any other payload raises TranscriptError
-    unless it is a "slots" list of integers that fit in int64.
+    KeyIndices' int64 "slots" array, which a transcript holds for a list of
+    integers that fit in int64, is returned itself, not a copy.  Any other
+    value, or no such message or field, raises TranscriptError.
     """
     slots = transcript.messages.get("KeyIndices", {}).get("slots")
-    if isinstance(slots, np.ndarray) and slots.dtype == np.int64 and slots.ndim == 1:
-        return slots
-    slots = transcript.get("KeyIndices").get("slots")
-    # bool is a subclass of int, so compare types exactly
-    if not isinstance(slots, list) or not set(map(type, slots)) <= {int}:
-        raise TranscriptError("KeyIndices slots must be a list of integers")
-    try:
-        return np.array(slots, dtype=np.int64)
-    except OverflowError as exc:
-        raise TranscriptError(f"KeyIndices slot out of range: {exc}") from exc
+    if not isinstance(slots, np.ndarray) or slots.dtype != np.int64 or slots.ndim != 1:
+        raise TranscriptError("KeyIndices slots must be a list of integers that fit in int64")
+    return slots
 
 
 def reconstruct_key(mask: np.ndarray, kept_indices) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Every message is appended to a Transcript in a fixed order and is readable
 by anyone, including Eve.  The transcript serializes to JSON lines so a run
-can be replayed offline; run_sifting keeps its index lists as numpy arrays
-inside the messages, and get() shows every payload as JSON values.
+can be replayed offline; it holds each integer list as a numpy array,
+and get() shows every payload as JSON values.
 """
 
 from __future__ import annotations
@@ -215,23 +215,28 @@ class Transcript:
 
     messages maps each announced kind to its payload of named values, in
     the order they were sent; each kind comes at most once, in MESSAGE_ORDER.
-    A payload value is a JSON value, or a 1-D integer numpy array that
-    stands for the list of its elements.
+    A payload holds each list of ints within int64's range as a 1-D integer
+    numpy array, and any other value as a JSON value.
     """
 
     messages: dict[str, dict] = field(default_factory=dict)
 
     def append(self, kind: str, payload: dict) -> None:
+        """Record the kind message as a copy of payload, its int lists as int64 arrays."""
         if kind not in MESSAGE_ORDER:
             raise TranscriptError(f"unknown message kind: {kind}")
         if self.messages:
             last = next(reversed(self.messages))
             if MESSAGE_ORDER.index(kind) <= MESSAGE_ORDER.index(last):
                 raise TranscriptError(f"{kind} may not follow {last}")
+        payload = dict(payload)
         for key, value in payload.items():
             if not isinstance(key, str) or key == "kind":
                 raise TranscriptError(f"{kind} payload key {key!r}: must be a str other than 'kind'")
-            if isinstance(value, np.ndarray) and (value.ndim != 1 or value.dtype.kind not in "iu"):
+            if isinstance(value, list) and set(map(type, value)) <= {int}:  # exact types: no bool
+                if -(2**63) <= min(value, default=0) and max(value, default=0) < 2**63:
+                    payload[key] = np.array(value, dtype=np.int64)
+            elif isinstance(value, np.ndarray) and (value.ndim != 1 or value.dtype.kind not in "iu"):
                 raise TranscriptError(f"{kind} payload {key!r}: arrays must be 1-D integer arrays")
         self.messages[kind] = payload
 
@@ -281,13 +286,12 @@ class Transcript:
         out exactly as to_jsonl writes it is read field by field by
         _read_line, and each list on it becomes an int64 array (_read_ints
         proves it a chunk of about _CHUNK characters at a time, and shares
-        the array of an equal earlier list).  Any
-        other line goes whole to json.loads and keeps its lists as lists.
-        Either way each payload equals what json.loads gives.  A carriage
-        return ending a line is left out of the field-by-field read only,
-        so json.loads errors keep their columns.
-        TranscriptError names the number of a line that is not JSON or not
-        an object with a kind.
+        the array of an equal earlier list).  Any other line goes whole to
+        json.loads, and append holds its int lists as int64 arrays.  Either
+        way each payload equals what json.loads gives.  A carriage return
+        ending a line is left out of the field-by-field read only, so
+        json.loads errors keep their columns.  TranscriptError names the
+        number of a line that is not JSON or not an object with a kind.
         """
         out = cls()
         seen: dict[int, list] = {}
@@ -302,7 +306,7 @@ class Transcript:
                 if record is None:
                     try:
                         record = json.loads(text[start:stop])
-                    except json.JSONDecodeError as exc:
+                    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
                         raise TranscriptError(f"bad transcript line {lineno}: {exc}") from exc
                 if not isinstance(record, dict) or "kind" not in record:
                     raise TranscriptError(f"bad transcript line {lineno}: not an object with a kind")
@@ -332,11 +336,13 @@ def _alarm_threshold(config: SimConfig, n_checked: int) -> float:
 
 
 def _check_range(name: str, a, stop: int) -> np.ndarray:
-    """a as an int64 array, checked before the cast to hold integers in [0, stop).
+    """a as an int64 array, checked before the cast to be 1-D and hold integers in [0, stop).
 
     An empty a passes whatever its dtype.  A ValueError gives name.
     """
     a = np.asarray(a)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
     if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got {a.dtype}")
     if a.size and (a.min() < 0 or a.max() >= stop):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -117,6 +119,23 @@ class TestTranscriptReading:
         assert slots is t.messages["KeyIndices"]["slots"]
         assert slots.tolist() == [0, 2**63 - 1]
 
+    @pytest.mark.parametrize("layout", ["compact", "leading-blank"])
+    @pytest.mark.parametrize("eol", ["", "\r\n"], ids=["no-eol", "crlf"])
+    def test_fallback_line_holds_the_canonical_array(self, layout, eol):
+        # a line that json.loads reads whole holds what its to_jsonl twin holds
+        record = {"kind": "KeyIndices", "slots": [3, 70, 2**40]}
+        canonical = Transcript.from_jsonl(json.dumps(record, sort_keys=True))
+        if layout == "compact":
+            line = json.dumps(record, separators=(",", ":"))
+        else:
+            line = " " + json.dumps(record, sort_keys=True)
+        fallback = Transcript.from_jsonl(line + eol)
+        twins = [t.messages["KeyIndices"]["slots"] for t in (canonical, fallback)]
+        assert all(isinstance(a, np.ndarray) and a.dtype == np.int64 for a in twins)
+        assert np.array_equal(*twins)
+        assert np.array_equal(observe_transcript(canonical), observe_transcript(fallback))
+
+    @pytest.mark.parametrize("source", ["replayed", "appended"])
     @pytest.mark.parametrize(
         "slots",
         [
@@ -133,13 +152,20 @@ class TestTranscriptReading:
             None,
         ],
     )
-    def test_bad_replayed_slots(self, slots):
-        # a replayed file is outside input: anything but a list of integers
-        # that fit in int64 is a TranscriptError, never a silent cast
+    def test_bad_slots(self, slots, source):
+        # a replayed file or a hand-built payload is outside input: anything but
+        # a list of integers that fit in int64 is a TranscriptError, never a silent cast
         field = "" if slots is None else f', "slots": {slots}'
         line = '{"kind": "KeyIndices"' + field + "}"
+        if source == "replayed":
+            t = Transcript.from_jsonl(line)
+        else:
+            payload = json.loads(line)
+            t = Transcript()
+            t.append(payload.pop("kind"), payload)
+        assert not isinstance(t.messages["KeyIndices"].get("slots"), np.ndarray)
         with pytest.raises(TranscriptError, match="KeyIndices"):
-            observe_transcript(Transcript.from_jsonl(line))
+            observe_transcript(t)
 
 
 class TestReconstruct:
@@ -155,6 +181,11 @@ class TestReconstruct:
         mask = _train([ZERO, ONE])
         with pytest.raises(ValueError):
             reconstruct_key(mask, [2])
+
+    def test_2d_indices_rejected(self):
+        # a 2-D index would read a 2-D key
+        with pytest.raises(ValueError, match=r"kept_indices must be 1-D, got shape \(1, 2\)"):
+            reconstruct_key(_train([ZERO, ONE]), [[0, 1]])
 
     @pytest.mark.parametrize("kept", [np.array([1.9]), np.array([0.0])], ids=["1.9", "0.0"])
     def test_float_indices_rejected(self, kept):

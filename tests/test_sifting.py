@@ -147,6 +147,8 @@ class TestRunSifting:
             (NOTHING_DETECTED, ([0], [-5]), "clicked boundaries must lie in"),
             (NOTHING_DETECTED, ([0], [0, 4 * 10**7]), "clicked boundaries must lie in"),
             (([0, 1], [0]), NO_MONITOR, "detected slots and values differ in length"),
+            ((np.array([[0, 1]]), [0, 1]), NO_MONITOR, r"detected slots must be 1-D, got shape \(1, 2\)"),
+            (NOTHING_DETECTED, ([[0, 1]], []), r"checked boundaries must be 1-D, got shape \(1, 2\)"),
         ],
         ids=[
             "float-slots",
@@ -159,6 +161,8 @@ class TestRunSifting:
             "negative-click",
             "click-far-past-end",
             "length-mismatch",
+            "2d-slots",
+            "2d-checked",
         ],
     )
     def test_bad_input_named(self, detected, monitor, name):
@@ -357,6 +361,22 @@ class TestFromJsonl:
         with pytest.raises(json.JSONDecodeError) as expected:
             json.loads(line)
         with pytest.raises(TranscriptError, match="line 2") as info:
+            Transcript.from_jsonl(FIRST_LINE + line)
+        assert str(info.value) == f"bad transcript line 2: {expected.value}"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"kind": "KeyIndices", "slots": [' + "9" * 5000 + "]}",
+            '{"kind": "KeyIndices", "n": ' + "9" * 5000 + ', "slots": [1]}',
+        ],
+        ids=["in-a-list", "scalar"],
+    )
+    def test_over_long_integer_named(self, line):
+        # valid JSON syntax, but past Python's limit on the digits of an int
+        with pytest.raises(ValueError) as expected:
+            json.loads(line)
+        with pytest.raises(TranscriptError) as info:
             Transcript.from_jsonl(FIRST_LINE + line)
         assert str(info.value) == f"bad transcript line 2: {expected.value}"
 
@@ -653,12 +673,19 @@ class TestChunks:
         ids=["two-blanks", "trailing-blank", "leading-blank", "blank-before-comma", "past-int64"],
     )
     def test_other_blanks_read_as_json_loads(self, chunk, inside):
-        # valid JSON that to_jsonl never writes: read by json.loads, as lists;
-        # the 30-digit number is one token longer than every patched chunk
+        # valid JSON that to_jsonl never writes: read by json.loads, its list held
+        # as an int64 array unless a number is past int64; the 30-digit number
+        # is one token longer than every patched chunk
         line = '{"kind": "KeyIndices", "slots": [' + inside + "]}"
         with mock.patch.object(sifting, "_CHUNK", chunk):
             replay = Transcript.from_jsonl(line)
-        assert replay.messages["KeyIndices"] == {"slots": json.loads(line)["slots"]}
+        expected = json.loads(line)["slots"]
+        assert repr(replay.get("KeyIndices")) == repr({"slots": expected})
+        slots = replay.messages["KeyIndices"]["slots"]
+        if all(INT64.min <= v <= INT64.max for v in expected):
+            assert isinstance(slots, np.ndarray) and slots.dtype == np.int64
+        else:
+            assert type(slots) is list
 
     def test_long_lists_at_the_real_chunk(self):
         # several chunks each, cut inside runs of one width and across width changes
@@ -728,6 +755,19 @@ class TestTranscriptPayloads:
                     assert type(value) is list, (kind, key)
                     assert {type(v) for v in value} <= {int}, (kind, key)
         assert any(transcript.get("MonitorReport")["clicks"])
+
+    def test_appended_int_lists_held_as_int64(self):
+        payload = {"slots": [3, INT64.max, INT64.min], "empty": [], "z": {"b": [1]}, "note": "x"}
+        t = Transcript()
+        t.append("KeyIndices", payload)
+        held = t.messages["KeyIndices"]
+        for key in ("slots", "empty"):
+            assert isinstance(held[key], np.ndarray) and held[key].dtype == np.int64
+            assert held[key].tolist() == payload[key]
+        # other values are held as they are, and the caller's dict is left alone
+        assert held["z"] == {"b": [1]} and held["note"] == "x"
+        assert type(payload["slots"]) is list
+        assert t.to_jsonl() == json.dumps({"kind": "KeyIndices", **payload}, sort_keys=True) + "\n"
 
     def test_get_returns_a_new_dict(self):
         transcript = _noisy_run()
