@@ -146,15 +146,14 @@ def checked_boundaries(train: np.ndarray, config: SimConfig, rng: np.random.Gene
 
     Each block of _BLOCK slots is read with one slot carried past its edge,
     for the cross-slot boundary between the two; of that block's boundaries
-    it keeps those below 2 * _BLOCK, and the last block keeps all.  rng.random
-    draws concatenate, so the checked set and the generator's state after it
-    are those of the whole-train call.
+    it keeps those below 2 * _BLOCK, which are all of the last block's, as no
+    slot is carried past it.  rng.random draws concatenate, so the checked
+    set and the generator's state after it are those of the whole-train call.
     """
     parts = [np.empty(0, dtype=np.int64)]  # the result, should the train be empty
     for start in range(0, train.size, _BLOCK):
         boundaries = coherent_boundaries(train[start : start + _BLOCK + 1])
-        if start + _BLOCK < train.size:
-            boundaries = boundaries[: np.searchsorted(boundaries, 2 * _BLOCK)]
+        boundaries = boundaries[: np.searchsorted(boundaries, 2 * _BLOCK)]
         checked = announce_coherence_checks(boundaries, config, rng)
         checked += 2 * start
         parts.append(checked)

@@ -46,10 +46,8 @@ class TranscriptError(ValueError):
 
 # numbers formatted, or monitor flags read, at a time: a block's buffers stay in cache
 _BLOCK = 2**14
-# characters of a list's text read and proved at a time: a chunk stays in cache
+# characters of a list's text read at a time: a chunk stays in cache
 _CHUNK = 2**17
-# the most digits an int64 has
-_INT64_DIGITS = len(str(2**63))
 # the ", " between two numbers, read as one two-byte word
 _SEP = np.frombuffer(b", ", dtype="<u2")[0]
 
@@ -71,7 +69,7 @@ def _list_pieces(a: np.ndarray) -> list[str]:
 
 
 def _ints_text(a: np.ndarray) -> str:
-    """The numbers of a non-empty 1-D integer array, joined by ", ".
+    """The numbers of a non-empty 1-D integer array, joined by ", ", for _list_pieces.
 
     A block holding a negative number is joined from its Python ints, as
     json.dumps writes them; no run writes one.  Otherwise each number
@@ -101,42 +99,44 @@ def _ints_text(a: np.ndarray) -> str:
     return rows.tobytes().translate(None, b"\0")[:-2].decode("ascii")
 
 
-def _parse_ints(chunk: str) -> np.ndarray:
-    """The numbers of a chunk of a list's text, as an int64 array.
+def _parse_ints(raw: bytes, at: int) -> tuple[np.ndarray, int] | None:
+    """The run of numbers that opens raw[at:] and its digit count, else None.
 
-    A chunk laid out as numbers of one digit count without a sign, each
-    followed by ", " but the last, is read digit column by digit column.
-    Any other chunk is read by np.fromstring.  Either way the caller keeps
-    the numbers only if _ints_text gives the chunk back.
+    raw is a chunk of a list's text with ", " appended.  The run is every
+    number from at on, each followed by ", ", that has the first one's digit
+    count, and it is read digit column by digit column.  None if that count
+    is 0 or past 18 (the most that always fits in int64), or if a number in
+    the run holds a non-digit or, past one digit, a leading zero; so a run
+    it returns is json.dumps' text of its numbers, each followed by ", ".
     """
-    width = chunk.find(", ")
-    if width < 0:
-        width = len(chunk)
-    count, rest = divmod(len(chunk) + 2, width + 2)
-    if 0 < width <= _INT64_DIGITS and not rest:
-        raw = chunk.encode("ascii")
-        # row j holds the j-th digit of every number, and seps each ", " after one
-        digits = np.ndarray((width, count), np.uint8, raw, 0, (1, width + 2)) - ord("0")
-        seps = np.ndarray(count - 1, _SEP.dtype, raw, width, (width + 2,))
-        if digits.max() < 10 and (seps == _SEP).all():
-            numbers = digits[0].astype(np.int64)
-            for row in digits[1:]:
-                numbers *= 10
-                numbers += row
-            return numbers
-    return np.fromstring(chunk, dtype=np.int64, sep=",")
+    width = raw.find(b", ", at) - at
+    if not 0 < width <= 18:
+        return None
+    count = (len(raw) - at) // (width + 2)
+    seps = np.ndarray(count, _SEP.dtype, raw, at + width, (width + 2,))
+    count = int(np.argmin(seps == _SEP)) or count  # the first is ", ", so 0 means all are
+    # row j holds the j-th digit of every number in the run
+    digits = np.ndarray((width, count), np.uint8, raw, at, (1, width + 2)) - ord("0")
+    if digits.max() > 9 or (width > 1 and not digits[0].all()):
+        return None
+    numbers = digits[0].astype(np.int64)
+    for row in digits[1:]:
+        numbers *= 10
+        numbers += row
+    return numbers, width
 
 
 def _read_ints(text: str, start: int, stop: int, seen: dict[int, list]) -> np.ndarray | None:
     """The list whose inside is text[start:stop] as an int64 array, else None.
 
     The inside is read in chunks, each cut at the first ", " at or past
-    _CHUNK characters from its start, or at the inside's end.  A chunk's
-    numbers are kept only if _ints_text gives the chunk back: then the
-    chunks joined by ", " are json.dumps of the array's list.  seen maps
-    the length of each list read so far to its (start, array) pairs; a list
-    of the same text is compared in place, a chunk at a time, and shares
-    the array.
+    _CHUNK characters from its start, or at the inside's end, and each
+    chunk run by run (_parse_ints).  None when a run is empty or has fewer
+    digits than the one before, which no sorted index list or 0/1 list
+    does; so a list takes a run per chunk plus one per added digit.  seen
+    maps the length of each list read so far to its (start, array) pairs;
+    a list of the same text is compared in place, a chunk at a time, and
+    shares the array.
     """
     length = stop - start
     for first, array in seen.get(length, ()):
@@ -146,19 +146,21 @@ def _read_ints(text: str, start: int, stop: int, seen: dict[int, list]) -> np.nd
         ):
             return array
     array = np.empty((length + 2) // 3, dtype=np.int64)  # k numbers take 3k - 2 characters or more
-    n, pos = 0, start
+    n, pos, last = 0, start, 1
     while length and pos <= stop:  # a ", " is always followed by one more chunk
         cut = text.find(", ", pos + _CHUNK, stop)
         if cut < 0:
             cut = stop
-        chunk = text[pos:cut]
-        if not chunk:
-            return None
-        numbers = _parse_ints(chunk)
-        if _ints_text(numbers) != chunk:
-            return None
-        array[n : n + numbers.size] = numbers
-        n += numbers.size
+        raw = text[pos:cut].encode("ascii") + b", "
+        at = 0
+        while at < len(raw):
+            run = _parse_ints(raw, at)
+            if run is None or run[1] < last:
+                return None
+            numbers, last = run
+            array[n : n + numbers.size] = numbers
+            n += numbers.size
+            at += numbers.size * (last + 2)
         pos = cut + 2
     array.resize(n, refcheck=False)  # in place: no view of array escaped
     seen.setdefault(length, []).append((start, array))
@@ -201,10 +203,7 @@ def _read_line(text: str, pos: int, stop: int, seen: dict[int, list]) -> dict | 
             if not text.startswith(", ", pos, stop):
                 return None
             pos += 2
-    # json.JSONDecodeError, a chunk that is not ASCII, or np.fromstring on
-    # text it cannot read; older numpy warns there instead, and the part
-    # it read then fails the check
-    except (ValueError, DeprecationWarning):
+    except ValueError:  # json.JSONDecodeError, or a list that is not ASCII
         return None
     return None
 
@@ -285,13 +284,15 @@ class Transcript:
         Each line is found with text.find and read in place.  A line laid
         out exactly as to_jsonl writes it is read field by field by
         _read_line, and each list on it becomes an int64 array (_read_ints
-        proves it a chunk of about _CHUNK characters at a time, and shares
+        reads it a chunk of about _CHUNK characters at a time, and shares
         the array of an equal earlier list).  Any other line goes whole to
-        json.loads, and append holds its int lists as int64 arrays.  Either
+        json.loads, as does a line with a list that no run writes (holding
+        a negative number, a number past 18 digits, or falling digit
+        counts), and append holds its int lists as int64 arrays.  Either
         way each payload equals what json.loads gives.  A carriage return
         ending a line is left out of the field-by-field read only, so
         json.loads errors keep their columns.  TranscriptError names the
-        number of a line that is not JSON or not an object with a kind.
+        number of every line it rejects.
         """
         out = cls()
         seen: dict[int, list] = {}
@@ -308,9 +309,12 @@ class Transcript:
                         record = json.loads(text[start:stop])
                     except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
                         raise TranscriptError(f"bad transcript line {lineno}: {exc}") from exc
-                if not isinstance(record, dict) or "kind" not in record:
-                    raise TranscriptError(f"bad transcript line {lineno}: not an object with a kind")
-                out.append(record.pop("kind"), record)
+                try:
+                    if not isinstance(record, dict) or "kind" not in record:
+                        raise TranscriptError("not an object with a kind")
+                    out.append(record.pop("kind"), record)
+                except TranscriptError as exc:
+                    raise TranscriptError(f"bad transcript line {lineno}: {exc}") from exc
             start, lineno = stop + 1, lineno + 1
         return out
 

@@ -23,8 +23,9 @@ reach 1.2M, pins the transcript's seven-digit numbers.
 
 Every run above is also read back by Transcript.from_jsonl, and the
 replay must write its recorded transcript again.  Every array in the
-transcripts of the grid and the wide run holds indices or bits, none
-negative, so the formatter's unsigned layout writes them all.
+transcripts of the grid and the wide run holds strictly increasing indices
+or bits, so the formatter's unsigned layout writes them all, and the
+reader reads every line field by field, with no json.loads.
 
 Three noisy compare_attack runs at n_bits=20_000, one per decoy strategy,
 pin the mask-off/mask-on comparison.  Five command-line runs, made
@@ -33,6 +34,7 @@ in-process through cli.main, pin every file each writes and its stdout.
 
 import hashlib
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -493,6 +495,25 @@ def test_payload_arrays_unsigned(name):
     for a in arrays:
         assert a.ndim == 1 and a.dtype.kind in "iu"
         assert a.size == 0 or a.min() >= 0
+        # the traffic from_jsonl reads on its fast path: sorted indices, or bits
+        if a.dtype == np.int64:
+            assert np.all(np.diff(a) > 0)
+        else:
+            assert a.dtype == np.uint8 and np.all(a <= 1)
+
+
+@pytest.mark.parametrize("name", [*sorted(GRID), "wide"])
+def test_replay_needs_no_json_loads(name):
+    # every line of a run's transcript is read field by field: falling back
+    # to json.loads would keep every digest but cost the replay its time
+    config = WIDE_RUN if name == "wide" else GRID[name]
+    _, transcript, _ = run(config)
+    text = transcript.to_jsonl()
+    with mock.patch.object(json, "loads", side_effect=AssertionError("json.loads called")):
+        replay = Transcript.from_jsonl(text)
+    assert replay.to_jsonl() == text
+    messages = replay.messages
+    assert messages["CoherenceCheck"]["boundaries"] is messages["MonitorReport"]["boundaries"]
 
 
 def test_grid_shape():

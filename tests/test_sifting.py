@@ -271,8 +271,17 @@ class TestTranscript:
 
     @pytest.mark.parametrize(
         "line",
-        ["not json", "[1,2]", '"abc"', "5", "null", "{}"],
-        ids=["text", "array", "string", "number", "null", "no-kind"],
+        [
+            "not json",
+            "[1,2]",
+            '"abc"',
+            "5",
+            "null",
+            "{}",
+            '{"kind": "DetectionReport", "slots": [3]}',
+            '{"kind": "Bogus"}',
+        ],
+        ids=["text", "array", "string", "number", "null", "no-kind", "out-of-order", "unknown-kind"],
     )
     def test_malformed_line(self, line):
         text = '{"kind": "DetectionReport", "slots": []}\n' + line + "\n"
@@ -461,6 +470,37 @@ def _split_and_loads(text: str):
     return payloads
 
 
+def _payload_types(transcript):
+    """Each payload of transcript by kind, each value as its type, dtype and JSON value."""
+    return {
+        kind: {
+            key: (type(value), getattr(value, "dtype", None), repr(transcript.get(kind)[key]))
+            for key, value in payload.items()
+        }
+        for kind, payload in transcript.messages.items()
+    }
+
+
+def _loads_and_append(text: str):
+    """The reference reading of a transcript text: _payload_types of the transcript, or the error text.
+
+    The text is cut with split("\n"), lines of space, tab and "\r" alone
+    are skipped, and every other line goes whole to json.loads and append.
+    """
+    transcript = Transcript()
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip(" \t\r"):
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict) or "kind" not in record:
+                return f"bad transcript line {lineno}: not an object with a kind"
+            transcript.append(record.pop("kind"), record)
+        except ValueError as exc:  # json.JSONDecodeError or TranscriptError
+            return f"bad transcript line {lineno}: {exc}"
+    return _payload_types(transcript)
+
+
 class TestLineWalk:
     """from_jsonl reads a text as split("\n") and json.loads of each line do."""
 
@@ -607,7 +647,10 @@ CHUNKS = [1, 2, 6, 7, 19, 20, 23, sifting._CHUNK]
 
 
 class TestChunks:
-    """from_jsonl reads and proves a list one chunk, cut at a ", " past _CHUNK characters, at a time."""
+    """from_jsonl reads a list one chunk, cut at a ", " past _CHUNK characters, at a time.
+
+    Each chunk is read run by run, a run being numbers of one digit count.
+    """
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @settings(deadline=None, max_examples=40)
@@ -642,8 +685,24 @@ class TestChunks:
 
     @pytest.mark.parametrize(
         "slots",
-        [[1, 2345, 6], [1234, 1, 2, 5678], [12, 34, -5], [10, 20, 3], [7]],
-        ids=["digits-under-separators", "separators-inside-rows", "signed-last", "short-last", "one"],
+        [
+            [1, 2345, 6],
+            [1234, 1, 2, 5678],
+            [12, 34, -5],
+            [10, 20, 3],
+            [7],
+            [100, 20, 3],
+            [10**18, 10**18 + 1],
+        ],
+        ids=[
+            "digits-under-separators",
+            "separators-inside-rows",
+            "signed-last",
+            "short-last",
+            "one",
+            "digit-counts-fall",
+            "nineteen-digits",
+        ],
     )
     def test_layouts_that_look_uniform(self, slots):
         # the first number's width fits the chunk's length, yet the numbers differ in width
@@ -697,6 +756,30 @@ class TestChunks:
         replay = Transcript.from_jsonl(text)
         assert replay.to_jsonl() == text
         assert replay.messages["KeyIndices"]["slots"].tolist() == edges.tolist()
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(deadline=None, max_examples=60)
+    @given(
+        boundaries=st.lists(st.one_of(st.integers(0, 1100), st.sampled_from([v for v in WIDE_EDGES if v >= 0]))),
+        clicks=st.lists(st.integers(0, 1)),
+        edit=st.data(),
+    )
+    def test_one_character_off_reads_as_json_loads(self, chunk, boundaries, clicks, edit):
+        # a text as to_jsonl writes it, with one character inserted or deleted
+        boundaries = sorted(boundaries)
+        t = Transcript()
+        t.append("CoherenceCheck", {"boundaries": boundaries})
+        t.append("MonitorReport", {"boundaries": boundaries, "clicks": clicks})
+        text = t.to_jsonl()
+        at = edit.draw(st.integers(0, len(text) - 1), label="at")
+        char = edit.draw(st.sampled_from(["", *"0123456789, -"]), label="char")
+        text = text[:at] + char + text[at + (not char) :]
+        with mock.patch.object(sifting, "_CHUNK", chunk):
+            try:
+                replay = _payload_types(Transcript.from_jsonl(text))
+            except TranscriptError as exc:
+                replay = str(exc)
+        assert replay == _loads_and_append(text)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_repeated_list_shares_its_array(self, chunk):
