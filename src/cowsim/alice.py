@@ -80,7 +80,11 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
     Two occurrences of 1,0,1,0 can overlap only when they start exactly two
     bits apart, as in 1,0,1,0,1,0.  Occurrences spaced by two form chains,
     and the left-to-right scan keeps the even-indexed members of each chain
-    (the first, third, ...): each kept one consumes its odd successor.
+    (the first, third, ...): each kept one consumes its odd successor.  So
+    with s_i set where an occurrence starts at bit i, the kept starts are
+    kept_i = s_i & ~kept_{i-2}.  This is solved on the bits packed 64 to a
+    word: composing the rule with itself doubles its reach per pass, so a
+    longest chain of L occurrences costs O(n/64 * log L) word operations.
     """
     bits = np.asarray(bits)
     if bits.size == 0:
@@ -94,16 +98,29 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
         return bits + 1
 
     if strategy is DecoyStrategy.SUBSTITUTE_PATTERN:
-        ones = bits.view(bool)
-        starts = np.flatnonzero(ones[:-3] & ~ones[1:-2] & ones[2:-1] & ~ones[3:])
-        chain_head = np.ones(starts.size, dtype=bool)
-        chain_head[1:] = np.diff(starts) != 2
-        index = np.arange(starts.size)
-        head_index = np.maximum.accumulate(np.where(chain_head, index, 0))
-        kept = starts[((index ^ head_index) & 1) == 0]  # an even distance from the head
+        n = bits.size
+        words = np.zeros(n // 64 + 2, dtype="<u8")  # at least one zero word past the last bit
+        packed = np.packbits(bits, bitorder="little")
+        words.view(np.uint8)[: packed.size] = packed
+        starts = words & ~_shifted(words, -1) & _shifted(words, -2) & ~_shifted(words, -3)
+        # bits past the end read as 0, so a false start can sit at n - 3
+        end = max(n - 3, 0)
+        starts[end // 64] &= np.uint64((1 << end % 64) - 1)
+        starts[end // 64 + 1 :] = 0
+        # kept = a ^ (link & kept << k) with a = link = starts and k = 2;
+        # substituting the rule into itself keeps that form at 2k
+        kept, link, k = starts, starts.copy(), 2
+        while link.any():
+            kept ^= link & _shifted(kept, k)
+            link &= _shifted(link, k)
+            k *= 2
+        kept |= _shifted(kept, 1) | _shifted(kept, 2) | _shifted(kept, 3)
+        decoys = np.unpackbits(kept.view(np.uint8), count=n, bitorder="little")
+        # the mask is scaled in place: a fresh DECOY * mask temporary here
+        # raised the process's peak RSS by about 7% at 3M bits
         train = bits + 1
-        for offset in range(4):
-            train[kept + offset] = DECOY
+        decoys *= DECOY
+        np.maximum(train, decoys, out=train)
         return train
 
     if strategy is DecoyStrategy.FRAME_HEADER:
@@ -114,6 +131,27 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
         return frames.ravel()[: len(frames) + bits.size]
 
     raise ValueError(f"unknown decoy strategy: {strategy!r}")
+
+
+def _shifted(words: np.ndarray, k: int) -> np.ndarray:
+    """Bit i of the result is bit i - k of words, or 0 where that is out of range.
+
+    words hold a bit string 64 to a little-endian word: bit i is bit i % 64
+    of word i // 64.  k may be negative.
+    """
+    q, r = divmod(k, 64)
+    out = _word_shifted(words, q)
+    if r:
+        out <<= np.uint64(r)
+        out |= _word_shifted(words, q + 1) >> np.uint64(64 - r)
+    return out
+
+
+def _word_shifted(words: np.ndarray, q: int) -> np.ndarray:
+    """Word w of the result is word w - q of words (|q| < words.size), or 0 where that is out of range."""
+    out = np.zeros_like(words)
+    out[max(q, 0) : words.size + min(q, 0)] = words[max(-q, 0) : words.size - max(q, 0)]
+    return out
 
 
 def coherent_boundaries(train: np.ndarray) -> np.ndarray:

@@ -182,6 +182,17 @@ class TestInsertDecoys:
         assert train.dtype == np.uint8
         assert train.tolist() == [DECOY, DECOY, DECOY, DECOY, ONE]
 
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64])
+    @pytest.mark.parametrize("strategy", list(DecoyStrategy))
+    def test_input_unchanged(self, dtype, strategy):
+        # a uint8 input is its own astype(copy=False) alias: the train must be built beside it
+        bits = generate_raw_bits(1000, np.random.default_rng(3)).astype(dtype)
+        before = bits.copy()
+        train = insert_decoys(bits, strategy)
+        assert not np.shares_memory(train, bits)
+        assert bits.dtype == before.dtype
+        assert np.array_equal(bits, before)
+
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
     def test_slot_count_preserved(self, bits):
         assert insert_decoys(bits, DecoyStrategy.NONE).size == len(bits)
@@ -218,6 +229,39 @@ class TestInsertDecoysReference:
         for n in range(1, 65):
             for first in (0, 1):
                 _assert_matches_reference([(first + k) % 2 for k in range(n)], strategy)
+
+    def test_every_bit_string(self):
+        for n in range(1, 13):
+            for value in range(2**n):
+                bits = [(value >> k) & 1 for k in range(n)]
+                _assert_matches_reference(bits, DecoyStrategy.SUBSTITUTE_PATTERN)
+
+    @pytest.mark.parametrize("n", range(60, 201))
+    def test_alternating_across_words(self, n):
+        # chains that start just below bits 64, 128 and 192 and run to the end,
+        # so they cross those word edges at every parity and end at every n
+        for start in [0, *(edge - back for edge in (64, 128, 192) for back in range(1, 6))]:
+            for first in (0, 1):
+                bits = [0] * min(start, n) + [(first + k) % 2 for k in range(n - start)]
+                _assert_matches_reference(bits, DecoyStrategy.SUBSTITUTE_PATTERN)
+
+    @pytest.mark.parametrize("n", [2**20 + extra for extra in range(4)])
+    def test_long_alternating_closed_form(self, n):
+        # 1,0,1,0,... is one chain of about n/2 starts: decoys on the first 4 * (n // 4) slots.
+        # Its 0,1 twin is ZERO and then that layout on n - 1 bits.  The word shifts
+        # must grow with log n, not with the chain length.
+        def layout(n):
+            expect = np.full(n, DECOY, dtype=np.uint8)
+            expect[4 * (n // 4) :] = [ONE, ZERO, ONE][: n % 4]
+            return expect
+
+        alternating = (np.arange(n) % 2 == 0).astype(np.uint8)
+        with mock.patch.object(alice, "_shifted", wraps=alice._shifted) as shifted:
+            train = insert_decoys(alternating, DecoyStrategy.SUBSTITUTE_PATTERN)
+        assert np.array_equal(train, layout(n))
+        assert shifted.call_count <= 2 * n.bit_length() + 6
+        twin = insert_decoys(1 - alternating, DecoyStrategy.SUBSTITUTE_PATTERN)
+        assert np.array_equal(twin, np.concatenate([[ZERO], layout(n - 1)]))
 
     @pytest.mark.parametrize("strategy", list(REFERENCES))
     def test_long_seeded(self, strategy):
