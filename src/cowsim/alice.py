@@ -58,9 +58,12 @@ def generate_raw_bits(n: int, rng: np.random.Generator) -> np.ndarray:
     # little-endian order.  On numpy 2.4 this equals rng.integers(0, 2, n,
     # dtype=np.uint8), which runs Lemire's method on those buffered bytes
     # and keeps each byte's top bit.  Both consume ceil(n/8) outputs, so a
-    # later rng.random() or rng.geometric() agrees too; only a 32-bit draw
-    # could differ, since integers() may leave half an output buffered.
-    return rng.bit_generator.random_raw(-(-n // 8)).view(np.uint8)[:n] >> 7
+    # later rng.random() or rng.standard_exponential() agrees too; only a
+    # 32-bit draw could differ, since integers() may leave half an output
+    # buffered.  The shift is in place: a fresh output costs its page faults.
+    bits = rng.bit_generator.random_raw(-(-n // 8)).view(np.uint8)
+    np.right_shift(bits, np.uint8(7), out=bits)
+    return bits[:n]
 
 
 def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:

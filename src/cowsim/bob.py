@@ -17,7 +17,9 @@ interferometer boundaries k (bins k and k+1), sorted.
 Clicks are sampled by thinned geometric skipping (Devroye, Non-Uniform
 Random Variate Generation, 1986; Batagelj & Brandes, Phys. Rev. E 71,
 036113, 2005).  With p_max the largest click probability of any level,
-candidate positions are drawn at rate p_max by geometric gaps, and candidate
+candidate positions are drawn at rate p_max by geometric gaps (below
+p_max = 1/3 as ceil(-E / log1p(-p_max)) for standard exponentials E, numpy's
+own inversion there, and by rng.geometric at or above it), and candidate
 i clicks iff a uniform u_i < p[level_i] / p_max.  That is exactly
 Bernoulli(p[level_i]) per position, independent across positions.  Levels
 are looked up from the slot patterns at the candidates only.  How many
@@ -125,7 +127,10 @@ def _sample_clicks(p: np.ndarray, n: int, level_at, rng: np.random.Generator) ->
 
     Thinned geometric skipping: candidates come at rate p_max = max(p), by
     geometric gaps drawn in chunks sized to cover the rest of the train with
-    margin, until the last candidate lies at or past the end.  Then one
+    margin, until the last candidate lies at or past the end.  Below
+    p_max = 1/3 the gaps are ceil(-E / log1p(-p_max)) over standard
+    exponentials E, the very numbers rng.geometric gives there; at or above
+    it, where numpy searches, rng.geometric draws them.  Then one
     uniform per candidate inside the train; candidate i clicks iff
     u < p[level_at(i)] / p_max.  level_at sees only the candidates.
     """
@@ -135,14 +140,24 @@ def _sample_clicks(p: np.ndarray, n: int, level_at, rng: np.random.Generator) ->
     chunks, end = [], 0  # end: 1-based position of the last candidate drawn
     while end < n:
         left = n - end
-        gaps = rng.geometric(p_max, size=int(left * p_max + 5.0 * math.sqrt(left * p_max)) + 1)
-        # below p_max ~ 1e-16 numpy returns int64 max; every gap past the
-        # end acts alike, and clipping there keeps the sums from wrapping
-        np.minimum(gaps, left + 1, out=gaps)
-        pos = np.cumsum(gaps)
+        size = int(left * p_max + 5.0 * math.sqrt(left * p_max)) + 1
+        if p_max < 1.0 / 3.0:  # rng.geometric's inversion, without its call per draw
+            gaps = rng.standard_exponential(size)
+            with np.errstate(over="ignore"):  # at subnormal p_max a gap is inf
+                gaps /= -math.log1p(-p_max)
+            np.ceil(gaps, out=gaps)
+            # every gap past the end acts alike; clipping there in place of
+            # numpy's saturation at int64 max keeps the sums from wrapping,
+            # exactly while left + 1 <= 2**53, past any train that fits in memory
+            np.minimum(gaps, left + 1, out=gaps)
+            gaps = gaps.astype(np.int64)
+        else:  # numpy searches here, and its gaps stay small
+            gaps = rng.geometric(p_max, size=size)
+        pos = np.cumsum(gaps, out=gaps)
         pos += end
         chunks.append(pos)
         end = int(pos[-1])
-    pos = np.concatenate(chunks)
-    pos = pos[: np.searchsorted(pos, n, side="right")] - 1
+    pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    pos = pos[: np.searchsorted(pos, n, side="right")]
+    pos -= 1
     return pos[rng.random(pos.size) < (p / p_max)[level_at(pos)]]

@@ -37,7 +37,9 @@ class EveRecord:
 def generate_mask(n_slots: int, rng: np.random.Generator) -> np.ndarray:
     """Eve's slot patterns: n_slots uniform bits, drawn as Alice draws her key,
     each laid out as a data slot (bit + 1, a uint8 of 1 or 2)."""
-    return alice.generate_raw_bits(n_slots, rng) + 1
+    mask = alice.generate_raw_bits(n_slots, rng)
+    mask += 1
+    return mask
 
 
 def apply_and_mask(train: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -127,6 +127,18 @@ class TestRawBits:
         assert bits.dtype == expect.dtype and np.array_equal(bits, expect)
         assert np.array_equal(rng_a.random(5), rng_b.random(5))
 
+    @pytest.mark.parametrize("n", [*range(1, 18), 100_001])
+    def test_writable_of_length_n(self, n):
+        # the bits are shifted in place in the raw bytes: the result is n
+        # writable bytes, and writing them moves no later draw
+        rng_a, rng_b = np.random.default_rng(n), np.random.default_rng(n)
+        bits = generate_raw_bits(n, rng_a)
+        generate_raw_bits(n, rng_b)
+        assert bits.dtype == np.uint8 and bits.shape == (n,) and bits.flags.writeable
+        bits[:] = 9
+        assert np.array_equal(generate_raw_bits(n, rng_a), generate_raw_bits(n, rng_b))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
 
 class TestInsertDecoys:
     def test_none(self):

@@ -184,13 +184,15 @@ class TestSampleClicks:
 
     def test_saturated_gap_in_a_later_chunk(self):
         # a later chunk of gaps starts inside the train, so a saturated gap
-        # (int64 max) plus that offset would wrap without the clip
+        # (an infinite exponential over p_max) plus that offset would wrap
+        # without the clip
         class SaturatingRng:
             calls = 0
 
-            def geometric(self, p, size):
+            def standard_exponential(self, size):
+                # 2.5 * p_max over p_max is a gap of 3
                 self.calls += 1
-                return np.array([3]) if self.calls == 1 else np.full(size, np.iinfo(np.int64).max)
+                return np.array([2.5e-20]) if self.calls == 1 else np.full(size, np.inf)
 
             def random(self, size):
                 return np.zeros(size)
@@ -206,6 +208,95 @@ class TestSampleClicks:
         _sample_levels(p, _levels(50_001, p.size, 1), rng_a)
         _sample_levels(p, np.zeros(50_001, dtype=np.uint8), rng_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def _geometric_reference(p, n, level_at, rng):
+    """The reference sampler: _sample_clicks with every gap drawn by
+    rng.geometric, clipped to the rest of the train plus one."""
+    p_max = float(p.max())
+    if n == 0 or p_max <= 0.0:
+        return np.zeros(0, dtype=np.int64)
+    chunks, end = [], 0
+    while end < n:
+        left = n - end
+        gaps = rng.geometric(p_max, size=int(left * p_max + 5.0 * math.sqrt(left * p_max)) + 1)
+        np.minimum(gaps, left + 1, out=gaps)
+        pos = np.cumsum(gaps)
+        pos += end
+        chunks.append(pos)
+        end = int(pos[-1])
+    pos = np.concatenate(chunks)
+    pos = pos[: np.searchsorted(pos, n, side="right")] - 1
+    return pos[rng.random(pos.size) < (p / p_max)[level_at(pos)]]
+
+
+class _ChunkCounter:
+    """A generator that counts the chunks of gaps drawn from it, each cut to
+    at most cap numbers, so that a long train needs many of them."""
+
+    def __init__(self, seed, cap=None):
+        self.rng, self.cap, self.chunks = np.random.default_rng(seed), cap, 0
+
+    def _cut(self, size):
+        self.chunks += 1
+        return size if self.cap is None else min(size, self.cap)
+
+    def standard_exponential(self, size):
+        return self.rng.standard_exponential(self._cut(size))
+
+    def geometric(self, p, size):
+        return self.rng.geometric(p, size=self._cut(size))
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+# 1/3 is where numpy's geometric turns from inverting an exponential to a search
+_P_MAX = [5e-324, 1e-20, 1e-9, 1e-3, 0.0223, np.nextafter(1 / 3, 0), 1 / 3, 0.5, 1.0]
+
+
+class TestMatchesGeometric:
+    """_sample_clicks returns the reference sampler's positions and leaves its
+    generator in the reference's state."""
+
+    @staticmethod
+    def _assert_same(p, level, seed, cap=None):
+        ours, ref = _ChunkCounter(seed, cap), _ChunkCounter(seed, cap)
+        pos = _sample_levels(p, level, ours)
+        expected = _geometric_reference(p, level.size, level.__getitem__, ref)
+        assert pos.dtype == np.int64 and np.array_equal(pos, expected)
+        assert ours.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert ours.chunks == ref.chunks
+        return ours.chunks
+
+    @pytest.mark.parametrize("p_max", _P_MAX)
+    def test_one_chunk(self, p_max):
+        p = np.array([0.0, p_max, p_max / 2])
+        assert self._assert_same(p, _levels(200_001, 3, 21), 22) == 1
+
+    @pytest.mark.parametrize("p_max", _P_MAX)
+    def test_many_chunks(self, p_max):
+        # at most 50 gaps a chunk: a later chunk starts inside the train
+        chunks = self._assert_same(np.array([0.0, p_max]), _levels(100_000, 2, 23), 24, cap=50)
+        assert chunks > 1 or p_max < 1e-3
+
+    @pytest.mark.parametrize("p_max", [1e-6, 1e-3, 0.01])
+    def test_second_chunk_uncut(self, p_max):
+        # with at most 0.036 expected candidates a chunk is one gap, and a gap
+        # short of the end needs a second chunk in 2-4% of the seeds
+        level = np.ones(int(0.036 / p_max), dtype=np.uint8)
+        chunks = [self._assert_same(np.array([0.0, p_max]), level, seed) for seed in range(300)]
+        assert max(chunks) > 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p_max=st.sampled_from(_P_MAX) | st.floats(0.0, 1.0, exclude_min=True),
+        n=st.integers(0, 5000),
+        seed=st.integers(0, 2**32 - 1),
+        cap=st.none() | st.integers(1, 50),
+    )
+    def test_any_p_max(self, p_max, n, seed, cap):
+        self._assert_same(np.array([p_max / 3, p_max]), _levels(n, 2, seed), seed, cap)
 
 
 class TestDetectData:

@@ -41,6 +41,17 @@ class TestGenerateMask:
         assert mask.dtype == np.uint8
         assert np.array_equal(mask, np.where(bits == 0, ZERO, ONE))
 
+    @pytest.mark.parametrize("n", [*range(1, 18), 100_001])
+    def test_raw_bits_plus_one(self, n):
+        # Eve's patterns are Alice's bit draw plus one, n writable uint8, and
+        # leave the generator where Alice's draw does
+        rng_a, rng_b = np.random.default_rng(n), np.random.default_rng(n)
+        mask = generate_mask(n, rng_a)
+        expect = generate_raw_bits(n, rng_b) + 1
+        assert mask.dtype == np.uint8 and mask.shape == (n,) and mask.flags.writeable
+        assert np.array_equal(mask, expect)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
 
 class TestApplyMask:
     def _one_slot(self, pattern, eve_pattern):
