@@ -110,8 +110,14 @@ def detect_data(
 
 def _bin_level(train: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Pulses (0 or 1) in bins pos of a slot-pattern train."""
-    # a uint8 shift count keeps the arithmetic in uint8
-    return (train[pos >> 1] >> (pos & 1).astype(np.uint8)) & 1
+    # in uint8, in place: the cast drops all but the low byte, which holds
+    # bit 0 (the bin within its slot), and saves an int64 temporary
+    shift = pos.astype(np.uint8)
+    shift &= 1
+    level = train[pos >> 1]
+    level >>= shift
+    level &= 1
+    return level
 
 
 def _pair_level(train: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -160,4 +166,10 @@ def _sample_clicks(p: np.ndarray, n: int, level_at, rng: np.random.Generator) ->
     pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     pos = pos[: np.searchsorted(pos, n, side="right")]
     pos -= 1
-    return pos[rng.random(pos.size) < (p / p_max)[level_at(pos)]]
+    keep = rng.random(pos.size) < (p / p_max)[level_at(pos)]
+    # the data detector keeps about half its candidates, at random, since
+    # half its bins are empty: the worst case for a boolean index.  On 130k
+    # int64 positions at half kept it took 0.9-1.0 ms against 0.19-0.30 ms
+    # for flatnonzero and a gather; at 97% kept, 0.16-0.26 against 0.23-0.25
+    # (2-vCPU Xeon, numpy 2.4.6)
+    return pos[np.flatnonzero(keep)]

@@ -18,7 +18,7 @@ import numpy as np
 from . import alice, bob, eve
 from .alice import DecoyStrategy
 from .eve import EveRecord
-from .optics import detectable_fraction, splittable_fraction
+from .optics import click_probability, detectable_fraction, splittable_fraction
 from .sifting import Transcript, run_sifting
 
 __all__ = [
@@ -222,8 +222,10 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
 
     The empirical column Monte Carlo samples config.n_bits pure data slots
     (no decoys, no attack) at each grid point and reports the detected
-    fraction, which should track 1 - exp(-mu * t * t_b * eta).  Only the
-    data detector is sampled; the monitor line plays no part in the rate.
+    fraction, which should track 1 - exp(-mu * t * t_b * eta).  The train is
+    Alice's raw bits laid out as data slots in place, each bit b becoming
+    the pattern b + 1.  Only the data detector is sampled; the monitor line
+    plays no part in the rate.
     Point i draws from child i of the master seed's SeedSequence, so no
     point shares its streams with a point of another seed.
     """
@@ -233,8 +235,8 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
         point = replace(config, mu=float(mu), decoy_strategy=DecoyStrategy.NONE, attack=Attack.NONE)
         (child,) = master.spawn(1)  # the next child: child i at point i
         rng_bits, _, _, rng_det = _streams(child)
-        bits = alice.generate_raw_bits(point.n_bits, rng_bits)
-        train = alice.insert_decoys(bits, DecoyStrategy.NONE)
+        train = alice.generate_raw_bits(point.n_bits, rng_bits)
+        train += 1  # insert_decoys(bits, DecoyStrategy.NONE), in place
         slots, _ = bob.detect_data(train, point, rng_det)
         empirical = slots.size / train.size
         rows.append(
@@ -253,9 +255,20 @@ def compare_attack(config: SimConfig) -> CompareResult:
 
     The two runs are run() calls on one seed, so Alice's bits, her public
     choices and every detector draw coincide; only whether Eve's mask is
-    applied changes.  Raises NoKeyError naming n_bits when the run without
-    the mask sifts no key, since the rate ratio is then undefined.
+    applied changes.  The rate ratio is undefined when the run without the
+    mask sifts no key, so that raises NoKeyError.  It names channel_t, t_b
+    or eta_data if one of them being 0 leaves a pulse bin no chance of a
+    data click (or mu, if its product underflows), before any run, since
+    then no n_bits helps; otherwise it names n_bits.
     """
+    pulse = config.mu * config.channel_t * config.t_b
+    if click_probability(pulse, config.eta_data, config.p_dark_data) == 0.0:
+        zero = [name for name in ("channel_t", "t_b", "eta_data") if getattr(config, name) == 0.0]
+        named = ", ".join(f"{name}=0" for name in zero) or f"mu={config.mu}"
+        raise NoKeyError(
+            f"a pulse bin's data click probability is 0 with {named}, so no run sifts "
+            "a key and the rate ratio is undefined at any n_bits"
+        )
     stats_off, _, _ = run(replace(config, attack=Attack.NONE))
     if stats_off.sifted_len == 0:
         raise NoKeyError(

@@ -299,6 +299,32 @@ class TestMatchesGeometric:
         self._assert_same(np.array([p_max / 3, p_max]), _levels(n, 2, seed), seed, cap)
 
 
+class TestBinLevel:
+    """_bin_level, in uint8 and in place, equals the int64 expression it
+    replaced, and leaves its inputs as they were."""
+
+    # the four slot patterns in turn over 40,000 slots: positions past 255
+    # and past 65,535, whose uint8 cast drops high bits but keeps bit 0
+    TRAIN = np.tile(np.arange(4, dtype=np.uint8), 10_000)
+
+    @pytest.mark.parametrize(
+        "pos",
+        [
+            np.arange(80_000, dtype=np.int64),
+            np.array([255, 256, 257, 511, 512, 65_535, 65_536, 65_537, 79_999], dtype=np.int64),
+            np.random.default_rng(3).integers(0, 80_000, 5_000),
+        ],
+        ids=["every-bin", "byte-edges", "random"],
+    )
+    def test_matches_int64_expression(self, pos):
+        train, pos_before = self.TRAIN.copy(), pos.copy()
+        level = bob._bin_level(train, pos)
+        expected = (train[pos >> 1] >> (pos & 1).astype(np.uint8)) & 1
+        assert level.dtype == np.uint8 and np.array_equal(level, expected)
+        assert level.tolist() == [int(train[i // 2]) >> (i % 2) & 1 for i in pos.tolist()]
+        assert np.array_equal(train, self.TRAIN) and np.array_equal(pos, pos_before)
+
+
 class TestDetectData:
     NOISY = SimConfig(p_dark_data=1e-3, p_dark_mon=1e-3, visibility=0.98)
     TRAIN = insert_decoys(

@@ -190,6 +190,16 @@ class TestCommands:
         assert "n_bits" in err and "Traceback" not in err
         assert not (tmp_path / "compare_attack.log").exists()
 
+    def test_compare_attack_without_data_clicks_names_the_key(self, tmp_path, capsys):
+        # with t_b = 0 and no dark clicks, no n_bits sifts a key
+        code = run_cli(
+            "compare-attack", "--out", str(tmp_path), "--set", "n_bits=1000", "--set", "t_b=0"
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "t_b=0" in err and "raise n_bits" not in err and "Traceback" not in err
+        assert not (tmp_path / "compare_attack.log").exists()
+
     def test_compare_attack_internal_error_propagates(self, tmp_path, monkeypatch):
         # only the no-key case is a config error; a broken invariant fails loudly
         def broken(config):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cowsim import engine
+from cowsim import alice, bob, engine
 from cowsim.alice import DecoyStrategy
 from cowsim.engine import (
     _SATURATED,
@@ -17,6 +17,7 @@ from cowsim.engine import (
     table1_rows,
 )
 from cowsim.eve import observe_transcript
+from cowsim.optics import detectable_fraction, splittable_fraction
 
 IDEAL = dict(channel_t=1.0, eta_data=1.0, eta_mon=1.0, p_dark_data=0.0, p_dark_mon=0.0)
 
@@ -144,6 +145,34 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_mu(SimConfig(n_bits=100), [0.5, 0.0])
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_insert_decoys_reference(self, seed):
+        # the in-place train equals insert_decoys(bits, NONE); the grid
+        # reaches both gap draws (p_max below 1/3, and at or above it)
+        config = SimConfig(n_bits=50_001, seed=seed, **{**IDEAL, "p_dark_data": 1e-3})
+        grid = [0.1, 0.5, 60.0]
+        assert sweep_mu(config, grid) == _reference_sweep(config, grid)
+
+
+def _reference_sweep(config, mu_grid):
+    """sweep_mu's rows, each train built by insert_decoys(bits, DecoyStrategy.NONE)."""
+    rows, master = [], np.random.SeedSequence(config.seed)
+    for mu in mu_grid:
+        point = replace(config, mu=mu, decoy_strategy=DecoyStrategy.NONE, attack=Attack.NONE)
+        rng_bits, _, _, rng_det = engine._streams(master.spawn(1)[0])
+        bits = alice.generate_raw_bits(point.n_bits, rng_bits)
+        train = alice.insert_decoys(bits, DecoyStrategy.NONE)
+        slots, _ = bob.detect_data(train, point, rng_det)
+        rows.append(
+            engine.SweepRow(
+                mu=mu,
+                detectable=detectable_fraction(mu),
+                splittable=splittable_fraction(mu),
+                empirical=slots.size / train.size,
+            )
+        )
+    return rows
+
 
 class TestCompareAttack:
     def test_rate_halving_ideal(self):
@@ -174,6 +203,32 @@ class TestCompareAttack:
         # the rate ratio would be 0/0
         with pytest.raises(NoKeyError, match="n_bits"):
             compare_attack(SimConfig(n_bits=1))
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"t_b": 0.0}, "t_b=0"),
+            ({"eta_data": 0.0}, "eta_data=0"),
+            ({"channel_t": 0.0}, "channel_t=0"),
+            ({"t_b": 0.0, "eta_data": 0.0}, "t_b=0, eta_data=0"),
+            # nothing is 0, but 1 - exp(-eta * mu * t * t_b) rounds to 0
+            ({"mu": 1e-17}, "mu=1e-17"),
+        ],
+    )
+    def test_no_data_click_names_the_key(self, monkeypatch, overrides, named):
+        # no n_bits can help, so the advice names the key and no run is made
+        def no_run(config):
+            raise AssertionError("ran")
+
+        monkeypatch.setattr(engine, "run", no_run)
+        with pytest.raises(NoKeyError, match=named) as info:
+            compare_attack(SimConfig(n_bits=1000, **overrides))
+        assert "raise n_bits" not in str(info.value)
+
+    def test_dark_clicks_alone_sift_a_key(self):
+        # with t_b = 0 the data detector still clicks in the dark
+        result = compare_attack(SimConfig(n_bits=20_000, t_b=0.0, p_dark_data=0.01))
+        assert result.rate_ratio == 1.0
 
     def test_to_lines(self):
         result = engine.CompareResult(rate_ratio=0.1, recovery_no_attack=0.5, recovery_attack=1.0)
