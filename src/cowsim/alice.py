@@ -85,9 +85,10 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
     and the left-to-right scan keeps the even-indexed members of each chain
     (the first, third, ...): each kept one consumes its odd successor.  So
     with s_i set where an occurrence starts at bit i, the kept starts are
-    kept_i = s_i & ~kept_{i-2}.  This is solved on the bits packed 64 to a
-    word: composing the rule with itself doubles its reach per pass, so a
-    longest chain of L occurrences costs O(n/64 * log L) word operations.
+    kept_i = s_i & ~kept_{i-2}.  This is solved on the bits held as one Python
+    integer: composing the rule with itself doubles its reach per pass, so a
+    longest chain of L occurrences costs O(log L) operations on the whole
+    string, each linear in n.
     """
     bits = np.asarray(bits)
     if bits.size == 0:
@@ -102,23 +103,21 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
 
     if strategy is DecoyStrategy.SUBSTITUTE_PATTERN:
         n = bits.size
-        words = np.zeros(n // 64 + 2, dtype="<u8")  # at least one zero word past the last bit
-        packed = np.packbits(bits, bitorder="little")
-        words.view(np.uint8)[: packed.size] = packed
-        starts = words & ~_shifted(words, -1) & _shifted(words, -2) & ~_shifted(words, -3)
-        # bits past the end read as 0, so a false start can sit at n - 3
-        end = max(n - 3, 0)
-        starts[end // 64] &= np.uint64((1 << end % 64) - 1)
-        starts[end // 64 + 1 :] = 0
+        x = int.from_bytes(np.packbits(bits, bitorder="little"), "little")
+        # the complement is taken within n bits, so past the end neither x
+        # nor it has a set bit, and no false start can sit at n - 3
+        ten = x & ((x ^ ((1 << n) - 1)) >> 1)  # a 1,0 starts at bit i
         # kept = a ^ (link & kept << k) with a = link = starts and k = 2;
         # substituting the rule into itself keeps that form at 2k
-        kept, link, k = starts, starts.copy(), 2
-        while link.any():
-            kept ^= link & _shifted(kept, k)
-            link &= _shifted(link, k)
+        kept = link = ten & (ten >> 2)  # the 1,0,1,0 starts
+        k = 2
+        while link:
+            kept ^= link & (kept << k)
+            link &= link << k
             k *= 2
-        kept |= _shifted(kept, 1) | _shifted(kept, 2) | _shifted(kept, 3)
-        decoys = np.unpackbits(kept.view(np.uint8), count=n, bitorder="little")
+        kept *= 0b1111  # kept starts lie 4 or more apart, so no carry crosses
+        packed = np.frombuffer(kept.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+        decoys = np.unpackbits(packed, count=n, bitorder="little")
         # the mask is scaled in place: a fresh DECOY * mask temporary here
         # raised the process's peak RSS by about 7% at 3M bits
         train = bits + 1
@@ -134,27 +133,6 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
         return frames.ravel()[: len(frames) + bits.size]
 
     raise ValueError(f"unknown decoy strategy: {strategy!r}")
-
-
-def _shifted(words: np.ndarray, k: int) -> np.ndarray:
-    """Bit i of the result is bit i - k of words, or 0 where that is out of range.
-
-    words hold a bit string 64 to a little-endian word: bit i is bit i % 64
-    of word i // 64.  k may be negative.
-    """
-    q, r = divmod(k, 64)
-    out = _word_shifted(words, q)
-    if r:
-        out <<= np.uint64(r)
-        out |= _word_shifted(words, q + 1) >> np.uint64(64 - r)
-    return out
-
-
-def _word_shifted(words: np.ndarray, q: int) -> np.ndarray:
-    """Word w of the result is word w - q of words (|q| < words.size), or 0 where that is out of range."""
-    out = np.zeros_like(words)
-    out[max(q, 0) : words.size + min(q, 0)] = words[max(-q, 0) : words.size - max(q, 0)]
-    return out
 
 
 def coherent_boundaries(train: np.ndarray) -> np.ndarray:

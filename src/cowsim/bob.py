@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .alice import DECOY
 from .optics import click_probability
 
 if TYPE_CHECKING:
@@ -65,7 +66,14 @@ def receive(
     values, never on the channel contents: runs with and without Eve's
     mask stay draw-aligned for controlled comparisons.
     """
-    train = np.asarray(train, dtype=np.uint8)
+    train = np.asarray(train)
+    # checked before the cast, which would wrap 259 to 3 and truncate 3.7 to 3;
+    # an unsigned train needs only its max, and an empty one passes whatever its dtype
+    if train.ndim != 1 or train.size and (
+        train.dtype.kind not in "biu" or train.max() > DECOY or train.dtype.kind == "i" and train.min() < 0
+    ):
+        raise ValueError(f"train must be a 1-D integer array of slot patterns 0 to {DECOY}")
+    train = train.astype(np.uint8, copy=False)
     detected = detect_data(train, config, rng)
 
     m = config.mu * config.channel_t * (1.0 - config.t_b)
@@ -95,6 +103,9 @@ def detect_data(
     information slot: an early-bin click shadows the late bin of the same
     slot and the detector re-arms at the next slot boundary, so a slot never
     yields two clicks.
+
+    train must hold slot patterns 0 to DECOY, best as uint8; it is cast to
+    uint8 unchecked, so receive checks its train before the call.
     """
     train = np.asarray(train, dtype=np.uint8)
     data_mean = np.array([0.0, config.mu * config.channel_t * config.t_b])

@@ -259,10 +259,12 @@ def compare_attack(config: SimConfig) -> CompareResult:
     mask sifts no key, so that raises NoKeyError.  It names channel_t, t_b
     or eta_data if one of them being 0 leaves a pulse bin no chance of a
     data click (or mu, if its product underflows), before any run, since
-    then no n_bits helps; otherwise it names n_bits.
+    then no n_bits helps; otherwise it names n_bits, with a pulse bin's click
+    probability p and the about 1/p bits per expected data click.
     """
     pulse = config.mu * config.channel_t * config.t_b
-    if click_probability(pulse, config.eta_data, config.p_dark_data) == 0.0:
+    p = click_probability(pulse, config.eta_data, config.p_dark_data)
+    if p == 0.0:
         zero = [name for name in ("channel_t", "t_b", "eta_data") if getattr(config, name) == 0.0]
         named = ", ".join(f"{name}=0" for name in zero) or f"mu={config.mu}"
         raise NoKeyError(
@@ -273,7 +275,8 @@ def compare_attack(config: SimConfig) -> CompareResult:
     if stats_off.sifted_len == 0:
         raise NoKeyError(
             f"n_bits={config.n_bits} sifts no key without the attack, so the rate ratio "
-            "is undefined; raise n_bits"
+            f"is undefined; a pulse bin clicks with p={p:.3g}, one expected data click per "
+            f"about {1 / p:.3g} bits; raise n_bits"
         )
     stats_on, _, _ = run(replace(config, attack=Attack.AND_MASK))
     return CompareResult(

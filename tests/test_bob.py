@@ -126,6 +126,34 @@ class TestReceive:
             assert positions[0] >= 0 and positions[-1] < end
         assert values.dtype == np.uint8 and values.shape == slots.shape
 
+    @pytest.mark.parametrize(
+        "train",
+        [
+            np.array([259, 257]),  # wraps to a decoy and a data 0
+            np.array([3.7, 1.2]),  # truncates to a decoy and a data 0
+            np.array([7, 1], dtype=np.uint8),
+            np.array([-1, 1]),
+        ],
+    )
+    def test_rejects_patterns_outside_range(self, train):
+        with pytest.raises(ValueError, match="train"):
+            receive(train, ORACLE, np.random.default_rng(0))
+
+    def test_empty_list_is_an_empty_train(self):
+        (slots, values), monitor = receive([], IDEAL, np.random.default_rng(0))
+        assert (slots.size, values.size, monitor.size) == (0, 0, 0)
+
+    def test_int64_train_matches_uint8(self):
+        train = np.random.default_rng(15).integers(0, DECOY + 1, size=3000)
+        assert train.dtype == np.int64
+        config = replace(IDEAL, p_dark_data=0.2, p_dark_mon=0.2)
+        wide = receive(train, config, np.random.default_rng(16))
+        narrow = receive(train.astype(np.uint8), config, np.random.default_rng(16))
+        (wide_slots, wide_values), wide_monitor = wide
+        (slots, values), monitor = narrow
+        assert np.array_equal(wide_slots, slots) and np.array_equal(wide_values, values)
+        assert np.array_equal(wide_monitor, monitor) and slots.size > 0
+
 
 def _levels(n, n_levels, seed):
     return np.random.default_rng(seed).integers(0, n_levels, size=n, dtype=np.uint8)

@@ -204,6 +204,13 @@ class TestCompareAttack:
         with pytest.raises(NoKeyError, match="n_bits"):
             compare_attack(SimConfig(n_bits=1))
 
+    def test_no_key_at_tiny_mu_gives_bits_per_click(self):
+        # a pulse bin clicks with p of about 4.55e-15, so one click needs about 2.2e14 bits
+        with pytest.raises(NoKeyError, match="n_bits") as info:
+            compare_attack(SimConfig(n_bits=1000, mu=1e-13))
+        message = str(info.value)
+        assert "p=4.55e-15" in message and "2.2e+14 bits" in message and "raise n_bits" in message
+
     @pytest.mark.parametrize(
         "overrides, named",
         [

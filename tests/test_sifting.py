@@ -257,6 +257,12 @@ class TestTranscript:
             t.append("Bogus", {})
         assert t.messages == {}
 
+    def test_get_missing_kind_rejected(self):
+        t = Transcript()
+        t.append("DecoyDiscard", {"slots": []})
+        with pytest.raises(TranscriptError, match="transcript has no Verdict message"):
+            t.get("Verdict")
+
     def test_empty_transcript_is_empty_text(self):
         # no messages, no lines: not even a final newline
         assert Transcript().to_jsonl() == ""
