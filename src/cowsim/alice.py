@@ -44,6 +44,25 @@ DECOY = 3
 _BLOCK = 2**16
 
 
+def _check_range(name: str, a, stop: int, dtype=np.int64) -> np.ndarray:
+    """a as a dtype array, checked before the cast to be 1-D and hold integers in [0, stop).
+
+    The one check on an integer array a stage takes.  Bits and slot patterns
+    come out uint8 and may be bool; positions come out int64, and a bool
+    array of them, a mask, is rejected.  The cast would wrap 259 to 3 and
+    truncate 3.7 to 3.  An unsigned or bool array needs only its max, and
+    an empty one passes whatever its dtype.  A ValueError gives name.
+    """
+    a = np.asarray(a)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
+    if a.size and a.dtype.kind not in ("biu" if dtype == np.uint8 else "iu"):
+        raise ValueError(f"{name} must be integers, got {a.dtype}")
+    if a.size and (a.max() >= stop or a.dtype.kind == "i" and a.min() < 0):
+        raise ValueError(f"{name} must lie in [0, {stop}), got values in [{a.min():d}, {a.max():d}]")
+    return a.astype(dtype, copy=False)
+
+
 class DecoyStrategy(Enum):
     NONE = "none"
     SUBSTITUTE_PATTERN = "substitute-pattern"
@@ -90,13 +109,9 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
     longest chain of L occurrences costs O(log L) operations on the whole
     string, each linear in n.
     """
-    bits = np.asarray(bits)
+    bits = _check_range("bits", bits, 2, np.uint8)
     if bits.size == 0:
         raise ValueError("bit sequence must be nonempty")
-    # checked before the cast, which would wrap 256 to 0 and truncate 0.7 to 0
-    if bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1:
-        raise ValueError("bits must be 0 or 1")
-    bits = bits.astype(np.uint8, copy=False)
 
     if strategy is DecoyStrategy.NONE:
         return bits + 1

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alice import DECOY
+from .alice import DECOY, _check_range
 from .optics import click_probability
 
 if TYPE_CHECKING:
@@ -66,14 +66,7 @@ def receive(
     values, never on the channel contents: runs with and without Eve's
     mask stay draw-aligned for controlled comparisons.
     """
-    train = np.asarray(train)
-    # checked before the cast, which would wrap 259 to 3 and truncate 3.7 to 3;
-    # an unsigned train needs only its max, and an empty one passes whatever its dtype
-    if train.ndim != 1 or train.size and (
-        train.dtype.kind not in "biu" or train.max() > DECOY or train.dtype.kind == "i" and train.min() < 0
-    ):
-        raise ValueError(f"train must be a 1-D integer array of slot patterns 0 to {DECOY}")
-    train = train.astype(np.uint8, copy=False)
+    train = _check_range("train", train, DECOY + 1, np.uint8)
     detected = detect_data(train, config, rng)
 
     m = config.mu * config.channel_t * (1.0 - config.t_b)

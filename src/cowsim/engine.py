@@ -232,7 +232,7 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
     rows = []
     master = np.random.SeedSequence(config.seed)
     for mu in mu_grid:
-        point = replace(config, mu=float(mu), decoy_strategy=DecoyStrategy.NONE, attack=Attack.NONE)
+        point = replace(config, mu=float(mu))
         (child,) = master.spawn(1)  # the next child: child i at point i
         rng_bits, _, _, rng_det = _streams(child)
         train = alice.generate_raw_bits(point.n_bits, rng_bits)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alice
-from .sifting import Transcript, TranscriptError, _check_range
+from .sifting import Transcript, TranscriptError
 
 __all__ = [
     "EveRecord",
@@ -48,6 +48,8 @@ def apply_and_mask(train: np.ndarray, mask: np.ndarray) -> np.ndarray:
     Pattern 1 (Eve's bit 0) passes the early bin and blocks the late one,
     pattern 2 (bit 1) the opposite.  Passed pulses are untouched.
     """
+    train = alice._check_range("train", train, alice.DECOY + 1, np.uint8)
+    mask = alice._check_range("mask", mask, alice.DECOY + 1, np.uint8)
     if mask.size != train.size:
         raise ValueError(f"mask length {mask.size} does not match {train.size} slots")
     return train & mask
@@ -69,4 +71,5 @@ def observe_transcript(transcript: Transcript) -> np.ndarray:
 def reconstruct_key(mask: np.ndarray, kept_indices) -> np.ndarray:
     """Eve's copy of the key: the bits of her slot patterns (pattern >> 1)
     at the announced positions, which must be integers in the masked slot range."""
-    return mask[_check_range("kept_indices", kept_indices, mask.size)] >> 1
+    mask = alice._check_range("mask", mask, alice.DECOY + 1, np.uint8)
+    return mask[alice._check_range("kept_indices", kept_indices, mask.size)] >> 1

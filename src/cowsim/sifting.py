@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alice import DECOY
+from .alice import DECOY, _check_range
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -44,7 +44,7 @@ class TranscriptError(ValueError):
     """Raised on malformed or out-of-order transcripts."""
 
 
-# numbers formatted, or monitor flags read, at a time: a block's buffers stay in cache
+# numbers formatted at a time: a block's row buffers stay in cache
 _BLOCK = 2**14
 # characters of a list's text read at a time: a chunk stays in cache
 _CHUNK = 2**17
@@ -339,21 +339,6 @@ def _alarm_threshold(config: SimConfig, n_checked: int) -> float:
     return p + 3.0 * math.sqrt(p * (1.0 - p) / n_checked)
 
 
-def _check_range(name: str, a, stop: int) -> np.ndarray:
-    """a as an int64 array, checked before the cast to be 1-D and hold integers in [0, stop).
-
-    An empty a passes whatever its dtype.  A ValueError gives name.
-    """
-    a = np.asarray(a)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
-    if a.size and a.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got {a.dtype}")
-    if a.size and (a.min() < 0 or a.max() >= stop):
-        raise ValueError(f"{name} must lie in [0, {stop}), got values in [{a.min()}, {a.max()}]")
-    return a.astype(np.int64, copy=False)
-
-
 def run_sifting(
     train: np.ndarray,
     detected,
@@ -369,17 +354,19 @@ def run_sifting(
     detected bit each, with slots strictly increasing as receive returns them.
     monitor is the (checked, clicked) pair: the boundaries Alice asked to be
     checked, and the boundaries where Bob's monitor detector fired, as
-    integer positions in [0, 2 * train.size - 1).  MonitorReport flags each
-    checked boundary, in Alice's order, that is among the clicked ones,
-    read from a set of one bit per boundary: no sort, and no byte per
-    boundary.  Index arrays must hold integers and values must be 0 or 1;
-    ValueError names the first input that does not.
+    integer positions in [0, 2 * train.size - 1), the checked ones strictly
+    increasing as Alice draws them.  MonitorReport flags each checked
+    boundary, in that order, that is among the clicked ones, which may come
+    in any order and repeat.  train must hold slot patterns 0 to DECOY,
+    index arrays integers in range and values 0 or 1; ValueError names the
+    first input that does not.
     Bob announces which slots he detected; Alice discards her decoys among
     them, samples a verification subset of fraction config.f_verify that
     both sides reveal, and keeps the rest as key.  The verdict aborts when
     the monitor break rate exceeds the alarm threshold, read from
     config.alarm_threshold or, when that is None, config.p_dark_mon.
     """
+    train = _check_range("train", train, DECOY + 1, np.uint8)
     slots, values = detected
     slots = _check_range("detected slots", slots, train.size)
     values = _check_range("detected values", values, 2).astype(np.uint8)
@@ -392,14 +379,14 @@ def run_sifting(
     n_boundaries = 2 * train.size - 1
     checked = _check_range("checked boundaries", checked, n_boundaries)
     clicked = _check_range("clicked boundaries", clicked, n_boundaries)
-    # one bit per boundary marks the clicked ones; each checked boundary
-    # reads its bit, a block at a time, in whatever order Alice sent them
-    seen = np.zeros(n_boundaries // 8 + 1, dtype=np.uint8)
-    np.bitwise_or.at(seen, clicked >> 3, (1 << (clicked & 7)).astype(np.uint8))
-    clicks = np.empty(checked.size, dtype=np.uint8)
-    for i in range(0, checked.size, _BLOCK):
-        k = checked[i : i + _BLOCK]
-        clicks[i : i + _BLOCK] = (seen[k >> 3] >> (k & 7)) & 1
+    if np.any(checked[1:] <= checked[:-1]):
+        raise ValueError("checked boundaries must be strictly increasing")
+    # each click looks up its place among the checked boundaries and flags it on a hit
+    at = np.searchsorted(checked, clicked)
+    inside = at < checked.size
+    at = at[inside]
+    clicks = np.zeros(checked.size, dtype=np.uint8)
+    clicks[at[checked[at] == clicked[inside]]] = 1
 
     is_decoy = train[slots] == DECOY
     decoy_detected = slots[is_decoy]

@@ -189,14 +189,30 @@ class TestInsertDecoys:
         assert train.tolist() == [DECOY, ZERO, ZERO, ONE, DECOY, ONE, ONE]
 
     @pytest.mark.parametrize(
-        "bits",
-        [np.array([256, 257]), np.array([0.7, 1.9]), np.array([-1, 0]), [0, 2]],
+        "bits, message",
+        [
+            (np.array([256, 257]), r"bits must lie in \[0, 2\), got values in \[256, 257\]"),
+            (np.array([0.7, 1.9]), "bits must be integers, got float64"),
+            (np.array([-1, 0]), r"bits must lie in \[0, 2\), got values in \[-1, 0\]"),
+            ([0, 2], r"bits must lie in \[0, 2\), got values in \[0, 2\]"),
+        ],
         ids=["wrap-on-cast", "truncate-on-cast", "negative", "two"],
     )
     @pytest.mark.parametrize("strategy", list(DecoyStrategy))
-    def test_non_bits_rejected(self, bits, strategy):
+    def test_non_bits_rejected(self, bits, message, strategy):
         # checked before any cast to uint8, which would turn these into 0s and 1s
-        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            insert_decoys(bits, strategy)
+
+    @pytest.mark.parametrize(
+        "bits, shape",
+        [(np.array([[1, 0, 1, 0], [0, 1, 1, 0]]), r"\(2, 4\)"), (np.array(1), r"\(\)")],
+        ids=["2-D", "0-d"],
+    )
+    @pytest.mark.parametrize("strategy", list(DecoyStrategy))
+    def test_non_1d_bits_rejected(self, bits, shape, strategy):
+        # NONE once returned a train of the same shape, the others numpy's own errors
+        with pytest.raises(ValueError, match=f"^bits must be 1-D, got shape {shape}$"):
             insert_decoys(bits, strategy)
 
     @pytest.mark.parametrize("strategy", list(DecoyStrategy))
@@ -411,6 +427,8 @@ class TestCheckedBoundaries:
         checked, state = _blocked_checks(train, f_coh, seed, block)
         expected, expected_state = _whole_train_checks(train, f_coh, seed)
         assert checked.dtype == np.int64
+        # sifting reads the monitor flags by a search that relies on this order
+        assert np.all(checked[1:] > checked[:-1])
         assert np.array_equal(checked, expected)
         assert state == expected_state
 

@@ -559,9 +559,10 @@ class TestMonitorReport:
     def test_flags_match_grid_gather(self, n_slots, data):
         # the gather engine made before sifting took click positions: the
         # clicked boundaries on a per-boundary grid, read at the checked ones.
-        # checked may be unsorted, repeat or be empty; clicks may fall outside it.
+        # checked is strictly increasing, as Alice draws it, and may be empty;
+        # clicks may fall outside it.
         n = 2 * n_slots - 1
-        checked = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
+        checked = sorted(data.draw(st.sets(st.integers(0, n - 1))))
         clicked = sorted(data.draw(st.sets(st.integers(0, n - 1))))
         checked = np.array(checked, dtype=np.int64)
         clicked = np.array(clicked, dtype=np.int64)

@@ -71,6 +71,27 @@ class TestApplyMask:
         with pytest.raises(ValueError):
             apply_and_mask(_train([ZERO, ONE]), _train([ZERO]))
 
+    @pytest.mark.parametrize(
+        "train, mask, message",
+        [
+            # int64 -1 has every bit set, so it once passed slot 0 untouched
+            (_train([ZERO, ONE, DECOY, ONE]), np.array([-1, 2, 1, 2]),
+             r"^mask must lie in \[0, 4\), got values in \[-1, 2\]$"),
+            (_train([ZERO, ONE]), np.array([1.0, 2.0]), "^mask must be integers, got float64$"),
+            (_train([ZERO, ONE]), _train([[ZERO, ONE]]), r"^mask must be 1-D, got shape \(1, 2\)$"),
+            (np.array([1.0, 2.0]), _train([ZERO, ONE]), "^train must be integers, got float64$"),
+            (np.array([4, 1]), _train([ZERO, ONE]), r"^train must lie in \[0, 4\), got values in \[1, 4\]$"),
+        ],
+        ids=["negative-mask", "float-mask", "2-D-mask", "float-train", "train-past-decoy"],
+    )
+    def test_bad_input_named(self, train, mask, message):
+        with pytest.raises(ValueError, match=message):
+            apply_and_mask(train, mask)
+
+    def test_bool_and_int64_inputs_as_uint8(self):
+        masked = apply_and_mask(np.array([ZERO, DECOY, ONE]), np.array([True, True, False]))
+        assert masked.dtype == np.uint8 and masked.tolist() == [ZERO, ZERO, 0]
+
     @given(
         st.lists(st.sampled_from([ZERO, ONE, DECOY]), min_size=1, max_size=200),
         st.integers(0, 2**31 - 1),
@@ -193,6 +214,20 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct_key(mask, [2])
 
+    @pytest.mark.parametrize(
+        "mask, message",
+        [
+            # patterns 5, 9 and 3 once read as key bits 2, 4 and 1
+            (np.array([5, 9, 3]), r"^mask must lie in \[0, 4\), got values in \[3, 9\]$"),
+            (np.array([1.0, 2.0, 1.0]), "^mask must be integers, got float64$"),
+            (_train([[ZERO, ONE, ONE]]), r"^mask must be 1-D, got shape \(1, 3\)$"),
+        ],
+        ids=["past-decoy", "float", "2-D"],
+    )
+    def test_bad_mask_named(self, mask, message):
+        with pytest.raises(ValueError, match=message):
+            reconstruct_key(mask, [0, 1, 2])
+
     def test_2d_indices_rejected(self):
         # a 2-D index would read a 2-D key
         with pytest.raises(ValueError, match=r"kept_indices must be 1-D, got shape \(1, 2\)"):
@@ -203,6 +238,11 @@ class TestReconstruct:
         # a float would be truncated to a slot index: 1.9 would read slot 1
         with pytest.raises(ValueError, match="kept_indices must be integers"):
             reconstruct_key(_train([ZERO, ONE]), kept)
+
+    def test_bool_indices_rejected(self):
+        # a bool array would index as a mask, not as slots 1 and 0
+        with pytest.raises(ValueError, match="^kept_indices must be integers, got bool$"):
+            reconstruct_key(_train([ZERO, ONE]), np.array([True, False]))
 
     def test_exact_copy_of_key(self):
         # with no dark counts, the reconstruction equals Alice's kept bits

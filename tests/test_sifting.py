@@ -50,30 +50,23 @@ def _sift_monitor(checked, clicked, config=NO_VERIFY):
 
 
 class TestMonitorOutcome:
-    def test_unsorted_checked_reported_in_order(self):
-        result, transcript = _sift_monitor(np.array([4, 0, 2]), np.array([4]))
-        assert result.break_rate == pytest.approx(1 / 3)
-        assert transcript.get("CoherenceCheck")["boundaries"] == [4, 0, 2]
-        assert transcript.get("MonitorReport")["clicks"] == [1, 0, 0]
+    @pytest.mark.parametrize("checked", [[4, 0, 2], [0, 2, 2, 4]], ids=["unsorted", "duplicate"])
+    def test_checked_not_increasing_rejected(self, checked):
+        # Alice draws her checked boundaries in order, once each; the flags are read by a search
+        with pytest.raises(ValueError, match="^checked boundaries must be strictly increasing$"):
+            _sift_monitor(np.array(checked), np.array([2]))
 
-    def test_duplicate_checked_accepted(self):
-        result, transcript = _sift_monitor(np.array([0, 2, 2, 4]), np.array([2]))
-        assert result.break_rate == 0.5
-        assert transcript.get("MonitorReport")["clicks"] == [0, 1, 1, 0]
-
-    @pytest.mark.parametrize("block", [1, 3, _BLOCK])
-    @settings(deadline=None, max_examples=50)
+    @settings(deadline=None, max_examples=150)
     @given(data=st.data(), n_slots=st.integers(1, 40))
-    def test_flags_match_isin(self, block, data, n_slots):
-        # unsorted, repeated boundaries on both sides, with both ends 0 and 2n - 2 likely
+    def test_flags_match_isin(self, data, n_slots):
+        # sorted unique checked boundaries, unsorted repeated clicks, with both ends 0 and 2n - 2 likely
         boundary = st.one_of(st.sampled_from([0, 2 * n_slots - 2]), st.integers(0, 2 * n_slots - 2))
-        checked = np.array(data.draw(st.lists(boundary, max_size=60)), dtype=np.int64)
+        checked = np.array(sorted(data.draw(st.sets(boundary, max_size=60))), dtype=np.int64)
         clicked = np.array(data.draw(st.lists(boundary, max_size=20)), dtype=np.int64)
         train = _train([ZERO] * n_slots)
-        with mock.patch.object(sifting, "_BLOCK", block):
-            result, transcript = run_sifting(
-                train, NOTHING_DETECTED, (checked, clicked), NO_VERIFY, np.random.default_rng(0)
-            )
+        result, transcript = run_sifting(
+            train, NOTHING_DETECTED, (checked, clicked), NO_VERIFY, np.random.default_rng(0)
+        )
         expected = np.isin(checked, clicked)
         clicks = transcript.messages["MonitorReport"]["clicks"]
         assert clicks.dtype == np.uint8
@@ -149,6 +142,8 @@ class TestRunSifting:
             (([0, 1], [0]), NO_MONITOR, "detected slots and values differ in length"),
             ((np.array([[0, 1]]), [0, 1]), NO_MONITOR, r"detected slots must be 1-D, got shape \(1, 2\)"),
             (NOTHING_DETECTED, ([[0, 1]], []), r"checked boundaries must be 1-D, got shape \(1, 2\)"),
+            # a bool array of positions is a mask, not slots 0 and 1
+            ((np.array([True, False]), [0, 1]), NO_MONITOR, "detected slots must be integers, got bool"),
         ],
         ids=[
             "float-slots",
@@ -163,12 +158,27 @@ class TestRunSifting:
             "length-mismatch",
             "2d-slots",
             "2d-checked",
+            "bool-slots",
         ],
     )
     def test_bad_input_named(self, detected, monitor, name):
         # two slots have boundaries 0, 1 and 2; nothing is cast before it is checked
         with pytest.raises(ValueError, match=name):
             run_sifting(_train([ZERO, ONE]), detected, monitor, NO_VERIFY, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "train, message",
+        [
+            # patterns 7 once sifted as key bits 3
+            (np.array([7, 7, 7, 7]), r"^train must lie in \[0, 4\), got values in \[7, 7\]$"),
+            (np.array([1.0, 2.0, 1.0, 2.0]), "^train must be integers, got float64$"),
+            (np.array([[1, 2], [1, 2]]), r"^train must be 1-D, got shape \(2, 2\)$"),
+        ],
+        ids=["pattern-7", "float", "2-D"],
+    )
+    def test_bad_train_named(self, train, message):
+        with pytest.raises(ValueError, match=message):
+            run_sifting(train, ([0, 1], [0, 1]), NO_MONITOR, NO_VERIFY, np.random.default_rng(0))
 
     def test_empty_inputs_of_any_dtype(self):
         empty = np.array([])  # float64
