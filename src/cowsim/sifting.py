@@ -358,8 +358,8 @@ def run_sifting(
     increasing as Alice draws them.  MonitorReport flags each checked
     boundary, in that order, that is among the clicked ones, which may come
     in any order and repeat.  train must hold slot patterns 0 to DECOY,
-    index arrays integers in range and values 0 or 1; ValueError names the
-    first input that does not.
+    index arrays integers in range and values 0 or 1, as integers or bools;
+    ValueError names the first input that does not.
     Bob announces which slots he detected; Alice discards her decoys among
     them, samples a verification subset of fraction config.f_verify that
     both sides reveal, and keeps the rest as key.  The verdict aborts when
@@ -369,7 +369,7 @@ def run_sifting(
     train = _check_range("train", train, DECOY + 1, np.uint8)
     slots, values = detected
     slots = _check_range("detected slots", slots, train.size)
-    values = _check_range("detected values", values, 2).astype(np.uint8)
+    values = _check_range("detected values", values, 2, np.uint8)
     if slots.shape != values.shape:
         raise ValueError("detected slots and values differ in length")
     if np.any(np.diff(slots) <= 0):

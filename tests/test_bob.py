@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -326,6 +327,21 @@ class TestMatchesGeometric:
     def test_any_p_max(self, p_max, n, seed, cap):
         self._assert_same(np.array([p_max / 3, p_max]), _levels(n, 2, seed), seed, cap)
 
+    # the levels' click probabilities as fractions of p_max, each thinned
+    # level by level: a table with two levels at the top, one with a level
+    # at 0 beside positive ones, and the monitor's at visibility < 0.5,
+    # where the intact pair (level 2) is the top level
+    @pytest.mark.parametrize(
+        "shape",
+        [[1.0, 1.0, 0.5], [0.0, 0.5, 1.0, 0.0], [0.1, 0.5, 1.0]],
+        ids=["tied-top", "zero-level", "top-last"],
+    )
+    @pytest.mark.parametrize("cap", [None, 50])
+    @pytest.mark.parametrize("p_max", _P_MAX)
+    def test_level_tables(self, shape, cap, p_max):
+        p = np.array(shape) * p_max
+        self._assert_same(p, _levels(100_000, p.size, 25), 26, cap)
+
 
 class TestBinLevel:
     """_bin_level, in uint8 and in place, equals the int64 expression it
@@ -421,6 +437,37 @@ class TestDecode:
     def test_both_bins_early_wins(self):
         slots, values = self._detect([2, 3])  # both bins of slot 1
         assert (slots.tolist(), values.tolist()) == ([1], [0])
+
+
+def _first_click_reference(train, config, rng):
+    """detect_data by the rule it replaced: the same sampler's positions,
+    each slot's first click kept by a diff against the previous slot."""
+    data_mean = np.array([0.0, config.mu * config.channel_t * config.t_b])
+    p = click_probability(data_mean, config.eta_data, config.p_dark_data)
+    pos = _sample_clicks(p, 2 * train.size, partial(bob._bin_level, train), rng)
+    slots = pos >> 1
+    first = np.diff(slots, prepend=-1) > 0
+    return slots[first], (pos[first] & 1).astype(np.uint8)
+
+
+class TestFirstClick:
+    @given(
+        patterns=st.lists(st.sampled_from([0, ZERO, ONE, DECOY]), max_size=300),
+        saturated=st.booleans(),
+        p_dark_data=st.sampled_from([0.0, 0.5, 0.999]) | st.floats(0.0, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_diff_rule(self, patterns, saturated, p_dark_data, seed):
+        # saturated, every decoy slot clicks in both bins, and at large
+        # p_dark_data so do many others: the early click must win
+        train = _train(patterns)
+        config = replace(ORACLE if saturated else SimConfig(), p_dark_data=p_dark_data)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        slots, values = detect_data(train, config, rng)
+        ref_slots, ref_values = _first_click_reference(train, config, ref_rng)
+        assert slots.dtype == np.int64 and values.dtype == np.uint8
+        assert np.array_equal(slots, ref_slots) and np.array_equal(values, ref_values)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestMonitor:

@@ -220,6 +220,23 @@ class TestRunSifting:
         announced = set(transcript.get("DetectionReport")["slots"])
         assert verify | kept == announced - discarded
 
+    def test_bool_values_sift_as_uint8(self):
+        # Bob's values are bits, and a bool array of them is the same bits
+        train = _train([ZERO, ONE, DECOY] * 40)
+        slots = np.arange(0, 120, 2)
+        values = (train[slots] >> 1).astype(np.uint8)
+        values[::7] ^= 1
+        monitor = (np.array([0, 2, 4]), np.array([2]))
+        config = SimConfig(f_verify=0.4)
+        result, transcript = run_sifting(train, (slots, values), monitor, config, np.random.default_rng(3))
+        bool_result, bool_transcript = run_sifting(
+            train, (slots, values.astype(bool)), monitor, config, np.random.default_rng(3)
+        )
+        assert transcript.to_jsonl() == bool_transcript.to_jsonl()
+        for name, value in vars(result).items():
+            assert np.array_equal(getattr(bool_result, name), value), name
+        assert 0 < result.qber < 1 and result.verified_count > 0
+
 
 class TestAlarmRule:
     def test_automatic_threshold(self):
