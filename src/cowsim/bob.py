@@ -45,6 +45,7 @@ if TYPE_CHECKING:
 __all__ = [
     "receive",
     "detect_data",
+    "monitor_click_probability",
 ]
 
 
@@ -69,16 +70,20 @@ def receive(
     train = _check_range("train", train, DECOY + 1, np.uint8)
     detected = detect_data(train, config, rng)
 
-    m = config.mu * config.channel_t * (1.0 - config.t_b)
-    # destructive port of the one-bin-delay interferometer for 0, 1 or 2
-    # pulses in the two interfering bins: a lone pulse loses half at each
-    # coupler, and an intact pair leaks what the visibility fails to cancel
-    port = np.array([0.0, m / 4.0, (m - config.visibility * m) / 2.0])
-
     return detected, _sample_clicks(
-        click_probability(port, config.eta_mon, config.p_dark_mon),
-        max(2 * train.size - 1, 0), partial(_pair_level, train), rng,
+        monitor_click_probability(config), max(2 * train.size - 1, 0),
+        partial(_pair_level, train), rng,
     )
+
+
+def monitor_click_probability(config: SimConfig) -> np.ndarray:
+    """The monitor's click probability at a boundary of 0, 1 or 2 pulses, the
+    last, q0, an intact pair's.  At the interferometer's destructive port a
+    lone pulse loses half at each coupler, and an intact pair leaks what the
+    visibility fails to cancel."""
+    m = config.mu * config.channel_t * (1.0 - config.t_b)
+    port = np.array([0.0, m / 4.0, (m - config.visibility * m) / 2.0])
+    return click_probability(port, config.eta_mon, config.p_dark_mon)
 
 
 def detect_data(

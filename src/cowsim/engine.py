@@ -76,6 +76,7 @@ class SimConfig:
     p_dark_data dark-click probability per bin, data detector
     p_dark_mon  dark-click probability per interferometer output, monitor
     visibility  interferometric visibility (1.0 = ideal cancellation)
+    alarm_alpha false-alarm rate of the monitor verdict (sifting.run_sifting)
     """
 
     n_bits: int = 10_000
@@ -92,7 +93,7 @@ class SimConfig:
     attack: Attack = Attack.NONE
     f_verify: float = 0.1
     f_coh: float = 0.25
-    alarm_threshold: float | None = None  # None -> dark-count floor + 3 sigma
+    alarm_alpha: float = 0.0013498980316300946  # Phi(-3): the one-sided 3-sigma rate
     seed: int = 1
 
     def __post_init__(self):
@@ -101,8 +102,6 @@ class SimConfig:
             if isinstance(value, np.generic):  # a numpy scalar stands for its Python value
                 value = value.item()
                 object.__setattr__(self, field.name, value)
-            if value is None and field.default is None:
-                continue  # an optional field left unset
             kind = FIELD_TYPES[field.name]
             # an int is a number too, but a bool is never one
             accepted = (int, float) if kind is float else kind
@@ -126,18 +125,15 @@ class SimConfig:
         _check_unit("p_dark_data", self.p_dark_data, open_top=True)
         _check_unit("p_dark_mon", self.p_dark_mon, open_top=True)
         _check_unit("visibility", self.visibility)
-        # a run aborts when break_rate > threshold: below 0 every run would abort, at 1 none could
-        if self.alarm_threshold is not None:
-            _check_unit("alarm_threshold", self.alarm_threshold, open_top=True)
+        # at 0 no run could abort, and at 1 one click of an intact pair would
+        if not 0.0 < self.alarm_alpha < 1.0:
+            raise ValueError(f"alarm_alpha must be in (0, 1), got {self.alarm_alpha}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-# SimConfig field -> the type of its values; `float | None` gives float
-FIELD_TYPES = {
-    name: (typing.get_args(hint) or (hint,))[0]
-    for name, hint in typing.get_type_hints(SimConfig).items()
-}
+# SimConfig field -> the type of its values
+FIELD_TYPES = typing.get_type_hints(SimConfig)
 
 
 @dataclass

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import typing
 from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
@@ -340,12 +339,12 @@ class TestCommands:
             (["run", "--set", "seed=-1"], "seed"),
             (["run", "--seed", "-1"], "--seed"),
             (["run", "--set", "mu=inf"], "mu"),
-            (["run", "--set", "alarm_threshold=nan"], "alarm_threshold"),
+            (["run", "--set", "alarm_alpha=nan"], "alarm_alpha"),
             (["run", "--set", "tau_ns=5e-324"], "tau_ns"),
             (["run", "--set", "tau_ns=1e-310"], "tau_ns"),
-            (["run", "--set", "alarm_threshold=-1"], "alarm_threshold"),
-            (["run", "--set", "alarm_threshold=1"], "alarm_threshold"),
-            (["run", "--set", "alarm_threshold=5"], "alarm_threshold"),
+            (["run", "--set", "alarm_alpha=-1"], "alarm_alpha"),
+            (["run", "--set", "alarm_alpha=1"], "alarm_alpha"),
+            (["run", "--set", "alarm_alpha=5"], "alarm_alpha"),
             (["sweep-mu", "--mu-grid", ","], "--mu-grid"),
             (["run", "--set", "eve_mode=random"], "eve_mode"),
             (["run", "--set", "detection_mode=deterministic"], "detection_mode"),
@@ -353,6 +352,9 @@ class TestCommands:
             (["run", "--set", "attack=foo"], "'attack': 'foo' (choices: none, andmask)"),
             (["run", "--set", "mu=abc"], "'mu': 'abc' (expected number)"),
             (["run", "--set", "n_bits=1.5"], "'n_bits': '1.5' (expected integer)"),
+            (["run", "--set", "alarm_alpha=0"], "alarm_alpha"),
+            # the threshold of the 3-sigma rule went with the rule
+            (["run", "--set", "alarm_threshold=0.5"], "unknown configuration key: 'alarm_threshold'"),
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, argv, key):
@@ -376,9 +378,7 @@ def test_python_dash_m(tmp_path):
     assert proc.stdout.splitlines()[-1] == "verdict,pass"
 
 
-@pytest.mark.parametrize(
-    "field", [f for f in fields(SimConfig) if f.default is not None], ids=lambda f: f.name
-)
+@pytest.mark.parametrize("field", fields(SimConfig), ids=lambda f: f.name)
 def test_default_value_accepted(field):
     default = field.default
     rendered = default.value if isinstance(default, Enum) else default
@@ -402,18 +402,17 @@ _RANGES = {
     "tau_ns": (sys.float_info.min / 1e-9, _BIG),
     **dict.fromkeys(
         ["channel_t", "t_b", "eta_data", "eta_mon", "visibility"]
-        + ["p_dark_data", "p_dark_mon", "f_verify", "f_coh", "alarm_threshold"],
+        + ["p_dark_data", "p_dark_mon", "f_verify", "f_coh", "alarm_alpha"],
         (0.0, 1.0),
     ),
 }
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0, 1e308, -1.0, -1e308, math.inf, -math.inf, math.nan]
-_HINTS = typing.get_type_hints(SimConfig)
 
 
 def _values(name):
     """Values to try for one key: its range ends and their neighbours, edge
     floats, in-range floats and any float."""
-    kind = (typing.get_args(_HINTS[name]) or (_HINTS[name],))[0]
+    kind = engine.FIELD_TYPES[name]
     if name == "n_bits":
         return st.integers(1, 300)
     if issubclass(kind, Enum):

@@ -280,7 +280,8 @@ class TestConfig:
             ("seed", 1.5),
             ("mu", "0.5"),
             ("mu", True),
-            ("alarm_threshold", "0.5"),
+            ("alarm_alpha", "0.5"),
+            ("alarm_alpha", None),
             ("seed", None),
         ],
     )
@@ -292,9 +293,10 @@ class TestConfig:
 
     def test_numbers_accepted(self):
         # an int is a number; numpy scalars stand for their Python values
-        config = SimConfig(mu=1, n_bits=np.int64(500), t_b=np.float32(0.5), alarm_threshold=None)
-        assert (config.mu, config.n_bits, config.t_b) == (1, 500, 0.5)
+        config = SimConfig(mu=1, n_bits=np.int64(500), t_b=np.float32(0.5), alarm_alpha=np.float64(0.01))
+        assert (config.mu, config.n_bits, config.t_b, config.alarm_alpha) == (1, 500, 0.5, 0.01)
         assert type(config.n_bits) is int and type(config.t_b) is float
+        assert type(config.alarm_alpha) is float
         assert run(config)[0].slots_sent > 0
         with pytest.raises(ValueError, match="^mu must be finite"):
             SimConfig(mu=np.float32("inf"))

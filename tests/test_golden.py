@@ -165,8 +165,8 @@ GOLDEN_RUNS = {
         "7ac1c022ca90b6308b41d69c14ce2268249c74fdacea8cf90b7a008f522a3d16",
     ),
     "1-frame-header-andmask-random-deterministic-noisy": (
-        "fc60b305f77c63fa61ad825644dd6710784054a454003f59f37ef4389f132f2a",
-        "c91bf1088c230fe83e4a6f8712092a205787a428ca8d33ab684609f4647e0329",
+        "0601e4f6792c0d7b33616471d2566f8d7a7a780d899421de171a9ecce2d47efe",
+        "92ffb365ef898e291beef2f0ef69a4daa36f4d5728bf995bd809f3291501e11a",
     ),
     "1-frame-header-andmask-random-sampled": (
         "8b569d1c0a2d8f259f5f6cc494407170f86841d4cb23c6c6dcbfe81544ddb311",
@@ -181,8 +181,8 @@ GOLDEN_RUNS = {
         "8273db166cf0cd233e972cfc28f2393eda3adcc03837ebdca806aa9876140310",
     ),
     "1-frame-header-none-random-deterministic-noisy": (
-        "bee5fed89a0eeaf4541954a5a832e0245e66218239e43a4c78844fe92aeb9ad1",
-        "f848d5a40b945e5ceb59856e169a624a9ad28b32212122f1087ad716230c85ef",
+        "4ee2a293ba1638185535f5cd403cc05121868fe9998974710bba2c1a8d2f3975",
+        "708f539910b6839a5e71edd4df68e90bbda0e5224e628e8851d186048a36953c",
     ),
     "1-frame-header-none-random-sampled": (
         "639d2de5fd3cd5309852fa6d1253881d7d346cc84d4303590e8edef41b151216",
@@ -197,8 +197,8 @@ GOLDEN_RUNS = {
         "6b0f69466ba99c6068200c83e36e387c9114544c417e2ad3d76049b8e52b340e",
     ),
     "1-none-andmask-random-deterministic-noisy": (
-        "d8dcc815d9dfa0bcb81b7b100dbf643eb6beb16b8dc3226785c4ca6b9b2b1cf3",
-        "2dff82fdb1c1e0e2ff7f0ffc3877ec0de3c95ff4ec7f779a29e9b041d3790a91",
+        "baa97f56f849f536e3ac0f9b4b19e72adcdb1343f1f5819ad769c926aeae084b",
+        "535123bc9de9a6575cf2510e5e29589a24933ab99fb259b7039d233a6a7083c9",
     ),
     "1-none-andmask-random-sampled": (
         "6732907b1e2c6deb7712e3d64c97c08295cb0412b7619137dbb21aabdae8dd56",
@@ -213,8 +213,8 @@ GOLDEN_RUNS = {
         "5c0c8e5f0c70b6eaa675c7c1acde3b0c1f1df5e6dd358015c334cd1df045c827",
     ),
     "1-none-none-random-deterministic-noisy": (
-        "f84396b206d5a4100d559c25897be8b1343f0f8d704149833adb497056b4545b",
-        "ff86d6da34beda3211d8557e57fec558b2c1b3a9c1df177cf331ff04855008c2",
+        "a10e957e751a3844a68f50af51d4b7435030112454ac23726144be643cdeb122",
+        "e394169a29930d3b3e1cf3b0c59c77491fea3b92c2611cd097c973c6807caa92",
     ),
     "1-none-none-random-sampled": (
         "45a601317ea2f945bf3bda6a13a94de7c02e5ef4d3eec8da18e8be14ed86a6a5",
@@ -229,8 +229,8 @@ GOLDEN_RUNS = {
         "e4d82ba6bf9d205f08a73cd0f7a8e79144b73fd975818c3b3fa865c932b7e2f8",
     ),
     "1-substitute-pattern-andmask-random-deterministic-noisy": (
-        "2e8f875ede7cb946c784bfa5059d355dc4d0f884f1ad5e14b6a0f6a694fd55d3",
-        "3bf468643a7f3de01bb81aa16b6c7f3af43c5e9291f76f3586341b45a2955d76",
+        "0ac75a73ba4f22d3beafe33f1065959a13609bd57e88046bb5ffca3461625d76",
+        "f57d4d68509c14c30dd9ad14e1fe144e1aae329996afff886ca1f04ed0299212",
     ),
     "1-substitute-pattern-andmask-random-sampled": (
         "11ca696c471176188c71dabeacb516eafa013cfb43a86d3acc135bbbfc7ade11",
@@ -245,8 +245,8 @@ GOLDEN_RUNS = {
         "3e458356120b1517d78650d9fbc04e9b9caf63260402f491693f604206f322ff",
     ),
     "1-substitute-pattern-none-random-deterministic-noisy": (
-        "0cc188b1bade8b1ce6ad17201d810d29011037ad01e0677065b37a90df195f34",
-        "cae1571469dc7c00df0f24f841f828c8f622aae3f4e49666484853fc456a8ab8",
+        "3f4236860e67b0f593cddad939aaf0465bc8d89a0c40c4424972cd90de23e5f2",
+        "93b41ad331def46e838d01450258dc6b9abe86d97c69ccd8004643f22ad4dcaa",
     ),
     "1-substitute-pattern-none-random-sampled": (
         "60424d824b89c6bb7e599797a0cd438dbee88b6ea7bc80f8b5643fb1e4a2fce5",
@@ -261,8 +261,8 @@ GOLDEN_RUNS = {
         "8036a7cd480634fef525b743bf72594826b34b04699bd5b4c19c7997d3353f0d",
     ),
     "2-frame-header-andmask-random-deterministic-noisy": (
-        "47befc80ddd73c857cc90f7d194c1d0b04719d6b4e9d27f50034540b3f3cd3af",
-        "b60bda1e5a89c1ccc06160ee8a41799c43917fd4504f929f95bc569b4abca6be",
+        "9b8a3d84a54985ba00a3fc445d306aa7b6033704782312e0da5c0d3ae4dc8efc",
+        "33404f738b83374666932ac4946495580464ba394118185b8d32732caefc4a5c",
     ),
     "2-frame-header-andmask-random-sampled": (
         "8ee67c4f73467c5bcad66fff2ea384fedab7daccc4f3c2ca1473f2afb3628f50",
@@ -277,8 +277,8 @@ GOLDEN_RUNS = {
         "a8ae0976fdf8757bf5495f5a714d5d7a36966342af95d056c193e646bb30a8f8",
     ),
     "2-frame-header-none-random-deterministic-noisy": (
-        "0f4439d602ec053472a29df3e2063f242d6e3dd1b7f417e8dfbcaed030e29335",
-        "99f7d92b5b001cf8622df8a49c379c03fbafc13bfa6163633dc6c93dcefa4770",
+        "27e56d7bfcd957a884bfc4c3358d1f6177ef70e5c4bbc31bb50eb20f310259fd",
+        "11b8f7d46e7b7006aae0e0a5523c21d8a0a75cbd1f7af6d4db631b583ac9de29",
     ),
     "2-frame-header-none-random-sampled": (
         "a8955d09e75c0ba1bf79bb2b7dd86fafab2f52a89c831d1d0d94b5f5fb6e09f7",
@@ -293,8 +293,8 @@ GOLDEN_RUNS = {
         "dff906b828c9c908c3f30487d4b17c47de7f5d186c24322c2e01220e615c66cd",
     ),
     "2-none-andmask-random-deterministic-noisy": (
-        "a8a70364b3f6662754274ab193b2059392e186b29e59bf00d82dd38499dd2c68",
-        "336e8097ae3a4d971bd3ed2dc531a141163a27c0d8f204d26da321e6cc68ab2e",
+        "27e48f2bb89565b9245606046c411d6c23f8e0aec3750a6de4a89959baf8faf5",
+        "d4171039ff1f7aa7a18e93e33043647e972960565b26d5e4ac9cc5569661f2c7",
     ),
     "2-none-andmask-random-sampled": (
         "ceb10ed665cf1c3c4ccd1d27741d8d31557fd6b595429a9cbd952ad052b6946b",
@@ -309,8 +309,8 @@ GOLDEN_RUNS = {
         "2bd130f61128e097b3c984bdf2bb7c6d0e1b7538168e40d84adf940dbdc328d2",
     ),
     "2-none-none-random-deterministic-noisy": (
-        "c78b06cc31663f111c0ba271f455cf3d24eda3a0ceb89caad768dfa7fd385014",
-        "318a76680f3929babd5852b216392ebd8578a7fbf9da6ae8b36d068ab9d5fedc",
+        "8f81622085b3503c97f08dc8e3b8c4b1e3827bcb3cd00b8192c5744afeeb1755",
+        "02ca7f23a82bc9b0b38f5fbe5826ca8d59ea208ac574dfaafd11c6f821eae004",
     ),
     "2-none-none-random-sampled": (
         "48aacfe3c2388696d69209bbe788f5ceeeabbdbb9975bfbf86f533ca3afcb7ab",
@@ -325,8 +325,8 @@ GOLDEN_RUNS = {
         "6b20701a9183c6c26246e693cdf50c6e3d255b80dfbc6fcdc2717d122abfe711",
     ),
     "2-substitute-pattern-andmask-random-deterministic-noisy": (
-        "26630f3a9379ce61d6cc27fcc7bac30fda7ab09b3e4b024f8f04cbd74e8a932f",
-        "24c3b900b44d326c6b5fd3e9f30f26555b7684ebec32ac565d22664044144ac0",
+        "b85c7c3afae1b619f73651b1bb7034ab8be5188ce0a9334b362366a76859d595",
+        "386ea41a566b3554a8f247e2b1c90eb75373b4c2569a7fd66909a06b08c31176",
     ),
     "2-substitute-pattern-andmask-random-sampled": (
         "bc906130e6be7005098db949daaf0e526ea42b8ab3a80b052f5de84a39d15098",
@@ -341,8 +341,8 @@ GOLDEN_RUNS = {
         "b1560f944c9e56a559b7f203f003170c21d703ea56900059f2b3ad688c7598fd",
     ),
     "2-substitute-pattern-none-random-deterministic-noisy": (
-        "39a487113acaaaf33edc7ab901ce4b28e21a864d6b5d96089e12ca7369e62b8f",
-        "671bba3d812844ddf452a880cc74b3bb917962fc239bbb0fe9762413182195a3",
+        "bfeac882264026353db488c8c7a7833cb456d67adc76ff675830969be5cc9126",
+        "d4a3ad34cab5aa0ecdabacc8ac9d86d8dd12d9a21a288cd5e0e4485ad4fdb9ca",
     ),
     "2-substitute-pattern-none-random-sampled": (
         "033875568e6b33073b46562c60747d85a60e6da362b546bbbccd32a30577bedc",
@@ -375,8 +375,8 @@ GOLDEN_TAIL_RUNS = {
         "b3246f0e5206430ef18668ad9b51d05db396cddda8ea5ee2a305763d84739525",
     ),
     "substitute-pattern": (
-        "1f3e51825cca0db6c63caca515ed0070f0d81e982dc0132b1db28ebd2223523e",
-        "dd21b9af287eccd26f214bc871047b25a336bedf053eca55fd7fecb7ca639103",
+        "c1bc9416257065d98277d096a016d0fa3c159d10ae4a51f56beefe70ffbbdf57",
+        "c55fceef936173349f9a4a2151273d48268bd21f3de6118dbdb7c3ac6bb303db",
     ),
     "frame-header": (
         "27a6c16c26dc65ad987fabce3a81d0940203d2408fa197fd462cc6c1731c5021",

@@ -1,23 +1,25 @@
 import json
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cowsim import sifting
+from cowsim import bob, sifting
 from cowsim.alice import DECOY, DecoyStrategy
-from cowsim.engine import Attack, SimConfig, run
+from cowsim.engine import _SATURATED, Attack, SimConfig, run
 from cowsim.sifting import (
     _BLOCK,
     MESSAGE_ORDER,
     Transcript,
     TranscriptError,
-    _alarm_threshold,
+    _binomial_tail,
     _list_pieces,
     run_sifting,
 )
@@ -239,36 +241,126 @@ class TestRunSifting:
 
 
 class TestAlarmRule:
-    def test_automatic_threshold(self):
+    # the verdict aborts when P(K >= k) < alarm_alpha for the k clicked of the
+    # n checked boundaries, K ~ Binomial(n, q0) and q0 an intact pair's click
+    # probability
+
+    def test_default_alpha_is_the_one_sided_three_sigma_rate(self):
+        assert SimConfig().alarm_alpha == pytest.approx(0.5 * math.erfc(3 / math.sqrt(2)), rel=1e-15)
+
+    def test_no_checks_accept(self):
+        # n = 0: P(K >= 0) = 1, and a click off the checked set counts for nothing
+        assert _binomial_tail(0, 0, 0.5) == 1.0
+        result, _ = _sift_monitor(np.zeros(0, dtype=np.int64), np.array([0, 3]))
+        assert result.verdict == "accept"
+
+    def test_one_click_aborts_when_q0_is_0(self):
+        # V = 1 and no dark counts: an intact pair never clicks, so one click proves a broken one
+        assert bob.monitor_click_probability(NO_VERIFY)[2] == 0.0
+        assert _binomial_tail(1, 1000, 0.0) == 0.0
+        result, _ = _sift_monitor(np.arange(1000), np.array([0]))
+        assert result.verdict == "abort"
+        result, _ = _sift_monitor(np.arange(1000), np.zeros(0, dtype=np.int64))
+        assert result.verdict == "accept"
+
+    def test_q0_of_1_accepts(self):
+        # saturated detectors at V < 1: every intact pair clicks, so even k = n tells nothing
+        config = SimConfig(f_verify=0.0, visibility=0.98, **_SATURATED)
+        assert bob.monitor_click_probability(config)[2] == 1.0
+        result, _ = _sift_monitor(np.arange(50), np.arange(50), config)
+        assert result.break_rate == 1.0
+        assert result.verdict == "accept"
+
+    def test_every_check_clicking(self):
+        # k = n: P(K >= n) = q0**n, 1/16 at q0 = 1/2 (p_dark_mon = 1/2, V = 1) and n = 4
+        config = SimConfig(f_verify=0.0, p_dark_mon=0.5)
+        assert bob.monitor_click_probability(config)[2] == 0.5
+        assert _binomial_tail(4, 4, 0.5) == pytest.approx(1 / 16, rel=1e-15)
+        for alpha, verdict in ((1 / 16 * (1 + 1e-9), "abort"), (1 / 16 * (1 - 1e-9), "accept")):
+            result, _ = _sift_monitor(np.arange(4), np.arange(4), replace(config, alarm_alpha=alpha))
+            assert result.verdict == verdict
+
+    def test_critical_count(self):
+        # the rule aborts from the first k whose tail is below alpha
         config = SimConfig(f_verify=0.0, p_dark_mon=0.01)
-        expect = 0.01 + 3 * math.sqrt(0.01 * 0.99 / 400)
-        assert _alarm_threshold(config, 400) == pytest.approx(expect)
-        # 9 of 400 checked boundaries click below it (0.0225), 10 above (0.025)
-        for n_clicks, verdict in ((9, "accept"), (10, "abort")):
+        tails = scipy.stats.binom.sf(np.arange(-1, 400), 400, 0.01)  # tails[k] = P(K >= k)
+        k = int(np.argmax(tails < config.alarm_alpha))
+        assert k == 12
+        for n_clicks, verdict in ((k - 1, "accept"), (k, "abort")):
             result, _ = _sift_monitor(np.arange(400), np.arange(n_clicks), config)
             assert result.verdict == verdict
 
-    def test_zero_without_dark_counts_or_checks(self):
-        assert _alarm_threshold(SimConfig(p_dark_mon=0.0), 400) == 0.0
-        assert _alarm_threshold(SimConfig(p_dark_mon=0.01), 0) == 0.0
-        # with no dark-count floor a single monitor click aborts
-        result, _ = _sift_monitor(np.arange(1000), np.array([0]))
-        assert result.verdict == "abort"
+    def test_tail_takes_sqrt_n_terms(self):
+        # the sum runs over O(sqrt(n q (1 - q))) terms, never O(n); the longest
+        # starts at the mean, on either side
+        n = 10**9
+        for k in (n // 2, n // 2 + 1):
+            start = time.perf_counter()
+            tail = _binomial_tail(k, n, 0.5)
+            assert time.perf_counter() - start < 0.5
+            assert tail == pytest.approx(0.5, abs=1e-4)
 
-    def test_explicit_threshold_wins(self):
-        config = SimConfig(f_verify=0.0, p_dark_mon=0.01, alarm_threshold=0.5)
-        assert _alarm_threshold(config, 400) == 0.5
-        assert _alarm_threshold(replace(config, p_dark_mon=0.0), 0) == 0.5
-        result, _ = _sift_monitor(np.arange(4), np.array([0, 1, 2]), config)
-        assert result.verdict == "abort"
-        result, _ = _sift_monitor(np.arange(4), np.array([0]), config)
-        assert result.verdict == "accept"
 
-    def test_rate_equal_to_threshold_accepts(self):
-        config = SimConfig(f_verify=0.0, alarm_threshold=0.25)
-        result, _ = _sift_monitor(np.arange(4), np.array([0]), config)
-        assert result.break_rate == 0.25
-        assert result.verdict == "accept"
+# lgamma is good to a few ulps of its value, so the tail's relative error is
+# about 2 n ln n 2**-52: 4e-8 at n = 10**7, the largest n here, well inside 1e-6
+TAIL_NS = (1, 2, 7, 50, 400, 1403, 418_687, 10**6, 10**7)
+TAIL_QS = (1e-9, 1e-5, 6e-4, 0.01, 0.3, 0.5, 0.77, 0.999)
+
+
+@pytest.mark.parametrize("q", TAIL_QS)
+@pytest.mark.parametrize("n", TAIL_NS)
+def test_tail_matches_scipy(n, q):
+    mean, sd = n * q, math.sqrt(n * q * (1 - q))
+    ks = {0, 1, 2, n - 1, n, n + 1, math.floor(mean), math.floor(mean) + 1}
+    ks |= {math.floor(mean + z * sd) for z in (-3, -1, 1, 3, 10)}
+    for k in sorted(k for k in ks if 0 <= k <= n + 1):
+        reference = scipy.stats.binom.sf(k - 1, n, q)
+        # near 1e-308 the terms go subnormal and lose digits
+        assert _binomial_tail(k, n, q) == pytest.approx(reference, rel=1e-6, abs=1e-300), k
+
+
+def _verdict_rates(config: SimConfig, n_even: int, n_odd: int) -> tuple[float, float]:
+    """Closed-form (false-alarm rate, power against the mask) of the verdict
+    on n_even checked boundaries inside decoy slots and n_odd between slots.
+
+    Without Eve every checked boundary is an intact pair, so K ~ Binomial(n,
+    q0) and the rule aborts from k*, the first k with P(K >= k) < alpha.
+    Under the mask a decoy slot keeps one of its two pulses, which clicks
+    with p1, and an odd boundary keeps each of its pulses with probability
+    1/2, so it clicks with (p0 + 2 p1 + q0) / 4.  Two odd boundaries around
+    one decoy slot share its mask, which keeps exactly one of them; that
+    moves P(K = j) by O(p**2) per shared pair and is neglected, so under
+    the mask K = Binomial(n_even, p1) + Binomial(n_odd, p_odd).
+    """
+    binom = scipy.stats.binom
+    p0, p1, q0 = bob.monitor_click_probability(config).tolist()
+    n = n_even + n_odd
+    k = next(k for k in range(n + 2) if _binomial_tail(k, n, q0) < config.alarm_alpha)
+    false_alarm = float(binom.sf(k - 1, n, q0))
+    below = np.arange(k)
+    accept = np.convolve(binom.pmf(below, n_even, p1), binom.pmf(below, n_odd, (p0 + 2 * p1 + q0) / 4))
+    return false_alarm, 1.0 - float(accept[:k].sum())
+
+
+@pytest.mark.parametrize("p_dark_mon", [0.0, 1e-5])
+@pytest.mark.parametrize("visibility", [1.0, 0.98])
+def test_verdict_rates_match_monte_carlo(visibility, p_dark_mon):
+    # 1000 pooled 10k-bit runs per attack setting; each run's abort chance
+    # is the closed form at its own checked boundaries
+    base = SimConfig(n_bits=10_000, visibility=visibility, p_dark_mon=p_dark_mon)
+    for attack in Attack:
+        aborts, expected, variance = 0, 0.0, 0.0
+        for seed in range(20_000, 21_000):
+            stats, transcript, _ = run(replace(base, attack=attack, seed=seed))
+            boundaries = transcript.messages["CoherenceCheck"]["boundaries"]
+            n_odd = int(np.count_nonzero(boundaries & 1))
+            false_alarm, power = _verdict_rates(base, boundaries.size - n_odd, n_odd)
+            assert false_alarm <= base.alarm_alpha
+            p = power if attack is Attack.AND_MASK else false_alarm
+            aborts += stats.verdict == "abort"
+            expected += p
+            variance += p * (1.0 - p)
+        assert abs(aborts - expected) <= 5.0 * math.sqrt(variance), (attack, aborts, expected)
 
 
 class TestTranscript:
