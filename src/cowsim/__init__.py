@@ -3,8 +3,6 @@
 from .alice import (
     DECOY,
     DecoyStrategy,
-    announce_coherence_checks,
-    checked_boundaries,
     coherent_boundaries,
     generate_raw_bits,
     insert_decoys,

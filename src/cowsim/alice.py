@@ -11,20 +11,13 @@ train is one uint8 pattern per slot, bit v set when bin v (0 = early,
 a decoy.  insert_decoys builds it, and it is also Alice's record of what she
 sent: a data slot's bit is pattern >> 1.  Every pulse has the same mean
 photon number mu.
-
-checked_boundaries picks the coherent boundaries Bob's monitor checks one
-block of slots at a time, so no array over all of them is ever built.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .engine import SimConfig
 
 __all__ = [
     "DECOY",
@@ -32,16 +25,10 @@ __all__ = [
     "generate_raw_bits",
     "insert_decoys",
     "coherent_boundaries",
-    "announce_coherence_checks",
-    "checked_boundaries",
 ]
 
 # slot patterns: data bit b is pattern b + 1, and DECOY lights both bins
 DECOY = 3
-
-# slots per block of checked_boundaries: a block's boundaries and uniforms
-# stay in cache, and the whole-train arrays are never built
-_BLOCK = 2**16
 
 
 def _check_range(name: str, a, stop: int, dtype=np.int64) -> np.ndarray:
@@ -162,33 +149,3 @@ def coherent_boundaries(train: np.ndarray) -> np.ndarray:
     coherent[:-1, 1] = (train[:-1] >> 1) & train[1:]
     return np.flatnonzero(coherent)
 
-
-def announce_coherence_checks(
-    boundaries: np.ndarray, config: SimConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniformly random subset of intact boundaries Alice publishes for checking,
-    each kept with probability config.f_coh (all, with nothing drawn, at 1)."""
-    boundaries = np.asarray(boundaries, dtype=np.int64)
-    if config.f_coh == 1.0:
-        return boundaries.copy()
-    keep = rng.random(boundaries.size) < config.f_coh
-    return boundaries[np.flatnonzero(keep)]  # an index gather beats a boolean one here
-
-
-def checked_boundaries(train: np.ndarray, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """announce_coherence_checks(coherent_boundaries(train), config, rng), one block of slots at a time.
-
-    Each block of _BLOCK slots is read with one slot carried past its edge,
-    for the cross-slot boundary between the two; of that block's boundaries
-    it keeps those below 2 * _BLOCK, which are all of the last block's, as no
-    slot is carried past it.  rng.random draws concatenate, so the checked
-    set and the generator's state after it are those of the whole-train call.
-    """
-    parts = [np.empty(0, dtype=np.int64)]  # the result, should the train be empty
-    for start in range(0, train.size, _BLOCK):
-        boundaries = coherent_boundaries(train[start : start + _BLOCK + 1])
-        boundaries = boundaries[: np.searchsorted(boundaries, 2 * _BLOCK)]
-        checked = announce_coherence_checks(boundaries, config, rng)
-        checked += 2 * start
-        parts.append(checked)
-    return np.concatenate(parts)

@@ -170,7 +170,9 @@ def _selftest_checks(config: SimConfig):
         a[1].to_jsonl() == b[1].to_jsonl() and a[0].to_lines() == b[0].to_lines()
     )
 
-    ideal = SimConfig(n_bits=2000, attack=Attack.AND_MASK, seed=config.seed, **engine._SATURATED)
+    # t_b = 1 leaves the monitor dark: saturated, it would click beside
+    # every lit slot and so take every slot out of the key
+    ideal = SimConfig(n_bits=2000, attack=Attack.AND_MASK, seed=config.seed, t_b=1.0, **engine._SATURATED)
     stats, _, _ = engine.run(ideal)
     yield "perfect key recovery under attack", (
         stats.sifted_len > 0 and stats.eve_recovery_fraction == 1.0 and stats.qber == 0.0

@@ -92,7 +92,6 @@ class SimConfig:
     decoy_strategy: DecoyStrategy = DecoyStrategy.SUBSTITUTE_PATTERN
     attack: Attack = Attack.NONE
     f_verify: float = 0.1
-    f_coh: float = 0.25
     alarm_alpha: float = 0.0013498980316300946  # Phi(-3): the one-sided 3-sigma rate
     seed: int = 1
 
@@ -119,7 +118,6 @@ class SimConfig:
         if self.tau_ns * 1e-9 < sys.float_info.min:
             raise ValueError(f"tau_ns must be > 0 with tau_ns * 1e-9 a normal float, got {self.tau_ns}")
         _check_unit("f_verify", self.f_verify, open_top=True)
-        _check_unit("f_coh", self.f_coh)
         for name in ("channel_t", "t_b", "eta_data", "eta_mon"):
             _check_unit(name, getattr(self, name))
         _check_unit("p_dark_data", self.p_dark_data, open_top=True)
@@ -180,14 +178,13 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
     rng_bits, rng_choices, rng_eve, rng_det = _streams(np.random.SeedSequence(config.seed))
     bits = alice.generate_raw_bits(config.n_bits, rng_bits)
     train = alice.insert_decoys(bits, config.decoy_strategy)
-    checked = alice.checked_boundaries(train, config, rng_choices)
     del bits  # freed before Bob's stage, to bound the run's peak memory
 
     mask = eve.generate_mask(train.size, rng_eve)
     sent = eve.apply_and_mask(train, mask) if config.attack is Attack.AND_MASK else train
 
     detected, monitor = bob.receive(sent, config, rng_det)
-    sift, transcript = run_sifting(train, detected, (checked, monitor), config, rng_choices)
+    sift, transcript = run_sifting(train, detected, monitor, config, rng_choices)
 
     eve_key = eve.reconstruct_key(mask, eve.observe_transcript(transcript))
     record = EveRecord(mask=mask, reconstructed_key=eve_key)

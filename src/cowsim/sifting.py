@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .alice import DECOY, _check_range
-from .bob import monitor_click_probability
+from .bob import _pair_level, monitor_click_probability
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -255,8 +255,8 @@ class Transcript:
         The whole text is one list of pieces, joined once: braces, keys,
         scalars, and each array's pieces from _list_pieces, so that arrays
         never pass through a list of Python ints and no line or list is
-        copied on its own.  An array held by several messages (the checked
-        boundaries) is formatted once and its pieces are reused.
+        copied on its own.  An array held by several messages (Bob's monitor
+        clicks) is formatted once and its pieces are reused.
         """
         pieces: list[str] = []
         arrays: dict[int, list[str]] = {}  # id -> pieces; the messages keep every array alive
@@ -362,19 +362,23 @@ def run_sifting(
     of which slots are decoys (pattern DECOY) and of each data slot's bit
     (pattern >> 1).  detected is Bob's (slots, values) pair of arrays, one
     detected bit each, with slots strictly increasing as receive returns them.
-    monitor is the (checked, clicked) pair: the boundaries Alice asked to be
-    checked, and the boundaries where Bob's monitor detector fired, as
-    integer positions in [0, 2 * train.size - 1), the checked ones strictly
-    increasing as Alice draws them.  MonitorReport flags each checked
-    boundary, in that order, that is among the clicked ones, which may come
-    in any order and repeat.  train must hold slot patterns 0 to DECOY,
-    index arrays integers in range and values 0 or 1, as integers or bools;
-    ValueError names the first input that does not.
-    Bob announces which slots he detected; Alice discards her decoys among
-    them, samples a verification subset of fraction config.f_verify that
-    both sides reveal, and keeps the rest as key.  The verdict aborts when k
-    of n checked boundaries clicked and P(K >= k) < config.alarm_alpha for
-    K ~ Binomial(n, q0), q0 being an intact pair's click probability.
+    monitor is Bob's monitor clicks: the interferometer boundaries k (bins k
+    and k+1) where his monitor detector fired, strictly increasing in
+    [0, 2 * train.size - 1) as receive returns them.  train must hold slot
+    patterns 0 to DECOY, index arrays integers in range and values 0 or 1,
+    as integers or bools; ValueError names the first input that does not.
+
+    Bob announces his detected slots and his monitor clicks (CoherenceCheck).
+    Alice flags each click that fell on a coherent boundary of her train
+    (alice.coherent_boundaries) and announces how many coherent boundaries
+    she sent (MonitorReport).  A flag tells of the data slots beside its
+    boundary (set at 2i + 1, it fixes slot i at 1 and slot i + 1 at 0), so
+    the slots k >> 1 and (k + 1) >> 1 of every click k leave the key before
+    the verification draw, as do Alice's decoys.  Of the rest she
+    samples a verification subset of fraction config.f_verify that both
+    sides reveal, and keeps the others as key.  The verdict aborts when k of
+    the n coherent boundaries clicked and P(K >= k) < config.alarm_alpha
+    for K ~ Binomial(n, q0), q0 being an intact pair's click probability.
     """
     train = _check_range("train", train, DECOY + 1, np.uint8)
     slots, values = detected
@@ -384,23 +388,23 @@ def run_sifting(
         raise ValueError("detected slots and values differ in length")
     if np.any(np.diff(slots) <= 0):
         raise ValueError("detected slots must be strictly increasing")
+    monitor = _check_range("monitor clicks", monitor, 2 * train.size - 1)
+    if np.any(np.diff(monitor) <= 0):
+        raise ValueError("monitor clicks must be strictly increasing")
 
-    checked, clicked = monitor
-    n_boundaries = 2 * train.size - 1
-    checked = _check_range("checked boundaries", checked, n_boundaries)
-    clicked = _check_range("clicked boundaries", clicked, n_boundaries)
-    if np.any(checked[1:] <= checked[:-1]):
-        raise ValueError("checked boundaries must be strictly increasing")
-    # each click looks up its place among the checked boundaries and flags it on a hit
-    at = np.searchsorted(checked, clicked)
-    inside = at < checked.size
-    at = at[inside]
-    clicks = np.zeros(checked.size, dtype=np.uint8)
-    clicks[at[checked[at] == clicked[inside]]] = 1
+    flags = (_pair_level(train, monitor) == 2).view(np.uint8)
+    # coherent_boundaries(train).size, counted without building its array
+    n_coherent = int(np.count_nonzero(train == DECOY))
+    n_coherent += int(np.count_nonzero((train[:-1] >> 1) & train[1:]))
 
     is_decoy = train[slots] == DECOY
     decoy_detected = slots[is_decoy]
-    remainder, remainder_values = slots[~is_decoy], values[~is_decoy]
+    beside_click = np.zeros(train.size, dtype=bool)
+    beside_click[monitor >> 1] = True
+    beside_click[(monitor + 1) >> 1] = True
+    keyable = ~is_decoy
+    keyable &= ~beside_click[slots]
+    remainder, remainder_values = slots[keyable], values[keyable]
 
     verify_mask = rng.random(remainder.size) < config.f_verify
     verify_slots = remainder[verify_mask]
@@ -411,10 +415,10 @@ def run_sifting(
     n_verified = reveal_alice.size
     qber = int(np.count_nonzero(reveal_alice != reveal_bob)) / n_verified if n_verified else 0.0
 
-    n_clicks = int(np.count_nonzero(clicks))
-    break_rate = n_clicks / checked.size if checked.size else 0.0
+    n_clicks = int(np.count_nonzero(flags))
+    break_rate = n_clicks / n_coherent if n_coherent else 0.0
     q0 = float(monitor_click_probability(config)[2])  # an intact pair's, as all are without Eve
-    verdict = "abort" if _binomial_tail(n_clicks, checked.size, q0) < config.alarm_alpha else "accept"
+    verdict = "abort" if _binomial_tail(n_clicks, n_coherent, q0) < config.alarm_alpha else "accept"
 
     alice_key = train[kept] >> 1
 
@@ -426,8 +430,8 @@ def run_sifting(
         "VerificationReveal",
         {"slots": verify_slots, "alice_bits": reveal_alice, "bob_bits": reveal_bob},
     )
-    transcript.append("CoherenceCheck", {"boundaries": checked})
-    transcript.append("MonitorReport", {"boundaries": checked, "clicks": clicks})
+    transcript.append("CoherenceCheck", {"boundaries": monitor})
+    transcript.append("MonitorReport", {"boundaries": monitor, "clicks": flags, "coherent": n_coherent})
     transcript.append("Verdict", {"verdict": verdict})
     transcript.append("KeyIndices", {"slots": kept})
 

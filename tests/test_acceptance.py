@@ -33,7 +33,7 @@ def test_criterion_1_table1_reproduction():
     slots, values = detected
     ok = (slots.tolist(), values.tolist()) == ([0, 3, 4, 5], [0, 1, 0, 1])
 
-    monitor = (np.array([], dtype=int), np.array([], dtype=int))
+    monitor = np.array([], dtype=int)
     result, transcript = run_sifting(
         train, detected, monitor, SimConfig(f_verify=0.0), np.random.default_rng(0)
     )

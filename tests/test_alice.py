@@ -1,19 +1,15 @@
 import contextlib
 import inspect
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from cowsim import alice
 from cowsim.alice import (
     DECOY,
     DecoyStrategy,
-    announce_coherence_checks,
-    checked_boundaries,
     coherent_boundaries,
     generate_raw_bits,
     insert_decoys,
@@ -384,77 +380,6 @@ class TestBoundaries:
 
     def test_cross_slot(self):
         assert coherent_boundaries(_train(ONE, ZERO)).tolist() == [1]
-
-    def test_announce_all_or_nothing(self):
-        rng = np.random.default_rng(0)
-        b = np.arange(100)
-        state = rng.bit_generator.state
-        assert announce_coherence_checks(b, SimConfig(f_coh=1.0), rng).tolist() == b.tolist()
-        assert rng.bit_generator.state == state  # keeping every boundary draws nothing
-        assert announce_coherence_checks(b, SimConfig(f_coh=0.0), rng).size == 0
-
-    def test_announce_fraction(self):
-        rng = np.random.default_rng(0)
-        picked = announce_coherence_checks(np.arange(10_000), SimConfig(f_coh=0.5), rng)
-        sigma = (10_000 * 0.25) ** 0.5
-        assert abs(picked.size - 5000) < 3 * sigma
-
-
-def _whole_train_checks(train, f_coh, seed):
-    """The checked set and generator state of the stage run over the whole train at once."""
-    rng = np.random.default_rng(seed)
-    checked = announce_coherence_checks(coherent_boundaries(train), SimConfig(f_coh=f_coh), rng)
-    return checked, rng.bit_generator.state
-
-
-def _blocked_checks(train, f_coh, seed, block):
-    rng = np.random.default_rng(seed)
-    with mock.patch.object(alice, "_BLOCK", block):
-        checked = checked_boundaries(train, SimConfig(f_coh=f_coh), rng)
-    return checked, rng.bit_generator.state
-
-
-class TestCheckedBoundaries:
-    """checked_boundaries, block by block, against the whole-train stage."""
-
-    @pytest.mark.parametrize("block", [1, 2, 3, 2**16])
-    @pytest.mark.parametrize("f_coh", [0.0, 0.25, 1.0])
-    @pytest.mark.parametrize("strategy", list(DecoyStrategy))
-    @settings(deadline=None, max_examples=30)
-    @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=80), seed=st.integers(0, 2**32 - 1))
-    def test_same_set_and_generator_state(self, strategy, f_coh, block, bits, seed):
-        train = insert_decoys(bits, strategy)
-        checked, state = _blocked_checks(train, f_coh, seed, block)
-        expected, expected_state = _whole_train_checks(train, f_coh, seed)
-        assert checked.dtype == np.int64
-        # sifting reads the monitor flags by a search that relies on this order
-        assert np.all(checked[1:] > checked[:-1])
-        assert np.array_equal(checked, expected)
-        assert state == expected_state
-
-    @pytest.mark.parametrize("block", [1, 2, 3])
-    @settings(deadline=None)
-    @given(st.lists(st.sampled_from([ZERO, ONE, DECOY]), min_size=1, max_size=40))
-    # a cross-slot boundary across a block edge, found through the carried
-    # slot, then a decoy just past an edge, which only the next block reports
-    @example([ONE, ZERO])
-    @example([ZERO, DECOY])
-    @example([ZERO, ONE, ZERO, ZERO])
-    @example([ZERO, ZERO, DECOY, ZERO])
-    def test_any_train_every_boundary(self, block, patterns):
-        train = _train(*patterns)
-        checked, _ = _blocked_checks(train, 1.0, 0, block)
-        assert np.array_equal(checked, coherent_boundaries(train))
-
-    @pytest.mark.parametrize("strategy", list(DecoyStrategy))
-    def test_long_train_in_real_blocks(self, strategy):
-        # several blocks of the real size, and a partial last one
-        bits = generate_raw_bits(3 * alice._BLOCK + 12_345, np.random.default_rng(11))
-        train = insert_decoys(bits, strategy)
-        checked, state = _blocked_checks(train, 0.25, 5, alice._BLOCK)
-        expected, expected_state = _whole_train_checks(train, 0.25, 5)
-        assert np.array_equal(checked, expected)
-        assert state == expected_state
 
 
 class TestRoundTrip:

@@ -55,24 +55,16 @@ def _slot_train(bins, n_slots):
     return occ[:, 0] | occ[:, 1] << 1
 
 
-def _sift_monitor(checked, clicked, n_slots=None):
-    """run_sifting's (result, transcript) for the monitor's (checked, clicked)
-    and nothing detected, on n_slots slots: by default the fewest whose
-    boundaries 0 .. 2 * n_slots - 2 hold every given one."""
-    if n_slots is None:
-        n_slots = (max(np.max(checked, initial=0), np.max(clicked, initial=0)) + 1) // 2 + 1
+def _sift_monitor(train, clicks):
+    """run_sifting's (result, transcript) for Bob's monitor clicks on a
+    slot-pattern train, with nothing detected."""
     return run_sifting(
-        _train([ZERO] * n_slots),
+        train,
         (np.array([], dtype=np.int64), np.array([], dtype=np.uint8)),
-        (checked, clicked),
+        np.asarray(clicks, dtype=np.int64),
         SimConfig(f_verify=0.0),
         np.random.default_rng(0),
     )
-
-
-def _break_rate(checked, clicked):
-    """The monitor break rate run_sifting reports for (checked, clicked)."""
-    return _sift_monitor(checked, clicked)[0].break_rate
 
 
 class TestReceive:
@@ -492,8 +484,9 @@ class TestMonitor:
         assert monitor.tolist() == clicked
 
     def test_empty_checked(self):
-        result, transcript = _sift_monitor(np.array([], dtype=np.int64), np.array([3, 5]))
-        assert transcript.get("MonitorReport")["clicks"] == []
+        # Bob announces no click, so Alice checks none and flags nothing
+        result, transcript = _sift_monitor(_train([DECOY, ONE, ZERO]), [])
+        assert transcript.get("MonitorReport") == {"boundaries": [], "clicks": [], "coherent": 2}
         assert result.break_rate == 0.0
 
     def test_broken_pair_click_rate(self):
@@ -504,16 +497,17 @@ class TestMonitor:
         config = SimConfig(channel_t=0.5, t_b=0.9, eta_mon=0.8, p_dark_mon=0.0)
         _, monitor = receive(train, config, np.random.default_rng(6))
         checked = np.arange(0, 2 * train.size - 1, 2)
-        rate = _break_rate(checked, monitor)
+        rate = _grid(monitor, 2 * train.size - 1)[checked].mean()
         p = 1 - math.exp(-0.8 * 0.1 * 0.5 * 0.5 / 4)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(rate - p) < 5 * se
 
     def test_monitor_outcome_subset(self):
-        # a click at a boundary outside checked does not count
-        result, transcript = _sift_monitor(np.array([0, 1, 2]), np.array([1, 4]))
-        assert transcript.get("MonitorReport")["clicks"] == [0, 1, 0]
-        assert result.break_rate == pytest.approx(1 / 3)
+        # bins 11 01 10: boundaries 0 and 3 are coherent, and a click at a
+        # boundary off them (1, a lone pulse) does not count
+        result, transcript = _sift_monitor(_train([DECOY, ONE, ZERO]), [1, 3])
+        assert transcript.get("MonitorReport")["clicks"] == [0, 1]
+        assert result.break_rate == pytest.approx(1 / 2)
 
 
 def _detect_on_grid(clicks):
@@ -584,18 +578,16 @@ class TestIndexFormulation:
         assert values.dtype == np.uint8
 
         # the MonitorReport line against the gather from a per-boundary grid
-        monitor = rng.random(2 * n_slots - 1) < p_click
-        checked = np.flatnonzero(rng.random(monitor.size) < 0.5)
+        # of pairs of occupied bins, read at the clicked boundaries
+        clicked = np.flatnonzero(rng.random(2 * n_slots - 1) < p_click)
         _, transcript = run_sifting(
-            _train([ZERO] * n_slots),
-            (slots, values),
-            (checked, np.flatnonzero(monitor)),
-            SimConfig(f_verify=0.0),
-            np.random.default_rng(0),
+            train, (slots, values), clicked, SimConfig(f_verify=0.0), np.random.default_rng(0)
         )
+        coherent = occupancy[:-1] & occupancy[1:]
         report = transcript.get("MonitorReport")
-        assert report["boundaries"] == checked.tolist()
-        assert report["clicks"] == monitor[checked].astype(int).tolist()
+        assert report["boundaries"] == clicked.tolist()
+        assert report["clicks"] == coherent[clicked].astype(int).tolist()
+        assert report["coherent"] == np.count_nonzero(coherent)
 
 
 class TestMonitorReport:
@@ -604,16 +596,15 @@ class TestMonitorReport:
         data=st.data(),
     )
     def test_flags_match_grid_gather(self, n_slots, data):
-        # the gather engine made before sifting took click positions: the
-        # clicked boundaries on a per-boundary grid, read at the checked ones.
-        # checked is strictly increasing, as Alice draws it, and may be empty;
-        # clicks may fall outside it.
-        n = 2 * n_slots - 1
-        checked = sorted(data.draw(st.sets(st.integers(0, n - 1))))
-        clicked = sorted(data.draw(st.sets(st.integers(0, n - 1))))
-        checked = np.array(checked, dtype=np.int64)
-        clicked = np.array(clicked, dtype=np.int64)
-        result, transcript = _sift_monitor(checked, clicked, n_slots)
-        expect = _grid(clicked, n)[checked]
+        # any occupied bins, and any clicks, strictly increasing as Bob
+        # announces them: a flag is the per-boundary grid of pairs of
+        # occupied bins, read at the click
+        occupied = data.draw(st.sets(st.integers(0, 2 * n_slots - 1)))
+        clicked = np.array(sorted(data.draw(st.sets(st.integers(0, 2 * n_slots - 2)))), dtype=np.int64)
+        occupancy = _grid(sorted(occupied), 2 * n_slots)
+        coherent = occupancy[:-1] & occupancy[1:]
+        result, transcript = _sift_monitor(_slot_train(sorted(occupied), n_slots), clicked)
+        expect = coherent[clicked]
         assert transcript.get("MonitorReport")["clicks"] == expect.astype(int).tolist()
-        assert result.break_rate == (expect.sum() / expect.size if expect.size else 0.0)
+        n_coherent = np.count_nonzero(coherent)
+        assert result.break_rate == (expect.sum() / n_coherent if n_coherent else 0.0)

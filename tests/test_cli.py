@@ -355,6 +355,8 @@ class TestCommands:
             (["run", "--set", "alarm_alpha=0"], "alarm_alpha"),
             # the threshold of the 3-sigma rule went with the rule
             (["run", "--set", "alarm_threshold=0.5"], "unknown configuration key: 'alarm_threshold'"),
+            # every coherent boundary is checked, so the checked fraction went
+            (["run", "--set", "f_coh=0.25"], "unknown configuration key: 'f_coh'"),
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, argv, key):
@@ -402,7 +404,7 @@ _RANGES = {
     "tau_ns": (sys.float_info.min / 1e-9, _BIG),
     **dict.fromkeys(
         ["channel_t", "t_b", "eta_data", "eta_mon", "visibility"]
-        + ["p_dark_data", "p_dark_mon", "f_verify", "f_coh", "alarm_alpha"],
+        + ["p_dark_data", "p_dark_mon", "f_verify", "alarm_alpha"],
         (0.0, 1.0),
     ),
 }

@@ -18,7 +18,7 @@ n_bits=100_000 also carry digests, so output that differs only on long
 trains shows too.  Every grid size is a multiple of 8, so three noisy
 sampled AND-mask runs at n_bits=2003, one per decoy strategy, pin the
 last partial byte of Alice's raw bits and of Eve's mask.  One noisy
-substitute-pattern AND-mask run at n_bits=600_000, whose checked boundaries
+substitute-pattern AND-mask run at n_bits=600_000, whose monitor clicks
 reach 1.2M, pins the transcript's seven-digit numbers.
 
 Every run above is also read back by Transcript.from_jsonl, and the
@@ -161,196 +161,196 @@ def cli_digests(argv, out, capsys):
 # (to_jsonl sha256, to_lines sha256) per grid point
 GOLDEN_RUNS = {
     "1-frame-header-andmask-random-deterministic": (
-        "60f7517a517227385c3c91170c8a2276b1d25d0a6755d3751d5e72ddda1ecb88",
-        "7ac1c022ca90b6308b41d69c14ce2268249c74fdacea8cf90b7a008f522a3d16",
+        "b7d95f94b6a4ee4e562db062af2f4c2993c610ba950652ebd0121b39055e4144",
+        "0c0d47e4f6708ce9fc8bc8e6afc1e3040b82adf9b63f4523f7660f9c87049061",
     ),
     "1-frame-header-andmask-random-deterministic-noisy": (
-        "0601e4f6792c0d7b33616471d2566f8d7a7a780d899421de171a9ecce2d47efe",
-        "92ffb365ef898e291beef2f0ef69a4daa36f4d5728bf995bd809f3291501e11a",
+        "3d4332decefbfa2951038aca2a21e6ab583d2e8c7f458a8388e431fdf157df02",
+        "fb85a1b3fe218d9ce1234ac6c820629b68aecf42b936641cf2583aee28c75a40",
     ),
     "1-frame-header-andmask-random-sampled": (
-        "8b569d1c0a2d8f259f5f6cc494407170f86841d4cb23c6c6dcbfe81544ddb311",
+        "06d73256a2aa2e75674260380959ea42144148d455aed0d5a4231927b9258587",
         "606d890338003252a58930040b322d23269ff29a1aac3530add0548d0f9f4351",
     ),
     "1-frame-header-andmask-random-sampled-noisy": (
-        "b79904f40a2df4fbc8381f7f33611eb3b5475e3c090ea4490d311a384559202c",
-        "10f7c466c4729f205e59bd2e4fb787003a9bdaa60004061666cb9ab5d541c019",
+        "f063b65f291f72949ee0e7c942219721385074897979a64d6d8b0c2a5313fd56",
+        "26134d69db999262e8f6c835f0df5ff6e8200207f3790d8f3373cf09871006c9",
     ),
     "1-frame-header-none-random-deterministic": (
-        "1141125194e05b05c639d3ce068107818b2762c5943d0b73f7a3cf37e81d121d",
-        "8273db166cf0cd233e972cfc28f2393eda3adcc03837ebdca806aa9876140310",
+        "97794d071e43a10aaeca03d37eb8c72aa0fe06d3925e70001dfd47c5e1bd0bcf",
+        "cecf721a1849bbaaff870d739b674ba68c93afa2397e61f87c1c912c91d3adcd",
     ),
     "1-frame-header-none-random-deterministic-noisy": (
-        "4ee2a293ba1638185535f5cd403cc05121868fe9998974710bba2c1a8d2f3975",
-        "708f539910b6839a5e71edd4df68e90bbda0e5224e628e8851d186048a36953c",
+        "e5e100dd4766ac060fcc7995979d820e78b9866c4b05ce336efcd9b54879136d",
+        "dfb52eae72e39eb2063be93a4c660d1466b06fd16860bf8e366e01342fcbe622",
     ),
     "1-frame-header-none-random-sampled": (
-        "639d2de5fd3cd5309852fa6d1253881d7d346cc84d4303590e8edef41b151216",
-        "3815727842e841ce89ef081d67c47d17d5e1331109ff705cd47c62ef05fa90ff",
+        "edbb1a26ed7f94dc0cc8c67e87b02c51383ee193239ea27fc91d2ab1d385c398",
+        "e22eeb71c7aa70a1d130a473731e269e568e62d463fa03bdb16aa4320dc1f252",
     ),
     "1-frame-header-none-random-sampled-noisy": (
-        "a67210d46a9dcdc24032a1fc46dd12351d446e158b69022f2a42702995cbd005",
-        "9bee4f09df766998d60457d8db8a583b8fd258c645cbe2a832f3eb5636af5e4a",
+        "235f60edfc5fbcf98af10327fc4151bf5ebea098cef3d76e2da45db2f8d40577",
+        "d6035dd755f1b1610069a78456ccbe6b225f77767ad1e01ff6a7ac23101680ae",
     ),
     "1-none-andmask-random-deterministic": (
-        "07a2940368f32405cc4e57fdd7616ff242f0868de91d22c6d641929764737e3f",
-        "6b0f69466ba99c6068200c83e36e387c9114544c417e2ad3d76049b8e52b340e",
+        "f92816591d54830782d8c9a2684ad2832f8b1ec0e293a9e40f667fce58e0b806",
+        "0c3abaeaac49d49531dd3acccdc4a6a6ab9c0cde1a6d13c2e479a7f7db66e3e0",
     ),
     "1-none-andmask-random-deterministic-noisy": (
-        "baa97f56f849f536e3ac0f9b4b19e72adcdb1343f1f5819ad769c926aeae084b",
-        "535123bc9de9a6575cf2510e5e29589a24933ab99fb259b7039d233a6a7083c9",
+        "e5e357716f9a346a15abaf5534e755f36dc553524fe4cb6e57e40ab72fa68dde",
+        "f5e0751a276040db9f6648cfcd57ab1c0c6ccc199b6a8269db670b3e51b57542",
     ),
     "1-none-andmask-random-sampled": (
-        "6732907b1e2c6deb7712e3d64c97c08295cb0412b7619137dbb21aabdae8dd56",
-        "deffb484e98584608f72e98b7c8d8fba80ad4e9e16a3159b6586ab39fc8149b1",
+        "3f494f794e4de8360a4d00b32a4173c6f56127a6ad21a9d8d732a9b6c69ef4be",
+        "12c0addbc4b92438295711c4ae57873fee9b945c6a85bb75d3c4206581289684",
     ),
     "1-none-andmask-random-sampled-noisy": (
-        "91f5001fd4d47fb50430cb99056804b2a79650b5dd02cf0780f4ef8a9d142d8c",
-        "549eab152ad812b2eaa7ba7fcc6479aff12bb3dd4272c46a1e541d36a2b3852e",
+        "23d662a513a2b8a5ec8ab90261a59999d4e5ffc0b46bf00f4cd86b507d07f187",
+        "39d1d8481e943600000958aba2a6e7c4b44ce3f859b44acc405590d45e64f661",
     ),
     "1-none-none-random-deterministic": (
-        "f77dbe45d8ccc9e3109140b74daa3ec95a993148dd615457c383a2a3aadce281",
-        "5c0c8e5f0c70b6eaa675c7c1acde3b0c1f1df5e6dd358015c334cd1df045c827",
+        "57c0937b774db5ee2df4389f429e827d75f749d7f924a68829c90488553d4bd5",
+        "4fd224e708235a6c03e2722fcdea4a2b3082da418dfb636920a6054f55e76589",
     ),
     "1-none-none-random-deterministic-noisy": (
-        "a10e957e751a3844a68f50af51d4b7435030112454ac23726144be643cdeb122",
-        "e394169a29930d3b3e1cf3b0c59c77491fea3b92c2611cd097c973c6807caa92",
+        "0ec286a8c6cb49d623e945a6201f64edf3b11a65e579d20ea407e6f02228e294",
+        "cb398dcce92fed1848597bada59b8d30ec2c61afc8ab9fe8ca1500ff409fe740",
     ),
     "1-none-none-random-sampled": (
-        "45a601317ea2f945bf3bda6a13a94de7c02e5ef4d3eec8da18e8be14ed86a6a5",
-        "4977bd571396999afed08be5c1d549d13ceae42735dfb207575012ea40b69248",
+        "cd392675611a173e051aebcaad2039886407076aba1135fb4017bc265fe7b35d",
+        "ee964de27bb423e72c4bd93e115e44f989ac57d183c3907416b30e799b48a996",
     ),
     "1-none-none-random-sampled-noisy": (
-        "938b670c47017edcd7e9a3d792055275d9d3f951383884297bb008eb4aaff84f",
-        "bbf37efa572c6be380f75f990db1ceddd610423e3f26f150287b0b995e803666",
+        "ffefd00fda2b5c6ef1c772c9bbac5d53c795d7303a14eaf01a781593c4d1aaf7",
+        "de8a25b6f0f31d49a73900db723844d180fda4b34b5643140a3e44a27cb791ce",
     ),
     "1-substitute-pattern-andmask-random-deterministic": (
-        "dd8f3077af1b1c9762acda842b91c5681d2eebb36253e7e994cc4e671970d89a",
-        "e4d82ba6bf9d205f08a73cd0f7a8e79144b73fd975818c3b3fa865c932b7e2f8",
+        "46f6ae639d103c430886b39c526338bcaedbe9b17a151a132c364ecc1139ab4b",
+        "d7c772618fcaf4d14057c54353cd1f5083ecbad7e0d33c2efa8d3a5b9040a9fb",
     ),
     "1-substitute-pattern-andmask-random-deterministic-noisy": (
-        "0ac75a73ba4f22d3beafe33f1065959a13609bd57e88046bb5ffca3461625d76",
-        "f57d4d68509c14c30dd9ad14e1fe144e1aae329996afff886ca1f04ed0299212",
+        "974a6a6169ca2ac9df285f3e1136494c04273c7c2eb8cf6dc8f147ad7a19069f",
+        "57a4e89003c4a88228d738e7a68e89c95df22a11e0e0c241fa6062504640fb1c",
     ),
     "1-substitute-pattern-andmask-random-sampled": (
-        "11ca696c471176188c71dabeacb516eafa013cfb43a86d3acc135bbbfc7ade11",
-        "b1fac33cccd2064f2a4fdc42256e88f0f9d1bb4d53a5adff6898a4ea7817275e",
+        "060c4282c217540aecee1de7d77e39bde39fe4cab35842aea9f74608577bbb69",
+        "b0f27d978fdf276fb4ca0420b0cc82bd2600493eda7db5803eb64a7f03b7b4ab",
     ),
     "1-substitute-pattern-andmask-random-sampled-noisy": (
-        "41887054dd3e18c61487bdf9d6250a7ee3be561b61ec0849d2926608f633334b",
-        "09238e571eb3c8d971a2a588f7efdca6af9079e1d672f0d9ccad7bfb9af94e85",
+        "e2bcb8fcb6b90c0c29605aeb21df38fbed1a41d367a7d21297e9590e2046f47b",
+        "f223d6aa41c14aa91ba62d9ed596dd05f6d96217441163c686c4baa8a6ee891a",
     ),
     "1-substitute-pattern-none-random-deterministic": (
-        "6542a82bf8c37e16636c2ac9129b5bbb0f197cd1ea0066f13c22efc4060613c4",
-        "3e458356120b1517d78650d9fbc04e9b9caf63260402f491693f604206f322ff",
+        "bc3b05f39cd7c14a66fe193be6d6aa3a9d8c55872ea3baa5504b8252feb8ac4b",
+        "b30774034cd1a11cfd7af9a42a59eee5369ad1f767c803a962f1f2f53155a406",
     ),
     "1-substitute-pattern-none-random-deterministic-noisy": (
-        "3f4236860e67b0f593cddad939aaf0465bc8d89a0c40c4424972cd90de23e5f2",
-        "93b41ad331def46e838d01450258dc6b9abe86d97c69ccd8004643f22ad4dcaa",
+        "2d9fa50d2bf36c3d5cfb54e265072e4ed6cc126e1382663a00417676dd70bcec",
+        "978a629f9538d01cac9d9fcc1ceef331ebde88371177995d97b167ba4b394295",
     ),
     "1-substitute-pattern-none-random-sampled": (
-        "60424d824b89c6bb7e599797a0cd438dbee88b6ea7bc80f8b5643fb1e4a2fce5",
-        "cbfaccc5123b0003ae8e8ba39bed389d516a972669940466792c1430368e6bc7",
+        "b43a506ccf4cfd22a388e0282f5f0955d8daee3b75e39337e434cf792056f16f",
+        "3de3eea3a19b2abde29ee7583359c2d723685092481bc171061a97a3d221c572",
     ),
     "1-substitute-pattern-none-random-sampled-noisy": (
-        "3d7ea82fc0580131d051e6a24f6090c964ca4079975d8c4b88fe6b9f8340a0b9",
-        "4f06b07d9102be043584191823b702dab5cdac201b741dfedb1d66c89a25b2ac",
+        "b5e5fa100f2a339a06e29af7bdd7c98d8ad199e30ea73705bc2438776a859517",
+        "6100ace648c1ff0e3852a12064d10401bc429ab93835eb0a50fbd1c837de094d",
     ),
     "2-frame-header-andmask-random-deterministic": (
-        "47e6b2dc43be180d369f09fa255c74a62a7f1643db09ab1b3f9087e9e994ddc7",
-        "8036a7cd480634fef525b743bf72594826b34b04699bd5b4c19c7997d3353f0d",
+        "4ff4036f13b0904826737d09079609ddc70d562c0ab924e5076207a0dd700e3b",
+        "69a764c78200a96337a143eb89abf99848c5d1833110952a6d5c871b897c9778",
     ),
     "2-frame-header-andmask-random-deterministic-noisy": (
-        "9b8a3d84a54985ba00a3fc445d306aa7b6033704782312e0da5c0d3ae4dc8efc",
-        "33404f738b83374666932ac4946495580464ba394118185b8d32732caefc4a5c",
+        "94d5488366606d52732c373151ac2b8b12ac21915dfa82384833cc5889229ce2",
+        "0050720161e4dee26f0f869a7f956924ac54baadb9620578fb4457d3d5f9e04d",
     ),
     "2-frame-header-andmask-random-sampled": (
-        "8ee67c4f73467c5bcad66fff2ea384fedab7daccc4f3c2ca1473f2afb3628f50",
+        "92e7398736bb57ef9803b86076c4676b2bd86e2aa057410ef3edd66079321e9a",
         "bf20dd9726a6adf608382a679b519c58a9ca04177d68083a32844155ec6d2599",
     ),
     "2-frame-header-andmask-random-sampled-noisy": (
-        "3815c8927341af8105f19cb3d1004b78cbf906b6e9a58a7b2a5e727852e35054",
+        "196488cfe475ca4a730aa98b978ee7d5584c0034812cac74134a9091638c0a46",
         "363db40bf7b2967abf5a9bdb8f824a7cc807b8dec517776e3c8f792520f0f971",
     ),
     "2-frame-header-none-random-deterministic": (
-        "7e9ed8f44dc693aa447e87707b5ad39448332577f4fce16437984425e3349ec8",
-        "a8ae0976fdf8757bf5495f5a714d5d7a36966342af95d056c193e646bb30a8f8",
+        "8fb47180c6ac7dba8a675a4059c3941d5583ae6777423acb2d782d9d4fd6c0b9",
+        "cecf721a1849bbaaff870d739b674ba68c93afa2397e61f87c1c912c91d3adcd",
     ),
     "2-frame-header-none-random-deterministic-noisy": (
-        "27e56d7bfcd957a884bfc4c3358d1f6177ef70e5c4bbc31bb50eb20f310259fd",
-        "11b8f7d46e7b7006aae0e0a5523c21d8a0a75cbd1f7af6d4db631b583ac9de29",
+        "46c73fc35c0bdada4ebbf91cfdc5b71e0523ed335cc49c2fa3de96b03454f8c2",
+        "dfb52eae72e39eb2063be93a4c660d1466b06fd16860bf8e366e01342fcbe622",
     ),
     "2-frame-header-none-random-sampled": (
-        "a8955d09e75c0ba1bf79bb2b7dd86fafab2f52a89c831d1d0d94b5f5fb6e09f7",
-        "8439e10d74dc5ddcb1639676cd5314102ae91e7ee9a3b859d65e70c51cd6d0bc",
+        "89fafaf53056a44845b5b41dde409e0c236a7328177b0fb685b2e1c8698814ed",
+        "1187d6c28fa8fb057b0bba522887ecacbed93394cc1e8482dfec2c27246763d1",
     ),
     "2-frame-header-none-random-sampled-noisy": (
-        "b1dbfb0a8442077a30f5ee926cfe6aaad41aed2121f95939095e5ef9872f719a",
-        "08c6eaf8efa0f418b8a046ab2f7ba55b6955e7b41bce986edcbcd7392bddc678",
+        "7199ae1bb6f03a29709c618d3aadd7bc08d80c153a2e1bc1597e2324077ce9ce",
+        "d8dfae4ed45e84924aeb9ee8c9b2b79d9375b1bcb2afa85f0451f9507d443ca3",
     ),
     "2-none-andmask-random-deterministic": (
-        "7cc50c1f9934ac24febe8513ec79b80bf1c2631db552cd1f89a3210b209e90ab",
-        "dff906b828c9c908c3f30487d4b17c47de7f5d186c24322c2e01220e615c66cd",
+        "e4ed3b43d19d355fbebb2c8a6f1e74abdb6433b7572a217ce68004c55227c06e",
+        "86178f82ce92be7d1ed897fd847147400ab923f0a37c242317308c26f5248c51",
     ),
     "2-none-andmask-random-deterministic-noisy": (
-        "27e48f2bb89565b9245606046c411d6c23f8e0aec3750a6de4a89959baf8faf5",
-        "d4171039ff1f7aa7a18e93e33043647e972960565b26d5e4ac9cc5569661f2c7",
+        "799bc683a31efaf2ed2c7b82bba572c24cf5783c1ee6edef5f25c4db1d72c5cb",
+        "1c9b0744872348680b65f85495b880c0e873dfbdb88d7e0be05a5b276f5756a0",
     ),
     "2-none-andmask-random-sampled": (
-        "ceb10ed665cf1c3c4ccd1d27741d8d31557fd6b595429a9cbd952ad052b6946b",
-        "7c2d89ae8acb3b59f3076a3407bb449436f79fce17f12609d305223d81c8a0f0",
+        "54b4f9754ccf40e827e6a2bbfa273fecc2433b8778bd997ac893a3fb3ec3c043",
+        "3ee51276a07eee0d4566afdf4b14142772f284a28444f6461bf0f406732300ad",
     ),
     "2-none-andmask-random-sampled-noisy": (
-        "54508df6e2371fc010fed74b5c7859161c9214d8148da5426d7ccfe7e4c31ae2",
-        "1b4d71a9762c50fd06325fd1808a31682ce3ab95d1c81a8c818ebc318bcc443b",
+        "ff838e371076a97e79428aeb56379c0411634746ca5fe169b74417aa7af0f8d5",
+        "5c9e92a11c3bc2506385844ddb6c5e894b013209f02e05675b857cc87a19e463",
     ),
     "2-none-none-random-deterministic": (
-        "8066e89b7e0118f6b8c449ae31ed9a34503b921563b5da8e7a2f3ecba8f75cfc",
-        "2bd130f61128e097b3c984bdf2bb7c6d0e1b7538168e40d84adf940dbdc328d2",
+        "c2f2c66865ff41405ea2e77b7020d639cbfbe714270100faf8e6988ad363c700",
+        "4fd224e708235a6c03e2722fcdea4a2b3082da418dfb636920a6054f55e76589",
     ),
     "2-none-none-random-deterministic-noisy": (
-        "8f81622085b3503c97f08dc8e3b8c4b1e3827bcb3cd00b8192c5744afeeb1755",
-        "02ca7f23a82bc9b0b38f5fbe5826ca8d59ea208ac574dfaafd11c6f821eae004",
+        "98d8781b4c111c072f6fdb15c3c18aeed1cf830857deaf727b095fddd5719dac",
+        "cb398dcce92fed1848597bada59b8d30ec2c61afc8ab9fe8ca1500ff409fe740",
     ),
     "2-none-none-random-sampled": (
-        "48aacfe3c2388696d69209bbe788f5ceeeabbdbb9975bfbf86f533ca3afcb7ab",
-        "eed0d95752fa0728430d4f0709597abd33c1b6d3dd7145fb49ed60c1ccbb61c4",
+        "0894501f2c80273456c889fcfa4102b9226db17e381c29dbd5c19f6cee47d6c2",
+        "ddb01a19858e880ce9ff3c1ce02e2865e814f875394cc255b9a4205e245122ff",
     ),
     "2-none-none-random-sampled-noisy": (
-        "8b84899afd529b46ae3bc8d543960738a698782decd6ee66b01881bdcc707a08",
-        "5262f5bae629a862b8007d40dde30427b0a02446000f8945f4a7c57746c30ba6",
+        "414d21d75c7baa78e107efaeb5a4aafaa88bd82c9d737bc2b1ea8ad5e3626ae9",
+        "571c83ab9c27d844614072867ddaf2beaf95adfbf14118675aacb23264aee541",
     ),
     "2-substitute-pattern-andmask-random-deterministic": (
-        "48336f0ffa7967cc7ffbcba2b6ee2db28bf73dae878d51535a5459cfc350d4bc",
-        "6b20701a9183c6c26246e693cdf50c6e3d255b80dfbc6fcdc2717d122abfe711",
+        "180ccbddef28b2d4fb699b83d72224a2c4df373a038db8d089a57a0df9d80268",
+        "c8fe2c1d2bb1c897f8cc3003dbb852ef26fb00ae0ed1a297fb9b7da2c34c1d8a",
     ),
     "2-substitute-pattern-andmask-random-deterministic-noisy": (
-        "b85c7c3afae1b619f73651b1bb7034ab8be5188ce0a9334b362366a76859d595",
-        "386ea41a566b3554a8f247e2b1c90eb75373b4c2569a7fd66909a06b08c31176",
+        "9050f9360faaba8171f966c8d41d2c0eed5f12f556a7f967a0709603c3884e20",
+        "d91fba0a8eda450c32a7d8d382d0b21c15008ec66e776905f008522d06e746ad",
     ),
     "2-substitute-pattern-andmask-random-sampled": (
-        "bc906130e6be7005098db949daaf0e526ea42b8ab3a80b052f5de84a39d15098",
-        "939c735c63107afe2f2eff8b33ddc6bbe42d42224eb98bb4a25b8665dbaac5fd",
+        "59b37ac42a9be710254a763859abdac206255a309d8f81885a69cd4fced958a2",
+        "e3007859693311474c3253d9d999ee949b67b0d8e67d4a854e1be76ec8e180c1",
     ),
     "2-substitute-pattern-andmask-random-sampled-noisy": (
-        "22b4b3fbc004e4c8243d1a69f6e57f7b6e99c8c279f151db33fb1b41d12a4fa2",
-        "8c81ad753e21756eb338d374090dabebb78c1943629bf9d8cefc76a1ff2dbfb5",
+        "4395bd18d97a8352bf3a4bc7210ffabb1baf598c5311846c63d1125737fc42f1",
+        "362046b15f4fc98786c23293c5010d93aa19990987efde5f7513d5ace35091d3",
     ),
     "2-substitute-pattern-none-random-deterministic": (
-        "ab6113f10a3621b218bda7ead7b94efa6dbc221d34e26b0075af6f64bd2b15e2",
-        "b1560f944c9e56a559b7f203f003170c21d703ea56900059f2b3ad688c7598fd",
+        "5319ef7c47918d4fab28de6bef896988c28b0b0265d04a99f0f5e04dc85a1698",
+        "e45566b200164975778a46361234e6478297e253ad4bc02a790dc919c6472aa1",
     ),
     "2-substitute-pattern-none-random-deterministic-noisy": (
-        "bfeac882264026353db488c8c7a7833cb456d67adc76ff675830969be5cc9126",
-        "d4a3ad34cab5aa0ecdabacc8ac9d86d8dd12d9a21a288cd5e0e4485ad4fdb9ca",
+        "c1d72ae58aeab934f0749d9e65ad758ff8e9ae762a94fc07d2606d96dcbff7a3",
+        "5ca4138d34cc1fc8324f9af8414c9469b0a25081839107e378e29821b736fa3c",
     ),
     "2-substitute-pattern-none-random-sampled": (
-        "033875568e6b33073b46562c60747d85a60e6da362b546bbbccd32a30577bedc",
-        "570c34f6e98e8e736764a664324e0bb25298851e7099f1d81daa366c4b253149",
+        "50612d204f6e210903c237b8abe87f3ba655bf8d13f8e89496d002b63fac26a6",
+        "a24b42709d2805a71a28dad2e2c33d7166e70465d79965730c9cc4c169018586",
     ),
     "2-substitute-pattern-none-random-sampled-noisy": (
-        "ef6fcd5e02db544fe4b28a38a6ffca0c1e7c16eebd8049d592ba2aca98f463bb",
-        "c1532131b54bd273f1b504ea350ce5ad2b4ad38a26afde1a0d5dba3797aee292",
+        "dc3db8caa52a25f8b1c4af0f50b85a7cae87b87022249a559a99d0cb89057c68",
+        "72e0a757b70c436a8fd8a208399c0cddfa411a7d2b82f50e355090618d1e3f6f",
     ),
 }
 
@@ -360,27 +360,27 @@ GOLDEN_SWEEPS = {
 }
 
 GOLDEN_LONG_RUN = (
-    "bcdd2cb6529380bc32d0649650a50afd9f538b0eb91b1184cb131c0dfb21fc08",
-    "d6e74f1cfce848214e706eea4510fef015ef04e77e4f87672f1bef360ab95ac4",
+    "496847d242e708a526aa6ba17a65ecc502c62002a31fccca266c8153f77b1cf8",
+    "e00f087bfa873b0b3618e8821a9df1c27bc947f517be70ad9dc6a03203f0c5a6",
 )
 
 GOLDEN_WIDE_RUN = (
-    "f6cd4668a186ef28352c37d104db359c4841590045f7d27be078e9c6da239915",
-    "004e95079f345c880bb88973716fe73b248042bdcc2928068313dfbcfea9a744",
+    "be86e6752683638fbdf403de6cd63079e7f44d6083875305bf935bbdd58e884c",
+    "15f61f91d231bdb963093f285f7742187bcbcccdc8dd412157e1b40a2b6a8202",
 )
 
 GOLDEN_TAIL_RUNS = {
     "none": (
-        "0c64e3867ab0840f4eced215ce01b4dd69c3036494d0d73deae1309da289336a",
+        "9748bc090f644f36593d81a3bba41f677d9f5f4680c81eff164cba6bbb319b58",
         "b3246f0e5206430ef18668ad9b51d05db396cddda8ea5ee2a305763d84739525",
     ),
     "substitute-pattern": (
-        "c1bc9416257065d98277d096a016d0fa3c159d10ae4a51f56beefe70ffbbdf57",
-        "c55fceef936173349f9a4a2151273d48268bd21f3de6118dbdb7c3ac6bb303db",
+        "91beb1ad9e7485589c8b44482ccd8692e6de948fcdfff4fb2634471db32b1a8d",
+        "186c87e5a4d0b321991b9db8085c7c803d5dc0a44197d36302e8af29eba0ea30",
     ),
     "frame-header": (
-        "27a6c16c26dc65ad987fabce3a81d0940203d2408fa197fd462cc6c1731c5021",
-        "cbd5c329dfc83ec0eba47c86a5e02e8ba53b6aac64409fa33f475f32b57d8b59",
+        "540540310b9ecf48c6cee3426461ddb737f0ba9c983eb9e35e43371dadd55dbd",
+        "1472a26fffffd1aead983a0be14b753e22a8bc8d161071f8a8dba7706de43623",
     ),
 }
 
@@ -388,9 +388,9 @@ GOLDEN_LONG_SWEEP = "00c263e8d05eeaaa3993495c92ee535bd4ef9108c838667f29813fa5798
 
 # rate ratio and recoveries, mask off then on, per decoy strategy
 GOLDEN_COMPARE = {
-    "none": "8e137161586a18cebaaafd17518c4c9c93ad732dc807410639f9a8d899f1cde6",
-    "substitute-pattern": "d6d1006dfc68f5a62a94d4627259cacb6935c79b994084deade3bca2afa097cd",
-    "frame-header": "b9e67106e59547eafddb1829ada5d74478dfcbf9fce5207d5a6c8b2082790e22",
+    "none": "97cda9465a39e5af9d9603dd45ef54a40a0d05b7fe7a0e96b568a40cf9ca3ca7",
+    "substitute-pattern": "73c7001f0d99bef3ed19efed7abfaf781626764d2542fff95d15b2048e62f9e3",
+    "frame-header": "f260aca1f63f0f7802aa4a3a22422b98a8295758567e80e727f01c3d592a6ae9",
 }
 
 GOLDEN_TABLE1 = "f3f943e6026c22d2782dec4b7eb9acddcc0215aa42acf663ac7f1eaab33d15b0"
@@ -398,9 +398,9 @@ GOLDEN_TABLE1 = "f3f943e6026c22d2782dec4b7eb9acddcc0215aa42acf663ac7f1eaab33d15b
 # command -> (exit code, sha256 of stdout and of each file written)
 GOLDEN_CLI = {
     "run": (0, {
-        "stdout": "6ebbaa0c82ce5f840ddb31a1db7fa438900d0695f0f7b07c59938c15e9d5f632",
-        "stats.log": "6ebbaa0c82ce5f840ddb31a1db7fa438900d0695f0f7b07c59938c15e9d5f632",
-        "transcript.log": "ef4c373c4f911106d1f01c883a189b18fb1fffb70436f44dc3e831c25cb5e21d",
+        "stdout": "d5c51ca5761521eae9fb6dbecbf2ae57920004c8c8418c4b776574d41a30fc16",
+        "stats.log": "d5c51ca5761521eae9fb6dbecbf2ae57920004c8c8418c4b776574d41a30fc16",
+        "transcript.log": "c50239cbd328eee4cc189f590303c60319281a92621ea219b7065023c2283851",
     }),
     "sweep-mu": (0, {
         "stdout": "8c8d7f8133cfbbeb6a2aff099162c3757ae8eeed7a65f9176881e0e5341aaca1",
@@ -411,8 +411,8 @@ GOLDEN_CLI = {
         "table1.csv": "d1ae28eec05af02b3cb2179adb3d92fa2194501b3ec5d78b304e410d9a1d9e6a",
     }),
     "compare-attack": (0, {
-        "stdout": "fb0912e764b72a3b7bd0468d79ae37bdf6bb9c5b704e300d6bc3ae31e885c301",
-        "compare_attack.log": "fb0912e764b72a3b7bd0468d79ae37bdf6bb9c5b704e300d6bc3ae31e885c301",
+        "stdout": "99ab57e687deb06cb57bc1451b7dcabdf771ab46aef701111c3bf741c8a678a5",
+        "compare_attack.log": "99ab57e687deb06cb57bc1451b7dcabdf771ab46aef701111c3bf741c8a678a5",
     }),
     "selftest": (0, {
         "stdout": "25ca432d3b224e68ea1527baa9c621c26e840981bb845d76394657fd654e3da5",
@@ -480,7 +480,7 @@ def test_replayed_digests(name):
     messages = replay.messages
     assert messages["CoherenceCheck"]["boundaries"] is messages["MonitorReport"]["boundaries"]
     # every integer list came back as an array, so no line fell back to json.loads
-    lists = [v for payload in messages.values() for v in payload.values() if not isinstance(v, str)]
+    lists = [v for payload in messages.values() for v in payload.values() if not isinstance(v, (str, int))]
     assert all(isinstance(v, np.ndarray) and v.dtype == np.int64 for v in lists)
 
 
@@ -490,7 +490,8 @@ def test_payload_arrays_unsigned(name):
     _, transcript, _ = run(config)
     payloads = transcript.messages.values()
     arrays = [v for payload in payloads for v in payload.values() if isinstance(v, np.ndarray)]
-    # every payload value but the verdict, shared arrays once per message
+    # every payload value but the verdict and the coherent count, shared
+    # arrays once per message
     assert len(arrays) == 10
     for a in arrays:
         assert a.ndim == 1 and a.dtype.kind in "iu"

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cowsim import bob, sifting
-from cowsim.alice import DECOY, DecoyStrategy
-from cowsim.engine import _SATURATED, Attack, SimConfig, run
+from cowsim.alice import DECOY, DecoyStrategy, coherent_boundaries, generate_raw_bits, insert_decoys
+from cowsim.engine import _SATURATED, Attack, SimConfig, _streams, run
 from cowsim.sifting import (
     _BLOCK,
     MESSAGE_ORDER,
@@ -24,7 +24,7 @@ from cowsim.sifting import (
     run_sifting,
 )
 
-NO_MONITOR = (np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+NO_MONITOR = np.array([], dtype=np.int64)
 NOTHING_DETECTED = (np.array([], dtype=np.int64), np.array([], dtype=np.uint8))
 NO_VERIFY = SimConfig(f_verify=0.0)
 # Alice's data-slot patterns: a 0 lights the early bin, a 1 the late bin
@@ -42,38 +42,54 @@ def _train(patterns):
     return np.array(patterns, dtype=np.uint8)
 
 
-def _sift_monitor(checked, clicked, config=NO_VERIFY):
-    # the fewest slots n whose boundaries 0 .. 2n - 2 hold every given one
-    n_slots = (max(np.max(checked, initial=0), np.max(clicked, initial=0)) + 1) // 2 + 1
-    monitor = (checked, clicked)
-    return run_sifting(
-        _train([ZERO] * n_slots), NOTHING_DETECTED, monitor, config, np.random.default_rng(0)
-    )
+def _sift_monitor(clicks, config=NO_VERIFY, patterns=None):
+    """run_sifting's (result, transcript) for Bob's monitor clicks and nothing
+    detected, on the given slot patterns: by default the fewest ZERO slots,
+    none of whose boundaries is coherent, that hold every click."""
+    clicks = np.asarray(clicks, dtype=np.int64)
+    if patterns is None:
+        patterns = [ZERO] * ((int(np.max(clicks, initial=0)) + 1) // 2 + 1)
+    return run_sifting(_train(patterns), NOTHING_DETECTED, clicks, config, np.random.default_rng(0))
+
+
+def _coherent_clicks(n_coherent, n_clicked, config=NO_VERIFY):
+    """_sift_monitor on n_coherent (ONE, ZERO) slot pairs, whose coherent
+    boundaries are 4j + 1, with clicks at the first n_clicked of them."""
+    return _sift_monitor(4 * np.arange(n_clicked) + 1, config, [ONE, ZERO] * n_coherent or [ZERO])
 
 
 class TestMonitorOutcome:
-    @pytest.mark.parametrize("checked", [[4, 0, 2], [0, 2, 2, 4]], ids=["unsorted", "duplicate"])
-    def test_checked_not_increasing_rejected(self, checked):
-        # Alice draws her checked boundaries in order, once each; the flags are read by a search
-        with pytest.raises(ValueError, match="^checked boundaries must be strictly increasing$"):
-            _sift_monitor(np.array(checked), np.array([2]))
+    @pytest.mark.parametrize("clicks", [[4, 0, 2], [0, 2, 2, 4]], ids=["unsorted", "duplicate"])
+    def test_checked_not_increasing_rejected(self, clicks):
+        # Bob announces each monitor click once, in order, as receive returns them
+        with pytest.raises(ValueError, match="^monitor clicks must be strictly increasing$"):
+            _sift_monitor(clicks)
 
     @settings(deadline=None, max_examples=150)
-    @given(data=st.data(), n_slots=st.integers(1, 40))
-    def test_flags_match_isin(self, data, n_slots):
-        # sorted unique checked boundaries, unsorted repeated clicks, with both ends 0 and 2n - 2 likely
-        boundary = st.one_of(st.sampled_from([0, 2 * n_slots - 2]), st.integers(0, 2 * n_slots - 2))
-        checked = np.array(sorted(data.draw(st.sets(boundary, max_size=60))), dtype=np.int64)
-        clicked = np.array(data.draw(st.lists(boundary, max_size=20)), dtype=np.int64)
-        train = _train([ZERO] * n_slots)
-        result, transcript = run_sifting(
-            train, NOTHING_DETECTED, (checked, clicked), NO_VERIFY, np.random.default_rng(0)
-        )
-        expected = np.isin(checked, clicked)
-        clicks = transcript.messages["MonitorReport"]["clicks"]
-        assert clicks.dtype == np.uint8
-        assert clicks.tolist() == expected.astype(int).tolist()
-        assert result.break_rate == (expected.mean() if checked.size else 0.0)
+    @given(data=st.data(), patterns=st.lists(st.integers(0, DECOY), min_size=1, max_size=40))
+    def test_flags_match_isin(self, data, patterns):
+        # any train, with any sorted clicks and detections; both ends 0 and 2n - 2 likely
+        n = len(patterns)
+        boundary = st.one_of(st.sampled_from([0, 2 * n - 2]), st.integers(0, 2 * n - 2))
+        clicks = np.array(sorted(data.draw(st.sets(boundary, max_size=20))), dtype=np.int64)
+        slots = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+        train = _train(patterns)
+        detected = (slots, np.ones(slots.size, dtype=np.uint8))
+        result, transcript = run_sifting(train, detected, clicks, SimConfig(), np.random.default_rng(0))
+        coherent = coherent_boundaries(train)
+        expected = np.isin(clicks, coherent)
+        report = transcript.messages["MonitorReport"]
+        assert report["clicks"].dtype == np.uint8
+        assert report["clicks"].tolist() == expected.astype(int).tolist()
+        assert report["boundaries"] is transcript.messages["CoherenceCheck"]["boundaries"]
+        assert report["boundaries"].tolist() == clicks.tolist()
+        assert report["coherent"] == coherent.size
+        assert result.break_rate == (expected.sum() / coherent.size if coherent.size else 0.0)
+        # no slot beside a click is verified or kept, and every other detected data slot is
+        beside = set((clicks >> 1).tolist()) | set(((clicks + 1) >> 1).tolist())
+        data_slots = {s for s in slots.tolist() if patterns[s] != DECOY}
+        verified = transcript.get("VerificationRequest")["slots"]
+        assert set(verified) | set(result.kept_indices.tolist()) == data_slots - beside
 
 
 class TestRunSifting:
@@ -136,14 +152,14 @@ class TestRunSifting:
             ((np.array([0, 1]), np.array([0.0, 1.0])), NO_MONITOR, "detected values must be integers"),
             (([0], [3]), NO_MONITOR, "detected values must lie in"),
             (([-1], [0]), NO_MONITOR, "detected slots must lie in"),
-            (NOTHING_DETECTED, (np.array([0.2]), []), "checked boundaries must be integers"),
-            (NOTHING_DETECTED, ([0], np.array([1.0])), "clicked boundaries must be integers"),
-            (NOTHING_DETECTED, ([3], []), "checked boundaries must lie in"),
-            (NOTHING_DETECTED, ([0], [-5]), "clicked boundaries must lie in"),
-            (NOTHING_DETECTED, ([0], [0, 4 * 10**7]), "clicked boundaries must lie in"),
+            (NOTHING_DETECTED, np.array([0.2]), "monitor clicks must be integers"),
+            (NOTHING_DETECTED, np.array([1.0]), "monitor clicks must be integers"),
+            (NOTHING_DETECTED, [3], "monitor clicks must lie in"),
+            (NOTHING_DETECTED, [-5], "monitor clicks must lie in"),
+            (NOTHING_DETECTED, [0, 4 * 10**7], "monitor clicks must lie in"),
             (([0, 1], [0]), NO_MONITOR, "detected slots and values differ in length"),
             ((np.array([[0, 1]]), [0, 1]), NO_MONITOR, r"detected slots must be 1-D, got shape \(1, 2\)"),
-            (NOTHING_DETECTED, ([[0, 1]], []), r"checked boundaries must be 1-D, got shape \(1, 2\)"),
+            (NOTHING_DETECTED, [[0, 1]], r"monitor clicks must be 1-D, got shape \(1, 2\)"),
             # a bool array of positions is a mask, not slots 0 and 1
             ((np.array([True, False]), [0, 1]), NO_MONITOR, "detected slots must be integers, got bool"),
         ],
@@ -185,7 +201,7 @@ class TestRunSifting:
     def test_empty_inputs_of_any_dtype(self):
         empty = np.array([])  # float64
         result, transcript = run_sifting(
-            _train([ZERO]), (empty, empty), (empty, empty), NO_VERIFY, np.random.default_rng(0)
+            _train([ZERO]), (empty, empty), empty, NO_VERIFY, np.random.default_rng(0)
         )
         assert result.kept_indices.size == 0 and result.break_rate == 0.0
         assert transcript.messages["KeyIndices"]["slots"].dtype == np.int64
@@ -200,11 +216,12 @@ class TestRunSifting:
             )
 
     def test_abort_on_monitor_breaks(self):
+        # coherent boundaries 0 (inside the decoy) and 1 (its late pulse, then the 0's early one)
         train = _train([DECOY, ZERO])
-        monitor = (np.array([0, 2]), np.array([0]))
-        result, _ = run_sifting(
-            train, NOTHING_DETECTED, monitor, NO_VERIFY, np.random.default_rng(0)
+        result, transcript = run_sifting(
+            train, NOTHING_DETECTED, np.array([0, 2]), NO_VERIFY, np.random.default_rng(0)
         )
+        assert transcript.get("MonitorReport") == {"boundaries": [0, 2], "clicks": [1, 0], "coherent": 2}
         assert result.break_rate == 0.5
         assert result.verdict == "abort"
 
@@ -228,7 +245,7 @@ class TestRunSifting:
         slots = np.arange(0, 120, 2)
         values = (train[slots] >> 1).astype(np.uint8)
         values[::7] ^= 1
-        monitor = (np.array([0, 2, 4]), np.array([2]))
+        monitor = np.array([2, 4])
         config = SimConfig(f_verify=0.4)
         result, transcript = run_sifting(train, (slots, values), monitor, config, np.random.default_rng(3))
         bool_result, bool_transcript = run_sifting(
@@ -242,32 +259,33 @@ class TestRunSifting:
 
 class TestAlarmRule:
     # the verdict aborts when P(K >= k) < alarm_alpha for the k clicked of the
-    # n checked boundaries, K ~ Binomial(n, q0) and q0 an intact pair's click
+    # n coherent boundaries, K ~ Binomial(n, q0) and q0 an intact pair's click
     # probability
 
     def test_default_alpha_is_the_one_sided_three_sigma_rate(self):
         assert SimConfig().alarm_alpha == pytest.approx(0.5 * math.erfc(3 / math.sqrt(2)), rel=1e-15)
 
     def test_no_checks_accept(self):
-        # n = 0: P(K >= 0) = 1, and a click off the checked set counts for nothing
+        # n = 0: P(K >= 0) = 1, and a click off the coherent boundaries counts for nothing
         assert _binomial_tail(0, 0, 0.5) == 1.0
-        result, _ = _sift_monitor(np.zeros(0, dtype=np.int64), np.array([0, 3]))
+        result, transcript = _sift_monitor([0, 3])
+        assert transcript.get("MonitorReport") == {"boundaries": [0, 3], "clicks": [0, 0], "coherent": 0}
         assert result.verdict == "accept"
 
     def test_one_click_aborts_when_q0_is_0(self):
         # V = 1 and no dark counts: an intact pair never clicks, so one click proves a broken one
         assert bob.monitor_click_probability(NO_VERIFY)[2] == 0.0
         assert _binomial_tail(1, 1000, 0.0) == 0.0
-        result, _ = _sift_monitor(np.arange(1000), np.array([0]))
+        result, _ = _coherent_clicks(1000, 1)
         assert result.verdict == "abort"
-        result, _ = _sift_monitor(np.arange(1000), np.zeros(0, dtype=np.int64))
+        result, _ = _coherent_clicks(1000, 0)
         assert result.verdict == "accept"
 
     def test_q0_of_1_accepts(self):
         # saturated detectors at V < 1: every intact pair clicks, so even k = n tells nothing
         config = SimConfig(f_verify=0.0, visibility=0.98, **_SATURATED)
         assert bob.monitor_click_probability(config)[2] == 1.0
-        result, _ = _sift_monitor(np.arange(50), np.arange(50), config)
+        result, _ = _coherent_clicks(50, 50, config)
         assert result.break_rate == 1.0
         assert result.verdict == "accept"
 
@@ -277,7 +295,7 @@ class TestAlarmRule:
         assert bob.monitor_click_probability(config)[2] == 0.5
         assert _binomial_tail(4, 4, 0.5) == pytest.approx(1 / 16, rel=1e-15)
         for alpha, verdict in ((1 / 16 * (1 + 1e-9), "abort"), (1 / 16 * (1 - 1e-9), "accept")):
-            result, _ = _sift_monitor(np.arange(4), np.arange(4), replace(config, alarm_alpha=alpha))
+            result, _ = _coherent_clicks(4, 4, replace(config, alarm_alpha=alpha))
             assert result.verdict == verdict
 
     def test_critical_count(self):
@@ -287,7 +305,7 @@ class TestAlarmRule:
         k = int(np.argmax(tails < config.alarm_alpha))
         assert k == 12
         for n_clicks, verdict in ((k - 1, "accept"), (k, "abort")):
-            result, _ = _sift_monitor(np.arange(400), np.arange(n_clicks), config)
+            result, _ = _coherent_clicks(400, n_clicks, config)
             assert result.verdict == verdict
 
     def test_tail_takes_sqrt_n_terms(self):
@@ -319,11 +337,17 @@ def test_tail_matches_scipy(n, q):
         assert _binomial_tail(k, n, q) == pytest.approx(reference, rel=1e-6, abs=1e-300), k
 
 
+def _alice_train(config: SimConfig) -> np.ndarray:
+    """Alice's pulse train as run draws it from config.seed."""
+    rng_bits = _streams(np.random.SeedSequence(config.seed))[0]
+    return insert_decoys(generate_raw_bits(config.n_bits, rng_bits), config.decoy_strategy)
+
+
 def _verdict_rates(config: SimConfig, n_even: int, n_odd: int) -> tuple[float, float]:
     """Closed-form (false-alarm rate, power against the mask) of the verdict
-    on n_even checked boundaries inside decoy slots and n_odd between slots.
+    on n_even coherent boundaries inside decoy slots and n_odd between slots.
 
-    Without Eve every checked boundary is an intact pair, so K ~ Binomial(n,
+    Without Eve every coherent boundary is an intact pair, so K ~ Binomial(n,
     q0) and the rule aborts from k*, the first k with P(K >= k) < alpha.
     Under the mask a decoy slot keeps one of its two pulses, which clicks
     with p1, and an odd boundary keeps each of its pulses with probability
@@ -346,13 +370,15 @@ def _verdict_rates(config: SimConfig, n_even: int, n_odd: int) -> tuple[float, f
 @pytest.mark.parametrize("visibility", [1.0, 0.98])
 def test_verdict_rates_match_monte_carlo(visibility, p_dark_mon):
     # 1000 pooled 10k-bit runs per attack setting; each run's abort chance
-    # is the closed form at its own checked boundaries
+    # is the closed form at the coherent boundaries of its own train, every
+    # one of which the monitor checks
     base = SimConfig(n_bits=10_000, visibility=visibility, p_dark_mon=p_dark_mon)
     for attack in Attack:
         aborts, expected, variance = 0, 0.0, 0.0
         for seed in range(20_000, 21_000):
             stats, transcript, _ = run(replace(base, attack=attack, seed=seed))
-            boundaries = transcript.messages["CoherenceCheck"]["boundaries"]
+            boundaries = coherent_boundaries(_alice_train(replace(base, seed=seed)))
+            assert transcript.messages["MonitorReport"]["coherent"] == boundaries.size
             n_odd = int(np.count_nonzero(boundaries & 1))
             false_alarm, power = _verdict_rates(base, boundaries.size - n_odd, n_odd)
             assert false_alarm <= base.alarm_alpha
@@ -547,7 +573,7 @@ class TestLineBreaks:
         assert again.to_jsonl() == text
         # read field by field, as a "\n" text is: every list an int64 array
         payloads = again.messages.values()
-        lists = [v for payload in payloads for v in payload.values() if not isinstance(v, str)]
+        lists = [v for payload in payloads for v in payload.values() if not isinstance(v, (str, int))]
         assert lists and all(isinstance(v, np.ndarray) and v.dtype == np.int64 for v in lists)
 
     def test_blank_lines_skipped(self):
@@ -933,9 +959,13 @@ class TestChunks:
 
 class TestCodecMemory:
     def test_peaks_against_the_text(self):
-        # to_jsonl joins its pieces once, and from_jsonl holds a chunk at a
-        # time besides the arrays it returns
-        transcript = _noisy_run(300_000)
+        # to_jsonl joins its pieces once, and formats one block of numbers at
+        # a time into a row buffer; from_jsonl holds a chunk at a time besides
+        # the arrays it returns.  The text must outgrow the row buffer, or a
+        # to_jsonl that copied the joined text would fit the bound too: it
+        # does at 300k bits (90 kB of text), and not at 1M (309 kB)
+        n_bits = 1_000_000
+        transcript = _noisy_run(n_bits)
         text = transcript.to_jsonl()
         Transcript.from_jsonl(text)  # first calls allocate module-level caches
         tracemalloc.start()
@@ -948,7 +978,8 @@ class TestCodecMemory:
             _, read_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert write_peak < 2.0 * len(text)
+        rows = sifting._BLOCK * (len(str(2 * n_bits)) + 2)  # digits and ", " per number
+        assert write_peak < 2.0 * len(text) + rows
         assert read_peak - before < 2.75 * len(text)
 
 
@@ -959,6 +990,8 @@ class TestTranscriptPayloads:
             for key, value in transcript.get(kind).items():
                 if kind == "Verdict":
                     assert isinstance(value, str)
+                elif (kind, key) == ("MonitorReport", "coherent"):
+                    assert type(value) is int
                 else:
                     assert type(value) is list, (kind, key)
                     assert {type(v) for v in value} <= {int}, (kind, key)
@@ -1044,10 +1077,71 @@ class TestDiscardCorrectness:
         )
         _, transcript, _ = run(config)
         # rebuild Alice's layout deterministically from the same seed
-        from cowsim.alice import generate_raw_bits, insert_decoys
-
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[0])
-        bits = generate_raw_bits(2000, rng)
-        train = insert_decoys(bits, DecoyStrategy.FRAME_HEADER)
+        train = _alice_train(config)
         kept = transcript.get("KeyIndices")["slots"]
         assert not np.any(train[kept] == DECOY)
+
+
+def _fixed_by_dialog(transcript: Transcript) -> tuple[np.ndarray, np.ndarray]:
+    """The slots whose bit the public dialog alone fixes, as a passive reader
+    with no mask and no train finds them, and the bit each must hold if it
+    is a data slot.
+
+    A verification reveal shows Alice's bit.  A click Alice flags at an odd
+    boundary 2i + 1 says that slot i's late bin and slot i + 1's early bin
+    both held a pulse: slot i holds a 1 or is a decoy, and slot i + 1 holds
+    a 0 or is a decoy.
+    """
+    reveal = transcript.messages["VerificationReveal"]
+    report = transcript.messages["MonitorReport"]
+    coherent = report["boundaries"][report["clicks"] == 1]
+    odd = coherent[coherent % 2 == 1]
+    slots = np.concatenate((reveal["slots"], odd >> 1, (odd + 1) >> 1))
+    bits = np.concatenate((reveal["alice_bits"], np.ones(odd.size, np.int64), np.zeros(odd.size, np.int64)))
+    return slots, bits
+
+
+class TestPassiveReader:
+    """What the transcript alone tells of the key, with no mask and no train."""
+
+    @pytest.mark.parametrize("attack", list(Attack))
+    @pytest.mark.parametrize("strategy", list(DecoyStrategy))
+    def test_no_key_bit_fixed(self, strategy, attack):
+        n_fixed = 0
+        for seed in range(5):
+            config = SimConfig(
+                n_bits=1_000_000, decoy_strategy=strategy, attack=attack,
+                p_dark_data=1e-5, p_dark_mon=1e-5, seed=seed,
+            )
+            _, transcript, _ = run(config)
+            slots, bits = _fixed_by_dialog(transcript)
+            # the reader is right about every data slot it fixes
+            train = _alice_train(config)[slots]
+            data = train != DECOY
+            assert np.array_equal(train[data] >> 1, bits[data])
+            assert not np.isin(transcript.messages["KeyIndices"]["slots"], slots).any()
+            n_fixed += slots.size
+        assert n_fixed > 0
+
+    def test_slot_left_of_a_decoy_leans_to_one(self):
+        # Substitute-pattern decoys replace each 1,0,1,0 found left to right.
+        # One kept at slot i means none was kept at i - 2, so the two data
+        # slots just left of a decoy block are never 1,0, and two of the other
+        # three pairs end in 1: a key slot left of an announced decoy holds a
+        # 1 with probability 2/3.  The reader learns 1 - H(2/3) bits from it.
+        ones = n_left = n_key = 0
+        for seed in range(25):
+            config = SimConfig(n_bits=2_000_000, p_dark_data=1e-5, p_dark_mon=1e-5, seed=seed)
+            _, transcript, _ = run(config)
+            key = transcript.messages["KeyIndices"]["slots"]
+            left = transcript.messages["DecoyDiscard"]["slots"] - 1
+            left = left[np.isin(left, key)]
+            ones += int(np.count_nonzero(_alice_train(config)[left] >> 1))
+            n_left += left.size
+            n_key += key.size
+        assert n_left >= 2000
+        p = 2 / 3
+        assert abs(ones - p * n_left) <= 5 * math.sqrt(n_left * p * (1 - p)), (ones, n_left)
+        leak = n_left * (1 + p * math.log2(p) + (1 - p) * math.log2(1 - p))  # sum of 1 - H(p_i)
+        print(f"left of a decoy: {ones}/{n_left} ones; leak {leak:.1f} bits over {n_key} key bits")
+        assert leak / n_key < 1e-3
