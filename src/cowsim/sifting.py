@@ -29,6 +29,10 @@ __all__ = [
     "run_sifting",
 ]
 
+# VerificationRequest and VerificationReveal already leave out the slots
+# beside Bob's monitor clicks, yet come before the CoherenceCheck that names
+# those clicks; moving it up changes every transcript, so it waits for a
+# change that records the golden digests again
 MESSAGE_ORDER = (
     "DetectionReport",
     "DecoyDiscard",
@@ -127,25 +131,16 @@ def _parse_ints(raw: bytes, at: int) -> tuple[np.ndarray, int] | None:
     return numbers, width
 
 
-def _read_ints(text: str, start: int, stop: int, seen: dict[int, list]) -> np.ndarray | None:
+def _read_ints(text: str, start: int, stop: int) -> np.ndarray | None:
     """The list whose inside is text[start:stop] as an int64 array, else None.
 
     The inside is read in chunks, each cut at the first ", " at or past
     _CHUNK characters from its start, or at the inside's end, and each
     chunk run by run (_parse_ints).  None when a run is empty or has fewer
     digits than the one before, which no sorted index list or 0/1 list
-    does; so a list takes a run per chunk plus one per added digit.  seen
-    maps the length of each list read so far to its (start, array) pairs;
-    a list of the same text is compared in place, a chunk at a time, and
-    shares the array.
+    does; so a list takes a run per chunk plus one per added digit.
     """
     length = stop - start
-    for first, array in seen.get(length, ()):
-        if all(
-            text.startswith(text[first + i : first + min(i + _CHUNK, length)], start + i)
-            for i in range(0, length, _CHUNK)
-        ):
-            return array
     array = np.empty((length + 2) // 3, dtype=np.int64)  # k numbers take 3k - 2 characters or more
     n, pos, last = 0, start, 1
     while length and pos <= stop:  # a ", " is always followed by one more chunk
@@ -164,7 +159,6 @@ def _read_ints(text: str, start: int, stop: int, seen: dict[int, list]) -> np.nd
             at += numbers.size * (last + 2)
         pos = cut + 2
     array.resize(n, refcheck=False)  # in place: no view of array escaped
-    seen.setdefault(length, []).append((start, array))
     return array
 
 
@@ -173,7 +167,7 @@ _DECODER = json.JSONDecoder()
 _BLANK = re.compile(r"[ \t\r]*")
 
 
-def _read_line(text: str, pos: int, stop: int, seen: dict[int, list]) -> dict | None:
+def _read_line(text: str, pos: int, stop: int) -> dict | None:
     """The object on text[pos:stop] laid out exactly as to_jsonl writes it, else None.
 
     The line is read in place.  A list value is cut at the next "]" and
@@ -192,7 +186,7 @@ def _read_line(text: str, pos: int, stop: int, seen: dict[int, list]) -> dict | 
             pos += 2
             if text.startswith("[", pos, stop):
                 close = text.find("]", pos, stop)
-                value = _read_ints(text, pos + 1, close, seen) if close >= 0 else None
+                value = _read_ints(text, pos + 1, close) if close >= 0 else None
                 if value is None:
                     return None
                 pos = close + 1
@@ -255,20 +249,16 @@ class Transcript:
         The whole text is one list of pieces, joined once: braces, keys,
         scalars, and each array's pieces from _list_pieces, so that arrays
         never pass through a list of Python ints and no line or list is
-        copied on its own.  An array held by several messages (Bob's monitor
-        clicks) is formatted once and its pieces are reused.
+        copied on its own.
         """
         pieces: list[str] = []
-        arrays: dict[int, list[str]] = {}  # id -> pieces; the messages keep every array alive
         for kind, payload in self.messages.items():
             opening = "{"
             for key, value in sorted({"kind": kind, **payload}.items()):
                 pieces += (opening, json.dumps(key), ": ")
                 opening = ", "
                 if isinstance(value, np.ndarray):
-                    if id(value) not in arrays:
-                        arrays[id(value)] = _list_pieces(value)
-                    pieces += arrays[id(value)]
+                    pieces += _list_pieces(value)
                 else:
                     pieces.append(json.dumps(value, sort_keys=True))
             pieces.append("}\n")
@@ -284,19 +274,17 @@ class Transcript:
 
         Each line is found with text.find and read in place.  A line laid
         out exactly as to_jsonl writes it is read field by field by
-        _read_line, and each list on it becomes an int64 array (_read_ints
-        reads it a chunk of about _CHUNK characters at a time, and shares
-        the array of an equal earlier list).  Any other line goes whole to
-        json.loads, as does a line with a list that no run writes (holding
-        a negative number, a number past 18 digits, or falling digit
-        counts), and append holds its int lists as int64 arrays.  Either
-        way each payload equals what json.loads gives.  A carriage return
-        ending a line is left out of the field-by-field read only, so
-        json.loads errors keep their columns.  TranscriptError names the
-        number of every line it rejects.
+        _read_line, and each list on it becomes an int64 array of its own
+        (_read_ints reads it a chunk of about _CHUNK characters at a time).
+        Any other line goes whole to json.loads, as does a line with a list
+        that no run writes (holding a negative number, a number past 18
+        digits, or falling digit counts), and append holds its int lists as
+        int64 arrays.  Either way each payload equals what json.loads gives.
+        A carriage return ending a line is left out of the field-by-field
+        read only, so json.loads errors keep their columns.  TranscriptError
+        names the number of every line it rejects.
         """
         out = cls()
-        seen: dict[int, list] = {}
         start, lineno = 0, 1
         while start < len(text):
             stop = text.find("\n", start)
@@ -304,7 +292,7 @@ class Transcript:
                 stop = len(text)
             if not _BLANK.fullmatch(text, start, stop):
                 end = stop - 1 if text.startswith("\r", stop - 1) else stop
-                record = _read_line(text, start, end, seen)
+                record = _read_line(text, start, end)
                 if record is None:
                     try:
                         record = json.loads(text[start:stop])

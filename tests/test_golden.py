@@ -11,7 +11,14 @@ visibility 0.98.  "deterministic" runs then saturate the detectors
 (engine._SATURATED: mu=1e6, unit efficiencies and transmittance, no dark
 counts), so every click probability is 0 or 1 and the clicks follow the
 light alone; their noisy runs keep V=0.98 with darks of 0.  Eve's mask is
-random in every run; names say "random".
+random in every run; names say "random".  A saturated monitor clicks at
+every lit boundary, so every detected slot sits beside a click and the
+deterministic runs sift no key: they pin the dialog, not the key path.
+
+Six key runs pin the key path with saturated detectors: n_bits=2000, seed
+1, 3 decoy strategies x attack {none, andmask}, with t_b=1 so that no light
+reaches the monitor.  Each sifts a key with no errors, and under the mask
+Eve recovers all of it.
 
 One noisy substitute-pattern AND-mask run and one noisy sweep at
 n_bits=100_000 also carry digests, so output that differs only on long
@@ -22,10 +29,12 @@ substitute-pattern AND-mask run at n_bits=600_000, whose monitor clicks
 reach 1.2M, pins the transcript's seven-digit numbers.
 
 Every run above is also read back by Transcript.from_jsonl, and the
-replay must write its recorded transcript again.  Every array in the
-transcripts of the grid and the wide run holds strictly increasing indices
-or bits, so the formatter's unsigned layout writes them all, and the
-reader reads every line field by field, with no json.loads.
+replay must write its recorded transcript again, with each list that two
+messages repeat (the verification slots, Bob's monitor clicks) read back
+as two equal arrays.  Every array in the transcripts of the grid and the
+wide run holds strictly increasing indices or bits, so the formatter's
+unsigned layout writes them all, and the reader reads every line field by
+field, with no json.loads.
 
 Three noisy compare_attack runs at n_bits=20_000, one per decoy strategy,
 pin the mask-off/mask-on comparison.  Five command-line runs, made
@@ -75,6 +84,14 @@ def _grid():
 
 
 GRID = dict(_grid())
+
+# saturated detectors with a dark monitor: the key path, error-free
+KEY_RUNS = {
+    f"{strategy.value}-{attack.value}": SimConfig(
+        n_bits=2000, seed=1, decoy_strategy=strategy, attack=attack, t_b=1.0, **_SATURATED
+    )
+    for strategy, attack in itertools.product(DecoyStrategy, Attack)
+}
 
 
 def _sha(text: str) -> str:
@@ -354,6 +371,33 @@ GOLDEN_RUNS = {
     ),
 }
 
+GOLDEN_KEY_RUNS = {
+    "frame-header-andmask": (
+        "9b80c54f49a44a00594e3327f594087edc7004677576ea30e2f8ebb4051d54ca",
+        "cc51a8a243ce1fdb139c49816008322f9ecb5042c6ba965f055d780d660dde52",
+    ),
+    "frame-header-none": (
+        "37acbe636d942500bf3622c5bf8ed9095c5d3230c5d7aa915349500be1eba634",
+        "807ab88937124ff881e4a3e4ed82b02f0f7924272e42a7b76cf723221f0f2db0",
+    ),
+    "none-andmask": (
+        "ce2359efdb85c9681518cc71f5b9966f9af7a7765e70c9c8d4ff490c2988f297",
+        "141a5af4257e4cacff0ab930a7997449640f2915f1f8acd1b2e45a54e5f7c389",
+    ),
+    "none-none": (
+        "29b5e471b0a97d5bd102e29779ad94c99e8fa89fd5f270f3166bc4f1ea4658c3",
+        "c87bfc7832bb75ea04821115bc69494bb9d1ce5fac7d8f28ddff33488e9e7feb",
+    ),
+    "substitute-pattern-andmask": (
+        "f6705c3cb94d565a0b09a7da968df605c644ca64ae42acd78190e045c0c0dc8b",
+        "12d81df1c17ac7e683f80cf1b55246808f951bf620f6ca1e7fde6253f5872d35",
+    ),
+    "substitute-pattern-none": (
+        "6a0f34d063bead627de7bbfd4836391fdefcd1a8e3a220535231739bb14b5c11",
+        "ff00de80470ddfd40418ba1bfd1150af3d8992296baa25f2f25f95746c06b121",
+    ),
+}
+
 GOLDEN_SWEEPS = {
     "clean": "34aeaf709a5620b4c2dd424cbb785ce0f08b29176d65bdd8abc3a72d3cae9d5c",
     "noisy": "2b588a46538a7dbcb8c93c60b19e8e9cfc057df92c04c3bbc4805b4a68a3cd09",
@@ -425,6 +469,16 @@ def test_run_digests(name):
     assert run_digests(GRID[name]) == GOLDEN_RUNS[name]
 
 
+@pytest.mark.parametrize("name", sorted(KEY_RUNS))
+def test_key_run_digests(name):
+    config = KEY_RUNS[name]
+    stats, transcript, _ = run(config)
+    assert (_sha(transcript.to_jsonl()), _sha(stats.to_lines())) == GOLDEN_KEY_RUNS[name]
+    assert stats.sifted_len > 0 and stats.qber == 0
+    if config.attack is Attack.AND_MASK:
+        assert stats.eve_recovery_fraction == 1.0
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
 def test_sweep_digests(name):
     assert sweep_digest(SWEEP_CONFIGS[name]) == GOLDEN_SWEEPS[name]
@@ -467,6 +521,7 @@ REPLAY_RUNS = {
     "long": (LONG_RUN, GOLDEN_LONG_RUN[0]),
     "wide": (WIDE_RUN, GOLDEN_WIDE_RUN[0]),
     **{f"tail-{name}": (TAIL_RUNS[name], GOLDEN_TAIL_RUNS[name][0]) for name in TAIL_RUNS},
+    **{f"key-{name}": (KEY_RUNS[name], GOLDEN_KEY_RUNS[name][0]) for name in KEY_RUNS},
 }
 
 
@@ -478,7 +533,8 @@ def test_replayed_digests(name):
     replay = Transcript.from_jsonl(transcript.to_jsonl())
     assert _sha(replay.to_jsonl()) == digest
     messages = replay.messages
-    assert messages["CoherenceCheck"]["boundaries"] is messages["MonitorReport"]["boundaries"]
+    assert np.array_equal(messages["VerificationRequest"]["slots"], messages["VerificationReveal"]["slots"])
+    assert np.array_equal(messages["CoherenceCheck"]["boundaries"], messages["MonitorReport"]["boundaries"])
     # every integer list came back as an array, so no line fell back to json.loads
     lists = [v for payload in messages.values() for v in payload.values() if not isinstance(v, (str, int))]
     assert all(isinstance(v, np.ndarray) and v.dtype == np.int64 for v in lists)
@@ -514,7 +570,7 @@ def test_replay_needs_no_json_loads(name):
         replay = Transcript.from_jsonl(text)
     assert replay.to_jsonl() == text
     messages = replay.messages
-    assert messages["CoherenceCheck"]["boundaries"] is messages["MonitorReport"]["boundaries"]
+    assert np.array_equal(messages["CoherenceCheck"]["boundaries"], messages["MonitorReport"]["boundaries"])
 
 
 def test_grid_shape():
