@@ -14,88 +14,14 @@ from cowsim.alice import (
     generate_raw_bits,
     insert_decoys,
 )
-from cowsim.bob import _bin_level, _pair_level, receive
+from cowsim.bob import receive
 from cowsim.engine import _SATURATED, SimConfig
-from cowsim.eve import apply_and_mask
-
-# data-slot patterns: a 0 lights the early bin, a 1 the late bin
-ZERO, ONE = 0b01, 0b10
-PATTERN = {0: ZERO, 1: ONE}
-
-
-def substitute_pattern_reference(bits):
-    """The left-to-right scan insert_decoys must reproduce, one bit per step."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    train = np.array([PATTERN[b] for b in bits.tolist()], dtype=np.uint8)
-    i = 0
-    n = bits.size
-    while i + 4 <= n:
-        if bits[i] == 1 and bits[i + 1] == 0 and bits[i + 2] == 1 and bits[i + 3] == 0:
-            train[i : i + 4] = DECOY
-            i += 4
-        else:
-            i += 1
-    return train
-
-
-def frame_header_reference(bits):
-    """One decoy, then up to three data slots, per frame."""
-    bits = np.asarray(bits, dtype=np.uint8).tolist()
-    train = []
-    for start in range(0, len(bits), 3):
-        train += [DECOY] + [PATTERN[b] for b in bits[start : start + 3]]
-    return np.array(train, dtype=np.uint8)
-
-
-def pattern_bins_reference(train):
-    """The per-bin train: one boolean per bin, True where a pulse leaves.
-
-    The early bin holds a pulse for a data 0 or a decoy, the late bin for a
-    data 1 or a decoy.
-    """
-    train = np.asarray(train, dtype=np.uint8)
-    occ = np.zeros(2 * train.size, dtype=bool)
-    occ[0::2] = (train == ZERO) | (train == DECOY)
-    occ[1::2] = (train == ONE) | (train == DECOY)
-    return occ
-
-
-def and_mask_bins_reference(occ, mask):
-    """The per-bin AND: Eve's data-slot patterns, per bin, ANDed onto the occupancy."""
-    return occ & pattern_bins_reference(mask)
-
-
-def coherent_boundaries_bins_reference(occ):
-    """Bin indices k where bins k and k+1 both hold a pulse."""
-    return np.flatnonzero(occ[:-1] & occ[1:])
-
-
-def pair_level_bins_reference(occ):
-    """Pulses in bins k and k+1, one level per interferometer boundary."""
-    level = occ.view(np.uint8)
-    return level[:-1] + level[1:]
-
-
-def _train(*patterns):
-    return np.array(patterns, dtype=np.uint8)
-
-
-REFERENCES = {
-    DecoyStrategy.SUBSTITUTE_PATTERN: substitute_pattern_reference,
-    DecoyStrategy.FRAME_HEADER: frame_header_reference,
-}
+from protocol_model import ONE, ZERO, _train, layout
 
 # runs of 1,0,1,0,... pieced together, so chains of overlapping 1010 occur
 _alternating_runs = st.lists(
     st.tuples(st.integers(0, 1), st.integers(1, 12)), min_size=1, max_size=12
 ).map(lambda runs: [(first + k) % 2 for first, length in runs for k in range(length)])
-
-
-def _assert_matches_reference(bits, strategy):
-    train = insert_decoys(bits, strategy)
-    expect = REFERENCES[strategy](bits)
-    assert train.dtype == expect.dtype
-    assert np.array_equal(train, expect)
 
 
 @contextlib.contextmanager
@@ -262,38 +188,47 @@ class TestInsertDecoys:
         assert (train != DECOY).sum() == len(bits)
 
 
+# the layouts with decoys; the protocol model's runs check the one with none
+LAYOUTS = [DecoyStrategy.SUBSTITUTE_PATTERN, DecoyStrategy.FRAME_HEADER]
+
+
 class TestInsertDecoysReference:
-    @pytest.mark.parametrize("strategy", list(REFERENCES))
+    """insert_decoys against the protocol model's layout."""
+
+    @pytest.mark.parametrize("strategy", LAYOUTS)
     @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=64))
     def test_short_random(self, strategy, bits):
-        _assert_matches_reference(bits, strategy)
+        assert insert_decoys(bits, strategy).tolist() == layout(bits, strategy)
 
-    @pytest.mark.parametrize("strategy", list(REFERENCES))
+    @pytest.mark.parametrize("strategy", LAYOUTS)
     @given(bits=_alternating_runs)
     def test_alternating_runs(self, strategy, bits):
-        _assert_matches_reference(bits, strategy)
+        assert insert_decoys(bits, strategy).tolist() == layout(bits, strategy)
 
-    @pytest.mark.parametrize("strategy", list(REFERENCES))
+    @pytest.mark.parametrize("strategy", LAYOUTS)
     def test_every_short_length(self, strategy):
         # n < 4 and every n % 3, on the all-alternating input and its shift
         for n in range(1, 65):
             for first in (0, 1):
-                _assert_matches_reference([(first + k) % 2 for k in range(n)], strategy)
+                bits = [(first + k) % 2 for k in range(n)]
+                assert insert_decoys(bits, strategy).tolist() == layout(bits, strategy)
 
     def test_every_bit_string(self):
+        strategy = DecoyStrategy.SUBSTITUTE_PATTERN
         for n in range(1, 13):
             for value in range(2**n):
                 bits = [(value >> k) & 1 for k in range(n)]
-                _assert_matches_reference(bits, DecoyStrategy.SUBSTITUTE_PATTERN)
+                assert insert_decoys(bits, strategy).tolist() == layout(bits, strategy)
 
     @pytest.mark.parametrize("n", range(60, 201))
     def test_alternating_across_words(self, n):
         # chains that start just below bits 64, 128 and 192 and run to the end,
         # so they cross those word edges at every parity and end at every n
+        strategy = DecoyStrategy.SUBSTITUTE_PATTERN
         for start in [0, *(edge - back for edge in (64, 128, 192) for back in range(1, 6))]:
             for first in (0, 1):
                 bits = [0] * min(start, n) + [(first + k) % 2 for k in range(n - start)]
-                _assert_matches_reference(bits, DecoyStrategy.SUBSTITUTE_PATTERN)
+                assert insert_decoys(bits, strategy).tolist() == layout(bits, strategy)
 
     @pytest.mark.parametrize("n", [2**20 + extra for extra in range(4)])
     def test_long_alternating_closed_form(self, n):
@@ -313,10 +248,10 @@ class TestInsertDecoysReference:
         twin = insert_decoys(1 - alternating, DecoyStrategy.SUBSTITUTE_PATTERN)
         assert np.array_equal(twin, np.concatenate([[ZERO], layout(n - 1)]))
 
-    @pytest.mark.parametrize("strategy", list(REFERENCES))
+    @pytest.mark.parametrize("strategy", LAYOUTS)
     def test_long_seeded(self, strategy):
         bits = generate_raw_bits(200_000, np.random.default_rng(20_051))
-        _assert_matches_reference(bits, strategy)
+        assert insert_decoys(bits, strategy).tolist() == layout(bits.tolist(), strategy)
 
 
 class TestEncode:
@@ -347,39 +282,15 @@ class TestEncode:
         assert np.array_equal(per_slot, expect)
 
 
-class TestSlotPatternReference:
-    """The slot-pattern train against the per-bin train it replaced."""
-
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from([ZERO, ONE, DECOY]), st.sampled_from([ZERO, ONE])),
-            min_size=1,
-            max_size=200,
-        )
-    )
-    def test_same_bins_boundaries_and_pair_levels(self, slots):
-        # random Alice patterns and Eve patterns, one pair per slot
-        train, mask = (np.array(column, dtype=np.uint8) for column in zip(*slots))
-        occ = pattern_bins_reference(train)
-        assert np.array_equal(coherent_boundaries(train), coherent_boundaries_bins_reference(occ))
-        bins, boundaries = np.arange(occ.size), np.arange(occ.size - 1)
-        for sent, sent_bins in (
-            (train, occ),
-            (apply_and_mask(train, mask), and_mask_bins_reference(occ, mask)),
-        ):
-            assert np.array_equal(_bin_level(sent, bins), sent_bins)
-            assert np.array_equal(_pair_level(sent, boundaries), pair_level_bins_reference(sent_bins))
-
-
 class TestBoundaries:
     def test_single_zero(self):
-        assert coherent_boundaries(_train(ZERO)).tolist() == []
+        assert coherent_boundaries(_train([ZERO])).tolist() == []
 
     def test_single_decoy(self):
-        assert coherent_boundaries(_train(DECOY)).tolist() == [0]
+        assert coherent_boundaries(_train([DECOY])).tolist() == [0]
 
     def test_cross_slot(self):
-        assert coherent_boundaries(_train(ONE, ZERO)).tolist() == [1]
+        assert coherent_boundaries(_train([ONE, ZERO])).tolist() == [1]
 
 
 class TestRoundTrip:

@@ -1,7 +1,6 @@
 import math
 import warnings
 from dataclasses import replace
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -14,20 +13,13 @@ from cowsim.alice import DECOY, DecoyStrategy, generate_raw_bits, insert_decoys
 from cowsim.bob import _sample_clicks, detect_data, receive
 from cowsim.engine import _SATURATED, SimConfig
 from cowsim.eve import apply_and_mask, generate_mask
-from cowsim.optics import click_probability
 from cowsim.sifting import run_sifting
+import protocol_model
+from protocol_model import ONE, ZERO, _train
 
 IDEAL = SimConfig(channel_t=1.0, t_b=0.9, eta_data=1.0, eta_mon=1.0)
 # every click probability 0 or 1: the detectors click exactly where light arrives
 ORACLE = replace(IDEAL, **_SATURATED)
-
-
-# data-slot patterns: a 0 lights the early bin, a 1 the late bin
-ZERO, ONE = 0b01, 0b10
-
-
-def _train(patterns):
-    return np.array(patterns, dtype=np.uint8)
 
 
 def _grid(positions, n):
@@ -231,29 +223,10 @@ class TestSampleClicks:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-def _geometric_reference(p, n, level_at, rng):
-    """The reference sampler: _sample_clicks with every gap drawn by
-    rng.geometric, clipped to the rest of the train plus one."""
-    p_max = float(p.max())
-    if n == 0 or p_max <= 0.0:
-        return np.zeros(0, dtype=np.int64)
-    chunks, end = [], 0
-    while end < n:
-        left = n - end
-        gaps = rng.geometric(p_max, size=int(left * p_max + 5.0 * math.sqrt(left * p_max)) + 1)
-        np.minimum(gaps, left + 1, out=gaps)
-        pos = np.cumsum(gaps)
-        pos += end
-        chunks.append(pos)
-        end = int(pos[-1])
-    pos = np.concatenate(chunks)
-    pos = pos[: np.searchsorted(pos, n, side="right")] - 1
-    return pos[rng.random(pos.size) < (p / p_max)[level_at(pos)]]
-
-
 class _ChunkCounter:
     """A generator that counts the chunks of gaps drawn from it, each cut to
-    at most cap numbers, so that a long train needs many of them."""
+    at most cap numbers, so that a long train needs many of them.  It drives
+    _sample_clicks and the protocol model's sampler alike."""
 
     def __init__(self, seed, cap=None):
         self.rng, self.cap, self.chunks = np.random.default_rng(seed), cap, 0
@@ -277,14 +250,14 @@ _P_MAX = [5e-324, 1e-20, 1e-9, 1e-3, 0.0223, np.nextafter(1 / 3, 0), 1 / 3, 0.5,
 
 
 class TestMatchesGeometric:
-    """_sample_clicks returns the reference sampler's positions and leaves its
-    generator in the reference's state."""
+    """_sample_clicks returns the protocol model's click positions, every gap
+    drawn by rng.geometric, and leaves its generator in the model's state."""
 
     @staticmethod
     def _assert_same(p, level, seed, cap=None):
         ours, ref = _ChunkCounter(seed, cap), _ChunkCounter(seed, cap)
         pos = _sample_levels(p, level, ours)
-        expected = _geometric_reference(p, level.size, level.__getitem__, ref)
+        expected = protocol_model.clicks(p, level.size, level.__getitem__, ref)
         assert pos.dtype == np.int64 and np.array_equal(pos, expected)
         assert ours.rng.bit_generator.state == ref.rng.bit_generator.state
         assert ours.chunks == ref.chunks
@@ -336,8 +309,8 @@ class TestMatchesGeometric:
 
 
 class TestBinLevel:
-    """_bin_level, in uint8 and in place, equals the int64 expression it
-    replaced, and leaves its inputs as they were."""
+    """_bin_level, in uint8 and in place, equals the protocol model's per-bin
+    pulses, and leaves its inputs as they were."""
 
     # the four slot patterns in turn over 40,000 slots: positions past 255
     # and past 65,535, whose uint8 cast drops high bits but keeps bit 0
@@ -355,9 +328,7 @@ class TestBinLevel:
     def test_matches_int64_expression(self, pos):
         train, pos_before = self.TRAIN.copy(), pos.copy()
         level = bob._bin_level(train, pos)
-        expected = (train[pos >> 1] >> (pos & 1).astype(np.uint8)) & 1
-        assert level.dtype == np.uint8 and np.array_equal(level, expected)
-        assert level.tolist() == [int(train[i // 2]) >> (i % 2) & 1 for i in pos.tolist()]
+        assert level.dtype == np.uint8 and level.tolist() == protocol_model.bins(train.tolist())[pos].tolist()
         assert np.array_equal(train, self.TRAIN) and np.array_equal(pos, pos_before)
 
 
@@ -368,16 +339,11 @@ class TestDetectData:
     )
 
     def test_receive_draws_data_then_monitor(self):
-        # receive draws detect_data's numbers, then the monitor's: those of
-        # any train of 2n - 1 boundaries at the lone-pulse click
-        # probability, the largest of the monitor's levels at V = 0.98
-        train, c = self.TRAIN, self.NOISY
-        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        (slots, values), _ = receive(train, c, rng_a)
-        ref_slots, ref_values = detect_data(train, c, rng_b)
-        assert np.array_equal(slots, ref_slots) and np.array_equal(values, ref_values)
-        lone = click_probability(c.mu * c.channel_t * (1 - c.t_b) / 4, c.eta_mon, c.p_dark_mon)
-        _sample_levels(np.array([lone]), np.zeros(2 * train.size - 1, dtype=np.uint8), rng_b)
+        # receive draws the data detector's numbers, then the monitor's, as the protocol model does
+        train, rng_a, rng_b = self.TRAIN, np.random.default_rng(5), np.random.default_rng(5)
+        (slots, values), monitor = receive(train, self.NOISY, rng_a)
+        expected = protocol_model.receive(train.tolist(), self.NOISY, rng_b)
+        assert ((slots.tolist(), values.tolist()), monitor.tolist()) == expected
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -431,17 +397,6 @@ class TestDecode:
         assert (slots.tolist(), values.tolist()) == ([1], [0])
 
 
-def _first_click_reference(train, config, rng):
-    """detect_data by the rule it replaced: the same sampler's positions,
-    each slot's first click kept by a diff against the previous slot."""
-    data_mean = np.array([0.0, config.mu * config.channel_t * config.t_b])
-    p = click_probability(data_mean, config.eta_data, config.p_dark_data)
-    pos = _sample_clicks(p, 2 * train.size, partial(bob._bin_level, train), rng)
-    slots = pos >> 1
-    first = np.diff(slots, prepend=-1) > 0
-    return slots[first], (pos[first] & 1).astype(np.uint8)
-
-
 class TestFirstClick:
     @given(
         patterns=st.lists(st.sampled_from([0, ZERO, ONE, DECOY]), max_size=300),
@@ -450,15 +405,15 @@ class TestFirstClick:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_diff_rule(self, patterns, saturated, p_dark_data, seed):
+        # each slot's first click, as the protocol model keeps it
         # saturated, every decoy slot clicks in both bins, and at large
         # p_dark_data so do many others: the early click must win
         train = _train(patterns)
         config = replace(ORACLE if saturated else SimConfig(), p_dark_data=p_dark_data)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         slots, values = detect_data(train, config, rng)
-        ref_slots, ref_values = _first_click_reference(train, config, ref_rng)
         assert slots.dtype == np.int64 and values.dtype == np.uint8
-        assert np.array_equal(slots, ref_slots) and np.array_equal(values, ref_values)
+        assert (slots.tolist(), values.tolist()) == protocol_model.detect(patterns, config, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -510,29 +465,6 @@ class TestMonitor:
         assert result.break_rate == pytest.approx(1 / 2)
 
 
-def _detect_on_grid(clicks):
-    """The dense-grid rule detect_data replaced: clicks on the bin grid, the
-    early bin shadowing the late one, then bin 2i+v -> (slot i, value v)."""
-    clicks = clicks.copy()
-    late = clicks[1::2]
-    late &= ~clicks[0::2]
-    bins = np.flatnonzero(clicks)
-    return bins // 2, bins % 2
-
-
-def _nonzero_mean_reference(train, config):
-    """The deterministic rule the saturated config replaced: a position clicks
-    iff its mean is nonzero, as np.flatnonzero((mean > 0)[level]).  Returns
-    the data detector's (slots, values) and the monitor's clicked boundaries."""
-    bins = np.stack([train & 1, train >> 1], axis=1).ravel()
-    data_mean = np.array([0.0, config.mu * config.channel_t * config.t_b])
-    m = config.mu * config.channel_t * (1 - config.t_b)
-    port = np.array([0.0, m / 4, (m - config.visibility * m) / 2])
-    data = np.flatnonzero((data_mean > 0)[bins])
-    monitor = np.flatnonzero((port > 0)[bins[:-1] + bins[1:]])
-    return _detect_on_grid(_grid(data, bins.size)), monitor
-
-
 class TestSaturatedReference:
     @given(
         patterns=st.lists(st.sampled_from([ZERO, ONE, DECOY]), min_size=1, max_size=200),
@@ -542,52 +474,15 @@ class TestSaturatedReference:
     )
     def test_receive_matches_nonzero_mean_rule(self, patterns, mask_seed, visibility, seed):
         # random slot patterns, with or without a random AND mask: under the
-        # saturated config both detectors click exactly where the mean is nonzero
+        # saturated config both detectors click exactly where the mean is
+        # nonzero, so the protocol model gives the same clicks from another seed
         train = _train(patterns)
         if mask_seed is not None:
             train = apply_and_mask(train, generate_mask(train.size, np.random.default_rng(mask_seed)))
         config = SimConfig(visibility=visibility, **_SATURATED)
         (slots, values), monitor = receive(train, config, np.random.default_rng(seed))
-        (ref_slots, ref_values), ref_monitor = _nonzero_mean_reference(train, config)
-        assert np.array_equal(slots, ref_slots) and np.array_equal(values, ref_values)
-        assert np.array_equal(monitor, ref_monitor)
-
-
-class TestIndexFormulation:
-    @given(
-        n_slots=st.integers(1, 40),
-        seed=st.integers(0, 2**32 - 1),
-        p_click=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-    )
-    def test_grid_matches_index_formulation(self, n_slots, seed, p_click):
-        # random trains; every bin clicks with probability p_click.  The
-        # reference scatters the same sampler draws on the bin grid and
-        # applies the dense-grid rule.
-        rng = np.random.default_rng(seed)
-        train = rng.integers(0, 4, n_slots, dtype=np.uint8)
-        occupancy = np.stack([train & 1, train >> 1], axis=1).ravel().astype(bool)
-        p = np.array([p_click, p_click])
-        pos = _sample_levels(p, occupancy.view(np.uint8), np.random.default_rng(seed))
-        raw = _grid(pos, occupancy.size)
-        with mock.patch.object(bob, "click_probability", lambda mean, eta, p_dark: p):
-            slots, values = detect_data(train, IDEAL, np.random.default_rng(seed))
-        ref_slots, ref_values = _detect_on_grid(raw)
-        assert np.array_equal(slots, ref_slots)
-        assert np.array_equal(values, ref_values)
-        assert np.all(np.diff(slots) > 0)
-        assert values.dtype == np.uint8
-
-        # the MonitorReport line against the gather from a per-boundary grid
-        # of pairs of occupied bins, read at the clicked boundaries
-        clicked = np.flatnonzero(rng.random(2 * n_slots - 1) < p_click)
-        _, transcript = run_sifting(
-            train, (slots, values), clicked, SimConfig(f_verify=0.0), np.random.default_rng(0)
-        )
-        coherent = occupancy[:-1] & occupancy[1:]
-        report = transcript.get("MonitorReport")
-        assert report["boundaries"] == clicked.tolist()
-        assert report["clicks"] == coherent[clicked].astype(int).tolist()
-        assert report["coherent"] == np.count_nonzero(coherent)
+        expected = protocol_model.receive(train.tolist(), config, np.random.default_rng(seed + 1))
+        assert ((slots.tolist(), values.tolist()), monitor.tolist()) == expected
 
 
 class TestMonitorReport:
@@ -597,14 +492,13 @@ class TestMonitorReport:
     )
     def test_flags_match_grid_gather(self, n_slots, data):
         # any occupied bins, and any clicks, strictly increasing as Bob
-        # announces them: a flag is the per-boundary grid of pairs of
-        # occupied bins, read at the click
+        # announces them: a flag is set where both bins of the boundary are lit
         occupied = data.draw(st.sets(st.integers(0, 2 * n_slots - 1)))
-        clicked = np.array(sorted(data.draw(st.sets(st.integers(0, 2 * n_slots - 2)))), dtype=np.int64)
-        occupancy = _grid(sorted(occupied), 2 * n_slots)
-        coherent = occupancy[:-1] & occupancy[1:]
-        result, transcript = _sift_monitor(_slot_train(sorted(occupied), n_slots), clicked)
-        expect = coherent[clicked]
-        assert transcript.get("MonitorReport")["clicks"] == expect.astype(int).tolist()
-        n_coherent = np.count_nonzero(coherent)
-        assert result.break_rate == (expect.sum() / n_coherent if n_coherent else 0.0)
+        clicked = sorted(data.draw(st.sets(st.integers(0, 2 * n_slots - 2))))
+        train = _slot_train(sorted(occupied), n_slots)
+        result, transcript = _sift_monitor(train, clicked)
+        rng = np.random.default_rng(0)
+        expected = protocol_model.dialog(train.tolist(), [], [], clicked, SimConfig(f_verify=0.0), rng)
+        assert {kind: transcript.get(kind) for kind in transcript.messages} == expected
+        report = expected["MonitorReport"]
+        assert result.break_rate == (sum(report["clicks"]) / report["coherent"] if report["coherent"] else 0.0)

@@ -1,10 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from cowsim import alice, bob, engine
+from cowsim import engine
 from cowsim.alice import DecoyStrategy
 from cowsim.engine import (
     _SATURATED,
@@ -17,7 +17,7 @@ from cowsim.engine import (
     table1_rows,
 )
 from cowsim.eve import observe_transcript
-from cowsim.optics import detectable_fraction, splittable_fraction
+import protocol_model
 
 IDEAL = dict(channel_t=1.0, eta_data=1.0, eta_mon=1.0, p_dark_data=0.0, p_dark_mon=0.0)
 
@@ -150,31 +150,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_insert_decoys_reference(self, seed):
-        # the in-place train equals insert_decoys(bits, NONE); the grid
-        # reaches both gap draws (p_max below 1/3, and at or above it)
+        # the protocol model's rows, its train laid out with no decoys; the
+        # grid reaches both gap draws (p_max below 1/3, and at or above it)
         config = SimConfig(n_bits=50_001, seed=seed, **{**IDEAL, "p_dark_data": 1e-3})
         grid = [0.1, 0.5, 60.0]
-        assert sweep_mu(config, grid) == _reference_sweep(config, grid)
-
-
-def _reference_sweep(config, mu_grid):
-    """sweep_mu's rows, each train built by insert_decoys(bits, DecoyStrategy.NONE)."""
-    rows, master = [], np.random.SeedSequence(config.seed)
-    for mu in mu_grid:
-        point = replace(config, mu=mu, decoy_strategy=DecoyStrategy.NONE, attack=Attack.NONE)
-        rng_bits, _, _, rng_det = engine._streams(master.spawn(1)[0])
-        bits = alice.generate_raw_bits(point.n_bits, rng_bits)
-        train = alice.insert_decoys(bits, DecoyStrategy.NONE)
-        slots, _ = bob.detect_data(train, point, rng_det)
-        rows.append(
-            engine.SweepRow(
-                mu=mu,
-                detectable=detectable_fraction(mu),
-                splittable=splittable_fraction(mu),
-                empirical=slots.size / train.size,
-            )
-        )
-    return rows
+        assert [astuple(row) for row in sweep_mu(config, grid)] == protocol_model.sweep_mu(config, grid)
 
 
 class TestCompareAttack:

@@ -14,13 +14,8 @@ from cowsim.eve import (
     reconstruct_key,
 )
 from cowsim.sifting import Transcript, TranscriptError
-
-# data-slot patterns: a 0 lights the early bin, a 1 the late bin
-ZERO, ONE = 0b01, 0b10
-
-
-def _train(patterns):
-    return np.array(patterns, dtype=np.uint8)
+import protocol_model
+from protocol_model import ONE, ZERO, _train
 
 
 class TestGenerateMask:
@@ -36,10 +31,10 @@ class TestGenerateMask:
     @pytest.mark.parametrize("n", [1, 7, 8, 1001])
     def test_patterns_of_alices_bit_draw(self, n):
         # Eve draws her bits as Alice does and lays each out as a data slot
-        bits = generate_raw_bits(n, np.random.default_rng(3))
         mask = generate_mask(n, np.random.default_rng(3))
         assert mask.dtype == np.uint8
-        assert np.array_equal(mask, np.where(bits == 0, ZERO, ONE))
+        bits = protocol_model.raw_bits(n, np.random.default_rng(3))
+        assert mask.tolist() == [ONE if b else ZERO for b in bits]
 
     @pytest.mark.parametrize("n", [*range(1, 18), 100_001])
     def test_raw_bits_plus_one(self, n):
@@ -101,9 +96,8 @@ class TestApplyMask:
         train = _train(patterns)
         mask = generate_mask(train.size, np.random.default_rng(seed))
         masked = apply_and_mask(train, mask)
-        eve_bits = generate_raw_bits(train.size, np.random.default_rng(seed))
-        eve_pattern = np.where(eve_bits == 0, 0b01, 0b10)
-        assert np.array_equal(masked, train & eve_pattern)
+        eve_bits = protocol_model.raw_bits(train.size, np.random.default_rng(seed))
+        assert masked.tolist() == [t & (b + 1) for t, b in zip(patterns, eve_bits)]
         assert np.array_equal(train, _train(patterns))  # input untouched
 
     @given(

@@ -23,12 +23,12 @@ from cowsim.sifting import (
     _list_pieces,
     run_sifting,
 )
+import protocol_model
+from protocol_model import ONE, ZERO, _train
 
 NO_MONITOR = np.array([], dtype=np.int64)
 NOTHING_DETECTED = (np.array([], dtype=np.int64), np.array([], dtype=np.uint8))
 NO_VERIFY = SimConfig(f_verify=0.0)
-# Alice's data-slot patterns: a 0 lights the early bin, a 1 the late bin
-ZERO, ONE = 0b01, 0b10
 
 INT64 = np.iinfo(np.int64)
 # every digit-count boundary within int64, both signs, and both ends of the range
@@ -36,10 +36,6 @@ WIDE_EDGES = sorted(
     {0, INT64.max, INT64.min}
     | {sign * v for k in range(1, 19) for v in (10**k - 1, 10**k) for sign in (1, -1)}
 )
-
-
-def _train(patterns):
-    return np.array(patterns, dtype=np.uint8)
 
 
 def _sift_monitor(clicks, config=NO_VERIFY, patterns=None):
@@ -68,28 +64,20 @@ class TestMonitorOutcome:
     @settings(deadline=None, max_examples=150)
     @given(data=st.data(), patterns=st.lists(st.integers(0, DECOY), min_size=1, max_size=40))
     def test_flags_match_isin(self, data, patterns):
-        # any train, with any sorted clicks and detections; both ends 0 and 2n - 2 likely
+        # any train, with any sorted clicks and detections; both ends 0 and 2n - 2 likely:
+        # the whole dialog is the protocol model's, and the report holds Bob's one array
         n = len(patterns)
         boundary = st.one_of(st.sampled_from([0, 2 * n - 2]), st.integers(0, 2 * n - 2))
-        clicks = np.array(sorted(data.draw(st.sets(boundary, max_size=20))), dtype=np.int64)
-        slots = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
-        train = _train(patterns)
-        detected = (slots, np.ones(slots.size, dtype=np.uint8))
-        result, transcript = run_sifting(train, detected, clicks, SimConfig(), np.random.default_rng(0))
-        coherent = coherent_boundaries(train)
-        expected = np.isin(clicks, coherent)
+        clicks = sorted(data.draw(st.sets(boundary, max_size=20)))
+        slots = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+        detected, rng = (slots, [1] * len(slots)), np.random.default_rng(0)
+        _, transcript = run_sifting(_train(patterns), detected, clicks, SimConfig(), rng)
+        expected = protocol_model.dialog(patterns, *detected, clicks, SimConfig(), np.random.default_rng(0))
+        assert {kind: transcript.get(kind) for kind in transcript.messages} == expected
         report = transcript.messages["MonitorReport"]
+        assert report["clicks"].tolist() == np.isin(clicks, coherent_boundaries(_train(patterns))).tolist()
         assert report["clicks"].dtype == np.uint8
-        assert report["clicks"].tolist() == expected.astype(int).tolist()
         assert report["boundaries"] is transcript.messages["CoherenceCheck"]["boundaries"]
-        assert report["boundaries"].tolist() == clicks.tolist()
-        assert report["coherent"] == coherent.size
-        assert result.break_rate == (expected.sum() / coherent.size if coherent.size else 0.0)
-        # no slot beside a click is verified or kept, and every other detected data slot is
-        beside = set((clicks >> 1).tolist()) | set(((clicks + 1) >> 1).tolist())
-        data_slots = {s for s in slots.tolist() if patterns[s] != DECOY}
-        verified = transcript.get("VerificationRequest")["slots"]
-        assert set(verified) | set(result.kept_indices.tolist()) == data_slots - beside
 
 
 class TestRunSifting:
@@ -226,18 +214,12 @@ class TestRunSifting:
         assert result.verdict == "abort"
 
     def test_verification_excluded_from_key(self):
-        train = _train([ZERO, ONE] * 50)
-        detected = (np.arange(100), np.arange(100) % 2)
-        result, transcript = run_sifting(
-            train, detected, NO_MONITOR, SimConfig(f_verify=0.3), np.random.default_rng(1)
-        )
-        verify = set(transcript.get("VerificationRequest")["slots"])
-        kept = set(transcript.get("KeyIndices")["slots"])
-        assert verify and kept
-        assert verify.isdisjoint(kept)
-        discarded = set(transcript.get("DecoyDiscard")["slots"])
-        announced = set(transcript.get("DetectionReport")["slots"])
-        assert verify | kept == announced - discarded
+        # a key slot is never revealed, and every detected data slot is one or the other
+        train, detected, config = [ZERO, ONE] * 50, (list(range(100)), [0, 1] * 50), SimConfig(f_verify=0.3)
+        _, transcript = run_sifting(_train(train), detected, NO_MONITOR, config, np.random.default_rng(1))
+        assert transcript.get("VerificationRequest")["slots"] and transcript.get("KeyIndices")["slots"]
+        expected = protocol_model.dialog(train, *detected, [], config, np.random.default_rng(1))
+        assert {kind: transcript.get(kind) for kind in transcript.messages} == expected
 
     def test_bool_values_sift_as_uint8(self):
         # Bob's values are bits, and a bool array of them is the same bits
@@ -1018,15 +1000,11 @@ class TestTranscriptPayloads:
 
     @pytest.mark.parametrize("strategy", list(DecoyStrategy))
     def test_to_jsonl_matches_json_dumps(self, strategy):
+        # the protocol model writes each message with json.dumps(..., sort_keys=True)
         config = SimConfig(
             n_bits=3000, decoy_strategy=strategy, attack=Attack.AND_MASK, p_dark_mon=1e-3, seed=6
         )
-        _, transcript, _ = run(config)
-        reference = "".join(
-            json.dumps({"kind": k, **transcript.get(k)}, sort_keys=True) + "\n"
-            for k in MESSAGE_ORDER
-        )
-        assert transcript.to_jsonl() == reference
+        assert run(config)[1].to_jsonl() == protocol_model.run(config)[1]
 
     def test_to_jsonl_matches_json_dumps_on_mixed_values(self):
         t = Transcript()
@@ -1130,19 +1108,38 @@ class TestPassiveReader:
         # slots just left of a decoy block are never 1,0, and two of the other
         # three pairs end in 1: a key slot left of an announced decoy holds a
         # 1 with probability 2/3.  The reader learns 1 - H(2/3) bits from it.
-        ones = n_left = n_key = 0
+        # The layout tilts other offsets too, each mixing the four slots of a
+        # block: offset -5 is held to the share of ones at -5 from every decoy
+        # of Alice's trains.  Per offset: ones and slots among the key slots
+        # beside announced decoys, and among the data slots beside all decoys.
+        offsets = list(range(-6, 7))
+        key, layout = np.zeros((2, 2, len(offsets)), np.int64)
+        n_key = 0
         for seed in range(25):
             config = SimConfig(n_bits=2_000_000, p_dark_data=1e-5, p_dark_mon=1e-5, seed=seed)
             _, transcript, _ = run(config)
-            key = transcript.messages["KeyIndices"]["slots"]
-            left = transcript.messages["DecoyDiscard"]["slots"] - 1
-            left = left[np.isin(left, key)]
-            ones += int(np.count_nonzero(_alice_train(config)[left] >> 1))
-            n_left += left.size
-            n_key += key.size
+            kept = transcript.messages["KeyIndices"]["slots"]
+            train = _alice_train(config)
+            n, decoy, one, data = train.size, train == DECOY, train == ONE, train != DECOY
+            # six slots past the end, which hold no key and where offsets below 0 wrap too
+            in_key, one_padded = np.zeros(n + 6, dtype=bool), np.append(one, [False] * 6)
+            in_key[kept] = True
+            near = transcript.messages["DecoyDiscard"]["slots"][:, None] + np.array(offsets)
+            hit = in_key[near]
+            key += np.count_nonzero(hit & one_padded[near], axis=0), np.count_nonzero(hit, axis=0)
+            for j, offset in enumerate(offsets):  # decoy slots i, each against slot i + offset
+                lo, hi = max(0, -offset), n - max(0, offset)
+                for row, lit in enumerate((one, data)):
+                    layout[row, j] += np.count_nonzero(decoy[lo:hi] & lit[lo + offset : hi + offset])
+            n_key += kept.size
+        for offset, (ones, n), (layout_ones, layout_n) in zip(offsets, key.T, layout.T):
+            if offset:
+                print(f"offset {offset:+d}: key {ones}/{n} ones, layout share {layout_ones / layout_n:.4f}")
+        (ones, n_left), (ones_5, n_5) = key[:, offsets.index(-1)], key[:, offsets.index(-5)]
         assert n_left >= 2000
-        p = 2 / 3
+        p, p_5 = 2 / 3, np.divide(*layout[:, offsets.index(-5)])
         assert abs(ones - p * n_left) <= 5 * math.sqrt(n_left * p * (1 - p)), (ones, n_left)
+        assert abs(ones_5 - p_5 * n_5) <= 5 * math.sqrt(n_5 * p_5 * (1 - p_5)), (ones_5, n_5, p_5)
         leak = n_left * (1 + p * math.log2(p) + (1 - p) * math.log2(1 - p))  # sum of 1 - H(p_i)
         print(f"left of a decoy: {ones}/{n_left} ones; leak {leak:.1f} bits over {n_key} key bits")
         assert leak / n_key < 1e-3
