@@ -3,7 +3,6 @@
 from .alice import (
     DECOY,
     DecoyStrategy,
-    coherent_boundaries,
     generate_raw_bits,
     insert_decoys,
 )

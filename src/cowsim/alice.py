@@ -10,7 +10,9 @@ train is one uint8 pattern per slot, bit v set when bin v (0 = early,
 1 = late) holds a pulse: 1 for a data 0, 2 for a data 1 and DECOY = 3 for
 a decoy.  insert_decoys builds it, and it is also Alice's record of what she
 sent: a data slot's bit is pattern >> 1.  Every pulse has the same mean
-photon number mu.
+photon number mu.  This module alone says what a pattern lights: the bins
+(_bin_level), the pairs of bins the monitor overlaps (_pair_level), and how
+many of those pairs are coherent (_n_coherent).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "DecoyStrategy",
     "generate_raw_bits",
     "insert_decoys",
-    "coherent_boundaries",
 ]
 
 # slot patterns: data bit b is pattern b + 1, and DECOY lights both bins
@@ -48,6 +49,32 @@ def _check_range(name: str, a, stop: int, dtype=np.int64) -> np.ndarray:
     if a.size and (a.max() >= stop or a.dtype.kind == "i" and a.min() < 0):
         raise ValueError(f"{name} must lie in [0, {stop}), got values in [{a.min():d}, {a.max():d}]")
     return a.astype(dtype, copy=False)
+
+
+def _bin_level(train: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Pulses (0 or 1) in bins pos of a slot-pattern train."""
+    # in uint8, in place: the cast drops all but the low byte, which holds
+    # bit 0 (the bin within its slot), and saves an int64 temporary
+    shift = pos.astype(np.uint8)
+    shift &= 1
+    level = train[pos >> 1]
+    level >>= shift
+    level &= 1
+    return level
+
+
+def _pair_level(train: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Pulses (0, 1 or 2) in bins k and k+1 of a slot-pattern train: the late
+    bin of slot k >> 1 plus the early bin of slot (k + 1) >> 1, which is the
+    same slot when k is even.  Boundary k is coherent where this is 2: only
+    there can the monitor see perfect destructive interference."""
+    return (train[k >> 1] >> 1) + (train[(k + 1) >> 1] & 1)
+
+
+def _n_coherent(train: np.ndarray) -> int:
+    """How many boundaries k of a slot-pattern train have _pair_level 2: one
+    inside each decoy, and one between a late pulse and the next slot's early one."""
+    return int(np.count_nonzero(train == DECOY)) + int(np.count_nonzero((train[:-1] >> 1) & train[1:]))
 
 
 class DecoyStrategy(Enum):
@@ -135,17 +162,4 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
         return frames.ravel()[: len(frames) + bits.size]
 
     raise ValueError(f"unknown decoy strategy: {strategy!r}")
-
-
-def coherent_boundaries(train: np.ndarray) -> np.ndarray:
-    """Bin indices k where bins k and k+1 are both nonempty in a slot-pattern train.
-
-    Boundary 2i is coherent when slot i is a decoy (pattern DECOY), and boundary
-    2i+1 when slot i's late bin and slot i+1's early bin both hold pulses;
-    only these can show perfect destructive interference at the monitor.
-    """
-    coherent = np.zeros((train.size, 2), dtype=bool)
-    coherent[:, 0] = train == DECOY
-    coherent[:-1, 1] = (train[:-1] >> 1) & train[1:]
-    return np.flatnonzero(coherent)
 

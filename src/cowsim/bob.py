@@ -7,8 +7,8 @@ pulse pair cancels at the instrumented (destructive) output.  Since every
 pulse has the same mean, a data bin is either empty or a pulse, and the
 destructive port at a boundary sees nothing, a lone pulse or an intact pair.
 
-The train arrives as Alice's slot patterns (alice.insert_decoys), after any
-mask: bit v of train[i] is set when bin 2i+v holds a pulse.  A detection is
+The train arrives as Alice's slot patterns after any mask; alice says what
+each pattern lights (_bin_level and _pair_level).  A detection is
 the sorted array of positions that clicked, as the sampler draws them.  The
 data detector reports (slots, values): bin 2i+v clicked gives slot i and
 value v, at most one per slot.  The monitor detector reports its clicked
@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alice import DECOY, _check_range
+from .alice import DECOY, _bin_level, _check_range, _pair_level
 from .optics import click_probability
 
 if TYPE_CHECKING:
@@ -45,6 +45,7 @@ if TYPE_CHECKING:
 __all__ = [
     "receive",
     "detect_data",
+    "data_click_probability",
     "monitor_click_probability",
 ]
 
@@ -67,13 +68,20 @@ def receive(
     values, never on the channel contents: runs with and without Eve's
     mask stay draw-aligned for controlled comparisons.
     """
-    train = _check_range("train", train, DECOY + 1, np.uint8)
     detected = detect_data(train, config, rng)
+    train = np.asarray(train, dtype=np.uint8)  # detect_data has checked it
 
     return detected, _sample_clicks(
         monitor_click_probability(config), max(2 * train.size - 1, 0),
         partial(_pair_level, train), rng,
     )
+
+
+def data_click_probability(config: SimConfig) -> np.ndarray:
+    """The data detector's click probability at a bin of 0 or 1 pulses, a
+    pulse carrying mu * channel_t * t_b to it."""
+    data_mean = np.array([0.0, config.mu * config.channel_t * config.t_b])
+    return click_probability(data_mean, config.eta_data, config.p_dark_data)
 
 
 def monitor_click_probability(config: SimConfig) -> np.ndarray:
@@ -102,15 +110,11 @@ def detect_data(
     slot and the detector re-arms at the next slot boundary, so a slot never
     yields two clicks.
 
-    train must hold slot patterns 0 to DECOY, best as uint8; it is cast to
-    uint8 unchecked, so receive checks its train before the call.
+    train must be 1-D and hold slot patterns 0 to DECOY; ValueError names it
+    if not.
     """
-    train = np.asarray(train, dtype=np.uint8)
-    data_mean = np.array([0.0, config.mu * config.channel_t * config.t_b])
-    pos = _sample_clicks(
-        click_probability(data_mean, config.eta_data, config.p_dark_data),
-        2 * train.size, partial(_bin_level, train), rng,
-    )
+    train = _check_range("train", train, DECOY + 1, np.uint8)
+    pos = _sample_clicks(data_click_probability(config), 2 * train.size, partial(_bin_level, train), rng)
     slots = pos >> 1
     values = pos.astype(np.uint8)  # the cast keeps bit 0, the bin within its slot
     values &= 1
@@ -121,25 +125,6 @@ def detect_data(
         first = np.concatenate(([True], first))
         slots, values = slots[first], values[first]
     return slots, values
-
-
-def _bin_level(train: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Pulses (0 or 1) in bins pos of a slot-pattern train."""
-    # in uint8, in place: the cast drops all but the low byte, which holds
-    # bit 0 (the bin within its slot), and saves an int64 temporary
-    shift = pos.astype(np.uint8)
-    shift &= 1
-    level = train[pos >> 1]
-    level >>= shift
-    level &= 1
-    return level
-
-
-def _pair_level(train: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Pulses (0, 1 or 2) in bins k and k+1 of a slot-pattern train: the late
-    bin of slot k >> 1 plus the early bin of slot (k + 1) >> 1, which is the
-    same slot when k is even."""
-    return (train[k >> 1] >> 1) + (train[(k + 1) >> 1] & 1)
 
 
 def _sample_clicks(p: np.ndarray, n: int, level_at, rng: np.random.Generator) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from . import alice, bob, eve
 from .alice import DecoyStrategy
 from .eve import EveRecord
-from .optics import click_probability, detectable_fraction, splittable_fraction
+from .optics import detectable_fraction, splittable_fraction
 from .sifting import Transcript, run_sifting
 
 __all__ = [
@@ -255,8 +255,7 @@ def compare_attack(config: SimConfig) -> CompareResult:
     then no n_bits helps; otherwise it names n_bits, with a pulse bin's click
     probability p and the about 1/p bits per expected data click.
     """
-    pulse = config.mu * config.channel_t * config.t_b
-    p = click_probability(pulse, config.eta_data, config.p_dark_data)
+    p = float(bob.data_click_probability(config)[1])
     if p == 0.0:
         zero = [name for name in ("channel_t", "t_b", "eta_data") if getattr(config, name) == 0.0]
         named = ", ".join(f"{name}=0" for name in zero) or f"mu={config.mu}"

@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alice import DECOY, _check_range
-from .bob import _pair_level, monitor_click_probability
+from .alice import DECOY, _check_range, _n_coherent, _pair_level
+from .bob import monitor_click_probability
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -357,12 +357,12 @@ def run_sifting(
     as integers or bools; ValueError names the first input that does not.
 
     Bob announces his detected slots and his monitor clicks (CoherenceCheck).
-    Alice flags each click that fell on a coherent boundary of her train
-    (alice.coherent_boundaries) and announces how many coherent boundaries
-    she sent (MonitorReport).  A flag tells of the data slots beside its
-    boundary (set at 2i + 1, it fixes slot i at 1 and slot i + 1 at 0), so
-    the slots k >> 1 and (k + 1) >> 1 of every click k leave the key before
-    the verification draw, as do Alice's decoys.  Of the rest she
+    Alice flags each click that fell on a coherent boundary of her train, one
+    with both bins lit, and announces the count of coherent boundaries she
+    sent (alice._n_coherent) in MonitorReport.  A flag tells of the data
+    slots beside its boundary (set at 2i + 1, it fixes slot i at 1 and slot
+    i + 1 at 0), so the slots k >> 1 and (k + 1) >> 1 of every click k leave
+    the key before the verification draw, as do Alice's decoys.  Of the rest she
     samples a verification subset of fraction config.f_verify that both
     sides reveal, and keeps the others as key.  The verdict aborts when k of
     the n coherent boundaries clicked and P(K >= k) < config.alarm_alpha
@@ -381,9 +381,7 @@ def run_sifting(
         raise ValueError("monitor clicks must be strictly increasing")
 
     flags = (_pair_level(train, monitor) == 2).view(np.uint8)
-    # coherent_boundaries(train).size, counted without building its array
-    n_coherent = int(np.count_nonzero(train == DECOY))
-    n_coherent += int(np.count_nonzero((train[:-1] >> 1) & train[1:]))
+    n_coherent = _n_coherent(train)
 
     is_decoy = train[slots] == DECOY
     decoy_detected = slots[is_decoy]

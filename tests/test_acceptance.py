@@ -12,10 +12,8 @@ from cowsim.alice import DECOY, DecoyStrategy
 from cowsim.engine import _SATURATED, Attack, SimConfig, compare_attack, run
 from cowsim.optics import detectable_fraction, splittable_fraction
 from cowsim.sifting import run_sifting
-
-
-# data-slot patterns: a 0 lights the early bin, a 1 the late bin
-ZERO, ONE = 0b01, 0b10
+import protocol_model
+from protocol_model import ONE, ZERO
 
 
 def _report(number, title, ok):
@@ -111,7 +109,7 @@ def test_criterion_5_mu_eff_law():
 def test_criterion_6_monitor_behavior():
     n_decoys = 30_000  # 5 se over 30k decoys is 2.9 se over 10k
     train = np.full(n_decoys, DECOY, dtype=np.uint8)
-    checked = alice.coherent_boundaries(train)
+    checked = np.flatnonzero(protocol_model.pairs(train) == 2)
     config = SimConfig(mu=0.5, channel_t=0.5, t_b=0.9, eta_mon=1.0, p_dark_mon=0.0, visibility=1.0)
 
     # no attack: every checked boundary cancels perfectly
@@ -125,7 +123,7 @@ def test_criterion_6_monitor_behavior():
     sent = eve.apply_and_mask(train, mask)
     _, monitor = bob.receive(sent, config, np.random.default_rng(62))
     # a checked boundary is broken when one of its two bins lost its pulse
-    occupied = np.stack([sent & 1, sent >> 1], axis=1).ravel()
+    occupied = protocol_model.bins(sent)
     one_survivor = occupied[checked] != occupied[checked + 1]
     broken = checked[one_survivor]
     assert broken.size >= n_decoys

@@ -4,19 +4,19 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cowsim.alice import (
     DECOY,
     DecoyStrategy,
-    coherent_boundaries,
+    _n_coherent,
     generate_raw_bits,
     insert_decoys,
 )
 from cowsim.bob import receive
 from cowsim.engine import _SATURATED, SimConfig
-from protocol_model import ONE, ZERO, _train, layout
+from protocol_model import ONE, ZERO, _train, layout, pairs
 
 # runs of 1,0,1,0,... pieced together, so chains of overlapping 1010 occur
 _alternating_runs = st.lists(
@@ -283,14 +283,29 @@ class TestEncode:
 
 
 class TestBoundaries:
+    """The coherent boundaries are where the protocol model's pairs are 2, and
+    _n_coherent counts them."""
+
+    @staticmethod
+    def _coherent(patterns):
+        coherent = np.flatnonzero(pairs(patterns) == 2).tolist()
+        assert _n_coherent(_train(patterns)) == len(coherent)
+        return coherent
+
     def test_single_zero(self):
-        assert coherent_boundaries(_train([ZERO])).tolist() == []
+        assert self._coherent([ZERO]) == []
 
     def test_single_decoy(self):
-        assert coherent_boundaries(_train([DECOY])).tolist() == [0]
+        assert self._coherent([DECOY]) == [0]
 
     def test_cross_slot(self):
-        assert coherent_boundaries(_train([ONE, ZERO])).tolist() == [1]
+        assert self._coherent([ONE, ZERO]) == [1]
+
+    @given(patterns=st.lists(st.integers(0, DECOY), max_size=200))
+    @example(patterns=[])
+    @example(patterns=[DECOY])
+    def test_count_matches_model(self, patterns):
+        assert _n_coherent(_train(patterns)) == np.count_nonzero(pairs(patterns) == 2)
 
 
 class TestRoundTrip:

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cowsim import bob
-from cowsim.alice import DECOY, DecoyStrategy, generate_raw_bits, insert_decoys
+from cowsim.alice import DECOY, DecoyStrategy, _bin_level, generate_raw_bits, insert_decoys
 from cowsim.bob import _sample_clicks, detect_data, receive
 from cowsim.engine import _SATURATED, SimConfig
 from cowsim.eve import apply_and_mask, generate_mask
-from cowsim.sifting import run_sifting
 import protocol_model
 from protocol_model import ONE, ZERO, _train
 
@@ -45,18 +44,6 @@ def _slot_train(bins, n_slots):
     """The slot-pattern train of n_slots whose occupied bins are the given bin indices."""
     occ = _grid(bins, 2 * n_slots).reshape(n_slots, 2).view(np.uint8)
     return occ[:, 0] | occ[:, 1] << 1
-
-
-def _sift_monitor(train, clicks):
-    """run_sifting's (result, transcript) for Bob's monitor clicks on a
-    slot-pattern train, with nothing detected."""
-    return run_sifting(
-        train,
-        (np.array([], dtype=np.int64), np.array([], dtype=np.uint8)),
-        np.asarray(clicks, dtype=np.int64),
-        SimConfig(f_verify=0.0),
-        np.random.default_rng(0),
-    )
 
 
 class TestReceive:
@@ -327,7 +314,7 @@ class TestBinLevel:
     )
     def test_matches_int64_expression(self, pos):
         train, pos_before = self.TRAIN.copy(), pos.copy()
-        level = bob._bin_level(train, pos)
+        level = _bin_level(train, pos)
         assert level.dtype == np.uint8 and level.tolist() == protocol_model.bins(train.tolist())[pos].tolist()
         assert np.array_equal(train, self.TRAIN) and np.array_equal(pos, pos_before)
 
@@ -345,6 +332,29 @@ class TestDetectData:
         expected = protocol_model.receive(train.tolist(), self.NOISY, rng_b)
         assert ((slots.tolist(), values.tolist()), monitor.tolist()) == expected
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "train, error",
+        [
+            (np.array([259, 258, 257]), r"^train must lie in \[0, 4\), got values in \[257, 259\]$"),
+            (np.array([1.7, 2.2]), "^train must be integers, got float64$"),
+            (np.array([-1]), r"^train must lie in \[0, 4\), got values in \[-1, -1\]$"),
+            (np.array([[1, 2]]), r"^train must be 1-D, got shape \(1, 2\)$"),
+        ],
+        ids=["wraps", "truncates", "negative", "2-D"],
+    )
+    def test_rejects_bad_train(self, train, error):
+        # public on its own, it checks its train as every stage does, before any draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=error):
+            detect_data(train, IDEAL, rng)
+        assert rng.bit_generator.state == state
+
+    def test_receive_checks_its_train_once(self):
+        with mock.patch.object(bob, "_check_range", wraps=bob._check_range) as spy:
+            receive([ZERO, DECOY, ONE], IDEAL, np.random.default_rng(0))
+        assert [call.args[0] for call in spy.call_args_list] == ["train"]
 
 
 class TestCoupling:
@@ -438,12 +448,6 @@ class TestMonitor:
         _, monitor = receive(_train([DECOY, ONE, ZERO]), config, np.random.default_rng(0))
         assert monitor.tolist() == clicked
 
-    def test_empty_checked(self):
-        # Bob announces no click, so Alice checks none and flags nothing
-        result, transcript = _sift_monitor(_train([DECOY, ONE, ZERO]), [])
-        assert transcript.get("MonitorReport") == {"boundaries": [], "clicks": [], "coherent": 2}
-        assert result.break_rate == 0.0
-
     def test_broken_pair_click_rate(self):
         # lone survivors click at 1 - exp(-eta_mon (1-t_b) t mu / 4)
         # 5 se at n = 100k is 1.6 se at n = 10k: tighter than 3 se there
@@ -456,13 +460,6 @@ class TestMonitor:
         p = 1 - math.exp(-0.8 * 0.1 * 0.5 * 0.5 / 4)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(rate - p) < 5 * se
-
-    def test_monitor_outcome_subset(self):
-        # bins 11 01 10: boundaries 0 and 3 are coherent, and a click at a
-        # boundary off them (1, a lone pulse) does not count
-        result, transcript = _sift_monitor(_train([DECOY, ONE, ZERO]), [1, 3])
-        assert transcript.get("MonitorReport")["clicks"] == [0, 1]
-        assert result.break_rate == pytest.approx(1 / 2)
 
 
 class TestSaturatedReference:
@@ -484,21 +481,3 @@ class TestSaturatedReference:
         expected = protocol_model.receive(train.tolist(), config, np.random.default_rng(seed + 1))
         assert ((slots.tolist(), values.tolist()), monitor.tolist()) == expected
 
-
-class TestMonitorReport:
-    @given(
-        n_slots=st.integers(1, 30),
-        data=st.data(),
-    )
-    def test_flags_match_grid_gather(self, n_slots, data):
-        # any occupied bins, and any clicks, strictly increasing as Bob
-        # announces them: a flag is set where both bins of the boundary are lit
-        occupied = data.draw(st.sets(st.integers(0, 2 * n_slots - 1)))
-        clicked = sorted(data.draw(st.sets(st.integers(0, 2 * n_slots - 2))))
-        train = _slot_train(sorted(occupied), n_slots)
-        result, transcript = _sift_monitor(train, clicked)
-        rng = np.random.default_rng(0)
-        expected = protocol_model.dialog(train.tolist(), [], [], clicked, SimConfig(f_verify=0.0), rng)
-        assert {kind: transcript.get(kind) for kind in transcript.messages} == expected
-        report = expected["MonitorReport"]
-        assert result.break_rate == (sum(report["clicks"]) / report["coherent"] if report["coherent"] else 0.0)
