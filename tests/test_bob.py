@@ -15,6 +15,7 @@ from cowsim.engine import _SATURATED, SimConfig
 from cowsim.eve import apply_and_mask, generate_mask
 import protocol_model
 from protocol_model import ONE, ZERO, _train
+from test_sifting import NO_VERIFY, _sift_monitor
 
 IDEAL = SimConfig(channel_t=1.0, t_b=0.9, eta_data=1.0, eta_mon=1.0)
 # every click probability 0 or 1: the detectors click exactly where light arrives
@@ -461,6 +462,19 @@ class TestMonitor:
         se = math.sqrt(p * (1 - p) / n)
         assert abs(rate - p) < 5 * se
 
+    def test_empty_checked(self):
+        # Bob announces no click, so Alice checks none and flags nothing
+        result, transcript = _sift_monitor([], patterns=[DECOY, ONE, ZERO])
+        assert transcript.get("MonitorReport") == {"boundaries": [], "clicks": [], "coherent": 2}
+        assert result.break_rate == 0.0
+
+    def test_monitor_outcome_subset(self):
+        # bins 11 01 10: boundaries 0 and 3 are coherent, and a click at a
+        # boundary off them (1, a lone pulse) does not count
+        result, transcript = _sift_monitor([1, 3], patterns=[DECOY, ONE, ZERO])
+        assert transcript.get("MonitorReport")["clicks"] == [0, 1]
+        assert result.break_rate == pytest.approx(1 / 2)
+
 
 class TestSaturatedReference:
     @given(
@@ -481,3 +495,20 @@ class TestSaturatedReference:
         expected = protocol_model.receive(train.tolist(), config, np.random.default_rng(seed + 1))
         assert ((slots.tolist(), values.tolist()), monitor.tolist()) == expected
 
+
+class TestMonitorReport:
+    @given(
+        n_slots=st.integers(1, 30),
+        data=st.data(),
+    )
+    def test_flags_match_grid_gather(self, n_slots, data):
+        # any occupied bins, and any clicks, strictly increasing as Bob
+        # announces them: a flag is set where both bins of the boundary are lit
+        occupied = data.draw(st.sets(st.integers(0, 2 * n_slots - 1)))
+        clicked = sorted(data.draw(st.sets(st.integers(0, 2 * n_slots - 2))))
+        patterns = _slot_train(sorted(occupied), n_slots).tolist()
+        result, transcript = _sift_monitor(clicked, patterns=patterns)
+        expected = protocol_model.dialog(patterns, [], [], clicked, NO_VERIFY, np.random.default_rng(0))
+        assert {kind: transcript.get(kind) for kind in transcript.messages} == expected
+        report = expected["MonitorReport"]
+        assert result.break_rate == (sum(report["clicks"]) / report["coherent"] if report["coherent"] else 0.0)

@@ -80,32 +80,6 @@ class TestMonitorOutcome:
         assert report["clicks"].dtype == np.uint8
         assert report["boundaries"] is transcript.messages["CoherenceCheck"]["boundaries"]
 
-    @given(n_slots=st.integers(1, 30), data=st.data())
-    def test_flags_match_grid_gather(self, n_slots, data):
-        # any occupied bins, and any clicks, strictly increasing as Bob
-        # announces them: a flag is set where both bins of the boundary are lit
-        occupied = data.draw(st.sets(st.integers(0, 2 * n_slots - 1)))
-        clicked = sorted(data.draw(st.sets(st.integers(0, 2 * n_slots - 2))))
-        patterns = [(2 * i in occupied) | (2 * i + 1 in occupied) << 1 for i in range(n_slots)]
-        result, transcript = _sift_monitor(clicked, patterns=patterns)
-        expected = protocol_model.dialog(patterns, [], [], clicked, NO_VERIFY, np.random.default_rng(0))
-        assert {kind: transcript.get(kind) for kind in transcript.messages} == expected
-        report = expected["MonitorReport"]
-        assert result.break_rate == (sum(report["clicks"]) / report["coherent"] if report["coherent"] else 0.0)
-
-    def test_empty_checked(self):
-        # Bob announces no click, so Alice checks none and flags nothing
-        result, transcript = _sift_monitor([], patterns=[DECOY, ONE, ZERO])
-        assert transcript.get("MonitorReport") == {"boundaries": [], "clicks": [], "coherent": 2}
-        assert result.break_rate == 0.0
-
-    def test_monitor_outcome_subset(self):
-        # bins 11 01 10: boundaries 0 and 3 are coherent, and a click at a
-        # boundary off them (1, a lone pulse) does not count
-        result, transcript = _sift_monitor([1, 3], patterns=[DECOY, ONE, ZERO])
-        assert transcript.get("MonitorReport")["clicks"] == [0, 1]
-        assert result.break_rate == pytest.approx(1 / 2)
-
 
 class TestRunSifting:
     def test_table1_scenario(self):
