@@ -10,7 +10,9 @@ train is one uint8 pattern per slot, bit v set when bin v (0 = early,
 1 = late) holds a pulse: 1 for a data 0, 2 for a data 1 and DECOY = 3 for
 a decoy.  insert_decoys builds it, and it is also Alice's record of what she
 sent: a data slot's bit is pattern >> 1.  Every pulse has the same mean
-photon number mu.  This module alone says what a pattern lights: the bins
+photon number mu.  This module alone holds that encoding: it lays bits out
+as data slots (_as_data_slots), reads a pattern's data bit (_data_bit),
+checks a train (_check_train), and says what a pattern lights: the bins
 (_bin_level), the pairs of bins the monitor overlaps (_pair_level), and how
 many of those pairs are coherent (_n_coherent).
 """
@@ -51,6 +53,22 @@ def _check_range(name: str, a, stop: int, dtype=np.int64) -> np.ndarray:
     return a.astype(dtype, copy=False)
 
 
+def _check_train(name: str, a) -> np.ndarray:
+    """a as a uint8 train, checked to hold slot patterns 0 to DECOY; see _check_range."""
+    return _check_range(name, a, DECOY + 1, np.uint8)
+
+
+def _as_data_slots(bits: np.ndarray) -> np.ndarray:
+    """Lay uint8 bits out in place as data-slot patterns, bit b as pattern b + 1."""
+    bits += 1
+    return bits
+
+
+def _data_bit(patterns: np.ndarray) -> np.ndarray:
+    """The data bit of each data-slot pattern, a new uint8 array."""
+    return patterns >> 1
+
+
 def _bin_level(train: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Pulses (0 or 1) in bins pos of a slot-pattern train."""
     # in uint8, in place: the cast drops all but the low byte, which holds
@@ -71,10 +89,12 @@ def _pair_level(train: np.ndarray, k: np.ndarray) -> np.ndarray:
     return (train[k >> 1] >> 1) + (train[(k + 1) >> 1] & 1)
 
 
-def _n_coherent(train: np.ndarray) -> int:
-    """How many boundaries k of a slot-pattern train have _pair_level 2: one
-    inside each decoy, and one between a late pulse and the next slot's early one."""
-    return int(np.count_nonzero(train == DECOY)) + int(np.count_nonzero((train[:-1] >> 1) & train[1:]))
+def _n_coherent(train: np.ndarray) -> tuple[int, int]:
+    """(decoy slots, coherent boundaries) of a slot-pattern train, the latter
+    the boundaries k with _pair_level 2: one inside each decoy, and one
+    between a late pulse and the next slot's early one."""
+    n_decoy = int(np.count_nonzero(train == DECOY))
+    return n_decoy, n_decoy + int(np.count_nonzero((train[:-1] >> 1) & train[1:]))
 
 
 class DecoyStrategy(Enum):
@@ -102,8 +122,8 @@ def generate_raw_bits(n: int, rng: np.random.Generator) -> np.ndarray:
 def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
     """Lay raw bits out into the pulse train, inserting decoys per the chosen strategy.
 
-    Returns the pulse train, one uint8 pattern per slot: bit + 1 for a data
-    slot and DECOY for a decoy.
+    Returns the pulse train, one uint8 pattern per slot: a data slot as
+    _as_data_slots lays it out and DECOY for a decoy.  bits is left unchanged.
 
     NONE               every bit becomes a data slot, in order.
     SUBSTITUTE_PATTERN each non-overlapping occurrence of 1,0,1,0 (scanned
@@ -128,7 +148,7 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
         raise ValueError("bit sequence must be nonempty")
 
     if strategy is DecoyStrategy.NONE:
-        return bits + 1
+        return _as_data_slots(bits.copy())
 
     if strategy is DecoyStrategy.SUBSTITUTE_PATTERN:
         n = bits.size
@@ -149,7 +169,7 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
         decoys = np.unpackbits(packed, count=n, bitorder="little")
         # the mask is scaled in place: a fresh DECOY * mask temporary here
         # raised the process's peak RSS by about 7% at 3M bits
-        train = bits + 1
+        train = _as_data_slots(bits.copy())
         decoys *= DECOY
         np.maximum(train, decoys, out=train)
         return train
@@ -157,8 +177,9 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
     if strategy is DecoyStrategy.FRAME_HEADER:
         n_full, rest = divmod(bits.size, 3)
         frames = np.full((n_full + (rest > 0), 4), DECOY, dtype=np.uint8)
-        frames[:n_full, 1:] = bits[: 3 * n_full].reshape(n_full, 3) + 1
-        frames[n_full:, 1 : 1 + rest] = bits[3 * n_full :] + 1
+        data = _as_data_slots(bits.copy())
+        frames[:n_full, 1:] = data[: 3 * n_full].reshape(n_full, 3)
+        frames[n_full:, 1 : 1 + rest] = data[3 * n_full :]
         return frames.ravel()[: len(frames) + bits.size]
 
     raise ValueError(f"unknown decoy strategy: {strategy!r}")

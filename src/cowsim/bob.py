@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alice import DECOY, _bin_level, _check_range, _pair_level
+from .alice import _bin_level, _check_train, _pair_level
 from .optics import click_probability
 
 if TYPE_CHECKING:
@@ -113,7 +113,7 @@ def detect_data(
     train must be 1-D and hold slot patterns 0 to DECOY; ValueError names it
     if not.
     """
-    train = _check_range("train", train, DECOY + 1, np.uint8)
+    train = _check_train("train", train)
     pos = _sample_clicks(data_click_probability(config), 2 * train.size, partial(_bin_level, train), rng)
     slots = pos >> 1
     values = pos.astype(np.uint8)  # the cast keeps bit 0, the bin within its slot

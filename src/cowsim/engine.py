@@ -196,7 +196,7 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
 
     stats = RunStats(
         slots_sent=train.size,
-        decoy_slots=int(np.count_nonzero(train == alice.DECOY)),
+        decoy_slots=sift.decoy_slots,
         detections=int(detected[0].size),
         sifted_len=int(sift.kept_indices.size),
         qber=sift.qber,
@@ -216,9 +216,9 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
     The empirical column Monte Carlo samples config.n_bits pure data slots
     (no decoys, no attack) at each grid point and reports the detected
     fraction, which should track 1 - exp(-mu * t * t_b * eta).  The train is
-    Alice's raw bits laid out as data slots in place, each bit b becoming
-    the pattern b + 1.  Only the data detector is sampled; the monitor line
-    plays no part in the rate.
+    Alice's raw bits laid out as data slots in place by alice._as_data_slots,
+    as insert_decoys lays them out with DecoyStrategy.NONE.  Only the data
+    detector is sampled; the monitor line plays no part in the rate.
     Point i draws from child i of the master seed's SeedSequence, so no
     point shares its streams with a point of another seed.
     """
@@ -228,8 +228,7 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
         point = replace(config, mu=float(mu))
         (child,) = master.spawn(1)  # the next child: child i at point i
         rng_bits, _, _, rng_det = _streams(child)
-        train = alice.generate_raw_bits(point.n_bits, rng_bits)
-        train += 1  # insert_decoys(bits, DecoyStrategy.NONE), in place
+        train = alice._as_data_slots(alice.generate_raw_bits(point.n_bits, rng_bits))
         slots, _ = bob.detect_data(train, point, rng_det)
         empirical = slots.size / train.size
         rows.append(
@@ -311,19 +310,23 @@ def table1_rows() -> tuple[list[tuple[str, ...]], bool]:
     (slots, values), _ = bob.receive(sent, SimConfig(**_SATURATED), np.random.default_rng(0))
     decoded = dict(zip(slots.tolist(), values.tolist()))
 
-    def bins_str(train, slot):
-        return f"{train[slot] & 1}{train[slot] >> 1}"
+    def bins_str(patterns):
+        """Each slot's early and late pulses as text, such as "10"."""
+        levels = alice._bin_level(patterns, np.arange(2 * patterns.size)).reshape(-1, 2)
+        return ["".join(map(str, pair)) for pair in levels.tolist()]
 
+    alice_bins, eve_bins, sent_bins = bins_str(train), bins_str(mask), bins_str(sent)
+    alice_bits, eve_bits = alice._data_bit(train).tolist(), alice._data_bit(mask).tolist()
     rows = []
     for s in range(train.size):
-        alice_ib = "d.s." if train[s] == alice.DECOY else str(train[s] >> 1)
+        alice_ib = "d.s." if train[s] == alice.DECOY else str(alice_bits[s])
         rows.append(
             (
                 alice_ib,
-                bins_str(train, s),
-                str(mask[s] >> 1),
-                bins_str(mask, s),
-                bins_str(sent, s),
+                alice_bins[s],
+                str(eve_bits[s]),
+                eve_bins[s],
+                sent_bins[s],
                 str(decoded[s]) if s in decoded else "n.d.",
             )
         )

@@ -1,11 +1,12 @@
 """Eve: the synchronized AND-mask intercept and key reconstruction.
 
 Eve never measures the quantum channel.  She draws her own uniform bit
-sequence as Alice draws her key and lays it out as data slot patterns
-(bit b is pattern b + 1), then lets her intensity modulator pass only the
-bins her own pattern marks nonempty: a bitwise AND of her patterns and the
-channel's.  Afterwards she reads the public sifting dialog and looks up her
-own bits at the announced key positions.
+sequence as Alice draws her key and lays it out as data slot patterns in
+Alice's encoding (alice._as_data_slots), then lets her intensity modulator
+pass only the bins her own pattern marks nonempty: a bitwise AND of her
+patterns and the channel's.  Afterwards she reads the public sifting dialog
+and looks up the data bits of her own patterns (alice._data_bit) at the
+announced key positions.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ class EveRecord:
 
 def generate_mask(n_slots: int, rng: np.random.Generator) -> np.ndarray:
     """Eve's slot patterns: n_slots uniform bits, drawn as Alice draws her key,
-    each laid out as a data slot (bit + 1, a uint8 of 1 or 2)."""
-    mask = alice.generate_raw_bits(n_slots, rng)
-    mask += 1
-    return mask
+    each laid out as a data slot by alice._as_data_slots (a uint8 of 1 or 2)."""
+    return alice._as_data_slots(alice.generate_raw_bits(n_slots, rng))
 
 
 def apply_and_mask(train: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -48,8 +47,8 @@ def apply_and_mask(train: np.ndarray, mask: np.ndarray) -> np.ndarray:
     Pattern 1 (Eve's bit 0) passes the early bin and blocks the late one,
     pattern 2 (bit 1) the opposite.  Passed pulses are untouched.
     """
-    train = alice._check_range("train", train, alice.DECOY + 1, np.uint8)
-    mask = alice._check_range("mask", mask, alice.DECOY + 1, np.uint8)
+    train = alice._check_train("train", train)
+    mask = alice._check_train("mask", mask)
     if mask.size != train.size:
         raise ValueError(f"mask length {mask.size} does not match {train.size} slots")
     return train & mask
@@ -69,7 +68,7 @@ def observe_transcript(transcript: Transcript) -> np.ndarray:
 
 
 def reconstruct_key(mask: np.ndarray, kept_indices) -> np.ndarray:
-    """Eve's copy of the key: the bits of her slot patterns (pattern >> 1)
+    """Eve's copy of the key: the data bits of her slot patterns (alice._data_bit)
     at the announced positions, which must be integers in the masked slot range."""
-    mask = alice._check_range("mask", mask, alice.DECOY + 1, np.uint8)
-    return mask[alice._check_range("kept_indices", kept_indices, mask.size)] >> 1
+    mask = alice._check_train("mask", mask)
+    return alice._data_bit(mask[alice._check_range("kept_indices", kept_indices, mask.size)])

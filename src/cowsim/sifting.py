@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alice import DECOY, _check_range, _n_coherent, _pair_level
+from .alice import DECOY, _check_range, _check_train, _data_bit, _n_coherent, _pair_level
 from .bob import monitor_click_probability
 
 if TYPE_CHECKING:
@@ -316,6 +316,7 @@ class SiftResult:
     break_rate: float
     verdict: str
     verified_count: int
+    decoy_slots: int
 
 
 def _binomial_tail(k: int, n: int, q: float) -> float:
@@ -348,7 +349,7 @@ def run_sifting(
 
     train is Alice's pulse train as she sent it, before any mask: her record
     of which slots are decoys (pattern DECOY) and of each data slot's bit
-    (pattern >> 1).  detected is Bob's (slots, values) pair of arrays, one
+    (alice._data_bit).  detected is Bob's (slots, values) pair of arrays, one
     detected bit each, with slots strictly increasing as receive returns them.
     monitor is Bob's monitor clicks: the interferometer boundaries k (bins k
     and k+1) where his monitor detector fired, strictly increasing in
@@ -359,7 +360,8 @@ def run_sifting(
     Bob announces his detected slots and his monitor clicks (CoherenceCheck).
     Alice flags each click that fell on a coherent boundary of her train, one
     with both bins lit, and announces the count of coherent boundaries she
-    sent (alice._n_coherent) in MonitorReport.  A flag tells of the data
+    sent (alice._n_coherent, which also counts her decoy slots for
+    SiftResult.decoy_slots) in MonitorReport.  A flag tells of the data
     slots beside its boundary (set at 2i + 1, it fixes slot i at 1 and slot
     i + 1 at 0), so the slots k >> 1 and (k + 1) >> 1 of every click k leave
     the key before the verification draw, as do Alice's decoys.  Of the rest she
@@ -368,7 +370,7 @@ def run_sifting(
     the n coherent boundaries clicked and P(K >= k) < config.alarm_alpha
     for K ~ Binomial(n, q0), q0 being an intact pair's click probability.
     """
-    train = _check_range("train", train, DECOY + 1, np.uint8)
+    train = _check_train("train", train)
     slots, values = detected
     slots = _check_range("detected slots", slots, train.size)
     values = _check_range("detected values", values, 2, np.uint8)
@@ -381,7 +383,7 @@ def run_sifting(
         raise ValueError("monitor clicks must be strictly increasing")
 
     flags = (_pair_level(train, monitor) == 2).view(np.uint8)
-    n_coherent = _n_coherent(train)
+    n_decoy, n_coherent = _n_coherent(train)
 
     is_decoy = train[slots] == DECOY
     decoy_detected = slots[is_decoy]
@@ -396,7 +398,7 @@ def run_sifting(
     verify_slots = remainder[verify_mask]
     kept = remainder[~verify_mask]
 
-    reveal_alice = train[verify_slots] >> 1
+    reveal_alice = _data_bit(train[verify_slots])
     reveal_bob = remainder_values[verify_mask]
     n_verified = reveal_alice.size
     qber = int(np.count_nonzero(reveal_alice != reveal_bob)) / n_verified if n_verified else 0.0
@@ -406,7 +408,7 @@ def run_sifting(
     q0 = float(monitor_click_probability(config)[2])  # an intact pair's, as all are without Eve
     verdict = "abort" if _binomial_tail(n_clicks, n_coherent, q0) < config.alarm_alpha else "accept"
 
-    alice_key = train[kept] >> 1
+    alice_key = _data_bit(train[kept])
 
     transcript = Transcript()
     transcript.append("DetectionReport", {"slots": slots})
@@ -428,5 +430,6 @@ def run_sifting(
         break_rate=break_rate,
         verdict=verdict,
         verified_count=n_verified,
+        decoy_slots=n_decoy,
     )
     return result, transcript

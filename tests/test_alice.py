@@ -284,12 +284,12 @@ class TestEncode:
 
 class TestBoundaries:
     """The coherent boundaries are where the protocol model's pairs are 2, and
-    _n_coherent counts them."""
+    _n_coherent counts them, with the decoy slots."""
 
     @staticmethod
     def _coherent(patterns):
         coherent = np.flatnonzero(pairs(patterns) == 2).tolist()
-        assert _n_coherent(_train(patterns)) == len(coherent)
+        assert _n_coherent(_train(patterns)) == (patterns.count(DECOY), len(coherent))
         return coherent
 
     def test_single_zero(self):
@@ -305,7 +305,9 @@ class TestBoundaries:
     @example(patterns=[])
     @example(patterns=[DECOY])
     def test_count_matches_model(self, patterns):
-        assert _n_coherent(_train(patterns)) == np.count_nonzero(pairs(patterns) == 2)
+        n_decoy, n_coherent = _n_coherent(_train(patterns))
+        assert n_decoy == patterns.count(DECOY)
+        assert n_coherent == np.count_nonzero(pairs(patterns) == 2)
 
 
 class TestRoundTrip:

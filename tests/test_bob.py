@@ -353,7 +353,7 @@ class TestDetectData:
         assert rng.bit_generator.state == state
 
     def test_receive_checks_its_train_once(self):
-        with mock.patch.object(bob, "_check_range", wraps=bob._check_range) as spy:
+        with mock.patch.object(bob, "_check_train", wraps=bob._check_train) as spy:
             receive([ZERO, DECOY, ONE], IDEAL, np.random.default_rng(0))
         assert [call.args[0] for call in spy.call_args_list] == ["train"]
 

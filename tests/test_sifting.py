@@ -354,22 +354,25 @@ def _verdict_rates(config: SimConfig, n_even: int, n_odd: int) -> tuple[float, f
 def test_verdict_rates_match_monte_carlo(visibility, p_dark_mon):
     # 1000 pooled 10k-bit runs per attack setting; each run's abort chance
     # is the closed form at the coherent boundaries of its own train, every
-    # one of which the monitor checks
+    # one of which the monitor checks.  A seed's train, boundaries and closed
+    # form serve the runs of both attack settings.
     base = SimConfig(n_bits=10_000, visibility=visibility, p_dark_mon=p_dark_mon)
-    for attack in Attack:
-        aborts, expected, variance = 0, 0.0, 0.0
-        for seed in range(20_000, 21_000):
+    aborts, expected, variance = (dict.fromkeys(Attack, 0) for _ in range(3))
+    for seed in range(20_000, 21_000):
+        boundaries = np.flatnonzero(protocol_model.pairs(_alice_train(replace(base, seed=seed))) == 2)
+        n_odd = int(np.count_nonzero(boundaries & 1))
+        false_alarm, power = _verdict_rates(base, boundaries.size - n_odd, n_odd)
+        for attack in Attack:
             stats, transcript, _ = run(replace(base, attack=attack, seed=seed))
-            boundaries = np.flatnonzero(protocol_model.pairs(_alice_train(replace(base, seed=seed))) == 2)
             assert transcript.messages["MonitorReport"]["coherent"] == boundaries.size
-            n_odd = int(np.count_nonzero(boundaries & 1))
-            false_alarm, power = _verdict_rates(base, boundaries.size - n_odd, n_odd)
             assert false_alarm <= base.alarm_alpha
             p = power if attack is Attack.AND_MASK else false_alarm
-            aborts += stats.verdict == "abort"
-            expected += p
-            variance += p * (1.0 - p)
-        assert abs(aborts - expected) <= 5.0 * math.sqrt(variance), (attack, aborts, expected)
+            aborts[attack] += stats.verdict == "abort"
+            expected[attack] += p
+            variance[attack] += p * (1.0 - p)
+    for attack in Attack:
+        bound = 5.0 * math.sqrt(variance[attack])
+        assert abs(aborts[attack] - expected[attack]) <= bound, (attack, aborts[attack], expected[attack])
 
 
 class TestTranscript:
