@@ -14,11 +14,15 @@ photon number mu.  This module alone holds that encoding: it lays bits out
 as data slots (_as_data_slots), reads a pattern's data bit (_data_bit),
 checks a train (_check_train), and says what a pattern lights: the bins
 (_bin_level), the pairs of bins the monitor overlaps (_pair_level), and how
-many of those pairs are coherent (_n_coherent).
+many of those pairs are coherent (_n_coherent).  It also holds the rules
+for reading raw 64-bit words: as key bits (generate_raw_bits), and as a
+Bernoulli(f) test (_keep_below), which Bob's click thinning and the
+verification draw of the sifting dialog both take.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -104,19 +108,17 @@ class DecoyStrategy(Enum):
 
 
 def generate_raw_bits(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent uniform key bits."""
+    """n independent uniform key bits: every bit of ceil(n/64) raw 64-bit words, low bit first."""
     if n < 1:
         raise ValueError(f"need at least one bit, got n={n}")
-    # The top bit of each byte of ceil(n/8) raw 64-bit outputs, read in
-    # little-endian order.  On numpy 2.4 this equals rng.integers(0, 2, n,
-    # dtype=np.uint8), which runs Lemire's method on those buffered bytes
-    # and keeps each byte's top bit.  Both consume ceil(n/8) outputs, so a
-    # later rng.random() or rng.standard_exponential() agrees too; only a
-    # 32-bit draw could differ, since integers() may leave half an output
-    # buffered.  The shift is in place: a fresh output costs its page faults.
-    bits = rng.bit_generator.random_raw(-(-n // 8)).view(np.uint8)
-    np.right_shift(bits, np.uint8(7), out=bits)
-    return bits[:n]
+    words = rng.bit_generator.random_raw(-(-n // 64))
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
+
+
+def _keep_below(f: float) -> np.uint64:
+    """The raw words w with w < this are a fraction f < 1 of all: (w >> 11) < ceil(f * 2**53),
+    which holds exactly when the uniform (w >> 11) * 2**-53 that rng.random() reads is below f."""
+    return np.uint64(math.ceil(f * 2**53) << 11)
 
 
 def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:

@@ -17,15 +17,17 @@ interferometer boundaries k (bins k and k+1), sorted.
 Clicks are sampled by thinned geometric skipping (Devroye, Non-Uniform
 Random Variate Generation, 1986; Batagelj & Brandes, Phys. Rev. E 71,
 036113, 2005).  With p_max the largest click probability of any level,
-candidate positions are drawn at rate p_max by geometric gaps (below
-p_max = 1/3 as ceil(-E / log1p(-p_max)) for standard exponentials E, numpy's
-own inversion there, and by rng.geometric at or above it), and candidate
-i clicks iff a uniform u_i < p[level_i] / p_max.  That is exactly
-Bernoulli(p[level_i]) per position, independent across positions.  Levels
-are looked up from the slot patterns at the candidates only.  How many
-numbers are drawn, and their values, depend only on the train length and
-p_max, never on the train's contents, so two trains of one length see the
-same draws from one seed.
+candidate positions are drawn at rate p_max by geometric gaps, each
+floor(log(U) / log1p(-p_max)) + 1 for a U in (0, 1] made from one raw
+64-bit word, and candidate i clicks iff a uniform u_i < p[level_i] / p_max,
+read from another raw word as an integer compare.  That is exactly
+Bernoulli(p[level_i]) per position, independent across positions.  Every
+number is drawn with rng.bit_generator.random_raw, whose stream numpy keeps
+stable, and none with a Generator distribution method.  Levels are looked
+up from the slot patterns at the candidates only.  How many numbers are
+drawn, and their values, depend only on the train length and p_max, never
+on the train's contents, so two trains of one length see the same draws
+from one seed.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alice import _bin_level, _check_train, _pair_level
+from .alice import _bin_level, _check_train, _keep_below, _pair_level
 from .optics import click_probability
 
 if TYPE_CHECKING:
@@ -48,6 +50,11 @@ __all__ = [
     "data_click_probability",
     "monitor_click_probability",
 ]
+
+# the bits of the float64 1.0 and 2**52: a float in [1, 2) is 1.0's bits
+# with any 52-bit mantissa, and 2**52 + k's mantissa is k for k < 2**52
+_FLOAT_ONE = np.uint64(0x3FF0000000000000)
+_FLOAT_TWO_52 = np.uint64(0x4330000000000000)
 
 
 def receive(
@@ -133,34 +140,44 @@ def _sample_clicks(p: np.ndarray, n: int, level_at, rng: np.random.Generator) ->
 
     Thinned geometric skipping: candidates come at rate p_max = max(p), by
     geometric gaps drawn in chunks sized to cover the rest of the train with
-    margin, until the last candidate lies at or past the end.  Below
-    p_max = 1/3 the gaps are ceil(-E / log1p(-p_max)) over standard
-    exponentials E, the very numbers rng.geometric gives there; at or above
-    it, where numpy searches, rng.geometric draws them.  Then one
-    uniform per candidate inside the train; candidate i clicks iff
-    u < p[level_at(i)] / p_max, still one Bernoulli(p[level_at(i)]) each,
-    tested level by level: as u < 1 the top level keeps every candidate, and
-    a level with p = 0 keeps none.  level_at sees only the candidates.
+    margin, until the last candidate lies at or past the end.  A gap is
+    floor(log(U) / log1p(-p_max)) + 1, one raw word each, U = 2 - x for the
+    x in [1, 2) whose mantissa is the word's top 52 bits: U lies in (0, 1],
+    so log(U) is finite, and at p_max = 1 every gap is 1.  Then one raw word
+    per candidate inside the train; candidate i clicks iff the word is below
+    _keep_below(p[level_at(i)] / p_max), still one Bernoulli(p[level_at(i)])
+    each, tested level by level: the top level keeps every candidate, and a
+    level with p = 0 keeps none.  level_at sees only the candidates.
     """
     p_max = float(p.max())
-    if n == 0 or p_max <= 0.0:  # nothing can click, and geometric needs p > 0
+    if n == 0 or p_max <= 0.0:  # nothing can click
         return np.zeros(0, dtype=np.int64)
+    # log1p(-1) is -inf, where every gap is 1.  Held at -1e-300 or below,
+    # log_q keeps every quotient finite: a U < 1 has log(U) below -2.2e-16,
+    # so its quotient passes 2.2e284 and is clipped to the end either way
+    log_q = min(math.log1p(-p_max), -1e-300) if p_max < 1.0 else -math.inf
     chunks, end = [], 0  # end: candidates drawn so far cover positions 0 .. end - 1
     while end < n:
         left = n - end
         size = int(left * p_max + 5.0 * math.sqrt(left * p_max)) + 1
-        if p_max < 1.0 / 3.0:  # rng.geometric's inversion, without its call per draw
-            gaps = rng.standard_exponential(size)
-            with np.errstate(over="ignore"):  # at subnormal p_max a gap is inf
-                gaps /= -math.log1p(-p_max)
-            np.ceil(gaps, out=gaps)
-            # every gap past the end acts alike; clipping there in place of
-            # numpy's saturation at int64 max keeps the sums from wrapping,
-            # exactly while left + 1 <= 2**53, past any train that fits in memory
-            np.minimum(gaps, left + 1, out=gaps)
-            gaps = gaps.astype(np.int64)
-        else:  # numpy searches here, and its gaps stay small
-            gaps = rng.geometric(p_max, size=size)
+        # every step in place in the raw words' buffer, which ends up holding
+        # the positions: a fresh array costs its page faults
+        raw = rng.bit_generator.random_raw(size)
+        raw >>= np.uint64(12)
+        raw |= _FLOAT_ONE
+        gaps = raw.view(np.float64)
+        np.subtract(2.0, gaps, out=gaps)
+        np.log(gaps, out=gaps)
+        gaps /= log_q
+        np.floor(gaps, out=gaps)
+        # every gap past the end acts alike, so clip there, then add 1 and
+        # 2**52: the float's mantissa then holds the gap as an integer, which
+        # taking 2**52's bits away leaves as int64.  Exact while left + 1 <
+        # 2**52 bins, past any train that fits in memory
+        np.minimum(gaps, left, out=gaps)
+        gaps += 2.0**52 + 1.0
+        raw -= _FLOAT_TWO_52
+        gaps = raw.view(np.int64)
         # the first gap counts from the last candidate, at end - 1
         gaps[0] += end - 1
         pos = np.cumsum(gaps, out=gaps)
@@ -168,7 +185,7 @@ def _sample_clicks(p: np.ndarray, n: int, level_at, rng: np.random.Generator) ->
         end = int(pos[-1]) + 1
     pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     pos = pos[: np.searchsorted(pos, n)]
-    u = rng.random(pos.size)
+    raw = rng.bit_generator.random_raw(pos.size)
     level = level_at(pos)
     # by level, on booleans: gathering p / p_max by uint8 levels is numpy's slow path
     keep = np.zeros(pos.size, dtype=bool)
@@ -176,7 +193,7 @@ def _sample_clicks(p: np.ndarray, n: int, level_at, rng: np.random.Generator) ->
         if thr > 0.0:
             hit = level == lv
             if thr < 1.0:
-                hit &= u < thr
+                hit &= raw < _keep_below(thr)
             keep |= hit
     # the data detector keeps about half its candidates, at random, since
     # half its bins are empty: the worst case for a boolean index.  On 130k

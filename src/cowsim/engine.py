@@ -303,8 +303,10 @@ def table1_rows() -> tuple[list[tuple[str, ...]], bool]:
     Returns the simulated six rows (alice bit, alice bins, eve bit, eve bins,
     received bins, decoded bit) and whether they match TABLE1_EXPECTED.
     """
-    train = np.array([1, 1, 2, 2, alice.DECOY, alice.DECOY], dtype=np.uint8)
-    mask = np.array([1, 2, 1, 2, 1, 2], dtype=np.uint8)
+    # Alice's bits 0, 0, 1, 1, then two decoys; Eve's bits 0, 1, 0, 1, 0, 1
+    train = alice._as_data_slots(np.array([0, 0, 1, 1, 0, 0], dtype=np.uint8))
+    train[4:] = alice.DECOY
+    mask = alice._as_data_slots(np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8))
     sent = eve.apply_and_mask(train, mask)
 
     (slots, values), _ = bob.receive(sent, SimConfig(**_SATURATED), np.random.default_rng(0))

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alice import DECOY, _check_range, _check_train, _data_bit, _n_coherent, _pair_level
+from .alice import DECOY, _check_range, _check_train, _data_bit, _keep_below, _n_coherent, _pair_level
 from .bob import monitor_click_probability
 
 if TYPE_CHECKING:
@@ -394,7 +394,7 @@ def run_sifting(
     keyable &= ~beside_click[slots]
     remainder, remainder_values = slots[keyable], values[keyable]
 
-    verify_mask = rng.random(remainder.size) < config.f_verify
+    verify_mask = rng.bit_generator.random_raw(remainder.size) < _keep_below(config.f_verify)
     verify_slots = remainder[verify_mask]
     kept = remainder[~verify_mask]
 

@@ -28,8 +28,22 @@ def _train(patterns):
     return np.array(patterns, dtype=np.uint8)
 
 
-def raw_bits(n, rng):  # the top bit of each byte of the raw words, low byte first
-    return [byte >> 7 for byte in rng.bit_generator.random_raw(-(-n // 8)).astype("<u8").tobytes()[:n]]
+def raw_bits(n, rng):  # every bit of the raw 64-bit words, low bit first
+    words = rng.bit_generator.random_raw(-(-n // 64))
+    return (words[:, None] >> np.arange(64, dtype=np.uint64) & np.uint64(1)).ravel()[:n].tolist()
+
+
+def uniform_below(f, words):
+    """Per raw word, whether its uniform (word >> 11) * 2**-53, as rng.random() reads it, is below f."""
+    return (np.asarray(words, dtype=np.uint64) >> np.uint64(11)) < np.ceil(np.asarray(f) * 2.0**53).astype(np.uint64)
+
+
+def gaps(words, p):
+    """Geometric(p) gaps, one per raw word, as floats (inf past the float range):
+    floor(log(U) / log1p(-p)) + 1 for U = 1 - (word >> 12) * 2**-52 in (0, 1]."""
+    u = 1.0 - (np.asarray(words, dtype=np.uint64) >> np.uint64(12)) * 2.0**-52
+    with np.errstate(over="ignore"):
+        return np.floor(np.log(u) / (math.log1p(-p) if p < 1 else -math.inf)) + 1
 
 
 def layout(bits, strategy):
@@ -56,20 +70,20 @@ def pairs(train):
 
 def clicks(p, n, level_at, rng):
     """The sorted positions i < n that click, each with p[level_at(i)]: candidates by
-    rng.geometric(p_max) gaps, in chunks for the left positions not yet covered and
-    clipped to left + 1, until one is past the end; one uniform u < p / p_max each."""
+    gaps(p_max), in chunks for the left positions not yet covered and clipped to
+    left + 1, until one is past the end; one raw word each, kept by uniform_below(p / p_max)."""
     p_max = float(max(p))
     if n == 0 or p_max <= 0.0:
         return np.zeros(0, dtype=np.int64)
     chunks, last = [], -1
     while last < n - 1:
         left = n - 1 - last
-        gaps = rng.geometric(p_max, size=int(left * p_max + 5.0 * math.sqrt(left * p_max)) + 1)
-        chunks.append(last + np.cumsum(np.minimum(gaps, left + 1)))
+        words = rng.bit_generator.random_raw(int(left * p_max + 5.0 * math.sqrt(left * p_max)) + 1)
+        chunks.append(last + np.cumsum(np.minimum(gaps(words, p_max), left + 1).astype(np.int64)))
         last = int(chunks[-1][-1])
     pos = np.concatenate(chunks)
     pos = pos[pos < n]
-    return pos[rng.random(pos.size) < (np.asarray(p) / p_max)[level_at(pos)]]
+    return pos[uniform_below((np.asarray(p) / p_max)[level_at(pos)], rng.bit_generator.random_raw(pos.size))]
 
 
 def detect(train, config, rng):
@@ -107,7 +121,7 @@ def dialog(train, slots, values, monitor, config, rng):
     the run aborts when P(K >= flagged) < alarm_alpha for K ~ Binomial(coherent, q0)."""
     beside = {k // 2 for k in monitor} | {(k + 1) // 2 for k in monitor}
     rest = [(s, v) for s, v in zip(slots, values) if train[s] != DECOY and s not in beside]
-    drawn = (rng.random(len(rest)) < config.f_verify).tolist()
+    drawn = uniform_below(config.f_verify, rng.bit_generator.random_raw(len(rest))).tolist()
     checked = [(s, v) for (s, v), verify in zip(rest, drawn) if verify]
     level = pairs(train).tolist()
     flags = [int(level[k] == 2) for k in monitor]

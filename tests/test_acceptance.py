@@ -4,15 +4,17 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from cowsim import alice, bob, eve
 from cowsim.alice import DECOY, DecoyStrategy
-from cowsim.engine import _SATURATED, Attack, SimConfig, compare_attack, run
+from cowsim.engine import _SATURATED, Attack, SimConfig, run
 from cowsim.optics import detectable_fraction, splittable_fraction
 from cowsim.sifting import run_sifting
 import protocol_model
+from pooled import SEEDS, binomial_z
 from protocol_model import ONE, ZERO
 
 
@@ -78,59 +80,61 @@ def test_criterion_3_perfect_key_recovery():
 
 
 def test_criterion_4_rate_halving():
-    config = SimConfig(
-        n_bits=100_000,
-        mu=0.5,
-        t_b=0.9,
-        channel_t=0.5,
-        eta_data=0.1,
-        seed=2,
-    )
-    result = compare_attack(config)
-    ok = 0.48 <= result.rate_ratio <= 0.52
-    _report(4, f"sifted-rate ratio {result.rate_ratio:.4f} in [0.48, 0.52]", ok)
+    # pooled over seeds, 1.5M bits in all.  The mask passes a data slot's
+    # pulse where Eve's bit is Alice's, and one seed draws the same detector
+    # numbers with and without it, so of the data slots detected without
+    # the mask, each is detected with it with probability 1/2.  The sifted
+    # rates, which the slots beside monitor clicks nudge, keep a ratio of
+    # about 1/2
+    base = SimConfig(n_bits=50_000, mu=0.5, t_b=0.9, channel_t=0.5, eta_data=0.1)
+    sifted, data_detected = dict.fromkeys(Attack, 0), dict.fromkeys(Attack, 0)
+    for seed in SEEDS:
+        for attack in Attack:
+            stats, transcript, _ = run(replace(base, attack=attack, seed=seed))
+            sifted[attack] += stats.sifted_len
+            data_detected[attack] += stats.detections - len(transcript.messages["DecoyDiscard"]["slots"])
+    z = binomial_z(data_detected[Attack.AND_MASK], data_detected[Attack.NONE], 0.5)
+    ratio = sifted[Attack.AND_MASK] / sifted[Attack.NONE]
+    ok = abs(z) <= 5 and 0.48 <= ratio <= 0.52
+    _report(4, f"data detections halved (z = {z:.2f}), sifted-rate ratio {ratio:.4f} in [0.48, 0.52]", ok)
 
 
 def test_criterion_5_mu_eff_law():
-    ok = True
-    n = 300_000  # 5 se at 300k is 2.9 se at 100k
+    # pooled over seeds, 300k slots per setting in all
+    ok, n = True, 10_000
     for (t, t_b, eta) in ((0.5, 0.9, 0.1), (0.2, 0.9, 0.25)):
         # all-zero bits keep nonempty bins two apart, so dead time is inert
         train = alice.insert_decoys(np.zeros(n, dtype=np.uint8), DecoyStrategy.NONE)
         config = SimConfig(mu=0.5, channel_t=t, t_b=t_b, eta_data=eta, p_dark_data=0.0)
-        rng = np.random.default_rng(int(t * 1000))
-        (slots, _), _ = bob.receive(train, config, rng)
-        p = 1 - math.exp(-0.5 * t * t_b * eta)
-        se = math.sqrt(p * (1 - p) / n)
-        ok = ok and abs(slots.size / n - p) < 5 * se
+        detected = sum(bob.receive(train, config, np.random.default_rng(seed))[0][0].size for seed in SEEDS)
+        ok = ok and abs(binomial_z(detected, n * len(SEEDS), 1 - math.exp(-0.5 * t * t_b * eta))) <= 5
     _report(5, "per-slot detection follows 1 - exp(-mu t t_b eta)", ok)
 
 
 def test_criterion_6_monitor_behavior():
-    n_decoys = 30_000  # 5 se over 30k decoys is 2.9 se over 10k
+    # pooled over seeds, 30k decoys in all
+    n_decoys = 1_000
     train = np.full(n_decoys, DECOY, dtype=np.uint8)
     checked = np.flatnonzero(protocol_model.pairs(train) == 2)
     config = SimConfig(mu=0.5, channel_t=0.5, t_b=0.9, eta_mon=1.0, p_dark_mon=0.0, visibility=1.0)
+    ok, hits, broken = checked.size >= n_decoys, 0, 0
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        # no attack: every checked boundary cancels perfectly
+        _, monitor = bob.receive(train, config, rng)
+        ok = ok and not np.isin(checked, monitor).any()
 
-    # no attack: every checked boundary cancels perfectly
-    _, monitor = bob.receive(train, config, np.random.default_rng(60))
-    clicks = np.isin(checked, monitor)
-    ok = checked.size >= n_decoys and not clicks.any()
-
-    # attack on: each decoy pair keeps exactly one pulse, clicking at the
-    # closed-form rate 1 - exp(-eta_mon (1-t_b) t mu / 4)
-    mask = eve.generate_mask(n_decoys, np.random.default_rng(61))
-    sent = eve.apply_and_mask(train, mask)
-    _, monitor = bob.receive(sent, config, np.random.default_rng(62))
-    # a checked boundary is broken when one of its two bins lost its pulse
-    occupied = protocol_model.bins(sent)
-    one_survivor = occupied[checked] != occupied[checked + 1]
-    broken = checked[one_survivor]
-    assert broken.size >= n_decoys
-    hits = np.count_nonzero(np.isin(broken, monitor))
-    p = 1 - math.exp(-1.0 * (1 - 0.9) * 0.5 * 0.5 / 4)
-    se = math.sqrt(p * (1 - p) / broken.size)
-    ok = ok and abs(hits / broken.size - p) < 5 * se
+        # attack on: each decoy pair keeps exactly one pulse, clicking at the
+        # closed-form rate 1 - exp(-eta_mon (1-t_b) t mu / 4)
+        sent = eve.apply_and_mask(train, eve.generate_mask(n_decoys, rng))
+        _, monitor = bob.receive(sent, config, rng)
+        # a checked boundary is broken when one of its two bins lost its pulse
+        occupied = protocol_model.bins(sent)
+        one_survivor = checked[occupied[checked] != occupied[checked + 1]]
+        assert one_survivor.size >= n_decoys
+        hits += np.count_nonzero(np.isin(one_survivor, monitor))
+        broken += one_survivor.size
+    ok = ok and abs(binomial_z(hits, broken, 1 - math.exp(-1.0 * (1 - 0.9) * 0.5 * 0.5 / 4))) <= 5
     _report(6, "monitor silent when intact, closed-form rate when broken", ok)
 
 

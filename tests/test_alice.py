@@ -16,6 +16,7 @@ from cowsim.alice import (
 )
 from cowsim.bob import receive
 from cowsim.engine import _SATURATED, SimConfig
+import protocol_model
 from protocol_model import ONE, ZERO, _train, layout, pairs
 
 # runs of 1,0,1,0,... pieced together, so chains of overlapping 1010 occur
@@ -67,18 +68,27 @@ class TestRawBits:
     @pytest.mark.parametrize("n", [*range(1, 18), 100_001])
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_matches_bounded_integers(self, n, seed):
-        # the byte read is numpy's own uniform-bit draw, tail byte included,
-        # and leaves the generator where a later float draw agrees
+        # the bits are every bit of the raw words, low bit first, tail word
+        # included, as the protocol model reads them, and a later draw
+        # agrees.  The name is kept from when they equalled numpy's own
+        # uniform-bit draw, rng.integers(0, 2, n), one bit per byte
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         bits = generate_raw_bits(n, rng_a)
-        expect = rng_b.integers(0, 2, n, dtype=np.uint8)
-        assert bits.dtype == expect.dtype and np.array_equal(bits, expect)
-        assert np.array_equal(rng_a.random(5), rng_b.random(5))
+        assert bits.dtype == np.uint8 and bits.tolist() == protocol_model.raw_bits(n, rng_b)
+        assert np.array_equal(rng_a.bit_generator.random_raw(5), rng_b.bit_generator.random_raw(5))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 2003])
+    def test_advances_one_word_per_64_bits(self, n):
+        # the generator ends where a fresh one does after ceil(n/64) words
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        generate_raw_bits(n, rng)
+        ref.bit_generator.advance(-(-n // 64))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("n", [*range(1, 18), 100_001])
     def test_writable_of_length_n(self, n):
-        # the bits are shifted in place in the raw bytes: the result is n
-        # writable bytes, and writing them moves no later draw
+        # the bits are unpacked from the raw words: the result is n writable
+        # bytes, and writing them moves no later draw
         rng_a, rng_b = np.random.default_rng(n), np.random.default_rng(n)
         bits = generate_raw_bits(n, rng_a)
         generate_raw_bits(n, rng_b)

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from dataclasses import replace
@@ -10,14 +11,16 @@ from hypothesis import strategies as st
 
 from cowsim import bob
 from cowsim.alice import DECOY, DecoyStrategy, _bin_level, generate_raw_bits, insert_decoys
-from cowsim.bob import _sample_clicks, detect_data, receive
+from cowsim.bob import _sample_clicks, data_click_probability, detect_data, monitor_click_probability, receive
 from cowsim.engine import _SATURATED, SimConfig
 from cowsim.eve import apply_and_mask, generate_mask
 import protocol_model
+from pooled import SEEDS, assert_binomial
 from protocol_model import ONE, ZERO, _train
 from test_sifting import NO_VERIFY, _sift_monitor
 
 IDEAL = SimConfig(channel_t=1.0, t_b=0.9, eta_data=1.0, eta_mon=1.0)
+NOISY = SimConfig(p_dark_data=1e-3, p_dark_mon=1e-3, visibility=0.98)
 # every click probability 0 or 1: the detectors click exactly where light arrives
 ORACLE = replace(IDEAL, **_SATURATED)
 
@@ -59,14 +62,22 @@ class TestReceive:
         assert monitor.dtype == np.int64
 
     def test_detection_statistics(self):
-        # per-slot detection probability follows 1 - exp(-mu t t_b eta);
-        # 5 se at n = 300k is 2.9 se at n = 100k
-        n = 300_000
-        config = SimConfig(channel_t=0.5, t_b=0.9, eta_data=0.1)
-        (slots, _), _ = receive(_train([ONE] * n), config, np.random.default_rng(21))
-        p = 1 - math.exp(-0.5 * 0.5 * 0.9 * 0.1)
-        se = math.sqrt(p * (1 - p) / n)
-        assert abs(slots.size / n - p) < 5 * se
+        # pooled over seeds, per slot pattern: a slot is detected unless
+        # neither of its bins clicks, each bin with the data click probability
+        # of its pulses.  A data slot's is 1 - exp(-mu t t_b eta) without darks
+        train = _levels(20_000, 4, 21)
+        clean = SimConfig(channel_t=0.5, t_b=0.9, eta_data=0.1)
+        assert data_click_probability(clean)[1] == pytest.approx(1 - math.exp(-0.5 * 0.5 * 0.9 * 0.1))
+        for config in (clean, NOISY):
+            p_bin = data_click_probability(config)
+            k = np.zeros(4, dtype=np.int64)
+            for seed in SEEDS:
+                (slots, _), _ = receive(train, config, np.random.default_rng(seed))
+                k += np.bincount(train[slots], minlength=4)
+            for pattern in range(4):
+                p = 1 - (1 - p_bin[pattern & 1]) * (1 - p_bin[pattern >> 1])
+                n = np.count_nonzero(train == pattern) * len(SEEDS)
+                assert_binomial(k[pattern], n, p, f"pattern {pattern}, {config}")
 
     def test_dark_counts_respect_dead_time(self):
         config = replace(IDEAL, p_dark_data=0.9)
@@ -174,8 +185,8 @@ class TestSampleClicks:
 
     @pytest.mark.parametrize("p_max", [5e-324, 1e-20])
     def test_tiny_p_max(self, p_max):
-        # numpy's geometric returns int64 max below p ~ 1e-16: the gaps must
-        # neither wrap in the cumulative sum nor land a click on the last bin
+        # a gap's quotient passes int64 here, and is inf at 5e-324: the gaps
+        # must neither wrap in the cumulative sum nor land a click on the last bin
         level = _levels(1_000_000, 2, 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -184,22 +195,48 @@ class TestSampleClicks:
         assert clicks.size == 0
 
     def test_saturated_gap_in_a_later_chunk(self):
-        # a later chunk of gaps starts inside the train, so a saturated gap
-        # (an infinite exponential over p_max) plus that offset would wrap
-        # without the clip
+        # a later chunk of gaps starts inside the train, after position 1,
+        # and its saturated gap (the smallest U over p_max = 1e-20, about
+        # 3.6e21, past the 2**52 below which the step from float to int64 is
+        # exact) must still land past the end, counted from there
         class SaturatingRng:
             calls = 0
 
-            def standard_exponential(self, size):
-                # 2.5 * p_max over p_max is a gap of 3
-                self.calls += 1
-                return np.array([2.5e-20]) if self.calls == 1 else np.full(size, np.inf)
+            @property
+            def bit_generator(self):
+                return self
 
-            def random(self, size):
-                return np.zeros(size)
+            def random_raw(self, size):
+                # each chunk is one word here.  The first two words are 0,
+                # U = 1, gaps of 1, so the third chunk starts after position
+                # 1; then every word's bits set, U = 2**-52; the keep words
+                # are never read here
+                self.calls += 1
+                return np.zeros(size, dtype=np.uint64) if self.calls <= 2 else np.full(size, ~np.uint64(0))
 
         clicks = _sample_levels(np.array([0.0, 1e-20]), np.ones(10, dtype=np.uint8), SaturatingRng())
-        assert clicks.tolist() == [2]
+        assert clicks.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("p_max", [5e-324, 1e-20, np.nextafter(1 / 3, 0), 1 / 3, 0.5, 1.0])
+    def test_gap_formula_edges(self, p_max):
+        # the one gap formula at both ends of p_max and where numpy's geometric
+        # once switched methods: no float error or warning, no NaN gap, and
+        # positions that neither wrap nor leave the train.  At p_max = 1 every
+        # gap is 1, so every position of the top level clicks
+        level = _levels(100_001, 2, 27)
+        p = np.array([p_max / 2, p_max])
+        rng, ref = np.random.default_rng(28), np.random.default_rng(28)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                pos = _sample_levels(p, level, rng)
+                expected = protocol_model.clicks(p, level.size, level.__getitem__, ref)
+                gaps = protocol_model.gaps(np.random.default_rng(28).bit_generator.random_raw(100), p_max)
+        assert not np.isnan(gaps).any() and np.all(gaps >= 1)
+        assert np.array_equal(pos, expected) and rng.bit_generator.state == ref.bit_generator.state
+        assert np.all(np.diff(pos) > 0) and (pos.size == 0 or 0 <= pos[0] <= pos[-1] < level.size)
+        if p_max == 1.0:
+            assert np.all(gaps == 1) and np.array_equal(pos[level[pos] == 1], np.flatnonzero(level == 1))
 
     @pytest.mark.parametrize("p", [[0.0, 0.022], [1e-3, 0.5, 0.0], [0.2, 1.0], [0.0, 0.0]])
     def test_draws_depend_only_on_n_and_p_max(self, p):
@@ -212,38 +249,57 @@ class TestSampleClicks:
 
 
 class _ChunkCounter:
-    """A generator that counts the chunks of gaps drawn from it, each cut to
-    at most cap numbers, so that a long train needs many of them.  It drives
-    _sample_clicks and the protocol model's sampler alike."""
+    """Raw words for _sample_clicks and the protocol model's sampler alike.
+    It counts the chunks of gap words drawn from it and cuts each to at most
+    cap words, so that a long train needs many of them.  With a cap it sums
+    the gaps by the model's rule, so once they cover the n positions at
+    p_max it knows the next draw holds the candidates' keep words, and leaves
+    that draw whole; uncut, every draw but that last one is a chunk."""
 
-    def __init__(self, seed, cap=None):
-        self.rng, self.cap, self.chunks = np.random.default_rng(seed), cap, 0
+    def __init__(self, seed, n, p_max, cap=None):
+        self.rng, self.n, self.p_max, self.cap = np.random.default_rng(seed), n, p_max, cap
+        self.draws, self.end = 0, 0
 
-    def _cut(self, size):
-        self.chunks += 1
-        return size if self.cap is None else min(size, self.cap)
+    @property
+    def bit_generator(self):
+        return self
 
-    def standard_exponential(self, size):
-        return self.rng.standard_exponential(self._cut(size))
+    @property
+    def chunks(self):
+        return self.draws - 1
 
-    def geometric(self, p, size):
-        return self.rng.geometric(p, size=self._cut(size))
+    def random_raw(self, size):
+        self.draws += 1
+        if self.cap is None or self.end >= self.n:
+            return self.rng.bit_generator.random_raw(size)
+        words = self.rng.bit_generator.random_raw(min(size, self.cap))
+        # clipped or not, a gap past the end leaves the sum past it
+        self.end += _gap_sum(words.tobytes(), self.p_max)
+        return words
 
-    def random(self, size):
-        return self.rng.random(size)
+
+@functools.lru_cache(maxsize=2**14)
+def _gap_sum(words: bytes, p_max: float) -> float:
+    """The sum of the model's gaps over raw words, once for both counters of a
+    comparison, which see the same words."""
+    return float(protocol_model.gaps(np.frombuffer(words, dtype=np.uint64), p_max).sum())
 
 
-# 1/3 is where numpy's geometric turns from inverting an exponential to a search
+# 1/3 is where numpy's geometric turns from inverting an exponential to a
+# search, which the sampler once used above it; the one gap formula must
+# not tell the two sides apart
 _P_MAX = [5e-324, 1e-20, 1e-9, 1e-3, 0.0223, np.nextafter(1 / 3, 0), 1 / 3, 0.5, 1.0]
 
 
 class TestMatchesGeometric:
     """_sample_clicks returns the protocol model's click positions, every gap
-    drawn by rng.geometric, and leaves its generator in the model's state."""
+    by the model's one formula, and leaves its generator in the model's state.
+    The class keeps its name from when the model drew its gaps by
+    rng.geometric."""
 
     @staticmethod
     def _assert_same(p, level, seed, cap=None):
-        ours, ref = _ChunkCounter(seed, cap), _ChunkCounter(seed, cap)
+        ours, ref = (_ChunkCounter(seed, level.size, float(np.max(p)), cap) for _ in range(2))
         pos = _sample_levels(p, level, ours)
         expected = protocol_model.clicks(p, level.size, level.__getitem__, ref)
         assert pos.dtype == np.int64 and np.array_equal(pos, expected)
@@ -450,17 +506,21 @@ class TestMonitor:
         assert monitor.tolist() == clicked
 
     def test_broken_pair_click_rate(self):
-        # lone survivors click at 1 - exp(-eta_mon (1-t_b) t mu / 4)
-        # 5 se at n = 100k is 1.6 se at n = 10k: tighter than 3 se there
-        n = 100_000
-        train = _train([ZERO] * n)  # every pair is (pulse, vacuum)
-        config = SimConfig(channel_t=0.5, t_b=0.9, eta_mon=0.8, p_dark_mon=0.0)
-        _, monitor = receive(train, config, np.random.default_rng(6))
-        checked = np.arange(0, 2 * train.size - 1, 2)
-        rate = _grid(monitor, 2 * train.size - 1)[checked].mean()
-        p = 1 - math.exp(-0.8 * 0.1 * 0.5 * 0.5 / 4)
-        se = math.sqrt(p * (1 - p) / n)
-        assert abs(rate - p) < 5 * se
+        # pooled over seeds, per boundary level: a boundary of 0, 1 or 2
+        # pulses clicks with the monitor's probability at that level.  A lone
+        # survivor's is 1 - exp(-eta_mon (1-t_b) t mu / 4) without darks, and
+        # at V = 1 an intact pair never clicks
+        train = _levels(20_000, 4, 6)
+        level = protocol_model.pairs(train.tolist())
+        clean = SimConfig(channel_t=0.5, t_b=0.9, eta_mon=0.8, p_dark_mon=0.0)
+        assert monitor_click_probability(clean)[1] == pytest.approx(1 - math.exp(-0.8 * 0.1 * 0.5 * 0.5 / 4))
+        for config in (clean, NOISY):
+            k = np.zeros(3, dtype=np.int64)
+            for seed in SEEDS:
+                _, monitor = receive(train, config, np.random.default_rng(seed))
+                k += np.bincount(level[monitor], minlength=3)
+            for lv, p in enumerate(monitor_click_probability(config)):
+                assert_binomial(k[lv], np.count_nonzero(level == lv) * len(SEEDS), p, f"level {lv}, {config}")
 
     def test_empty_checked(self):
         # Bob announces no click, so Alice checks none and flags nothing

@@ -1,6 +1,7 @@
 """Every name a cowsim module exports in __all__ exists in that module, and
 the package, its benchmark or its demos use it: no API serves only its tests.
-Outside alice.py no module shifts, masks or offsets a slot pattern by hand."""
+Outside alice.py no module shifts, masks or offsets a slot pattern by hand,
+and no module draws through a numpy Generator's distribution methods."""
 
 import ast
 import functools
@@ -27,6 +28,9 @@ CALLERS = [
 ENCODING_USERS = [path for path in sorted((ROOT / "src/cowsim").glob("*.py")) if path.name != "alice.py"]
 # the names a slot-pattern array goes by in the stages
 PATTERN_NAMES = {"train", "mask", "sent"}
+# Generator methods whose streams numpy does not promise to keep (NEP 19);
+# the package draws every number with bit_generator.random_raw instead
+DISTRIBUTIONS = {"random", "standard_exponential", "geometric", "integers"}
 
 
 @functools.cache
@@ -102,3 +106,14 @@ def test_slot_encoding_only_in_alice():
     # holds; position arithmetic such as pos >> 1 is no pattern and passes
     assert {"engine.py", "eve.py", "sifting.py", "bob.py"} <= {path.name for path in ENCODING_USERS}
     assert [site for path in ENCODING_USERS for site in _encoding_sites(path)] == []
+
+
+def test_draws_only_raw_words():
+    # a call such as rng.random(n) or rng.geometric(p, n), on any object
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src/cowsim").glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in DISTRIBUTIONS
+    ]
+    assert sites == []

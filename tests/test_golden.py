@@ -22,9 +22,9 @@ Eve recovers all of it.
 
 One noisy substitute-pattern AND-mask run and one noisy sweep at
 n_bits=100_000 also carry digests, so output that differs only on long
-trains shows too.  Every grid size is a multiple of 8, so three noisy
-sampled AND-mask runs at n_bits=2003, one per decoy strategy, pin the
-last partial byte of Alice's raw bits and of Eve's mask.  One noisy
+trains shows too.  Alice's raw bits and Eve's mask come 64 to a raw word,
+and three noisy sampled AND-mask runs at n_bits=2003, one per decoy
+strategy, pin another cut of the last word than the grid's.  One noisy
 substitute-pattern AND-mask run at n_bits=600_000, whose monitor clicks
 reach 1.2M, pins the transcript's seven-digit numbers.
 
@@ -135,7 +135,7 @@ WIDE_RUN = SimConfig(
     **NOISE,
 )
 
-# 2003 bits (and 2671 frame-header slots) end in a partial byte
+# 2003 bits (and 2671 frame-header slots) end 19 (and 47) bits into a raw word
 TAIL_RUNS = {
     strategy.value: SimConfig(
         n_bits=2003, seed=3, decoy_strategy=strategy, attack=Attack.AND_MASK, **NOISE
@@ -178,263 +178,263 @@ def cli_digests(argv, out, capsys):
 # (to_jsonl sha256, to_lines sha256) per grid point
 GOLDEN_RUNS = {
     "1-frame-header-andmask-random-deterministic": (
-        "b7d95f94b6a4ee4e562db062af2f4c2993c610ba950652ebd0121b39055e4144",
-        "0c0d47e4f6708ce9fc8bc8e6afc1e3040b82adf9b63f4523f7660f9c87049061",
+        "0d84740ed8a5d235ee8ad2d8c783e61f2e39c74990b4b987b2e5aece6e5ebf48",
+        "afb3279f255d85ba20a552f02db99254f7f6105d45551181ed69e3d52b723c53",
     ),
     "1-frame-header-andmask-random-deterministic-noisy": (
-        "3d4332decefbfa2951038aca2a21e6ab583d2e8c7f458a8388e431fdf157df02",
-        "fb85a1b3fe218d9ce1234ac6c820629b68aecf42b936641cf2583aee28c75a40",
+        "32a409c07e2f9afdcf5e64028558222ca65fdfc59316d003bf14d1590f5bafed",
+        "11bdb8a11559c8a1bb369df899df6a596de04df112567020c38f61a9a59c2199",
     ),
     "1-frame-header-andmask-random-sampled": (
-        "06d73256a2aa2e75674260380959ea42144148d455aed0d5a4231927b9258587",
-        "606d890338003252a58930040b322d23269ff29a1aac3530add0548d0f9f4351",
+        "24f5b81623369d3d4fed32c9f379afe8818e677bf25012cf254de4ea10413b2a",
+        "899c1998c796583447ada771e25c10eb726206ddd54709b58129a35ee4ef3c11",
     ),
     "1-frame-header-andmask-random-sampled-noisy": (
-        "f063b65f291f72949ee0e7c942219721385074897979a64d6d8b0c2a5313fd56",
-        "26134d69db999262e8f6c835f0df5ff6e8200207f3790d8f3373cf09871006c9",
+        "3169d85827b46b09274fefde35c23a87ed9e59995a5a771f6b2eb901117ea2ef",
+        "105f255ad5be875008e7dae260a1f08fa66bd09b820854ff179e07ebd86e5fc3",
     ),
     "1-frame-header-none-random-deterministic": (
-        "97794d071e43a10aaeca03d37eb8c72aa0fe06d3925e70001dfd47c5e1bd0bcf",
+        "dfa9023542a23c04e3b1cd4aa61cfed9d1bc42e2910c2baa7b94060ec6468a76",
         "cecf721a1849bbaaff870d739b674ba68c93afa2397e61f87c1c912c91d3adcd",
     ),
     "1-frame-header-none-random-deterministic-noisy": (
-        "e5e100dd4766ac060fcc7995979d820e78b9866c4b05ce336efcd9b54879136d",
+        "c8830837001b1ada31ffc83040c51fe4f84d91b974cbaaa5873a192798e4c153",
         "dfb52eae72e39eb2063be93a4c660d1466b06fd16860bf8e366e01342fcbe622",
     ),
     "1-frame-header-none-random-sampled": (
-        "edbb1a26ed7f94dc0cc8c67e87b02c51383ee193239ea27fc91d2ab1d385c398",
-        "e22eeb71c7aa70a1d130a473731e269e568e62d463fa03bdb16aa4320dc1f252",
+        "f791ee506acd9b449503c7f27b4f9f228fc76e38802f822afdaad3392d735d53",
+        "5c679099a38ceec5d002593937ac6286a8b97f793b0d0e8031157a01e58e54c3",
     ),
     "1-frame-header-none-random-sampled-noisy": (
-        "235f60edfc5fbcf98af10327fc4151bf5ebea098cef3d76e2da45db2f8d40577",
-        "d6035dd755f1b1610069a78456ccbe6b225f77767ad1e01ff6a7ac23101680ae",
+        "f88d56f44715dacbc1ddb1d05cc3f40e6ed116dcbd4ce691c6a9f89f14b9bb08",
+        "8370838fa8e2903dd73cb7f1256cc551bdb045cea579c0c71e62779a941ffc9c",
     ),
     "1-none-andmask-random-deterministic": (
-        "f92816591d54830782d8c9a2684ad2832f8b1ec0e293a9e40f667fce58e0b806",
-        "0c3abaeaac49d49531dd3acccdc4a6a6ab9c0cde1a6d13c2e479a7f7db66e3e0",
+        "4fe30301ee9af453b202aed310e9aa991507cb9093e2e98d7fea431df211ca09",
+        "5bbec2a2307849c82d658e8579b6246a952afba943292ea4c62270b9dc1df2d9",
     ),
     "1-none-andmask-random-deterministic-noisy": (
-        "e5e357716f9a346a15abaf5534e755f36dc553524fe4cb6e57e40ab72fa68dde",
-        "f5e0751a276040db9f6648cfcd57ab1c0c6ccc199b6a8269db670b3e51b57542",
+        "87f39ec209d9e71c742dab6680c20180acf5179700b01311363f25fe17d995e0",
+        "ed928508bdb35f6301b5d0e612ae827cbdba0326c024f94597477d4291f57350",
     ),
     "1-none-andmask-random-sampled": (
-        "3f494f794e4de8360a4d00b32a4173c6f56127a6ad21a9d8d732a9b6c69ef4be",
-        "12c0addbc4b92438295711c4ae57873fee9b945c6a85bb75d3c4206581289684",
+        "9813b82b84dc28b679ff62fd12e3a96ca6a67a929d14906c487b9503a5c60b4a",
+        "ea5156b42889956362b243667d7c74421a30e44c6b72b8f1ef400efabf8e471c",
     ),
     "1-none-andmask-random-sampled-noisy": (
-        "23d662a513a2b8a5ec8ab90261a59999d4e5ffc0b46bf00f4cd86b507d07f187",
-        "39d1d8481e943600000958aba2a6e7c4b44ce3f859b44acc405590d45e64f661",
+        "0f1b2ed72302f0c083e875c9a37fef20887d1e26182021e49ae9f276b2864fa2",
+        "76c9a85b8ecf1a987ddab666f1d7c26f87fbf53b83101816226decd59d4826a6",
     ),
     "1-none-none-random-deterministic": (
-        "57c0937b774db5ee2df4389f429e827d75f749d7f924a68829c90488553d4bd5",
+        "0c270c6483a41add276fbbfc6472a3afb90355f712d938cf93cbc68257934a12",
         "4fd224e708235a6c03e2722fcdea4a2b3082da418dfb636920a6054f55e76589",
     ),
     "1-none-none-random-deterministic-noisy": (
-        "0ec286a8c6cb49d623e945a6201f64edf3b11a65e579d20ea407e6f02228e294",
+        "39fd9a41c5f6e82487b84ad6a6aad7d80a728626d62bcc525a54ea5d90e01ff3",
         "cb398dcce92fed1848597bada59b8d30ec2c61afc8ab9fe8ca1500ff409fe740",
     ),
     "1-none-none-random-sampled": (
-        "cd392675611a173e051aebcaad2039886407076aba1135fb4017bc265fe7b35d",
-        "ee964de27bb423e72c4bd93e115e44f989ac57d183c3907416b30e799b48a996",
+        "5d89d57ecd25f8f30a955df70c6b577155ffaed1477dd4bb4787b1b2dda470cd",
+        "1a22a6a2c853057ca48ea04cd80b89916031808ec90a8015c4a88f87279da484",
     ),
     "1-none-none-random-sampled-noisy": (
-        "ffefd00fda2b5c6ef1c772c9bbac5d53c795d7303a14eaf01a781593c4d1aaf7",
-        "de8a25b6f0f31d49a73900db723844d180fda4b34b5643140a3e44a27cb791ce",
+        "7438e3007537ee5562722e362a4f5b50495490369270abd43b66f03cbad6c3aa",
+        "8036fd32b7f096f1a71cf44a1cabb14c831574606e246f23865c054ffcd735b7",
     ),
     "1-substitute-pattern-andmask-random-deterministic": (
-        "46f6ae639d103c430886b39c526338bcaedbe9b17a151a132c364ecc1139ab4b",
-        "d7c772618fcaf4d14057c54353cd1f5083ecbad7e0d33c2efa8d3a5b9040a9fb",
+        "dbacb76c41cf9645c042c3748b8594073ddc3f077744f8df914fc15c72f242cb",
+        "b5bd1128cf5174f6f12d3dc6d2ac107756c6dcdae8bcdae8bdd76878f06bb8e4",
     ),
     "1-substitute-pattern-andmask-random-deterministic-noisy": (
-        "974a6a6169ca2ac9df285f3e1136494c04273c7c2eb8cf6dc8f147ad7a19069f",
-        "57a4e89003c4a88228d738e7a68e89c95df22a11e0e0c241fa6062504640fb1c",
+        "1a148f6334df5cd6a6bddb7559ebeae37ea7357316bdb7940d0220d9bb463772",
+        "09b5dc7df59e3ae1c75947714f42ca2ef11167f2204c53f734beda419a17fdaa",
     ),
     "1-substitute-pattern-andmask-random-sampled": (
-        "060c4282c217540aecee1de7d77e39bde39fe4cab35842aea9f74608577bbb69",
-        "b0f27d978fdf276fb4ca0420b0cc82bd2600493eda7db5803eb64a7f03b7b4ab",
+        "f30faae37d4598e795f043530198c9031818f93d742c611bb177523b61bb92fe",
+        "802949379b1a7b61764194bee29e1d01bb087f4e7100ca674d3e35e318fe92db",
     ),
     "1-substitute-pattern-andmask-random-sampled-noisy": (
-        "e2bcb8fcb6b90c0c29605aeb21df38fbed1a41d367a7d21297e9590e2046f47b",
-        "f223d6aa41c14aa91ba62d9ed596dd05f6d96217441163c686c4baa8a6ee891a",
+        "4a2d0a8407482fa2bd4d9f343e4e5e88c2a6de91b6fc000ca442f1edd44ea12b",
+        "37a059d64c48156cf45ec21ce486ac25838a04c19644db20a9df4e3fcfb9740d",
     ),
     "1-substitute-pattern-none-random-deterministic": (
-        "bc3b05f39cd7c14a66fe193be6d6aa3a9d8c55872ea3baa5504b8252feb8ac4b",
-        "b30774034cd1a11cfd7af9a42a59eee5369ad1f767c803a962f1f2f53155a406",
+        "6a0efe9afe0a78808f221b97782627c9948f7574a74caa77787cba8c532945ea",
+        "2546cc47f1e318a768b4516ad0c770c1ba2f4c3a59a32558a04fb7633ef70a8c",
     ),
     "1-substitute-pattern-none-random-deterministic-noisy": (
-        "2d9fa50d2bf36c3d5cfb54e265072e4ed6cc126e1382663a00417676dd70bcec",
-        "978a629f9538d01cac9d9fcc1ceef331ebde88371177995d97b167ba4b394295",
+        "47ac0843d8bec6e66fc2ad9f2d14546f6ed44c17c6e6b84f58cfbc5bf3329d89",
+        "3d86d3a7b17d06fed7e3890d7c752c1eda776e5fa5df57ff8caa2dd39114080a",
     ),
     "1-substitute-pattern-none-random-sampled": (
-        "b43a506ccf4cfd22a388e0282f5f0955d8daee3b75e39337e434cf792056f16f",
-        "3de3eea3a19b2abde29ee7583359c2d723685092481bc171061a97a3d221c572",
+        "7c1b00b148debde7de8177a3b67c6360beb79dbf7eb9364a69abb272c4716406",
+        "b690c50dff8c2189fe55dddd9874322807cde9b6ccb45f9ae44d837e09f2bf12",
     ),
     "1-substitute-pattern-none-random-sampled-noisy": (
-        "b5e5fa100f2a339a06e29af7bdd7c98d8ad199e30ea73705bc2438776a859517",
-        "6100ace648c1ff0e3852a12064d10401bc429ab93835eb0a50fbd1c837de094d",
+        "18ab931f6d1348b9b50304046e1e95138fd2b48fde6e216cbb98a117c3a91e9c",
+        "3f03a7ab6ea0ed7f74c0037e324b5cd7bb76ff4027d9452259aaa2ab6fd171eb",
     ),
     "2-frame-header-andmask-random-deterministic": (
-        "4ff4036f13b0904826737d09079609ddc70d562c0ab924e5076207a0dd700e3b",
-        "69a764c78200a96337a143eb89abf99848c5d1833110952a6d5c871b897c9778",
+        "190370568840c4a736f4b563d7cdad830f1d740dc38ba31e21a66456f7f8d680",
+        "1acee02cd7aa30b748802962e889e2d6466f1c9701b47b17fed62dfd27c30dad",
     ),
     "2-frame-header-andmask-random-deterministic-noisy": (
-        "94d5488366606d52732c373151ac2b8b12ac21915dfa82384833cc5889229ce2",
-        "0050720161e4dee26f0f869a7f956924ac54baadb9620578fb4457d3d5f9e04d",
+        "6ef183767f507f4a122e244e7a11b4e7b285cbef047df28b32c794acb99a4474",
+        "4e21856e986da00f42e5d1bae1d1091e2ce42e020107936f20d4a088ca07a58f",
     ),
     "2-frame-header-andmask-random-sampled": (
-        "92e7398736bb57ef9803b86076c4676b2bd86e2aa057410ef3edd66079321e9a",
-        "bf20dd9726a6adf608382a679b519c58a9ca04177d68083a32844155ec6d2599",
+        "a3918e75c0d5ac64797ecd4319d3bcca59f1e5a2742971a5e58dc1cf420586b8",
+        "0cf41f41161a59e55a4a993a9796f4291bc0ebf72215ba6690f6768ce24b0cac",
     ),
     "2-frame-header-andmask-random-sampled-noisy": (
-        "196488cfe475ca4a730aa98b978ee7d5584c0034812cac74134a9091638c0a46",
-        "363db40bf7b2967abf5a9bdb8f824a7cc807b8dec517776e3c8f792520f0f971",
+        "140c1088a2d5539e88fca01219cedaf207abd5607fe51ca6183d522ccd928045",
+        "a8eec001dabcecac5da5e05c87d1ba536ba07d53900a0516f7282b7cc1e2913c",
     ),
     "2-frame-header-none-random-deterministic": (
-        "8fb47180c6ac7dba8a675a4059c3941d5583ae6777423acb2d782d9d4fd6c0b9",
+        "1133df8d8f81bbbe8b3001893e196571304d19e6c42b4f1257fc73dcdcceffad",
         "cecf721a1849bbaaff870d739b674ba68c93afa2397e61f87c1c912c91d3adcd",
     ),
     "2-frame-header-none-random-deterministic-noisy": (
-        "46c73fc35c0bdada4ebbf91cfdc5b71e0523ed335cc49c2fa3de96b03454f8c2",
+        "6e3848bfdbeafe1b13db7c95ff23b5000f6b5245d6c5836f1c61bbff86d1a022",
         "dfb52eae72e39eb2063be93a4c660d1466b06fd16860bf8e366e01342fcbe622",
     ),
     "2-frame-header-none-random-sampled": (
-        "89fafaf53056a44845b5b41dde409e0c236a7328177b0fb685b2e1c8698814ed",
-        "1187d6c28fa8fb057b0bba522887ecacbed93394cc1e8482dfec2c27246763d1",
+        "5a63685cdfc0667a131b3b2d0718b1c18790f9f841928f6b1f2f0e0bcfecab48",
+        "463ab1e89dc3df2411a57af8a4cc833687f63c356dab8fa1a7f12a56416becee",
     ),
     "2-frame-header-none-random-sampled-noisy": (
-        "7199ae1bb6f03a29709c618d3aadd7bc08d80c153a2e1bc1597e2324077ce9ce",
-        "d8dfae4ed45e84924aeb9ee8c9b2b79d9375b1bcb2afa85f0451f9507d443ca3",
+        "64ebbec20012c176d4be84714f840ea37de6fb56866837dd5837afdc6c4dcdb3",
+        "a1d316f836b5f5e08f8514e92f47666f9f46202ccb893c9d117961d8638e1eb5",
     ),
     "2-none-andmask-random-deterministic": (
-        "e4ed3b43d19d355fbebb2c8a6f1e74abdb6433b7572a217ce68004c55227c06e",
-        "86178f82ce92be7d1ed897fd847147400ab923f0a37c242317308c26f5248c51",
+        "29947cde46e54e9c7caa63bdda34f8bd9aeee472c46c33f7a1d0adca08628c2a",
+        "ebea3affb0e8ed7700669feecb8979804021c21928dd8c230606485c71e01ab9",
     ),
     "2-none-andmask-random-deterministic-noisy": (
-        "799bc683a31efaf2ed2c7b82bba572c24cf5783c1ee6edef5f25c4db1d72c5cb",
-        "1c9b0744872348680b65f85495b880c0e873dfbdb88d7e0be05a5b276f5756a0",
+        "86ce98cd291dabb0f677783637f7e1eb2d7ba0e60b8ed9afe7b10a49e72991f4",
+        "866971d69e45fa48464874f39d4a44a617fdfadaddc8fa5c229dc8cf3cfcb3c0",
     ),
     "2-none-andmask-random-sampled": (
-        "54b4f9754ccf40e827e6a2bbfa273fecc2433b8778bd997ac893a3fb3ec3c043",
-        "3ee51276a07eee0d4566afdf4b14142772f284a28444f6461bf0f406732300ad",
+        "7de5c3873d466d2813a709df8453c4fbc5c9aaeb67e04f345b23cf91f93c7b68",
+        "996b9e0a95305a59b3cf76dbf85c04530a2cd6e6e965a335ec78bcce391af1ab",
     ),
     "2-none-andmask-random-sampled-noisy": (
-        "ff838e371076a97e79428aeb56379c0411634746ca5fe169b74417aa7af0f8d5",
-        "5c9e92a11c3bc2506385844ddb6c5e894b013209f02e05675b857cc87a19e463",
+        "cbcb761dbcd4ba37bb4a84657005d8715e815dec1bbe4a20b001da4fa588c471",
+        "b596275827c1d0408433f3c908899bf6ddafc0d3ea7a67dc67f6a3ccf19c6bf4",
     ),
     "2-none-none-random-deterministic": (
-        "c2f2c66865ff41405ea2e77b7020d639cbfbe714270100faf8e6988ad363c700",
+        "90a7181dd800a0d71d386941c528e7ed9e998b51bcc1042fd62974eecf54e6c7",
         "4fd224e708235a6c03e2722fcdea4a2b3082da418dfb636920a6054f55e76589",
     ),
     "2-none-none-random-deterministic-noisy": (
-        "98d8781b4c111c072f6fdb15c3c18aeed1cf830857deaf727b095fddd5719dac",
+        "f88748c3e43c2065508edd937a6e5d3c41007764c81c168a6236c40bdc6f81d5",
         "cb398dcce92fed1848597bada59b8d30ec2c61afc8ab9fe8ca1500ff409fe740",
     ),
     "2-none-none-random-sampled": (
-        "0894501f2c80273456c889fcfa4102b9226db17e381c29dbd5c19f6cee47d6c2",
-        "ddb01a19858e880ce9ff3c1ce02e2865e814f875394cc255b9a4205e245122ff",
+        "773c3682d1e5208dc07b4917fc50c5cb9ca1fbd5311b907d24d4d5ed417a9e01",
+        "2ce9d849d22b27164fb024993a2cb391cf13cc2b611ee7714811e34ec06cdc09",
     ),
     "2-none-none-random-sampled-noisy": (
-        "414d21d75c7baa78e107efaeb5a4aafaa88bd82c9d737bc2b1ea8ad5e3626ae9",
-        "571c83ab9c27d844614072867ddaf2beaf95adfbf14118675aacb23264aee541",
+        "84d95b57ef69221c373c34efb1b57c3c1499585d66ebabcfb07ee798a718a858",
+        "7393063c112cc104fc5cd4dae1f96bff82e608c88bc91dc2e19b825caaaebe73",
     ),
     "2-substitute-pattern-andmask-random-deterministic": (
-        "180ccbddef28b2d4fb699b83d72224a2c4df373a038db8d089a57a0df9d80268",
-        "c8fe2c1d2bb1c897f8cc3003dbb852ef26fb00ae0ed1a297fb9b7da2c34c1d8a",
+        "39dee7796c6827f88181e220058ebebae4967cddfdc4211a9defa8cd79826921",
+        "776cec30efc7b26839374e2fa47289ab9786360b4ab7548a6b60a4ee578711d3",
     ),
     "2-substitute-pattern-andmask-random-deterministic-noisy": (
-        "9050f9360faaba8171f966c8d41d2c0eed5f12f556a7f967a0709603c3884e20",
-        "d91fba0a8eda450c32a7d8d382d0b21c15008ec66e776905f008522d06e746ad",
+        "c314ca04bb9fb6958f06e965d0a9b1f493cd661d9ca99408529354e8f1959b69",
+        "95fbebca44a377e3320b20345f516a1aa84235ef489d22b843f887392a663a76",
     ),
     "2-substitute-pattern-andmask-random-sampled": (
-        "59b37ac42a9be710254a763859abdac206255a309d8f81885a69cd4fced958a2",
-        "e3007859693311474c3253d9d999ee949b67b0d8e67d4a854e1be76ec8e180c1",
+        "f9e1d7a086d4047ef196d3360478a8d3347f820456cb2540a484415628c13c7f",
+        "a2d9a6a365cfbb7475d6f0c51541b528467d4d27c9b7b7925be784e7ff5e75c8",
     ),
     "2-substitute-pattern-andmask-random-sampled-noisy": (
-        "4395bd18d97a8352bf3a4bc7210ffabb1baf598c5311846c63d1125737fc42f1",
-        "362046b15f4fc98786c23293c5010d93aa19990987efde5f7513d5ace35091d3",
+        "57eaec604cb5aae86cf50e651a52fd74a0f74349f2afcac6f0ab0e27728ab918",
+        "071687e8cae421bd5e21605277bc31bb14040fc40a3fae116155d2f6b526e68d",
     ),
     "2-substitute-pattern-none-random-deterministic": (
-        "5319ef7c47918d4fab28de6bef896988c28b0b0265d04a99f0f5e04dc85a1698",
+        "761d44cc64f681048b0b1a47ea048f6205a9a6fb683f95c8079282be4467365f",
         "e45566b200164975778a46361234e6478297e253ad4bc02a790dc919c6472aa1",
     ),
     "2-substitute-pattern-none-random-deterministic-noisy": (
-        "c1d72ae58aeab934f0749d9e65ad758ff8e9ae762a94fc07d2606d96dcbff7a3",
+        "38149d2e7bf86dabe3e16dcfb2742c6166201e585d5a84ef03dbadc4307c00e9",
         "5ca4138d34cc1fc8324f9af8414c9469b0a25081839107e378e29821b736fa3c",
     ),
     "2-substitute-pattern-none-random-sampled": (
-        "50612d204f6e210903c237b8abe87f3ba655bf8d13f8e89496d002b63fac26a6",
-        "a24b42709d2805a71a28dad2e2c33d7166e70465d79965730c9cc4c169018586",
+        "530d2d41ea0c1a766d8468e609732109d59672c93585a2e300f9396fa6608a9f",
+        "d7ed23d9ed6241e407ef22add95a6adb7fbaa956b5c884e47da069ec7bdde3ea",
     ),
     "2-substitute-pattern-none-random-sampled-noisy": (
-        "dc3db8caa52a25f8b1c4af0f50b85a7cae87b87022249a559a99d0cb89057c68",
-        "72e0a757b70c436a8fd8a208399c0cddfa411a7d2b82f50e355090618d1e3f6f",
+        "2f772a529726c24729b1d1fd5890af9f29b926579787b66e4e2a3a79a7fbefa6",
+        "98410ca53153497ec8b1dcd30bdc3f46fc85e45a622ba6cc2b5c3fa548599afb",
     ),
 }
 
 GOLDEN_KEY_RUNS = {
     "frame-header-andmask": (
-        "9b80c54f49a44a00594e3327f594087edc7004677576ea30e2f8ebb4051d54ca",
-        "cc51a8a243ce1fdb139c49816008322f9ecb5042c6ba965f055d780d660dde52",
+        "bbd7651fc0a1fe1974a923cbce8c49cb23bc75d617eaef8123f7226bed8afdd8",
+        "47829f156325c6b359f18ad536623650b540a04b564dd6fefec5db497b2b21e6",
     ),
     "frame-header-none": (
-        "37acbe636d942500bf3622c5bf8ed9095c5d3230c5d7aa915349500be1eba634",
-        "807ab88937124ff881e4a3e4ed82b02f0f7924272e42a7b76cf723221f0f2db0",
+        "8b9c4bfffe1d8c8765c533126ee9bd93754cfab3fb2d1df41fc8660c81284628",
+        "1f90087ba1c47fa3ec9b1c20e607edf5d285e3661a117e782dfaf9882a128576",
     ),
     "none-andmask": (
-        "ce2359efdb85c9681518cc71f5b9966f9af7a7765e70c9c8d4ff490c2988f297",
-        "141a5af4257e4cacff0ab930a7997449640f2915f1f8acd1b2e45a54e5f7c389",
+        "a851661267204701be53d8722a4d793f932605f55c0b634867267395fef6c28d",
+        "b40e765524ef8e891b37a3237a405eedbb9255c56f74d17e959ae1fca370e682",
     ),
     "none-none": (
-        "29b5e471b0a97d5bd102e29779ad94c99e8fa89fd5f270f3166bc4f1ea4658c3",
-        "c87bfc7832bb75ea04821115bc69494bb9d1ce5fac7d8f28ddff33488e9e7feb",
+        "01be0a1f3db81df86401c2057e24976032819f050efd22d640e196046c07a58c",
+        "d37b22ba7f37a08c749c90103845200e4cdb37785d14316553ff3f6025287172",
     ),
     "substitute-pattern-andmask": (
-        "f6705c3cb94d565a0b09a7da968df605c644ca64ae42acd78190e045c0c0dc8b",
-        "12d81df1c17ac7e683f80cf1b55246808f951bf620f6ca1e7fde6253f5872d35",
+        "9785bf8c27a5cf1baea1935cdd68647ef1bf387627c41b2a783d9a2f73dfdab0",
+        "5f8508872a9f83e4ffee6a710c06d2a3faf5b5666bed12d661fd3c70076517dd",
     ),
     "substitute-pattern-none": (
-        "6a0f34d063bead627de7bbfd4836391fdefcd1a8e3a220535231739bb14b5c11",
-        "ff00de80470ddfd40418ba1bfd1150af3d8992296baa25f2f25f95746c06b121",
+        "1fb09277dab494d0dc78bbc079b69075cb49ee1eca83a4dbf98dd446b59e8602",
+        "b3092e29fac0b8998b413ccdb6a7d73836722f1fcba498f744d8c2f35cdd572a",
     ),
 }
 
 GOLDEN_SWEEPS = {
-    "clean": "34aeaf709a5620b4c2dd424cbb785ce0f08b29176d65bdd8abc3a72d3cae9d5c",
-    "noisy": "2b588a46538a7dbcb8c93c60b19e8e9cfc057df92c04c3bbc4805b4a68a3cd09",
+    "clean": "fb9405f8307fa1f495cb32aad504c6e4f6f4aff5163035b9374ef0670f50d25e",
+    "noisy": "5374a4a27eafaaab3cbe15cfe196a701f004c98e5e6521f26b278766b6cc5c99",
 }
 
 GOLDEN_LONG_RUN = (
-    "496847d242e708a526aa6ba17a65ecc502c62002a31fccca266c8153f77b1cf8",
-    "e00f087bfa873b0b3618e8821a9df1c27bc947f517be70ad9dc6a03203f0c5a6",
+    "d7a4c0bd3313ab235b709504f051f501318242a0daba29526971aeeb50a1c3c8",
+    "6fcfd0ba29a4f2ef807240e6db2970cf9ad6749f14ecdbf8107dacc8522aa33d",
 )
 
 GOLDEN_WIDE_RUN = (
-    "be86e6752683638fbdf403de6cd63079e7f44d6083875305bf935bbdd58e884c",
-    "15f61f91d231bdb963093f285f7742187bcbcccdc8dd412157e1b40a2b6a8202",
+    "08b0c896301789b698e5d67e4baa919d5366fba9f721cd64bb46dd4151af60e5",
+    "b692b4fdc3cb7c3e1bb80c8b906e43038f60953a3b0e94f98d894b7932d829b1",
 )
 
 GOLDEN_TAIL_RUNS = {
     "none": (
-        "9748bc090f644f36593d81a3bba41f677d9f5f4680c81eff164cba6bbb319b58",
-        "b3246f0e5206430ef18668ad9b51d05db396cddda8ea5ee2a305763d84739525",
+        "1781a7bd83913c3e8fec5c2828e1c612bd8cbb5506813aa2f0283ba27975ed89",
+        "ceaed6af5de914ab5cd9b633b7e1c339853ae1ba8ba2b0879179ae1eb9db5dd9",
     ),
     "substitute-pattern": (
-        "91beb1ad9e7485589c8b44482ccd8692e6de948fcdfff4fb2634471db32b1a8d",
-        "186c87e5a4d0b321991b9db8085c7c803d5dc0a44197d36302e8af29eba0ea30",
+        "dfa598514694ab955b2b9fb2c60c40641c7a944d72ca25733c9e5be7c83ea896",
+        "6cfd41571f9611935d18ff202d4d425addbda7324f5ae80cb6772c8f911ba0ac",
     ),
     "frame-header": (
-        "540540310b9ecf48c6cee3426461ddb737f0ba9c983eb9e35e43371dadd55dbd",
-        "1472a26fffffd1aead983a0be14b753e22a8bc8d161071f8a8dba7706de43623",
+        "38b92242f6037b9e0ac5d66c14c7516b98c8a6f2ec6bc35e66bb4c9b0b1f864d",
+        "42c655abc2d13c2424b456c07f263a11c8081d5880875dcafdd820f875074516",
     ),
 }
 
-GOLDEN_LONG_SWEEP = "00c263e8d05eeaaa3993495c92ee535bd4ef9108c838667f29813fa579863604"
+GOLDEN_LONG_SWEEP = "3716768e1b4fcc2a82358421b86c9191721f538262c70b4f94cf3fb1f353545f"
 
 # rate ratio and recoveries, mask off then on, per decoy strategy
 GOLDEN_COMPARE = {
-    "none": "97cda9465a39e5af9d9603dd45ef54a40a0d05b7fe7a0e96b568a40cf9ca3ca7",
-    "substitute-pattern": "73c7001f0d99bef3ed19efed7abfaf781626764d2542fff95d15b2048e62f9e3",
-    "frame-header": "f260aca1f63f0f7802aa4a3a22422b98a8295758567e80e727f01c3d592a6ae9",
+    "none": "c8fc3e0eed58233466cc5a7f5b455f9f07759e842e44c99193a26bb5e495dfc1",
+    "substitute-pattern": "bacdeaaf483d782e0dbd2720939a559b485567d0210d616752f1b231155631f4",
+    "frame-header": "8dff2402bf217c85be5b2ff61769bf908c3e64b638c99af4964d0b03acb2ea1f",
 }
 
 GOLDEN_TABLE1 = "f3f943e6026c22d2782dec4b7eb9acddcc0215aa42acf663ac7f1eaab33d15b0"
@@ -442,21 +442,21 @@ GOLDEN_TABLE1 = "f3f943e6026c22d2782dec4b7eb9acddcc0215aa42acf663ac7f1eaab33d15b
 # command -> (exit code, sha256 of stdout and of each file written)
 GOLDEN_CLI = {
     "run": (0, {
-        "stdout": "d5c51ca5761521eae9fb6dbecbf2ae57920004c8c8418c4b776574d41a30fc16",
-        "stats.log": "d5c51ca5761521eae9fb6dbecbf2ae57920004c8c8418c4b776574d41a30fc16",
-        "transcript.log": "c50239cbd328eee4cc189f590303c60319281a92621ea219b7065023c2283851",
+        "stdout": "edcb2f79ac2240be4a365be08a2f909c9fe0e836dcaee2f351b482ccc339f5d2",
+        "stats.log": "edcb2f79ac2240be4a365be08a2f909c9fe0e836dcaee2f351b482ccc339f5d2",
+        "transcript.log": "693eb954eaa80e076e76b85cba4a2d9321ee32cf7b572c567682ec171a707602",
     }),
     "sweep-mu": (0, {
-        "stdout": "8c8d7f8133cfbbeb6a2aff099162c3757ae8eeed7a65f9176881e0e5341aaca1",
-        "sweep_mu.csv": "8c8d7f8133cfbbeb6a2aff099162c3757ae8eeed7a65f9176881e0e5341aaca1",
+        "stdout": "e26c25a6f3d5db6e3e674848b2a4dcbfa8396360d1aee53805678f8764b62d88",
+        "sweep_mu.csv": "e26c25a6f3d5db6e3e674848b2a4dcbfa8396360d1aee53805678f8764b62d88",
     }),
     "table1": (0, {
         "stdout": "d1ae28eec05af02b3cb2179adb3d92fa2194501b3ec5d78b304e410d9a1d9e6a",
         "table1.csv": "d1ae28eec05af02b3cb2179adb3d92fa2194501b3ec5d78b304e410d9a1d9e6a",
     }),
     "compare-attack": (0, {
-        "stdout": "99ab57e687deb06cb57bc1451b7dcabdf771ab46aef701111c3bf741c8a678a5",
-        "compare_attack.log": "99ab57e687deb06cb57bc1451b7dcabdf771ab46aef701111c3bf741c8a678a5",
+        "stdout": "62548209cb1f2d87daeeceb19c6ccd12733a233f40f1cb57322b1f9b0dcaf44d",
+        "compare_attack.log": "62548209cb1f2d87daeeceb19c6ccd12733a233f40f1cb57322b1f9b0dcaf44d",
     }),
     "selftest": (0, {
         "stdout": "25ca432d3b224e68ea1527baa9c621c26e840981bb845d76394657fd654e3da5",

@@ -24,6 +24,7 @@ from cowsim.sifting import (
     run_sifting,
 )
 import protocol_model
+from pooled import SEEDS, assert_binomial
 from protocol_model import ONE, ZERO, _train
 
 NO_MONITOR = np.array([], dtype=np.int64)
@@ -213,6 +214,17 @@ class TestRunSifting:
         assert transcript.get("MonitorReport") == {"boundaries": [0, 2], "clicks": [1, 0], "coherent": 2}
         assert result.break_rate == 0.5
         assert result.verdict == "abort"
+
+    @pytest.mark.parametrize("f_verify", [0.1, 0.5])
+    def test_verified_fraction(self, f_verify):
+        # pooled over seeds: each slot left after the decoys and the slots
+        # beside a monitor click is verified with f_verify, the rest kept
+        verified = remainder = 0
+        for seed in SEEDS:
+            stats, _, _ = run(SimConfig(n_bits=10_000, f_verify=f_verify, p_dark_mon=1e-3, seed=seed))
+            verified += stats.verified_count
+            remainder += stats.verified_count + stats.sifted_len
+        assert_binomial(verified, remainder, f_verify, f"f_verify={f_verify}")
 
     def test_verification_excluded_from_key(self):
         # a key slot is never revealed, and every detected data slot is one or the other
@@ -1119,7 +1131,7 @@ class TestPassiveReader:
         offsets = list(range(-6, 7))
         key, layout = np.zeros((2, 2, len(offsets)), np.int64)
         n_key = 0
-        for seed in range(25):
+        for seed in range(30):
             config = SimConfig(n_bits=2_000_000, p_dark_data=1e-5, p_dark_mon=1e-5, seed=seed)
             _, transcript, _ = run(config)
             kept = transcript.messages["KeyIndices"]["slots"]
