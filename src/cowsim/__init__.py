@@ -3,6 +3,7 @@
 from .alice import (
     DECOY,
     DecoyStrategy,
+    Train,
     generate_raw_bits,
     insert_decoys,
 )

@@ -5,24 +5,29 @@ Each information bit occupies one slot of two time bins (early, late):
     0 -> (pulse, empty)
     1 -> (empty, pulse)
 
-A decoy slot is (pulse, pulse).  Slot i owns bins 2i and 2i+1.  The pulse
-train is one uint8 pattern per slot, bit v set when bin v (0 = early,
-1 = late) holds a pulse: 1 for a data 0, 2 for a data 1 and DECOY = 3 for
-a decoy.  insert_decoys builds it, and it is also Alice's record of what she
-sent: a data slot's bit is pattern >> 1.  Every pulse has the same mean
+A decoy slot is (pulse, pulse).  Slot i owns bins 2i and 2i+1.  A pulse
+train is a Train: its bins as one little-endian bit string, bin k at bit
+k & 7 of byte k >> 3, set when the bin holds a pulse.  Slot i's pattern is
+then the two bits at 2 * (i & 3) of byte i >> 2, bit v for bin v (0 =
+early, 1 = late): 1 for a data 0, 2 for a data 1 and DECOY = 3 for a decoy,
+four slots to a byte.  insert_decoys builds Alice's train, and it is also
+her record of what she sent: a data slot's bit is pattern >> 1.  Eve's mask
+and the train Bob receives are Trains too.  Every pulse has the same mean
 photon number mu.  This module alone holds that encoding: it lays bits out
-as data slots (_as_data_slots), reads a pattern's data bit (_data_bit),
-checks a train (_check_train), and says what a pattern lights: the bins
-(_bin_level), the pairs of bins the monitor overlaps (_pair_level), and how
-many of those pairs are coherent (_n_coherent).  It also holds the rules
-for reading raw 64-bit words: as key bits (generate_raw_bits), and as a
-Bernoulli(f) test (_keep_below), which Bob's click thinning and the
-verification draw of the sifting dialog both take.
+as data slots (_data_slots), packs a list of patterns (_pack), reads a
+slot's pattern (_pattern) and a pattern's data bit (_data_bit), and says
+what a train lights: the bins (_bin_level), the pairs of bins the monitor
+overlaps (_pair_level), and how many of those pairs are coherent
+(_n_coherent).  It also holds the rules for reading raw 64-bit words: as
+packed key bits (generate_raw_bits), and as a Bernoulli(f) test
+(_keep_below), which Bob's click thinning and the verification draw of the
+sifting dialog both take.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,22 +35,33 @@ import numpy as np
 __all__ = [
     "DECOY",
     "DecoyStrategy",
+    "Train",
     "generate_raw_bits",
     "insert_decoys",
 ]
 
-# slot patterns: data bit b is pattern b + 1, and DECOY lights both bins
+# slot patterns: data bit b is pattern _DATA[b] = b + 1, and DECOY lights both bins
+_DATA = (1, 2)
 DECOY = 3
+
+# 16 bits v with bit i moved to bit 2i, at index v: two bytes' spreads side by side
+_SPREAD = sum(((np.arange(256) >> i) & 1) << 2 * i for i in range(8))
+_SPREAD = (_SPREAD[:, None] << 16 | _SPREAD).ravel().astype("<u4")
+# bit 0 of every 2-bit field, and the masks and the byte sum that add up fields
+_EVEN = np.uint64(0x5555555555555555)
+_PAIRS = np.uint64(0x3333333333333333)
+_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
+_BYTE_SUM = np.uint64(0x0101010101010101)
 
 
 def _check_range(name: str, a, stop: int, dtype=np.int64) -> np.ndarray:
     """a as a dtype array, checked before the cast to be 1-D and hold integers in [0, stop).
 
-    The one check on an integer array a stage takes.  Bits and slot patterns
-    come out uint8 and may be bool; positions come out int64, and a bool
-    array of them, a mask, is rejected.  The cast would wrap 259 to 3 and
-    truncate 3.7 to 3.  An unsigned or bool array needs only its max, and
-    an empty one passes whatever its dtype.  A ValueError gives name.
+    The one check on an integer array a stage takes.  Bytes, bits and slot
+    patterns come out uint8 and may be bool; positions come out int64, and a
+    bool array of them, a mask, is rejected.  The cast would wrap 259 to 3
+    and truncate 3.7 to 3.  An unsigned or bool array needs only its max,
+    and an empty one passes whatever its dtype.  A ValueError gives name.
     """
     a = np.asarray(a)
     if a.ndim != 1:
@@ -57,15 +73,92 @@ def _check_range(name: str, a, stop: int, dtype=np.int64) -> np.ndarray:
     return a.astype(dtype, copy=False)
 
 
-def _check_train(name: str, a) -> np.ndarray:
-    """a as a uint8 train, checked to hold slot patterns 0 to DECOY; see _check_range."""
-    return _check_range(name, a, DECOY + 1, np.uint8)
+@dataclass(frozen=True, eq=False)
+class Train:
+    """A pulse train of n slots, packed 4 to a byte as the module docstring lays
+    it out: bins holds ceil(n / 4) uint8, and every bit past bin 2n is clear.
+
+    Every 2-bit value is a slot pattern, so a train is checked once, here,
+    by bins' dtype and length and its last byte, never by a pass over it.
+    A stage that takes a train checks only that it is one (_check_is_train).
+    """
+
+    bins: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        size = -(-self.n // 4)
+        bins = self.bins
+        if not (isinstance(bins, np.ndarray) and bins.dtype == np.uint8 and bins.shape == (size,)):
+            got = f"{bins.dtype} of shape {bins.shape}" if isinstance(bins, np.ndarray) else type(bins).__name__
+            raise ValueError(f"a train of n={self.n} slots needs {size} uint8 bytes of bins, got {got}")
+        if self.n % 4 and bins[-1] >> 2 * (self.n % 4):
+            raise ValueError(f"a train of n={self.n} slots must have no bin set past bin {2 * self.n}")
 
 
-def _as_data_slots(bits: np.ndarray) -> np.ndarray:
-    """Lay uint8 bits out in place as data-slot patterns, bit b as pattern b + 1."""
-    bits += 1
-    return bits
+def _spread(plane: np.ndarray, n: int) -> np.ndarray:
+    """The ceil(n / 4) bytes with bit i of the packed bits plane at bit 2i, a new
+    writable array: the bins of n slots that light bin 0 where plane's bit is set."""
+    # looked up 16 bits at a time: np.take copies its indices as 8-byte intp,
+    # so this halves that copy and the lookups of a byte table
+    pairs = np.zeros(-(-plane.size // 2), dtype="<u2")
+    pairs.view(np.uint8)[: plane.size] = plane
+    return np.take(_SPREAD, pairs).view(np.uint8)[: -(-n // 4)]
+
+
+def _check_is_train(name: str, train) -> Train:
+    """train, checked to be a Train, which was checked where it was built: a
+    stage's one check on a train it takes.  A ValueError gives name."""
+    if not isinstance(train, Train):
+        raise ValueError(f"{name} must be an alice.Train, got {type(train).__name__}")
+    return train
+
+
+def _cut(bins: np.ndarray, n: int) -> Train:
+    """bins as a Train of n slots, every bit past bin 2n cleared in place first."""
+    if n % 4:
+        bins[-1] &= (1 << 2 * (n % 4)) - 1
+    return Train(bins, n)
+
+
+def _data_slots(bits: np.ndarray, n: int) -> Train:
+    """The n packed bits (as generate_raw_bits lays them out) as a train of data
+    slots, bit b as pattern b + 1."""
+    bins = _spread(bits, n)
+    bins += 0x55  # 1 added to each slot's pattern, which is at most 1: no carry
+    return _cut(bins, n)
+
+
+def _pack(patterns) -> Train:
+    """A list of slot patterns 0 to DECOY as a Train."""
+    patterns = _check_range("patterns", patterns, DECOY + 1, np.uint8)
+    slots = np.zeros(4 * -(-patterns.size // 4), dtype=np.uint8)
+    slots[: patterns.size] = patterns
+    return Train(_bytes(*(slots[i::4] for i in range(4))), patterns.size)
+
+
+def _bytes(p0, p1, p2, p3) -> np.ndarray:
+    """The bytes of runs of 4 slots, slot j of each with pattern pj (p0 may be
+    a number), a new array: pj at bit 2j, summed as ((p3 * 4 + p2) * 4 + p1) * 4 + p0."""
+    b = p3 * np.uint8(4)
+    b += p2
+    b *= 4
+    b += p1
+    b *= 4
+    b += p0
+    return b
+
+
+def _pattern(train: Train, slots: np.ndarray) -> np.ndarray:
+    """The uint8 patterns of slots (int64 positions) of a train."""
+    # in uint8, in place: the cast keeps the low byte, which holds slot & 3
+    shift = slots.astype(np.uint8)
+    shift &= 3
+    shift *= 2
+    pattern = train.bins[slots >> 2]
+    pattern >>= shift
+    pattern &= 3
+    return pattern
 
 
 def _data_bit(patterns: np.ndarray) -> np.ndarray:
@@ -73,32 +166,58 @@ def _data_bit(patterns: np.ndarray) -> np.ndarray:
     return patterns >> 1
 
 
-def _bin_level(train: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Pulses (0 or 1) in bins pos of a slot-pattern train."""
-    # in uint8, in place: the cast drops all but the low byte, which holds
-    # bit 0 (the bin within its slot), and saves an int64 temporary
+def _bin_level(train: Train, pos: np.ndarray) -> np.ndarray:
+    """Pulses (0 or 1) in bins pos (int64 positions) of a train."""
+    # in uint8, in place: the cast keeps the low byte, which holds pos & 7
     shift = pos.astype(np.uint8)
-    shift &= 1
-    level = train[pos >> 1]
+    shift &= 7
+    level = train.bins[pos >> 3]
     level >>= shift
     level &= 1
     return level
 
 
-def _pair_level(train: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Pulses (0, 1 or 2) in bins k and k+1 of a slot-pattern train: the late
-    bin of slot k >> 1 plus the early bin of slot (k + 1) >> 1, which is the
-    same slot when k is even.  Boundary k is coherent where this is 2: only
-    there can the monitor see perfect destructive interference."""
-    return (train[k >> 1] >> 1) + (train[(k + 1) >> 1] & 1)
+def _pair_level(train: Train, k: np.ndarray) -> np.ndarray:
+    """Pulses (0, 1 or 2) in bins k and k+1 of a train: the late bin of slot
+    k >> 1 plus the early bin of slot (k + 1) >> 1, which is the same slot
+    when k is even.  Boundary k is coherent where this is 2: only there can
+    the monitor see perfect destructive interference."""
+    level = _bin_level(train, k)
+    level += _bin_level(train, k + 1)
+    return level
 
 
-def _n_coherent(train: np.ndarray) -> tuple[int, int]:
-    """(decoy slots, coherent boundaries) of a slot-pattern train, the latter
-    the boundaries k with _pair_level 2: one inside each decoy, and one
-    between a late pulse and the next slot's early one."""
-    n_decoy = int(np.count_nonzero(train == DECOY))
-    return n_decoy, n_decoy + int(np.count_nonzero((train[:-1] >> 1) & train[1:]))
+def _n_coherent(train: Train) -> tuple[int, int]:
+    """(decoy slots, coherent boundaries) of a train, the latter the boundaries
+    k with _pair_level 2: one inside each decoy, and one between a late pulse
+    and the next slot's early one.  With B the train's bit string, they are
+    the set bits of B & B >> 1, and the decoys those at even k."""
+    words = np.zeros(-(-train.bins.size // 8), dtype="<u8")
+    words.view(np.uint8)[: train.bins.size] = train.bins
+    both = words >> np.uint64(1)
+    both[:-1] |= words[1:] << np.uint64(63)
+    both &= words
+    inside = np.bitwise_and(both, _EVEN, out=words)
+    both >>= np.uint64(1)
+    both &= _EVEN
+    both += inside  # per slot, its coherent boundaries at 2i and 2i + 1: at most 2
+    return _field_sum(inside), _field_sum(both)
+
+
+def _field_sum(x: np.ndarray) -> int:
+    """The sum of the 2-bit fields, each at most 2, of uint64 words x, which it overwrites."""
+    # popcount by halving (numpy before 2.0 has none): fields of 4 bits, then
+    # bytes, then the bytes of each word added into its top byte
+    y = x >> np.uint64(2)
+    y &= _PAIRS
+    x &= _PAIRS
+    x += y
+    np.right_shift(x, np.uint64(4), out=y)
+    x += y
+    x &= _NIBBLES
+    x *= _BYTE_SUM
+    x >>= np.uint64(56)
+    return int(x.sum())
 
 
 class DecoyStrategy(Enum):
@@ -108,11 +227,14 @@ class DecoyStrategy(Enum):
 
 
 def generate_raw_bits(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent uniform key bits: every bit of ceil(n/64) raw 64-bit words, low bit first."""
+    """n independent uniform key bits, packed 8 to a byte, low bit first: the first
+    ceil(n/8) bytes of ceil(n/64) raw 64-bit words, writable, with every bit past n clear."""
     if n < 1:
         raise ValueError(f"need at least one bit, got n={n}")
-    words = rng.bit_generator.random_raw(-(-n // 64))
-    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
+    bits = rng.bit_generator.random_raw(-(-n // 64)).view(np.uint8)[: -(-n // 8)]
+    if n % 8:
+        bits[-1] &= (1 << n % 8) - 1
+    return bits
 
 
 def _keep_below(f: float) -> np.uint64:
@@ -121,11 +243,13 @@ def _keep_below(f: float) -> np.uint64:
     return np.uint64(math.ceil(f * 2**53) << 11)
 
 
-def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
-    """Lay raw bits out into the pulse train, inserting decoys per the chosen strategy.
+def insert_decoys(bits, n: int, strategy: DecoyStrategy) -> Train:
+    """Lay n raw bits out into the pulse train, inserting decoys per the chosen strategy.
 
-    Returns the pulse train, one uint8 pattern per slot: a data slot as
-    _as_data_slots lays it out and DECOY for a decoy.  bits is left unchanged.
+    bits holds the n bits packed as generate_raw_bits packs them: ceil(n/8)
+    bytes, low bit first, every bit past n clear.  It is left unchanged.
+    Returns Alice's train: a data slot as _data_slots lays it out and DECOY
+    for a decoy.
 
     NONE               every bit becomes a data slot, in order.
     SUBSTITUTE_PATTERN each non-overlapping occurrence of 1,0,1,0 (scanned
@@ -145,16 +269,19 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
     longest chain of L occurrences costs O(log L) operations on the whole
     string, each linear in n.
     """
-    bits = _check_range("bits", bits, 2, np.uint8)
-    if bits.size == 0:
-        raise ValueError("bit sequence must be nonempty")
+    bits = _check_range("bits", bits, 256, np.uint8)
+    if n < 1:
+        raise ValueError(f"bit sequence must be nonempty, got n={n}")
+    if bits.size != -(-n // 8):
+        raise ValueError(f"bits must be n={n} bits packed in {-(-n // 8)} bytes, got {bits.size}")
+    if n % 8 and bits[-1] >> n % 8:
+        raise ValueError(f"bits must have no bit set past bit n={n}")
 
     if strategy is DecoyStrategy.NONE:
-        return _as_data_slots(bits.copy())
+        return _data_slots(bits, n)
 
     if strategy is DecoyStrategy.SUBSTITUTE_PATTERN:
-        n = bits.size
-        x = int.from_bytes(np.packbits(bits, bitorder="little"), "little")
+        x = int.from_bytes(bits, "little")
         # the complement is taken within n bits, so past the end neither x
         # nor it has a set bit, and no false start can sit at n - 3
         ten = x & ((x ^ ((1 << n) - 1)) >> 1)  # a 1,0 starts at bit i
@@ -167,22 +294,22 @@ def insert_decoys(bits, strategy: DecoyStrategy) -> np.ndarray:
             link &= link << k
             k *= 2
         kept *= 0b1111  # kept starts lie 4 or more apart, so no carry crosses
-        packed = np.frombuffer(kept.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
-        decoys = np.unpackbits(packed, count=n, bitorder="little")
-        # the mask is scaled in place: a fresh DECOY * mask temporary here
-        # raised the process's peak RSS by about 7% at 3M bits
-        train = _as_data_slots(bits.copy())
-        decoys *= DECOY
-        np.maximum(train, decoys, out=train)
-        return train
+        decoys = np.frombuffer(kept.to_bytes(bits.size, "little"), dtype=np.uint8)
+        # a data slot lights its early bin for a 0 and its late bin for a 1, a decoy both
+        early = ~bits
+        early |= decoys
+        bins = _spread(bits | decoys, n)
+        bins *= 2  # late bins, from bit 2i to 2i + 1; numpy's uint8 << runs far slower
+        bins |= _spread(early, n)
+        return _cut(bins, n)
 
     if strategy is DecoyStrategy.FRAME_HEADER:
-        n_full, rest = divmod(bits.size, 3)
-        frames = np.full((n_full + (rest > 0), 4), DECOY, dtype=np.uint8)
-        data = _as_data_slots(bits.copy())
-        frames[:n_full, 1:] = data[: 3 * n_full].reshape(n_full, 3)
-        frames[n_full:, 1 : 1 + rest] = data[3 * n_full :]
-        return frames.ravel()[: len(frames) + bits.size]
+        # a frame is one byte: DECOY, then its bits' data-slot patterns, with
+        # a partial frame's missing slots left 0
+        n_frames = -(-n // 3)
+        data = np.zeros(3 * n_frames, dtype=np.uint8)
+        data[:n] = np.unpackbits(bits, count=n, bitorder="little")
+        data[:n] += 1
+        return Train(_bytes(DECOY, data[0::3], data[1::3], data[2::3]), n + n_frames)
 
     raise ValueError(f"unknown decoy strategy: {strategy!r}")
-

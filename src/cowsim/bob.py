@@ -7,12 +7,12 @@ pulse pair cancels at the instrumented (destructive) output.  Since every
 pulse has the same mean, a data bin is either empty or a pulse, and the
 destructive port at a boundary sees nothing, a lone pulse or an intact pair.
 
-The train arrives as Alice's slot patterns after any mask; alice says what
-each pattern lights (_bin_level and _pair_level).  A detection is
-the sorted array of positions that clicked, as the sampler draws them.  The
-data detector reports (slots, values): bin 2i+v clicked gives slot i and
-value v, at most one per slot.  The monitor detector reports its clicked
-interferometer boundaries k (bins k and k+1), sorted.
+The train arrives as an alice.Train after any mask; alice says what it
+lights (_bin_level and _pair_level).  A detection is the sorted array of
+positions that clicked, as the sampler draws them.  The data detector
+reports (slots, values): bin 2i+v clicked gives slot i and value v, at most
+one per slot.  The monitor detector reports its clicked interferometer
+boundaries k (bins k and k+1), sorted.
 
 Clicks are sampled by thinned geometric skipping (Devroye, Non-Uniform
 Random Variate Generation, 1986; Batagelj & Brandes, Phys. Rev. E 71,
@@ -24,10 +24,10 @@ read from another raw word as an integer compare.  That is exactly
 Bernoulli(p[level_i]) per position, independent across positions.  Every
 number is drawn with rng.bit_generator.random_raw, whose stream numpy keeps
 stable, and none with a Generator distribution method.  Levels are looked
-up from the slot patterns at the candidates only.  How many numbers are
-drawn, and their values, depend only on the train length and p_max, never
-on the train's contents, so two trains of one length see the same draws
-from one seed.
+up from the train at the candidates only.  How many numbers are drawn, and
+their values, depend only on the train length and p_max, never on the
+train's contents, so two trains of one length see the same draws from one
+seed.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alice import _bin_level, _check_train, _keep_below, _pair_level
+from .alice import Train, _bin_level, _check_is_train, _keep_below, _pair_level
 from .optics import click_probability
 
 if TYPE_CHECKING:
@@ -58,11 +58,11 @@ _FLOAT_TWO_52 = np.uint64(0x4330000000000000)
 
 
 def receive(
-    train: np.ndarray,
+    train: Train,
     config: SimConfig,
     rng: np.random.Generator,
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Propagate a slot-pattern train through loss and the splitter, then detect.
+    """Propagate a train through loss and the splitter, then detect.
 
     Returns ((slots, values), monitor): detect_data's detected slots and bit
     values, and the monitor detector's clicked interferometer boundaries k
@@ -75,12 +75,9 @@ def receive(
     values, never on the channel contents: runs with and without Eve's
     mask stay draw-aligned for controlled comparisons.
     """
-    detected = detect_data(train, config, rng)
-    train = np.asarray(train, dtype=np.uint8)  # detect_data has checked it
-
+    detected = detect_data(train, config, rng)  # which checks train
     return detected, _sample_clicks(
-        monitor_click_probability(config), max(2 * train.size - 1, 0),
-        partial(_pair_level, train), rng,
+        monitor_click_probability(config), max(2 * train.n - 1, 0), partial(_pair_level, train), rng
     )
 
 
@@ -102,11 +99,11 @@ def monitor_click_probability(config: SimConfig) -> np.ndarray:
 
 
 def detect_data(
-    train: np.ndarray,
+    train: Train,
     config: SimConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The data detector's (slots, values) for a slot-pattern train.
+    """The data detector's (slots, values) for a train.
 
     slots is strictly increasing; a click in bin 2i+v gives slot i and the
     uint8 value v.  Candidate bins are drawn by geometric gaps at rate
@@ -117,11 +114,10 @@ def detect_data(
     slot and the detector re-arms at the next slot boundary, so a slot never
     yields two clicks.
 
-    train must be 1-D and hold slot patterns 0 to DECOY; ValueError names it
-    if not.
+    train must be an alice.Train; ValueError names it if not.
     """
-    train = _check_train("train", train)
-    pos = _sample_clicks(data_click_probability(config), 2 * train.size, partial(_bin_level, train), rng)
+    train = _check_is_train("train", train)
+    pos = _sample_clicks(data_click_probability(config), 2 * train.n, partial(_bin_level, train), rng)
     slots = pos >> 1
     values = pos.astype(np.uint8)  # the cast keeps bit 0, the bin within its slot
     values &= 1

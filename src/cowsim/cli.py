@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine
-from .alice import DECOY
+from .alice import _DATA, DECOY, _pack, _pattern
 from .engine import Attack, SimConfig
 from .eve import apply_and_mask, generate_mask
 from .optics import detectable_fraction, splittable_fraction
@@ -179,9 +179,9 @@ def _selftest_checks(config: SimConfig):
     )
 
     # every slot pattern many times over: Eve's mask leaves no decoy intact
-    train = np.tile(np.array([1, 2, DECOY], dtype=np.uint8), 1000)
-    sent = apply_and_mask(train, generate_mask(train.size, np.random.default_rng(7)))
-    yield "decoy destruction", not np.any(sent == DECOY)
+    train = _pack([*_DATA, DECOY] * 1000)
+    sent = apply_and_mask(train, generate_mask(train.n, np.random.default_rng(7)))
+    yield "decoy destruction", not np.any(_pattern(sent, np.arange(sent.n)) == DECOY)
 
 
 def _cmd_selftest(config: SimConfig, args):

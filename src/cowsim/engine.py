@@ -177,10 +177,10 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
     """Execute one full protocol round, attack included when configured."""
     rng_bits, rng_choices, rng_eve, rng_det = _streams(np.random.SeedSequence(config.seed))
     bits = alice.generate_raw_bits(config.n_bits, rng_bits)
-    train = alice.insert_decoys(bits, config.decoy_strategy)
+    train = alice.insert_decoys(bits, config.n_bits, config.decoy_strategy)
     del bits  # freed before Bob's stage, to bound the run's peak memory
 
-    mask = eve.generate_mask(train.size, rng_eve)
+    mask = eve.generate_mask(train.n, rng_eve)
     sent = eve.apply_and_mask(train, mask) if config.attack is Attack.AND_MASK else train
 
     detected, monitor = bob.receive(sent, config, rng_det)
@@ -195,7 +195,7 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
         recovery = 0.0
 
     stats = RunStats(
-        slots_sent=train.size,
+        slots_sent=train.n,
         decoy_slots=sift.decoy_slots,
         detections=int(detected[0].size),
         sifted_len=int(sift.kept_indices.size),
@@ -205,7 +205,7 @@ def run(config: SimConfig) -> tuple[RunStats, Transcript, EveRecord]:
         verdict=sift.verdict,
         verified_count=sift.verified_count,
         raw_rate_bits_per_s=sift.kept_indices.size
-        / (2.0 * train.size * config.tau_ns * 1e-9),
+        / (2.0 * train.n * config.tau_ns * 1e-9),
     )
     return stats, transcript, record
 
@@ -216,8 +216,8 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
     The empirical column Monte Carlo samples config.n_bits pure data slots
     (no decoys, no attack) at each grid point and reports the detected
     fraction, which should track 1 - exp(-mu * t * t_b * eta).  The train is
-    Alice's raw bits laid out as data slots in place by alice._as_data_slots,
-    as insert_decoys lays them out with DecoyStrategy.NONE.  Only the data
+    Alice's raw bits laid out as data slots by alice._data_slots, as
+    insert_decoys lays them out with DecoyStrategy.NONE.  Only the data
     detector is sampled; the monitor line plays no part in the rate.
     Point i draws from child i of the master seed's SeedSequence, so no
     point shares its streams with a point of another seed.
@@ -228,9 +228,9 @@ def sweep_mu(config: SimConfig, mu_grid) -> list[SweepRow]:
         point = replace(config, mu=float(mu))
         (child,) = master.spawn(1)  # the next child: child i at point i
         rng_bits, _, _, rng_det = _streams(child)
-        train = alice._as_data_slots(alice.generate_raw_bits(point.n_bits, rng_bits))
+        train = alice._data_slots(alice.generate_raw_bits(point.n_bits, rng_bits), point.n_bits)
         slots, _ = bob.detect_data(train, point, rng_det)
-        empirical = slots.size / train.size
+        empirical = slots.size / train.n
         rows.append(
             SweepRow(
                 mu=float(mu),
@@ -304,24 +304,25 @@ def table1_rows() -> tuple[list[tuple[str, ...]], bool]:
     received bins, decoded bit) and whether they match TABLE1_EXPECTED.
     """
     # Alice's bits 0, 0, 1, 1, then two decoys; Eve's bits 0, 1, 0, 1, 0, 1
-    train = alice._as_data_slots(np.array([0, 0, 1, 1, 0, 0], dtype=np.uint8))
-    train[4:] = alice.DECOY
-    mask = alice._as_data_slots(np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8))
+    train = alice._pack([alice._DATA[b] for b in (0, 0, 1, 1)] + [alice.DECOY] * 2)
+    mask = alice._pack([alice._DATA[b] for b in (0, 1, 0, 1, 0, 1)])
     sent = eve.apply_and_mask(train, mask)
 
     (slots, values), _ = bob.receive(sent, SimConfig(**_SATURATED), np.random.default_rng(0))
     decoded = dict(zip(slots.tolist(), values.tolist()))
 
-    def bins_str(patterns):
+    def bins_str(pulses):
         """Each slot's early and late pulses as text, such as "10"."""
-        levels = alice._bin_level(patterns, np.arange(2 * patterns.size)).reshape(-1, 2)
+        levels = alice._bin_level(pulses, np.arange(2 * pulses.n)).reshape(-1, 2)
         return ["".join(map(str, pair)) for pair in levels.tolist()]
 
     alice_bins, eve_bins, sent_bins = bins_str(train), bins_str(mask), bins_str(sent)
-    alice_bits, eve_bits = alice._data_bit(train).tolist(), alice._data_bit(mask).tolist()
+    alice_patterns = alice._pattern(train, np.arange(train.n))
+    alice_bits = alice._data_bit(alice_patterns).tolist()
+    eve_bits = alice._data_bit(alice._pattern(mask, np.arange(mask.n))).tolist()
     rows = []
-    for s in range(train.size):
-        alice_ib = "d.s." if train[s] == alice.DECOY else str(alice_bits[s])
+    for s in range(train.n):
+        alice_ib = "d.s." if alice_patterns[s] == alice.DECOY else str(alice_bits[s])
         rows.append(
             (
                 alice_ib,

@@ -1,12 +1,12 @@
 """Eve: the synchronized AND-mask intercept and key reconstruction.
 
 Eve never measures the quantum channel.  She draws her own uniform bit
-sequence as Alice draws her key and lays it out as data slot patterns in
-Alice's encoding (alice._as_data_slots), then lets her intensity modulator
-pass only the bins her own pattern marks nonempty: a bitwise AND of her
-patterns and the channel's.  Afterwards she reads the public sifting dialog
-and looks up the data bits of her own patterns (alice._data_bit) at the
-announced key positions.
+sequence as Alice draws her key and lays it out as a train of data slots in
+Alice's encoding (alice._data_slots), then lets her intensity modulator
+pass only the bins her own train lights: a bitwise AND of her train's bins
+and the channel's, a byte at a time.  Afterwards she reads the public
+sifting dialog and looks up the data bits of her own slot patterns
+(alice._pattern and alice._data_bit) at the announced key positions.
 """
 
 from __future__ import annotations
@@ -29,29 +29,29 @@ __all__ = [
 
 @dataclass
 class EveRecord:
-    """Everything Eve ends a run with: her slot patterns and her key."""
+    """Everything Eve ends a run with: her train of data slots, the mask, and her key."""
 
-    mask: np.ndarray
+    mask: alice.Train
     reconstructed_key: np.ndarray
 
 
-def generate_mask(n_slots: int, rng: np.random.Generator) -> np.ndarray:
-    """Eve's slot patterns: n_slots uniform bits, drawn as Alice draws her key,
-    each laid out as a data slot by alice._as_data_slots (a uint8 of 1 or 2)."""
-    return alice._as_data_slots(alice.generate_raw_bits(n_slots, rng))
+def generate_mask(n_slots: int, rng: np.random.Generator) -> alice.Train:
+    """Eve's mask: n_slots uniform bits, drawn as Alice draws her key, laid out
+    as a train of data slots by alice._data_slots."""
+    return alice._data_slots(alice.generate_raw_bits(n_slots, rng), n_slots)
 
 
-def apply_and_mask(train: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """AND Eve's patterns onto the channel's slot patterns: blocked bins become vacuum.
+def apply_and_mask(train: alice.Train, mask: alice.Train) -> alice.Train:
+    """AND Eve's mask onto the channel's train: blocked bins become vacuum.
 
-    Pattern 1 (Eve's bit 0) passes the early bin and blocks the late one,
-    pattern 2 (bit 1) the opposite.  Passed pulses are untouched.
+    Her data 0 passes a slot's early bin and blocks the late one, her data 1
+    the opposite.  Passed pulses are untouched.
     """
-    train = alice._check_train("train", train)
-    mask = alice._check_train("mask", mask)
-    if mask.size != train.size:
-        raise ValueError(f"mask length {mask.size} does not match {train.size} slots")
-    return train & mask
+    train = alice._check_is_train("train", train)
+    mask = alice._check_is_train("mask", mask)
+    if mask.n != train.n:
+        raise ValueError(f"mask length {mask.n} does not match {train.n} slots")
+    return alice.Train(train.bins & mask.bins, train.n)
 
 
 def observe_transcript(transcript: Transcript) -> np.ndarray:
@@ -67,8 +67,9 @@ def observe_transcript(transcript: Transcript) -> np.ndarray:
     return slots
 
 
-def reconstruct_key(mask: np.ndarray, kept_indices) -> np.ndarray:
+def reconstruct_key(mask: alice.Train, kept_indices) -> np.ndarray:
     """Eve's copy of the key: the data bits of her slot patterns (alice._data_bit)
     at the announced positions, which must be integers in the masked slot range."""
-    mask = alice._check_train("mask", mask)
-    return alice._data_bit(mask[alice._check_range("kept_indices", kept_indices, mask.size)])
+    mask = alice._check_is_train("mask", mask)
+    kept = alice._check_range("kept_indices", kept_indices, mask.n)
+    return alice._data_bit(alice._pattern(mask, kept))

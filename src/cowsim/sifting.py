@@ -16,7 +16,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alice import DECOY, _check_range, _check_train, _data_bit, _keep_below, _n_coherent, _pair_level
+from .alice import (
+    DECOY, Train, _check_is_train, _check_range, _data_bit, _keep_below, _n_coherent, _pair_level, _pattern,
+)
 from .bob import monitor_click_probability
 
 if TYPE_CHECKING:
@@ -339,7 +341,7 @@ def _binomial_tail(k: int, n: int, q: float) -> float:
 
 
 def run_sifting(
-    train: np.ndarray,
+    train: Train,
     detected,
     monitor,
     config: SimConfig,
@@ -353,9 +355,9 @@ def run_sifting(
     detected bit each, with slots strictly increasing as receive returns them.
     monitor is Bob's monitor clicks: the interferometer boundaries k (bins k
     and k+1) where his monitor detector fired, strictly increasing in
-    [0, 2 * train.size - 1) as receive returns them.  train must hold slot
-    patterns 0 to DECOY, index arrays integers in range and values 0 or 1,
-    as integers or bools; ValueError names the first input that does not.
+    [0, 2 * train.n - 1) as receive returns them.  train must be an
+    alice.Train, index arrays integers in range and values 0 or 1, as
+    integers or bools; ValueError names the first input that does not.
 
     Bob announces his detected slots and his monitor clicks (CoherenceCheck).
     Alice flags each click that fell on a coherent boundary of her train, one
@@ -370,35 +372,38 @@ def run_sifting(
     the n coherent boundaries clicked and P(K >= k) < config.alarm_alpha
     for K ~ Binomial(n, q0), q0 being an intact pair's click probability.
     """
-    train = _check_train("train", train)
+    train = _check_is_train("train", train)
     slots, values = detected
-    slots = _check_range("detected slots", slots, train.size)
+    slots = _check_range("detected slots", slots, train.n)
     values = _check_range("detected values", values, 2, np.uint8)
     if slots.shape != values.shape:
         raise ValueError("detected slots and values differ in length")
     if np.any(np.diff(slots) <= 0):
         raise ValueError("detected slots must be strictly increasing")
-    monitor = _check_range("monitor clicks", monitor, 2 * train.size - 1)
+    monitor = _check_range("monitor clicks", monitor, 2 * train.n - 1)
     if np.any(np.diff(monitor) <= 0):
         raise ValueError("monitor clicks must be strictly increasing")
 
     flags = (_pair_level(train, monitor) == 2).view(np.uint8)
     n_decoy, n_coherent = _n_coherent(train)
 
-    is_decoy = train[slots] == DECOY
+    is_decoy = _pattern(train, slots) == DECOY
     decoy_detected = slots[is_decoy]
-    beside_click = np.zeros(train.size, dtype=bool)
-    beside_click[monitor >> 1] = True
-    beside_click[(monitor + 1) >> 1] = True
     keyable = ~is_decoy
-    keyable &= ~beside_click[slots]
+    # each click's two slots, looked up among the sorted detected slots: a
+    # search per click, so no array spans the train
+    beside = np.concatenate((monitor >> 1, (monitor + 1) >> 1))
+    at = np.searchsorted(slots, beside)
+    found = at < slots.size
+    at, beside = at[found], beside[found]
+    keyable[at[slots[at] == beside]] = False
     remainder, remainder_values = slots[keyable], values[keyable]
 
     verify_mask = rng.bit_generator.random_raw(remainder.size) < _keep_below(config.f_verify)
     verify_slots = remainder[verify_mask]
     kept = remainder[~verify_mask]
 
-    reveal_alice = _data_bit(train[verify_slots])
+    reveal_alice = _data_bit(_pattern(train, verify_slots))
     reveal_bob = remainder_values[verify_mask]
     n_verified = reveal_alice.size
     qber = int(np.count_nonzero(reveal_alice != reveal_bob)) / n_verified if n_verified else 0.0
@@ -408,7 +413,7 @@ def run_sifting(
     q0 = float(monitor_click_probability(config)[2])  # an intact pair's, as all are without Eve
     verdict = "abort" if _binomial_tail(n_clicks, n_coherent, q0) < config.alarm_alpha else "accept"
 
-    alice_key = _data_bit(train[kept])
+    alice_key = _data_bit(_pattern(train, kept))
 
     transcript = Transcript()
     transcript.append("DetectionReport", {"slots": slots})

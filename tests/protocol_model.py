@@ -18,14 +18,27 @@ import numpy as np
 import scipy.stats
 
 from cowsim import Attack, DecoyStrategy
+from cowsim.alice import _pack, _pattern
 from cowsim.optics import click_probability
 
 # slot patterns: a data 0 lights the early bin, a data 1 the late bin, a decoy both
 ZERO, ONE, DECOY = 0b01, 0b10, 0b11
 
 
+# the stage tests' bridges to cowsim's packed forms, which the model itself never uses
 def _train(patterns):
-    return np.array(patterns, dtype=np.uint8)
+    """A list of slot patterns as cowsim's alice.Train."""
+    return _pack(patterns)
+
+
+def _patterns(train):
+    """An alice.Train's slot patterns as a list."""
+    return _pattern(train, np.arange(train.n)).tolist()
+
+
+def _packed(bits):
+    """A list of bits packed 8 to a byte, low bit first, as alice.generate_raw_bits packs them."""
+    return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
 
 
 def raw_bits(n, rng):  # every bit of the raw 64-bit words, low bit first

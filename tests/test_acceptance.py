@@ -15,7 +15,7 @@ from cowsim.optics import detectable_fraction, splittable_fraction
 from cowsim.sifting import run_sifting
 import protocol_model
 from pooled import SEEDS, binomial_z
-from protocol_model import ONE, ZERO
+from protocol_model import ONE, ZERO, _patterns, _train
 
 
 def _report(number, title, ok):
@@ -24,8 +24,8 @@ def _report(number, title, ok):
 
 
 def test_criterion_1_table1_reproduction():
-    train = np.array([ZERO, ZERO, ONE, ONE, DECOY, DECOY], dtype=np.uint8)
-    mask = np.array([ZERO, ONE, ZERO, ONE, ZERO, ONE], dtype=np.uint8)
+    train = _train([ZERO, ZERO, ONE, ONE, DECOY, DECOY])
+    mask = _train([ZERO, ONE, ZERO, ONE, ZERO, ONE])
     sent = eve.apply_and_mask(train, mask)
     config = SimConfig(t_b=0.9, **_SATURATED)
     detected, _ = bob.receive(sent, config, np.random.default_rng(0))
@@ -104,7 +104,7 @@ def test_criterion_5_mu_eff_law():
     ok, n = True, 10_000
     for (t, t_b, eta) in ((0.5, 0.9, 0.1), (0.2, 0.9, 0.25)):
         # all-zero bits keep nonempty bins two apart, so dead time is inert
-        train = alice.insert_decoys(np.zeros(n, dtype=np.uint8), DecoyStrategy.NONE)
+        train = alice.insert_decoys(np.zeros(-(-n // 8), dtype=np.uint8), n, DecoyStrategy.NONE)
         config = SimConfig(mu=0.5, channel_t=t, t_b=t_b, eta_data=eta, p_dark_data=0.0)
         detected = sum(bob.receive(train, config, np.random.default_rng(seed))[0][0].size for seed in SEEDS)
         ok = ok and abs(binomial_z(detected, n * len(SEEDS), 1 - math.exp(-0.5 * t * t_b * eta))) <= 5
@@ -114,8 +114,8 @@ def test_criterion_5_mu_eff_law():
 def test_criterion_6_monitor_behavior():
     # pooled over seeds, 30k decoys in all
     n_decoys = 1_000
-    train = np.full(n_decoys, DECOY, dtype=np.uint8)
-    checked = np.flatnonzero(protocol_model.pairs(train) == 2)
+    train = _train([DECOY] * n_decoys)
+    checked = np.flatnonzero(protocol_model.pairs(_patterns(train)) == 2)
     config = SimConfig(mu=0.5, channel_t=0.5, t_b=0.9, eta_mon=1.0, p_dark_mon=0.0, visibility=1.0)
     ok, hits, broken = checked.size >= n_decoys, 0, 0
     for seed in SEEDS:
@@ -129,7 +129,7 @@ def test_criterion_6_monitor_behavior():
         sent = eve.apply_and_mask(train, eve.generate_mask(n_decoys, rng))
         _, monitor = bob.receive(sent, config, rng)
         # a checked boundary is broken when one of its two bins lost its pulse
-        occupied = protocol_model.bins(sent)
+        occupied = protocol_model.bins(_patterns(sent))
         one_survivor = checked[occupied[checked] != occupied[checked + 1]]
         assert one_survivor.size >= n_decoys
         hits += np.count_nonzero(np.isin(one_survivor, monitor))
@@ -145,13 +145,13 @@ def test_criterion_7_decoy_destruction():
         n = int(rng.integers(4, 120))
         bits = alice.generate_raw_bits(n, rng)
         strategy = (DecoyStrategy.SUBSTITUTE_PATTERN, DecoyStrategy.FRAME_HEADER)[trial % 2]
-        train = alice.insert_decoys(bits, strategy)
+        train = alice.insert_decoys(bits, n, strategy)
         if (trial // 2) % 2:  # the fixed bits 1, 0, 1, 0, ... draw nothing
-            mask = np.resize(np.array([ONE, ZERO], dtype=np.uint8), train.size)
+            mask = _train(np.resize(np.array([ONE, ZERO], dtype=np.uint8), train.n))
         else:
-            mask = eve.generate_mask(train.size, rng)
+            mask = eve.generate_mask(train.n, rng)
         sent = eve.apply_and_mask(train, mask)
-        ok = ok and not np.any(sent == 0b11)  # no slot keeps both bins
+        ok = ok and 0b11 not in _patterns(sent)  # no slot keeps both bins
     _report(7, "no post-mask slot carries two pulses (1000 runs)", ok)
 
 

@@ -10,19 +10,32 @@ from hypothesis import strategies as st
 from cowsim.alice import (
     DECOY,
     DecoyStrategy,
+    Train,
     _n_coherent,
+    _pattern,
     generate_raw_bits,
     insert_decoys,
 )
 from cowsim.bob import receive
 from cowsim.engine import _SATURATED, SimConfig
 import protocol_model
-from protocol_model import ONE, ZERO, _train, layout, pairs
+from pooled import SEEDS, assert_binomial
+from protocol_model import ONE, ZERO, _packed, _patterns, _train, layout, pairs
 
 # runs of 1,0,1,0,... pieced together, so chains of overlapping 1010 occur
 _alternating_runs = st.lists(
     st.tuples(st.integers(0, 1), st.integers(1, 12)), min_size=1, max_size=12
 ).map(lambda runs: [(first + k) % 2 for first, length in runs for k in range(length)])
+
+
+def _laid_out(bits, strategy):
+    """insert_decoys on a list or array of bits, as a list of slot patterns."""
+    return _patterns(insert_decoys(_packed(bits), len(bits), strategy))
+
+
+def _unpacked(bits, n):
+    """generate_raw_bits' n packed bits as a list."""
+    return np.unpackbits(bits, count=n, bitorder="little").tolist()
 
 
 @contextlib.contextmanager
@@ -55,8 +68,9 @@ class TestRawBits:
         assert np.array_equal(a, b)
 
     def test_uniform(self):
-        bits = generate_raw_bits(1_000_000, np.random.default_rng(0))
-        assert abs(bits.mean() - 0.5) < 3 * 0.0005
+        # 1M bits a seed, pooled: 5 sigma is a rate within 4.6e-4 of 1/2
+        ones = [np.count_nonzero(np.unpackbits(generate_raw_bits(1_000_000, np.random.default_rng(s)))) for s in SEEDS]
+        assert_binomial(ones, 1_000_000 * len(SEEDS), 0.5, "raw bits set")
 
     def test_single(self):
         assert generate_raw_bits(1, np.random.default_rng(0))[0] in (0, 1)
@@ -74,7 +88,7 @@ class TestRawBits:
         # uniform-bit draw, rng.integers(0, 2, n), one bit per byte
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         bits = generate_raw_bits(n, rng_a)
-        assert bits.dtype == np.uint8 and bits.tolist() == protocol_model.raw_bits(n, rng_b)
+        assert bits.dtype == np.uint8 and _unpacked(bits, n) == protocol_model.raw_bits(n, rng_b)
         assert np.array_equal(rng_a.bit_generator.random_raw(5), rng_b.bit_generator.random_raw(5))
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 2003])
@@ -87,12 +101,13 @@ class TestRawBits:
 
     @pytest.mark.parametrize("n", [*range(1, 18), 100_001])
     def test_writable_of_length_n(self, n):
-        # the bits are unpacked from the raw words: the result is n writable
-        # bytes, and writing them moves no later draw
+        # the bits are the raw words' first ceil(n/8) bytes, writable, with
+        # every bit past n clear, and writing them moves no later draw
         rng_a, rng_b = np.random.default_rng(n), np.random.default_rng(n)
         bits = generate_raw_bits(n, rng_a)
         generate_raw_bits(n, rng_b)
-        assert bits.dtype == np.uint8 and bits.shape == (n,) and bits.flags.writeable
+        assert bits.dtype == np.uint8 and bits.shape == (-(-n // 8),) and bits.flags.writeable
+        assert np.unpackbits(bits, bitorder="little")[n:].sum() == 0
         bits[:] = 9
         assert np.array_equal(generate_raw_bits(n, rng_a), generate_raw_bits(n, rng_b))
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -100,41 +115,39 @@ class TestRawBits:
 
 class TestInsertDecoys:
     def test_none(self):
-        train = insert_decoys([0, 1], DecoyStrategy.NONE)
-        assert train.tolist() == [ZERO, ONE]
+        assert _laid_out([0, 1], DecoyStrategy.NONE) == [ZERO, ONE]
 
     def test_substitute_pattern(self):
-        train = insert_decoys([1, 0, 1, 0, 1], DecoyStrategy.SUBSTITUTE_PATTERN)
-        assert train.tolist() == [DECOY, DECOY, DECOY, DECOY, ONE]
+        assert _laid_out([1, 0, 1, 0, 1], DecoyStrategy.SUBSTITUTE_PATTERN) == [DECOY, DECOY, DECOY, DECOY, ONE]
 
     def test_substitute_non_overlapping(self):
         # 101010: the scan consumes the first match, leaving a trailing 1,0
-        train = insert_decoys([1, 0, 1, 0, 1, 0], DecoyStrategy.SUBSTITUTE_PATTERN)
-        assert train.tolist() == [DECOY, DECOY, DECOY, DECOY, ONE, ZERO]
+        train = _laid_out([1, 0, 1, 0, 1, 0], DecoyStrategy.SUBSTITUTE_PATTERN)
+        assert train == [DECOY, DECOY, DECOY, DECOY, ONE, ZERO]
 
     def test_frame_header(self):
-        train = insert_decoys([0, 0, 1], DecoyStrategy.FRAME_HEADER)
-        assert train.tolist() == [DECOY, ZERO, ZERO, ONE]
+        assert _laid_out([0, 0, 1], DecoyStrategy.FRAME_HEADER) == [DECOY, ZERO, ZERO, ONE]
 
     def test_frame_header_partial(self):
-        train = insert_decoys([0, 0, 1, 1, 1], DecoyStrategy.FRAME_HEADER)
-        assert train.tolist() == [DECOY, ZERO, ZERO, ONE, DECOY, ONE, ONE]
+        train = _laid_out([0, 0, 1, 1, 1], DecoyStrategy.FRAME_HEADER)
+        assert train == [DECOY, ZERO, ZERO, ONE, DECOY, ONE, ONE]
 
     @pytest.mark.parametrize(
-        "bits, message",
+        "bits, n, message",
         [
-            (np.array([256, 257]), r"bits must lie in \[0, 2\), got values in \[256, 257\]"),
-            (np.array([0.7, 1.9]), "bits must be integers, got float64"),
-            (np.array([-1, 0]), r"bits must lie in \[0, 2\), got values in \[-1, 0\]"),
-            ([0, 2], r"bits must lie in \[0, 2\), got values in \[0, 2\]"),
+            (np.array([256, 257]), 16, r"bits must lie in \[0, 256\), got values in \[256, 257\]"),
+            (np.array([0.7, 1.9]), 16, "bits must be integers, got float64"),
+            (np.array([-1, 0]), 16, r"bits must lie in \[0, 256\), got values in \[-1, 0\]"),
+            # bit 9 of 9 bits: past the end
+            ([0, 2], 9, r"bits must have no bit set past bit n=9"),
         ],
         ids=["wrap-on-cast", "truncate-on-cast", "negative", "two"],
     )
     @pytest.mark.parametrize("strategy", list(DecoyStrategy))
-    def test_non_bits_rejected(self, bits, message, strategy):
-        # checked before any cast to uint8, which would turn these into 0s and 1s
+    def test_non_bits_rejected(self, bits, n, message, strategy):
+        # checked before any cast to uint8, which would wrap or truncate these bytes
         with pytest.raises(ValueError, match=f"^{message}$"):
-            insert_decoys(bits, strategy)
+            insert_decoys(bits, n, strategy)
 
     @pytest.mark.parametrize(
         "bits, shape",
@@ -145,28 +158,32 @@ class TestInsertDecoys:
     def test_non_1d_bits_rejected(self, bits, shape, strategy):
         # NONE once returned a train of the same shape, the others numpy's own errors
         with pytest.raises(ValueError, match=f"^bits must be 1-D, got shape {shape}$"):
-            insert_decoys(bits, strategy)
+            insert_decoys(bits, 8, strategy)
 
     @pytest.mark.parametrize("strategy", list(DecoyStrategy))
     def test_empty_bits_rejected(self, strategy):
         with pytest.raises(ValueError, match="bit sequence must be nonempty"):
-            insert_decoys(np.array([], dtype=np.uint8), strategy)
+            insert_decoys(np.array([], dtype=np.uint8), 0, strategy)
+        # and the byte count must be n's
+        with pytest.raises(ValueError, match=r"^bits must be n=9 bits packed in 2 bytes, got 1$"):
+            insert_decoys(np.array([1], dtype=np.uint8), 9, strategy)
 
     def test_strategy_must_be_a_member(self):
         # the member's value is not the member
         with pytest.raises(ValueError, match="unknown decoy strategy: 'frame-header'"):
-            insert_decoys([0, 1], DecoyStrategy.FRAME_HEADER.value)
+            insert_decoys(_packed([0, 1]), 2, DecoyStrategy.FRAME_HEADER.value)
 
     @pytest.mark.parametrize(
         "bits",
-        [[1, 0, 1, 0, 1], np.array([1, 0, 1, 0, 1], dtype=np.uint8), np.array([1, 0, 1, 0, 1]),
-         np.array([True, False, True, False, True])],
+        # bits 1, 0, 1, 0, 1 are the byte 0b10101, and True the byte 1
+        [[0b10101], np.array([0b10101], dtype=np.uint8), np.array([0b10101]), np.array([True])],
         ids=["list", "uint8", "int64", "bool"],
     )
     def test_bit_inputs_accepted(self, bits):
-        train = insert_decoys(bits, DecoyStrategy.SUBSTITUTE_PATTERN)
-        assert train.dtype == np.uint8
-        assert train.tolist() == [DECOY, DECOY, DECOY, DECOY, ONE]
+        train = insert_decoys(bits, 5, DecoyStrategy.SUBSTITUTE_PATTERN)
+        assert train.bins.dtype == np.uint8
+        expect = [DECOY, DECOY, DECOY, DECOY, ONE] if np.asarray(bits).dtype != bool else [ONE] + [ZERO] * 4
+        assert _patterns(train) == expect
 
     @pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64])
     @pytest.mark.parametrize("strategy", list(DecoyStrategy))
@@ -174,26 +191,26 @@ class TestInsertDecoys:
         # a uint8 input is its own astype(copy=False) alias: the train must be built beside it
         bits = generate_raw_bits(1000, np.random.default_rng(3)).astype(dtype)
         before = bits.copy()
-        train = insert_decoys(bits, strategy)
-        assert not np.shares_memory(train, bits)
+        train = insert_decoys(bits, 1000, strategy)
+        assert not np.shares_memory(train.bins, bits)
         assert bits.dtype == before.dtype
         assert np.array_equal(bits, before)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
     def test_slot_count_preserved(self, bits):
-        assert insert_decoys(bits, DecoyStrategy.NONE).size == len(bits)
-        assert insert_decoys(bits, DecoyStrategy.SUBSTITUTE_PATTERN).size == len(bits)
+        for strategy in (DecoyStrategy.NONE, DecoyStrategy.SUBSTITUTE_PATTERN):
+            train = insert_decoys(_packed(bits), len(bits), strategy)
+            assert train.n == len(bits) and train.bins.size == -(-len(bits) // 4)
 
     @given(st.lists(st.integers(0, 1), min_size=4, max_size=300))
     def test_no_adjacent_1010_survives(self, bits):
-        train = insert_decoys(bits, DecoyStrategy.SUBSTITUTE_PATTERN)
+        train = _laid_out(bits, DecoyStrategy.SUBSTITUTE_PATTERN)
         for i in range(len(train) - 3):
-            window = train[i : i + 4].tolist()
-            assert window != [ONE, ZERO, ONE, ZERO]
+            assert train[i : i + 4] != [ONE, ZERO, ONE, ZERO]
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
     def test_frame_layout(self, bits):
-        train = insert_decoys(bits, DecoyStrategy.FRAME_HEADER)
+        train = np.array(_laid_out(bits, DecoyStrategy.FRAME_HEADER))
         assert np.all(train[0::4] == DECOY)
         assert (train != DECOY).sum() == len(bits)
 
@@ -208,12 +225,12 @@ class TestInsertDecoysReference:
     @pytest.mark.parametrize("strategy", LAYOUTS)
     @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=64))
     def test_short_random(self, strategy, bits):
-        assert insert_decoys(bits, strategy).tolist() == layout(bits, strategy)
+        assert _laid_out(bits, strategy) == layout(bits, strategy)
 
     @pytest.mark.parametrize("strategy", LAYOUTS)
     @given(bits=_alternating_runs)
     def test_alternating_runs(self, strategy, bits):
-        assert insert_decoys(bits, strategy).tolist() == layout(bits, strategy)
+        assert _laid_out(bits, strategy) == layout(bits, strategy)
 
     @pytest.mark.parametrize("strategy", LAYOUTS)
     def test_every_short_length(self, strategy):
@@ -221,14 +238,14 @@ class TestInsertDecoysReference:
         for n in range(1, 65):
             for first in (0, 1):
                 bits = [(first + k) % 2 for k in range(n)]
-                assert insert_decoys(bits, strategy).tolist() == layout(bits, strategy)
+                assert _laid_out(bits, strategy) == layout(bits, strategy)
 
     def test_every_bit_string(self):
         strategy = DecoyStrategy.SUBSTITUTE_PATTERN
         for n in range(1, 13):
             for value in range(2**n):
                 bits = [(value >> k) & 1 for k in range(n)]
-                assert insert_decoys(bits, strategy).tolist() == layout(bits, strategy)
+                assert _laid_out(bits, strategy) == layout(bits, strategy)
 
     @pytest.mark.parametrize("n", range(60, 201))
     def test_alternating_across_words(self, n):
@@ -238,7 +255,7 @@ class TestInsertDecoysReference:
         for start in [0, *(edge - back for edge in (64, 128, 192) for back in range(1, 6))]:
             for first in (0, 1):
                 bits = [0] * min(start, n) + [(first + k) % 2 for k in range(n - start)]
-                assert insert_decoys(bits, strategy).tolist() == layout(bits, strategy)
+                assert _laid_out(bits, strategy) == layout(bits, strategy)
 
     @pytest.mark.parametrize("n", [2**20 + extra for extra in range(4)])
     def test_long_alternating_closed_form(self, n):
@@ -250,46 +267,54 @@ class TestInsertDecoysReference:
             expect[4 * (n // 4) :] = [ONE, ZERO, ONE][: n % 4]
             return expect
 
+        def patterns(train):
+            return _pattern(train, np.arange(n))
+
         alternating = (np.arange(n) % 2 == 0).astype(np.uint8)
         with _counting_line_events(insert_decoys, "while link:") as passes:
-            train = insert_decoys(alternating, DecoyStrategy.SUBSTITUTE_PATTERN)
-        assert np.array_equal(train, layout(n))
+            train = insert_decoys(_packed(alternating), n, DecoyStrategy.SUBSTITUTE_PATTERN)
+        assert np.array_equal(patterns(train), layout(n))
         assert 0 < passes[0] <= n.bit_length()
-        twin = insert_decoys(1 - alternating, DecoyStrategy.SUBSTITUTE_PATTERN)
-        assert np.array_equal(twin, np.concatenate([[ZERO], layout(n - 1)]))
+        twin = insert_decoys(_packed(1 - alternating), n, DecoyStrategy.SUBSTITUTE_PATTERN)
+        assert np.array_equal(patterns(twin), np.concatenate([[ZERO], layout(n - 1)]))
 
     @pytest.mark.parametrize("strategy", LAYOUTS)
     def test_long_seeded(self, strategy):
         bits = generate_raw_bits(200_000, np.random.default_rng(20_051))
-        assert insert_decoys(bits, strategy).tolist() == layout(bits.tolist(), strategy)
+        train = insert_decoys(bits, 200_000, strategy)
+        assert _patterns(train) == layout(_unpacked(bits, 200_000), strategy)
 
 
 class TestEncode:
     """insert_decoys' time-bin encoding: one pattern per slot, bit 0 the
-    early bin and bit 1 the late bin."""
+    early bin and bit 1 the late bin, and bin k at bit k & 7 of byte k >> 3."""
 
     def test_data_zero(self):
-        assert insert_decoys([0], DecoyStrategy.NONE).tolist() == [0b01]
+        assert _laid_out([0], DecoyStrategy.NONE) == [0b01]
 
     def test_data_one(self):
-        assert insert_decoys([1], DecoyStrategy.NONE).tolist() == [0b10]
+        assert _laid_out([1], DecoyStrategy.NONE) == [0b10]
 
     def test_decoy(self):
         assert DECOY == 0b11
-        assert insert_decoys([1], DecoyStrategy.FRAME_HEADER).tolist() == [0b11, 0b10]
+        assert _laid_out([1], DecoyStrategy.FRAME_HEADER) == [0b11, 0b10]
 
     def test_one_zero_adjacency(self):
-        train = insert_decoys([1, 0], DecoyStrategy.NONE)
-        assert train.tolist() == [0b10, 0b01]
-        assert train.dtype == np.uint8
+        train = insert_decoys(_packed([1, 0]), 2, DecoyStrategy.NONE)
+        assert _patterns(train) == [0b10, 0b01]
+        # slot 0's bins are bits 0 and 1 of the byte, slot 1's bits 2 and 3
+        assert train.bins.dtype == np.uint8 and train.bins.tolist() == [0b01_10]
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=200), st.sampled_from(DecoyStrategy))
     def test_occupancy_counts(self, bits, strategy):
-        train = insert_decoys(bits, strategy)
-        assert train.dtype == np.uint8
-        per_slot = (train & 1) + (train >> 1)
-        expect = np.where(train == DECOY, 2, 1)
+        train = insert_decoys(_packed(bits), len(bits), strategy)
+        assert train.bins.dtype == np.uint8
+        patterns = np.array(_patterns(train))
+        per_slot = (patterns & 1) + (patterns >> 1)
+        expect = np.where(patterns == DECOY, 2, 1)
         assert np.array_equal(per_slot, expect)
+        # 4 slots to a byte, and no bin past the last slot's
+        assert np.unpackbits(train.bins, bitorder="little")[2 * train.n :].sum() == 0
 
 
 class TestBoundaries:
@@ -323,8 +348,40 @@ class TestBoundaries:
 class TestRoundTrip:
     def test_noiseless_decode_recovers_bits(self):
         bits = generate_raw_bits(500, np.random.default_rng(3))
-        train = insert_decoys(bits, DecoyStrategy.NONE)
+        train = insert_decoys(bits, 500, DecoyStrategy.NONE)
         config = SimConfig(**_SATURATED)
         (slots, values), _ = receive(train, config, np.random.default_rng(0))
-        assert slots.tolist() == list(range(len(bits)))
-        assert np.array_equal(values, bits)
+        assert slots.tolist() == list(range(500))
+        assert values.tolist() == _unpacked(bits, 500)
+
+
+class TestTrain:
+    """A Train is checked once, where it is built: its bins' dtype and
+    length, and no bin set past its last slot."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 33, 1001])
+    def test_pack_round_trip(self, n):
+        patterns = np.random.default_rng(n).integers(0, DECOY + 1, size=n).tolist()
+        train = _train(patterns)
+        assert train.n == n and train.bins.shape == (-(-n // 4),)
+        assert _patterns(train) == patterns
+
+    @pytest.mark.parametrize(
+        "bins, n, message",
+        [
+            (np.zeros(2, dtype=np.int64), 5, r"needs 2 uint8 bytes of bins, got int64 of shape \(2,\)"),
+            (np.zeros(1, dtype=np.uint8), 5, r"needs 2 uint8 bytes of bins, got uint8 of shape \(1,\)"),
+            (np.zeros((2, 1), dtype=np.uint8), 5, r"needs 2 uint8 bytes of bins, got uint8 of shape \(2, 1\)"),
+            ([0, 0], 5, "needs 2 uint8 bytes of bins, got list"),
+            # slot 5 of a 5-slot train: bits 10 and 11
+            (np.array([0, 0b0100], dtype=np.uint8), 5, "no bin set past bin 10"),
+        ],
+        ids=["int64", "short", "2-D", "list", "past-the-end"],
+    )
+    def test_bad_bins_rejected(self, bins, n, message):
+        with pytest.raises(ValueError, match=message):
+            Train(bins, n)
+
+    def test_pattern_names_slots(self):
+        with pytest.raises(ValueError, match=r"^patterns must lie in \[0, 4\), got values in \[1, 4\]$"):
+            _train([4, 1])

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cowsim import bob
-from cowsim.alice import DECOY, DecoyStrategy, _bin_level, generate_raw_bits, insert_decoys
+from cowsim.alice import DECOY, DecoyStrategy, Train, _bin_level, generate_raw_bits, insert_decoys
 from cowsim.bob import _sample_clicks, data_click_probability, detect_data, monitor_click_probability, receive
 from cowsim.engine import _SATURATED, SimConfig
 from cowsim.eve import apply_and_mask, generate_mask
 import protocol_model
 from pooled import SEEDS, assert_binomial
-from protocol_model import ONE, ZERO, _train
+from protocol_model import ONE, ZERO, _patterns, _train
 from test_sifting import NO_VERIFY, _sift_monitor
 
 IDEAL = SimConfig(channel_t=1.0, t_b=0.9, eta_data=1.0, eta_mon=1.0)
@@ -45,9 +44,9 @@ def _sampled_grid(p, level, rng):
 
 
 def _slot_train(bins, n_slots):
-    """The slot-pattern train of n_slots whose occupied bins are the given bin indices."""
-    occ = _grid(bins, 2 * n_slots).reshape(n_slots, 2).view(np.uint8)
-    return occ[:, 0] | occ[:, 1] << 1
+    """The train of n_slots whose occupied bins are the given bin indices: its
+    bins' bit string is their grid, packed 8 to a byte, low bit first."""
+    return Train(np.packbits(_grid(bins, 2 * n_slots), bitorder="little"), n_slots)
 
 
 class TestReceive:
@@ -56,7 +55,7 @@ class TestReceive:
         assert (slots.tolist(), values.tolist()) == ([0], [0])
 
     def test_empty_train_silent(self):
-        train = np.zeros(5, dtype=np.uint8)  # five slots, ten empty bins
+        train = _train([0] * 5)  # five slots, ten empty bins
         (slots, values), monitor = receive(train, IDEAL, np.random.default_rng(0))
         assert (slots.size, values.size, monitor.size) == (0, 0, 0)
         assert monitor.dtype == np.int64
@@ -65,7 +64,8 @@ class TestReceive:
         # pooled over seeds, per slot pattern: a slot is detected unless
         # neither of its bins clicks, each bin with the data click probability
         # of its pulses.  A data slot's is 1 - exp(-mu t t_b eta) without darks
-        train = _levels(20_000, 4, 21)
+        patterns = _levels(20_000, 4, 21)
+        train = _train(patterns)
         clean = SimConfig(channel_t=0.5, t_b=0.9, eta_data=0.1)
         assert data_click_probability(clean)[1] == pytest.approx(1 - math.exp(-0.5 * 0.5 * 0.9 * 0.1))
         for config in (clean, NOISY):
@@ -73,22 +73,22 @@ class TestReceive:
             k = np.zeros(4, dtype=np.int64)
             for seed in SEEDS:
                 (slots, _), _ = receive(train, config, np.random.default_rng(seed))
-                k += np.bincount(train[slots], minlength=4)
+                k += np.bincount(patterns[slots], minlength=4)
             for pattern in range(4):
                 p = 1 - (1 - p_bin[pattern & 1]) * (1 - p_bin[pattern >> 1])
-                n = np.count_nonzero(train == pattern) * len(SEEDS)
+                n = np.count_nonzero(patterns == pattern) * len(SEEDS)
                 assert_binomial(k[pattern], n, p, f"pattern {pattern}, {config}")
 
     def test_dark_counts_respect_dead_time(self):
         config = replace(IDEAL, p_dark_data=0.9)
-        (slots, _), _ = receive(np.zeros(1000, dtype=np.uint8), config, np.random.default_rng(2))
+        (slots, _), _ = receive(_train([0] * 1000), config, np.random.default_rng(2))
         assert slots.size > 0 and np.all(np.diff(slots) > 0)
 
     def test_zero_noise_soundness(self):
         bits = generate_raw_bits(5000, np.random.default_rng(8))
-        (slots, values), _ = receive(insert_decoys(bits, DecoyStrategy.NONE), IDEAL, np.random.default_rng(3))
+        (slots, values), _ = receive(insert_decoys(bits, 5000, DecoyStrategy.NONE), IDEAL, np.random.default_rng(3))
         assert slots.size > 0
-        assert np.array_equal(values, bits[slots])
+        assert np.array_equal(values, np.unpackbits(bits, bitorder="little")[slots])
 
     def test_decoy_misinterpreted_as_zero(self):
         (slots, values), _ = receive(_train([DECOY] * 50), ORACLE, np.random.default_rng(0))
@@ -99,12 +99,12 @@ class TestReceive:
     @pytest.mark.parametrize("strategy", list(DecoyStrategy))
     def test_both_detectors_report_sorted_positions(self, strategy, attack):
         # dark counts on both detectors give clicks everywhere, ends included
-        train = insert_decoys(generate_raw_bits(3000, np.random.default_rng(12)), strategy)
+        train = insert_decoys(generate_raw_bits(3000, np.random.default_rng(12)), 3000, strategy)
         if attack:
-            train = apply_and_mask(train, generate_mask(train.size, np.random.default_rng(13)))
+            train = apply_and_mask(train, generate_mask(train.n, np.random.default_rng(13)))
         config = replace(IDEAL, p_dark_data=0.2, p_dark_mon=0.2)
         (slots, values), monitor = receive(train, config, np.random.default_rng(14))
-        for positions, end in ((slots, train.size), (monitor, 2 * train.size - 1)):
+        for positions, end in ((slots, train.n), (monitor, 2 * train.n - 1)):
             assert positions.dtype == np.int64 and positions.size > 0
             assert np.all(np.diff(positions) > 0)
             assert positions[0] >= 0 and positions[-1] < end
@@ -120,19 +120,25 @@ class TestReceive:
         ],
     )
     def test_rejects_patterns_outside_range(self, train):
-        with pytest.raises(ValueError, match="train"):
-            receive(train, ORACLE, np.random.default_rng(0))
+        # a train is checked where it is built, so no such train reaches receive
+        with pytest.raises(ValueError, match="patterns"):
+            receive(_train(train), ORACLE, np.random.default_rng(0))
+
+    def test_rejects_pattern_array(self):
+        # a train is an alice.Train, never a bare array of slot patterns
+        with pytest.raises(ValueError, match="^train must be an alice.Train, got ndarray$"):
+            receive(np.array([ZERO, ONE], dtype=np.uint8), ORACLE, np.random.default_rng(0))
 
     def test_empty_list_is_an_empty_train(self):
-        (slots, values), monitor = receive([], IDEAL, np.random.default_rng(0))
+        (slots, values), monitor = receive(_train([]), IDEAL, np.random.default_rng(0))
         assert (slots.size, values.size, monitor.size) == (0, 0, 0)
 
     def test_int64_train_matches_uint8(self):
         train = np.random.default_rng(15).integers(0, DECOY + 1, size=3000)
         assert train.dtype == np.int64
         config = replace(IDEAL, p_dark_data=0.2, p_dark_mon=0.2)
-        wide = receive(train, config, np.random.default_rng(16))
-        narrow = receive(train.astype(np.uint8), config, np.random.default_rng(16))
+        wide = receive(_train(train), config, np.random.default_rng(16))
+        narrow = receive(_train(train.astype(np.uint8)), config, np.random.default_rng(16))
         (wide_slots, wide_values), wide_monitor = wide
         (slots, values), monitor = narrow
         assert np.array_equal(wide_slots, slots) and np.array_equal(wide_values, values)
@@ -357,8 +363,8 @@ class TestBinLevel:
     pulses, and leaves its inputs as they were."""
 
     # the four slot patterns in turn over 40,000 slots: positions past 255
-    # and past 65,535, whose uint8 cast drops high bits but keeps bit 0
-    TRAIN = np.tile(np.arange(4, dtype=np.uint8), 10_000)
+    # and past 65,535, whose uint8 cast drops high bits but keeps bits 0 to 2
+    PATTERNS = np.tile(np.arange(4, dtype=np.uint8), 10_000).tolist()
 
     @pytest.mark.parametrize(
         "pos",
@@ -370,48 +376,57 @@ class TestBinLevel:
         ids=["every-bin", "byte-edges", "random"],
     )
     def test_matches_int64_expression(self, pos):
-        train, pos_before = self.TRAIN.copy(), pos.copy()
+        train, pos_before = _train(self.PATTERNS), pos.copy()
+        bins_before = train.bins.copy()
         level = _bin_level(train, pos)
-        assert level.dtype == np.uint8 and level.tolist() == protocol_model.bins(train.tolist())[pos].tolist()
-        assert np.array_equal(train, self.TRAIN) and np.array_equal(pos, pos_before)
+        assert level.dtype == np.uint8 and level.tolist() == protocol_model.bins(self.PATTERNS)[pos].tolist()
+        assert np.array_equal(train.bins, bins_before) and np.array_equal(pos, pos_before)
 
 
 class TestDetectData:
     NOISY = SimConfig(p_dark_data=1e-3, p_dark_mon=1e-3, visibility=0.98)
-    TRAIN = insert_decoys(
-        generate_raw_bits(40_000, np.random.default_rng(9)), DecoyStrategy.NONE
-    )
+    TRAIN = insert_decoys(generate_raw_bits(40_000, np.random.default_rng(9)), 40_000, DecoyStrategy.NONE)
 
     def test_receive_draws_data_then_monitor(self):
         # receive draws the data detector's numbers, then the monitor's, as the protocol model does
         train, rng_a, rng_b = self.TRAIN, np.random.default_rng(5), np.random.default_rng(5)
         (slots, values), monitor = receive(train, self.NOISY, rng_a)
-        expected = protocol_model.receive(train.tolist(), self.NOISY, rng_b)
+        expected = protocol_model.receive(_patterns(train), self.NOISY, rng_b)
         assert ((slots.tolist(), values.tolist()), monitor.tolist()) == expected
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @pytest.mark.parametrize(
         "train, error",
         [
-            (np.array([259, 258, 257]), r"^train must lie in \[0, 4\), got values in \[257, 259\]$"),
-            (np.array([1.7, 2.2]), "^train must be integers, got float64$"),
-            (np.array([-1]), r"^train must lie in \[0, 4\), got values in \[-1, -1\]$"),
-            (np.array([[1, 2]]), r"^train must be 1-D, got shape \(1, 2\)$"),
+            (np.array([259, 258, 257]), r"^patterns must lie in \[0, 4\), got values in \[257, 259\]$"),
+            (np.array([1.7, 2.2]), "^patterns must be integers, got float64$"),
+            (np.array([-1]), r"^patterns must lie in \[0, 4\), got values in \[-1, -1\]$"),
+            (np.array([[1, 2]]), r"^patterns must be 1-D, got shape \(1, 2\)$"),
         ],
         ids=["wraps", "truncates", "negative", "2-D"],
     )
     def test_rejects_bad_train(self, train, error):
-        # public on its own, it checks its train as every stage does, before any draw
+        # a train is checked once, where it is built, so a bad one never reaches a draw
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=error):
-            detect_data(train, IDEAL, rng)
+            detect_data(_train(train), IDEAL, rng)
+        assert rng.bit_generator.state == state
+
+    def test_rejects_pattern_array(self):
+        # the one check detect_data makes on its train, before any draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^train must be an alice.Train, got ndarray$"):
+            detect_data(np.array([ZERO, ONE], dtype=np.uint8), IDEAL, rng)
         assert rng.bit_generator.state == state
 
     def test_receive_checks_its_train_once(self):
-        with mock.patch.object(bob, "_check_train", wraps=bob._check_train) as spy:
-            receive([ZERO, DECOY, ONE], IDEAL, np.random.default_rng(0))
-        assert [call.args[0] for call in spy.call_args_list] == ["train"]
+        # once, where it was built: receive neither checks nor builds a train
+        train = _train([ZERO, DECOY, ONE])
+        with mock.patch.object(Train, "__post_init__", wraps=train.__post_init__) as spy:
+            receive(train, IDEAL, np.random.default_rng(0))
+        assert spy.call_count == 0
 
 
 class TestCoupling:
@@ -430,7 +445,7 @@ class TestCoupling:
         # it off.  Per bin this fails: a mask that blocks a decoy's early bin
         # can let its late bin click where the early click would shadow it.
         train = _train(patterns)
-        mask = generate_mask(train.size, np.random.default_rng(mask_seed))
+        mask = generate_mask(train.n, np.random.default_rng(mask_seed))
         masked = apply_and_mask(train, mask)
         config = replace(IDEAL, p_dark_data=p_dark_data, p_dark_mon=p_dark_mon)
         rng_on, rng_off = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -490,8 +505,8 @@ class TestMonitor:
         train = _train([DECOY] * 10_000)
         config = SimConfig(channel_t=0.5, t_b=0.9, eta_mon=1.0, p_dark_mon=0.0)
         _, monitor = receive(train, config, np.random.default_rng(4))
-        boundaries = np.arange(0, 2 * train.size - 1, 2)  # decoy-internal
-        clicks = _grid(monitor, 2 * train.size - 1)[boundaries]
+        boundaries = np.arange(0, 2 * train.n - 1, 2)  # decoy-internal
+        clicks = _grid(monitor, 2 * train.n - 1)[boundaries]
         assert (clicks.size, np.count_nonzero(clicks)) == (10_000, 0)
 
     @pytest.mark.parametrize(
@@ -510,8 +525,9 @@ class TestMonitor:
         # pulses clicks with the monitor's probability at that level.  A lone
         # survivor's is 1 - exp(-eta_mon (1-t_b) t mu / 4) without darks, and
         # at V = 1 an intact pair never clicks
-        train = _levels(20_000, 4, 6)
-        level = protocol_model.pairs(train.tolist())
+        patterns = _levels(20_000, 4, 6)
+        train = _train(patterns)
+        level = protocol_model.pairs(patterns.tolist())
         clean = SimConfig(channel_t=0.5, t_b=0.9, eta_mon=0.8, p_dark_mon=0.0)
         assert monitor_click_probability(clean)[1] == pytest.approx(1 - math.exp(-0.8 * 0.1 * 0.5 * 0.5 / 4))
         for config in (clean, NOISY):
@@ -549,10 +565,10 @@ class TestSaturatedReference:
         # nonzero, so the protocol model gives the same clicks from another seed
         train = _train(patterns)
         if mask_seed is not None:
-            train = apply_and_mask(train, generate_mask(train.size, np.random.default_rng(mask_seed)))
+            train = apply_and_mask(train, generate_mask(train.n, np.random.default_rng(mask_seed)))
         config = SimConfig(visibility=visibility, **_SATURATED)
         (slots, values), monitor = receive(train, config, np.random.default_rng(seed))
-        expected = protocol_model.receive(train.tolist(), config, np.random.default_rng(seed + 1))
+        expected = protocol_model.receive(_patterns(train), config, np.random.default_rng(seed + 1))
         assert ((slots.tolist(), values.tolist()), monitor.tolist()) == expected
 
 
@@ -566,7 +582,7 @@ class TestMonitorReport:
         # announces them: a flag is set where both bins of the boundary are lit
         occupied = data.draw(st.sets(st.integers(0, 2 * n_slots - 1)))
         clicked = sorted(data.draw(st.sets(st.integers(0, 2 * n_slots - 2))))
-        patterns = _slot_train(sorted(occupied), n_slots).tolist()
+        patterns = _patterns(_slot_train(sorted(occupied), n_slots))
         result, transcript = _sift_monitor(clicked, patterns=patterns)
         expected = protocol_model.dialog(patterns, [], [], clicked, NO_VERIFY, np.random.default_rng(0))
         assert {kind: transcript.get(kind) for kind in transcript.messages} == expected

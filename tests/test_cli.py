@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cowsim import cli, engine
-from cowsim.alice import DECOY, DecoyStrategy
+from cowsim.alice import DECOY, DecoyStrategy, _pack
 from cowsim.cli import ConfigError, main, parse_config
 from cowsim.engine import Attack, SimConfig, run
 
@@ -246,7 +246,7 @@ class TestCommands:
 
     def test_selftest_decoy_check_uses_eves_mask(self, monkeypatch, capsys):
         # a mask passing both bins of every slot would leave each decoy intact
-        monkeypatch.setattr(cli, "generate_mask", lambda n, rng: np.full(n, DECOY, dtype=np.uint8))
+        monkeypatch.setattr(cli, "generate_mask", lambda n, rng: _pack([DECOY] * n))
         assert run_cli("selftest") == 2
         assert "FAIL decoy destruction" in capsys.readouterr().out.splitlines()
 

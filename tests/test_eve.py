@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cowsim.alice import DECOY, DecoyStrategy, generate_raw_bits, insert_decoys
+from cowsim.alice import DECOY, DecoyStrategy, _pattern, generate_raw_bits, insert_decoys
 from cowsim.engine import Attack, SimConfig, run
 from cowsim.eve import (
     apply_and_mask,
@@ -15,42 +15,45 @@ from cowsim.eve import (
 )
 from cowsim.sifting import Transcript, TranscriptError
 import protocol_model
-from protocol_model import ONE, ZERO, _train
+from pooled import SEEDS, assert_binomial
+from protocol_model import ONE, ZERO, _packed, _patterns, _train
 
 
 class TestGenerateMask:
     def test_reproducible(self):
         a = generate_mask(64, np.random.default_rng(5))
         b = generate_mask(64, np.random.default_rng(5))
-        assert np.array_equal(a, b)
+        assert a.n == b.n == 64 and np.array_equal(a.bins, b.bins)
 
     def test_uniform(self):
-        mask = generate_mask(1_000_000, np.random.default_rng(0))
-        assert abs((mask == ONE).mean() - 0.5) < 3 * 0.0005
+        # 1M slots a seed, pooled: 5 sigma is a rate within 4.6e-4 of 1/2
+        n, slots = 1_000_000, np.arange(1_000_000)
+        ones = [np.count_nonzero(_pattern(generate_mask(n, np.random.default_rng(s)), slots) == ONE) for s in SEEDS]
+        assert_binomial(ones, n * len(SEEDS), 0.5, "mask slots of pattern ONE")
 
     @pytest.mark.parametrize("n", [1, 7, 8, 1001])
     def test_patterns_of_alices_bit_draw(self, n):
         # Eve draws her bits as Alice does and lays each out as a data slot
         mask = generate_mask(n, np.random.default_rng(3))
-        assert mask.dtype == np.uint8
+        assert mask.bins.dtype == np.uint8 and mask.n == n
         bits = protocol_model.raw_bits(n, np.random.default_rng(3))
-        assert mask.tolist() == [ONE if b else ZERO for b in bits]
+        assert _patterns(mask) == [ONE if b else ZERO for b in bits]
 
     @pytest.mark.parametrize("n", [*range(1, 18), 100_001])
     def test_raw_bits_plus_one(self, n):
-        # Eve's patterns are Alice's bit draw plus one, n writable uint8, and
-        # leave the generator where Alice's draw does
+        # Eve's patterns are Alice's bit draw plus one, n slots in writable
+        # bytes, and leave the generator where Alice's draw does
         rng_a, rng_b = np.random.default_rng(n), np.random.default_rng(n)
         mask = generate_mask(n, rng_a)
-        expect = generate_raw_bits(n, rng_b) + 1
-        assert mask.dtype == np.uint8 and mask.shape == (n,) and mask.flags.writeable
-        assert np.array_equal(mask, expect)
+        expect = np.unpackbits(generate_raw_bits(n, rng_b), count=n, bitorder="little") + 1
+        assert mask.bins.shape == (-(-n // 4),) and mask.bins.flags.writeable
+        assert _patterns(mask) == expect.tolist()
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestApplyMask:
     def _one_slot(self, pattern, eve_pattern):
-        return apply_and_mask(_train([pattern]), _train([eve_pattern])).tolist()
+        return _patterns(apply_and_mask(_train([pattern]), _train([eve_pattern])))
 
     # slot patterns: bit 0 is the early bin, bit 1 the late bin
     def test_pass_through(self):
@@ -70,22 +73,30 @@ class TestApplyMask:
         "train, mask, message",
         [
             # int64 -1 has every bit set, so it once passed slot 0 untouched
-            (_train([ZERO, ONE, DECOY, ONE]), np.array([-1, 2, 1, 2]),
-             r"^mask must lie in \[0, 4\), got values in \[-1, 2\]$"),
-            (_train([ZERO, ONE]), np.array([1.0, 2.0]), "^mask must be integers, got float64$"),
-            (_train([ZERO, ONE]), _train([[ZERO, ONE]]), r"^mask must be 1-D, got shape \(1, 2\)$"),
-            (np.array([1.0, 2.0]), _train([ZERO, ONE]), "^train must be integers, got float64$"),
-            (np.array([4, 1]), _train([ZERO, ONE]), r"^train must lie in \[0, 4\), got values in \[1, 4\]$"),
+            ([ZERO, ONE, DECOY, ONE], np.array([-1, 2, 1, 2]),
+             r"^patterns must lie in \[0, 4\), got values in \[-1, 2\]$"),
+            ([ZERO, ONE], np.array([1.0, 2.0]), "^patterns must be integers, got float64$"),
+            ([ZERO, ONE], [[ZERO, ONE]], r"^patterns must be 1-D, got shape \(1, 2\)$"),
+            (np.array([1.0, 2.0]), [ZERO, ONE], "^patterns must be integers, got float64$"),
+            (np.array([4, 1]), [ZERO, ONE], r"^patterns must lie in \[0, 4\), got values in \[1, 4\]$"),
         ],
         ids=["negative-mask", "float-mask", "2-D-mask", "float-train", "train-past-decoy"],
     )
     def test_bad_input_named(self, train, mask, message):
+        # a train or a mask is checked once, where it is built, so none of these reaches the AND
         with pytest.raises(ValueError, match=message):
-            apply_and_mask(train, mask)
+            apply_and_mask(_train(train), _train(mask))
+
+    @pytest.mark.parametrize("name", ["train", "mask"])
+    def test_rejects_pattern_array(self, name):
+        inputs = {"train": _train([ZERO, ONE]), "mask": _train([ONE, ONE])}
+        inputs[name] = np.array([ZERO, ONE], dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"^{name} must be an alice.Train, got ndarray$"):
+            apply_and_mask(**inputs)
 
     def test_bool_and_int64_inputs_as_uint8(self):
-        masked = apply_and_mask(np.array([ZERO, DECOY, ONE]), np.array([True, True, False]))
-        assert masked.dtype == np.uint8 and masked.tolist() == [ZERO, ZERO, 0]
+        masked = apply_and_mask(_train(np.array([ZERO, DECOY, ONE])), _train(np.array([True, True, False])))
+        assert masked.bins.dtype == np.uint8 and _patterns(masked) == [ZERO, ZERO, 0]
 
     @given(
         st.lists(st.sampled_from([ZERO, ONE, DECOY]), min_size=1, max_size=200),
@@ -94,11 +105,12 @@ class TestApplyMask:
     def test_occupancy_and(self, patterns, seed):
         # the mask acts as a bitwise AND on each slot's bin pattern
         train = _train(patterns)
-        mask = generate_mask(train.size, np.random.default_rng(seed))
+        mask = generate_mask(train.n, np.random.default_rng(seed))
         masked = apply_and_mask(train, mask)
-        eve_bits = protocol_model.raw_bits(train.size, np.random.default_rng(seed))
-        assert masked.tolist() == [t & (b + 1) for t, b in zip(patterns, eve_bits)]
-        assert np.array_equal(train, _train(patterns))  # input untouched
+        eve_bits = protocol_model.raw_bits(train.n, np.random.default_rng(seed))
+        assert _patterns(masked) == [t & (b + 1) for t, b in zip(patterns, eve_bits)]
+        assert np.array_equal(masked.bins, train.bins & mask.bins)  # a byte AND
+        assert _patterns(train) == patterns  # input untouched
 
     @given(
         st.lists(st.integers(0, 1), min_size=1, max_size=200),
@@ -106,20 +118,20 @@ class TestApplyMask:
         st.integers(0, 2**31 - 1),
     )
     def test_decoys_destroyed(self, bits, strategy, seed):
-        train = insert_decoys(bits, strategy)
-        mask = generate_mask(train.size, np.random.default_rng(seed))
+        train = insert_decoys(_packed(bits), len(bits), strategy)
+        mask = generate_mask(train.n, np.random.default_rng(seed))
         sent = apply_and_mask(train, mask)
-        assert not np.any(sent == 0b11)
+        assert 0b11 not in _patterns(sent)
 
     def test_pass_through_rate(self):
-        rng = np.random.default_rng(11)
-        bits = generate_raw_bits(100_000, rng)
-        train = insert_decoys(bits, DecoyStrategy.NONE)
-        mask = generate_mask(train.size, rng)
-        sent = apply_and_mask(train, mask)
-        survived = sent != 0
-        sigma = (0.25 / train.size) ** 0.5
-        assert abs(survived.mean() - 0.5) < 3 * sigma
+        # 100k data slots a seed, pooled: 5 sigma is a rate within 1.4e-3 of 1/2
+        n, survived = 100_000, []
+        for seed in SEEDS:
+            rng = np.random.default_rng(seed)
+            train = insert_decoys(generate_raw_bits(n, rng), n, DecoyStrategy.NONE)
+            sent = apply_and_mask(train, generate_mask(train.n, rng))
+            survived.append(np.count_nonzero(_pattern(sent, np.arange(n))))
+        assert_binomial(survived, n * len(SEEDS), 0.5, "data slots the mask passes")
 
 
 class TestTranscriptReading:
@@ -212,15 +224,20 @@ class TestReconstruct:
         "mask, message",
         [
             # patterns 5, 9 and 3 once read as key bits 2, 4 and 1
-            (np.array([5, 9, 3]), r"^mask must lie in \[0, 4\), got values in \[3, 9\]$"),
-            (np.array([1.0, 2.0, 1.0]), "^mask must be integers, got float64$"),
-            (_train([[ZERO, ONE, ONE]]), r"^mask must be 1-D, got shape \(1, 3\)$"),
+            (np.array([5, 9, 3]), r"^patterns must lie in \[0, 4\), got values in \[3, 9\]$"),
+            (np.array([1.0, 2.0, 1.0]), "^patterns must be integers, got float64$"),
+            ([[ZERO, ONE, ONE]], r"^patterns must be 1-D, got shape \(1, 3\)$"),
         ],
         ids=["past-decoy", "float", "2-D"],
     )
     def test_bad_mask_named(self, mask, message):
+        # a mask is checked once, where it is built, so none of these reaches the lookup
         with pytest.raises(ValueError, match=message):
-            reconstruct_key(mask, [0, 1, 2])
+            reconstruct_key(_train(mask), [0, 1, 2])
+
+    def test_rejects_pattern_array(self):
+        with pytest.raises(ValueError, match="^mask must be an alice.Train, got ndarray$"):
+            reconstruct_key(np.array([ZERO, ONE, ONE], dtype=np.uint8), [0, 1, 2])
 
     def test_2d_indices_rejected(self):
         # a 2-D index would read a 2-D key

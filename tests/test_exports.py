@@ -1,7 +1,9 @@
 """Every name a cowsim module exports in __all__ exists in that module, and
 the package, its benchmark or its demos use it: no API serves only its tests.
-Outside alice.py no module shifts, masks or offsets a slot pattern by hand,
-and no module draws through a numpy Generator's distribution methods."""
+Outside alice.py no module shifts, masks or offsets a slot pattern or a
+train's packed bins by hand, no module draws through a numpy Generator's
+distribution methods, and nothing calls numpy past the floor pyproject.toml
+declares."""
 
 import ast
 import functools
@@ -26,8 +28,11 @@ CALLERS = [
 ]
 # every package module but alice.py, the home of the slot encoding
 ENCODING_USERS = [path for path in sorted((ROOT / "src/cowsim").glob("*.py")) if path.name != "alice.py"]
-# the names a slot-pattern array goes by in the stages
+# the names a train or a slot-pattern array goes by in the stages
 PATTERN_NAMES = {"train", "mask", "sent"}
+# the constants that pick or move a bin, a slot's two bits or a data bit in
+# a packed byte: bit 0 or 1, a pattern's 3, a bin's place within its byte 7
+ENCODING_CONSTANTS = {1, 2, 3, 7}
 # Generator methods whose streams numpy does not promise to keep (NEP 19);
 # the package draws every number with bit_generator.random_raw instead
 DISTRIBUTIONS = {"random", "standard_exponential", "geometric", "integers"}
@@ -56,15 +61,18 @@ def _loaded_names() -> frozenset[str]:
 
 
 def _is_pattern(node: ast.expr) -> bool:
-    """node is a slot-pattern array by name, or a subscript of one."""
+    """node is a train or a slot-pattern array by name, a train's bins, or a
+    subscript of either."""
     if isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute) and node.attr == "bins":
         node = node.value
     return isinstance(node, ast.Name) and node.id in PATTERN_NAMES
 
 
 def _encoding_sites(path: Path) -> list[str]:
-    """file:line of each >>, & or + with the constant 1 applied to a slot
-    pattern in path, in place or not."""
+    """file:line of each >>, <<, & or + with the constant 1, 2, 3 or 7 applied
+    to a train, its bins or a slot pattern in path, in place or not."""
     sites = []
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.BinOp):
@@ -73,8 +81,9 @@ def _encoding_sites(path: Path) -> list[str]:
             operands = (node.target, node.value)
         else:
             continue
-        one = any(isinstance(x, ast.Constant) and x.value == 1 for x in operands)
-        if one and isinstance(node.op, (ast.RShift, ast.BitAnd, ast.Add)) and any(map(_is_pattern, operands)):
+        constant = any(isinstance(x, ast.Constant) and x.value in ENCODING_CONSTANTS for x in operands)
+        ops = (ast.RShift, ast.LShift, ast.BitAnd, ast.Add)
+        if constant and isinstance(node.op, ops) and any(map(_is_pattern, operands)):
             sites.append(f"{path.name}:{node.lineno}")
     return sites
 
@@ -102,8 +111,8 @@ def test_all_names_used_outside_tests(name):
 
 
 def test_slot_encoding_only_in_alice():
-    # alice's _as_data_slots, _data_bit and _bin_level say what a pattern
-    # holds; position arithmetic such as pos >> 1 is no pattern and passes
+    # alice's _data_slots, _pattern, _data_bit and _bin_level say what a train
+    # holds; position arithmetic such as pos >> 1 or 2 * train.n - 1 passes
     assert {"engine.py", "eve.py", "sifting.py", "bob.py"} <= {path.name for path in ENCODING_USERS}
     assert [site for path in ENCODING_USERS for site in _encoding_sites(path)] == []
 
@@ -117,3 +126,10 @@ def test_draws_only_raw_words():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in DISTRIBUTIONS
     ]
     assert sites == []
+
+
+def test_numpy_floor():
+    # numpy.bitwise_count came with numpy 2.0, past the numpy>=1.24 that
+    # pyproject.toml declares; the package counts bits without it
+    sources = sorted((ROOT / "src/cowsim").glob("*.py"))
+    assert [path.name for path in sources if "bitwise_count" in path.read_text()] == []

@@ -51,6 +51,7 @@ import numpy as np
 import pytest
 
 from cowsim import Attack, DecoyStrategy, SimConfig, Transcript, bob, compare_attack, run, sweep_mu
+from cowsim.alice import _pack
 from cowsim.cli import main
 from cowsim.engine import _SATURATED, table1_rows
 from cowsim.optics import click_probability
@@ -595,7 +596,7 @@ def test_saturation_bound():
     for config in configs:
         # the means receive hands click_probability: data bins, then monitor ports
         with mock.patch.object(bob, "click_probability", wraps=click_probability) as spy:
-            bob.receive(np.array([1, 2, 3], dtype=np.uint8), config, np.random.default_rng(0))
+            bob.receive(_pack([1, 2, 3]), config, np.random.default_rng(0))
         calls = [c.args for c in spy.call_args_list]
         (data_mean, *_), (port, *_) = calls
         # only an empty bin, and an intact pair at V = 1, carry no light

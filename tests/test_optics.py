@@ -14,6 +14,7 @@ import pytest
 from cowsim.bob import receive
 from cowsim.engine import _SATURATED, SimConfig
 from cowsim.optics import click_probability, detectable_fraction, splittable_fraction
+from protocol_model import _train
 
 RNG = lambda: np.random.default_rng(1234)
 
@@ -23,14 +24,15 @@ N = 200_000
 
 
 def lone_pulses(n_slots=N):
-    """All-zero data: every slot is (pulse, empty), so every boundary holds one pulse."""
+    """All-zero data: every slot is (pulse, empty), so every boundary holds one pulse.
+    Like every train here, it is slot patterns, packed where receive takes it."""
     return np.ones(n_slots, dtype=np.uint8)
 
 
 def rates(train, seed=0, **params):
     """(data clicks per pulse, monitor clicks per boundary) of one receive call."""
     config = SimConfig(**{**IDEAL, **params})
-    (slots, _), monitor = receive(train, config, np.random.default_rng(seed))
+    (slots, _), monitor = receive(_train(train), config, np.random.default_rng(seed))
     pulses = np.count_nonzero(train & 1) + np.count_nonzero(train & 2)
     n_boundaries = 2 * train.size - 1
     # monitor: the clicked boundaries, strictly increasing inside [0, n_boundaries)
@@ -93,7 +95,7 @@ class TestBeamsplit:
 
     def test_vacuum(self):
         train = np.zeros(N, dtype=np.uint8)
-        (slots, _), monitor = receive(train, SimConfig(**{**IDEAL, "t_b": 0.3}), RNG())
+        (slots, _), monitor = receive(_train(train), SimConfig(**{**IDEAL, "t_b": 0.3}), RNG())
         assert slots.size == 0 and monitor.size == 0
 
     def test_symmetric(self):
@@ -113,7 +115,7 @@ class TestMonitorPort:
         train = np.full(N, 3, dtype=np.uint8)  # all decoys: every bin holds a pulse
         for saturated in ({}, _SATURATED):
             config = SimConfig(**{**IDEAL, "t_b": 0.5, **saturated})
-            _, monitor = receive(train, config, RNG())
+            _, monitor = receive(_train(train), config, RNG())
             assert monitor.size == 0
 
     def test_lone_pulse(self):
@@ -139,7 +141,7 @@ class TestMonitorPort:
     def test_both_empty(self):
         train = np.zeros(N, dtype=np.uint8)
         train[0::2] = 1  # slots alternate (pulse, empty) and (empty, empty)
-        _, monitor = receive(train, SimConfig(**{**IDEAL, "t_b": 0.5, "visibility": 0.7}), RNG())
+        _, monitor = receive(_train(train), SimConfig(**{**IDEAL, "t_b": 0.5, "visibility": 0.7}), RNG())
         # bins 1000 1000 ...: boundaries 4j+1 and 4j+2 join two empty bins
         k = np.arange(2 * N - 1)
         silent = (k % 4 == 1) | (k % 4 == 2)
@@ -155,7 +157,7 @@ class TestMonitorPort:
         # Saturated detectors click iff the port mean is positive.
         train = np.full(4, (mus[0] > 0) | (mus[1] > 0) << 1, dtype=np.uint8)
         config = SimConfig(t_b=0.5, visibility=v, **_SATURATED)
-        _, monitor = receive(train, config, RNG())
+        _, monitor = receive(_train(train), config, RNG())
         cancels = mus[1] > 0 and v == 1.0
         assert monitor.tolist() == ([] if cancels else list(range(7)))
 
@@ -193,7 +195,7 @@ class TestSampleClick:
         assert rates(train, mu=0.5, channel_t=0.0) == (0.0, 0.0)
         # probability 1: a saturated detector fires on every occupied bin
         det = SimConfig(**_SATURATED)
-        (slots, values), _ = receive(train, det, RNG())
+        (slots, values), _ = receive(_train(train), det, RNG())
         assert slots.tolist() == list(range(1000)) and not values.any()
 
     def test_fair(self):

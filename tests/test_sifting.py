@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cowsim import bob, sifting
-from cowsim.alice import DECOY, DecoyStrategy, generate_raw_bits, insert_decoys
+from cowsim.alice import DECOY, DecoyStrategy, _pattern, generate_raw_bits, insert_decoys
 from cowsim.engine import _SATURATED, Attack, SimConfig, _streams, run
 from cowsim.sifting import (
     _BLOCK,
@@ -178,15 +178,23 @@ class TestRunSifting:
         "train, message",
         [
             # patterns 7 once sifted as key bits 3
-            (np.array([7, 7, 7, 7]), r"^train must lie in \[0, 4\), got values in \[7, 7\]$"),
-            (np.array([1.0, 2.0, 1.0, 2.0]), "^train must be integers, got float64$"),
-            (np.array([[1, 2], [1, 2]]), r"^train must be 1-D, got shape \(2, 2\)$"),
+            (np.array([7, 7, 7, 7]), r"^patterns must lie in \[0, 4\), got values in \[7, 7\]$"),
+            (np.array([1.0, 2.0, 1.0, 2.0]), "^patterns must be integers, got float64$"),
+            (np.array([[1, 2], [1, 2]]), r"^patterns must be 1-D, got shape \(2, 2\)$"),
         ],
         ids=["pattern-7", "float", "2-D"],
     )
     def test_bad_train_named(self, train, message):
+        # a train is checked once, where it is built, so no such train reaches the dialog
         with pytest.raises(ValueError, match=message):
-            run_sifting(train, ([0, 1], [0, 1]), NO_MONITOR, NO_VERIFY, np.random.default_rng(0))
+            run_sifting(_train(train), ([0, 1], [0, 1]), NO_MONITOR, NO_VERIFY, np.random.default_rng(0))
+
+    def test_rejects_pattern_array(self):
+        with pytest.raises(ValueError, match="^train must be an alice.Train, got ndarray$"):
+            run_sifting(
+                np.array([ZERO, ONE], dtype=np.uint8), ([0, 1], [0, 1]), NO_MONITOR, NO_VERIFY,
+                np.random.default_rng(0),
+            )
 
     def test_empty_inputs_of_any_dtype(self):
         empty = np.array([])  # float64
@@ -236,9 +244,10 @@ class TestRunSifting:
 
     def test_bool_values_sift_as_uint8(self):
         # Bob's values are bits, and a bool array of them is the same bits
-        train = _train([ZERO, ONE, DECOY] * 40)
+        patterns = np.array([ZERO, ONE, DECOY] * 40, dtype=np.uint8)
+        train = _train(patterns)
         slots = np.arange(0, 120, 2)
-        values = (train[slots] >> 1).astype(np.uint8)
+        values = patterns[slots] >> 1
         values[::7] ^= 1
         monitor = np.array([2, 4])
         config = SimConfig(f_verify=0.4)
@@ -333,9 +342,10 @@ def test_tail_matches_scipy(n, q):
 
 
 def _alice_train(config: SimConfig) -> np.ndarray:
-    """Alice's pulse train as run draws it from config.seed."""
+    """The slot patterns of Alice's pulse train as run draws it from config.seed, a uint8 array."""
     rng_bits = _streams(np.random.SeedSequence(config.seed))[0]
-    return insert_decoys(generate_raw_bits(config.n_bits, rng_bits), config.decoy_strategy)
+    train = insert_decoys(generate_raw_bits(config.n_bits, rng_bits), config.n_bits, config.decoy_strategy)
+    return _pattern(train, np.arange(train.n))
 
 
 def _verdict_rates(config: SimConfig, n_even: int, n_odd: int) -> tuple[float, float]:
