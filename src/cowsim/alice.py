@@ -106,6 +106,26 @@ def _spread(plane: np.ndarray, n: int) -> np.ndarray:
     return np.take(_SPREAD, pairs).view(np.uint8)[: -(-n // 4)]
 
 
+def _shifted(words: np.ndarray, k: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """out, set to the bit string of little-endian uint64 words moved up k bits,
+    k a power of 2, or down -k bits for k in (-64, 0), with the bits moved past
+    either end dropped.  spare is scratch of words' size; neither it nor out
+    overlaps words."""
+    if k >= 8:  # whole bytes: one copy, and a move past the end leaves 0
+        step = min(k // 8, out.nbytes)
+        out.view(np.uint8)[step:] = words.view(np.uint8)[: words.nbytes - step]
+        out.view(np.uint8)[:step] = 0
+    elif k > 0:  # each word's top k bits carry into the next word's bottom
+        np.left_shift(words, np.uint64(k), out=out)
+        np.right_shift(words[:-1], np.uint64(64 - k), out=spare[1:])
+        out[1:] |= spare[1:]
+    else:
+        np.right_shift(words, np.uint64(-k), out=out)
+        np.left_shift(words[1:], np.uint64(64 + k), out=spare[:-1])
+        out[:-1] |= spare[:-1]
+    return out
+
+
 def _check_is_train(name: str, train) -> Train:
     """train, checked to be a Train, which was checked where it was built: a
     stage's one check on a train it takes.  A ValueError gives name."""
@@ -264,10 +284,11 @@ def insert_decoys(bits, n: int, strategy: DecoyStrategy) -> Train:
     and the left-to-right scan keeps the even-indexed members of each chain
     (the first, third, ...): each kept one consumes its odd successor.  So
     with s_i set where an occurrence starts at bit i, the kept starts are
-    kept_i = s_i & ~kept_{i-2}.  This is solved on the bits held as one Python
-    integer: composing the rule with itself doubles its reach per pass, so a
-    longest chain of L occurrences costs O(log L) operations on the whole
-    string, each linear in n.
+    kept_i = s_i & ~kept_{i-2}.  This is solved on the bits copied into
+    little-endian uint64 words, the whole string shifted with each word's
+    carry into its neighbour (_shifted): composing the rule with itself
+    doubles its reach per pass, so a longest chain of L occurrences costs
+    O(log L) operations on the whole string, each linear in n.
     """
     bits = _check_range("bits", bits, 256, np.uint8)
     if n < 1:
@@ -281,20 +302,35 @@ def insert_decoys(bits, n: int, strategy: DecoyStrategy) -> Train:
         return _data_slots(bits, n)
 
     if strategy is DecoyStrategy.SUBSTITUTE_PATTERN:
-        x = int.from_bytes(bits, "little")
-        # the complement is taken within n bits, so past the end neither x
-        # nor it has a set bit, and no false start can sit at n - 3
-        ten = x & ((x ^ ((1 << n) - 1)) >> 1)  # a 1,0 starts at bit i
+        # a copy into zero words: the bytes past bits in generate_raw_bits'
+        # words hold random bits
+        kept = np.zeros(-(-n // 64), dtype="<u8")
+        kept.view(np.uint8)[: bits.size] = bits
+        link, moved, spare = np.empty_like(kept), np.empty_like(kept), np.empty_like(kept)
+        # the complement is taken within n bits, so past the end neither the
+        # bits nor it has a set bit, and no false start can sit at n - 3
+        np.invert(kept, out=link)
+        link[-1] &= np.uint64((1 << (n % 64 or 64)) - 1)
+        kept &= _shifted(link, -1, moved, spare)  # a 1,0 starts at bit i
+        kept &= _shifted(kept, -2, moved, spare)  # the 1,0,1,0 starts
+        link[:] = kept
         # kept = a ^ (link & kept << k) with a = link = starts and k = 2;
         # substituting the rule into itself keeps that form at 2k
-        kept = link = ten & (ten >> 2)  # the 1,0,1,0 starts
         k = 2
-        while link:
-            kept ^= link & (kept << k)
-            link &= link << k
+        while link.any():
+            _shifted(kept, k, moved, spare)
+            moved &= link
+            kept ^= moved
+            link &= _shifted(link, k, moved, spare)
             k *= 2
-        kept *= 0b1111  # kept starts lie 4 or more apart, so no carry crosses
-        decoys = np.frombuffer(kept.to_bytes(bits.size, "little"), dtype=np.uint8)
+        # kept starts lie 4 or more apart, so no carry crosses within a word,
+        # and a start at bit 61, 62 or 63 carries 1, 2 or 3 bits into the next
+        np.right_shift(kept, np.uint64(61), out=moved)
+        moved *= np.uint64(0b1111)
+        moved >>= np.uint64(3)
+        kept *= np.uint64(0b1111)
+        kept[1:] |= moved[:-1]
+        decoys = kept.view(np.uint8)[: bits.size]
         # a data slot lights its early bin for a 0 and its late bin for a 1, a decoy both
         early = ~bits
         early |= decoys

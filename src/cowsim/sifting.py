@@ -387,8 +387,10 @@ def run_sifting(
     flags = (_pair_level(train, monitor) == 2).view(np.uint8)
     n_decoy, n_coherent = _n_coherent(train)
 
+    # every gather below goes through np.flatnonzero: numpy gathers by a
+    # boolean mask far slower than by index, and one index serves both arrays
     is_decoy = _pattern(train, slots) == DECOY
-    decoy_detected = slots[is_decoy]
+    decoy_detected = slots[np.flatnonzero(is_decoy)]
     keyable = ~is_decoy
     # each click's two slots, looked up among the sorted detected slots: a
     # search per click, so no array spans the train
@@ -397,14 +399,16 @@ def run_sifting(
     found = at < slots.size
     at, beside = at[found], beside[found]
     keyable[at[slots[at] == beside]] = False
-    remainder, remainder_values = slots[keyable], values[keyable]
+    keyable_at = np.flatnonzero(keyable)
+    remainder, remainder_values = slots[keyable_at], values[keyable_at]
 
     verify_mask = rng.bit_generator.random_raw(remainder.size) < _keep_below(config.f_verify)
-    verify_slots = remainder[verify_mask]
-    kept = remainder[~verify_mask]
+    verify_at = np.flatnonzero(verify_mask)
+    verify_slots = remainder[verify_at]
+    kept = remainder[np.flatnonzero(~verify_mask)]
 
     reveal_alice = _data_bit(_pattern(train, verify_slots))
-    reveal_bob = remainder_values[verify_mask]
+    reveal_bob = remainder_values[verify_at]
     n_verified = reveal_alice.size
     qber = int(np.count_nonzero(reveal_alice != reveal_bob)) / n_verified if n_verified else 0.0
 

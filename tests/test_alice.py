@@ -257,6 +257,37 @@ class TestInsertDecoysReference:
                 bits = [0] * min(start, n) + [(first + k) % 2 for k in range(n - start)]
                 assert _laid_out(bits, strategy) == layout(bits, strategy)
 
+    @given(
+        n=st.integers(1, 600),
+        background=st.integers(0, 2**600 - 1),
+        chains=st.lists(st.tuples(st.integers(0, 255), st.integers(1, 40)), min_size=1, max_size=4),
+    )
+    @example(n=600, background=0, chains=[(255, 40)])
+    @example(n=128, background=2**128 - 1, chains=[(61, 1), (124, 1)])
+    def test_chains_across_words(self, n, background, chains):
+        # 1 to 40 copies of 1,0,1,0 laid end to end at offsets 0 to 255 over
+        # random bits, cut at every n % 64: chains cross the 64-bit word edges
+        # and end at each of them, and up to 79 starts long they take the
+        # whole-byte moves k = 8 to 128 as well as the carried k = 2 and 4
+        strategy = DecoyStrategy.SUBSTITUTE_PATTERN
+        bits = [background >> i & 1 for i in range(n)]
+        for offset, copies in chains:
+            for i in range(offset, min(offset + 4 * copies, n)):
+                bits[i] = (i - offset + 1) % 2
+        assert _laid_out(bits, strategy) == layout(bits, strategy)
+
+    @pytest.mark.parametrize("strategy", [DecoyStrategy.NONE, *LAYOUTS])
+    @pytest.mark.parametrize("n", [1, 7, 61, 64, 65, 125, 128, 200, 1001])
+    def test_reads_no_byte_past_bits(self, strategy, n):
+        # generate_raw_bits returns the head of its raw words, whose bytes
+        # past ceil(n/8) hold random bits: a copy with those bytes set gives the same train
+        bits = generate_raw_bits(n, np.random.default_rng(n))
+        words = np.full(8 * -(-n // 64), 0xFF, dtype=np.uint8)
+        words[: bits.size] = bits
+        train = insert_decoys(bits, n, strategy)
+        assert np.array_equal(insert_decoys(words[: bits.size], n, strategy).bins, train.bins)
+        assert _patterns(train) == layout(_unpacked(bits, n), strategy)
+
     @pytest.mark.parametrize("n", [2**20 + extra for extra in range(4)])
     def test_long_alternating_closed_form(self, n):
         # 1,0,1,0,... is one chain of about n/2 starts: decoys on the first 4 * (n // 4) slots.
@@ -271,7 +302,7 @@ class TestInsertDecoysReference:
             return _pattern(train, np.arange(n))
 
         alternating = (np.arange(n) % 2 == 0).astype(np.uint8)
-        with _counting_line_events(insert_decoys, "while link:") as passes:
+        with _counting_line_events(insert_decoys, "while link.any():") as passes:
             train = insert_decoys(_packed(alternating), n, DecoyStrategy.SUBSTITUTE_PATTERN)
         assert np.array_equal(patterns(train), layout(n))
         assert 0 < passes[0] <= n.bit_length()

@@ -133,3 +133,12 @@ def test_numpy_floor():
     # pyproject.toml declares; the package counts bits without it
     sources = sorted((ROOT / "src/cowsim").glob("*.py"))
     assert [path.name for path in sources if "bitwise_count" in path.read_text()] == []
+
+
+def test_no_python_integer_pass():
+    # a pass over the whole train through one Python integer costs a copy in,
+    # a copy out and a full-length big-integer operation per step; the
+    # package keeps such passes on numpy words
+    sources = sorted((ROOT / "src/cowsim").glob("*.py"))
+    found = [path.name for path in sources if "int.from_bytes" in path.read_text() or ".to_bytes(" in path.read_text()]
+    assert found == []
