@@ -23,11 +23,12 @@ floor(log(U) / log1p(-p_max)) + 1 for a U in (0, 1] made from one raw
 read from another raw word as an integer compare.  That is exactly
 Bernoulli(p[level_i]) per position, independent across positions.  Every
 number is drawn with rng.bit_generator.random_raw, whose stream numpy keeps
-stable, and none with a Generator distribution method.  Levels are looked
-up from the train at the candidates only.  How many numbers are drawn, and
-their values, depend only on the train length and p_max, never on the
-train's contents, so two trains of one length see the same draws from one
-seed.
+stable, and none with a Generator distribution method.  The keep words are
+drawn only when some level is thinned (0 < p / p_max < 1); otherwise the
+bit generator advances past them.  Levels are looked up from the train at
+the candidates only.  The gaps, and the generator's state after each
+detector, depend only on the train length and p_max, never on the train's
+contents, so two trains of one length see the same draws from one seed.
 """
 
 from __future__ import annotations
@@ -71,9 +72,11 @@ def receive(
     It draws first the data detector's numbers (detect_data), then the
     monitor's over the 2n - 1 interferometer boundaries.  Each detector
     thins geometric gaps drawn at its largest click probability p_max, so
-    what is drawn depends only on the train length and the two p_max
-    values, never on the channel contents: runs with and without Eve's
-    mask stay draw-aligned for controlled comparisons.
+    the gaps, and the generator's state after each detector, depend only on
+    the train length and the two p_max values, never on the channel
+    contents: runs with and without Eve's mask stay draw-aligned for
+    controlled comparisons.  rng's bit generator must have advance (PCG64
+    has); ValueError names rng if not.
     """
     detected = detect_data(train, config, rng)  # which checks train
     return detected, _sample_clicks(
@@ -108,13 +111,15 @@ def detect_data(
     slots is strictly increasing; a click in bin 2i+v gives slot i and the
     uint8 value v.  Candidate bins are drawn by geometric gaps at rate
     p_max, the click probability of a pulse bin, and a candidate clicks iff
-    a uniform u < p[level] / p_max.  What is drawn depends only on the train
-    length and p_max, not on which bins hold pulses.  Dead time is gated per
-    information slot: an early-bin click shadows the late bin of the same
-    slot and the detector re-arms at the next slot boundary, so a slot never
-    yields two clicks.
+    a uniform u < p[level] / p_max, its keep word drawn only when some level
+    is thinned.  The gaps, and the generator's state afterwards, depend only
+    on the train length and p_max, not on which bins hold pulses.  Dead
+    time is gated per information slot: an early-bin click shadows the late
+    bin of the same slot and the detector re-arms at the next slot
+    boundary, so a slot never yields two clicks.
 
-    train must be an alice.Train; ValueError names it if not.
+    train must be an alice.Train, and rng's bit generator must have advance;
+    ValueError names the one that is not.
     """
     train = _check_is_train("train", train)
     pos = _sample_clicks(data_click_probability(config), 2 * train.n, partial(_bin_level, train), rng)
@@ -144,7 +149,17 @@ def _sample_clicks(p: np.ndarray, n: int, level_at, rng: np.random.Generator) ->
     _keep_below(p[level_at(i)] / p_max), still one Bernoulli(p[level_at(i)])
     each, tested level by level: the top level keeps every candidate, and a
     level with p = 0 keeps none.  level_at sees only the candidates.
+
+    When every p / p_max is 0 or 1 no keep word is read, so none is drawn:
+    rng.bit_generator.advance(k) stands for the k draws.  That is exact for
+    PCG64 and PCG64DXSM.  Philox's advance is not the state of k draws, so a
+    Philox-backed run is reproducible but not the stream that draws every
+    word.  A bit generator with no advance (MT19937, SFC64) is refused with
+    a ValueError naming rng, at every p.
     """
+    bit_gen = rng.bit_generator
+    if not hasattr(bit_gen, "advance"):
+        raise ValueError(f"rng must use a bit generator with advance, such as PCG64, not {type(bit_gen).__name__}")
     p_max = float(p.max())
     if n == 0 or p_max <= 0.0:  # nothing can click
         return np.zeros(0, dtype=np.int64)
@@ -158,7 +173,7 @@ def _sample_clicks(p: np.ndarray, n: int, level_at, rng: np.random.Generator) ->
         size = int(left * p_max + 5.0 * math.sqrt(left * p_max)) + 1
         # every step in place in the raw words' buffer, which ends up holding
         # the positions: a fresh array costs its page faults
-        raw = rng.bit_generator.random_raw(size)
+        raw = bit_gen.random_raw(size)
         raw >>= np.uint64(12)
         raw |= _FLOAT_ONE
         gaps = raw.view(np.float64)
@@ -181,11 +196,15 @@ def _sample_clicks(p: np.ndarray, n: int, level_at, rng: np.random.Generator) ->
         end = int(pos[-1]) + 1
     pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     pos = pos[: np.searchsorted(pos, n)]
-    raw = rng.bit_generator.random_raw(pos.size)
+    thresholds = (p / p_max).tolist()
+    if any(0.0 < thr < 1.0 for thr in thresholds):
+        raw = bit_gen.random_raw(pos.size)
+    else:
+        bit_gen.advance(pos.size)
     level = level_at(pos)
     # by level, on booleans: gathering p / p_max by uint8 levels is numpy's slow path
     keep = np.zeros(pos.size, dtype=bool)
-    for lv, thr in enumerate((p / p_max).tolist()):
+    for lv, thr in enumerate(thresholds):
         if thr > 0.0:
             hit = level == lv
             if thr < 1.0:

@@ -220,6 +220,9 @@ class TestSampleClicks:
                 self.calls += 1
                 return np.zeros(size, dtype=np.uint64) if self.calls <= 2 else np.full(size, ~np.uint64(0))
 
+            def advance(self, delta):
+                return self
+
         clicks = _sample_levels(np.array([0.0, 1e-20]), np.ones(10, dtype=np.uint8), SaturatingRng())
         assert clicks.tolist() == [0, 1]
 
@@ -253,6 +256,57 @@ class TestSampleClicks:
         _sample_levels(p, np.zeros(50_001, dtype=np.uint8), rng_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "p, thinned",
+        [
+            ([0.0, 0.022], False),  # the data detector at the defaults
+            (monitor_click_probability(SimConfig()).tolist(), False),  # [0, x, 0]
+            ([0.3, 0.3], False),
+            ([1e-5, 0.022], True),  # a dark count thins the empty bins
+        ],
+    )
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_keep_words_drawn_only_when_thinned(self, p, thinned, seed):
+        # the model draws every keep word; with no level strictly between 0
+        # and p_max the sampler advances past them instead, to the same state
+        p, level = np.array(p), _levels(100_001, len(p), seed)
+        ours, ref = _CallRecorder(seed + 100), _CallRecorder(seed + 100)
+        pos = _sample_levels(p, level, ours)
+        assert np.array_equal(pos, protocol_model.clicks(p, level.size, level.__getitem__, ref))
+        assert ours.rng.bit_generator.state == ref.rng.bit_generator.state
+        keep_draw = ref.calls[-1]
+        assert keep_draw[0] == "random_raw" and keep_draw[1] > 0
+        assert ours.calls == ref.calls[:-1] + [keep_draw if thinned else ("advance", keep_draw[1])]
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
+    @pytest.mark.parametrize("p_dark", [0.0, 1e-5])
+    def test_refuses_a_generator_that_cannot_advance(self, bit_generator, p_dark):
+        # with or without dark counts, so what is accepted does not hang on them
+        config = SimConfig(p_dark_data=p_dark, p_dark_mon=p_dark)
+        with pytest.raises(ValueError, match="rng"):
+            receive(_train([DECOY, ONE, ZERO]), config, np.random.Generator(bit_generator(1)))
+
+
+class _CallRecorder:
+    """A PCG64 for _sample_clicks and the protocol model's sampler that
+    records each random_raw and advance call with its size."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def random_raw(self, size):
+        self.calls.append(("random_raw", size))
+        return self.rng.bit_generator.random_raw(size)
+
+    def advance(self, delta):
+        self.calls.append(("advance", delta))
+        self.rng.bit_generator.advance(delta)
+        return self
+
 
 class _ChunkCounter:
     """Raw words for _sample_clicks and the protocol model's sampler alike.
@@ -282,6 +336,12 @@ class _ChunkCounter:
         # clipped or not, a gap past the end leaves the sum past it
         self.end += _gap_sum(words.tobytes(), self.p_max)
         return words
+
+    def advance(self, delta):
+        # skipping the candidates' keep words stands for their draw
+        self.draws += 1
+        self.rng.bit_generator.advance(delta)
+        return self
 
 
 @functools.lru_cache(maxsize=2**14)
