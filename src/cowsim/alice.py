@@ -11,17 +11,18 @@ k & 7 of byte k >> 3, set when the bin holds a pulse.  Slot i's pattern is
 then the two bits at 2 * (i & 3) of byte i >> 2, bit v for bin v (0 =
 early, 1 = late): 1 for a data 0, 2 for a data 1 and DECOY = 3 for a decoy,
 four slots to a byte.  insert_decoys builds Alice's train, and it is also
-her record of what she sent: a data slot's bit is pattern >> 1.  Eve's mask
-and the train Bob receives are Trains too.  Every pulse has the same mean
-photon number mu.  This module alone holds that encoding: it lays bits out
-as data slots (_data_slots), packs a list of patterns (_pack), reads a
-slot's pattern (_pattern) and a pattern's data bit (_data_bit), and says
-what a train lights: the bins (_bin_level), the pairs of bins the monitor
-overlaps (_pair_level), and how many of those pairs are coherent
-(_n_coherent).  It also holds the rules for reading raw 64-bit words: as
-packed key bits (generate_raw_bits), and as a Bernoulli(f) test
-(_keep_below), which Bob's click thinning and the verification draw of the
-sifting dialog both take.
+her record of what she sent: a data slot's bit is pattern >> 1.  It lays
+substitute-pattern decoys out as data 1s and then lights their early bins,
+2 + 1 = DECOY.  Eve's mask and the train Bob receives are Trains too.
+Every pulse has the same mean photon number mu.  This module alone holds
+that encoding: it lays bits out as data slots (_data_slots), packs a list
+of patterns (_pack), reads a slot's pattern (_pattern) and a pattern's data
+bit (_data_bit), and says what a train lights: the bins (_bin_level), the
+pairs of bins the monitor overlaps (_pair_level), and how many of those
+pairs are coherent (_n_coherent).  It also holds the rules for reading raw
+64-bit words: as packed key bits (generate_raw_bits), and as a Bernoulli(f)
+test (_keep_below), which Bob's click thinning and the verification draw of
+the sifting dialog both take.
 """
 
 from __future__ import annotations
@@ -136,19 +137,14 @@ def _check_is_train(name: str, train) -> Train:
     return train
 
 
-def _cut(bins: np.ndarray, n: int) -> Train:
-    """bins as a Train of n slots, every bit past bin 2n cleared in place first."""
-    if n % 4:
-        bins[-1] &= (1 << 2 * (n % 4)) - 1
-    return Train(bins, n)
-
-
 def _data_slots(bits: np.ndarray, n: int) -> Train:
     """The n packed bits (as generate_raw_bits lays them out) as a train of data
     slots, bit b as pattern b + 1."""
     bins = _spread(bits, n)
     bins += 0x55  # 1 added to each slot's pattern, which is at most 1: no carry
-    return _cut(bins, n)
+    if n % 4:  # the 1s added past slot n
+        bins[-1] &= (1 << 2 * (n % 4)) - 1
+    return Train(bins, n)
 
 
 def _pack(patterns) -> Train:
@@ -290,7 +286,10 @@ def insert_decoys(bits, n: int, strategy: DecoyStrategy) -> Train:
     little-endian uint64 words, the whole string shifted with each word's
     carry into its neighbour (_shifted): composing the rule with itself
     doubles its reach per pass, so a longest chain of L occurrences costs
-    O(log L) operations on the whole string, each linear in n.
+    O(log L) operations on the whole string, each linear in n.  Each kept
+    start then fills its four decoy bits D, and the train is the data slots
+    of bits | D, a decoy as a data 1 (pattern 2), with D's early bins added:
+    2 + 1 = DECOY.
     """
     bits = _check_range("bits", bits, 256, np.uint8)
     if n < 1:
@@ -325,21 +324,15 @@ def insert_decoys(bits, n: int, strategy: DecoyStrategy) -> Train:
             kept ^= moved
             link &= _shifted(link, k, moved, spare)
             k *= 2
-        # kept starts lie 4 or more apart, so no carry crosses within a word,
-        # and a start at bit 61, 62 or 63 carries 1, 2 or 3 bits into the next
-        np.right_shift(kept, np.uint64(61), out=moved)
-        moved *= np.uint64(0b1111)
-        moved >>= np.uint64(3)
-        kept *= np.uint64(0b1111)
-        kept[1:] |= moved[:-1]
+        # each kept start and the three bits after it: no start lies within 3
+        # bits of n, so nothing moves past the end
+        kept |= _shifted(kept, 1, moved, spare)
+        kept |= _shifted(kept, 2, moved, spare)
         decoys = kept.view(np.uint8)[: bits.size]
-        # a data slot lights its early bin for a 0 and its late bin for a 1, a decoy both
-        early = ~bits
-        early |= decoys
-        bins = _spread(bits | decoys, n)
-        bins *= 2  # late bins, from bit 2i to 2i + 1; numpy's uint8 << runs far slower
-        bins |= _spread(early, n)
-        return _cut(bins, n)
+        # a decoy is a data 1, pattern 2, plus its early bin: 2 + 1 = DECOY, no carry
+        train = _data_slots(bits | decoys, n)
+        train.bins[:] += _spread(decoys, n)
+        return train
 
     if strategy is DecoyStrategy.FRAME_HEADER:
         # a frame is one byte: DECOY, then its bits' data-slot patterns, with

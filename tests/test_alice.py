@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,19 @@ class TestInsertDecoys:
         train = np.array(_laid_out(bits, DecoyStrategy.FRAME_HEADER))
         assert np.all(train[0::4] == DECOY)
         assert (train != DECOY).sum() == len(bits)
+
+    def test_substitute_pattern_peak_memory(self):
+        # the peak counts the returned train's 0.25 B per slot; with the word
+        # buffers and the two spreads' temporaries it reads 1.63 B per slot
+        n = 3_000_000
+        bits = generate_raw_bits(n, np.random.default_rng(4242))
+        tracemalloc.start()
+        try:
+            insert_decoys(bits, n, DecoyStrategy.SUBSTITUTE_PATTERN)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 1.7
 
 
 # the layouts with decoys; the protocol model's runs check the one with none

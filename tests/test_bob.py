@@ -163,15 +163,16 @@ class TestSampleClicks:
     )
     @pytest.mark.parametrize("seed", [3, 4])
     def test_per_level_binomial(self, p, seed):
-        # fixed seeds: each level's click count is within 5 sigma of
-        # Binomial(n_j, p_j); for p_j of 0 or 1 that bound is exact
+        # seed lays the levels out, and the draws are pooled over SEEDS: each
+        # level's click count is Binomial(n_j, p_j) exactly, for p_j of 0 or 1 too
         p = np.array(p)
-        level = _levels(300_000, p.size, seed)
-        clicks = _sampled_grid(p, level, np.random.default_rng(seed + 100))
+        level = _levels(100_000, p.size, seed)
+        k = np.zeros(p.size, dtype=np.int64)
+        for draw_seed in SEEDS:
+            pos = _sample_levels(p, level, np.random.default_rng(draw_seed))
+            k += np.bincount(level[pos], minlength=p.size)
         for j, p_j in enumerate(p):
-            n_j = np.count_nonzero(level == j)
-            k_j = np.count_nonzero(clicks[level == j])
-            assert abs(k_j - n_j * p_j) <= 5 * math.sqrt(n_j * p_j * (1 - p_j)), (j, k_j, n_j)
+            assert_binomial(k[j], np.count_nonzero(level == j) * len(SEEDS), p_j, f"level {j}")
 
     @pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
     def test_every_position_clicks_at_rate_p(self, p):

@@ -36,6 +36,16 @@ ENCODING_CONSTANTS = {1, 2, 3, 7}
 # Generator methods whose streams numpy does not promise to keep (NEP 19);
 # the package draws every number with bit_generator.random_raw instead
 DISTRIBUTIONS = {"random", "standard_exponential", "geometric", "integers"}
+# every numpy name and bit-generator method the package uses, each checked
+# against numpy 1.24, the floor pyproject.toml declares
+NUMPY_FLOOR_NAMES = {
+    "any", "arange", "argmin", "array", "asarray", "bitwise_and", "concatenate", "count_nonzero",
+    "cumsum", "diff", "empty", "empty_like", "exp", "flatnonzero", "float64", "floor", "frombuffer",
+    "generic", "int64", "invert", "left_shift", "log", "mean", "minimum", "ndarray",
+    "random.Generator", "random.SeedSequence", "random.default_rng", "right_shift", "searchsorted",
+    "subtract", "take", "uint32", "uint64", "uint8", "unpackbits", "zeros",
+    "bit_generator.advance", "bit_generator.random_raw",
+}
 
 
 @functools.cache
@@ -128,11 +138,48 @@ def test_draws_only_raw_words():
     assert sites == []
 
 
+def _numpy_uses(path: Path) -> set[str]:
+    """Every np. attribute path uses, dotted past np (such as random.default_rng),
+    and every method it calls on a bit generator, as bit_generator.<method>: on
+    rng.bit_generator, or on a name bound to it."""
+    tree = _tree(path)
+    bit_generators = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "bit_generator"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    uses, inner = set(), set()
+    for node in ast.walk(tree):  # outer attributes first, so a chain counts whole
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        chain, root = [], node
+        while isinstance(root, ast.Attribute):
+            chain.append(root.attr)
+            inner.add(id(root))
+            root = root.value
+        chain.reverse()
+        if isinstance(root, ast.Name) and root.id == "np":
+            uses.add(".".join(chain))
+        elif isinstance(root, ast.Name) and root.id in bit_generators:
+            uses.add(f"bit_generator.{chain[0]}")
+        elif "bit_generator" in chain[:-1]:
+            uses.add(f"bit_generator.{chain[chain.index('bit_generator') + 1]}")
+    return uses
+
+
 def test_numpy_floor():
     # numpy.bitwise_count came with numpy 2.0, past the numpy>=1.24 that
-    # pyproject.toml declares; the package counts bits without it
+    # pyproject.toml declares, so it is not listed; the package counts bits without it
     sources = sorted((ROOT / "src/cowsim").glob("*.py"))
-    assert [path.name for path in sources if "bitwise_count" in path.read_text()] == []
+    unlisted = {f"{path.name}: {use}" for path in sources for use in _numpy_uses(path) - NUMPY_FLOOR_NAMES}
+    assert not unlisted, (
+        f"{sorted(unlisted)} not in NUMPY_FLOOR_NAMES: check that the oldest numpy "
+        "pyproject.toml declares has them, and add them to the list or raise the floor"
+    )
 
 
 def test_no_python_integer_pass():

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import time
@@ -348,6 +349,16 @@ def _alice_train(config: SimConfig) -> np.ndarray:
     return _pattern(train, np.arange(train.n))
 
 
+@functools.cache
+def _coherent_counts(n_bits: int, seed: int) -> tuple[int, int]:
+    """(n_even, n_odd) of Alice's train as run draws it at the default decoy
+    layout: its coherent boundaries inside decoy slots and between slots,
+    found once per session."""
+    boundaries = np.flatnonzero(protocol_model.pairs(_alice_train(SimConfig(n_bits=n_bits, seed=seed))) == 2)
+    n_odd = int(np.count_nonzero(boundaries & 1))
+    return boundaries.size - n_odd, n_odd
+
+
 def _verdict_rates(config: SimConfig, n_even: int, n_odd: int) -> tuple[float, float]:
     """Closed-form (false-alarm rate, power against the mask) of the verdict
     on n_even coherent boundaries inside decoy slots and n_odd between slots.
@@ -377,16 +388,16 @@ def test_verdict_rates_match_monte_carlo(visibility, p_dark_mon):
     # 1000 pooled 10k-bit runs per attack setting; each run's abort chance
     # is the closed form at the coherent boundaries of its own train, every
     # one of which the monitor checks.  A seed's train, boundaries and closed
-    # form serve the runs of both attack settings.
+    # form serve the runs of both attack settings, and the boundary counts
+    # serve every parametrisation.
     base = SimConfig(n_bits=10_000, visibility=visibility, p_dark_mon=p_dark_mon)
     aborts, expected, variance = (dict.fromkeys(Attack, 0) for _ in range(3))
     for seed in range(20_000, 21_000):
-        boundaries = np.flatnonzero(protocol_model.pairs(_alice_train(replace(base, seed=seed))) == 2)
-        n_odd = int(np.count_nonzero(boundaries & 1))
-        false_alarm, power = _verdict_rates(base, boundaries.size - n_odd, n_odd)
+        n_even, n_odd = _coherent_counts(base.n_bits, seed)
+        false_alarm, power = _verdict_rates(base, n_even, n_odd)
         for attack in Attack:
             stats, transcript, _ = run(replace(base, attack=attack, seed=seed))
-            assert transcript.messages["MonitorReport"]["coherent"] == boundaries.size
+            assert transcript.messages["MonitorReport"]["coherent"] == n_even + n_odd
             assert false_alarm <= base.alarm_alpha
             p = power if attack is Attack.AND_MASK else false_alarm
             aborts[attack] += stats.verdict == "abort"
