@@ -31,17 +31,12 @@ __all__ = [
     "run_sifting",
 ]
 
-# VerificationRequest and VerificationReveal already leave out the slots
-# beside Bob's monitor clicks, yet come before the CoherenceCheck that names
-# those clicks; moving it up changes every transcript, so it waits for a
-# change that records the golden digests again
 MESSAGE_ORDER = (
     "DetectionReport",
     "DecoyDiscard",
+    "MonitorReport",
     "VerificationRequest",
     "VerificationReveal",
-    "CoherenceCheck",
-    "MonitorReport",
     "Verdict",
     "KeyIndices",
 )
@@ -359,18 +354,20 @@ def run_sifting(
     alice.Train, index arrays integers in range and values 0 or 1, as
     integers or bools; ValueError names the first input that does not.
 
-    Bob announces his detected slots and his monitor clicks (CoherenceCheck).
-    Alice flags each click that fell on a coherent boundary of her train, one
-    with both bins lit, and announces the count of coherent boundaries she
-    sent (alice._n_coherent, which also counts her decoy slots for
-    SiftResult.decoy_slots) in MonitorReport.  A flag tells of the data
-    slots beside its boundary (set at 2i + 1, it fixes slot i at 1 and slot
-    i + 1 at 0), so the slots k >> 1 and (k + 1) >> 1 of every click k leave
-    the key before the verification draw, as do Alice's decoys.  Of the rest she
-    samples a verification subset of fraction config.f_verify that both
-    sides reveal, and keeps the others as key.  The verdict aborts when k of
-    the n coherent boundaries clicked and P(K >= k) < config.alarm_alpha
-    for K ~ Binomial(n, q0), q0 being an intact pair's click probability.
+    The messages go in MESSAGE_ORDER, each list in one of them.  Bob announces
+    his detected slots, and Alice the decoys among them.  MonitorReport holds
+    Bob's monitor clicks and Alice's answer: a flag per click that fell on a
+    coherent boundary of her train, one with both bins lit, and the count of
+    coherent boundaries she sent (alice._n_coherent, which also counts her
+    decoy slots for SiftResult.decoy_slots).  A flag tells of the data slots
+    beside its boundary (set at 2i + 1, it fixes slot i at 1 and slot i + 1
+    at 0), so the slots k >> 1 and (k + 1) >> 1 of every click k leave the
+    key, as do Alice's decoys, before the verification draw that follows.
+    Of the rest she samples a verification subset of fraction config.f_verify,
+    both sides reveal its bits in the order of its slots, and she keeps the
+    others as key.  The verdict aborts when k of the n coherent boundaries
+    clicked and P(K >= k) < config.alarm_alpha for K ~ Binomial(n, q0), q0
+    being an intact pair's click probability.
     """
     train = _check_is_train("train", train)
     slots, values = detected
@@ -422,13 +419,9 @@ def run_sifting(
     transcript = Transcript()
     transcript.append("DetectionReport", {"slots": slots})
     transcript.append("DecoyDiscard", {"slots": decoy_detected})
-    transcript.append("VerificationRequest", {"slots": verify_slots})
-    transcript.append(
-        "VerificationReveal",
-        {"slots": verify_slots, "alice_bits": reveal_alice, "bob_bits": reveal_bob},
-    )
-    transcript.append("CoherenceCheck", {"boundaries": monitor})
     transcript.append("MonitorReport", {"boundaries": monitor, "clicks": flags, "coherent": n_coherent})
+    transcript.append("VerificationRequest", {"slots": verify_slots})
+    transcript.append("VerificationReveal", {"alice_bits": reveal_alice, "bob_bits": reveal_bob})
     transcript.append("Verdict", {"verdict": verdict})
     transcript.append("KeyIndices", {"slots": kept})
 

@@ -127,11 +127,12 @@ _binomial_sf = functools.lru_cache(scipy.stats.binom.sf)  # 0.1 ms a call, and s
 
 
 def dialog(train, slots, values, monitor, config, rng):
-    """The public messages, kind to payload in order, on Alice's train as sent.
-    Decoys and the slots k // 2 and (k + 1) // 2 beside each monitor click k
-    leave the key, and a fraction f_verify of the rest is revealed.  Alice flags
-    each click on a coherent boundary (both bins lit) and counts those she sent;
-    the run aborts when P(K >= flagged) < alarm_alpha for K ~ Binomial(coherent, q0)."""
+    """The public messages, kind to payload in order, on Alice's train as sent,
+    each list in one message.  Alice flags each monitor click on a coherent
+    boundary (both bins lit) and counts those she sent.  Then decoys and the
+    slots k // 2 and (k + 1) // 2 beside each click k leave the key, and the
+    bits of a fraction f_verify of the rest are revealed; the run aborts when
+    P(K >= flagged) < alarm_alpha for K ~ Binomial(coherent, q0)."""
     beside = {k // 2 for k in monitor} | {(k + 1) // 2 for k in monitor}
     rest = [(s, v) for s, v in zip(slots, values) if train[s] != DECOY and s not in beside]
     drawn = uniform_below(config.f_verify, rng.bit_generator.random_raw(len(rest))).tolist()
@@ -142,13 +143,9 @@ def dialog(train, slots, values, monitor, config, rng):
     return {
         "DetectionReport": {"slots": slots},
         "DecoyDiscard": {"slots": [s for s in slots if train[s] == DECOY]},
-        "VerificationRequest": {"slots": [s for s, _ in checked]},
-        "VerificationReveal": {
-            "slots": [s for s, _ in checked], "alice_bits": [train[s] >> 1 for s, _ in checked],
-            "bob_bits": [v for _, v in checked],
-        },
-        "CoherenceCheck": {"boundaries": monitor},
         "MonitorReport": {"boundaries": monitor, "clicks": flags, "coherent": level.count(2)},
+        "VerificationRequest": {"slots": [s for s, _ in checked]},
+        "VerificationReveal": {"alice_bits": [train[s] >> 1 for s, _ in checked], "bob_bits": [v for _, v in checked]},
         "Verdict": {"verdict": "abort" if tail < config.alarm_alpha else "accept"},
         "KeyIndices": {"slots": [s for (s, _), verify in zip(rest, drawn) if not verify]},
     }
@@ -164,7 +161,7 @@ def _round(config):
     (slots, values), monitor = receive(sent, config, rng_det)
     messages = dialog(train, slots, values, monitor, config, rng_choices)
     reveal, report = messages["VerificationReveal"], messages["MonitorReport"]
-    kept, n_verified = messages["KeyIndices"]["slots"], len(reveal["slots"])
+    kept, n_verified = messages["KeyIndices"]["slots"], len(messages["VerificationRequest"]["slots"])
     errors = sum(a != b for a, b in zip(reveal["alice_bits"], reveal["bob_bits"]))
     return {
         "slots_sent": len(train),

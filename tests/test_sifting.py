@@ -67,7 +67,7 @@ class TestMonitorOutcome:
     @given(data=st.data(), patterns=st.lists(st.integers(0, DECOY), min_size=1, max_size=40))
     def test_flags_match_isin(self, data, patterns):
         # any train, with any sorted clicks and detections; both ends 0 and 2n - 2 likely:
-        # the whole dialog is the protocol model's, and the report holds Bob's one array
+        # the whole dialog is the protocol model's
         n = len(patterns)
         boundary = st.one_of(st.sampled_from([0, 2 * n - 2]), st.integers(0, 2 * n - 2))
         clicks = sorted(data.draw(st.sets(boundary, max_size=20)))
@@ -80,7 +80,6 @@ class TestMonitorOutcome:
         coherent = np.flatnonzero(protocol_model.pairs(patterns) == 2)
         assert report["clicks"].tolist() == np.isin(clicks, coherent).tolist()
         assert report["clicks"].dtype == np.uint8
-        assert report["boundaries"] is transcript.messages["CoherenceCheck"]["boundaries"]
 
 
 class TestRunSifting:
@@ -115,12 +114,12 @@ class TestRunSifting:
         result, transcript = run_sifting(
             train, (slots, values), NO_MONITOR, SimConfig(f_verify=0.5), np.random.default_rng(1)
         )
-        reveal = transcript.get("VerificationReveal")
+        reveal, checked = transcript.get("VerificationReveal"), transcript.get("VerificationRequest")["slots"]
         alice, bob = np.array(reveal["alice_bits"]), np.array(reveal["bob_bits"])
-        flipped = [slot for slot in reveal["slots"] if slot % 3 == 0]
+        flipped = [slot for slot in checked if slot % 3 == 0]
         assert result.qber > 0
         assert result.qber == np.count_nonzero(alice != bob) / alice.size
-        assert result.qber == len(flipped) / len(reveal["slots"])
+        assert result.qber == len(flipped) / len(checked)
 
     def test_noiseless_qber_zero(self):
         stats, _, _ = run(
@@ -687,7 +686,7 @@ class TestLineWalk:
             FIRST_LINE + '{"kind": "Verdict", "verdict": "accept"}',
             FIRST_LINE + '\r\n{"kind": "KeyIndices", "slots": [3, 4]}\n',
             "\n \n\t\n\r\n\n",
-            FIRST_LINE + '{"kind": "CoherenceCheck", "boundaries": [3, 4]}\n{"kind": "Verdict", "v": [5]}\n',
+            FIRST_LINE + '{"kind": "MonitorReport", "boundaries": [3, 4]}\n{"kind": "Verdict", "v": [5]}\n',
             FIRST_LINE + '{"kind": "KeyIndices", "slots": [3, 4]} {"kind": "Verdict"}\n',
             FIRST_LINE + '{"kind": "Verdict", "verdict": "accept"}x\n',
         ],
@@ -938,7 +937,7 @@ class TestChunks:
         # a text as to_jsonl writes it, with one character inserted or deleted
         boundaries = sorted(boundaries)
         t = Transcript()
-        t.append("CoherenceCheck", {"boundaries": boundaries})
+        t.append("DetectionReport", {"slots": boundaries})
         t.append("MonitorReport", {"boundaries": boundaries, "clicks": clicks})
         text = t.to_jsonl()
         at = edit.draw(st.integers(0, len(text) - 1), label="at")
@@ -1098,6 +1097,40 @@ class TestDiscardCorrectness:
         assert not np.any(train[kept] == DECOY)
 
 
+class TestCausalOrder:
+    """A reader who takes the dialog a line at a time meets each cause before its effect."""
+
+    @pytest.mark.parametrize("dark", [0.0, 1e-5])
+    @pytest.mark.parametrize("attack", list(Attack))
+    @pytest.mark.parametrize("strategy", list(DecoyStrategy))
+    def test_each_gap_follows_its_click(self, strategy, attack, dark):
+        n_gaps = 0
+        for seed in range(3):
+            config = SimConfig(
+                n_bits=200_000, decoy_strategy=strategy, attack=attack, p_dark_data=dark, p_dark_mon=dark, seed=seed,
+            )
+            _, transcript, _ = run(config)
+            heard, clicks_before = {}, {}
+            for line in transcript.to_jsonl().splitlines():
+                ((kind, payload),) = Transcript.from_jsonl(line).messages.items()
+                clicks = [p["boundaries"] for p in heard.values() if "boundaries" in p]
+                clicks_before[kind] = np.concatenate([np.zeros(0, np.int64), *clicks])
+                heard[kind] = payload
+            # the detected data slots that neither the verification nor the key holds
+            left_out = np.setdiff1d(
+                heard["DetectionReport"]["slots"],
+                np.concatenate([heard[kind]["slots"] for kind in ("DecoyDiscard", "VerificationRequest", "KeyIndices")]),
+            )
+            for kind in ("VerificationRequest", "KeyIndices"):
+                known = clicks_before[kind]
+                assert np.isin(left_out, np.concatenate((known >> 1, (known + 1) >> 1))).all(), (kind, seed)
+            n_gaps += left_out.size
+            # every kind once, and no list in two of them
+            assert set(heard) == set(MESSAGE_ORDER)
+            assert set(heard["VerificationReveal"]) == {"alice_bits", "bob_bits"}
+        assert n_gaps > 0
+
+
 def _fixed_by_dialog(transcript: Transcript) -> tuple[np.ndarray, np.ndarray]:
     """The slots whose bit the public dialog alone fixes, as a passive reader
     with no mask and no train finds them, and the bit each must hold if it
@@ -1112,7 +1145,7 @@ def _fixed_by_dialog(transcript: Transcript) -> tuple[np.ndarray, np.ndarray]:
     report = transcript.messages["MonitorReport"]
     coherent = report["boundaries"][report["clicks"] == 1]
     odd = coherent[coherent % 2 == 1]
-    slots = np.concatenate((reveal["slots"], odd >> 1, (odd + 1) >> 1))
+    slots = np.concatenate((transcript.messages["VerificationRequest"]["slots"], odd >> 1, (odd + 1) >> 1))
     bits = np.concatenate((reveal["alice_bits"], np.ones(odd.size, np.int64), np.zeros(odd.size, np.int64)))
     return slots, bits
 
