@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -133,9 +132,10 @@ def _read_ints(text: str, start: int, stop: int) -> np.ndarray | None:
 
     The inside is read in chunks, each cut at the first ", " at or past
     _CHUNK characters from its start, or at the inside's end, and each
-    chunk run by run (_parse_ints).  None when a run is empty or has fewer
-    digits than the one before, which no sorted index list or 0/1 list
-    does; so a list takes a run per chunk plus one per added digit.
+    chunk run by run (_parse_ints).  None when a chunk is not ASCII, or a
+    run is empty or has fewer digits than the one before, which no sorted
+    index list or 0/1 list does; so a list takes a run per chunk plus one
+    per added digit.
     """
     length = stop - start
     array = np.empty((length + 2) // 3, dtype=np.int64)  # k numbers take 3k - 2 characters or more
@@ -144,7 +144,10 @@ def _read_ints(text: str, start: int, stop: int) -> np.ndarray | None:
         cut = text.find(", ", pos + _CHUNK, stop)
         if cut < 0:
             cut = stop
-        raw = text[pos:cut].encode("ascii") + b", "
+        try:  # the slice is dropped once encoded: a chunk is held twice at most
+            raw = text[pos:cut].encode("ascii") + b", "
+        except UnicodeEncodeError:  # no int list holds a non-ASCII character
+            return None
         at = 0
         while at < len(raw):
             run = _parse_ints(raw, at)
@@ -159,45 +162,23 @@ def _read_ints(text: str, start: int, stop: int) -> np.ndarray | None:
     return array
 
 
-_DECODER = json.JSONDecoder()
-# a line that from_jsonl skips: JSON whitespace alone
-_BLANK = re.compile(r"[ \t\r]*")
+_scan_once = json.JSONDecoder().scan_once
+# the end of the JSON whitespace (space, tab, "\r", "\n") at text[pos:stop]
+_blank = json.decoder.WHITESPACE.match
 
 
-def _read_line(text: str, pos: int, stop: int) -> dict | None:
-    """The object on text[pos:stop] laid out exactly as to_jsonl writes it, else None.
+def _value(text: str, pos: int) -> tuple:
+    """json's scan_once, but a list that _read_ints reads comes back as its int64 array.
 
-    The line is read in place.  A list value is cut at the next "]" and
-    read by _read_ints; any other value that ends past stop (an object
-    may hold a line feed as whitespace) gives None.
+    The list is cut at the first "]" past pos: a list _read_ints reads holds
+    digits and ", " alone, so that "]" closes it.
     """
-    if not text.startswith("{", pos, stop):
-        return None
-    record = {}
-    pos += 1
-    try:
-        while text.startswith('"', pos, stop):
-            key, pos = json.decoder.scanstring(text, pos + 1)
-            if not text.startswith(": ", pos, stop):
-                return None
-            pos += 2
-            if text.startswith("[", pos, stop):
-                close = text.find("]", pos, stop)
-                value = _read_ints(text, pos + 1, close) if close >= 0 else None
-                if value is None:
-                    return None
-                pos = close + 1
-            else:
-                value, pos = _DECODER.raw_decode(text, pos)
-            record[key] = value
-            if pos + 1 == stop and text.startswith("}", pos):
-                return record
-            if not text.startswith(", ", pos, stop):
-                return None
-            pos += 2
-    except ValueError:  # json.JSONDecodeError, or a list that is not ASCII
-        return None
-    return None
+    if text.startswith("[", pos):
+        close = text.find("]", pos)
+        array = _read_ints(text, pos + 1, close) if close >= 0 else None
+        if array is not None:
+            return array, close + 1
+    return _scan_once(text, pos)
 
 
 @dataclass
@@ -214,7 +195,7 @@ class Transcript:
 
     def append(self, kind: str, payload: dict) -> None:
         """Record the kind message as a copy of payload, its int lists as int64 arrays."""
-        if kind not in MESSAGE_ORDER:
+        if not isinstance(kind, str) or kind not in MESSAGE_ORDER:  # a list kind is an array
             raise TranscriptError(f"unknown message kind: {kind}")
         if self.messages:
             last = next(reversed(self.messages))
@@ -269,17 +250,17 @@ class Transcript:
         line break is text within its line.  Lines of JSON whitespace alone
         (space, tab, carriage return) are skipped.
 
-        Each line is found with text.find and read in place.  A line laid
-        out exactly as to_jsonl writes it is read field by field by
-        _read_line, and each list on it becomes an int64 array of its own
-        (_read_ints reads it a chunk of about _CHUNK characters at a time).
-        Any other line goes whole to json.loads, as does a line with a list
-        that no run writes (holding a negative number, a number past 18
-        digits, or falling digit counts), and append holds its int lists as
-        int64 arrays.  Either way each payload equals what json.loads gives.
-        A carriage return ending a line is left out of the field-by-field
-        read only, so json.loads errors keep their columns.  TranscriptError
-        names the number of every line it rejects.
+        Each line is found with text.find, and an object line is read in
+        place by json's own object parser, json.decoder.JSONObject, with
+        _value reading its values: each list that _read_ints reads (an int
+        list as to_jsonl writes it, a chunk of about _CHUNK characters at a
+        time) becomes an int64 array of its own, and json reads the rest.
+        append holds the other int lists (one with a negative number, a
+        number past 18 digits or falling digit counts) as int64 arrays too,
+        so each payload equals what json.loads gives.  json.loads reads only
+        a line that is not an object, and raises the error, with that line's
+        columns, of one that is not a single valid object ending on its own
+        line.  TranscriptError names the number of every line it rejects.
         """
         out = cls()
         start, lineno = 0, 1
@@ -287,13 +268,19 @@ class Transcript:
             stop = text.find("\n", start)
             if stop < 0:
                 stop = len(text)
-            if not _BLANK.fullmatch(text, start, stop):
-                end = stop - 1 if text.startswith("\r", stop - 1) else stop
-                record = _read_line(text, start, end)
-                if record is None:
+            pos = _blank(text, start, stop).end()
+            if pos < stop:
+                record = end = None
+                if text.startswith("{", pos):
+                    try:
+                        record, end = json.decoder.JSONObject((text, pos + 1), True, _value, None, None, {})
+                    except ValueError:  # JSONDecodeError, or an int past Python's digit limit
+                        pass
+                # not an object, a parse error, an object past its line feed, or text after it
+                if end is None or end > stop or _blank(text, end, stop).end() < stop:
                     try:
                         record = json.loads(text[start:stop])
-                    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
+                    except ValueError as exc:
                         raise TranscriptError(f"bad transcript line {lineno}: {exc}") from exc
                 try:
                     if not isinstance(record, dict) or "kind" not in record:

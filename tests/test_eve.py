@@ -160,7 +160,7 @@ class TestTranscriptReading:
     @pytest.mark.parametrize("layout", ["compact", "leading-blank"])
     @pytest.mark.parametrize("eol", ["", "\r\n"], ids=["no-eol", "crlf"])
     def test_fallback_line_holds_the_canonical_array(self, layout, eol):
-        # a line that json.loads reads whole holds what its to_jsonl twin holds
+        # a line in another layout holds what its to_jsonl twin holds
         record = {"kind": "KeyIndices", "slots": [3, 70, 2**40]}
         canonical = Transcript.from_jsonl(json.dumps(record, sort_keys=True))
         if layout == "compact":

@@ -33,8 +33,8 @@ replay must write its recorded transcript again, with each list in one
 message only: the verification slots in VerificationRequest, Bob's monitor
 clicks in MonitorReport.  Every array in the transcripts of the grid and the
 wide run holds strictly increasing indices or bits, so the formatter's
-unsigned layout writes them all, and the reader reads every line field by
-field, with no json.loads.
+unsigned layout writes them all, and the reader reads every line in place,
+each list by its numpy integer-list reader, with no json.loads.
 
 Three noisy compare_attack runs at n_bits=20_000, one per decoy strategy,
 pin the mask-off/mask-on comparison.  Five command-line runs, made
@@ -563,8 +563,8 @@ def test_payload_arrays_unsigned(name):
 
 @pytest.mark.parametrize("name", [*sorted(GRID), "wide"])
 def test_replay_needs_no_json_loads(name):
-    # every line of a run's transcript is read field by field: falling back
-    # to json.loads would keep every digest but cost the replay its time
+    # every line of a run's transcript is read in place, its lists by the numpy
+    # reader: json.loads would keep every digest but cost the replay its time
     config = WIDE_RUN if name == "wide" else GRID[name]
     _, transcript, _ = run(config)
     text = transcript.to_jsonl()

@@ -449,8 +449,9 @@ class TestTranscript:
             "{}",
             '{"kind": "DetectionReport", "slots": [3]}',
             '{"kind": "Bogus"}',
+            '{"kind": [1, 2], "slots": []}',
         ],
-        ids=["text", "array", "string", "number", "null", "no-kind", "out-of-order", "unknown-kind"],
+        ids=["text", "array", "string", "number", "null", "no-kind", "out-of-order", "unknown-kind", "list-kind"],
     )
     def test_malformed_line(self, line):
         text = '{"kind": "DetectionReport", "slots": []}\n' + line + "\n"
@@ -525,6 +526,27 @@ class TestFromJsonl:
     @pytest.mark.parametrize(
         "line",
         [
+            '{"kind":"KeyIndices","slots":[1, 2]}',
+            '{"kind": "KeyIndices",  "slots": [1, 2]} ',
+            '{"kind": "KeyIndices", "note": ["\u00e9"], "slots": [1, 2]}',
+            '{"kind": "KeyIndices", "slots": [1, 2]}\r',
+        ],
+        ids=["compact", "extra-blanks", "non-ascii-list", "cr-ended"],
+    )
+    def test_object_lines_read_in_place(self, line):
+        # any object line that parses is read in place, its lists by _read_ints:
+        # json.loads only raises a line's error or reads a line that is no object
+        expected = json.loads(line)
+        kind = expected.pop("kind")
+        with mock.patch.object(json, "loads", side_effect=AssertionError("json.loads called")):
+            replay = Transcript.from_jsonl(FIRST_LINE + line)
+        assert repr(replay.get(kind)) == repr(expected)
+        slots = replay.messages[kind]["slots"]
+        assert isinstance(slots, np.ndarray) and slots.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "line",
+        [
             '{"kind": "KeyIndices", "slots": [01]}',
             '{"kind": "KeyIndices", "slots": [+1]}',
             '{"kind": "KeyIndices", "slots": [1 2]}',
@@ -589,7 +611,7 @@ class TestLineBreaks:
         text = _noisy_run().to_jsonl()
         again = Transcript.from_jsonl(text.replace("\n", "\r\n"))
         assert again.to_jsonl() == text
-        # read field by field, as a "\n" text is: every list an int64 array
+        # read in place, as a "\n" text is: every list an int64 array
         payloads = again.messages.values()
         lists = [v for payload in payloads for v in payload.values() if not isinstance(v, (str, int))]
         assert lists and all(isinstance(v, np.ndarray) and v.dtype == np.int64 for v in lists)
@@ -901,9 +923,9 @@ class TestChunks:
         ids=["two-blanks", "trailing-blank", "leading-blank", "blank-before-comma", "past-int64"],
     )
     def test_other_blanks_read_as_json_loads(self, chunk, inside):
-        # valid JSON that to_jsonl never writes: read by json.loads, its list held
-        # as an int64 array unless a number is past int64; the 30-digit number
-        # is one token longer than every patched chunk
+        # valid JSON that to_jsonl never writes: its list read by json's scanner
+        # and held as an int64 array unless a number is past int64; the 30-digit
+        # number is one token longer than every patched chunk
         line = '{"kind": "KeyIndices", "slots": [' + inside + "]}"
         with mock.patch.object(sifting, "_CHUNK", chunk):
             replay = Transcript.from_jsonl(line)
