@@ -17,17 +17,19 @@ substitute-pattern decoys out as data 1s and then lights their early bins,
 Every pulse has the same mean photon number mu.  This module alone holds
 that encoding: it lays bits out as data slots (_data_slots), packs a list
 of patterns (_pack), reads a slot's pattern (_pattern) and a pattern's data
-bit (_data_bit), and says what a train lights: the bins (_bin_level), the
-pairs of bins the monitor overlaps (_pair_level), and how many of those
-pairs are coherent (_n_coherent).  It also holds the rules for reading raw
-64-bit words: as packed key bits (generate_raw_bits), and as a Bernoulli(f)
-test (_keep_below), which Bob's click thinning and the verification draw of
-the sifting dialog both take.
+bit (_data_bit), and says what a train lights: the bins (_bin_level) and
+the pairs of bins the monitor overlaps (_pair_level).  Alice's train also
+carries her counts of its decoy slots and of its coherent pairs, which
+insert_decoys and _pack make while they build it.  The module also holds
+the rules for reading raw 64-bit words: as packed key bits
+(generate_raw_bits), and as a Bernoulli(f) test (_keep_below), which Bob's
+click thinning and the verification draw of the sifting dialog both take.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -80,14 +82,24 @@ class Train:
     it out: bins holds ceil(n / 4) uint8, and every bit past bin 2n is clear.
 
     Every 2-bit value is a slot pattern, so a train is checked once, here,
-    by bins' dtype and length and its last byte, never by a pass over it.
-    A stage that takes a train checks only that it is one (_check_is_train).
+    by n's type, bins' dtype and length and its last byte, never by a pass
+    over it.  A stage that takes a train checks only that it is one
+    (_check_is_train).
+
+    counts is (decoy slots, coherent boundaries), the boundaries k with
+    _pair_level 2: one inside each decoy, and one between a late pulse and
+    the next slot's early one.  insert_decoys and _pack count them as they
+    build Alice's train, so no stage makes a pass over it for them.  Every
+    other train, such as Eve's mask or the train Bob receives, has None.
     """
 
     bins: np.ndarray
     n: int
+    counts: tuple[int, int] | None = None
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 0:
+            raise ValueError(f"a train's n must be a nonnegative integer, got {self.n!r}")
         size = -(-self.n // 4)
         bins = self.bins
         if not (isinstance(bins, np.ndarray) and bins.dtype == np.uint8 and bins.shape == (size,)):
@@ -137,22 +149,25 @@ def _check_is_train(name: str, train) -> Train:
     return train
 
 
-def _data_slots(bits: np.ndarray, n: int) -> Train:
+def _data_slots(bits: np.ndarray, n: int, counts: tuple[int, int] | None = None) -> Train:
     """The n packed bits (as generate_raw_bits lays them out) as a train of data
-    slots, bit b as pattern b + 1."""
+    slots, bit b as pattern b + 1, carrying the counts it is given."""
     bins = _spread(bits, n)
     bins += 0x55  # 1 added to each slot's pattern, which is at most 1: no carry
     if n % 4:  # the 1s added past slot n
         bins[-1] &= (1 << 2 * (n % 4)) - 1
-    return Train(bins, n)
+    return Train(bins, n, counts)
 
 
 def _pack(patterns) -> Train:
-    """A list of slot patterns 0 to DECOY as a Train."""
+    """A list of slot patterns 0 to DECOY as Alice's Train, with its counts."""
     patterns = _check_range("patterns", patterns, DECOY + 1, np.uint8)
     slots = np.zeros(4 * -(-patterns.size // 4), dtype=np.uint8)
     slots[: patterns.size] = patterns
-    return Train(_bytes(*(slots[i::4] for i in range(4))), patterns.size)
+    n_decoy = int(np.count_nonzero(patterns == DECOY))
+    # a slot's late bin is pattern bit 1, the next slot's early bin its bit 0
+    n_between = int(np.count_nonzero((patterns[:-1] >> 1) & patterns[1:]))
+    return Train(_bytes(*(slots[i::4] for i in range(4))), patterns.size, (n_decoy, n_decoy + n_between))
 
 
 def _bytes(p0, p1, p2, p3) -> np.ndarray:
@@ -205,37 +220,35 @@ def _pair_level(train: Train, k: np.ndarray) -> np.ndarray:
     return level
 
 
-def _n_coherent(train: Train) -> tuple[int, int]:
-    """(decoy slots, coherent boundaries) of a train, the latter the boundaries
-    k with _pair_level 2: one inside each decoy, and one between a late pulse
-    and the next slot's early one.  With B the train's bit string, they are
-    the set bits of B & B >> 1, and the decoys those at even k."""
-    words = np.zeros(-(-train.bins.size // 8), dtype="<u8")
-    words.view(np.uint8)[: train.bins.size] = train.bins
-    both = words >> np.uint64(1)
-    both[:-1] |= words[1:] << np.uint64(63)
-    both &= words
-    inside = np.bitwise_and(both, _EVEN, out=words)
-    both >>= np.uint64(1)
-    both &= _EVEN
-    both += inside  # per slot, its coherent boundaries at 2i and 2i + 1: at most 2
-    return _field_sum(inside), _field_sum(both)
-
-
-def _field_sum(x: np.ndarray) -> int:
-    """The sum of the 2-bit fields, each at most 2, of uint64 words x, which it overwrites."""
-    # popcount by halving (numpy before 2.0 has none): fields of 4 bits, then
-    # bytes, then the bytes of each word added into its top byte
-    y = x >> np.uint64(2)
-    y &= _PAIRS
+def _between(late: np.ndarray, early: np.ndarray, n: int, out: np.ndarray, spare: np.ndarray) -> int:
+    """The boundaries between two of n slots with both bins lit, a late pulse
+    and then the next slot's early one: the set bits of late & early >> 1, late
+    and early the little-endian uint64 words of the slots' late and early bins.
+    early, out and spare are overwritten; late is kept."""
+    early[-1] &= np.uint64((1 << (n % 64 or 64)) - 1)
+    x = _shifted(early, -1, out, spare)
+    x &= late
+    # counted by halving (numpy before 2.0 has no bitwise_count): 2-bit fields,
+    # then 4-bit fields, then bytes, then each word's bytes added into its top byte
+    np.right_shift(x, np.uint64(1), out=spare)
+    spare &= _EVEN
+    x -= spare
+    np.right_shift(x, np.uint64(2), out=spare)
+    spare &= _PAIRS
     x &= _PAIRS
-    x += y
-    np.right_shift(x, np.uint64(4), out=y)
-    x += y
+    x += spare
+    np.right_shift(x, np.uint64(4), out=spare)
+    x += spare
     x &= _NIBBLES
     x *= _BYTE_SUM
     x >>= np.uint64(56)
     return int(x.sum())
+
+
+def _nibbles_with(x: np.ndarray, mask: int, out: np.ndarray) -> int:
+    """How many aligned nibbles of the uint8 bytes x have a bit of the 4-bit
+    mask set, with out scratch of x's size."""
+    return sum(int(np.count_nonzero(np.bitwise_and(x, m, out=out))) for m in (mask, mask << 4))
 
 
 class DecoyStrategy(Enum):
@@ -267,7 +280,7 @@ def insert_decoys(bits, n: int, strategy: DecoyStrategy) -> Train:
     bits holds the n bits packed as generate_raw_bits packs them: ceil(n/8)
     bytes, low bit first, every bit past n clear.  It is left unchanged.
     Returns Alice's train: a data slot as _data_slots lays it out and DECOY
-    for a decoy.
+    for a decoy, with its counts (Train.counts) made as it is built.
 
     NONE               every bit becomes a data slot, in order.
     SUBSTITUTE_PATTERN each non-overlapping occurrence of 1,0,1,0 (scanned
@@ -290,6 +303,12 @@ def insert_decoys(bits, n: int, strategy: DecoyStrategy) -> Train:
     start then fills its four decoy bits D, and the train is the data slots
     of bits | D, a decoy as a data 1 (pattern 2), with D's early bins added:
     2 + 1 = DECOY.
+
+    The counts come from the same words: four decoys per kept start, and as
+    coherent boundaries one inside each decoy plus the set bits of L & E >> 1
+    (_between), with L = bits | D and E = ~bits | D the slots that light
+    their late and early bins (D = 0 for NONE).  FRAME_HEADER counts on its
+    frame bytes.
     """
     bits = _check_range("bits", bits, 256, np.uint8)
     if n < 1:
@@ -300,7 +319,11 @@ def insert_decoys(bits, n: int, strategy: DecoyStrategy) -> Train:
         raise ValueError(f"bits must have no bit set past bit n={n}")
 
     if strategy is DecoyStrategy.NONE:
-        return _data_slots(bits, n)
+        late = np.zeros(-(-n // 64), dtype="<u8")
+        late.view(np.uint8)[: bits.size] = bits
+        n_between = _between(late, np.invert(late), n, np.empty_like(late), np.empty_like(late))
+        del late  # freed before the spread, to bound the peak memory
+        return _data_slots(bits, n, (0, n_between))
 
     if strategy is DecoyStrategy.SUBSTITUTE_PATTERN:
         # a copy into zero words: the bytes past bits in generate_raw_bits'
@@ -324,14 +347,23 @@ def insert_decoys(bits, n: int, strategy: DecoyStrategy) -> Train:
             kept ^= moved
             link &= _shifted(link, k, moved, spare)
             k *= 2
+        # four decoy slots to a kept start; kept starts lie at least 4 bits
+        # apart, so each aligned nibble holds one at most
+        n_decoy = 4 * _nibbles_with(kept.view(np.uint8), 0xF, moved.view(np.uint8))
         # each kept start and the three bits after it: no start lies within 3
         # bits of n, so nothing moves past the end
         kept |= _shifted(kept, 1, moved, spare)
         kept |= _shifted(kept, 2, moved, spare)
-        decoys = kept.view(np.uint8)[: bits.size]
+        # L in link, which is all 0 once the chain loop ends, and E in moved
+        link.view(np.uint8)[: bits.size] = bits
+        np.invert(link, out=moved)
+        moved |= kept
+        link |= kept
+        decoys = _spread(kept.view(np.uint8)[: bits.size], n)
+        n_coherent = n_decoy + _between(link, moved, n, kept, spare)
         # a decoy is a data 1, pattern 2, plus its early bin: 2 + 1 = DECOY, no carry
-        train = _data_slots(bits | decoys, n)
-        train.bins[:] += _spread(decoys, n)
+        train = _data_slots(link.view(np.uint8)[: bits.size], n, (n_decoy, n_coherent))
+        train.bins[:] += decoys
         return train
 
     if strategy is DecoyStrategy.FRAME_HEADER:
@@ -341,6 +373,18 @@ def insert_decoys(bits, n: int, strategy: DecoyStrategy) -> Train:
         data = np.zeros(3 * n_frames, dtype=np.uint8)
         data[:n] = np.unpackbits(bits, count=n, bitorder="little")
         data[:n] += 1
-        return Train(_bytes(DECOY, data[0::3], data[1::3], data[2::3]), n + n_frames)
+        bins = _bytes(DECOY, data[0::3], data[1::3], data[2::3])
+        # the coherent boundaries after a frame's decoy and its first two
+        # data slots are bits 1, 3 and 5 of bins & bins >> 1, and the one into
+        # the next frame's decoy is a lit bit 7.  A data slot lights one bin,
+        # so bits 1 and 3 exclude each other, as do bits 5 and 7: each nibble
+        # of bins & (bins >> 1 | 0x80) holds one at most.  Counted in data's
+        # bytes, which are free now
+        both = np.right_shift(bins, np.uint8(1), out=data[:n_frames])
+        both |= 0x80
+        both &= bins
+        n_between = _nibbles_with(both, 0xA, data[n_frames : 2 * n_frames])
+        n_between -= int(bins[-1] >> 7)  # the last frame has no next decoy
+        return Train(bins, n + n_frames, (n_frames, n_frames + n_between))
 
     raise ValueError(f"unknown decoy strategy: {strategy!r}")

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .alice import (
-    DECOY, Train, _check_is_train, _check_range, _data_bit, _keep_below, _n_coherent, _pair_level, _pattern,
+    DECOY, Train, _check_is_train, _check_range, _data_bit, _keep_below, _pair_level, _pattern,
 )
 from .bob import monitor_click_probability
 
@@ -345,11 +345,14 @@ def run_sifting(
     his detected slots, and Alice the decoys among them.  MonitorReport holds
     Bob's monitor clicks and Alice's answer: a flag per click that fell on a
     coherent boundary of her train, one with both bins lit, and the count of
-    coherent boundaries she sent (alice._n_coherent, which also counts her
-    decoy slots for SiftResult.decoy_slots).  A flag tells of the data slots
-    beside its boundary (set at 2i + 1, it fixes slot i at 1 and slot i + 1
-    at 0), so the slots k >> 1 and (k + 1) >> 1 of every click k leave the
-    key, as do Alice's decoys, before the verification draw that follows.
+    coherent boundaries she sent.  That count, and her decoy slots for
+    SiftResult.decoy_slots, are train.counts, which alice.insert_decoys and
+    alice._pack make as they build the train; a train without them, such as
+    Eve's mask or a bare alice.Train(bins, n), is not hers, and ValueError
+    names train.  A flag tells of the data slots beside its boundary (set at
+    2i + 1, it fixes slot i at 1 and slot i + 1 at 0), so the slots k >> 1
+    and (k + 1) >> 1 of every click k leave the key, as do Alice's decoys,
+    before the verification draw that follows.
     Of the rest she samples a verification subset of fraction config.f_verify,
     both sides reveal its bits in the order of its slots, and she keeps the
     others as key.  The verdict aborts when k of the n coherent boundaries
@@ -357,6 +360,8 @@ def run_sifting(
     being an intact pair's click probability.
     """
     train = _check_is_train("train", train)
+    if train.counts is None:
+        raise ValueError("train must be Alice's train, with the counts insert_decoys makes, got one without them")
     slots, values = detected
     slots = _check_range("detected slots", slots, train.n)
     values = _check_range("detected values", values, 2, np.uint8)
@@ -369,7 +374,7 @@ def run_sifting(
         raise ValueError("monitor clicks must be strictly increasing")
 
     flags = (_pair_level(train, monitor) == 2).view(np.uint8)
-    n_decoy, n_coherent = _n_coherent(train)
+    n_decoy, n_coherent = train.counts
 
     # every gather below goes through np.flatnonzero: numpy gathers by a
     # boolean mask far slower than by index, and one index serves both arrays

@@ -12,13 +12,12 @@ from cowsim.alice import (
     DECOY,
     DecoyStrategy,
     Train,
-    _n_coherent,
     _pattern,
     generate_raw_bits,
     insert_decoys,
 )
 from cowsim.bob import receive
-from cowsim.engine import _SATURATED, SimConfig
+from cowsim.engine import _SATURATED, SimConfig, _streams
 import protocol_model
 from pooled import SEEDS, assert_binomial
 from protocol_model import ONE, ZERO, _packed, _patterns, _train, layout, pairs
@@ -299,7 +298,8 @@ class TestInsertDecoysReference:
         words = np.full(8 * -(-n // 64), 0xFF, dtype=np.uint8)
         words[: bits.size] = bits
         train = insert_decoys(bits, n, strategy)
-        assert np.array_equal(insert_decoys(words[: bits.size], n, strategy).bins, train.bins)
+        padded = insert_decoys(words[: bits.size], n, strategy)
+        assert np.array_equal(padded.bins, train.bins) and padded.counts == train.counts
         assert _patterns(train) == layout(_unpacked(bits, n), strategy)
 
     @pytest.mark.parametrize("n", [2**20 + extra for extra in range(4)])
@@ -364,12 +364,12 @@ class TestEncode:
 
 class TestBoundaries:
     """The coherent boundaries are where the protocol model's pairs are 2, and
-    _n_coherent counts them, with the decoy slots."""
+    _pack counts them, with the decoy slots, into the train it builds."""
 
     @staticmethod
     def _coherent(patterns):
         coherent = np.flatnonzero(pairs(patterns) == 2).tolist()
-        assert _n_coherent(_train(patterns)) == (patterns.count(DECOY), len(coherent))
+        assert _train(patterns).counts == (patterns.count(DECOY), len(coherent))
         return coherent
 
     def test_single_zero(self):
@@ -385,9 +385,45 @@ class TestBoundaries:
     @example(patterns=[])
     @example(patterns=[DECOY])
     def test_count_matches_model(self, patterns):
-        n_decoy, n_coherent = _n_coherent(_train(patterns))
+        n_decoy, n_coherent = _train(patterns).counts
         assert n_decoy == patterns.count(DECOY)
         assert n_coherent == np.count_nonzero(pairs(patterns) == 2)
+
+
+def _model_counts(train):
+    """The decoy slots and coherent boundaries of a train's slot patterns, by the protocol model."""
+    patterns = _patterns(train)
+    return patterns.count(DECOY), int(np.count_nonzero(pairs(patterns) == 2))
+
+
+class TestCounts:
+    """insert_decoys counts the decoy slots and coherent boundaries of the
+    train it builds, on the words it builds it from: the counts equal the
+    protocol model's on the same train's patterns."""
+
+    @pytest.mark.parametrize("strategy", DecoyStrategy)
+    @given(bits=st.one_of(st.lists(st.integers(0, 1), min_size=1, max_size=400), _alternating_runs))
+    @example(bits=[1] * 127)
+    @example(bits=[1, 0] * 96 + [1])
+    def test_match_model(self, strategy, bits):
+        train = insert_decoys(_packed(bits), len(bits), strategy)
+        assert train.counts == _model_counts(train)
+
+    @pytest.mark.parametrize("strategy", DecoyStrategy)
+    def test_every_length(self, strategy):
+        # every n to 400, so every n % 64 and n % 3, on random bits, all ones
+        # and both alternating strings, whose chains run to the end
+        rng = np.random.default_rng(400)
+        for n in range(1, 401):
+            for bits in (rng.integers(0, 2, n), np.ones(n), np.arange(n) % 2, np.arange(1, n + 1) % 2):
+                train = insert_decoys(_packed(bits), n, strategy)
+                assert train.counts == _model_counts(train), (n, bits.tolist())
+
+    def test_bulk_attack_train(self):
+        # the benchmark's bulk-attack train: 3M bits of the bits stream of seed 4242
+        n = 3_000_000
+        bits = generate_raw_bits(n, _streams(np.random.SeedSequence(4242))[0])
+        assert insert_decoys(bits, n, DecoyStrategy.SUBSTITUTE_PATTERN).counts == (601_092, 1_679_957)
 
 
 class TestRoundTrip:
@@ -426,6 +462,15 @@ class TestTrain:
     def test_bad_bins_rejected(self, bins, n, message):
         with pytest.raises(ValueError, match=message):
             Train(bins, n)
+
+    @pytest.mark.parametrize("n", [3.0, True, -1, "3"], ids=["float", "bool", "negative", "str"])
+    def test_bad_n_rejected(self, n):
+        # a float n once reached numpy's shift as a bare TypeError, and True was a 1-slot train
+        with pytest.raises(ValueError, match="^a train's n must be a nonnegative integer, got "):
+            Train(np.zeros(1, dtype=np.uint8), n)
+
+    def test_numpy_integer_n(self):
+        assert Train(np.zeros(1, dtype=np.uint8), np.int64(3)).n == 3
 
     def test_pattern_names_slots(self):
         with pytest.raises(ValueError, match=r"^patterns must lie in \[0, 4\), got values in \[1, 4\]$"):

@@ -12,8 +12,8 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cowsim import bob, sifting
-from cowsim.alice import DECOY, DecoyStrategy, _pattern, generate_raw_bits, insert_decoys
+from cowsim import bob, eve, sifting
+from cowsim.alice import DECOY, DecoyStrategy, Train, _pattern, generate_raw_bits, insert_decoys
 from cowsim.engine import _SATURATED, Attack, SimConfig, _streams, run
 from cowsim.sifting import (
     _BLOCK,
@@ -195,6 +195,15 @@ class TestRunSifting:
                 np.array([ZERO, ONE], dtype=np.uint8), ([0, 1], [0, 1]), NO_MONITOR, NO_VERIFY,
                 np.random.default_rng(0),
             )
+
+    @pytest.mark.parametrize("made_by", ["generate_mask", "apply_and_mask", "Train"])
+    def test_rejects_train_without_counts(self, made_by):
+        # the counts come with Alice's train, and no stage recounts them from the bins
+        train = _train([ZERO, ONE, DECOY, ONE])
+        mask = eve.generate_mask(train.n, np.random.default_rng(0))
+        other = {"generate_mask": mask, "apply_and_mask": eve.apply_and_mask(train, mask), "Train": Train(train.bins, 4)}
+        with pytest.raises(ValueError, match="^train must be Alice's train"):
+            run_sifting(other[made_by], ([0, 1], [0, 1]), NO_MONITOR, NO_VERIFY, np.random.default_rng(0))
 
     def test_empty_inputs_of_any_dtype(self):
         empty = np.array([])  # float64
