@@ -74,10 +74,13 @@ def _ints_text(a: np.ndarray) -> str:
 
     A block holding a negative number is joined from its Python ints, as
     json.dumps writes them; no run writes one.  Otherwise each number
-    fills one fixed-width row of bytes: digits, then ", ".  When every
+    fills one fixed-width row of bytes: digits, then ", ".  The digits are
+    peeled off right to left, each quotient written into one of two
+    buffers used in turn, so a digit makes no fresh array.  When every
     number has one digit count, every row is full and the buffer is
     decoded as it is.  Otherwise every byte left of a number's first
-    digit is set to NUL, and the NULs are deleted in one pass.
+    digit is set to NUL by np.copyto(where=), as a write through a boolean
+    index is numpy's slow path, and the NULs are deleted in one pass.
     """
     low, top = int(a.min()), int(a.max())
     if low < 0:
@@ -85,10 +88,12 @@ def _ints_text(a: np.ndarray) -> str:
     width = len(str(top))
     a = a.astype(np.uint32 if top < 2**32 else np.uint64, copy=False)  # uint32 divides faster
     rows = np.empty((a.size, width + 2), dtype=np.uint8)
+    quotients, product = (np.empty_like(a), np.empty_like(a)), np.empty_like(a)
     q = a
     for k in range(width):  # k-th digit from the right, written straight into its column
-        q_next = q // 10
-        np.subtract(q, q_next * 10, out=rows[:, width - 1 - k], casting="unsafe")
+        q_next = np.floor_divide(q, 10, out=quotients[k % 2])
+        np.multiply(q_next, 10, out=product)
+        np.subtract(q, product, out=rows[:, width - 1 - k], casting="unsafe")
         q = q_next
     rows += ord("0")
     rows[:, -2] = ord(",")
@@ -96,7 +101,7 @@ def _ints_text(a: np.ndarray) -> str:
     if width == 1 or low >= 10 ** (width - 1):
         return str(rows.reshape(-1)[:-2], "ascii")
     for k in range(1, width):
-        rows[a < 10**k, width - 1 - k] = 0
+        np.copyto(rows[:, width - 1 - k], 0, where=a < 10**k)
     return rows.tobytes().translate(None, b"\0")[:-2].decode("ascii")
 
 
@@ -109,6 +114,10 @@ def _parse_ints(raw: bytes, at: int) -> tuple[np.ndarray, int] | None:
     is 0 or past 18 (the most that always fits in int64), or if a number in
     the run holds a non-digit or, past one digit, a leading zero; so a run
     it returns is json.dumps' text of its numbers, each followed by ", ".
+    "0" is subtracted once over the run's contiguous bytes, and one
+    transposed copy lays each digit column out contiguously, as a subtract
+    over a strided view is numpy's slow path.  The numbers add up in
+    uint32, which holds any 9 digits, and in int64 past that.
     """
     width = raw.find(b", ", at) - at
     if not 0 < width <= 18:
@@ -116,11 +125,13 @@ def _parse_ints(raw: bytes, at: int) -> tuple[np.ndarray, int] | None:
     count = (len(raw) - at) // (width + 2)
     seps = np.ndarray(count, _SEP.dtype, raw, at + width, (width + 2,))
     count = int(np.argmin(seps == _SEP)) or count  # the first is ", ", so 0 means all are
+    run = np.frombuffer(raw, np.uint8, count * (width + 2), at) - ord("0")
     # row j holds the j-th digit of every number in the run
-    digits = np.ndarray((width, count), np.uint8, raw, at, (1, width + 2)) - ord("0")
+    digits = np.ascontiguousarray(run.reshape(count, width + 2)[:, :width].T)
+    del run  # freed before the numbers are made, to bound the read's peak memory
     if digits.max() > 9 or (width > 1 and not digits[0].all()):
         return None
-    numbers = digits[0].astype(np.int64)
+    numbers = digits[0].astype(np.uint32 if width <= 9 else np.int64)
     for row in digits[1:]:
         numbers *= 10
         numbers += row

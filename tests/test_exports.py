@@ -39,11 +39,12 @@ DISTRIBUTIONS = {"random", "standard_exponential", "geometric", "integers"}
 # every numpy name and bit-generator method the package uses, each checked
 # against numpy 1.24, the floor pyproject.toml declares
 NUMPY_FLOOR_NAMES = {
-    "any", "arange", "argmin", "array", "asarray", "bitwise_and", "concatenate", "count_nonzero",
-    "cumsum", "diff", "empty", "empty_like", "exp", "flatnonzero", "float64", "floor", "frombuffer",
-    "generic", "int64", "invert", "left_shift", "log", "mean", "minimum", "ndarray",
-    "random.Generator", "random.SeedSequence", "random.default_rng", "right_shift", "searchsorted",
-    "subtract", "take", "uint32", "uint64", "uint8", "unpackbits", "zeros",
+    "any", "arange", "argmin", "array", "asarray", "ascontiguousarray", "bitwise_and", "concatenate",
+    "copyto", "count_nonzero", "cumsum", "diff", "empty", "empty_like", "exp", "flatnonzero",
+    "float64", "floor", "floor_divide", "frombuffer", "generic", "int64", "invert", "left_shift",
+    "log", "mean", "minimum", "multiply", "ndarray", "random.Generator", "random.SeedSequence",
+    "random.default_rng", "right_shift", "searchsorted", "subtract", "take", "uint32", "uint64",
+    "uint8", "unpackbits", "zeros",
     "bit_generator.advance", "bit_generator.random_raw",
 }
 

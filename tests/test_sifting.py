@@ -775,6 +775,8 @@ class TestJsonInts:
             np.array([], dtype=np.uint8),
             np.array([0]),
             np.array(WIDE_EDGES),
+            # one block through the NUL bytes, with uint64 quotients
+            np.array([v for v in WIDE_EDGES if v >= 0]),
             np.array([-1, 0, 1, -9, 10, -10]),
             np.array([np.iinfo(np.uint64).max, 10**19, 10**19 - 1, 0], dtype=np.uint64),
             np.resize(np.array(WIDE_EDGES), 2 * _BLOCK + 5),
@@ -796,6 +798,7 @@ class TestJsonInts:
             "empty-uint8",
             "zero",
             "edges",
+            "edges-non-negative",
             "small-signed",
             "uint64",
             "blocks",
@@ -893,6 +896,9 @@ class TestChunks:
             [7],
             [100, 20, 3],
             [10**18, 10**18 + 1],
+            # nine digits add up in uint32, ten in int64
+            [999999999, 1000000000],
+            [123456789, 4294967295, 4294967296],
         ],
         ids=[
             "digits-under-separators",
@@ -902,6 +908,8 @@ class TestChunks:
             "one",
             "digit-counts-fall",
             "nineteen-digits",
+            "nine-then-ten-digits",
+            "past-uint32",
         ],
     )
     def test_layouts_that_look_uniform(self, slots):
